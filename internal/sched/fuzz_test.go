@@ -61,3 +61,25 @@ func FuzzTieBreak(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRunQueue feeds the differential driver of runqueue_test.go fuzzed op
+// scripts: whatever sequence of Yield / Block / SetReadyAt / Exit the
+// script spells (Exit of Ready and of Blocked nodes included), the heap
+// must grant exactly the node a per-step Order sort of the Ready set
+// would, fire the deadlock callback exactly when that set runs dry with a
+// node still Blocked, and offer a Chooser the full sorted set.
+func FuzzRunQueue(f *testing.F) {
+	f.Add(uint64(0), uint8(0), []byte{0, 16, 32})                      // P=1: in-place re-grants
+	f.Add(uint64(0), uint8(1), []byte{10, 0, 12, 16, 15})              // block, wake, exit
+	f.Add(uint64(1), uint8(2), []byte{0, 0, 0, 14, 30, 10, 10, 12, 0}) // exit-other of Ready and Blocked
+	f.Add(uint64(42), uint8(3), make([]byte, 300))                     // all ties, hashed
+	f.Add(uint64(0xdeadbeef), uint8(2), []byte{10, 10, 10, 10, 11, 11, 11, 11})
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8, script []byte) {
+		if len(script) > 1024 {
+			script = script[:1024]
+		}
+		p := []int{1, 2, 33, 65}[size%4]
+		checkOps(t, p, seed, script, false)
+		checkOps(t, p, seed, script, true)
+	})
+}

@@ -271,7 +271,7 @@ func (s *Scheduler) admitLocked() {
 		c, ok := s.queueMinLocked()
 		if !ok {
 			if p.runningCount == 0 {
-				s.parDeadlockLocked()
+				s.fireDeadlockLocked()
 			}
 			return
 		}
@@ -314,18 +314,10 @@ func (s *Scheduler) admitLocked() {
 
 // queueMinLocked returns the Order-minimum Ready candidate.
 func (s *Scheduler) queueMinLocked() (Candidate, bool) {
-	best := -1
-	var bc Candidate
-	for i := range s.nodes {
-		if s.nodes[i].state != Ready {
-			continue
-		}
-		c := Candidate{Node: i, Clock: s.nodes[i].clock, Seq: s.nodes[i].seq}
-		if best == -1 || Order(s.seed, c, bc) {
-			best, bc = i, c
-		}
+	if s.rq.len() == 0 {
+		return Candidate{}, false
 	}
-	return bc, best != -1
+	return s.candidate(s.rq.min()), true
 }
 
 // parAdmissibleLocked checks candidate c with intent it against every
@@ -360,11 +352,13 @@ func (s *Scheduler) parAdmissibleLocked(c Candidate, it Intent) (ok, lbts bool) 
 	return true, false
 }
 
-// grantParallel admits c into the frontier.  Caller holds s.mu.
+// grantParallel admits c, the run queue's minimum, into the frontier.
+// Caller holds s.mu and has checked poisoned.
 func (s *Scheduler) grantParallel(c Candidate) {
 	p := s.par
 	node := c.Node
 	ns := &s.nodes[node]
+	s.rq.popMin()
 	ns.state = Running
 	it := p.cur[node]
 	p.run[node] = it
@@ -378,18 +372,6 @@ func (s *Scheduler) grantParallel(c Candidate) {
 	if it.Kind == IntentFence {
 		p.fenceRun++
 	}
-	s.grantStep[node] = uint64(s.step)
-	s.step++
+	s.beginSegment(node)
 	ns.gate <- struct{}{} // buffered: never blocks
-}
-
-// parDeadlockLocked mirrors the serial deadlock check: the frontier is
-// empty, nothing is Ready, but some node is still Blocked.
-func (s *Scheduler) parDeadlockLocked() {
-	for i := range s.nodes {
-		if s.nodes[i].state == Blocked {
-			s.fireDeadlockLocked(true)
-			return
-		}
-	}
 }

@@ -79,6 +79,23 @@ func states(s *Scheduler) []State {
 	return out
 }
 
+// reseat moves node to state st (Ready or Blocked) at the given clock,
+// keeping the run queue and the Blocked count in step — what a test that
+// stages a mid-run position must use in place of writing the fields.
+func reseat(s *Scheduler, node int, st State, clock int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.detach(node)
+	s.nodes[node].state = st
+	s.nodes[node].clock = clock
+	switch st {
+	case Ready:
+		s.rq.push(s.entry(node))
+	case Blocked:
+		s.blocked++
+	}
+}
+
 // TestParallelWindowEdgeStrict: a candidate whose clock equals a running
 // member's admission floor must NOT be admitted — the member's next yield
 // could land exactly on that clock and sort first (lower node ID wins the
@@ -90,14 +107,14 @@ func TestParallelWindowEdgeStrict(t *testing.T) {
 	// Node 0's first segment declares a 100-cycle floor; node 1 is ready
 	// at exactly clock 100.
 	s.par.cur[0] = Intent{Kind: IntentCompute, LB: 100}
-	s.nodes[1].clock = 100
+	reseat(s, 1, Ready, 100)
 	s.Start()
 	if st := states(s); st[0] != Running || st[1] != Ready {
 		t.Fatalf("after Start: states %v, want node 0 Running, node 1 Ready (floor 100 is not > clock 100)", st)
 	}
 	// One cycle earlier falls strictly inside the window.
+	reseat(s, 1, Ready, 99)
 	s.mu.Lock()
-	s.nodes[1].clock = 99
 	s.admitLocked()
 	s.mu.Unlock()
 	if st := states(s); st[1] != Running {
@@ -168,8 +185,8 @@ func TestParallelSetReadyOnWindowEdge(t *testing.T) {
 	s := New(3, 0)
 	s.SetParallel(3, nil)
 	s.par.cur[0] = Intent{Kind: IntentCompute, LB: 100}
-	s.nodes[1].state = Blocked
-	s.nodes[2].state = Blocked
+	reseat(s, 1, Blocked, 0)
+	reseat(s, 2, Blocked, 0)
 	s.Start()
 	s.SetReadyIntent(1, 100, Intent{Kind: IntentCompute, LB: 4000})
 	if st := states(s); st[1] != Ready {

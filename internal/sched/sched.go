@@ -13,8 +13,8 @@
 // This package replaces host-order interleaving with a cooperative token:
 // at most one node executes simulator code at a time, and the token moves
 // only at explicit synchronization points (protocol handler entry, barrier
-// entry/exit, simulated locks).  The next node to run is chosen from the
-// Ready set by a virtual-time run queue ordered by
+// entry/exit, simulated locks).  The next node to run is the minimum of a
+// virtual-time run queue ordered by
 //
 //	(virtual clock, seeded tie-break hash, node ID, scheduling sequence)
 //
@@ -25,14 +25,34 @@
 // (seed, node, sequence) into ties, selecting an alternative — but equally
 // deterministic — interleaving, which is what the CI seed sweep exercises.
 //
+// The run queue (runqueue.go) is one indexed binary min-heap holding
+// exactly the Ready nodes, keyed by Order with the tie-break hash computed
+// once, at enqueue.  Every reader goes through it: the serial token and
+// the time-parallel admitter grant its minimum, the checker's Chooser is
+// offered its contents sorted by Order, and "nothing is Ready" is "the
+// heap is empty" (with a count of Blocked nodes deciding whether that is
+// the end of the run or a deadlock).  A scheduling point therefore costs
+// O(log P), and in the common serial case less than that:
+//
+//   - If the yielding token holder is still the Order-minimum it keeps
+//     the token in place.  Step, GrantKey, sequence number and segment
+//     recording advance exactly as for a grant, but no goroutine parks.
+//   - Otherwise the yielder takes the minimum's place at the top of the
+//     heap in a single sift (replace-top), the old minimum is granted, and
+//     the yielder parks on its gate.
+//
 // Two invariants make the schedule host-independent:
 //
 //  1. Only the running node performs Blocked→Ready transitions (a barrier's
 //     last arriver readies its parked siblings; a simulated lock's releaser
 //     readies its waiters), so wakeup order never depends on the host.
-//  2. Grant channels are buffered, so a node can be granted the token
-//     before it has parked; the grant is consumed whenever the goroutine
-//     gets around to it.
+//  2. A node parks on exactly one channel, its gate, which is buffered:
+//     a node can be granted the token before it has parked, and consumes
+//     the grant whenever its goroutine gets around to it.  Every grant is
+//     sent under the scheduler lock after a poisoned check, and Poison
+//     closes every gate under the same lock — so no send can hit a closed
+//     gate, a grant buffered before the poison is still consumed, and
+//     every AwaitGrant after it returns at once.
 //
 // The scheduler also carries the hooks the bounded model checker
 // (internal/check) builds on: a Chooser that overrides the run-queue order
@@ -97,7 +117,9 @@ type nodeState struct {
 	state State
 	clock int64
 	seq   uint64
-	gate  chan struct{}
+	// gate delivers the node's grants (buffered: at most one is ever
+	// outstanding) and is closed by Poison.
+	gate chan struct{}
 }
 
 // Scheduler serializes one machine run.  Create a fresh Scheduler per run.
@@ -106,10 +128,12 @@ type Scheduler struct {
 	nodes []nodeState
 	seed  uint64
 
+	rq      runQueue // exactly the Ready nodes
+	blocked int      // nodes in the Blocked state
+
 	running  int // node holding the token, -1 if none (serial mode)
 	step     int // grants so far
 	poisoned bool
-	poisonCh chan struct{}
 
 	chooser    Chooser
 	observer   func(step int)
@@ -122,9 +146,10 @@ type Scheduler struct {
 	candBuf []Candidate
 
 	// grantStep[n] is the grant step that started node n's current (or
-	// last) segment.  Written under mu at grant time, before the grant
-	// channel send; the owning node reads it via GrantKey after receiving
-	// the grant, so the channel provides the happens-before edge.
+	// last) segment.  Written under mu at grant time, before the gate
+	// send; the owning node reads it via GrantKey after receiving the
+	// grant, so the gate provides the happens-before edge (a node that
+	// keeps the token in place wrote it itself).
 	grantStep []uint64
 
 	// par holds the time-parallel frontier state; nil in serial mode.
@@ -139,13 +164,14 @@ func New(n int, seed uint64) *Scheduler {
 	s := &Scheduler{
 		nodes:     make([]nodeState, n),
 		seed:      seed,
+		rq:        newRunQueue(n),
 		running:   -1,
-		poisonCh:  make(chan struct{}),
 		curSeg:    -1,
 		grantStep: make([]uint64, n),
 	}
 	for i := range s.nodes {
 		s.nodes[i] = nodeState{state: Ready, gate: make(chan struct{}, 1)}
+		s.rq.push(s.entry(i))
 	}
 	return s
 }
@@ -182,12 +208,7 @@ func (s *Scheduler) Start() {
 // AwaitGrant blocks until the node is granted the token (or the scheduler
 // is poisoned, in which case it returns immediately and the caller unwinds
 // free-running).
-func (s *Scheduler) AwaitGrant(node int) {
-	select {
-	case <-s.nodes[node].gate:
-	case <-s.poisonCh:
-	}
-}
+func (s *Scheduler) AwaitGrant(node int) { <-s.nodes[node].gate }
 
 // Yield is a scheduling point: the running node offers the token at the
 // given virtual clock and waits to be granted again.  The next segment is
@@ -206,22 +227,51 @@ func (s *Scheduler) YieldIntent(node int, clock int64, it Intent) {
 		return
 	}
 	ns := &s.nodes[node]
-	ns.state = Ready
+	s.detach(node)
 	ns.clock = clock
 	ns.seq++
 	s.endSegment(node)
 	if s.par != nil {
+		ns.state = Ready
+		s.rq.push(s.entry(node))
 		s.par.cur[node] = it
 		s.leaveFrontierLocked(node)
 		s.admitLocked()
-	} else {
+	} else if s.yieldSerial(node) {
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	<-ns.gate
+}
+
+// yieldSerial re-enters the yielding node into the run queue and moves the
+// serial token, reporting whether node kept it (and so must not park).
+// Caller holds s.mu and has updated node's clock and seq.
+func (s *Scheduler) yieldSerial(node int) bool {
+	ns := &s.nodes[node]
+	e := s.entry(node)
+	if s.running != node || s.chooser != nil || s.observer != nil {
+		// Checker mode decides every grant from the full candidate list,
+		// and a caller that does not hold the token can only queue up:
+		// both go through dispatch.
+		ns.state = Ready
+		s.rq.push(e)
 		if s.running == node {
 			s.running = -1
 		}
 		s.dispatch()
+		return false
 	}
-	s.mu.Unlock()
-	s.AwaitGrant(node)
+	if s.rq.len() == 0 || e.before(s.rq.min()) {
+		// Still the Order-minimum: the grant a dispatch would make, minus
+		// the trip through the gate.
+		s.beginSegment(node)
+		return true
+	}
+	ns.state = Ready
+	s.grantSerial(int(s.rq.replaceMin(e).node))
+	return false
 }
 
 // Block transitions the running node to Blocked and passes the token on.
@@ -236,7 +286,9 @@ func (s *Scheduler) Block(node int) {
 		return
 	}
 	ns := &s.nodes[node]
+	s.detach(node)
 	ns.state = Blocked
+	s.blocked++
 	ns.seq++
 	s.endSegment(node)
 	if s.par != nil {
@@ -287,16 +339,16 @@ func (s *Scheduler) setReadyLocked(node int, clock int64) {
 	if ns.state != Blocked {
 		return
 	}
+	s.blocked--
 	ns.state = Ready
 	ns.clock = clock
 	ns.seq++
+	s.rq.push(s.entry(node))
 	if s.par != nil {
 		s.admitLocked()
 		return
 	}
-	if s.running == -1 {
-		s.dispatch()
-	}
+	s.dispatch() // no-op while the caller holds the token
 }
 
 // Exit marks the node Done and passes the token on.  Called from the run
@@ -307,20 +359,16 @@ func (s *Scheduler) Exit(node int) {
 		s.mu.Unlock()
 		return
 	}
+	s.detach(node)
 	s.nodes[node].state = Done
 	s.endSegment(node)
 	if s.par != nil {
 		s.leaveFrontierLocked(node)
-		if !s.poisoned {
-			s.admitLocked()
+		s.admitLocked()
+	} else {
+		if s.running == node {
+			s.running = -1
 		}
-		s.mu.Unlock()
-		return
-	}
-	if s.running == node {
-		s.running = -1
-	}
-	if !s.poisoned {
 		s.dispatch()
 	}
 	s.mu.Unlock()
@@ -334,7 +382,11 @@ func (s *Scheduler) Poison() {
 	s.mu.Lock()
 	if !s.poisoned {
 		s.poisoned = true
-		close(s.poisonCh)
+		// Grants are only ever sent under s.mu by dispatch and
+		// admitLocked, both of which return early once poisoned.
+		for i := range s.nodes {
+			close(s.nodes[i].gate)
+		}
 		if s.par != nil {
 			s.par.netCond.Broadcast()
 		}
@@ -391,55 +443,53 @@ func (s *Scheduler) Steps() int {
 	return s.step
 }
 
-// dispatch grants the token to the next node.  Caller holds s.mu, no node
-// is Running.  On deadlock (nothing Ready, something Blocked) it fires the
-// OnDeadlock callback on a fresh goroutine: the caller may hold a lock —
-// the barrier's, say — that the callback needs to abort cleanly.
+// entry builds node's run-queue key from its current clock and seq.
+func (s *Scheduler) entry(node int) rqEntry {
+	ns := &s.nodes[node]
+	e := rqEntry{clock: ns.clock, node: int32(node)}
+	if s.seed != 0 {
+		e.hash = mix(s.seed, Candidate{Node: node, Seq: ns.seq})
+	}
+	return e
+}
+
+// candidate is the exported view of a run-queue entry.
+func (s *Scheduler) candidate(e rqEntry) Candidate {
+	return Candidate{Node: int(e.node), Clock: e.clock, Seq: s.nodes[e.node].seq}
+}
+
+// detach takes node out of the bookkeeping its current state carries (a
+// run-queue slot if Ready, the Blocked count if Blocked) ahead of a state
+// change.  Caller holds s.mu.
+func (s *Scheduler) detach(node int) {
+	switch s.nodes[node].state {
+	case Ready:
+		s.rq.remove(node)
+	case Blocked:
+		s.blocked--
+	}
+}
+
+// dispatch grants the serial token to the next node.  Caller holds s.mu.
+// A no-op while some node holds the token.  On deadlock (nothing Ready,
+// something Blocked) it fires the OnDeadlock callback.
 func (s *Scheduler) dispatch() {
 	if s.poisoned || s.running != -1 {
 		return
 	}
+	if s.rq.len() == 0 {
+		s.fireDeadlockLocked()
+		return
+	}
 	if s.chooser == nil && s.observer == nil {
-		// Fast path: only the run queue's minimum is ever granted, and
-		// sorting the whole Ready set dominated grant cost in profiles.
-		// A linear Order-minimum scan picks the identical node (Order is
-		// a strict total order, so the minimum is unique).
-		best := -1
-		var bc Candidate
-		blocked := false
-		for i := range s.nodes {
-			switch s.nodes[i].state {
-			case Ready:
-				c := Candidate{Node: i, Clock: s.nodes[i].clock, Seq: s.nodes[i].seq}
-				if best == -1 || Order(s.seed, c, bc) {
-					best, bc = i, c
-				}
-			case Blocked:
-				blocked = true
-			}
-		}
-		if best == -1 {
-			s.fireDeadlockLocked(blocked)
-			return
-		}
-		s.grantSerial(best)
+		s.grantSerial(int(s.rq.popMin().node))
 		return
 	}
 	cands := s.candBuf[:0]
-	blocked := false
-	for i := range s.nodes {
-		switch s.nodes[i].state {
-		case Ready:
-			cands = append(cands, Candidate{Node: i, Clock: s.nodes[i].clock, Seq: s.nodes[i].seq})
-		case Blocked:
-			blocked = true
-		}
+	for _, e := range s.rq.h {
+		cands = append(cands, s.candidate(e))
 	}
 	s.candBuf = cands
-	if len(cands) == 0 {
-		s.fireDeadlockLocked(blocked)
-		return
-	}
 	seed := s.seed
 	sort.Slice(cands, func(i, j int) bool { return Order(seed, cands[i], cands[j]) })
 	if s.observer != nil {
@@ -452,27 +502,38 @@ func (s *Scheduler) dispatch() {
 			panic(fmt.Sprintf("sched: chooser returned %d of %d candidates", idx, len(cands)))
 		}
 	}
+	s.rq.remove(cands[idx].Node)
 	s.grantSerial(cands[idx].Node)
 }
 
-// grantSerial moves the token to node.  Caller holds s.mu.
+// grantSerial moves the token to node, which the caller has already taken
+// out of the run queue.  Caller holds s.mu and has checked poisoned.
 func (s *Scheduler) grantSerial(node int) {
 	ns := &s.nodes[node]
 	ns.state = Running
 	s.running = node
-	s.grantStep[node] = uint64(s.step)
-	s.step++
-	if s.record {
-		s.segs = append(s.segs, Segment{Node: node, Step: s.step - 1})
-		s.curSeg = len(s.segs) - 1
-	}
+	s.beginSegment(node)
 	ns.gate <- struct{}{} // buffered: never blocks (at most one outstanding grant)
 }
 
-// fireDeadlockLocked fires the OnDeadlock callback (once, on a fresh
-// goroutine) when nothing is runnable but some node is still Blocked.
-func (s *Scheduler) fireDeadlockLocked(blocked bool) {
-	if blocked && s.onDeadlock != nil {
+// beginSegment is the bookkeeping every grant performs, whether or not the
+// token changes hands: the step counter, the node's GrantKey and, in
+// checker mode, a fresh Segment.  Caller holds s.mu.
+func (s *Scheduler) beginSegment(node int) {
+	s.grantStep[node] = uint64(s.step)
+	if s.record {
+		s.segs = append(s.segs, Segment{Node: node, Step: s.step})
+		s.curSeg = len(s.segs) - 1
+	}
+	s.step++
+}
+
+// fireDeadlockLocked is called when nothing is Ready and nothing runs: if
+// some node is still Blocked it fires the OnDeadlock callback, once, on a
+// fresh goroutine — the caller may hold a lock (the barrier's, say) that
+// the callback needs to abort cleanly.
+func (s *Scheduler) fireDeadlockLocked() {
+	if s.blocked > 0 && s.onDeadlock != nil {
 		cb := s.onDeadlock
 		s.onDeadlock = nil // fire once
 		go cb()
@@ -483,8 +544,8 @@ func (s *Scheduler) fireDeadlockLocked(blocked bool) {
 // establishing the canonical position of the segment's side effects in
 // the serial order.  It is written under the scheduler lock before the
 // grant is delivered and read by the granted node during its segment, so
-// the grant channel orders the accesses.  Deterministic in both serial
-// and parallel modes, and identical between them.
+// the gate orders the accesses.  Deterministic in both serial and
+// parallel modes, and identical between them.
 func (s *Scheduler) GrantKey(node int) uint64 { return s.grantStep[node] }
 
 // endSegment closes the running segment, if any.  Caller holds s.mu.

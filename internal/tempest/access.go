@@ -63,6 +63,15 @@ func (n *Node) loadFault(b memsys.BlockID) *Line {
 	return l
 }
 
+// storeFault is loadFault's write-miss counterpart.
+func (n *Node) storeFault(b memsys.BlockID) *Line {
+	n.preFault(b)
+	n.makeRoom()
+	l := n.M.protocol.WriteFault(n, b)
+	n.mruBlock, n.mruLine = b, l
+	return l
+}
+
 // loadSeg is THE load access sequence, shared by the scalar and span read
 // paths: one tag check for block b — faulting to the protocol when it
 // fails — then a single charge for k permitted loads within the block.
@@ -141,10 +150,7 @@ func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) {
 	}
 	l := n.writable(b)
 	if l == nil {
-		n.preFault(b)
-		n.makeRoom()
-		l = n.M.protocol.WriteFault(n, b)
-		n.mruBlock, n.mruLine = b, l
+		l = n.storeFault(b)
 	}
 	n.clock += k * n.M.Cost.CacheHit
 	n.Ctr.Hits += k
@@ -156,6 +162,17 @@ func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) {
 		return
 	}
 	n.M.Lock(b)
+	// Free-running only: another node's write fault can revoke the line
+	// between the tag check above and the lock, and a store landing in the
+	// revoked line (and the home image) would never reach the new exclusive
+	// owner.  Re-validate under the lock and fault again.  Under the
+	// deterministic scheduler no scheduling point lies between check and
+	// lock, so the loop body never runs and no charge or counter moves.
+	for l.Tag() < TagReadWrite {
+		n.M.Unlock(b)
+		l = n.storeFault(b)
+		n.M.Lock(b)
+	}
 	copy(l.Data[off:], src)
 	copy(n.M.AS.HomeData(b)[off:], src)
 	n.M.Unlock(b)
