@@ -304,7 +304,23 @@ func (p *LCM) phaseEntry(b memsys.BlockID, ph uint32) *entry {
 	return e
 }
 
-// chargeMiss charges a data-carrying fetch like Stache does.
+// The LCM-region handlers below — ReadFault, mark, flushBlock, Evict — are
+// each one body in two halves (tempest's effects.go has the contract).  The
+// local half is everything the faulting node can do by itself: between two
+// reconciliations the home image of a loosely coherent block is constant,
+// so installing from it, and charging for that, needs nobody's permission.
+// The shared half is a tempest.Effect of one of these kinds, applied by
+// ApplyEffect under the block's lock: on the spot, or — when the machine
+// runs ahead — later, at the handler's position in the grant order.
+const (
+	fxRead  uint8 = iota // a node took a read-only copy
+	fxMark               // a node took a private copy from home
+	fxFlush              // a node returned a private copy; Data is the copy, Mask its modified elements
+	fxEvict              // a node dropped a read-only copy
+)
+
+// chargeMiss charges the requester's side of a data-carrying fetch like
+// Stache does; the home's side is chargeHome, in the effect.
 func (p *LCM) chargeMiss(n *tempest.Node, home int) {
 	m := p.m
 	n.Ctr.Misses++
@@ -315,7 +331,81 @@ func (p *LCM) chargeMiss(n *tempest.Node, home int) {
 	}
 	n.Charge(m.Net.RoundTrip(n.ID, home, int64(m.AS.BlockSize), n.Clock(), &n.Ctr.Net))
 	n.Ctr.RemoteMisses++
-	m.Nodes[home].ChargeRemote(m.Cost.HomeOccupancy)
+}
+
+// chargeHome steals c handler cycles from b's home on n's behalf; a node
+// that is its own home has already paid in full.
+func (p *LCM) chargeHome(n *tempest.Node, b memsys.BlockID, c int64) {
+	if home := p.m.AS.HomeOf(b); home != n.ID {
+		p.m.Nodes[home].ChargeRemote(c)
+	}
+}
+
+// ApplyEffect implements tempest.EffectApplier: the shared half of the
+// handler that node n ran for block fx.Block.
+func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
+	b := fx.Block
+	c := p.m.Cost
+	p.m.Lock(b)
+	defer p.m.Unlock(b)
+	switch fx.Kind {
+	case fxRead:
+		e := p.phaseEntry(b, p.phase.Load())
+		e.sharers.Add(n.ID)
+		if p.m.AS.RegionOfBlock(b).ConflictCheck {
+			e.readers.Add(n.ID)
+		}
+		p.chargeHome(n, b, c.HomeOccupancy)
+	case fxMark:
+		e := p.phaseEntry(b, p.phase.Load())
+		// First mark of this block in this phase: the home creates its
+		// clean copy (the pending merge image starts as a copy of the
+		// pre-phase value) and registers the block for commit at
+		// reconciliation.
+		if !e.hasPending {
+			if e.pending == nil {
+				// Carved from the marking node's arena; published to other
+				// goroutines only under b's lock, like the entry itself.
+				e.pending = n.BlockBuf()
+			}
+			copy(e.pending, p.m.AS.HomeData(b))
+			e.hasPending = true
+			p.m.Shared.CleanCopiesHome.Add(1)
+		}
+		if !e.registered {
+			e.registered = true
+			home := p.m.AS.HomeOf(b)
+			p.dirtyMu[home].Lock()
+			p.dirty[home] = append(p.dirty[home], dirtyRef{b: b, key: n.GrantKey()})
+			p.dirtyMu[home].Unlock()
+		}
+		// A private writer is no longer a read-only sharer.
+		e.sharers.Remove(n.ID)
+		p.chargeHome(n, b, c.HomeOccupancy)
+	case fxFlush:
+		e := &p.entries[b]
+		if !e.hasPending || e.gen != p.phase.Load() {
+			panic(fmt.Sprintf("core: flush of block %d with no pending image", b))
+		}
+		r := p.m.AS.RegionOfBlock(b)
+		rec := r.Reconciler.(Reconciler)
+		es := rec.ElemSize()
+		clean := p.m.AS.HomeData(b)
+		// Ascending element order, exactly once per modified element.
+		for mask := fx.Mask; mask != 0; mask &= mask - 1 {
+			p.mergeElem(n, b, e, r, rec, es, fx.Data, clean, uint32(bits.TrailingZeros64(mask))*es)
+		}
+		if fx.Mask != 0 {
+			e.writers.Add(n.ID)
+		}
+		if p.variant == MCC {
+			// The flusher reverted to its clean copy and reads on.
+			e.sharers.Add(n.ID)
+		}
+		p.chargeHome(n, b, c.FlushOccupancy+int64(bits.OnesCount64(fx.Mask))*c.MergePerWord)
+	case fxEvict:
+		p.entries[b].sharers.Remove(n.ID)
+	}
 }
 
 // ReadFault implements tempest.Protocol: obtain a read-only copy carrying
@@ -325,21 +415,15 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	if r.Kind == memsys.KindCoherent {
 		return p.coherent.ReadFault(n, b)
 	}
-	home := p.m.AS.HomeOf(b)
 	ph := p.phase.Load()
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
-	p.m.Lock(b)
-	defer p.m.Unlock(b)
+	fx := n.EnterHandler(b, true) // deterministic handler-entry order (see internal/sched)
 	// The home image is not updated until reconciliation commits, so it
 	// is the clean (pre-phase) value throughout the parallel phase.
 	l := n.Install(b, p.m.AS.HomeData(b), tempest.TagReadOnly)
 	l.Gen = ph
-	e := p.phaseEntry(b, ph)
-	e.sharers.Add(n.ID)
-	if r.ConflictCheck {
-		e.readers.Add(n.ID)
-	}
-	p.chargeMiss(n, home)
+	fx.Kind = fxRead
+	n.Emit(fx)
+	p.chargeMiss(n, p.m.AS.HomeOf(b))
 	if t := p.m.Trace; t != nil {
 		t.Record(n.ID, n.Clock(), trace.ReadMiss, uint32(b), 0)
 	}
@@ -395,30 +479,9 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	}
 
 	home := p.m.AS.HomeOf(b)
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
-	p.m.Lock(b)
-	defer p.m.Unlock(b)
-	e := p.phaseEntry(b, ph)
-
-	// First mark of this block in this phase: the home creates its clean
-	// copy (the pending merge image starts as a copy of the pre-phase
-	// value) and registers the block for commit at reconciliation.
-	if !e.hasPending {
-		if e.pending == nil {
-			// Carved from the marking node's arena; published to other
-			// goroutines only under b's lock, like the entry itself.
-			e.pending = n.BlockBuf()
-		}
-		copy(e.pending, p.m.AS.HomeData(b))
-		e.hasPending = true
-		p.m.Shared.CleanCopiesHome.Add(1)
-	}
-	if !e.registered {
-		e.registered = true
-		p.dirtyMu[home].Lock()
-		p.dirty[home] = append(p.dirty[home], dirtyRef{b: b, key: n.GrantKey()})
-		p.dirtyMu[home].Unlock()
-	}
+	fx := n.EnterHandler(b, true) // deterministic handler-entry order (see internal/sched)
+	fx.Kind = fxMark
+	n.Emit(fx)
 
 	if l != nil && l.Tag() >= tempest.TagReadOnly {
 		// Upgrade in place: the cached data is the pre-phase value.
@@ -428,7 +491,6 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 			n.Charge(c.MarkLocal)
 		} else {
 			n.Charge(p.m.Net.Upgrade(n.ID, home, n.Clock(), &n.Ctr.Net))
-			p.m.Nodes[home].ChargeRemote(c.HomeOccupancy)
 		}
 	} else {
 		// Fetch the clean value from home.
@@ -445,8 +507,6 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		l.CleanGen = ph
 		p.m.Shared.CleanCopiesLocal.Add(1)
 	}
-	// A private writer is no longer a read-only sharer.
-	e.sharers.Remove(n.ID)
 	p.noteMarked(n, l, b)
 	if t := p.m.Trace; t != nil {
 		t.Record(n.ID, n.Clock(), trace.Mark, uint32(b), 0)
@@ -477,83 +537,27 @@ func (p *LCM) FlushCopies(n *tempest.Node) {
 	st.marked = st.marked[:0]
 }
 
-// flushBlock diffs one private copy against the clean value, merges the
-// modified elements into the home's pending image, and releases or reverts
-// the private copy according to the variant.
+// flushBlock diffs one private copy against the clean value, sends the
+// modified elements home to be merged into the pending image, and releases
+// or reverts the private copy according to the variant.
 func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	l := n.Line(b)
 	if l == nil || l.Tag() != tempest.TagPrivate || !l.Marked {
 		panic(fmt.Sprintf("core: node %d flushing block %d which is not private-marked", n.ID, b))
 	}
 	r := p.m.AS.RegionOfBlock(b)
-	rec := r.Reconciler.(Reconciler)
-	es := rec.ElemSize()
+	es := r.Reconciler.(Reconciler).ElemSize()
 	home := p.m.AS.HomeOf(b)
 	c := p.m.Cost
 
 	// Every post-yield path charges at least a local fill or a network
 	// flush, so the full fault floor holds (the no-pending path panics).
-	n.SchedYieldFault(b) // deterministic handler-entry order (see internal/sched)
-	p.m.Lock(b)
-	e := &p.entries[b]
-	if !e.hasPending || e.gen != p.phase.Load() {
-		p.m.Unlock(b)
-		panic(fmt.Sprintf("core: flush of block %d with no pending image", b))
-	}
-	clean := p.m.AS.HomeData(b)
-	words := int64(0)
-	bs := p.m.AS.BlockSize
-	if !r.ConflictCheck && (es == 4 || es == 8) {
-		// Fast diff for the common case (no store-granularity tracking):
-		// most of a flushed block is untouched, so compare eight bytes
-		// at a time and drop into per-element merging only around actual
-		// modifications.  Merge order and results are identical to the
-		// per-element loop below.
-		for off := uint32(0); off < bs; off += 8 {
-			if binary.LittleEndian.Uint64(l.Data[off:]) == binary.LittleEndian.Uint64(clean[off:]) {
-				continue
-			}
-			if es == 8 {
-				p.mergeElem(n, b, e, r, rec, es, l, clean, off)
-				words++
-				continue
-			}
-			if binary.LittleEndian.Uint32(l.Data[off:]) != binary.LittleEndian.Uint32(clean[off:]) {
-				p.mergeElem(n, b, e, r, rec, es, l, clean, off)
-				words++
-			}
-			if binary.LittleEndian.Uint32(l.Data[off+4:]) != binary.LittleEndian.Uint32(clean[off+4:]) {
-				p.mergeElem(n, b, e, r, rec, es, l, clean, off+4)
-				words++
-			}
-		}
-	} else {
-		for off := uint32(0); off < bs; off += es {
-			in := l.Data[off : off+es]
-			cl := clean[off : off+es]
-			// A returning element is "modified" when its value differs
-			// from the clean copy, or — in conflict-checked regions,
-			// which track stores at word granularity (footnote 2) — when
-			// it was stored to at all, even with an unchanged value.
-			stored := false
-			if r.ConflictCheck {
-				for w := off / 4; w < (off+es)/4; w++ {
-					if l.WMask&(1<<w) != 0 {
-						stored = true
-					}
-				}
-			}
-			if equalBytes(in, cl) && !stored {
-				continue
-			}
-			p.mergeElem(n, b, e, r, rec, es, l, clean, off)
-			words++
-		}
-	}
+	fx := n.EnterHandler(b, true) // deterministic handler-entry order (see internal/sched)
+	fx.Kind = fxFlush
+	fx.Mask = modifiedElems(l, p.m.AS.HomeData(b), es, r.ConflictCheck)
+	copy(fx.Data, l.Data)
+	words := int64(bits.OnesCount64(fx.Mask))
 	l.WMask = 0
-	if words > 0 {
-		e.writers.Add(n.ID)
-	}
 	n.Ctr.Flushes++
 	n.Ctr.WordsFlushed += words * int64(es/4)
 
@@ -567,10 +571,9 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 		// pre-phase copy without re-fetching.
 		copy(l.Data, l.Clean)
 		l.SetTag(tempest.TagReadOnly)
-		e.sharers.Add(n.ID)
 	}
 	l.Marked = false
-	p.m.Unlock(b)
+	n.Emit(fx)
 
 	if t := p.m.Trace; t != nil {
 		t.Record(n.ID, n.Clock(), trace.Flush, uint32(b), int32(words))
@@ -581,18 +584,63 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 		// One-way message carrying the modified elements; the network
 		// charges the fixed send cost plus payload bandwidth.
 		n.Charge(p.m.Net.Flush(n.ID, home, words*int64(es), n.Clock(), &n.Ctr.Net))
-		p.m.Nodes[home].ChargeRemote(c.FlushOccupancy + words*c.MergePerWord)
 	}
 }
 
-// mergeElem folds the modified element at byte offset off of block b into
-// the home's pending image, with conflict detection and accounting.  The
-// caller holds b's lock and invokes mergeElem in ascending offset order,
-// exactly once per modified element.
-func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.Region, rec Reconciler, es uint32, l *tempest.Line, clean []byte, off uint32) {
+// modifiedElems returns the set of es-byte elements of private copy l that
+// go home in a flush, as a bitmask by element index.  An element is
+// modified when its value differs from the clean copy, or — in
+// conflict-checked regions, which track stores at word granularity
+// (footnote 2) — when it was stored to at all, even with an unchanged
+// value.
+func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool) uint64 {
+	var mask uint64
+	bs := uint32(len(clean))
+	if !conflictCheck && (es == 4 || es == 8) {
+		// The common case (no store-granularity tracking): most of a
+		// flushed block is untouched, so compare eight bytes at a time and
+		// look closer only around actual modifications.
+		for off := uint32(0); off < bs; off += 8 {
+			if binary.LittleEndian.Uint64(l.Data[off:]) == binary.LittleEndian.Uint64(clean[off:]) {
+				continue
+			}
+			if es == 8 {
+				mask |= 1 << (off / 8)
+				continue
+			}
+			if binary.LittleEndian.Uint32(l.Data[off:]) != binary.LittleEndian.Uint32(clean[off:]) {
+				mask |= 1 << (off / 4)
+			}
+			if binary.LittleEndian.Uint32(l.Data[off+4:]) != binary.LittleEndian.Uint32(clean[off+4:]) {
+				mask |= 1 << (off/4 + 1)
+			}
+		}
+		return mask
+	}
+	for off := uint32(0); off < bs; off += es {
+		stored := false
+		if conflictCheck {
+			for w := off / 4; w < (off+es)/4; w++ {
+				if l.WMask&(1<<w) != 0 {
+					stored = true
+				}
+			}
+		}
+		if stored || !equalBytes(l.Data[off:off+es], clean[off:off+es]) {
+			mask |= 1 << (off / es)
+		}
+	}
+	return mask
+}
+
+// mergeElem folds the modified element at byte offset off of node n's
+// returned copy data into the pending image of block b, with conflict
+// detection and accounting.  The caller holds b's lock and invokes
+// mergeElem in ascending offset order, exactly once per modified element.
+func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.Region, rec Reconciler, es uint32, data, clean []byte, off uint32) {
 	idx := off / es
 	prior := e.written&(1<<idx) != 0
-	conflict := rec.Merge(e.pending[off:off+es], l.Data[off:off+es], clean[off:off+es], prior)
+	conflict := rec.Merge(e.pending[off:off+es], data[off:off+es], clean[off:off+es], prior)
 	if r.ConflictCheck && prior {
 		// Store granularity: any second modifier of an element in one
 		// phase is a violation, value-equal or not.
@@ -633,10 +681,9 @@ func (p *LCM) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	if l.Tag() == tempest.TagPrivate {
 		return false
 	}
-	n.SchedYieldEvict(b) // deterministic handler-entry order (see internal/sched)
-	p.m.Lock(b)
-	defer p.m.Unlock(b)
-	p.entries[b].sharers.Remove(n.ID)
+	fx := n.EnterHandler(b, false) // deterministic handler-entry order (see internal/sched)
+	fx.Kind = fxEvict
+	n.Emit(fx) // the home forgets the sharer
 	l.SetTag(tempest.TagInvalid)
 	n.Charge(p.m.Cost.MarkLocal)
 	return true

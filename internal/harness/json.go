@@ -67,6 +67,24 @@ type BenchRecord struct {
 	KVMigratedBlocks int64 `json:"kv_migrated_blocks,omitempty"`
 	KVHotShardOps    int64 `json:"kv_hot_shard_ops,omitempty"`
 	KVAnswer         int64 `json:"kv_answer,omitempty"`
+	// Host-side scheduling facts: whether the cell's protocol handlers
+	// ran ahead of the scheduler token ("on", or "off: " and the reason
+	// the machine gave), and the scheduler's grants, goroutine hand-offs
+	// and deferred applies.  Informational, like WallNS and BenchFile.Par:
+	// no observable depends on them, benchdiff ignores them, and
+	// MarshalDeterministic masks them.
+	RunAhead      string `json:"run_ahead,omitempty"`
+	SchedGrants   int64  `json:"sched_grants,omitempty"`
+	SchedHandoffs int64  `json:"sched_handoffs,omitempty"`
+	SchedApplies  int64  `json:"sched_applies,omitempty"`
+}
+
+// runAheadLabel renders a run's run-ahead decision for reports.
+func runAheadLabel(h workloads.HostStats) string {
+	if h.RunAhead {
+		return "on"
+	}
+	return "off: " + h.Reason
 }
 
 // BenchFile is the on-disk BENCH_*.json shape.
@@ -160,6 +178,11 @@ func benchFile(cfg workloads.Config, scale int, rows []map[cstar.System]workload
 				KVMigratedBlocks: r.KV.MigratedBlocks,
 				KVHotShardOps:    r.KV.HotShardOps,
 				KVAnswer:         r.KV.Answer,
+
+				RunAhead:      runAheadLabel(r.Host),
+				SchedGrants:   r.Host.Grants,
+				SchedHandoffs: r.Host.Handoffs,
+				SchedApplies:  r.Host.Applies,
 			})
 		}
 	}
@@ -184,7 +207,9 @@ func MarshalDeterministic(cfg workloads.Config, scale int, rows []map[cstar.Syst
 	bf := benchFile(cfg, scale, rows)
 	bf.Par = 0 // like WallNS, a host-side knob that must not affect bytes
 	for i := range bf.Records {
-		bf.Records[i].WallNS = 0
+		r := &bf.Records[i]
+		r.WallNS = 0
+		r.RunAhead, r.SchedGrants, r.SchedHandoffs, r.SchedApplies = "", 0, 0, 0
 	}
 	return json.MarshalIndent(bf, "", "  ")
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"lcm/internal/cstar"
@@ -64,5 +65,69 @@ func TestReplayByteIdenticalJSON(t *testing.T) {
 			t.Errorf("seed %d: replay JSON differs between two runs:\n--- first ---\n%s\n--- second ---\n%s",
 				seed, first, second)
 		}
+	}
+}
+
+// TestRunAheadMetadataIsMaskedAndInformational: whether a cell's handlers
+// ran ahead of the scheduler token, and what the scheduler did, is in the
+// trajectory JSON for people to read — and nowhere in the deterministic
+// bytes, which are identical between a serial run (LCM cells run ahead) and
+// a time-parallel one (nothing does).
+func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
+	cfg := workloads.Config{P: 8, SchedSeed: 1}
+	rows := replayRows(t, cfg)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, cfg, 16, rows); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	var bf BenchFile
+	if err := json.Unmarshal(buf.Bytes(), &bf); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	for _, r := range bf.Records {
+		want := "on"
+		if r.System == "copying" {
+			want = "off: protocol without split handlers"
+		}
+		if r.RunAhead != want {
+			t.Errorf("%s/%s: run_ahead = %q, want %q", r.Workload, r.System, r.RunAhead, want)
+		}
+		if r.SchedGrants == 0 || r.SchedHandoffs == 0 || (r.SchedApplies > 0) != (want == "on") {
+			t.Errorf("%s/%s: grants %d, hand-offs %d, applies %d", r.Workload, r.System, r.SchedGrants, r.SchedHandoffs, r.SchedApplies)
+		}
+		if want == "on" && r.SchedHandoffs*4 > r.SchedGrants {
+			t.Errorf("%s/%s: %d of %d grants switched goroutines; run-ahead should leave a small fraction",
+				r.Workload, r.System, r.SchedHandoffs, r.SchedGrants)
+		}
+	}
+
+	serial, err := MarshalDeterministic(cfg, 16, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"run_ahead", "sched_grants", "sched_handoffs", "sched_applies"} {
+		if bytes.Contains(serial, []byte(field)) {
+			t.Errorf("deterministic bytes mention %q", field)
+		}
+	}
+	par := cfg
+	par.Par = 4
+	parRows := replayRows(t, par)
+	for _, row := range parRows {
+		for sys, r := range row {
+			if r.Host.RunAhead || r.Host.Applies != 0 {
+				t.Errorf("%s/%v under -par: run-ahead %v with %d applies", r.Workload, sys, r.Host.RunAhead, r.Host.Applies)
+			}
+			if sys.IsLCM() && r.Host.Reason != "time-parallel" {
+				t.Errorf("%s/%v under -par: reason %q, want time-parallel", r.Workload, sys, r.Host.Reason)
+			}
+		}
+	}
+	parallel, err := MarshalDeterministic(par, 16, parRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("serial (run-ahead) and -par 4 (on the spot) deterministic bytes differ:\n%s\n---\n%s", serial, parallel)
 	}
 }

@@ -245,6 +245,10 @@ func (ft *FatTree) MinLatency() int64 {
 	return ft.cfg.NICycles
 }
 
+// OrderFree implements Network: a message queues behind whatever occupied
+// its channels before it, so charges depend on send order and send time.
+func (ft *FatTree) OrderFree() bool { return false }
+
 // LinkStats implements Network.
 func (ft *FatTree) LinkStats() LinkStats {
 	ft.mu.Lock()

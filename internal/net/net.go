@@ -167,6 +167,15 @@ type Network interface {
 	// whose retransmissions restructure charges, say) returns 0, which
 	// disables parallel execution.
 	MinLatency() int64
+	// OrderFree reports whether every charge the model makes is a pure
+	// function of the message — its class, endpoints and payload — so
+	// that neither the order in which nodes send nor the time they send
+	// at can move a cycle or a counter.  The uniform model is; a model
+	// that queues messages on shared channels is not.  Order-free models
+	// are the ones under which segments may execute out of serial order:
+	// the time-parallel scheduler's concurrent segments, and handlers that
+	// run ahead of the token (tempest.Machine.RunAhead).
+	OrderFree() bool
 	// LinkStats reports occupancy after the machine quiesces.
 	LinkStats() LinkStats
 	// SetLoss attaches a seeded delivery-fault model (nil detaches);

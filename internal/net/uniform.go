@@ -76,6 +76,10 @@ func (u *Uniform) Barrier(node int, c *Counters) {
 	c.Bytes += u.header
 }
 
+// OrderFree implements Network: every charge above is a constant of the
+// message class plus a payload term.
+func (u *Uniform) OrderFree() bool { return true }
+
 // LinkStats reports nothing: the uniform model has no links.
 func (u *Uniform) LinkStats() LinkStats { return LinkStats{} }
 

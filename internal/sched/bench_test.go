@@ -11,7 +11,7 @@ import (
 // sched.grant_ns_p2 / sched.grant_ns_p32 probes (bench/probes).  One op is
 // one Yield.  Run them on one CPU, as the simulator's serial mode runs:
 //
-//	go test -run '^$' -bench 'Yield' -cpu 1 ./internal/sched
+//	go test -run '^$' -bench 'Yield|PostApply' -cpu 1 ./internal/sched
 
 // ring passes the token round p goroutines with no work between
 // scheduling points — every yield hands the token to another goroutine,
@@ -43,6 +43,38 @@ func BenchmarkYieldRing(b *testing.B) {
 				ring(p, seed, (b.N+p-1)/p)
 			})
 		}
+	}
+}
+
+// BenchmarkPostApply is the deferred scheduling point: each of p nodes posts
+// 64 handler entries and drains, as a node running ahead through a parallel
+// phase does, so one op is one Post applied inline by dispatch and 1/64 of
+// a drain's two goroutine switches.  Compare with YieldRing, where one op
+// is one switch.
+func BenchmarkPostApply(b *testing.B) {
+	const batch = 64
+	for _, p := range []int{2, 32, 256} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			s := New(p, 0)
+			log := newPhaseLog(p)
+			s.SetRunAhead(log.apply)
+			phases := (b.N + p*batch - 1) / (p * batch)
+			var wg sync.WaitGroup
+			wg.Add(p)
+			s.Start()
+			for node := 0; node < p; node++ {
+				go func(node int) {
+					defer wg.Done()
+					s.AwaitGrant(node)
+					for i := 0; i < phases; i++ {
+						log.phase(s, node, batch)
+					}
+					s.Exit(node)
+				}(node)
+			}
+			wg.Wait()
+		})
 	}
 }
 

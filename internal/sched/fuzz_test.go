@@ -67,13 +67,16 @@ func FuzzTieBreak(f *testing.F) {
 // script spells (Exit of Ready and of Blocked nodes included), the heap
 // must grant exactly the node a per-step Order sort of the Ready set
 // would, fire the deadlock callback exactly when that set runs dry with a
-// node still Blocked, and offer a Chooser the full sorted set.
+// node still Blocked, and offer a Chooser the full sorted set.  Read as
+// per-node streams of Post / Drain / Yield / Block (runPosts), the same
+// script must grant identically with run-ahead and without.
 func FuzzRunQueue(f *testing.F) {
 	f.Add(uint64(0), uint8(0), []byte{0, 16, 32})                      // P=1: in-place re-grants
 	f.Add(uint64(0), uint8(1), []byte{10, 0, 12, 16, 15})              // block, wake, exit
 	f.Add(uint64(1), uint8(2), []byte{0, 0, 0, 14, 30, 10, 10, 12, 0}) // exit-other of Ready and Blocked
 	f.Add(uint64(42), uint8(3), make([]byte, 300))                     // all ties, hashed
 	f.Add(uint64(0xdeadbeef), uint8(2), []byte{10, 10, 10, 10, 11, 11, 11, 11})
+	f.Add(uint64(7), uint8(1), []byte{1, 2, 3, 4, 5, 26, 12, 7, 1, 2, 14, 13, 3, 10, 4, 5}) // posts past the ring, yield after post, block and wake
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, script []byte) {
 		if len(script) > 1024 {
 			script = script[:1024]
@@ -81,5 +84,6 @@ func FuzzRunQueue(f *testing.F) {
 		p := []int{1, 2, 33, 65}[size%4]
 		checkOps(t, p, seed, script, false)
 		checkOps(t, p, seed, script, true)
+		checkPosts(t, p, seed, script)
 	})
 }

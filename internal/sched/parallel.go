@@ -37,12 +37,10 @@ package sched
 //     member is the candidate's home or vice versa, either holds a
 //     cached copy of the other's block), in both directions.
 //
-//   - Stateful interconnect models (the fat tree's channel ledgers)
-//     additionally require their operations to execute in serial order
-//     even across concurrently-running segments; NetGate blocks a
-//     member's network operation until it is the oldest (lowest grant
-//     step) member of the frontier.  Waiting only on strictly older
-//     members keeps the gate acyclic, so it cannot deadlock.
+//   - The interconnect model must price a message without consulting
+//     shared state (net.Network.OrderFree): concurrently running
+//     segments send in host order.  The machine keeps models that queue
+//     messages on shared channels (the fat tree) on the serial token.
 //
 // When the frontier is empty the Order-minimum candidate is always
 // admissible (every check is vacuous), so parallel mode can never get
@@ -50,7 +48,6 @@ package sched
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -127,10 +124,6 @@ type parState struct {
 	// math.MaxInt64 means no candidate is stalled on publications.
 	watch atomic.Int64
 
-	// netCond serializes interconnect operations in grant order (see
-	// NetGate); signaled whenever a member leaves the frontier.
-	netCond *sync.Cond
-
 	peersBuf []Peer
 }
 
@@ -141,13 +134,14 @@ type parState struct {
 // alone, which is only sound if fault intents never overlap in ways the
 // scheduler cannot see — real machines must pass one).  Must precede
 // Start; incompatible with a Chooser, an Observer, or recording, all of
-// which assume one quiescent decision point per grant.
+// which assume one quiescent decision point per grant, and with
+// SetRunAhead, whose posts only the serial dispatch applies.
 func (s *Scheduler) SetParallel(workers int, admit AdmitFunc) {
 	if workers <= 1 {
 		return
 	}
-	if s.chooser != nil || s.observer != nil || s.record {
-		panic("sched: SetParallel is incompatible with Chooser/Observer/recording")
+	if s.chooser != nil || s.observer != nil || s.record || s.apply != nil {
+		panic("sched: SetParallel is incompatible with Chooser/Observer/recording/SetRunAhead")
 	}
 	n := len(s.nodes)
 	p := &parState{
@@ -158,7 +152,6 @@ func (s *Scheduler) SetParallel(workers int, admit AdmitFunc) {
 		floor:     make([]int64, n),
 		isRunning: make([]bool, n),
 		pubs:      make([]pubSlot, n),
-		netCond:   sync.NewCond(&s.mu),
 	}
 	for i := range p.cur {
 		// Initial segments are compute: any protocol action a node can
@@ -213,34 +206,6 @@ func (s *Scheduler) SetLockHeld(node int, held bool) {
 	s.mu.Unlock()
 }
 
-// NetGate blocks until node is the oldest (lowest grant step) member of
-// the frontier, so interconnect ledger mutations happen in exactly the
-// serial order.  No-op in serial mode and when running alone.  A member
-// only ever waits on strictly older members, each of which leaves the
-// frontier in finite time, so the gate is deadlock-free.
-func (s *Scheduler) NetGate(node int) {
-	p := s.par
-	if p == nil {
-		return
-	}
-	s.mu.Lock()
-	for !s.poisoned && !s.oldestRunningLocked(node) {
-		p.netCond.Wait()
-	}
-	s.mu.Unlock()
-}
-
-func (s *Scheduler) oldestRunningLocked(node int) bool {
-	p := s.par
-	my := s.grantStep[node]
-	for i := range s.nodes {
-		if i != node && p.isRunning[i] && s.grantStep[i] < my {
-			return false
-		}
-	}
-	return true
-}
-
 // leaveFrontierLocked removes node from the running frontier after its
 // segment ended (yield, block, or exit).  Caller holds s.mu.
 func (s *Scheduler) leaveFrontierLocked(node int) {
@@ -253,7 +218,6 @@ func (s *Scheduler) leaveFrontierLocked(node int) {
 	if p.run[node].Kind == IntentFence {
 		p.fenceRun--
 	}
-	p.netCond.Broadcast()
 }
 
 // admitLocked releases the longest provably-safe in-order prefix of the
@@ -373,5 +337,6 @@ func (s *Scheduler) grantParallel(c Candidate) {
 		p.fenceRun++
 	}
 	s.beginSegment(node)
+	s.handoffs++
 	ns.gate <- struct{}{} // buffered: never blocks
 }

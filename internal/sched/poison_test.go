@@ -80,7 +80,6 @@ func TestNoSendAfterPoison(t *testing.T) {
 		s.NotePublish(1 << 40)
 		s.SetLockHeld(0, true)
 		s.SetLockHeld(0, false)
-		s.NetGate(0)
 		s.Exit(0) // Running: would pass the token on
 		s.Exit(1) // Blocked
 		s.Exit(2) // Ready

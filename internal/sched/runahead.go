@@ -1,0 +1,120 @@
+package sched
+
+// Run-ahead: the scheduler side of handlers that post their shared effect
+// instead of yielding (the package comment has the summary, DESIGN.md
+// "Run-ahead" the argument for why no observable moves).
+//
+// The machine keeps the posts — a bounded log per node — and hands the
+// scheduler one function to consume them.  The scheduler keeps only what
+// ordering needs: for each non-empty log one run-queue entry, keyed like
+// the yield it replaces.
+
+// ApplyFunc applies the oldest post in node's log, on the calling
+// goroutine, and removes it.  If the log holds another post it returns that
+// post's virtual time — the node's clock at that handler's entry as of now,
+// the moment the serial order has the node running towards it — and true.
+// It is called with the scheduler lock held while no node runs; it must not
+// call back into the Scheduler.
+type ApplyFunc func(node int) (next int64, more bool)
+
+// SetRunAhead lets nodes Post scheduling points instead of yielding at
+// them.  Must precede Start; incompatible with a Chooser, an Observer,
+// recording and SetParallel, all of which need every scheduling point to be
+// a real one.
+func (s *Scheduler) SetRunAhead(apply ApplyFunc) {
+	if s.chooser != nil || s.observer != nil || s.record || s.par != nil {
+		panic("sched: SetRunAhead is incompatible with Chooser/Observer/recording/SetParallel")
+	}
+	s.apply = apply
+}
+
+// Post queues the scheduling point the token holder has just appended to
+// its empty log: a Yield(node, clock) whose segment the ApplyFunc will run
+// when its turn comes, while node keeps the token and runs on.  Posts
+// appended to a non-empty log need no call; dispatch keys each as it applies
+// the one before.
+func (s *Scheduler) Post(node int, clock int64) {
+	s.mu.Lock()
+	if !s.poisoned {
+		s.rq.push(s.postEntry(node, clock))
+	}
+	s.mu.Unlock()
+}
+
+// postEntry is the bookkeeping of a Yield at clock — the node's recorded
+// clock and sequence number advance — returning the run-queue key.  Caller
+// holds s.mu.
+func (s *Scheduler) postEntry(node int, clock int64) rqEntry {
+	ns := &s.nodes[node]
+	ns.clock = clock
+	ns.seq++
+	return s.entry(node)
+}
+
+// Drain parks node, the token holder, until every post in its log has been
+// applied, and resumes it inside the segment of the last one: the place the
+// node would be in had it yielded at each.  A node drains before anything
+// that reads what other nodes' segments write — its own stolen cycles above
+// all — and before every real scheduling call.  Returns at once when the
+// scheduler is poisoned; the caller then checks PostFailure.
+func (s *Scheduler) Drain(node int) {
+	s.mu.Lock()
+	if s.poisoned || s.rq.pos[node] < 0 {
+		s.mu.Unlock()
+		return
+	}
+	ns := &s.nodes[node]
+	ns.state = Draining
+	if s.running == node {
+		s.running = -1
+	}
+	kept := s.dispatch(node)
+	s.mu.Unlock()
+	if !kept {
+		<-ns.gate
+	}
+}
+
+// applyPost runs the ApplyFunc on node's oldest post.  A panic inside it is
+// a failure of the node that posted, not of the goroutine that happens to
+// drive dispatch: it is kept for that node's PostFailure and the scheduler
+// is poisoned, which wakes the poster out of Drain.  Caller holds s.mu.
+func (s *Scheduler) applyPost(node int) (next int64, more, ok bool) {
+	defer func() {
+		if !ok {
+			s.failNode, s.failure = node, recover()
+			s.poisonLocked()
+		}
+	}()
+	next, more = s.apply(node)
+	s.applies++
+	return next, more, true
+}
+
+// PostFailure returns the value of the panic that applying one of node's
+// posts raised, nil if there was none.
+func (s *Scheduler) PostFailure(node int) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failNode != node {
+		return nil
+	}
+	return s.failure
+}
+
+// Stats counts the work of one run's scheduling points.
+type Stats struct {
+	// Grants is the number of scheduling decisions (Steps).
+	Grants int64
+	// Handoffs is how many of them woke another goroutine.
+	Handoffs int64
+	// Applies is how many were posts, applied without a goroutine switch.
+	Applies int64
+}
+
+// Stats returns the run's counts.  Call only after the run completes.
+func (s *Scheduler) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Stats{Grants: int64(s.step), Handoffs: s.handoffs, Applies: s.applies}
+}

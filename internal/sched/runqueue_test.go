@@ -212,6 +212,9 @@ func checkOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) {
 // TestRunQueueMatchesSortedReference is the differential test of the
 // heap: random scripts at machine sizes on both sides of the nodeset word
 // boundary, canonical and hashed tie-breaks, with and without a Chooser.
+// Each script is also read as per-node streams of posts, drains, yields
+// after posts, blocks and wake-ups (runPosts in runahead_test.go) and run
+// with and without run-ahead, which must not move a grant.
 func TestRunQueueMatchesSortedReference(t *testing.T) {
 	for _, p := range []int{1, 2, 33, 65} {
 		for _, seed := range []uint64{0, 1, 0xdeadbeef} {
@@ -227,6 +230,7 @@ func TestRunQueueMatchesSortedReference(t *testing.T) {
 				}
 				checkOps(t, p, seed, script, false)
 				checkOps(t, p, seed, script, true)
+				checkPosts(t, p, seed, script)
 			}
 		}
 	}

@@ -26,7 +26,8 @@
 // deterministic — interleaving, which is what the CI seed sweep exercises.
 //
 // The run queue (runqueue.go) is one indexed binary min-heap holding
-// exactly the Ready nodes, keyed by Order with the tie-break hash computed
+// the Ready nodes (and, under run-ahead, the oldest post of every node that
+// has any: see below), keyed by Order with the tie-break hash computed
 // once, at enqueue.  Every reader goes through it: the serial token and
 // the time-parallel admitter grant its minimum, the checker's Chooser is
 // offered its contents sorted by Order, and "nothing is Ready" is "the
@@ -53,6 +54,20 @@
 //     closes every gate under the same lock — so no send can hit a closed
 //     gate, a grant buffered before the poison is still consumed, and
 //     every AwaitGrant after it returns at once.
+//
+// Run-ahead (SetRunAhead) removes most scheduling points from the host
+// schedule without moving one in the simulated schedule.  A protocol
+// handler whose effect on other nodes can wait posts that effect instead of
+// yielding: the node keeps the token and runs on, and the post takes the
+// yield's place in the run queue — same Order key, same sequence number,
+// same grant step when its turn comes.  dispatch applies posts inline, on
+// whichever goroutine is driving it, and only switches goroutines when the
+// minimum is a Ready node or a node whose log has just run dry while it
+// waits in Drain.  A post's key is its node's clock at the handler's entry,
+// read lazily: the first post of an empty log is keyed by the poster (it
+// holds the token, so its clock is current), every later one at the moment
+// its predecessor is applied, which is when the serial order would have had
+// the node running towards that yield.  See DESIGN.md, "Run-ahead".
 //
 // The scheduler also carries the hooks the bounded model checker
 // (internal/check) builds on: a Chooser that overrides the run-queue order
@@ -81,6 +96,9 @@ const (
 	Blocked
 	// Done: the node's body returned or died.
 	Done
+	// Draining: parked in Drain until the posts in its log, the oldest of
+	// which sits in the run queue, have been applied (run-ahead only).
+	Draining
 )
 
 // Candidate is one Ready node offered to the run queue (and, in checker
@@ -128,8 +146,11 @@ type Scheduler struct {
 	nodes []nodeState
 	seed  uint64
 
-	rq      runQueue // exactly the Ready nodes
-	blocked int      // nodes in the Blocked state
+	// rq holds one entry per Ready node and, under run-ahead, one per node
+	// with a non-empty post log (the log's oldest post; such a node is
+	// Running or Draining, never Ready).
+	rq      runQueue
+	blocked int // nodes in the Blocked state
 
 	running  int // node holding the token, -1 if none (serial mode)
 	step     int // grants so far
@@ -138,6 +159,15 @@ type Scheduler struct {
 	chooser    Chooser
 	observer   func(step int)
 	onDeadlock func()
+
+	// apply is the machine's side of run-ahead, nil when every handler
+	// yields.  failNode/failure record a panic raised inside it.
+	apply    ApplyFunc
+	failNode int
+	failure  any
+
+	handoffs int64 // grants delivered through a gate to another goroutine
+	applies  int64 // posts applied by dispatch
 
 	record bool // immutable after Start
 	segs   []Segment
@@ -167,6 +197,7 @@ func New(n int, seed uint64) *Scheduler {
 		rq:        newRunQueue(n),
 		running:   -1,
 		curSeg:    -1,
+		failNode:  -1,
 		grantStep: make([]uint64, n),
 	}
 	for i := range s.nodes {
@@ -200,7 +231,7 @@ func (s *Scheduler) Start() {
 	if s.par != nil {
 		s.admitLocked()
 	} else {
-		s.dispatch()
+		s.dispatch(-1)
 	}
 	s.mu.Unlock()
 }
@@ -251,27 +282,30 @@ func (s *Scheduler) YieldIntent(node int, clock int64, it Intent) {
 func (s *Scheduler) yieldSerial(node int) bool {
 	ns := &s.nodes[node]
 	e := s.entry(node)
-	if s.running != node || s.chooser != nil || s.observer != nil {
-		// Checker mode decides every grant from the full candidate list,
-		// and a caller that does not hold the token can only queue up:
-		// both go through dispatch.
-		ns.state = Ready
-		s.rq.push(e)
-		if s.running == node {
-			s.running = -1
+	if s.running == node && s.chooser == nil && s.observer == nil {
+		if s.rq.len() == 0 || e.before(s.rq.min()) {
+			// Still the Order-minimum: the grant a dispatch would make,
+			// minus the trip through the gate.
+			s.beginSegment(node)
+			return true
 		}
-		s.dispatch()
-		return false
+		if top := int(s.rq.min().node); s.nodes[top].state == Ready {
+			// The common hand-off: take the minimum's place in one sift.
+			ns.state = Ready
+			s.rq.replaceMin(e)
+			s.beginSegment(top)
+			return s.grant(top, node)
+		}
 	}
-	if s.rq.len() == 0 || e.before(s.rq.min()) {
-		// Still the Order-minimum: the grant a dispatch would make, minus
-		// the trip through the gate.
-		s.beginSegment(node)
-		return true
-	}
+	// Checker mode decides every grant from the full candidate list, a
+	// caller that does not hold the token can only queue up, and a post at
+	// the top of the queue must be applied first: all go through dispatch.
 	ns.state = Ready
-	s.grantSerial(int(s.rq.replaceMin(e).node))
-	return false
+	s.rq.push(e)
+	if s.running == node {
+		s.running = -1
+	}
+	return s.dispatch(node)
 }
 
 // Block transitions the running node to Blocked and passes the token on.
@@ -299,7 +333,7 @@ func (s *Scheduler) Block(node int) {
 		if s.running == node {
 			s.running = -1
 		}
-		s.dispatch()
+		s.dispatch(-1)
 	}
 	s.mu.Unlock()
 }
@@ -348,7 +382,7 @@ func (s *Scheduler) setReadyLocked(node int, clock int64) {
 		s.admitLocked()
 		return
 	}
-	s.dispatch() // no-op while the caller holds the token
+	s.dispatch(-1) // no-op while the caller holds the token
 }
 
 // Exit marks the node Done and passes the token on.  Called from the run
@@ -369,7 +403,7 @@ func (s *Scheduler) Exit(node int) {
 		if s.running == node {
 			s.running = -1
 		}
-		s.dispatch()
+		s.dispatch(-1)
 	}
 	s.mu.Unlock()
 }
@@ -380,18 +414,20 @@ func (s *Scheduler) Exit(node int) {
 // scheduler's.
 func (s *Scheduler) Poison() {
 	s.mu.Lock()
-	if !s.poisoned {
-		s.poisoned = true
-		// Grants are only ever sent under s.mu by dispatch and
-		// admitLocked, both of which return early once poisoned.
-		for i := range s.nodes {
-			close(s.nodes[i].gate)
-		}
-		if s.par != nil {
-			s.par.netCond.Broadcast()
-		}
-	}
+	s.poisonLocked()
 	s.mu.Unlock()
+}
+
+func (s *Scheduler) poisonLocked() {
+	if s.poisoned {
+		return
+	}
+	s.poisoned = true
+	// Grants are only ever sent under s.mu by dispatch and admitLocked,
+	// both of which return early once poisoned.
+	for i := range s.nodes {
+		close(s.nodes[i].gate)
+	}
 }
 
 // Poisoned reports whether the scheduler has been poisoned.
@@ -459,32 +495,63 @@ func (s *Scheduler) candidate(e rqEntry) Candidate {
 }
 
 // detach takes node out of the bookkeeping its current state carries (a
-// run-queue slot if Ready, the Blocked count if Blocked) ahead of a state
-// change.  Caller holds s.mu.
+// run-queue slot if Ready — or if it dies with posts pending — and the
+// Blocked count if Blocked) ahead of a state change.  Caller holds s.mu.
 func (s *Scheduler) detach(node int) {
-	switch s.nodes[node].state {
-	case Ready:
+	if s.rq.pos[node] >= 0 {
 		s.rq.remove(node)
-	case Blocked:
+	}
+	if s.nodes[node].state == Blocked {
 		s.blocked--
 	}
 }
 
-// dispatch grants the serial token to the next node.  Caller holds s.mu.
-// A no-op while some node holds the token.  On deadlock (nothing Ready,
-// something Blocked) it fires the OnDeadlock callback.
-func (s *Scheduler) dispatch() {
+// dispatch moves the serial token along the run queue until a goroutine
+// has to run: it applies every post that precedes the first Ready node —
+// inline, no goroutine switch — and grants that node, or resumes a Draining
+// node the moment its log runs dry.  It reports whether the token went to
+// self, the calling node (-1 if the caller cannot take it), which then
+// continues without a trip through its gate.  Caller holds s.mu.  A no-op
+// while some node holds the token.  On deadlock (nothing queued, something
+// Blocked) it fires the OnDeadlock callback.
+func (s *Scheduler) dispatch(self int) bool {
 	if s.poisoned || s.running != -1 {
-		return
+		return false
 	}
-	if s.rq.len() == 0 {
-		s.fireDeadlockLocked()
-		return
+	for {
+		if s.rq.len() == 0 {
+			s.fireDeadlockLocked()
+			return false
+		}
+		node := int(s.rq.min().node)
+		if s.chooser != nil || s.observer != nil {
+			node = s.choose()
+		}
+		s.beginSegment(node)
+		if s.nodes[node].state == Ready {
+			s.rq.remove(node)
+			return s.grant(node, self)
+		}
+		// A post (never under a Chooser: node is the minimum).  Its node
+		// is Draining — a Running one would hold the token — so once the
+		// log is empty the serial order has it running again, in the
+		// segment that just began.
+		next, more, ok := s.applyPost(node)
+		if !ok {
+			return false
+		}
+		if more {
+			s.rq.replaceMin(s.postEntry(node, next))
+			continue
+		}
+		s.rq.popMin()
+		return s.grant(node, self)
 	}
-	if s.chooser == nil && s.observer == nil {
-		s.grantSerial(int(s.rq.popMin().node))
-		return
-	}
+}
+
+// choose is the checker-mode decision: it offers the Observer and the
+// Chooser the Ready set sorted by Order and returns the node picked.
+func (s *Scheduler) choose() int {
 	cands := s.candBuf[:0]
 	for _, e := range s.rq.h {
 		cands = append(cands, s.candidate(e))
@@ -502,18 +569,22 @@ func (s *Scheduler) dispatch() {
 			panic(fmt.Sprintf("sched: chooser returned %d of %d candidates", idx, len(cands)))
 		}
 	}
-	s.rq.remove(cands[idx].Node)
-	s.grantSerial(cands[idx].Node)
+	return cands[idx].Node
 }
 
-// grantSerial moves the token to node, which the caller has already taken
-// out of the run queue.  Caller holds s.mu and has checked poisoned.
-func (s *Scheduler) grantSerial(node int) {
+// grant moves the token to node, which the caller has already taken out of
+// the run queue, and reports whether node is self (which then skips its
+// gate).  Caller holds s.mu and has checked poisoned.
+func (s *Scheduler) grant(node, self int) bool {
 	ns := &s.nodes[node]
 	ns.state = Running
 	s.running = node
-	s.beginSegment(node)
+	if node == self {
+		return true
+	}
+	s.handoffs++
 	ns.gate <- struct{}{} // buffered: never blocks (at most one outstanding grant)
+	return false
 }
 
 // beginSegment is the bookkeeping every grant performs, whether or not the

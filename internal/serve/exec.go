@@ -254,7 +254,7 @@ func (s *Server) runGrid(j *Job, suite *harness.Suite, sp JobSpec) ([]byte, erro
 			}
 			samples = append(samples, RecordSample{
 				Job: j.ID, Workload: r.Workload, Sched: r.Sched,
-				System: r.System.String(), SimCycles: r.Cycles, C: r.C,
+				System: r.System.String(), SimCycles: r.Cycles, C: r.C, Host: r.Host,
 			})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"lcm/internal/stats"
+	"lcm/internal/workloads"
 )
 
 // The observability surface follows a collector-registry layout: one
@@ -125,6 +126,9 @@ type RecordSample struct {
 	// C carries the full per-node counter aggregate.
 	SimCycles int64
 	C         stats.NodeCounters
+	// Host is how the host executed the cell: whether handlers ran ahead
+	// of the scheduler token, and the scheduler's work.
+	Host workloads.HostStats
 }
 
 // JobStats is the registry of per-job simulation counters and job
@@ -136,8 +140,12 @@ type JobStats struct {
 	samples []RecordSample
 	bySched map[string]int64 // completed jobs by scheduler
 	byKind  map[string]int64 // completed jobs by campaign kind
-	wallSum float64          // executed (non-cached) job runtime, seconds
-	wallN   int64
+	// byRunAhead totals the scheduler's work over every record ever added
+	// (not only the retained samples), keyed by the run-ahead decision:
+	// "" when handlers ran ahead, else the reason they did not.
+	byRunAhead map[string]hostTotals
+	wallSum    float64 // executed (non-cached) job runtime, seconds
+	wallN      int64
 }
 
 // NewJobStats creates a store retaining at most maxSamples records.
@@ -145,7 +153,13 @@ func NewJobStats(maxSamples int) *JobStats {
 	if maxSamples < 1 {
 		maxSamples = 1
 	}
-	return &JobStats{max: maxSamples, bySched: make(map[string]int64), byKind: make(map[string]int64)}
+	return &JobStats{max: maxSamples, bySched: make(map[string]int64), byKind: make(map[string]int64),
+		byRunAhead: make(map[string]hostTotals)}
+}
+
+// hostTotals accumulates HostStats over records.
+type hostTotals struct {
+	records, grants, handoffs, applies int64
 }
 
 // AddRecords appends one completed job's per-record counters.
@@ -153,6 +167,14 @@ func (js *JobStats) AddRecords(samples []RecordSample) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	js.samples = append(js.samples, samples...)
+	for _, s := range samples {
+		t := js.byRunAhead[s.Host.Reason]
+		t.records++
+		t.grants += s.Host.Grants
+		t.handoffs += s.Host.Handoffs
+		t.applies += s.Host.Applies
+		js.byRunAhead[s.Host.Reason] = t
+	}
 	if over := len(js.samples) - js.max; over > 0 {
 		js.samples = append([]RecordSample(nil), js.samples[over:]...)
 	}
@@ -166,6 +188,17 @@ func (js *JobStats) JobExecuted(kind, scheduler string, wallSeconds float64) {
 	js.bySched[scheduler]++
 	js.wallSum += wallSeconds
 	js.wallN++
+}
+
+// hostSnapshot copies the per-decision scheduler totals.
+func (js *JobStats) hostSnapshot() map[string]hostTotals {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	out := make(map[string]hostTotals, len(js.byRunAhead))
+	for k, v := range js.byRunAhead {
+		out[k] = v
+	}
+	return out
 }
 
 func (js *JobStats) snapshot() ([]RecordSample, map[string]int64, map[string]int64, float64, int64) {
@@ -239,7 +272,10 @@ func (c recoveryCollector) Collect(emit func(Metric)) {
 	}
 }
 
-// schedCollector exports job accounting by scheduler and campaign kind.
+// schedCollector exports job accounting by scheduler and campaign kind,
+// and the deterministic scheduler's work by run-ahead decision — so that
+// what the simulator decided on its own (to run handlers ahead of the token
+// or not, and why not) is on the scrape, next to what it cost.
 type schedCollector struct{ js *JobStats }
 
 func (c schedCollector) Name() string { return "scheduler" }
@@ -253,6 +289,23 @@ func (c schedCollector) Collect(emit func(Metric)) {
 	for _, kind := range sortedKeys(byKind) {
 		emit(Metric{"lcmd_jobs_executed_total", "Executed (non-cached) jobs by campaign kind.", "counter",
 			[][2]string{{"kind", kind}}, float64(byKind[kind])})
+	}
+	host := c.js.hostSnapshot()
+	reasons := make([]string, 0, len(host))
+	for reason := range host {
+		reasons = append(reasons, reason)
+	}
+	sort.Strings(reasons)
+	for _, reason := range reasons {
+		t := host[reason]
+		l := [][2]string{{"run_ahead", "on"}, {"reason", ""}}
+		if reason != "" {
+			l = [][2]string{{"run_ahead", "off"}, {"reason", reason}}
+		}
+		emit(Metric{"lcmd_sched_records_total", "Executed grid records by whether protocol handlers ran ahead of the scheduler token, and why not.", "counter", l, float64(t.records)})
+		emit(Metric{"lcmd_sched_grants_total", "Scheduling decisions of the deterministic scheduler.", "counter", l, float64(t.grants)})
+		emit(Metric{"lcmd_sched_handoffs_total", "Scheduling decisions that switched goroutines.", "counter", l, float64(t.handoffs)})
+		emit(Metric{"lcmd_sched_deferred_applies_total", "Scheduling decisions that applied a posted handler effect in place, without a switch.", "counter", l, float64(t.applies)})
 	}
 }
 

@@ -299,6 +299,11 @@ func TestMetricsMatchResultJSON(t *testing.T) {
 		`lcmd_jobs_total{state="done"} 1`,
 		"lcmd_draining 0",
 		"lcmd_job_wall_seconds_count 1",
+		// The two LCM records ran ahead of the token; the Stache one
+		// could not, and says why.
+		`lcmd_sched_records_total{run_ahead="on",reason=""} 2`,
+		`lcmd_sched_records_total{run_ahead="off",reason="protocol without split handlers"} 1`,
+		`lcmd_sched_deferred_applies_total{run_ahead="off",reason="protocol without split handlers"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

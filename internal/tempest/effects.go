@@ -1,0 +1,204 @@
+package tempest
+
+import (
+	"lcm/internal/memsys"
+)
+
+// This file is the machine side of run-ahead (internal/sched has the
+// scheduler side, DESIGN.md "Run-ahead" the argument).
+//
+// A protocol may write a handler as one body with two halves.  The local
+// half touches only what the faulting node owns — its lines, tags, clock
+// and counters — plus state that is constant while the node can run (the
+// home image of a loosely coherent block between two reconciliations).
+// The shared half, an Effect, is everything other nodes can observe:
+// directory sets, merge images, side lists, cycles stolen from the home.
+// Such a handler brackets its body with two calls:
+//
+//	fx := n.EnterHandler(b, ...) // the handler's scheduling point
+//	... local half; fill in fx ...
+//	n.Emit(fx)                   // hand over the shared half
+//
+// On the spot — the default — EnterHandler yields like SchedYieldFault and
+// Emit applies the effect there and then, under the block's lock.  When the
+// machine runs ahead (Machine.RunAhead), EnterHandler only notes the clock
+// the yield would have offered and Emit appends the effect to the node's
+// log: the node keeps the token, and the scheduler applies the effect at
+// exactly the position in the grant order where the yield would have
+// resumed.  The handler body cannot tell the difference, and neither can
+// any simulated observable.
+
+// Effect is the shared half of a split protocol handler.  Kind, Mask and
+// Data are the protocol's to define; Data is a block-sized buffer owned by
+// the record, for a snapshot of whatever node-local bytes the effect needs
+// (the local half may overwrite the originals long before the effect is
+// applied).
+type Effect struct {
+	Kind  uint8
+	Block memsys.BlockID
+	Mask  uint64
+	Data  []byte
+
+	// clock is the node's local clock — stolen cycles excluded — at
+	// EnterHandler; the effect's scheduling key is this plus the stolen
+	// cycles at the time the key is taken.
+	clock int64
+}
+
+// EffectApplier is implemented by protocols whose handlers are split; it
+// applies one effect on behalf of node n, which posted it.  It may run on
+// any node's goroutine, but never concurrently with n or with another
+// ApplyEffect unless the machine is time-parallel or free-running, in
+// which case it runs on n's own goroutine, inside the handler.
+type EffectApplier interface {
+	ApplyEffect(n *Node, e *Effect)
+}
+
+// effectRing is the capacity of a node's effect log under run-ahead, a
+// power of two.  A full log is a drain point — two goroutine switches,
+// amortized over the ring — so the size trades a few hundred bytes per node
+// against switches that are already rare.
+const effectRing = 64
+
+// RunAhead reports whether the machine's next run lets split handlers post
+// their effects instead of yielding and, when it does not, why.  Nothing
+// configures it: it holds exactly when executing local halves early cannot
+// be observed —
+//
+//   - the serial deterministic scheduler orders the run, with no checker
+//     hook watching individual grants and no time-parallel workers;
+//   - nothing restructures a handler's charges mid-flight (fault plans,
+//     delivery loss, recovery replay) or timestamps its steps (a trace);
+//   - the interconnect prices a message without looking at the clock or at
+//     earlier traffic;
+//   - the protocol's handlers are split; and
+//   - no region is sequentially consistent: a hit on a coherent line reads
+//     data other nodes' handlers write, and the hit path has no room for a
+//     check.
+//
+// Call after Freeze.
+func (m *Machine) RunAhead() (on bool, reason string) {
+	switch {
+	case !m.DetSched:
+		return false, "free-running"
+	case m.SchedHook != nil:
+		return false, "scheduler hook"
+	case m.Loss != nil: // before Fault: AttachLoss brings an injector along
+		return false, "lossy network"
+	case m.Fault != nil:
+		return false, "fault plan"
+	case m.Recovery:
+		return false, "recovery"
+	case m.Trace != nil:
+		return false, "protocol trace"
+	case m.parWorkers() > 1:
+		return false, "time-parallel"
+	case !m.Net.OrderFree():
+		return false, "order-sensitive network"
+	case m.applier == nil:
+		return false, "protocol without split handlers"
+	}
+	for _, r := range m.AS.Regions() {
+		if r.Kind == memsys.KindCoherent {
+			return false, "coherent region"
+		}
+	}
+	return true, ""
+}
+
+// setRunAhead sizes every node's effect log for the coming run: the ring
+// when effects are posted, a single record when they apply on the spot.
+// Storage is kept across runs of the machine.
+func (m *Machine) setRunAhead(on bool) {
+	size := 1
+	if on {
+		size = effectRing
+	}
+	bs := int(m.AS.BlockSize)
+	for _, nd := range m.Nodes {
+		nd.runAhead = on
+		nd.fxHead, nd.fxLen = 0, 0
+		if len(nd.fx) >= size {
+			continue
+		}
+		nd.fx = make([]Effect, size)
+		snaps := make([]byte, size*bs)
+		for i := range nd.fx {
+			nd.fx[i].Data = snaps[i*bs : (i+1)*bs : (i+1)*bs]
+		}
+	}
+}
+
+// EnterHandler is the scheduling point at the entry of a split handler for
+// block b, and returns the effect record the handler fills in and passes to
+// Emit.  floor says whether every path of the handler charges the node at
+// least the fault floor (SchedYieldFault) or may return chargeless
+// (SchedYieldEvict).
+func (n *Node) EnterHandler(b memsys.BlockID, floor bool) *Effect {
+	slot := 0
+	switch {
+	case n.runAhead:
+		if n.fxLen == len(n.fx) {
+			n.drain() // a full log is a drain point
+		}
+		slot = (n.fxHead + n.fxLen) & (len(n.fx) - 1)
+	case floor:
+		n.SchedYieldFault(b)
+	default:
+		n.SchedYieldEvict(b)
+	}
+	e := &n.fx[slot]
+	e.Block, e.Mask, e.clock = b, 0, n.clock
+	return e
+}
+
+// Emit hands over the shared half of the handler entered by the
+// EnterHandler call that returned e.
+func (n *Node) Emit(e *Effect) {
+	if !n.runAhead {
+		n.M.applier.ApplyEffect(n, e)
+		return
+	}
+	n.fxLen++
+	if n.fxLen == 1 {
+		// The log was empty, so this node holds the token in the serial
+		// order too and its stolen cycles are current: key the post now.
+		// Later posts are keyed as their predecessors are applied.
+		n.M.schedder.Post(n.ID, e.clock+n.stolen.Load())
+	}
+}
+
+// applyHead is the scheduler's sched.ApplyFunc: it applies the oldest
+// effect in node's log and returns the key of the next, read now.
+func (m *Machine) applyHead(node int) (next int64, more bool) {
+	n := m.Nodes[node]
+	e := &n.fx[n.fxHead]
+	n.fxHead = (n.fxHead + 1) & (len(n.fx) - 1)
+	n.fxLen--
+	m.applier.ApplyEffect(n, e)
+	if n.fxLen == 0 {
+		return 0, false
+	}
+	return n.fx[n.fxHead].clock + n.stolen.Load(), true
+}
+
+// drain parks the node until every effect it has posted is applied.  It
+// precedes everything that reads what other nodes' effects write — the
+// node's stolen cycles, so every exact clock reading — and every real
+// scheduling call: barriers, yields, simulated locks, the end of the body.
+// One compare when the log is empty, which it always is off run-ahead.
+func (n *Node) drain() {
+	if n.fxLen == 0 {
+		return
+	}
+	s := n.M.schedder
+	s.Drain(n.ID)
+	if v := s.PostFailure(n.ID); v != nil {
+		// One of this node's effects panicked on the goroutine that was
+		// applying it; the failure is this node's.
+		panic(v)
+	}
+	// Non-zero only when the scheduler was poisoned under us: the run is
+	// over, nothing will be applied any more.
+	n.fxHead, n.fxLen = 0, 0
+}

@@ -22,7 +22,12 @@ import (
 //   - recovery replays the schedule and must observe it serially;
 //   - a network model with no positive MinLatency (zero-cost model, or
 //     the retransmission layer) yields a zero lookahead window — the
-//     admitter could never admit past a running fault anyway.
+//     admitter could never admit past a running fault anyway;
+//   - a network model that is not OrderFree (the fat tree) charges a
+//     message by what its channels carried before it, and concurrent
+//     segments send in host order.  (A gate that released their sends in
+//     grant order used to stand here; one Threshold cell drifted from
+//     the serial schedule under it, and the serial token cannot.)
 //
 // DetSched is checked by the caller (serial free-running runs have no
 // scheduler at all).
@@ -37,7 +42,7 @@ func (m *Machine) parWorkers() int {
 	if m.SchedHook != nil || m.Fault != nil || m.Loss != nil || m.Recovery {
 		return 1
 	}
-	if m.Net.MinLatency() <= 0 {
+	if m.Net.MinLatency() <= 0 || !m.Net.OrderFree() {
 		return 1
 	}
 	return par

@@ -13,7 +13,7 @@ import (
 
 // TestParWorkersForcing pins the serial-forcing matrix: every
 // configuration that cannot prove a conservative lookahead window must
-// fall back to the serial token, silently and completely.  The loss case
+// fall back to the serial token, completely.  The loss case
 // is the "window collapses to zero" satellite: an armed unreliable
 // network reports MinLatency 0 through reliableNet, because a dropped
 // message means a remote operation can charge the sender nothing before
@@ -38,6 +38,7 @@ func TestParWorkersForcing(t *testing.T) {
 		{"fault injection forces serial", func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, CorruptPerMil: 5}) }, 1},
 		{"recovery forces serial", func(m *Machine) { m.Recovery = true }, 1},
 		{"sched hook forces serial", func(m *Machine) { m.SchedHook = func(*sched.Scheduler) {} }, 1},
+		{"order-sensitive net forces serial", func(m *Machine) { m.SetNetwork(net.NewFatTree(net.Config{}, m.P, m.Cost)) }, 1},
 		{"zero-cost net forces serial", nil, 1}, // built below: MinLatency 0
 	}
 	for _, tc := range cases {

@@ -189,3 +189,7 @@ func (r *reliableNet) Deliver(src, dst int) net.Delivery { return net.Delivered 
 // cannot promise any positive latency floor.  A zero window forces the
 // scheduler to stay serial (see internal/sched).
 func (r *reliableNet) MinLatency() int64 { return 0 }
+
+// OrderFree reports false for the same reason: each message draws its fate
+// from the sender's loss stream, in send order.
+func (r *reliableNet) OrderFree() bool { return false }

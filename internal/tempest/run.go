@@ -148,6 +148,8 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 		nd.pubClock = nil
 	}
 	m.bar.wakeLB = 0
+	runAhead, _ := m.RunAhead()
+	m.setRunAhead(runAhead)
 	if m.DetSched {
 		sc = sched.New(m.P, m.SchedSeed)
 		if m.SchedHook != nil {
@@ -172,13 +174,9 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 				nd.pubClock = sc.PubSlot(nd.ID)
 			}
 			m.bar.wakeLB = m.Cost.Barrier
-			if m.Net.Name() != "uniform" {
-				// Contention models mutate a shared ledger per message;
-				// gate them so concurrent segments touch it in grant order.
-				inner := m.Net
-				m.Net = &gatedNet{Network: inner, s: sc}
-				defer func() { m.Net = inner }()
-			}
+		}
+		if runAhead {
+			sc.SetRunAhead(m.applyHead)
 		}
 		sc.Start()
 	} else {
@@ -228,6 +226,7 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 				sc.AwaitGrant(nd.ID)
 			}
 			body(nd)
+			nd.drain() // the fold reads cycles other nodes' effects steal
 			nd.FoldStolen()
 		}(nd)
 	}

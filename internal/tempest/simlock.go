@@ -34,7 +34,7 @@ func (lk *SimLock) Acquire(n *Node) {
 	if s := n.M.schedder; s != nil {
 		// Contend in virtual time: the run queue decides who attempts the
 		// lock next, and losers park until the releaser readies them.
-		s.Yield(n.ID, n.Clock())
+		n.SchedYield()
 		lk.mu.Lock()
 		for lk.held {
 			if s.Poisoned() {
@@ -69,6 +69,7 @@ func (lk *SimLock) Acquire(n *Node) {
 // time the next holder can enter.
 func (lk *SimLock) Release(n *Node) {
 	if s := n.M.schedder; s != nil {
+		n.drain() // an exact clock, and SetReady below is a real scheduling call
 		lk.mu.Lock()
 		lk.lastRelease = n.Clock()
 		lk.held = false

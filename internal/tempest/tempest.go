@@ -11,7 +11,10 @@
 // under the block's home lock, charging the requester the modelled network
 // latency and the home node a handler-occupancy charge; this mirrors the
 // execution-driven simulation methodology of the Wisconsin Wind Tunnel
-// project from which the paper comes.
+// project from which the paper comes.  (A protocol may split a handler
+// into the part only the faulting node can see and the part the home can;
+// the machine then applies the second part at the handler's place in the
+// schedule without stopping the node there.  See effects.go.)
 //
 // The package deliberately exposes the Tempest control points and nothing
 // more: access-control tags, block data transfer, fault-handler dispatch,
@@ -239,9 +242,10 @@ type Machine struct {
 	// proves the serial grant order cannot observe the difference.
 	// Every observable — simulated cycles included — stays bit-identical
 	// to the serial token scheduler.  Runs that cannot make that proof
-	// fall back to serial silently: free-running, checker hooks, fault
-	// injection, delivery loss, recovery replay, and models with no
-	// positive latency floor.  Set before Run.
+	// stay serial: free-running, checker hooks, fault injection, delivery
+	// loss, recovery replay, and interconnect models with no positive
+	// latency floor or with order-sensitive charges (see parWorkers).
+	// Set before Run.
 	Par int
 
 	// SchedHook, when non-nil, is invoked on each run's fresh scheduler
@@ -250,6 +254,7 @@ type Machine struct {
 	SchedHook func(*sched.Scheduler)
 
 	protocol Protocol
+	applier  EffectApplier // protocol, if its handlers are split (effects.go)
 	locks    []sync.Mutex
 	bar      *Barrier
 	frozen   bool
@@ -366,6 +371,7 @@ func (m *Machine) FreezeErr() error {
 			m.trackWrites = true
 		}
 	}
+	m.applier, _ = m.protocol.(EffectApplier)
 	m.protocol.Attach(m)
 	return nil
 }
@@ -481,6 +487,17 @@ type Node struct {
 	// runs.  It publishes n.clock without the stolen component: stolen
 	// only ever adds, so the store stays a valid lower bound.
 	pubClock *atomic.Int64
+
+	// fx is the node's effect log (effects.go): a ring of the shared
+	// halves this node's handlers have posted but the scheduler has not
+	// yet applied, fxLen of them starting at fxHead, when runAhead is set;
+	// a single scratch record otherwise.  Touched by the owner while it
+	// runs and by whichever goroutine drives the scheduler while it does
+	// not; the token orders the two.
+	fx       []Effect
+	fxHead   int
+	fxLen    int
+	runAhead bool
 }
 
 // publish exports the node's clock to the parallel admitter.  No-op on
@@ -493,7 +510,10 @@ func (n *Node) publish() {
 }
 
 // Clock returns the node's current virtual cycle count including handler
-// cycles stolen by other nodes' requests.
+// cycles stolen by other nodes' requests.  While the node runs ahead of
+// effects it has posted (Machine.RunAhead), the stolen part is whatever has
+// been applied so far, not the serial order's value; a body that needs an
+// exact mid-phase reading calls SchedYield first.
 func (n *Node) Clock() int64 { return n.clock + n.stolen.Load() }
 
 // SchedYield is a deterministic-scheduler synchronization point: under
@@ -507,6 +527,7 @@ func (n *Node) Clock() int64 { return n.clock + n.stolen.Load() }
 // time-parallel admitter can overlap provably-independent segments.
 func (n *Node) SchedYield() {
 	if s := n.M.schedder; s != nil {
+		n.drain()
 		s.Yield(n.ID, n.Clock())
 	}
 }
@@ -522,6 +543,7 @@ func (n *Node) SchedYieldFault(b memsys.BlockID) {
 	if s == nil {
 		return
 	}
+	n.drain()
 	home := n.M.AS.HomeOf(b)
 	lb := n.M.laLocal
 	if home != n.ID {
@@ -538,6 +560,7 @@ func (n *Node) SchedYieldEvict(b memsys.BlockID) {
 	if s == nil {
 		return
 	}
+	n.drain()
 	s.YieldIntent(n.ID, n.Clock(), sched.Intent{Kind: sched.IntentFault, Block: uint32(b), Home: n.M.AS.HomeOf(b)})
 }
 
@@ -575,9 +598,12 @@ func (n *Node) FoldStolen() {
 func (n *Node) Line(b memsys.BlockID) *Line { return n.lines[b] }
 
 // Install makes the node's line for b hold a copy of src with the given
-// tag, creating the line on first use.  Callers must hold b's lock (all
-// installs race with cross-node reads of the line pointer, which also
-// happen under the lock).  With a fault injector attached, the transfer
+// tag, creating the line on first use.  Callers must hold b's lock when
+// another node's handler may look the line up while this node runs — every
+// coherent block — since those lookups happen under the lock too; lines of
+// loosely coherent blocks are looked up by others only inside the
+// reconciliation window, when their owners are parked at its barriers.
+// With a fault injector attached, the transfer
 // is checksummed and corrupted arrivals are healed by bounded re-fetch
 // (see deliverBlock).
 func (n *Node) Install(b memsys.BlockID, src []byte, tag Tag) *Line {
@@ -702,6 +728,7 @@ func (n *Node) Barrier() {
 	if f := n.M.Fault; f != nil && f.BarrierArrival(n.ID) {
 		n.killed(f, f.Plan().KillAtBarrier)
 	}
+	n.drain() // the fold below reads cycles other nodes' effects steal
 	n.M.Net.Barrier(n.ID, &n.Ctr.Net)
 	n.FoldStolen()
 	c, err := n.M.bar.WaitNode(n.ID, n.clock)

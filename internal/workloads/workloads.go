@@ -23,6 +23,7 @@ import (
 	"lcm/internal/cstar"
 	"lcm/internal/fault"
 	"lcm/internal/net"
+	"lcm/internal/sched"
 	"lcm/internal/stache"
 	"lcm/internal/stats"
 	"lcm/internal/tempest"
@@ -91,6 +92,12 @@ type Config struct {
 	// under FreeRun and silently serial for configurations that cannot
 	// prove a lookahead window (loss, faults, recovery).
 	Par int
+
+	// tap, when non-nil, is handed the machine as soon as it exists, before
+	// the workload allocates on it.  The package's tests reach the machine
+	// through it (to install a scheduler hook, to read node state after the
+	// run); nothing outside the package can set it.
+	tap func(*tempest.Machine)
 }
 
 func (c Config) norm() Config {
@@ -133,6 +140,9 @@ func (c Config) machine(sys cstar.System) *tempest.Machine {
 		m.AttachLoss(*c.Loss)
 	}
 	m.Recovery = c.Recover
+	if c.tap != nil {
+		c.tap(m)
+	}
 	return m
 }
 
@@ -168,6 +178,10 @@ type Result struct {
 	// KV holds the serving-workload observables (zero for the paper's
 	// four kernels).
 	KV KVStats
+	// Host says how the host executed the run.  Like Wall it describes
+	// the simulator, not the simulated machine, and no observable depends
+	// on it.
+	Host HostStats
 	// Net is the run's network model name; Links summarizes channel
 	// occupancy (all zero under the uniform model, which has no links).
 	Net   string
@@ -175,6 +189,20 @@ type Result struct {
 	// Err is non-nil if the run failed (a node died, a retry budget ran
 	// out, the watchdog fired) or verification failed.
 	Err error
+}
+
+// HostStats records the decisions the simulator took on its own about how
+// to execute a run, and what they cost in scheduling work.
+type HostStats struct {
+	// RunAhead reports whether split protocol handlers posted their
+	// effects instead of yielding (tempest.Machine.RunAhead); when they did
+	// not, Reason says why.
+	RunAhead bool
+	Reason   string
+	// Stats counts the deterministic scheduler's grants, how many of them
+	// switched goroutines and how many were deferred applies; all zero for
+	// a free-running machine.
+	sched.Stats
 }
 
 // CleanCopies returns the paper's Table 1 clean-copy metric for the run's
@@ -215,6 +243,10 @@ func finish(m *tempest.Machine, r *Result) {
 	r.Net = m.Net.Name()
 	r.Links = m.Net.LinkStats()
 	r.Trace = m.Trace
+	r.Host.RunAhead, r.Host.Reason = m.RunAhead()
+	if sc := m.Sched(); sc != nil {
+		r.Host.Stats = sc.Stats()
+	}
 	if m.Fault != nil {
 		r.Faults = m.Fault.Tally()
 	}
