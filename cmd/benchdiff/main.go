@@ -24,16 +24,6 @@
 //
 //	benchdiff -identical a.json b.json
 //
-// Speedup gate (-wallgate): print a per-cell wall-clock speedup table
-// (baseline over current — above 1.0 means current is faster) next to
-// the pooled geomean, and fail when the pooled speedup falls below the
-// given floor.  This is the nightly check that the time-parallel
-// executor actually buys wall clock: compare a serial BENCH file against
-// a -par one (the Par field is informational, never a configuration
-// mismatch — parallel runs are observable-identical by construction).
-//
-//	benchdiff -wallgate 1.0 serial.json par.json
-//
 // Exit status: 0 on pass, 1 on mismatch/regression, 2 on usage errors.
 package main
 
@@ -79,10 +69,9 @@ func key(r harness.BenchRecord) string {
 func main() {
 	identical := flag.Bool("identical", false, "compare every simulation observable exactly instead of gating wall-clock regression")
 	maxRegress := flag.Float64("max-regress", 10, "maximum allowed pooled-geomean wall-clock regression, percent")
-	wallGate := flag.Float64("wallgate", 0, "print a per-cell wall-clock speedup table (baseline/current) and fail when the pooled geomean speedup is below this floor (0 = off)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		usage("usage: benchdiff [-identical | -wallgate MIN | -max-regress PCT] baseline.json current.json")
+		usage("usage: benchdiff [-identical | -max-regress PCT] baseline.json current.json")
 	}
 	a, b := load(flag.Arg(0)), load(flag.Arg(1))
 
@@ -159,36 +148,6 @@ func main() {
 			fail("%d deterministic field(s) drifted across %d records", bad, len(a.Records))
 		}
 		fmt.Printf("benchdiff: identical across %d records\n", len(a.Records))
-		return
-	}
-
-	if *wallGate > 0 {
-		// Speedup table: baseline wall over current wall, per cell.
-		var logSum float64
-		n := 0
-		fmt.Printf("%-40s %12s %12s %8s\n", "cell", "base wall", "cur wall", "speedup")
-		for i := range a.Records {
-			ra, rb := a.Records[i], b.Records[i]
-			if key(ra) != key(rb) {
-				fail("record %d identity mismatch: %s vs %s", i, key(ra), key(rb))
-			}
-			if ra.WallNS <= 0 || rb.WallNS <= 0 {
-				continue
-			}
-			sp := float64(ra.WallNS) / float64(rb.WallNS)
-			fmt.Printf("%-40s %11.3fs %11.3fs %7.2fx\n", key(ra),
-				float64(ra.WallNS)/1e9, float64(rb.WallNS)/1e9, sp)
-			logSum += math.Log(sp)
-			n++
-		}
-		if n == 0 {
-			fail("no records carry wall-clock measurements")
-		}
-		geomean := math.Exp(logSum / float64(n))
-		fmt.Printf("pooled geomean speedup %.2fx over %d records (floor %.2fx)\n", geomean, n, *wallGate)
-		if geomean < *wallGate {
-			fail("pooled speedup %.2fx below floor %.2fx", geomean, *wallGate)
-		}
 		return
 	}
 

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	lcmbench [-scale N] [-p N] [-par N] [-blocksize N] [-verify] [-table1]
+//	lcmbench [-scale N] [-p N] [-blocksize N] [-verify] [-table1]
 //	         [-fig2] [-fig3] [-ablate] [-net=uniform|fattree] [-linkbw N]
 //	         [-nilat N] [-netsweep] [-schedseed N] [-freerun]
 //	         [-kvskew S] [-kvreshard N]
@@ -24,12 +24,9 @@
 // -netsweep runs the contention sensitivity sweep.  Runs are scheduled by
 // the deterministic virtual-time scheduler (internal/sched): every
 // observable, simulated cycles included, is a pure function of the
-// configuration and -schedseed.  -par N executes that same schedule
-// time-parallel on up to N worker threads — observables stay bit-identical
-// to the serial run (assert with benchdiff -identical); only wall clock
-// changes.  -freerun instead restores host-scheduled goroutine
-// interleaving for wall-clock parallelism measurements.  -chaos runs the
-// fault-injection campaign instead: every workload under every memory
+// configuration and -schedseed.  -freerun instead restores host-scheduled
+// goroutine interleaving for wall-clock parallelism measurements.  -chaos
+// runs the fault-injection campaign instead: every workload under every memory
 // system with seeded faults, asserting answers bit-identical to the
 // fault-free runs and recovery counters matching the injected plans; the
 // exit status reports the verdict.  -recovery runs the crash-recovery
@@ -46,6 +43,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -88,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 1, "divide problem sizes by this factor (1 = paper scale)")
 	p := fs.Int("p", 32, "number of simulated processors")
-	par := fs.Int("par", 0, "time-parallel worker threads for the deterministic schedule (0/1 = serial; observables stay bit-identical to serial)")
 	blockSize := fs.Int("blocksize", 0, "coherence block size in bytes (0 = paper default of 32; power of two, at most 256)")
 	verify := fs.Bool("verify", false, "check results against sequential references (slower)")
 	table1 := fs.Bool("table1", false, "run only Table 1 benchmarks")
@@ -112,12 +109,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	detJSONPath := fs.String("detjson", "", "also write the deterministic BENCH_*.json bytes (timestamp zero, wall times masked) to this file; byte-identical across runs of the same tuple and to lcmd server-mode results")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	fs.Usage = func() {} // a bad flag gets the one line Parse prints; -h gets the list
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(stderr, "Usage of lcmbench:")
+			fs.PrintDefaults()
+		}
 		return 2
 	}
 
 	if *scale < 1 {
 		fmt.Fprintln(stderr, "lcmbench: -scale must be >= 1")
+		return 2
+	}
+	if *p < 1 {
+		fmt.Fprintln(stderr, "lcmbench: -p must be >= 1")
 		return 2
 	}
 	if *kvSkew < 0 {
@@ -155,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	s := harness.New(stdout)
-	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed, FreeRun: *freeRun, Par: *par}
+	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed, FreeRun: *freeRun}
 	s.Scale = *scale
 	s.KVSkew = *kvSkew
 	s.KVReshard = *kvReshard

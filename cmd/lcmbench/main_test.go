@@ -20,15 +20,23 @@ func TestBlockSizeConfigErrorExitsOne(t *testing.T) {
 	}
 }
 
-// Unusable flag values are rejected before any cell runs, with exit
-// status 2.
+// Unusable flags are rejected before any cell runs, with exit status 2
+// and one line on stderr.
 func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-blocksize", "48"}, &out, &errOut); code != 2 {
-		t.Fatalf("run(-blocksize 48) = %d, want exit code 2", code)
-	}
-	if code := run([]string{"-scale", "0"}, &out, &errOut); code != 2 {
-		t.Fatalf("run(-scale 0) = %d, want exit code 2", code)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-blocksize", "48"}, "lcmbench: -blocksize must be a power of two >= 8\n"},
+		{[]string{"-scale", "0"}, "lcmbench: -scale must be >= 1\n"},
+		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "-3"}, "lcmbench: -p must be >= 1\n"},
+		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "0"}, "lcmbench: -p must be >= 1\n"},
+		{[]string{"-par", "4"}, "flag provided but not defined: -par\n"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(c.args, &out, &errOut); code != 2 || errOut.String() != c.want || out.Len() != 0 {
+			t.Errorf("run(%v) = %d\nstdout: %q\nstderr: %q\nwant exit code 2, stderr %q", c.args, code, out.String(), errOut.String(), c.want)
+		}
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,23 +90,15 @@ type entry struct {
 	// entry: its creation is the clean-copy event of Table 1.
 	pending    []byte
 	hasPending bool
-	registered bool
+	// regSeq is non-zero while the block is on its home's dirty list: its
+	// place in the phase's registration order.
+	regSeq uint32
 }
 
 // nodeState is the per-node LCM state: the blocks marked since the last
 // flush.  Stored in tempest.Node.PD.
 type nodeState struct {
 	marked []memsys.BlockID
-}
-
-// dirtyRef is one entry of a home's dirty (registered-for-commit) list:
-// the block plus the registering segment's grant key.  Time-parallel
-// segments may register out of serial order; commitLists stably sorts by
-// key, so commit — and with it every network charge it makes — replays
-// the serial order exactly.
-type dirtyRef struct {
-	b   memsys.BlockID
-	key uint64
 }
 
 // ConflictKind distinguishes the two semantic violations LCM can detect.
@@ -144,25 +135,18 @@ func (c Conflict) String() string {
 }
 
 // conflictLog collects detected violations; guarded by its own mutex since
-// different block locks may report concurrently.  Each entry carries the
-// reporting segment's grant key so Conflicts can replay the serial
-// insertion order even when time-parallel segments report out of order.
+// different block locks may report concurrently.
 type conflictLog struct {
 	mu    sync.Mutex
-	list  []keyedConflict
+	list  []Conflict
 	limit int
 }
 
-type keyedConflict struct {
-	c   Conflict
-	key uint64
-}
-
-func (cl *conflictLog) add(c Conflict, key uint64) {
+func (cl *conflictLog) add(c Conflict) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.limit == 0 || len(cl.list) < cl.limit {
-		cl.list = append(cl.list, keyedConflict{c: c, key: key})
+		cl.list = append(cl.list, c)
 	}
 }
 
@@ -191,8 +175,15 @@ type LCM struct {
 	entries []entry
 	phase   atomic.Uint32
 
-	dirty   [][]dirtyRef
-	dirtyMu []sync.Mutex
+	// dirty[h] lists the blocks homed at h that are registered for commit
+	// at the next reconciliation, in registration order: under the
+	// deterministic scheduler, the order of the grants their marks ran in.
+	// Commit walks the list front to back, so its invalidations go out in
+	// that order.  registrations numbers the phase's registrations
+	// (entry.regSeq), which lets Rehome merge two lists into one.
+	dirty         [][]memsys.BlockID
+	dirtyMu       []sync.Mutex
+	registrations atomic.Uint32
 
 	conflicts conflictLog
 }
@@ -222,20 +213,14 @@ func (p *LCM) Phase() uint32 { return p.phase.Load() }
 func (p *LCM) DrainToHome() { p.coherent.DrainToHome() }
 
 // Conflicts returns the violations detected so far (conflict-checked
-// regions only), in serial grant order.  Call only while the machine is
-// quiescent.
+// regions only), in detection order: under the deterministic scheduler,
+// the order of the grants that detected them.  Call only while the machine
+// is quiescent.
 func (p *LCM) Conflicts() []Conflict {
 	p.conflicts.mu.Lock()
 	defer p.conflicts.mu.Unlock()
-	keyed := make([]keyedConflict, len(p.conflicts.list))
-	copy(keyed, p.conflicts.list)
-	// Serial runs insert in nondecreasing key order, so the sort is the
-	// identity there; parallel runs are restored to the same order.
-	sort.SliceStable(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
-	out := make([]Conflict, len(keyed))
-	for i, k := range keyed {
-		out[i] = k.c
-	}
+	out := make([]Conflict, len(p.conflicts.list))
+	copy(out, p.conflicts.list)
 	return out
 }
 
@@ -263,7 +248,7 @@ func (p *LCM) Attach(m *tempest.Machine) {
 			e.writers = ar.Make()
 		}
 	}
-	p.dirty = make([][]dirtyRef, m.P)
+	p.dirty = make([][]memsys.BlockID, m.P)
 	p.dirtyMu = make([]sync.Mutex, m.P)
 	p.phase.Store(1)
 	for _, n := range m.Nodes {
@@ -299,7 +284,7 @@ func (p *LCM) phaseEntry(b memsys.BlockID, ph uint32) *entry {
 		e.writers.Clear()
 		e.written = 0
 		e.hasPending = false
-		e.registered = false
+		e.regSeq = 0
 	}
 	return e
 }
@@ -372,11 +357,11 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 			e.hasPending = true
 			p.m.Shared.CleanCopiesHome.Add(1)
 		}
-		if !e.registered {
-			e.registered = true
+		if e.regSeq == 0 {
+			e.regSeq = p.registrations.Add(1)
 			home := p.m.AS.HomeOf(b)
 			p.dirtyMu[home].Lock()
-			p.dirty[home] = append(p.dirty[home], dirtyRef{b: b, key: n.GrantKey()})
+			p.dirty[home] = append(p.dirty[home], b)
 			p.dirtyMu[home].Unlock()
 		}
 		// A private writer is no longer a read-only sharer.
@@ -416,7 +401,7 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		return p.coherent.ReadFault(n, b)
 	}
 	ph := p.phase.Load()
-	fx := n.EnterHandler(b, true) // deterministic handler-entry order (see internal/sched)
+	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	// The home image is not updated until reconciliation commits, so it
 	// is the clean (pre-phase) value throughout the parallel phase.
 	l := n.Install(b, p.m.AS.HomeData(b), tempest.TagReadOnly)
@@ -479,7 +464,7 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	}
 
 	home := p.m.AS.HomeOf(b)
-	fx := n.EnterHandler(b, true) // deterministic handler-entry order (see internal/sched)
+	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	fx.Kind = fxMark
 	n.Emit(fx)
 
@@ -552,7 +537,7 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 
 	// Every post-yield path charges at least a local fill or a network
 	// flush, so the full fault floor holds (the no-pending path panics).
-	fx := n.EnterHandler(b, true) // deterministic handler-entry order (see internal/sched)
+	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	fx.Kind = fxFlush
 	fx.Mask = modifiedElems(l, p.m.AS.HomeData(b), es, r.ConflictCheck)
 	copy(fx.Data, l.Data)
@@ -658,7 +643,7 @@ func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.R
 			p.conflicts.add(Conflict{
 				Kind: WriteWrite, Block: b, Elem: int(idx),
 				Region: r.Name, Writers: writers,
-			}, n.GrantKey())
+			})
 		}
 	}
 	e.written |= 1 << idx
@@ -681,7 +666,7 @@ func (p *LCM) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	if l.Tag() == tempest.TagPrivate {
 		return false
 	}
-	fx := n.EnterHandler(b, false) // deterministic handler-entry order (see internal/sched)
+	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	fx.Kind = fxEvict
 	n.Emit(fx) // the home forgets the sharer
 	l.SetTag(tempest.TagInvalid)
@@ -712,6 +697,7 @@ func (p *LCM) ReconcileCopies(n *tempest.Node) {
 	}
 	if n.ID == 0 {
 		p.phase.Store(ph + 1)
+		p.registrations.Store(0) // every list has been, or is being, drained
 	}
 	n.Barrier()
 }
@@ -729,19 +715,31 @@ func (p *LCM) commitHome(n *tempest.Node, ph uint32) {
 // pending entries of from's dirty list — registered before the migration
 // but not yet committed — must move to the adopter's list, or the next
 // reconciliation would never commit them (commitHome drains each node's
-// own list, and the dead node's is now authoritative for nothing).
+// own list, and the dead node's is now authoritative for nothing).  The
+// two lists merge by registration order, so the adopter commits — and an
+// order-sensitive interconnect prices its invalidations — as one home that
+// had owned all the blocks from the start would.
 // Called from the dying node's goroutine at a deterministic point where
 // no node is inside the reconciliation window.
 func (p *LCM) Rehome(from, to int) {
 	p.dirtyMu[from].Lock()
-	list := p.dirty[from]
-	p.dirty[from] = list[:0]
+	moved := p.dirty[from]
+	p.dirty[from] = moved[:0]
 	p.dirtyMu[from].Unlock()
-	if len(list) == 0 {
+	if len(moved) == 0 {
 		return
 	}
 	p.dirtyMu[to].Lock()
-	p.dirty[to] = append(p.dirty[to], list...)
+	own := p.dirty[to]
+	merged := make([]memsys.BlockID, 0, len(own)+len(moved))
+	for len(own) > 0 && len(moved) > 0 {
+		if p.entries[own[0]].regSeq < p.entries[moved[0]].regSeq {
+			merged, own = append(merged, own[0]), own[1:]
+		} else {
+			merged, moved = append(merged, moved[0]), moved[1:]
+		}
+	}
+	p.dirty[to] = append(append(merged, own...), moved...)
 	p.dirtyMu[to].Unlock()
 }
 
@@ -753,14 +751,10 @@ func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 	list := p.dirty[home]
 	p.dirty[home] = list[:0]
 	p.dirtyMu[home].Unlock()
-	// Replay registrations in serial grant order (identity on serial
-	// runs, where appends already happen in grant order).
-	sort.SliceStable(list, func(i, j int) bool { return list[i].key < list[j].key })
 
-	for _, ref := range list {
-		b := ref.b
+	for _, b := range list {
 		e := &p.entries[b]
-		if e.gen != ph || !e.registered {
+		if e.gen != ph || e.regSeq == 0 {
 			continue
 		}
 		r := p.m.AS.RegionOfBlock(b)
@@ -778,12 +772,12 @@ func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 				p.conflicts.add(Conflict{
 					Kind: ReadWrite, Block: b, Region: r.Name,
 					Writers: e.writers.Clone(), Readers: pureReaders,
-				}, n.GrantKey())
+				})
 			}
 			p.invalidateOutstanding(n, b, e, r, ph)
 		}
 		e.hasPending = false
-		e.registered = false
+		e.regSeq = 0
 	}
 
 	// Actual-violation mode: flush every read-only copy of checked

@@ -71,7 +71,7 @@ func raPrograms(t *testing.T) []raProgram {
 		},
 		{
 			// Write-write and read-write violations: the conflict log is
-			// ordered by grant key, the merge survivor by merge order.
+			// in detection order, the merge survivor decided by merge order.
 			name: "conflict-checked",
 			build: func(m *tempest.Machine) []*memsys.Region {
 				return []*memsys.Region{alloc(t, m, "chk", 4, Detect(true), memsys.Interleaved)}

@@ -70,9 +70,9 @@ type BenchRecord struct {
 	// Host-side scheduling facts: whether the cell's protocol handlers
 	// ran ahead of the scheduler token ("on", or "off: " and the reason
 	// the machine gave), and the scheduler's grants, goroutine hand-offs
-	// and deferred applies.  Informational, like WallNS and BenchFile.Par:
-	// no observable depends on them, benchdiff ignores them, and
-	// MarshalDeterministic masks them.
+	// and deferred applies.  Informational, like WallNS: no observable
+	// depends on them, benchdiff ignores them, and MarshalDeterministic
+	// masks them.
 	RunAhead      string `json:"run_ahead,omitempty"`
 	SchedGrants   int64  `json:"sched_grants,omitempty"`
 	SchedHandoffs int64  `json:"sched_handoffs,omitempty"`
@@ -104,15 +104,9 @@ type BenchFile struct {
 	// the schedule) or "freerun" for host-scheduled goroutines.  Records
 	// from different schedules are not comparable observable-for-
 	// observable, so benchdiff refuses to diff across a mismatch.
-	Scheduler string `json:"scheduler,omitempty"`
-	SchedSeed uint64 `json:"sched_seed,omitempty"`
-	// Par records the time-parallel worker count the campaign ran with
-	// (0/1 = serial).  It is informational: parallel runs are bit-
-	// identical to serial ones, so benchdiff does not treat a Par
-	// mismatch as a configuration mismatch — that identity is exactly
-	// what the parallel-determinism CI job asserts.
-	Par     int           `json:"par,omitempty"`
-	Records []BenchRecord `json:"records"`
+	Scheduler string        `json:"scheduler,omitempty"`
+	SchedSeed uint64        `json:"sched_seed,omitempty"`
+	Records   []BenchRecord `json:"records"`
 }
 
 // benchSchema names the record layout; bump when fields change meaning.
@@ -132,9 +126,6 @@ func benchFile(cfg workloads.Config, scale int, rows []map[cstar.System]workload
 	} else {
 		bf.Scheduler = "det"
 		bf.SchedSeed = cfg.SchedSeed
-		if cfg.Par > 1 {
-			bf.Par = cfg.Par
-		}
 	}
 	for _, row := range rows {
 		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
@@ -205,7 +196,6 @@ func WriteJSON(w io.Writer, cfg workloads.Config, scale int, rows []map[cstar.Sy
 // byte-identical output.  The replay tests assert exactly that.
 func MarshalDeterministic(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) ([]byte, error) {
 	bf := benchFile(cfg, scale, rows)
-	bf.Par = 0 // like WallNS, a host-side knob that must not affect bytes
 	for i := range bf.Records {
 		r := &bf.Records[i]
 		r.WallNS = 0

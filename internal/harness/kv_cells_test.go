@@ -136,8 +136,7 @@ func TestKVCellsEndToEnd(t *testing.T) {
 
 // TestKVReplayByteIdenticalJSON is the KV cells' version of the replay
 // contract: two runs of the same tuple render byte-identical
-// deterministic trajectory JSON, per schedule seed, including a
-// serial-vs-time-parallel pairing (Par is masked from the bytes).
+// deterministic trajectory JSON, per schedule seed.
 func TestKVReplayByteIdenticalJSON(t *testing.T) {
 	run := func(cfg workloads.Config) []byte {
 		t.Helper()
@@ -167,12 +166,6 @@ func TestKVReplayByteIdenticalJSON(t *testing.T) {
 		second := run(cfg)
 		if !bytes.Equal(first, second) {
 			t.Errorf("seed %d: KV replay JSON differs between two runs", seed)
-		}
-		parCfg := cfg
-		parCfg.Par = 4
-		par := run(parCfg)
-		if !bytes.Equal(first, par) {
-			t.Errorf("seed %d: KV serial and -par trajectory JSON differ", seed)
 		}
 	}
 }

@@ -71,8 +71,7 @@ func TestReplayByteIdenticalJSON(t *testing.T) {
 // TestRunAheadMetadataIsMaskedAndInformational: whether a cell's handlers
 // ran ahead of the scheduler token, and what the scheduler did, is in the
 // trajectory JSON for people to read — and nowhere in the deterministic
-// bytes, which are identical between a serial run (LCM cells run ahead) and
-// a time-parallel one (nothing does).
+// bytes.
 func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
 	cfg := workloads.Config{P: 8, SchedSeed: 1}
 	rows := replayRows(t, cfg)
@@ -101,33 +100,13 @@ func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
 		}
 	}
 
-	serial, err := MarshalDeterministic(cfg, 16, rows)
+	det, err := MarshalDeterministic(cfg, 16, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"run_ahead", "sched_grants", "sched_handoffs", "sched_applies"} {
-		if bytes.Contains(serial, []byte(field)) {
+		if bytes.Contains(det, []byte(field)) {
 			t.Errorf("deterministic bytes mention %q", field)
 		}
-	}
-	par := cfg
-	par.Par = 4
-	parRows := replayRows(t, par)
-	for _, row := range parRows {
-		for sys, r := range row {
-			if r.Host.RunAhead || r.Host.Applies != 0 {
-				t.Errorf("%s/%v under -par: run-ahead %v with %d applies", r.Workload, sys, r.Host.RunAhead, r.Host.Applies)
-			}
-			if sys.IsLCM() && r.Host.Reason != "time-parallel" {
-				t.Errorf("%s/%v under -par: reason %q, want time-parallel", r.Workload, sys, r.Host.Reason)
-			}
-		}
-	}
-	parallel, err := MarshalDeterministic(par, 16, parRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("serial (run-ahead) and -par 4 (on the spot) deterministic bytes differ:\n%s\n---\n%s", serial, parallel)
 	}
 }

@@ -155,26 +155,13 @@ type Network interface {
 	// control network, so no data-network cycles are charged; the
 	// synchronization cost itself stays cost.Model.Barrier.
 	Barrier(node int, c *Counters)
-	// MinLatency returns a conservative lower bound, in virtual cycles,
-	// on the charge of any remote operation (RoundTrip, Forward,
-	// Upgrade, Invalidate, Flush) between distinct nodes.  It is the
-	// lookahead window of the time-parallel scheduler (internal/sched):
-	// no node can affect another sooner than this, so nodes whose next
-	// scheduling points are closer together than the bound can run
-	// concurrently without reordering any observable.  Contention only
-	// adds latency, so the zero-contention minimum is a valid bound.  A
-	// model that cannot promise a positive bound (an unreliable network
-	// whose retransmissions restructure charges, say) returns 0, which
-	// disables parallel execution.
-	MinLatency() int64
 	// OrderFree reports whether every charge the model makes is a pure
 	// function of the message — its class, endpoints and payload — so
 	// that neither the order in which nodes send nor the time they send
 	// at can move a cycle or a counter.  The uniform model is; a model
 	// that queues messages on shared channels is not.  Order-free models
-	// are the ones under which segments may execute out of serial order:
-	// the time-parallel scheduler's concurrent segments, and handlers that
-	// run ahead of the token (tempest.Machine.RunAhead).
+	// are the ones under which handlers may run ahead of the scheduler
+	// token (tempest.Machine.RunAhead).
 	OrderFree() bool
 	// LinkStats reports occupancy after the machine quiesces.
 	LinkStats() LinkStats

@@ -82,19 +82,3 @@ func (u *Uniform) OrderFree() bool { return true }
 
 // LinkStats reports nothing: the uniform model has no links.
 func (u *Uniform) LinkStats() LinkStats { return LinkStats{} }
-
-// MinLatency implements Network: the cheapest remote operation is the
-// cheapest flat class charge (payload terms only add).  Under the default
-// cost model that is FlushPerBlock.
-func (u *Uniform) MinLatency() int64 {
-	m := u.c.RemoteRoundTrip
-	for _, v := range []int64{u.c.ThirdHop, u.c.Upgrade, u.c.InvalidatePerCopy, u.c.FlushPerBlock} {
-		if v < m {
-			m = v
-		}
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
-}

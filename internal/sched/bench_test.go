@@ -9,7 +9,8 @@ import (
 
 // The cost of a scheduling point, as testing.B numbers next to lcmperf's
 // sched.grant_ns_p2 / sched.grant_ns_p32 probes (bench/probes).  One op is
-// one Yield.  Run them on one CPU, as the simulator's serial mode runs:
+// one Yield.  Run them on one CPU: the token lets one goroutine run at a
+// time, and a second CPU only adds cross-CPU wake-ups.
 //
 //	go test -run '^$' -bench 'Yield|PostApply' -cpu 1 ./internal/sched
 

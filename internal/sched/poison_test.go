@@ -23,71 +23,72 @@ func waitAll(t *testing.T, wg *sync.WaitGroup, what string) {
 	}
 }
 
+// reseat moves node to state st (Ready or Blocked) at the given clock,
+// keeping the run queue and the Blocked count in step — what a test that
+// stages a mid-run position must use in place of writing the fields.
+func reseat(s *Scheduler, node int, st State, clock int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.detach(node)
+	s.nodes[node].state = st
+	s.nodes[node].clock = clock
+	switch st {
+	case Ready:
+		s.rq.push(s.entry(node))
+	case Blocked:
+		s.blocked++
+	}
+}
+
 // TestPoisonReleasesEveryAwaitGrant: Poison wakes every node parked in
 // AwaitGrant — Ready ones that were never granted, Blocked ones nobody
-// readied — and every AwaitGrant after it returns at once, in serial and
-// in parallel mode.
+// readied — and every AwaitGrant after it returns at once.
 func TestPoisonReleasesEveryAwaitGrant(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		const n = 8
-		s := New(n, 0)
-		if par {
-			s.SetParallel(4, nil)
-		}
-		s.Start()
-		s.AwaitGrant(0)
-		s.Block(0) // node 0 Blocked for good; the token moves to node 1
-		var started, wg sync.WaitGroup
-		started.Add(n)
-		wg.Add(n)
-		for id := 0; id < n; id++ {
-			go func(id int) {
-				defer wg.Done()
-				started.Done()
-				s.AwaitGrant(id) // node 1: its grant; everyone else: parks
-				s.AwaitGrant(id) // node 1 parks here, on a grant that never comes
-			}(id)
-		}
-		started.Wait()
-		s.Poison()
-		waitAll(t, &wg, "after Poison")
-		for id := 0; id < n; id++ {
-			s.AwaitGrant(id) // the gates stay open for good
-		}
+	const n = 8
+	s := New(n, 0)
+	s.Start()
+	s.AwaitGrant(0)
+	s.Block(0) // node 0 Blocked for good; the token moves to node 1
+	var started, wg sync.WaitGroup
+	started.Add(n)
+	wg.Add(n)
+	for id := 0; id < n; id++ {
+		go func(id int) {
+			defer wg.Done()
+			started.Done()
+			s.AwaitGrant(id) // node 1: its grant; everyone else: parks
+			s.AwaitGrant(id) // node 1 parks here, on a grant that never comes
+		}(id)
+	}
+	started.Wait()
+	s.Poison()
+	waitAll(t, &wg, "after Poison")
+	for id := 0; id < n; id++ {
+		s.AwaitGrant(id) // the gates stay open for good
 	}
 }
 
 // TestNoSendAfterPoison: once poisoned, no entry point that would grant
-// the token sends on a (closed) gate — from any node state, in serial and
-// in parallel mode.
+// the token sends on a (closed) gate — from any node state.
 func TestNoSendAfterPoison(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		s := New(4, 0)
-		if par {
-			s.SetParallel(2, nil)
-		}
-		s.Start() // node 0 Running
-		s.AwaitGrant(0)
-		reseat(s, 1, Blocked, 0)
-		s.Poison()
-		s.Start()
-		s.Yield(0, 10)                                   // the token holder
-		s.YieldIntent(2, 5, Intent{Kind: IntentCompute}) // a Ready node
-		s.Block(0)
-		s.SetReady(1)
-		s.SetReadyAt(1, 7)
-		s.SetReadyIntent(1, 7, Intent{Kind: IntentCompute})
-		s.NotePublish(1 << 40)
-		s.SetLockHeld(0, true)
-		s.SetLockHeld(0, false)
-		s.Exit(0) // Running: would pass the token on
-		s.Exit(1) // Blocked
-		s.Exit(2) // Ready
-		s.Exit(3)
-		s.Exit(3)
-		if !s.Poisoned() {
-			t.Fatal("Poisoned() = false after Poison")
-		}
+	s := New(4, 0)
+	s.Start() // node 0 Running
+	s.AwaitGrant(0)
+	reseat(s, 1, Blocked, 0)
+	s.Poison()
+	s.Start()
+	s.Yield(0, 10) // the token holder
+	s.Yield(2, 5)  // a Ready node
+	s.Block(0)
+	s.SetReady(1)
+	s.SetReadyAt(1, 7)
+	s.Exit(0) // Running: would pass the token on
+	s.Exit(1) // Blocked
+	s.Exit(2) // Ready
+	s.Exit(3)
+	s.Exit(3)
+	if !s.Poisoned() {
+		t.Fatal("Poisoned() = false after Poison")
 	}
 }
 
@@ -114,100 +115,103 @@ func TestGrantBufferedBeforePoisonIsConsumed(t *testing.T) {
 // however many later calls find the same condition — and not at all when
 // the queue empties because every node is Done.
 func TestDeadlockFiresOnceOnEmptyQueue(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		s := New(3, 0)
-		if par {
-			s.SetParallel(2, nil)
-		}
-		fired := make(chan struct{}, 4)
-		s.OnDeadlock(func() { fired <- struct{}{} })
-		s.Start()
-		for id := 0; id < 3; id++ { // each node in turn takes the token and blocks
-			s.AwaitGrant(id)
-			s.Block(id)
-		}
-		select {
-		case <-fired:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("par=%v: callback never fired with 3 Blocked, 0 Ready", par)
-		}
-		s.mu.Lock()
-		if s.rq.len() != 0 || s.blocked != 3 || s.onDeadlock != nil {
-			t.Errorf("par=%v: after firing: queue %d, blocked %d, callback armed=%v; want 0, 3, false",
-				par, s.rq.len(), s.blocked, s.onDeadlock != nil)
-		}
-		s.mu.Unlock()
-		s.Exit(0) // finds the queue empty and two nodes Blocked again
-		s.Exit(1)
-		s.Exit(2)
-		s.mu.Lock()
-		if s.blocked != 0 {
-			t.Errorf("par=%v: Blocked count %d after every node exited", par, s.blocked)
-		}
-		s.mu.Unlock()
-		select {
-		case <-fired:
-			t.Fatalf("par=%v: callback fired twice", par)
-		default:
-		}
+	s := New(3, 0)
+	fired := make(chan struct{}, 4)
+	s.OnDeadlock(func() { fired <- struct{}{} })
+	s.Start()
+	for id := 0; id < 3; id++ { // each node in turn takes the token and blocks
+		s.AwaitGrant(id)
+		s.Block(id)
+	}
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callback never fired with 3 Blocked, 0 Ready")
+	}
+	s.mu.Lock()
+	if s.rq.len() != 0 || s.blocked != 3 || s.onDeadlock != nil {
+		t.Errorf("after firing: queue %d, blocked %d, callback armed=%v; want 0, 3, false",
+			s.rq.len(), s.blocked, s.onDeadlock != nil)
+	}
+	s.mu.Unlock()
+	s.Exit(0) // finds the queue empty and two nodes Blocked again
+	s.Exit(1)
+	s.Exit(2)
+	s.mu.Lock()
+	if s.blocked != 0 {
+		t.Errorf("Blocked count %d after every node exited", s.blocked)
+	}
+	s.mu.Unlock()
+	select {
+	case <-fired:
+		t.Fatal("callback fired twice")
+	default:
+	}
 
-		// A clean finish is not a deadlock.
-		s = New(2, 0)
-		if par {
-			s.SetParallel(2, nil)
-		}
-		s.OnDeadlock(func() { fired <- struct{}{} })
-		s.Start()
-		s.AwaitGrant(0)
-		s.Exit(0)
-		s.AwaitGrant(1)
-		s.Exit(1)
-		s.mu.Lock()
-		armed := s.onDeadlock != nil
-		s.mu.Unlock()
-		if !armed {
-			t.Fatalf("par=%v: callback fired on a clean finish", par)
-		}
+	// A clean finish is not a deadlock.
+	s = New(2, 0)
+	s.OnDeadlock(func() { fired <- struct{}{} })
+	s.Start()
+	s.AwaitGrant(0)
+	s.Exit(0)
+	s.AwaitGrant(1)
+	s.Exit(1)
+	s.mu.Lock()
+	armed := s.onDeadlock != nil
+	s.mu.Unlock()
+	if !armed {
+		t.Fatal("callback fired on a clean finish")
 	}
 }
 
 // TestInPlaceRegrantRecordsSameSegments: a yield that keeps the token
 // must leave the trace a real grant leaves — Segments (the checker's
-// footprints), grant keys, Steps.  The same script runs twice: through
+// footprints), the grant step each segment runs under, Steps.  The same
+// script runs twice: through
 // the run queue (where node 0, always Order-minimum, is re-granted in
 // place) and under a Chooser that picks index 0, which forces every grant
 // through dispatch and the gate.
 func TestInPlaceRegrantRecordsSameSegments(t *testing.T) {
-	run := func(viaChooser bool) ([]Segment, []uint64, int) {
+	run := func(viaChooser bool) ([]Segment, []int, int) {
 		s := New(2, 0)
 		s.EnableRecording()
 		if viaChooser {
 			s.SetChooser(func(int, []Candidate) int { return 0 })
 		}
 		s.Start()
-		var keys []uint64 // appended by the token holder only
+		var keys []int // appended by the token holder only
+		// key is the grant step of the segment node is running: the last
+		// one recorded, which must be its own.
+		key := func(node int) int {
+			segs := s.Segments()
+			cur := segs[len(segs)-1]
+			if cur.Node != node {
+				t.Errorf("node %d runs inside node %d's segment", node, cur.Node)
+			}
+			return cur.Step
+		}
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			s.AwaitGrant(0)
 			for i := 1; i <= 4; i++ {
-				keys = append(keys, s.GrantKey(0))
+				keys = append(keys, key(0))
 				s.NoteLock(uint32(i))
 				if i == 3 {
 					s.NoteBarrier()
 				}
 				s.Yield(0, int64(i)) // node 1 waits at clock 100: node 0 stays minimum
 			}
-			keys = append(keys, s.GrantKey(0))
+			keys = append(keys, key(0))
 			s.Exit(0)
 		}()
 		go func() {
 			defer wg.Done()
 			s.AwaitGrant(1)
-			keys = append(keys, s.GrantKey(1))
+			keys = append(keys, key(1))
 			s.Yield(1, 100)
-			keys = append(keys, s.GrantKey(1))
+			keys = append(keys, key(1))
 			s.NoteLock(9)
 			s.Exit(1)
 		}()
@@ -220,7 +224,7 @@ func TestInPlaceRegrantRecordsSameSegments(t *testing.T) {
 		t.Errorf("segments differ:\n in place    %+v\n through gate %+v", segs, wantSegs)
 	}
 	if !reflect.DeepEqual(keys, wantKeys) || steps != wantSteps {
-		t.Errorf("grant keys %v (%d steps) in place, %v (%d steps) through the gate", keys, steps, wantKeys, wantSteps)
+		t.Errorf("grant steps %v (%d steps) in place, %v (%d steps) through the gate", keys, steps, wantKeys, wantSteps)
 	}
 	if len(segs) != 7 || segs[2].Node != 0 || !reflect.DeepEqual(segs[2].Blocks, []uint32{2}) || !segs[3].Barrier {
 		t.Errorf("unexpected trace %+v", segs)

@@ -19,11 +19,10 @@ type ApplyFunc func(node int) (next int64, more bool)
 
 // SetRunAhead lets nodes Post scheduling points instead of yielding at
 // them.  Must precede Start; incompatible with a Chooser, an Observer,
-// recording and SetParallel, all of which need every scheduling point to be
-// a real one.
+// and recording, all of which need every scheduling point to be a real one.
 func (s *Scheduler) SetRunAhead(apply ApplyFunc) {
-	if s.chooser != nil || s.observer != nil || s.record || s.par != nil {
-		panic("sched: SetRunAhead is incompatible with Chooser/Observer/recording/SetParallel")
+	if s.chooser != nil || s.observer != nil || s.record {
+		panic("sched: SetRunAhead is incompatible with Chooser/Observer/recording")
 	}
 	s.apply = apply
 }

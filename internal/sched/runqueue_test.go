@@ -114,8 +114,8 @@ func runOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) opsRu
 			if over.Load() {
 				return
 			}
-			if g := s.GrantKey(id); g != uint64(len(res.got)) {
-				t.Errorf("node %d granted with GrantKey %d at grant %d", id, g, len(res.got))
+			if g := s.Steps() - 1; g != len(res.got) {
+				t.Errorf("node %d granted at step %d, observed as grant %d", id, g, len(res.got))
 			}
 			res.got = append(res.got, id)
 			for { // ops performed on one grant

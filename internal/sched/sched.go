@@ -28,16 +28,16 @@
 // The run queue (runqueue.go) is one indexed binary min-heap holding
 // the Ready nodes (and, under run-ahead, the oldest post of every node that
 // has any: see below), keyed by Order with the tie-break hash computed
-// once, at enqueue.  Every reader goes through it: the serial token and
-// the time-parallel admitter grant its minimum, the checker's Chooser is
-// offered its contents sorted by Order, and "nothing is Ready" is "the
-// heap is empty" (with a count of Blocked nodes deciding whether that is
-// the end of the run or a deadlock).  A scheduling point therefore costs
-// O(log P), and in the common serial case less than that:
+// once, at enqueue.  Every reader goes through it: the token is granted to
+// its minimum, the checker's Chooser is offered its contents sorted by
+// Order, and "nothing is Ready" is "the heap is empty" (with a count of
+// Blocked nodes deciding whether that is the end of the run or a
+// deadlock).  A scheduling point therefore costs O(log P), and in the
+// common case less than that:
 //
 //   - If the yielding token holder is still the Order-minimum it keeps
-//     the token in place.  Step, GrantKey, sequence number and segment
-//     recording advance exactly as for a grant, but no goroutine parks.
+//     the token in place.  Step, sequence number and segment recording
+//     advance exactly as for a grant, but no goroutine parks.
 //   - Otherwise the yielder takes the minimum's place at the top of the
 //     heap in a single sift (replace-top), the old minimum is granted, and
 //     the yielder parks on its gate.
@@ -152,7 +152,7 @@ type Scheduler struct {
 	rq      runQueue
 	blocked int // nodes in the Blocked state
 
-	running  int // node holding the token, -1 if none (serial mode)
+	running  int // node holding the token, -1 if none
 	step     int // grants so far
 	poisoned bool
 
@@ -174,17 +174,6 @@ type Scheduler struct {
 	curSeg int // index into segs of the running segment, -1 if none
 
 	candBuf []Candidate
-
-	// grantStep[n] is the grant step that started node n's current (or
-	// last) segment.  Written under mu at grant time, before the gate
-	// send; the owning node reads it via GrantKey after receiving the
-	// grant, so the gate provides the happens-before edge (a node that
-	// keeps the token in place wrote it itself).
-	grantStep []uint64
-
-	// par holds the time-parallel frontier state; nil in serial mode.
-	// Immutable after SetParallel (which must precede Start).
-	par *parState
 }
 
 // New creates a scheduler for n nodes with the given tie-break seed.  All
@@ -192,13 +181,12 @@ type Scheduler struct {
 // goroutines.
 func New(n int, seed uint64) *Scheduler {
 	s := &Scheduler{
-		nodes:     make([]nodeState, n),
-		seed:      seed,
-		rq:        newRunQueue(n),
-		running:   -1,
-		curSeg:    -1,
-		failNode:  -1,
-		grantStep: make([]uint64, n),
+		nodes:    make([]nodeState, n),
+		seed:     seed,
+		rq:       newRunQueue(n),
+		running:  -1,
+		curSeg:   -1,
+		failNode: -1,
 	}
 	for i := range s.nodes {
 		s.nodes[i] = nodeState{state: Ready, gate: make(chan struct{}, 1)}
@@ -228,11 +216,7 @@ func (s *Scheduler) EnableRecording() { s.record = true }
 // node goroutines call AwaitGrant.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
-	if s.par != nil {
-		s.admitLocked()
-	} else {
-		s.dispatch(-1)
-	}
+	s.dispatch(-1)
 	s.mu.Unlock()
 }
 
@@ -242,16 +226,8 @@ func (s *Scheduler) Start() {
 func (s *Scheduler) AwaitGrant(node int) { <-s.nodes[node].gate }
 
 // Yield is a scheduling point: the running node offers the token at the
-// given virtual clock and waits to be granted again.  The next segment is
-// assumed to be a fence (maximally conservative) in parallel mode; use
-// YieldIntent to declare a cheaper intent.
+// given virtual clock and waits to be granted again.
 func (s *Scheduler) Yield(node int, clock int64) {
-	s.YieldIntent(node, clock, Intent{})
-}
-
-// YieldIntent is Yield with a declared intent describing the node's next
-// segment (parallel mode; the intent is ignored by the serial token).
-func (s *Scheduler) YieldIntent(node int, clock int64, it Intent) {
 	s.mu.Lock()
 	if s.poisoned {
 		s.mu.Unlock()
@@ -262,24 +238,17 @@ func (s *Scheduler) YieldIntent(node int, clock int64, it Intent) {
 	ns.clock = clock
 	ns.seq++
 	s.endSegment(node)
-	if s.par != nil {
-		ns.state = Ready
-		s.rq.push(s.entry(node))
-		s.par.cur[node] = it
-		s.leaveFrontierLocked(node)
-		s.admitLocked()
-	} else if s.yieldSerial(node) {
-		s.mu.Unlock()
-		return
-	}
+	kept := s.requeue(node)
 	s.mu.Unlock()
-	<-ns.gate
+	if !kept {
+		<-ns.gate
+	}
 }
 
-// yieldSerial re-enters the yielding node into the run queue and moves the
-// serial token, reporting whether node kept it (and so must not park).
-// Caller holds s.mu and has updated node's clock and seq.
-func (s *Scheduler) yieldSerial(node int) bool {
+// requeue re-enters the yielding node into the run queue and moves the
+// token, reporting whether node kept it (and so must not park).  Caller
+// holds s.mu and has updated node's clock and seq.
+func (s *Scheduler) requeue(node int) bool {
 	ns := &s.nodes[node]
 	e := s.entry(node)
 	if s.running == node && s.chooser == nil && s.observer == nil {
@@ -325,16 +294,10 @@ func (s *Scheduler) Block(node int) {
 	s.blocked++
 	ns.seq++
 	s.endSegment(node)
-	if s.par != nil {
-		s.par.cur[node] = Intent{} // wake as a fence unless overridden
-		s.leaveFrontierLocked(node)
-		s.admitLocked()
-	} else {
-		if s.running == node {
-			s.running = -1
-		}
-		s.dispatch(-1)
+	if s.running == node {
+		s.running = -1
 	}
+	s.dispatch(-1)
 	s.mu.Unlock()
 }
 
@@ -354,17 +317,6 @@ func (s *Scheduler) SetReadyAt(node int, clock int64) {
 	s.mu.Unlock()
 }
 
-// SetReadyIntent is SetReadyAt with a declared intent for the woken
-// node's next segment (parallel mode; ignored by the serial token).
-func (s *Scheduler) SetReadyIntent(node int, clock int64, it Intent) {
-	s.mu.Lock()
-	if s.par != nil && s.nodes[node].state == Blocked {
-		s.par.cur[node] = it
-	}
-	s.setReadyLocked(node, clock)
-	s.mu.Unlock()
-}
-
 func (s *Scheduler) setReadyLocked(node int, clock int64) {
 	if s.poisoned {
 		return
@@ -378,10 +330,6 @@ func (s *Scheduler) setReadyLocked(node int, clock int64) {
 	ns.clock = clock
 	ns.seq++
 	s.rq.push(s.entry(node))
-	if s.par != nil {
-		s.admitLocked()
-		return
-	}
 	s.dispatch(-1) // no-op while the caller holds the token
 }
 
@@ -396,15 +344,10 @@ func (s *Scheduler) Exit(node int) {
 	s.detach(node)
 	s.nodes[node].state = Done
 	s.endSegment(node)
-	if s.par != nil {
-		s.leaveFrontierLocked(node)
-		s.admitLocked()
-	} else {
-		if s.running == node {
-			s.running = -1
-		}
-		s.dispatch(-1)
+	if s.running == node {
+		s.running = -1
 	}
+	s.dispatch(-1)
 	s.mu.Unlock()
 }
 
@@ -423,8 +366,8 @@ func (s *Scheduler) poisonLocked() {
 		return
 	}
 	s.poisoned = true
-	// Grants are only ever sent under s.mu by dispatch and admitLocked,
-	// both of which return early once poisoned.
+	// Grants are only ever sent under s.mu by dispatch, which returns
+	// early once poisoned.
 	for i := range s.nodes {
 		close(s.nodes[i].gate)
 	}
@@ -506,7 +449,7 @@ func (s *Scheduler) detach(node int) {
 	}
 }
 
-// dispatch moves the serial token along the run queue until a goroutine
+// dispatch moves the token along the run queue until a goroutine
 // has to run: it applies every post that precedes the first Ready node —
 // inline, no goroutine switch — and grants that node, or resumes a Draining
 // node the moment its log runs dry.  It reports whether the token went to
@@ -588,10 +531,9 @@ func (s *Scheduler) grant(node, self int) bool {
 }
 
 // beginSegment is the bookkeeping every grant performs, whether or not the
-// token changes hands: the step counter, the node's GrantKey and, in
-// checker mode, a fresh Segment.  Caller holds s.mu.
+// token changes hands: the step counter and, in checker mode, a fresh
+// Segment.  Caller holds s.mu.
 func (s *Scheduler) beginSegment(node int) {
-	s.grantStep[node] = uint64(s.step)
 	if s.record {
 		s.segs = append(s.segs, Segment{Node: node, Step: s.step})
 		s.curSeg = len(s.segs) - 1
@@ -611,14 +553,6 @@ func (s *Scheduler) fireDeadlockLocked() {
 	}
 }
 
-// GrantKey returns the grant step that started node's current segment,
-// establishing the canonical position of the segment's side effects in
-// the serial order.  It is written under the scheduler lock before the
-// grant is delivered and read by the granted node during its segment, so
-// the gate orders the accesses.  Deterministic in both serial and
-// parallel modes, and identical between them.
-func (s *Scheduler) GrantKey(node int) uint64 { return s.grantStep[node] }
-
 // endSegment closes the running segment, if any.  Caller holds s.mu.
 func (s *Scheduler) endSegment(node int) {
 	if s.record && s.curSeg >= 0 && s.segs[s.curSeg].Node == node {
@@ -627,8 +561,8 @@ func (s *Scheduler) endSegment(node int) {
 }
 
 // Order is the run queue's strict total order over candidates.  The
-// exact comparison, which the time-parallel merge depends on and which
-// the table test in sched_test.go pins for a fixed seed, is:
+// exact comparison, which the table test in sched_test.go pins for a fixed
+// seed, is:
 //
 //  1. Clock, ascending: earlier virtual time runs first.
 //  2. If the seed is non-zero and the candidates' clocks tie: mix(seed,
@@ -641,11 +575,6 @@ func (s *Scheduler) endSegment(node int) {
 //  4. Seq, ascending — unreachable between two live candidates (a node
 //     appears at most once in the Ready set) but kept so Order is total
 //     over arbitrary Candidate values, which the fuzz test checks.
-//
-// Consequence used by the parallel admitter: if a.Clock > b.Clock then b
-// precedes a regardless of seed, node, or seq — a running node whose
-// future scheduling points all land strictly after a candidate's clock
-// can never overtake that candidate in the serial order.
 func Order(seed uint64, a, b Candidate) bool {
 	if a.Clock != b.Clock {
 		return a.Clock < b.Clock

@@ -40,11 +40,11 @@ func TestCacheKeyTupleSensitivity(t *testing.T) {
 	if keyOf(t, base) != keyOf(t, explicit) {
 		t.Errorf("explicit defaults changed the key")
 	}
-	// Par is a host-side knob: results are bit-identical, same address.
-	par := base
-	par.Par = 4
-	if keyOf(t, base) != keyOf(t, par) {
-		t.Errorf("par changed the key; it must not (observables are bit-identical)")
+	// The address of a tuple never changes: results cached under it by an
+	// older lcmd must still be found.
+	const pinned = "2f924150dc9056c67cb8bddcf782589bf44f198a122080ec85ed635f6fcf91ea"
+	if got := keyOf(t, base); got != pinned {
+		t.Errorf("key of %+v is %s, want the pinned %s", base, got, pinned)
 	}
 
 	flips := map[string]JobSpec{}

@@ -54,7 +54,6 @@ func buildConfig(sp JobSpec) workloads.Config {
 		Verify:    sp.Verify,
 		SchedSeed: sp.SchedSeed,
 		FreeRun:   sp.Scheduler == "freerun",
-		Par:       sp.Par,
 	}
 	if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
 		cfg.Net = &net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}

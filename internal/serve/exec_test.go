@@ -114,7 +114,6 @@ func TestConstructorClamps(t *testing.T) {
 func TestNormalizeBoundsChecks(t *testing.T) {
 	for _, sp := range []JobSpec{
 		{Kind: "grid", P: -1},
-		{Kind: "grid", Par: -2},
 		{Kind: "check", Blocks: 5},
 		{Kind: "check", MaxSchedules: 0, Nodes: 3, Blocks: 4, Protocol: "bogus"},
 	} {

@@ -493,22 +493,25 @@ func TestCheckJob(t *testing.T) {
 	}
 }
 
-// Malformed submissions are rejected up front with 400.
+// Malformed submissions are rejected up front with 400, and the error
+// (a JSON string in the response body) names what was wrong with them.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	for _, body := range []string{
-		`{"kind":"grid","cells":["Mandelbrot"]}`,
-		`{"kind":"tournament"}`,
-		`{"kind":"grid","surprise":true}`, // unknown fields are errors
-		`not json`,
+	for _, c := range []struct{ body, names string }{
+		{`{"kind":"grid","cells":["Mandelbrot"]}`, "Mandelbrot"},
+		{`{"kind":"tournament"}`, "tournament"},
+		{`{"kind":"grid","surprise":true}`, `unknown field \"surprise\"`},
+		{`{"kind":"grid","par":4}`, `unknown field \"par\"`},
+		{`not json`, ""},
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %q = %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.names) {
+			t.Errorf("submit %q = %d %s, want 400 naming %s", c.body, resp.StatusCode, msg, c.names)
 		}
 	}
 	if code, _ := get(t, ts, "/jobs/j99"); code != http.StatusNotFound {

@@ -63,11 +63,6 @@ type JobSpec struct {
 	// SchedSeed selects the deterministic schedule.
 	SchedSeed uint64 `json:"sched_seed,omitempty"`
 
-	// Par runs the deterministic schedule time-parallel on up to Par
-	// workers.  It is a host-side knob — observables are bit-identical
-	// to serial — so it is excluded from the cache key.
-	Par int `json:"par,omitempty"`
-
 	// KVSkew and KVReshard tune the serving-traffic (KV) cells: the Zipf
 	// skew exponent (0 = workload default of 0.99) and the reshard
 	// cadence in phases (0 = default, negative = resharding off).  Both
@@ -142,9 +137,6 @@ func (sp *JobSpec) Normalize() error {
 			return err
 		}
 	}
-	if sp.Par < 0 {
-		return fmt.Errorf("par must be >= 0, got %d", sp.Par)
-	}
 	if sp.KVSkew < 0 {
 		return fmt.Errorf("kv_skew must be >= 0, got %v", sp.KVSkew)
 	}
@@ -199,15 +191,13 @@ func (sp *JobSpec) Normalize() error {
 func (sp JobSpec) Cacheable() bool { return sp.Scheduler != "freerun" }
 
 // CacheKey returns the content address of the spec's result: the SHA-256
-// of the canonical JSON of the normalized tuple with host-side knobs
-// (Par) masked out.  ok is false for uncacheable specs.
+// of the canonical JSON of the normalized tuple.  ok is false for
+// uncacheable specs.
 func (sp JobSpec) CacheKey() (key string, ok bool) {
 	if !sp.Cacheable() {
 		return "", false
 	}
-	k := sp
-	k.Par = 0 // bit-identical to serial by construction; not part of the tuple
-	b, err := json.Marshal(k)
+	b, err := json.Marshal(sp)
 	if err != nil {
 		return "", false
 	}

@@ -82,7 +82,6 @@ func (n *Node) loadSeg(b memsys.BlockID, k int64) *Line {
 	}
 	n.clock += k * n.M.Cost.CacheHit
 	n.Ctr.Hits += k
-	n.publish()
 	return l
 }
 
@@ -260,7 +259,4 @@ func (n *Node) recordWrite(b memsys.BlockID, l *Line, off, size uint32) {
 
 // Compute charges units of abstract computation to the node (workloads use
 // this so arithmetic is not free relative to communication).
-func (n *Node) Compute(units int64) {
-	n.clock += units * n.M.Cost.Compute
-	n.publish()
-}
+func (n *Node) Compute(units int64) { n.clock += units * n.M.Cost.Compute }

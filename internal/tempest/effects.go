@@ -15,12 +15,12 @@ import (
 // directory sets, merge images, side lists, cycles stolen from the home.
 // Such a handler brackets its body with two calls:
 //
-//	fx := n.EnterHandler(b, ...) // the handler's scheduling point
+//	fx := n.EnterHandler(b)      // the handler's scheduling point
 //	... local half; fill in fx ...
 //	n.Emit(fx)                   // hand over the shared half
 //
-// On the spot — the default — EnterHandler yields like SchedYieldFault and
-// Emit applies the effect there and then, under the block's lock.  When the
+// On the spot — the default — EnterHandler yields like SchedYield and Emit
+// applies the effect there and then, under the block's lock.  When the
 // machine runs ahead (Machine.RunAhead), EnterHandler only notes the clock
 // the yield would have offered and Emit appends the effect to the node's
 // log: the node keeps the token, and the scheduler applies the effect at
@@ -48,8 +48,8 @@ type Effect struct {
 // EffectApplier is implemented by protocols whose handlers are split; it
 // applies one effect on behalf of node n, which posted it.  It may run on
 // any node's goroutine, but never concurrently with n or with another
-// ApplyEffect unless the machine is time-parallel or free-running, in
-// which case it runs on n's own goroutine, inside the handler.
+// ApplyEffect unless the machine is free-running, in which case it runs on
+// n's own goroutine, inside the handler.
 type EffectApplier interface {
 	ApplyEffect(n *Node, e *Effect)
 }
@@ -65,8 +65,8 @@ const effectRing = 64
 // configures it: it holds exactly when executing local halves early cannot
 // be observed —
 //
-//   - the serial deterministic scheduler orders the run, with no checker
-//     hook watching individual grants and no time-parallel workers;
+//   - the deterministic scheduler orders the run, with no checker hook
+//     watching individual grants;
 //   - nothing restructures a handler's charges mid-flight (fault plans,
 //     delivery loss, recovery replay) or timestamps its steps (a trace);
 //   - the interconnect prices a message without looking at the clock or at
@@ -91,8 +91,6 @@ func (m *Machine) RunAhead() (on bool, reason string) {
 		return false, "recovery"
 	case m.Trace != nil:
 		return false, "protocol trace"
-	case m.parWorkers() > 1:
-		return false, "time-parallel"
 	case !m.Net.OrderFree():
 		return false, "order-sensitive network"
 	case m.applier == nil:
@@ -131,21 +129,16 @@ func (m *Machine) setRunAhead(on bool) {
 
 // EnterHandler is the scheduling point at the entry of a split handler for
 // block b, and returns the effect record the handler fills in and passes to
-// Emit.  floor says whether every path of the handler charges the node at
-// least the fault floor (SchedYieldFault) or may return chargeless
-// (SchedYieldEvict).
-func (n *Node) EnterHandler(b memsys.BlockID, floor bool) *Effect {
+// Emit.
+func (n *Node) EnterHandler(b memsys.BlockID) *Effect {
 	slot := 0
-	switch {
-	case n.runAhead:
+	if n.runAhead {
 		if n.fxLen == len(n.fx) {
 			n.drain() // a full log is a drain point
 		}
 		slot = (n.fxHead + n.fxLen) & (len(n.fx) - 1)
-	case floor:
-		n.SchedYieldFault(b)
-	default:
-		n.SchedYieldEvict(b)
+	} else {
+		n.SchedYield()
 	}
 	e := &n.fx[slot]
 	e.Block, e.Mask, e.clock = b, 0, n.clock
@@ -161,8 +154,8 @@ func (n *Node) Emit(e *Effect) {
 	}
 	n.fxLen++
 	if n.fxLen == 1 {
-		// The log was empty, so this node holds the token in the serial
-		// order too and its stolen cycles are current: key the post now.
+		// The log was empty, so no effect that could steal cycles from
+		// this node is ahead of it in the schedule: key the post now.
 		// Later posts are keyed as their predecessors are applied.
 		n.M.schedder.Post(n.ID, e.clock+n.stolen.Load())
 	}

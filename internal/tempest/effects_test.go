@@ -25,7 +25,7 @@ type splitProtocol struct {
 var errApply = errors.New("split protocol: apply failed")
 
 func (p *splitProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
-	fx := n.EnterHandler(b, true)
+	fx := n.EnterHandler(b)
 	l := n.Install(b, p.m.AS.HomeData(b), TagReadOnly)
 	n.Emit(fx)
 	n.Ctr.Misses++
@@ -69,20 +69,14 @@ func TestRunAheadPredicate(t *testing.T) {
 		prep func(m *Machine)
 		want string // "" = on
 	}{
-		{"serial LCM-only machine", memsys.KindLCM, nil, ""},
-		{"par capped to one worker still runs ahead", memsys.KindLCM, func(m *Machine) { m.Par = 1 }, ""},
+		{"LCM-only machine", memsys.KindLCM, nil, ""},
 		{"free-running", memsys.KindLCM, func(m *Machine) { m.DetSched = false }, "free-running"},
 		{"checker hook", memsys.KindLCM, func(m *Machine) { m.SchedHook = func(*sched.Scheduler) {} }, "scheduler hook"},
 		{"fault plan", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, CorruptPerMil: 5}) }, "fault plan"},
 		{"loss", memsys.KindLCM, func(m *Machine) { m.AttachLoss(net.LossConfig{Seed: 1, DropPerMil: 5}) }, "lossy network"},
 		{"recovery", memsys.KindLCM, func(m *Machine) { m.Recovery = true }, "recovery"},
 		{"trace", memsys.KindLCM, func(m *Machine) { m.AttachTrace(16) }, "protocol trace"},
-		{"time-parallel", memsys.KindLCM, func(m *Machine) { m.Par = 4 }, "time-parallel"},
 		{"fat tree", memsys.KindLCM, func(m *Machine) {
-			m.SetNetwork(net.NewFatTree(net.Config{}, m.P, m.Cost))
-		}, "order-sensitive network"},
-		{"fat tree under -par is serial and on the spot", memsys.KindLCM, func(m *Machine) {
-			m.Par = 4
 			m.SetNetwork(net.NewFatTree(net.Config{}, m.P, m.Cost))
 		}, "order-sensitive network"},
 		{"unsplit protocol", memsys.KindLCM, func(m *Machine) { m.SetProtocol(&fakeProtocol{}) }, "protocol without split handlers"},

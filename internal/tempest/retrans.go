@@ -184,12 +184,6 @@ func (r *reliableNet) SetLoss(l *net.Loss) { r.inner.SetLoss(l) }
 // delivered exactly once, in order.
 func (r *reliableNet) Deliver(src, dst int) net.Delivery { return net.Delivered }
 
-// MinLatency reports no lookahead: with delivery faults armed a message's
-// charge can be restructured by timeouts and retransmissions, so the layer
-// cannot promise any positive latency floor.  A zero window forces the
-// scheduler to stay serial (see internal/sched).
-func (r *reliableNet) MinLatency() int64 { return 0 }
-
-// OrderFree reports false for the same reason: each message draws its fate
-// from the sender's loss stream, in send order.
+// OrderFree reports false: each message draws its fate from the sender's
+// loss stream, in send order.
 func (r *reliableNet) OrderFree() bool { return false }

@@ -144,10 +144,6 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	// nodes free-run; a node that exits while a sibling still waits at the
 	// barrier is a deadlock the scheduler detects and converts to an abort.
 	var sc *sched.Scheduler
-	for _, nd := range m.Nodes {
-		nd.pubClock = nil
-	}
-	m.bar.wakeLB = 0
 	runAhead, _ := m.RunAhead()
 	m.setRunAhead(runAhead)
 	if m.DetSched {
@@ -160,21 +156,6 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 		})
 		m.schedder = sc
 		m.bar.setSched(sc)
-		if par := m.parWorkers(); par > 1 {
-			m.laRemote = m.Net.MinLatency()
-			m.laLocal = m.Cost.MarkLocal
-			if m.Cost.LocalFill < m.laLocal {
-				m.laLocal = m.Cost.LocalFill
-			}
-			if m.laLocal < 0 {
-				m.laLocal = 0
-			}
-			sc.SetParallel(par, m.admitOK)
-			for _, nd := range m.Nodes {
-				nd.pubClock = sc.PubSlot(nd.ID)
-			}
-			m.bar.wakeLB = m.Cost.Barrier
-		}
 		if runAhead {
 			sc.SetRunAhead(m.applyHead)
 		}

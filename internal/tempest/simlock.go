@@ -51,10 +51,6 @@ func (lk *SimLock) Acquire(n *Node) {
 		}
 		lk.held = true
 		lk.mu.Unlock()
-		// While the lock is held the time-parallel admitter degenerates to
-		// the serial token: critical sections serialize in virtual time and
-		// admitting around them would reorder the contention.
-		s.SetLockHeld(n.ID, true)
 	} else {
 		lk.mu.Lock()
 	}
@@ -76,7 +72,6 @@ func (lk *SimLock) Release(n *Node) {
 		ws := lk.waiters
 		lk.waiters = nil
 		lk.mu.Unlock()
-		s.SetLockHeld(n.ID, false)
 		// Ready every waiter; the run queue grants them in virtual-time
 		// order and each re-checks held, so the hand-off is deterministic.
 		for _, id := range ws {

@@ -236,18 +236,6 @@ type Machine struct {
 	// DetSched is set (0 = canonical cycle/node order).
 	SchedSeed uint64
 
-	// Par, when > 1, enables time-parallel execution under DetSched: up
-	// to Par nodes run their segments on concurrent OS threads whenever
-	// the interconnect model's minimum message latency (net.MinLatency)
-	// proves the serial grant order cannot observe the difference.
-	// Every observable — simulated cycles included — stays bit-identical
-	// to the serial token scheduler.  Runs that cannot make that proof
-	// stay serial: free-running, checker hooks, fault injection, delivery
-	// loss, recovery replay, and interconnect models with no positive
-	// latency floor or with order-sensitive charges (see parWorkers).
-	// Set before Run.
-	Par int
-
 	// SchedHook, when non-nil, is invoked on each run's fresh scheduler
 	// before it starts, so the model checker (internal/check) can install
 	// its chooser, observer, and footprint recording.
@@ -260,12 +248,6 @@ type Machine struct {
 	frozen   bool
 	cfgErr   error
 	schedder *sched.Scheduler
-
-	// laLocal/laRemote are the active run's admission lower bounds for
-	// locally- and remotely-homed fault segments (see parallel.go); set
-	// by RunErr when parallel mode engages, read by SchedYieldFault.
-	laLocal  int64
-	laRemote int64
 
 	// trackWrites is set at Freeze when any region requests conflict
 	// checking; it gates the per-store word recording.
@@ -480,14 +462,6 @@ type Node struct {
 	ckpt     checkpoint
 	degraded bool
 
-	// pubClock is the node's published-clock slot in the time-parallel
-	// scheduler (nil on serial runs).  The node stores a monotone lower
-	// bound on its virtual clock there as charges accumulate, so the
-	// admitter can release later candidates while this segment still
-	// runs.  It publishes n.clock without the stolen component: stolen
-	// only ever adds, so the store stays a valid lower bound.
-	pubClock *atomic.Int64
-
 	// fx is the node's effect log (effects.go): a ring of the shared
 	// halves this node's handlers have posted but the scheduler has not
 	// yet applied, fxLen of them starting at fxHead, when runAhead is set;
@@ -500,20 +474,11 @@ type Node struct {
 	runAhead bool
 }
 
-// publish exports the node's clock to the parallel admitter.  No-op on
-// serial runs (one nil check).
-func (n *Node) publish() {
-	if p := n.pubClock; p != nil {
-		p.Store(n.clock)
-		n.M.schedder.NotePublish(n.clock)
-	}
-}
-
 // Clock returns the node's current virtual cycle count including handler
 // cycles stolen by other nodes' requests.  While the node runs ahead of
 // effects it has posted (Machine.RunAhead), the stolen part is whatever has
-// been applied so far, not the serial order's value; a body that needs an
-// exact mid-phase reading calls SchedYield first.
+// been applied so far, not the schedule's value; a body that needs an exact
+// mid-phase reading calls SchedYield first.
 func (n *Node) Clock() int64 { return n.clock + n.stolen.Load() }
 
 // SchedYield is a deterministic-scheduler synchronization point: under
@@ -522,9 +487,6 @@ func (n *Node) Clock() int64 { return n.clock + n.stolen.Load() }
 // call it immediately before acquiring a block's home lock, so the order
 // in which contending nodes enter a handler is decided by virtual time,
 // not by the host's mutex arbitration.  No-op when DetSched is off.
-// This plain form declares a fence (maximally conservative) intent; the
-// protocol fault paths use the intent-carrying variants below so the
-// time-parallel admitter can overlap provably-independent segments.
 func (n *Node) SchedYield() {
 	if s := n.M.schedder; s != nil {
 		n.drain()
@@ -532,55 +494,8 @@ func (n *Node) SchedYield() {
 	}
 }
 
-// SchedYieldFault is the scheduling point at a fault-handler entry for
-// block b: the next segment touches only b's protocol state, b's home,
-// and this node's own clock, and charges at least the declared floor
-// before its next scheduling point (local fill when b is homed here, the
-// interconnect's minimum message latency otherwise — every post-yield
-// path of every handler charges at least that; see PROTOCOLS.md).
-func (n *Node) SchedYieldFault(b memsys.BlockID) {
-	s := n.M.schedder
-	if s == nil {
-		return
-	}
-	n.drain()
-	home := n.M.AS.HomeOf(b)
-	lb := n.M.laLocal
-	if home != n.ID {
-		lb = n.M.laRemote
-	}
-	s.YieldIntent(n.ID, n.Clock(), sched.Intent{Kind: sched.IntentFault, Block: uint32(b), Home: home, LB: lb})
-}
-
-// SchedYieldEvict is SchedYieldFault for eviction segments.  An eviction
-// may find the copy already revoked and return chargeless, so it
-// declares no charge floor (LB zero is always sound).
-func (n *Node) SchedYieldEvict(b memsys.BlockID) {
-	s := n.M.schedder
-	if s == nil {
-		return
-	}
-	n.drain()
-	s.YieldIntent(n.ID, n.Clock(), sched.Intent{Kind: sched.IntentFault, Block: uint32(b), Home: n.M.AS.HomeOf(b)})
-}
-
-// GrantKey returns the position of the node's current segment in the
-// scheduler's grant sequence — a total order identical between serial
-// and time-parallel runs.  Protocols key order-sensitive side lists
-// (dirty lists, conflict logs) with it so a later stable sort replays
-// insertions in serial order.  Zero without a scheduler.
-func (n *Node) GrantKey() uint64 {
-	if s := n.M.schedder; s != nil {
-		return s.GrantKey(n.ID)
-	}
-	return 0
-}
-
 // Charge advances the node's clock by c cycles (owner goroutine only).
-func (n *Node) Charge(c int64) {
-	n.clock += c
-	n.publish()
-}
+func (n *Node) Charge(c int64) { n.clock += c }
 
 // ChargeRemote charges c cycles to another node's clock (handler occupancy
 // stolen from the home processor).  Safe from any goroutine.
@@ -588,10 +503,7 @@ func (n *Node) ChargeRemote(c int64) { n.stolen.Add(c) }
 
 // FoldStolen folds stolen handler cycles into the local clock.  Called at
 // barriers and at the end of Run.
-func (n *Node) FoldStolen() {
-	n.clock += n.stolen.Swap(0)
-	n.publish()
-}
+func (n *Node) FoldStolen() { n.clock += n.stolen.Swap(0) }
 
 // Line returns the node's line for block b, or nil if none was ever
 // installed.  The line's tag must be checked before using its data.
@@ -736,7 +648,6 @@ func (n *Node) Barrier() {
 		panic(err)
 	}
 	n.clock = c + n.M.Cost.Barrier
-	n.publish()
 	n.Ctr.Barriers++
 	if n.M.Recovery {
 		// The epoch boundary is where the consistency contract makes

@@ -59,29 +59,6 @@ func TestKVAnswerIdenticalAcrossSystemsAndP(t *testing.T) {
 	}
 }
 
-// TestKVSerialVsParIdentical runs the same tuple serial and
-// time-parallel and requires every observable to match, the serving
-// stats included.
-func TestKVSerialVsParIdentical(t *testing.T) {
-	spec := kvTestSpec("write")
-	for _, sys := range kvSystems {
-		ser := RunKV(sys, spec, Config{P: 8, Verify: true})
-		par := RunKV(sys, spec, Config{P: 8, Verify: true, Par: 4})
-		if ser.Err != nil || par.Err != nil {
-			t.Fatalf("%v: serial err %v, par err %v", sys, ser.Err, par.Err)
-		}
-		if ser.Cycles != par.Cycles || ser.C != par.C || ser.S != par.S {
-			t.Errorf("%v: serial vs -par observables drifted: cycles %d vs %d, counters %+v vs %+v",
-				sys, ser.Cycles, par.Cycles, ser.C, par.C)
-		}
-		if ser.KV.Ops != par.KV.Ops || ser.KV.Reshards != par.KV.Reshards ||
-			ser.KV.MigratedBlocks != par.KV.MigratedBlocks ||
-			ser.KV.HotShardOps != par.KV.HotShardOps || ser.KV.Answer != par.KV.Answer {
-			t.Errorf("%v: serial vs -par KV stats drifted: %+v vs %+v", sys, ser.KV, par.KV)
-		}
-	}
-}
-
 // TestKVReplayIdentical pins run-to-run determinism at the workload
 // level: two runs of the same tuple agree on every counter.
 func TestKVReplayIdentical(t *testing.T) {

@@ -86,12 +86,6 @@ type Config struct {
 	// historically.  Order-dependent observables are then not run-to-run
 	// reproducible; only benchmarking wall-clock parallelism wants this.
 	FreeRun bool
-	// Par, when > 1, runs the deterministic schedule time-parallel on up
-	// to Par worker threads (tempest.Machine.Par): every observable stays
-	// bit-identical to Par=0, only host wall clock changes.  Ignored
-	// under FreeRun and silently serial for configurations that cannot
-	// prove a lookahead window (loss, faults, recovery).
-	Par int
 
 	// tap, when non-nil, is handed the machine as soon as it exists, before
 	// the workload allocates on it.  The package's tests reach the machine
@@ -127,7 +121,6 @@ func (c Config) machine(sys cstar.System) *tempest.Machine {
 	m.ScalarAccess = c.ScalarAccess
 	m.DetSched = !c.FreeRun
 	m.SchedSeed = c.SchedSeed
-	m.Par = c.Par
 	if c.Net != nil {
 		nw, err := net.New(*c.Net, c.P, *c.CostModel)
 		if err != nil {
