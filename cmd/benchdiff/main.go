@@ -1,37 +1,26 @@
 // Command benchdiff compares two BENCH_*.json benchmark trajectory files
-// produced by lcmbench -json.  It has two modes:
-//
-// Regression gate (default): compare wall-clock times record by record
-// and fail when the pooled geometric mean of the current/baseline ratios
-// regresses by more than -max-regress percent (10 by default).  This is
-// the nightly guardrail: simulation observables must match exactly, wall
-// time may drift within the budget.
-//
-//	benchdiff [-max-regress 10] baseline.json current.json
-//
-// Identity check (-identical): compare every simulation observable of
-// each record — workload, sched, system, simulated cycles, misses, clean
-// copies, verification status, network message/byte counts, and the
-// serving-workload (KV) counters and answer checksum — and fail on any
-// difference.  Only host-time fields (wall clock, the file
-// timestamp) are excluded: under the deterministic scheduler
-// (internal/sched, the default) every observable, simulated cycles and
-// Copying fault counts included, is a pure function of (workload, P,
-// schedule seed) at every P, so two runs of the same configuration must
-// be bit-identical with no carve-outs.  Comparing files recorded under
-// different schedule seeds or with the scheduler disabled is a
-// configuration mismatch, reported before any record is compared.
+// produced by lcmbench -json: every simulation observable of each record —
+// workload, sched, system, simulated cycles, misses, clean copies,
+// verification status, network message/byte counts, and the
+// serving-workload (KV) counters and answer checksum — and fails on any
+// difference.  Only host-time fields (wall clock, the file timestamp) are
+// excluded: every observable, simulated cycles and Copying fault counts
+// included, is a pure function of (workload, P, schedule seed) at every P
+// (internal/sched), so two runs of the same configuration must be
+// bit-identical with no carve-outs.  Comparing files recorded under
+// different schedule seeds is a configuration mismatch, reported before any
+// record is compared.  Host time is lcmperf's business (bench/), not this
+// tool's.
 //
 //	benchdiff -identical a.json b.json
 //
-// Exit status: 0 on pass, 1 on mismatch/regression, 2 on usage errors.
+// Exit status: 0 on pass, 1 on mismatch, 2 on usage errors.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"lcm/internal/harness"
@@ -67,11 +56,10 @@ func key(r harness.BenchRecord) string {
 }
 
 func main() {
-	identical := flag.Bool("identical", false, "compare every simulation observable exactly instead of gating wall-clock regression")
-	maxRegress := flag.Float64("max-regress", 10, "maximum allowed pooled-geomean wall-clock regression, percent")
+	identical := flag.Bool("identical", false, "compare every simulation observable exactly (the only mode; required)")
 	flag.Parse()
-	if flag.NArg() != 2 {
-		usage("usage: benchdiff [-identical | -max-regress PCT] baseline.json current.json")
+	if !*identical || flag.NArg() != 2 {
+		usage("usage: benchdiff -identical a.json b.json")
 	}
 	a, b := load(flag.Arg(0)), load(flag.Arg(1))
 
@@ -87,97 +75,64 @@ func main() {
 		fail("record count mismatch: %d vs %d", len(a.Records), len(b.Records))
 	}
 
-	if *identical {
-		bad := 0
-		for i := range a.Records {
-			ra, rb := a.Records[i], b.Records[i]
-			if key(ra) != key(rb) {
-				fail("record %d identity mismatch: %s vs %s", i, key(ra), key(rb))
-			}
-			diff := func(field string, va, vb any) {
-				fmt.Fprintf(os.Stderr, "benchdiff: %s: %s drifted: %v vs %v\n", key(ra), field, va, vb)
-				bad++
-			}
-			if ra.SimCycles != rb.SimCycles {
-				diff("simcycles", ra.SimCycles, rb.SimCycles)
-			}
-			if ra.SimMisses != rb.SimMisses {
-				diff("simmisses", ra.SimMisses, rb.SimMisses)
-			}
-			if ra.CleanCopies != rb.CleanCopies {
-				diff("cleancopies", ra.CleanCopies, rb.CleanCopies)
-			}
-			if ra.Verified != rb.Verified {
-				diff("verified", ra.Verified, rb.Verified)
-			}
-			if ra.NetMsgs != rb.NetMsgs {
-				diff("net_msgs", ra.NetMsgs, rb.NetMsgs)
-			}
-			if ra.NetBytes != rb.NetBytes {
-				diff("net_bytes", ra.NetBytes, rb.NetBytes)
-			}
-			if ra.NetQueueCycles != rb.NetQueueCycles {
-				diff("net_queue_cycles", ra.NetQueueCycles, rb.NetQueueCycles)
-			}
-			if ra.MaxLinkBusy != rb.MaxLinkBusy {
-				diff("max_link_busy", ra.MaxLinkBusy, rb.MaxLinkBusy)
-			}
-			if ra.KVOps != rb.KVOps {
-				diff("kv_ops", ra.KVOps, rb.KVOps)
-			}
-			if ra.KVGets != rb.KVGets {
-				diff("kv_gets", ra.KVGets, rb.KVGets)
-			}
-			if ra.KVPuts != rb.KVPuts {
-				diff("kv_puts", ra.KVPuts, rb.KVPuts)
-			}
-			if ra.KVReshards != rb.KVReshards {
-				diff("kv_reshards", ra.KVReshards, rb.KVReshards)
-			}
-			if ra.KVMigratedBlocks != rb.KVMigratedBlocks {
-				diff("kv_migrated_blocks", ra.KVMigratedBlocks, rb.KVMigratedBlocks)
-			}
-			if ra.KVHotShardOps != rb.KVHotShardOps {
-				diff("kv_hot_shard_ops", ra.KVHotShardOps, rb.KVHotShardOps)
-			}
-			if ra.KVAnswer != rb.KVAnswer {
-				diff("kv_answer", ra.KVAnswer, rb.KVAnswer)
-			}
-		}
-		if bad > 0 {
-			fail("%d deterministic field(s) drifted across %d records", bad, len(a.Records))
-		}
-		fmt.Printf("benchdiff: identical across %d records\n", len(a.Records))
-		return
-	}
-
-	// Regression gate: pooled geometric mean of per-record wall ratios.
-	var logSum float64
-	n := 0
-	worstKey, worstRatio := "", 0.0
+	bad := 0
 	for i := range a.Records {
 		ra, rb := a.Records[i], b.Records[i]
 		if key(ra) != key(rb) {
 			fail("record %d identity mismatch: %s vs %s", i, key(ra), key(rb))
 		}
-		if ra.WallNS <= 0 || rb.WallNS <= 0 {
-			continue // unmeasured cell; nothing to gate
+		diff := func(field string, va, vb any) {
+			fmt.Fprintf(os.Stderr, "benchdiff: %s: %s drifted: %v vs %v\n", key(ra), field, va, vb)
+			bad++
 		}
-		ratio := float64(rb.WallNS) / float64(ra.WallNS)
-		logSum += math.Log(ratio)
-		n++
-		if ratio > worstRatio {
-			worstKey, worstRatio = key(ra), ratio
+		if ra.SimCycles != rb.SimCycles {
+			diff("simcycles", ra.SimCycles, rb.SimCycles)
+		}
+		if ra.SimMisses != rb.SimMisses {
+			diff("simmisses", ra.SimMisses, rb.SimMisses)
+		}
+		if ra.CleanCopies != rb.CleanCopies {
+			diff("cleancopies", ra.CleanCopies, rb.CleanCopies)
+		}
+		if ra.Verified != rb.Verified {
+			diff("verified", ra.Verified, rb.Verified)
+		}
+		if ra.NetMsgs != rb.NetMsgs {
+			diff("net_msgs", ra.NetMsgs, rb.NetMsgs)
+		}
+		if ra.NetBytes != rb.NetBytes {
+			diff("net_bytes", ra.NetBytes, rb.NetBytes)
+		}
+		if ra.NetQueueCycles != rb.NetQueueCycles {
+			diff("net_queue_cycles", ra.NetQueueCycles, rb.NetQueueCycles)
+		}
+		if ra.MaxLinkBusy != rb.MaxLinkBusy {
+			diff("max_link_busy", ra.MaxLinkBusy, rb.MaxLinkBusy)
+		}
+		if ra.KVOps != rb.KVOps {
+			diff("kv_ops", ra.KVOps, rb.KVOps)
+		}
+		if ra.KVGets != rb.KVGets {
+			diff("kv_gets", ra.KVGets, rb.KVGets)
+		}
+		if ra.KVPuts != rb.KVPuts {
+			diff("kv_puts", ra.KVPuts, rb.KVPuts)
+		}
+		if ra.KVReshards != rb.KVReshards {
+			diff("kv_reshards", ra.KVReshards, rb.KVReshards)
+		}
+		if ra.KVMigratedBlocks != rb.KVMigratedBlocks {
+			diff("kv_migrated_blocks", ra.KVMigratedBlocks, rb.KVMigratedBlocks)
+		}
+		if ra.KVHotShardOps != rb.KVHotShardOps {
+			diff("kv_hot_shard_ops", ra.KVHotShardOps, rb.KVHotShardOps)
+		}
+		if ra.KVAnswer != rb.KVAnswer {
+			diff("kv_answer", ra.KVAnswer, rb.KVAnswer)
 		}
 	}
-	if n == 0 {
-		fail("no records carry wall-clock measurements")
+	if bad > 0 {
+		fail("%d deterministic field(s) drifted across %d records", bad, len(a.Records))
 	}
-	geomean := math.Exp(logSum / float64(n))
-	change := (geomean - 1) * 100
-	fmt.Printf("benchdiff: pooled geomean wall-clock ratio %.3f (%+.1f%%) over %d records; worst %s at %.3f\n",
-		geomean, change, n, worstKey, worstRatio)
-	if change > *maxRegress {
-		fail("wall-clock regression %.1f%% exceeds budget %.1f%%", change, *maxRegress)
-	}
+	fmt.Printf("benchdiff: identical across %d records\n", len(a.Records))
 }

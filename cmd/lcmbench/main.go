@@ -11,7 +11,7 @@
 //
 //	lcmbench [-scale N] [-p N] [-blocksize N] [-verify] [-table1]
 //	         [-fig2] [-fig3] [-ablate] [-net=uniform|fattree] [-linkbw N]
-//	         [-nilat N] [-netsweep] [-schedseed N] [-freerun]
+//	         [-nilat N] [-netsweep] [-schedseed N]
 //	         [-kvskew S] [-kvreshard N]
 //
 // With no selection flags, all experiments run.  -cells selects
@@ -24,12 +24,11 @@
 // -netsweep runs the contention sensitivity sweep.  Runs are scheduled by
 // the deterministic virtual-time scheduler (internal/sched): every
 // observable, simulated cycles included, is a pure function of the
-// configuration and -schedseed.  -freerun instead restores host-scheduled
-// goroutine interleaving for wall-clock parallelism measurements.  -chaos
-// runs the fault-injection campaign instead: every workload under every memory
-// system with seeded faults, asserting answers bit-identical to the
-// fault-free runs and recovery counters matching the injected plans; the
-// exit status reports the verdict.  -recovery runs the crash-recovery
+// configuration and -schedseed.  -chaos runs the fault-injection campaign
+// instead: every workload under every memory system with seeded faults,
+// asserting answers bit-identical to the fault-free runs and recovery
+// counters matching the injected plans; the exit status reports the
+// verdict.  -recovery runs the crash-recovery
 // matrix: node kills restarting from barrier checkpoints, sustained
 // message loss survived by retransmission, and kill storms past the
 // restart budget forcing degraded-mode re-homing, each cell asserting
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	niLat := fs.Int64("nilat", 0, "fattree network-interface occupancy in cycles per message end (0 = default)")
 	netSweep := fs.Bool("netsweep", false, "run only the interconnect sensitivity sweep (P x link bandwidth x system over the fat tree)")
 	schedSeed := fs.Uint64("schedseed", 0, "deterministic schedule seed (0 = canonical cycle/node order; other seeds permute same-cycle ties)")
-	freeRun := fs.Bool("freerun", false, "disable the deterministic scheduler and let node goroutines interleave at the host's whim (observables are then not run-to-run reproducible)")
 	cells := fs.String("cells", "", "comma-separated grid cells to run instead of the full grid (e.g. Stencil-static,KV-read); implies -table1")
 	kvSkew := fs.Float64("kvskew", 0, "KV cells' Zipf skew exponent (0 = workload default of 0.99)")
 	kvReshard := fs.Int("kvreshard", 0, "KV cells' reshard cadence in phases (0 = workload default; negative = resharding off)")
@@ -161,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	s := harness.New(stdout)
-	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed, FreeRun: *freeRun}
+	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed}
 	s.Scale = *scale
 	s.KVSkew = *kvSkew
 	s.KVReshard = *kvReshard

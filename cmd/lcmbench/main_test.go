@@ -32,6 +32,7 @@ func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
 		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "-3"}, "lcmbench: -p must be >= 1\n"},
 		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "0"}, "lcmbench: -p must be >= 1\n"},
 		{[]string{"-par", "4"}, "flag provided but not defined: -par\n"},
+		{[]string{"-freerun"}, "flag provided but not defined: -freerun\n"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(c.args, &out, &errOut); code != 2 || errOut.String() != c.want || out.Len() != 0 {

@@ -80,7 +80,7 @@ func main() {
 		n.Barrier()
 	})
 	c := m.TotalCounters()
-	s := m.Shared.Snapshot()
+	s := m.Shared
 	fmt.Printf("mesh total after %d iterations: %.2f\n\n", iters, sum)
 	fmt.Printf("simulated time:     %12d cycles\n", m.MaxClock())
 	fmt.Printf("accesses:           %12d\n", c.Hits)

@@ -62,7 +62,7 @@ func main() {
 		fmt.Printf("  %d. %s\n", i+1, c)
 	}
 
-	s := m.Shared.Snapshot()
+	s := m.Shared
 	fmt.Printf("\nwrite-write violations: %d (phase 2)\n", s.WriteConflicts)
 	fmt.Printf("read-write violations:  %d (phase 3)\n", s.ReadWriteConflicts)
 	if s.WriteConflicts == 0 || s.ReadWriteConflicts == 0 {

@@ -40,7 +40,7 @@ func (p *LCM) checkTags(forbidPrivate bool) error {
 	if err := p.coherent.CheckInvariants(); err != nil {
 		return err
 	}
-	ph := p.phase.Load()
+	ph := p.phase
 	for bi := range p.entries {
 		b := memsys.BlockID(bi)
 		e := &p.entries[bi]
@@ -110,7 +110,7 @@ func (p *LCM) CheckQuiescent() error {
 	}
 	for bi := range p.entries {
 		e := &p.entries[bi]
-		if e.hasPending && e.gen == p.phase.Load() {
+		if e.hasPending && e.gen == p.phase {
 			return fmt.Errorf("core: block %d has a live pending image between phases", bi)
 		}
 	}

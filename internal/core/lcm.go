@@ -37,8 +37,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"lcm/internal/memsys"
 	"lcm/internal/nodeset"
@@ -65,8 +63,8 @@ func (v Variant) String() string {
 	return "lcm-scc"
 }
 
-// entry is the home-side LCM directory record for one block.  Guarded by
-// the block's lock; the phase fields are lazily reset when gen is stale.
+// entry is the home-side LCM directory record for one block; the phase
+// fields are lazily reset when gen is stale.
 type entry struct {
 	// sharers is the set of nodes currently holding read-only copies.
 	// It persists across phases (unmodified blocks keep their copies).
@@ -134,17 +132,13 @@ func (c Conflict) String() string {
 		c.Kind, c.Region, c.Block, c.Elem, c.Writers, c.Readers)
 }
 
-// conflictLog collects detected violations; guarded by its own mutex since
-// different block locks may report concurrently.
+// conflictLog collects detected violations.
 type conflictLog struct {
-	mu    sync.Mutex
 	list  []Conflict
 	limit int
 }
 
 func (cl *conflictLog) add(c Conflict) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
 	if cl.limit == 0 || len(cl.list) < cl.limit {
 		cl.list = append(cl.list, c)
 	}
@@ -173,17 +167,16 @@ type LCM struct {
 	coherent *stache.Protocol
 
 	entries []entry
-	phase   atomic.Uint32
+	phase   uint32
 
 	// dirty[h] lists the blocks homed at h that are registered for commit
-	// at the next reconciliation, in registration order: under the
-	// deterministic scheduler, the order of the grants their marks ran in.
+	// at the next reconciliation, in registration order: the order of the
+	// grants their marks ran in.
 	// Commit walks the list front to back, so its invalidations go out in
 	// that order.  registrations numbers the phase's registrations
 	// (entry.regSeq), which lets Rehome merge two lists into one.
 	dirty         [][]memsys.BlockID
-	dirtyMu       []sync.Mutex
-	registrations atomic.Uint32
+	registrations uint32
 
 	conflicts conflictLog
 }
@@ -204,7 +197,7 @@ func (p *LCM) Name() string { return p.variant.String() }
 func (p *LCM) Variant() Variant { return p.variant }
 
 // Phase returns the current reconcile-phase generation.
-func (p *LCM) Phase() uint32 { return p.phase.Load() }
+func (p *LCM) Phase() uint32 { return p.phase }
 
 // DrainToHome flushes dirty coherent-region copies to the home image for
 // sequential verification (see stache.Protocol.DrainToHome).  LCM-region
@@ -213,12 +206,9 @@ func (p *LCM) Phase() uint32 { return p.phase.Load() }
 func (p *LCM) DrainToHome() { p.coherent.DrainToHome() }
 
 // Conflicts returns the violations detected so far (conflict-checked
-// regions only), in detection order: under the deterministic scheduler,
-// the order of the grants that detected them.  Call only while the machine
-// is quiescent.
+// regions only), in detection order: the order of the grants that detected
+// them.  Call only while the machine is quiescent.
 func (p *LCM) Conflicts() []Conflict {
-	p.conflicts.mu.Lock()
-	defer p.conflicts.mu.Unlock()
 	out := make([]Conflict, len(p.conflicts.list))
 	copy(out, p.conflicts.list)
 	return out
@@ -249,8 +239,7 @@ func (p *LCM) Attach(m *tempest.Machine) {
 		}
 	}
 	p.dirty = make([][]memsys.BlockID, m.P)
-	p.dirtyMu = make([]sync.Mutex, m.P)
-	p.phase.Store(1)
+	p.phase = 1
 	for _, n := range m.Nodes {
 		n.PD = &nodeState{}
 	}
@@ -275,7 +264,6 @@ func (p *LCM) Attach(m *tempest.Machine) {
 func (p *LCM) state(n *tempest.Node) *nodeState { return n.PD.(*nodeState) }
 
 // phaseEntry returns b's entry with its phase fields valid for ph.
-// Caller holds b's lock.
 func (p *LCM) phaseEntry(b memsys.BlockID, ph uint32) *entry {
 	e := &p.entries[b]
 	if e.gen != ph {
@@ -295,8 +283,8 @@ func (p *LCM) phaseEntry(b memsys.BlockID, ph uint32) *entry {
 // reconciliations the home image of a loosely coherent block is constant,
 // so installing from it, and charging for that, needs nobody's permission.
 // The shared half is a tempest.Effect of one of these kinds, applied by
-// ApplyEffect under the block's lock: on the spot, or — when the machine
-// runs ahead — later, at the handler's position in the grant order.
+// ApplyEffect: on the spot, or — when the machine runs ahead — later, at
+// the handler's position in the grant order.
 const (
 	fxRead  uint8 = iota // a node took a read-only copy
 	fxMark               // a node took a private copy from home
@@ -332,44 +320,40 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 	b := fx.Block
 	c := p.m.Cost
 	p.m.Lock(b)
-	defer p.m.Unlock(b)
 	switch fx.Kind {
 	case fxRead:
-		e := p.phaseEntry(b, p.phase.Load())
+		e := p.phaseEntry(b, p.phase)
 		e.sharers.Add(n.ID)
 		if p.m.AS.RegionOfBlock(b).ConflictCheck {
 			e.readers.Add(n.ID)
 		}
 		p.chargeHome(n, b, c.HomeOccupancy)
 	case fxMark:
-		e := p.phaseEntry(b, p.phase.Load())
+		e := p.phaseEntry(b, p.phase)
 		// First mark of this block in this phase: the home creates its
 		// clean copy (the pending merge image starts as a copy of the
 		// pre-phase value) and registers the block for commit at
 		// reconciliation.
 		if !e.hasPending {
 			if e.pending == nil {
-				// Carved from the marking node's arena; published to other
-				// goroutines only under b's lock, like the entry itself.
-				e.pending = n.BlockBuf()
+				e.pending = n.BlockBuf() // carved from the marking node's arena
 			}
 			copy(e.pending, p.m.AS.HomeData(b))
 			e.hasPending = true
-			p.m.Shared.CleanCopiesHome.Add(1)
+			p.m.Shared.CleanCopiesHome++
 		}
 		if e.regSeq == 0 {
-			e.regSeq = p.registrations.Add(1)
+			p.registrations++
+			e.regSeq = p.registrations
 			home := p.m.AS.HomeOf(b)
-			p.dirtyMu[home].Lock()
 			p.dirty[home] = append(p.dirty[home], b)
-			p.dirtyMu[home].Unlock()
 		}
 		// A private writer is no longer a read-only sharer.
 		e.sharers.Remove(n.ID)
 		p.chargeHome(n, b, c.HomeOccupancy)
 	case fxFlush:
 		e := &p.entries[b]
-		if !e.hasPending || e.gen != p.phase.Load() {
+		if !e.hasPending || e.gen != p.phase {
 			panic(fmt.Sprintf("core: flush of block %d with no pending image", b))
 		}
 		r := p.m.AS.RegionOfBlock(b)
@@ -400,7 +384,7 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	if r.Kind == memsys.KindCoherent {
 		return p.coherent.ReadFault(n, b)
 	}
-	ph := p.phase.Load()
+	ph := p.phase
 	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	// The home image is not updated until reconciliation commits, so it
 	// is the clean (pre-phase) value throughout the parallel phase.
@@ -441,7 +425,7 @@ func (p *LCM) MarkModification(n *tempest.Node, addr memsys.Addr) {
 
 // mark is the common MarkModification/copy-on-write path.
 func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
-	ph := p.phase.Load()
+	ph := p.phase
 	c := p.m.Cost
 	n.Ctr.Marks++
 	l := n.Line(b)
@@ -490,7 +474,7 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		}
 		copy(l.Clean, l.Data)
 		l.CleanGen = ph
-		p.m.Shared.CleanCopiesLocal.Add(1)
+		p.m.Shared.CleanCopiesLocal++
 	}
 	p.noteMarked(n, l, b)
 	if t := p.m.Trace; t != nil {
@@ -620,8 +604,8 @@ func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool)
 
 // mergeElem folds the modified element at byte offset off of node n's
 // returned copy data into the pending image of block b, with conflict
-// detection and accounting.  The caller holds b's lock and invokes
-// mergeElem in ascending offset order, exactly once per modified element.
+// detection and accounting.  The caller invokes mergeElem in ascending
+// offset order, exactly once per modified element.
 func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.Region, rec Reconciler, es uint32, data, clean []byte, off uint32) {
 	idx := off / es
 	prior := e.written&(1<<idx) != 0
@@ -632,7 +616,7 @@ func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.R
 		conflict = true
 	}
 	if conflict {
-		p.m.Shared.WriteConflicts.Add(1)
+		p.m.Shared.WriteConflicts++
 		if t := p.m.Trace; t != nil {
 			t.Record(n.ID, n.Clock(), trace.Conflict, uint32(b), int32(idx))
 		}
@@ -679,7 +663,7 @@ func (p *LCM) Evict(n *tempest.Node, b memsys.BlockID) bool {
 // the homes commit pending images in parallel and invalidate outstanding
 // copies of modified blocks, and memory returns to a coherent state.
 func (p *LCM) ReconcileCopies(n *tempest.Node) {
-	ph := p.phase.Load()
+	ph := p.phase
 	p.FlushCopies(n)
 	n.Barrier()
 	switch p.commit {
@@ -696,16 +680,16 @@ func (p *LCM) ReconcileCopies(n *tempest.Node) {
 		p.commitHome(n, ph)
 	}
 	if n.ID == 0 {
-		p.phase.Store(ph + 1)
-		p.registrations.Store(0) // every list has been, or is being, drained
+		p.phase = ph + 1
+		p.registrations = 0 // every list has been, or is being, drained
 	}
 	n.Barrier()
 }
 
 // commitHome commits every registered block homed at n.  It runs inside
-// the reconciliation barrier window: all other nodes are blocked at the
-// barrier, so touching their lines' tags and generations is safe, and
-// distinct homes own disjoint blocks.
+// the reconciliation barrier window: no node is in a parallel phase, so
+// revoking their lines cannot be observed mid-phase, and distinct homes own
+// disjoint blocks.
 func (p *LCM) commitHome(n *tempest.Node, ph uint32) {
 	p.commitLists(n, n.ID, ph)
 }
@@ -722,14 +706,11 @@ func (p *LCM) commitHome(n *tempest.Node, ph uint32) {
 // Called from the dying node's goroutine at a deterministic point where
 // no node is inside the reconciliation window.
 func (p *LCM) Rehome(from, to int) {
-	p.dirtyMu[from].Lock()
 	moved := p.dirty[from]
 	p.dirty[from] = moved[:0]
-	p.dirtyMu[from].Unlock()
 	if len(moved) == 0 {
 		return
 	}
-	p.dirtyMu[to].Lock()
 	own := p.dirty[to]
 	merged := make([]memsys.BlockID, 0, len(own)+len(moved))
 	for len(own) > 0 && len(moved) > 0 {
@@ -740,17 +721,14 @@ func (p *LCM) Rehome(from, to int) {
 		}
 	}
 	p.dirty[to] = append(append(merged, own...), moved...)
-	p.dirtyMu[to].Unlock()
 }
 
 // commitLists commits the dirty list of the given home, charging the work
 // to n's clock.
 func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 	c := p.m.Cost
-	p.dirtyMu[home].Lock()
 	list := p.dirty[home]
 	p.dirty[home] = list[:0]
-	p.dirtyMu[home].Unlock()
 
 	for _, b := range list {
 		e := &p.entries[b]
@@ -760,13 +738,13 @@ func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 		r := p.m.AS.RegionOfBlock(b)
 		if !e.writers.Empty() {
 			copy(p.m.AS.HomeData(b), e.pending)
-			p.m.Shared.Reconciles.Add(1)
+			p.m.Shared.Reconciles++
 			n.Charge(c.LocalFill)
 			if t := p.m.Trace; t != nil {
 				t.Record(n.ID, n.Clock(), trace.Commit, uint32(b), int32(bits.OnesCount64(e.written)))
 			}
 			if r.ConflictCheck && !e.readers.SubsetOf(&e.writers) {
-				p.m.Shared.ReadWriteConflicts.Add(1)
+				p.m.Shared.ReadWriteConflicts++
 				pureReaders := e.readers.Clone()
 				pureReaders.Subtract(&e.writers)
 				p.conflicts.add(Conflict{

@@ -131,7 +131,7 @@ func TestCleanCopyCounters(t *testing.T) {
 				n.WriteU32(tm.addr(n.ID), uint32(n.ID+1))
 				n.ReconcileCopies()
 			})
-			s := tm.m.Shared.Snapshot()
+			s := tm.m.Shared
 			if s.CleanCopiesHome != tc.home || s.CleanCopiesLocal != tc.local {
 				t.Fatalf("clean copies home=%d local=%d, want %d/%d",
 					s.CleanCopiesHome, s.CleanCopiesLocal, tc.home, tc.local)
@@ -155,7 +155,7 @@ func TestDisjointWritesMergeWithoutConflict(t *testing.T) {
 			t.Errorf("elem 1 = %d, want 101", got)
 		}
 	})
-	if s := tm.m.Shared.Snapshot(); s.WriteConflicts != 0 {
+	if s := tm.m.Shared; s.WriteConflicts != 0 {
 		t.Fatalf("conflicts = %d, want 0", s.WriteConflicts)
 	}
 }
@@ -172,7 +172,7 @@ func TestConflictingWritesOneSurvives(t *testing.T) {
 			t.Errorf("merged value %d is none of the written values", got)
 		}
 	})
-	if s := tm.m.Shared.Snapshot(); s.WriteConflicts < 1 {
+	if s := tm.m.Shared; s.WriteConflicts < 1 {
 		t.Fatalf("conflicts = %d, want >= 1", s.WriteConflicts)
 	}
 }
@@ -227,7 +227,7 @@ func TestReductionRegionSums(t *testing.T) {
 			t.Errorf("node %d total = %d, want %d", n.ID, got, want)
 		}
 	})
-	if s := m.Shared.Snapshot(); s.WriteConflicts != 0 {
+	if s := m.Shared; s.WriteConflicts != 0 {
 		t.Fatalf("reduction reported %d conflicts", s.WriteConflicts)
 	}
 }
@@ -299,7 +299,7 @@ func TestReadWriteConflictDetection(t *testing.T) {
 	if !found {
 		t.Fatal("read-write conflict not detected")
 	}
-	if got := tm.m.Shared.Snapshot().ReadWriteConflicts; got != 1 {
+	if got := tm.m.Shared.ReadWriteConflicts; got != 1 {
 		t.Fatalf("ReadWriteConflicts = %d, want 1", got)
 	}
 }
@@ -321,7 +321,7 @@ func TestFlushReadsCatchesSecondPhaseViolation(t *testing.T) {
 			}
 			n.ReconcileCopies()
 		})
-		return tm.m.Shared.Snapshot().ReadWriteConflicts
+		return tm.m.Shared.ReadWriteConflicts
 	}
 	if got := run(false); got != 0 {
 		t.Fatalf("potential mode flagged %d violations, want 0 (read did not fault)", got)
@@ -464,7 +464,7 @@ func TestValueEqualWritesDetectedInCheckedRegions(t *testing.T) {
 				t.Errorf("merged value %d", got)
 			}
 		})
-		if got := tm.m.Shared.Snapshot().WriteConflicts; got != tc.conflicts {
+		if got := tm.m.Shared.WriteConflicts; got != tc.conflicts {
 			t.Fatalf("policy %+v: conflicts = %d, want %d", tc.pol, got, tc.conflicts)
 		}
 	}
@@ -483,7 +483,7 @@ func TestUnchangedValueStoreDetected(t *testing.T) {
 		}
 		n.ReconcileCopies()
 	})
-	if got := tm.m.Shared.Snapshot().WriteConflicts; got != 1 {
+	if got := tm.m.Shared.WriteConflicts; got != 1 {
 		t.Fatalf("conflicts = %d, want 1 (store-granularity)", got)
 	}
 }

@@ -165,7 +165,7 @@ func runOracle(v Variant, prog oracleProgram) error {
 			return fmt.Errorf("final elem %d = %d, want %d", e, got, committed[e])
 		}
 	}
-	if c := m.Shared.Snapshot().WriteConflicts; c != 0 {
+	if c := m.Shared.WriteConflicts; c != 0 {
 		return fmt.Errorf("disjoint writes reported %d conflicts", c)
 	}
 	return nil

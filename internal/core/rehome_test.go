@@ -38,7 +38,6 @@ func runRehomeProgram(t *testing.T, v Variant, kill bool) rehomeRun {
 	lcm := New(v)
 	m.SetProtocol(lcm)
 	m.Freeze()
-	m.DetSched = true
 	if kill {
 		m.Recovery = true
 		// Node 3 dies on its 2nd and 4th access fault; the budget covers one.
@@ -89,7 +88,7 @@ func runRehomeProgram(t *testing.T, v Variant, kill bool) rehomeRun {
 	if got := m.Nodes[dead].Degraded(); got != kill {
 		t.Fatalf("%s kill=%v: node %d degraded = %v", v, kill, dead, got)
 	}
-	run.outcome = outcome{Shared: m.Shared.Snapshot(), Steps: m.Sched().Steps()}
+	run.outcome = outcome{Shared: m.Shared, Steps: m.Sched().Steps()}
 	for _, nd := range m.Nodes {
 		run.Clocks = append(run.Clocks, nd.Clock())
 		run.Counters = append(run.Counters, nd.Ctr)

@@ -22,7 +22,7 @@ import (
 type outcome struct {
 	Clocks    []int64
 	Counters  []stats.NodeCounters
-	Shared    stats.Snapshot
+	Shared    stats.Shared
 	Conflicts []string
 	Memory    []byte   // every block's home image
 	Tags      []uint32 // every node's tag for every block
@@ -199,7 +199,6 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 	lcm := New(v)
 	m.SetProtocol(lcm)
 	m.Freeze()
-	m.DetSched = true
 	m.SchedSeed = seed
 	if onTheSpot {
 		m.SchedHook = func(*sched.Scheduler) {}
@@ -218,7 +217,7 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 	if !onTheSpot && st.Applies == 0 {
 		t.Fatalf("%s: no effect was deferred; the program tests nothing", pr.name)
 	}
-	out := outcome{Shared: m.Shared.Snapshot(), Steps: m.Sched().Steps()}
+	out := outcome{Shared: m.Shared, Steps: m.Sched().Steps()}
 	for _, nd := range m.Nodes {
 		out.Clocks = append(out.Clocks, nd.Clock())
 		out.Counters = append(out.Counters, nd.Ctr)

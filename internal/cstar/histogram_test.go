@@ -60,7 +60,7 @@ func TestIrregularHistogramReduction(t *testing.T) {
 	}
 	// Cross-node writes to shared buckets are contributions, not
 	// conflicts.
-	if c := m.Shared.Snapshot().WriteConflicts; c != 0 {
+	if c := m.Shared.WriteConflicts; c != 0 {
 		t.Fatalf("reduction reported %d conflicts", c)
 	}
 }

@@ -99,11 +99,11 @@ type BenchFile struct {
 	Scale int `json:"scale"`
 	// Net names the interconnect model the records ran under.
 	Net string `json:"net,omitempty"`
-	// Scheduler records how node interleaving was resolved: "det" for the
-	// deterministic virtual-time scheduler (the default; SchedSeed selects
-	// the schedule) or "freerun" for host-scheduled goroutines.  Records
-	// from different schedules are not comparable observable-for-
-	// observable, so benchdiff refuses to diff across a mismatch.
+	// Scheduler is always "det", the virtual-time token (SchedSeed selects
+	// the schedule); the field stays because every historical record and
+	// cache key carries it.  Records from different schedules are not
+	// comparable observable-for-observable, so benchdiff refuses to diff
+	// across a mismatch.
 	Scheduler string        `json:"scheduler,omitempty"`
 	SchedSeed uint64        `json:"sched_seed,omitempty"`
 	Records   []BenchRecord `json:"records"`
@@ -117,15 +117,11 @@ const benchSchema = "lcmbench/2"
 // configuration.
 func benchFile(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) BenchFile {
 	bf := BenchFile{
-		Schema: benchSchema,
-		P:      cfg.P,
-		Scale:  scale,
-	}
-	if cfg.FreeRun {
-		bf.Scheduler = "freerun"
-	} else {
-		bf.Scheduler = "det"
-		bf.SchedSeed = cfg.SchedSeed
+		Schema:    benchSchema,
+		P:         cfg.P,
+		Scale:     scale,
+		Scheduler: "det",
+		SchedSeed: cfg.SchedSeed,
 	}
 	for _, row := range rows {
 		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {

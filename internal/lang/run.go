@@ -3,8 +3,6 @@ package lang
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"lcm/internal/cstar"
 	"lcm/internal/memsys"
@@ -173,32 +171,16 @@ type Instance struct {
 	// copy phase before each iteration.
 	swap bool
 
-	// aborted is set when any invocation faults; remaining invocations
+	// err is the first invocation fault; once set, remaining invocations
 	// become no-ops so every node still executes the same barrier
 	// schedule and the machine quiesces cleanly.
-	aborted atomic.Bool
-	errMu   sync.Mutex
-	err     error
+	err error
 
 	rows, cols int
 }
 
-// fault records the first runtime error and aborts remaining invocations.
-func (inst *Instance) fault(err error) {
-	inst.errMu.Lock()
-	if inst.err == nil {
-		inst.err = err
-	}
-	inst.errMu.Unlock()
-	inst.aborted.Store(true)
-}
-
 // Err returns the first runtime error of the last run, if any.
-func (inst *Instance) Err() error {
-	inst.errMu.Lock()
-	defer inst.errMu.Unlock()
-	return inst.err
-}
+func (inst *Instance) Err() error { return inst.err }
 
 // Instantiate allocates the program's data on m (call before m.Freeze).
 // For rank-1 programs the aggregate has rows elements and cols is ignored
@@ -280,13 +262,13 @@ func (inst *Instance) RunNode(n *tempest.Node, iters int, sched cstar.Scheduler)
 		inst.reds[name].Add(n, v)
 	}
 	invoke := func(body []stmt) {
-		if inst.aborted.Load() {
+		if inst.err != nil {
 			return
 		}
 		defer func() {
 			if r := recover(); r != nil {
 				if re, ok := r.(runtimeError); ok {
-					inst.fault(fmt.Errorf("lang: %s at invocation (%d,%d)", re.msg, ev.i, ev.j))
+					inst.err = fmt.Errorf("lang: %s at invocation (%d,%d)", re.msg, ev.i, ev.j)
 					return
 				}
 				panic(r)

@@ -366,9 +366,9 @@ func (as *AddressSpace) RegionOf(a Addr) *Region {
 // Regions returns the region table (do not mutate).
 func (as *AddressSpace) Regions() []*Region { return as.regions }
 
-// HomeData returns the home ("main memory") image of block b.  Protocols
-// must hold the block's lock to mutate it; initialization code may write it
-// freely before the machine starts running.
+// HomeData returns the home ("main memory") image of block b.  Protocol
+// handlers mutate it while a run is under way; initialization code may write
+// it freely before the machine starts running.
 func (as *AddressSpace) HomeData(b BlockID) []byte {
 	base := uint64(b) << as.blockShift
 	return as.data[base : base+uint64(as.BlockSize) : base+uint64(as.BlockSize)]

@@ -1,10 +1,6 @@
 package net
 
-import (
-	"sync"
-
-	"lcm/internal/cost"
-)
+import "lcm/internal/cost"
 
 // FatTree routes messages over a CM-5-style 4-ary fat tree in virtual
 // time.  Processing nodes are the leaves; a message from src to dst
@@ -26,7 +22,6 @@ type FatTree struct {
 	p      int
 	levels int
 
-	mu  sync.Mutex
 	chs []channel
 	// levelOff[ℓ-1] is the index of level ℓ's first channel; channels
 	// 0..2p-1 are the per-node out/in network interfaces.
@@ -102,7 +97,7 @@ func (ft *FatTree) Hops(src, dst int) int { return 2 * ft.lca(src, dst) }
 
 // acquire serializes a message of the given service time through ch
 // starting at t, returning the departure time and accumulating queueing
-// into *queue.  Caller holds ft.mu.
+// into *queue.
 func (ft *FatTree) acquire(ch int, t, service int64, queue *int64) int64 {
 	c := &ft.chs[ch]
 	start := t
@@ -117,7 +112,6 @@ func (ft *FatTree) acquire(ch int, t, service int64, queue *int64) int64 {
 
 // route pushes one message of `bytes` total size from src to dst
 // starting at now.  It returns the arrival time and queueing total.
-// Caller holds ft.mu.
 func (ft *FatTree) route(src, dst int, bytes, now int64, queue *int64) int64 {
 	h := src*31 + dst
 	wire := ft.cfg.HopCycles + bytes*ft.cfg.CyclesPerByte
@@ -138,8 +132,6 @@ func (ft *FatTree) RoundTrip(src, dst int, payload int64, now int64, c *Counters
 	c.Msgs[MsgMissRequest]++
 	c.Msgs[MsgDataReply]++
 	c.Bytes += 2*ft.cfg.HeaderBytes + payload
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	var q int64
 	t := ft.route(src, dst, ft.cfg.HeaderBytes, now, &q)
 	t = ft.route(dst, src, ft.cfg.HeaderBytes+payload, t, &q)
@@ -153,8 +145,6 @@ func (ft *FatTree) RoundTrip(src, dst int, payload int64, now int64, c *Counters
 func (ft *FatTree) Timeout(src, dst int, now int64, c *Counters) int64 {
 	c.Msgs[MsgMissRequest]++
 	c.Bytes += ft.cfg.HeaderBytes
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	var q int64
 	t := ft.route(src, dst, ft.cfg.HeaderBytes, now, &q)
 	c.QueueCycles += q
@@ -165,8 +155,6 @@ func (ft *FatTree) Timeout(src, dst int, now int64, c *Counters) int64 {
 func (ft *FatTree) Forward(src, dst int, now int64, c *Counters) int64 {
 	c.Msgs[MsgForward]++
 	c.Bytes += ft.cfg.HeaderBytes
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	var q int64
 	t := ft.route(src, dst, ft.cfg.HeaderBytes, now, &q)
 	c.QueueCycles += q
@@ -177,8 +165,6 @@ func (ft *FatTree) Forward(src, dst int, now int64, c *Counters) int64 {
 func (ft *FatTree) Upgrade(src, dst int, now int64, c *Counters) int64 {
 	c.Msgs[MsgUpgrade] += 2
 	c.Bytes += 2 * ft.cfg.HeaderBytes
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	var q int64
 	t := ft.route(src, dst, ft.cfg.HeaderBytes, now, &q)
 	t = ft.route(dst, src, ft.cfg.HeaderBytes, t, &q)
@@ -192,8 +178,6 @@ func (ft *FatTree) Upgrade(src, dst int, now int64, c *Counters) int64 {
 func (ft *FatTree) Invalidate(src, dst int, now int64, c *Counters) int64 {
 	c.Msgs[MsgInvalidate]++
 	c.Bytes += ft.cfg.HeaderBytes
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	var q int64
 	t := ft.route(src, dst, ft.cfg.HeaderBytes, now, &q)
 	c.QueueCycles += q
@@ -206,8 +190,6 @@ func (ft *FatTree) Invalidate(src, dst int, now int64, c *Counters) int64 {
 func (ft *FatTree) Flush(src, dst int, payload int64, now int64, c *Counters) int64 {
 	c.Msgs[MsgFlush]++
 	c.Bytes += ft.cfg.HeaderBytes + payload
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	var inject, drift int64
 	t := ft.acquire(ft.niOut(src), now, ft.cfg.NICycles, &inject)
 	charge := t - now
@@ -238,8 +220,6 @@ func (ft *FatTree) OrderFree() bool { return false }
 
 // LinkStats implements Network.
 func (ft *FatTree) LinkStats() LinkStats {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
 	ls := LinkStats{Links: len(ft.chs)}
 	for i := range ft.chs {
 		b := ft.chs[i].busy

@@ -2,7 +2,6 @@ package net
 
 import (
 	"fmt"
-	"sync"
 )
 
 // This file adds seeded delivery faults to the interconnect models: a
@@ -101,14 +100,11 @@ func (t LossTally) String() string {
 }
 
 // Loss is the seeded delivery-fault state attached to a Network with
-// SetLoss.  Classification is guarded by a mutex because protocol
-// handlers on different nodes inject messages concurrently; the per-
-// sender streams keep the injected pattern a pure function of each
-// sender's send sequence, which the deterministic scheduler fixes.
+// SetLoss.  The per-sender streams keep the injected pattern a pure
+// function of each sender's send sequence, which the scheduler fixes.
 type Loss struct {
 	cfg LossConfig
 
-	mu      sync.Mutex
 	streams []uint64
 	tallies []LossTally
 }
@@ -133,8 +129,6 @@ func (l *Loss) Classify(src int) Delivery {
 	if c.DropPerMil <= 0 && c.DupPerMil <= 0 && c.ReorderPerMil <= 0 {
 		return Delivered
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.streams[src] += 0x9e3779b97f4a7c15
 	v := lossMix64(l.streams[src]) % 1000
 	t := &l.tallies[src]
@@ -156,8 +150,6 @@ func (l *Loss) Classify(src int) Delivery {
 // Tally sums the injected-fault tallies across senders.  Call only while
 // the machine is quiescent.
 func (l *Loss) Tally() LossTally {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var t LossTally
 	for i := range l.tallies {
 		t.Add(l.tallies[i])
@@ -167,8 +159,6 @@ func (l *Loss) Tally() LossTally {
 
 // SenderTally returns sender i's injected-fault tally (quiescent only).
 func (l *Loss) SenderTally(i int) LossTally {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.tallies[i]
 }
 

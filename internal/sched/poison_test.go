@@ -23,6 +23,13 @@ func waitAll(t *testing.T, wg *sync.WaitGroup, what string) {
 	}
 }
 
+// poisoned reads the flag the way every scheduling call does.
+func poisoned(s *Scheduler) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.poisoned
+}
+
 // reseat moves node to state st (Ready or Blocked) at the given clock,
 // keeping the run queue and the Blocked count in step — what a test that
 // stages a mid-run position must use in place of writing the fields.
@@ -87,8 +94,8 @@ func TestNoSendAfterPoison(t *testing.T) {
 	s.Exit(2) // Ready
 	s.Exit(3)
 	s.Exit(3)
-	if !s.Poisoned() {
-		t.Fatal("Poisoned() = false after Poison")
+	if !poisoned(s) {
+		t.Fatal("poisoned = false after Poison")
 	}
 }
 

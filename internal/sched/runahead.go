@@ -54,13 +54,14 @@ func (s *Scheduler) postEntry(node int, clock int64) rqEntry {
 // applied, and resumes it inside the segment of the last one: the place the
 // node would be in had it yielded at each.  A node drains before anything
 // that reads what other nodes' segments write — its own stolen cycles above
-// all — and before every real scheduling call.  Returns at once when the
-// scheduler is poisoned; the caller then checks PostFailure.
-func (s *Scheduler) Drain(node int) {
+// all — and before every real scheduling call.  Returns false when the
+// scheduler is poisoned; the caller then checks PostFailure and unwinds.
+func (s *Scheduler) Drain(node int) bool {
 	s.mu.Lock()
 	if s.poisoned || s.rq.pos[node] < 0 {
+		ok := !s.poisoned
 		s.mu.Unlock()
-		return
+		return ok
 	}
 	ns := &s.nodes[node]
 	ns.state = Draining
@@ -69,9 +70,7 @@ func (s *Scheduler) Drain(node int) {
 	}
 	kept := s.dispatch(node)
 	s.mu.Unlock()
-	if !kept {
-		<-ns.gate
-	}
+	return kept || s.AwaitGrant(node)
 }
 
 // applyPost runs the ApplyFunc on node's oldest post.  A panic inside it is

@@ -254,7 +254,7 @@ func TestPostFailureBelongsToThePoster(t *testing.T) {
 		}(id)
 	}
 	waitAll(t, &wg, "after a failed apply")
-	if !s.Poisoned() {
+	if !poisoned(s) {
 		t.Fatal("a failed apply must poison the scheduler")
 	}
 	if got := applier.Load(); got != 1 {

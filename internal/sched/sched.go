@@ -1,20 +1,14 @@
 // Package sched is the seeded deterministic scheduler for the simulated
 // multicomputer.
 //
-// The simulator historically let node goroutines free-run: protocol fault
-// handlers serialized on per-block home locks and barrier folding on a
-// mutex, so which node won a contended lock — and therefore the order of
-// directory transitions, invalidations, merge operations and charge
-// attribution — depended on the host's goroutine scheduling.  Counters
-// fixed by a node's own access stream stayed reproducible; anything
-// order-dependent (copying-mode fault counts at P>1, simulated cycles
-// through the barrier max) wobbled from run to run.
-//
-// This package replaces host-order interleaving with a cooperative token:
-// at most one node executes simulator code at a time, and the token moves
-// only at explicit synchronization points (protocol handler entry, barrier
-// entry/exit, simulated locks).  The next node to run is the minimum of a
-// virtual-time run queue ordered by
+// Every node of a machine runs on its own goroutine, and a cooperative
+// token decides which of them executes: at most one node is in simulator
+// code at a time, and the token moves only at explicit synchronization
+// points (protocol handler entry, barrier entry/exit, simulated locks).  It
+// is the only way a machine runs, so it is also the machine's only
+// synchronisation: the channel hand-off that moves the token orders every
+// access one node makes against every access of the next.  The next node to
+// run is the minimum of a virtual-time run queue ordered by
 //
 //	(virtual clock, seeded tie-break hash, node ID, scheduling sequence)
 //
@@ -53,7 +47,16 @@
 //     sent under the scheduler lock after a poisoned check, and Poison
 //     closes every gate under the same lock — so no send can hit a closed
 //     gate, a grant buffered before the poison is still consumed, and
-//     every AwaitGrant after it returns at once.
+//     every wait on a gate after it reports the poison instead of a grant.
+//
+// A poisoned run is over (the machine aborted it: a node died, the watchdog
+// fired, the run deadlocked).  The token is not handed on any more, and
+// every call that would have waited for it — AwaitGrant, Yield, Drain —
+// returns false instead, at once or as soon as the gate closes under it.
+// The caller must then unwind without touching simulator state, so a failing
+// run has at most one goroutine in simulator code, as a healthy one does:
+// whichever node held the token when the poison landed, until its own next
+// scheduling call.
 //
 // Run-ahead (SetRunAhead) removes most scheduling points from the host
 // schedule without moving one in the simulated schedule.  A protocol
@@ -142,6 +145,12 @@ type nodeState struct {
 
 // Scheduler serializes one machine run.  Create a fresh Scheduler per run.
 type Scheduler struct {
+	// mu is held for the length of one scheduling decision.  The token keeps
+	// the nodes of a healthy run apart by itself; the lock is for goroutines
+	// that act without it: the barrier's watchdog timer and the deadlock
+	// callback, which Poison the run from outside, and the nodes of a poisoned
+	// run, which all unwind — Exit, and Poison again through the barrier's
+	// abort — at the same time.
 	mu    sync.Mutex
 	nodes []nodeState
 	seed  uint64
@@ -220,18 +229,22 @@ func (s *Scheduler) Start() {
 	s.mu.Unlock()
 }
 
-// AwaitGrant blocks until the node is granted the token (or the scheduler
-// is poisoned, in which case it returns immediately and the caller unwinds
-// free-running).
-func (s *Scheduler) AwaitGrant(node int) { <-s.nodes[node].gate }
+// AwaitGrant blocks until the node is granted the token and returns true, or
+// until the scheduler is poisoned and returns false: the run is over and the
+// caller must unwind.
+func (s *Scheduler) AwaitGrant(node int) bool {
+	_, granted := <-s.nodes[node].gate
+	return granted
+}
 
 // Yield is a scheduling point: the running node offers the token at the
-// given virtual clock and waits to be granted again.
-func (s *Scheduler) Yield(node int, clock int64) {
+// given virtual clock and waits to be granted again.  Like AwaitGrant it
+// returns false when the run is poisoned.
+func (s *Scheduler) Yield(node int, clock int64) bool {
 	s.mu.Lock()
 	if s.poisoned {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	ns := &s.nodes[node]
 	s.detach(node)
@@ -240,9 +253,7 @@ func (s *Scheduler) Yield(node int, clock int64) {
 	s.endSegment(node)
 	kept := s.requeue(node)
 	s.mu.Unlock()
-	if !kept {
-		<-ns.gate
-	}
+	return kept || s.AwaitGrant(node)
 }
 
 // requeue re-enters the yielding node into the run queue and moves the
@@ -278,10 +289,10 @@ func (s *Scheduler) requeue(node int) bool {
 }
 
 // Block transitions the running node to Blocked and passes the token on.
-// The caller then parks on its own condition (e.g. a barrier's cond) and,
-// once woken by a SetReady peer, must call AwaitGrant before touching
-// simulator state.  Unlike Yield, Block does not wait here: the caller
-// typically holds the mutex guarding its park condition.
+// The caller then parks in AwaitGrant until a peer's SetReady has made it
+// runnable and the run queue grants it.  Unlike Yield, Block does not wait
+// here: the caller typically still holds a lock of its own (the barrier's)
+// that it must release first.
 func (s *Scheduler) Block(node int) {
 	s.mu.Lock()
 	if s.poisoned {
@@ -351,9 +362,9 @@ func (s *Scheduler) Exit(node int) {
 	s.mu.Unlock()
 }
 
-// Poison releases every waiter and makes all future scheduling calls
-// no-ops: the run is failing and nodes must unwind free-running.  Safe
-// from any goroutine, including while holding locks ordered before the
+// Poison ends the run: every parked node wakes with its wait reporting the
+// poison, and so does every later scheduling call (see the package comment).
+// Safe from any goroutine, including while holding locks ordered before the
 // scheduler's.
 func (s *Scheduler) Poison() {
 	s.mu.Lock()
@@ -371,13 +382,6 @@ func (s *Scheduler) poisonLocked() {
 	for i := range s.nodes {
 		close(s.nodes[i].gate)
 	}
-}
-
-// Poisoned reports whether the scheduler has been poisoned.
-func (s *Scheduler) Poisoned() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.poisoned
 }
 
 // NoteLock records a block-lock acquisition in the running segment

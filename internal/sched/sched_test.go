@@ -139,8 +139,8 @@ func TestPoisonReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("poison did not release the waiting node")
 	}
-	if !s.Poisoned() {
-		t.Fatal("Poisoned() = false after Poison")
+	if !poisoned(s) {
+		t.Fatal("poisoned = false after Poison")
 	}
 }
 
@@ -275,8 +275,8 @@ func TestPoisonGuards(t *testing.T) {
 	s := New(2, 0)
 	s.Poison()
 	s.Poison() // idempotent
-	if !s.Poisoned() {
-		t.Fatal("Poisoned() = false after Poison")
+	if !poisoned(s) {
+		t.Fatal("poisoned = false after Poison")
 	}
 	s.Block(0)
 	s.SetReady(0)

@@ -16,11 +16,7 @@ func normalized(t *testing.T, sp JobSpec) JobSpec {
 
 func keyOf(t *testing.T, sp JobSpec) string {
 	t.Helper()
-	key, ok := normalized(t, sp).CacheKey()
-	if !ok {
-		t.Fatalf("spec unexpectedly uncacheable: %+v", sp)
-	}
-	return key
+	return normalized(t, sp).CacheKey()
 }
 
 // The cache key is the content address of the full deterministic tuple:
@@ -100,18 +96,6 @@ func TestCacheKeyTupleSensitivity(t *testing.T) {
 	}
 	if keyOf(t, rec) == keyOf(t, recSeeds) {
 		t.Errorf("flipping recovery seeds did not change the key")
-	}
-}
-
-// Freerun scheduling leaks host interleaving into observables, so those
-// runs are never content-addressed.
-func TestFreerunUncacheable(t *testing.T) {
-	sp := normalized(t, JobSpec{Kind: "grid", Scheduler: "freerun", P: 4, Scale: 64})
-	if sp.Cacheable() {
-		t.Fatalf("freerun spec reported cacheable")
-	}
-	if _, ok := sp.CacheKey(); ok {
-		t.Fatalf("freerun spec produced a cache key")
 	}
 }
 

@@ -53,7 +53,6 @@ func buildConfig(sp JobSpec) workloads.Config {
 		BlockSize: uint32(sp.BlockSize),
 		Verify:    sp.Verify,
 		SchedSeed: sp.SchedSeed,
-		FreeRun:   sp.Scheduler == "freerun",
 	}
 	if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
 		cfg.Net = &net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}
@@ -206,13 +205,9 @@ func (s *Server) execute(j *Job) {
 		j.fail(err.Error(), wall)
 		return
 	}
-	cache := ""
-	if j.Key != "" {
-		s.cache.Put(j.Key, body, ctype, j.ID)
-		cache = "miss"
-	}
+	s.cache.Put(j.Key, body, ctype, j.ID)
 	s.stats.JobExecuted(sp.Kind, sp.Scheduler, wall.Seconds())
-	j.finish(body, ctype, cache, wall)
+	j.finish(body, ctype, "miss", wall)
 }
 
 // runGrid executes a grid job's cells, threads the per-record counters

@@ -48,10 +48,6 @@ func TestBuildConfigNetSelection(t *testing.T) {
 	if cfg.Net == nil || cfg.Net.Model != "fattree" || cfg.Net.CyclesPerByte != 8 || cfg.Net.NICycles != 100 {
 		t.Errorf("fattree spec built net config %+v", cfg.Net)
 	}
-	sp = normalized(t, JobSpec{Kind: "grid", P: 8, Scale: 16, Scheduler: "freerun"})
-	if cfg := buildConfig(sp); !cfg.FreeRun {
-		t.Errorf("freerun spec did not set Config.FreeRun")
-	}
 }
 
 func TestRunCheckExhaustsAndRejects(t *testing.T) {

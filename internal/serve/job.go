@@ -55,16 +55,16 @@ type Event struct {
 type Job struct {
 	ID   string
 	Spec JobSpec
-	// Key is the result's content address ("" when uncacheable).
+	// Key is the result's content address.
 	Key string
 
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	state  State
 	events []Event
 	body   []byte
 	ctype  string
-	cache  string // "hit" | "miss" | "" (uncacheable)
+	cache  string // "hit" | "miss"
 	errMsg string
 	wall   time.Duration
 	done   chan struct{}
@@ -72,7 +72,7 @@ type Job struct {
 
 func newJob(id string, spec JobSpec, key string) *Job {
 	j := &Job{ID: id, Spec: spec, Key: key, state: StateQueued, done: make(chan struct{})}
-	j.cond = sync.NewCond(&j.mu)
+	j.cond.L = &j.mu
 	j.publish(Event{Event: "queued"})
 	return j
 }
@@ -127,7 +127,7 @@ func (j *Job) terminate(state State, ev Event, body []byte, ctype, errMsg string
 }
 
 // finish completes the job successfully with its result bytes.  cache is
-// "hit", "miss" or "" (uncacheable spec).
+// "hit" or "miss".
 func (j *Job) finish(body []byte, ctype, cache string, wall time.Duration) {
 	j.mu.Lock()
 	j.cache = cache

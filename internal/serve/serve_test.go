@@ -435,27 +435,6 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
-// Freerun jobs run, but are never content-addressed: both submissions
-// execute and neither carries a cache disposition.
-func TestFreerunNeverCached(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	sp := smallGrid()
-	sp.Scheduler = "freerun"
-	for i := 0; i < 2; i++ {
-		code, sr := submit(t, ts, sp)
-		if code != http.StatusAccepted {
-			t.Fatalf("freerun submit %d = %d, want 202", i, code)
-		}
-		if sr.Cache != "" || sr.Key != "" {
-			t.Fatalf("freerun submit %d = %+v, want no cache disposition", i, sr)
-		}
-		evs := progress(t, ts, sr.ID)
-		if last := evs[len(evs)-1]; last.Event != "done" || last.Cache != "" {
-			t.Fatalf("freerun terminal event = %+v, want done with no cache field", last)
-		}
-	}
-}
-
 // Model-checker jobs produce their deterministic report and are cached
 // like any other pure tuple.
 func TestCheckJob(t *testing.T) {
@@ -502,6 +481,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{`{"kind":"tournament"}`, "tournament"},
 		{`{"kind":"grid","surprise":true}`, `unknown field \"surprise\"`},
 		{`{"kind":"grid","par":4}`, `unknown field \"par\"`},
+		{`{"kind":"grid","scheduler":"freerun"}`, `scheduler must be det, got \"freerun\"`},
 		{`not json`, ""},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))

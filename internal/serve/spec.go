@@ -56,9 +56,9 @@ type JobSpec struct {
 	LinkBW int64  `json:"linkbw,omitempty"`
 	NILat  int64  `json:"nilat,omitempty"`
 
-	// Scheduler is "" or "det" for the deterministic virtual-time
-	// scheduler, "freerun" for host-scheduled goroutines.  Freerun
-	// results are not run-to-run reproducible and are never cached.
+	// Scheduler is "" or "det", the deterministic virtual-time scheduler:
+	// the only one there is.  The field stays because the normalized
+	// tuple's canonical bytes, and so every cache key, carry it.
 	Scheduler string `json:"scheduler,omitempty"`
 	// SchedSeed selects the deterministic schedule.
 	SchedSeed uint64 `json:"sched_seed,omitempty"`
@@ -124,9 +124,9 @@ func (sp *JobSpec) Normalize() error {
 	switch sp.Scheduler {
 	case "":
 		sp.Scheduler = "det"
-	case "det", "freerun":
+	case "det":
 	default:
-		return fmt.Errorf("scheduler must be det or freerun, got %q", sp.Scheduler)
+		return fmt.Errorf("scheduler must be det, got %q", sp.Scheduler)
 	}
 	if sp.Net == "" {
 		sp.Net = "uniform"
@@ -185,22 +185,14 @@ func (sp *JobSpec) Normalize() error {
 	return nil
 }
 
-// Cacheable reports whether the spec's results are a pure function of
-// the tuple.  Only freerun scheduling breaks that: the host's goroutine
-// interleaving leaks into order-dependent observables.
-func (sp JobSpec) Cacheable() bool { return sp.Scheduler != "freerun" }
-
 // CacheKey returns the content address of the spec's result: the SHA-256
-// of the canonical JSON of the normalized tuple.  ok is false for
-// uncacheable specs.
-func (sp JobSpec) CacheKey() (key string, ok bool) {
-	if !sp.Cacheable() {
-		return "", false
-	}
+// of the canonical JSON of the normalized tuple, of which every result is a
+// pure function.
+func (sp JobSpec) CacheKey() string {
 	b, err := json.Marshal(sp)
 	if err != nil {
-		return "", false
+		panic(err) // a struct of strings, numbers and slices of them
 	}
 	sum := sha256.Sum256(append([]byte(specSchema+":"), b...))
-	return hex.EncodeToString(sum[:]), true
+	return hex.EncodeToString(sum[:])
 }

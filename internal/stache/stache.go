@@ -38,7 +38,7 @@ const (
 	stateExcl
 )
 
-// entry is one block's home directory record.  Guarded by the block's lock.
+// entry is one block's home directory record.
 type entry struct {
 	sharers nodeset.Set // nodes holding read-only copies
 	owner   int32       // exclusive owner when state == stateExcl
@@ -112,7 +112,7 @@ func (p *Protocol) chargeMiss(n *tempest.Node, home, owner int, threeHop bool) {
 // recallDirty downgrades or invalidates the exclusive owner's copy.
 // Coherent stores write through to the home image (see tempest), so the
 // home already holds the owner's data; only the owner's access rights
-// change.  Caller holds b's lock.
+// change.
 func (p *Protocol) recallDirty(b memsys.BlockID, e *entry, downgradeTo tempest.Tag) {
 	owner := p.m.Nodes[int(e.owner)]
 	l := owner.Line(b)
@@ -128,7 +128,6 @@ func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
-	defer m.Unlock(b)
 	e := &p.entries[b]
 	threeHop := false
 	owner := home
@@ -163,7 +162,6 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
-	defer m.Unlock(b)
 	e := &p.entries[b]
 
 	if e.state == stateExcl {
@@ -228,7 +226,7 @@ func hasValidLine(n *tempest.Node, b memsys.BlockID) bool {
 }
 
 // invalidateSharers invalidates all read-only copies other than n's own and
-// charges n for them.  Caller holds b's lock.  Returns the count.
+// charges n for them.  Returns the count.
 func (p *Protocol) invalidateSharers(n *tempest.Node, b memsys.BlockID, e *entry) int {
 	count := 0
 	for it := e.sharers.Iter(); ; {
@@ -260,7 +258,6 @@ func (p *Protocol) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	m := p.m
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
-	defer m.Unlock(b)
 	l := n.Line(b)
 	if l == nil || l.Tag() == tempest.TagInvalid {
 		return true

@@ -2,16 +2,15 @@
 // machine and formats them for the experiment harness.
 //
 // Counters come in two flavours.  NodeCounters are owned by a single node
-// goroutine and are plain integers updated on the hot path; they are
-// aggregated only between phases.  Shared counters (clean copies created at
-// a home, reconciliation conflicts, and so on) are updated from protocol
-// handlers running on behalf of arbitrary nodes and therefore use atomics.
+// and updated on the hot path; they are aggregated only between phases.
+// Shared counters (clean copies created at a home, reconciliation conflicts,
+// and so on) are updated from protocol handlers running on behalf of
+// arbitrary nodes.  Both are plain integers: one node runs at a time.
 package stats
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"lcm/internal/net"
 )
@@ -132,55 +131,25 @@ func (c *NodeCounters) Add(o *NodeCounters) {
 	c.Net.Add(&o.Net)
 }
 
-// Shared holds machine-wide counters updated from protocol handlers under
-// block locks; they use atomics because the updating goroutine is whichever
-// node triggered the handler.
+// Shared holds the machine-wide counters protocol handlers update on
+// behalf of whichever node triggered them.
 type Shared struct {
 	// CleanCopiesHome counts clean copies created at home nodes (the
 	// LCM-scc clean-copy metric of Table 1).
-	CleanCopiesHome atomic.Int64
+	CleanCopiesHome int64
 	// CleanCopiesLocal counts clean copies created in caching processors
 	// (the additional copies kept by LCM-mcc).
-	CleanCopiesLocal atomic.Int64
+	CleanCopiesLocal int64
 	// Reconciles counts blocks committed by ReconcileCopies.
-	Reconciles atomic.Int64
+	Reconciles int64
 	// WriteConflicts counts words written by more than one processor in
 	// a single phase (C** leaves the surviving value unspecified; the
 	// conflict-detection reconciler reports these as errors).
-	WriteConflicts atomic.Int64
+	WriteConflicts int64
 	// ReadWriteConflicts counts blocks with simultaneously outstanding
 	// read-only and written copies, as detected at reconcile time when
 	// conflict checking is enabled.
-	ReadWriteConflicts atomic.Int64
-}
-
-// Snapshot is an immutable copy of Shared for reporting.
-type Snapshot struct {
-	CleanCopiesHome    int64
-	CleanCopiesLocal   int64
-	Reconciles         int64
-	WriteConflicts     int64
 	ReadWriteConflicts int64
-}
-
-// Snapshot captures the current shared counter values.
-func (s *Shared) Snapshot() Snapshot {
-	return Snapshot{
-		CleanCopiesHome:    s.CleanCopiesHome.Load(),
-		CleanCopiesLocal:   s.CleanCopiesLocal.Load(),
-		Reconciles:         s.Reconciles.Load(),
-		WriteConflicts:     s.WriteConflicts.Load(),
-		ReadWriteConflicts: s.ReadWriteConflicts.Load(),
-	}
-}
-
-// Reset zeroes all shared counters.
-func (s *Shared) Reset() {
-	s.CleanCopiesHome.Store(0)
-	s.CleanCopiesLocal.Store(0)
-	s.Reconciles.Store(0)
-	s.WriteConflicts.Store(0)
-	s.ReadWriteConflicts.Store(0)
 }
 
 // Table renders rows of named int64 columns as an aligned text table, for

@@ -108,20 +108,6 @@ func TestNodeCountersAdd(t *testing.T) {
 	}
 }
 
-func TestSharedSnapshotAndReset(t *testing.T) {
-	var s Shared
-	s.CleanCopiesHome.Add(3)
-	s.WriteConflicts.Add(1)
-	snap := s.Snapshot()
-	if snap.CleanCopiesHome != 3 || snap.WriteConflicts != 1 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	s.Reset()
-	if got := s.Snapshot(); got != (Snapshot{}) {
-		t.Fatalf("reset left %+v", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]int64{10, 20, 30})
 	if s.Min != 10 || s.Max != 30 || s.Mean != 20 {

@@ -15,7 +15,7 @@ import (
 // runtime allocates aggregates element-aligned so they never do.
 //
 // The scalar accessors below and the span accessors in access_span.go both
-// funnel into loadSeg/storeSeg, so the fault/charge/write-through sequence
+// funnel into loadSeg/storeAt, so the fault/charge/write-through sequence
 // exists in exactly one place; the only difference is how many permitted
 // accesses a single tag check amortizes (see "Fast-path invariants" in
 // DESIGN.md).
@@ -127,21 +127,17 @@ func (n *Node) load64(a memsys.Addr) uint64 {
 	return binary.LittleEndian.Uint64(l.Data[off:])
 }
 
-// storeSeg is THE fault/charge/write-through sequence, shared by the
+// storeAt is THE fault/charge/write-through sequence, shared by the
 // scalar and span store paths.  It stores src at byte offset off of block
-// b — one tag check, one fault and one home-lock acquisition for the whole
-// segment — and charges k permitted stores.
+// b — one tag check and one fault for the whole segment — and charges k
+// permitted stores.
 //
-// Stores to private (LCM) copies touch only the node-local line and need
-// no locking.  Stores to coherent exclusive copies additionally write
-// through to the home image under the block's lock: protocol handlers can
-// then serve the current value of any coherent block from the home image
-// without ever reading another node's line buffer while its owner might be
-// storing — this is what makes the simulator race-free under the Go memory
-// model even for programs with genuine (application-level) data races,
-// such as the false-sharing ablation.  The write-through is a simulation
-// mechanism, not a modelled cost: a permitted store still charges one
-// cache hit per element.
+// Stores to private (LCM) copies touch only the node-local line.  Stores to
+// coherent exclusive copies additionally write through to the home image, so
+// protocol handlers serve the current value of any coherent block from the
+// home image and never read another node's line buffer.  The write-through
+// is a simulation mechanism, not a modelled cost: a permitted store still
+// charges one cache hit per element.
 func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) {
 	b, off := n.M.AS.Split(a)
 	if off+uint32(len(src)) > n.M.AS.BlockSize {
@@ -160,21 +156,11 @@ func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) {
 		}
 		return
 	}
+	// No scheduling point lies between the tag check and the copies, so the
+	// line cannot be revoked under the store.
 	n.M.Lock(b)
-	// Free-running only: another node's write fault can revoke the line
-	// between the tag check above and the lock, and a store landing in the
-	// revoked line (and the home image) would never reach the new exclusive
-	// owner.  Re-validate under the lock and fault again.  Under the
-	// deterministic scheduler no scheduling point lies between check and
-	// lock, so the loop body never runs and no charge or counter moves.
-	for l.Tag() < TagReadWrite {
-		n.M.Unlock(b)
-		l = n.storeFault(b)
-		n.M.Lock(b)
-	}
 	copy(l.Data[off:], src)
 	copy(n.M.AS.HomeData(b)[off:], src)
-	n.M.Unlock(b)
 }
 
 // store32 implements the 4-byte store path: a thin, inlinable wrapper so a

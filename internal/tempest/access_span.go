@@ -11,9 +11,8 @@ import (
 // Span accessors: bulk loads and stores over [a, a+k*elem) that pay the
 // Blizzard-E lookup once per block segment instead of once per element.
 // Each span splits at block boundaries; within one segment a single tag
-// check (and at most one fault, one makeRoom, and — for coherent stores —
-// one home-lock acquisition) covers the whole transfer, which is then a
-// bulk copy, while the virtual-cycle accounting charges k × Cost.CacheHit
+// check (and at most one fault and one makeRoom) covers the whole
+// transfer, which is then a bulk copy, while the virtual-cycle accounting charges k × Cost.CacheHit
 // and Ctr.Hits += k exactly as k scalar accesses would.  The per-block
 // fault sequence is identical to the scalar path's: a scalar loop touching
 // the same range faults each block once, at its first element, in the same

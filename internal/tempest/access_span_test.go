@@ -192,7 +192,6 @@ type privProtocol struct {
 
 func (f *privProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
 	f.m.Lock(b)
-	defer f.m.Unlock(b)
 	n.Ctr.Misses++
 	return n.Install(b, f.m.AS.HomeData(b), TagPrivate)
 }

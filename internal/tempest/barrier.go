@@ -9,21 +9,27 @@ import (
 	"lcm/internal/sched"
 )
 
-// Barrier is a reusable sense-reversing barrier that also computes the
-// maximum virtual clock of the arriving nodes; Wait returns that maximum,
-// which each node adopts as its post-barrier clock.
+// Barrier is a reusable barrier over a run's scheduler that also computes
+// the maximum virtual clock of the arriving nodes; WaitNode returns that
+// maximum, which each node adopts as its post-barrier clock.  Arrivers hand
+// the token on and park on their scheduler gate; the last one readies them
+// all at the resolved time.
 //
-// A barrier can be aborted: Abort releases every current waiter and makes
-// every future wait fail fast with the same distinguished error, so the
-// death of one participant cannot strand its siblings forever.  An
-// optional wall-clock watchdog (SetWatchdog) aborts a round that stalls —
-// some participant failed to arrive in time — after collecting per-node
-// diagnostics; this turns a silent deadlock into a structured, bounded
-// failure.  Once aborted, a barrier stays poisoned; build a fresh machine
-// to run again.
+// A barrier can be aborted: Abort poisons the scheduler, which makes every
+// node parked anywhere — here, in a handler's yield, on a simulated lock —
+// unwind with the same distinguished error, and every later wait fail fast
+// with it, so the death of one participant cannot strand its siblings
+// forever.  An optional wall-clock watchdog (Machine.Watchdog) aborts a round
+// that stalls — the token holder never reached a scheduling point in time —
+// after collecting per-node diagnostics; this turns a silent hang into a
+// structured, bounded failure.  Once aborted, a barrier stays poisoned;
+// build a fresh machine to run again.
 type Barrier struct {
+	// mu guards everything below against the two goroutines that abort from
+	// outside the token — the watchdog's timer and the scheduler's deadlock
+	// callback — and against the nodes of an aborted run, which all unwind,
+	// and call Abort and Err, at once.
 	mu      sync.Mutex
-	cond    *sync.Cond
 	n       int
 	arrived int
 	gen     uint64
@@ -31,22 +37,18 @@ type Barrier struct {
 	result  int64
 
 	// present[i] records that node i is parked in the current round,
-	// for the watchdog's diagnostics.  Guarded by mu.
+	// for the watchdog's diagnostics.
 	present []bool
 
 	// err, once set, poisons the barrier: all waits return it.
 	err error
 
-	// foldClocks, when non-nil (machine barriers), is called under mu at
-	// the instant the last participant arrives; it folds every node's
-	// stolen handler cycles and returns the resulting clock maximum.  All
-	// participants are quiescent inside WaitNode at that point, so the
-	// fold cannot race an in-flight ChargeRemote.
+	// foldClocks, when non-nil (machine barriers), is called at the instant
+	// the last participant arrives; it folds every node's stolen handler
+	// cycles and returns the resulting clock maximum.
 	foldClocks func() int64
 
-	// sched, when non-nil, is the run's deterministic scheduler: parkers
-	// hand the token on, the last arriver readies them, and an abort
-	// poisons the scheduler so unwinding nodes free-run.
+	// sched is the current run's scheduler.
 	sched *sched.Scheduler
 
 	watchdog time.Duration
@@ -56,9 +58,7 @@ type Barrier struct {
 
 // NewBarrier creates a barrier for n participants.
 func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n, present: make([]bool, n)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &Barrier{n: n, present: make([]bool, n)}
 }
 
 // ErrAborted is the sentinel every post-abort wait returns (match with
@@ -91,42 +91,20 @@ func (e *StallError) Error() string {
 // Is matches ErrStalled.
 func (e *StallError) Is(t error) bool { return t == ErrStalled }
 
-// setSched attaches (or detaches, with nil) a run's deterministic
-// scheduler.
-func (b *Barrier) setSched(s *sched.Scheduler) {
-	b.mu.Lock()
-	b.sched = s
-	b.mu.Unlock()
-}
-
-// SetWatchdog bounds the wall-clock duration of any single barrier round
-// (0 disables).  onStall, when non-nil, is invoked — with the barrier
-// lock held, so parked nodes are quiescent and their state is safely
-// readable — to collect diagnostics before the abort.
-func (b *Barrier) SetWatchdog(d time.Duration, onStall func(present []bool) string) {
+// arm attaches a run's scheduler and bounds the wall-clock duration of any
+// single barrier round (0 disables).  onStall, when non-nil, is invoked —
+// with the barrier lock held, so no round can resolve and no parked node
+// wake meanwhile — to collect diagnostics before the abort.
+func (b *Barrier) arm(s *sched.Scheduler, watchdog time.Duration, onStall func(present []bool) string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.watchdog = d
-	b.onStall = onStall
+	b.sched, b.watchdog, b.onStall = s, watchdog, onStall
 }
 
-// Wait blocks until all n participants have arrived, then returns the
-// maximum clock value passed by any participant in this round.  It panics
-// if the barrier is aborted while waiting; Machine.RunErr recovers such
-// panics into a structured per-node error.  Use WaitNode to observe the
-// abort as an error instead.
-func (b *Barrier) Wait(clock int64) int64 {
-	c, err := b.WaitNode(-1, clock)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// WaitNode is Wait with an error return and a participant identity for
-// the watchdog's diagnostics (pass -1 when the caller is not a node).  On
-// abort it returns the abort error (errors.Is ErrAborted) and the clock
-// the caller passed in.
+// WaitNode blocks node, the token holder, until all n participants have
+// arrived, then returns the maximum clock value passed by any participant
+// in this round.  On abort it returns the abort error (errors.Is
+// ErrAborted) and the clock the caller passed in.
 func (b *Barrier) WaitNode(node int, clock int64) (int64, error) {
 	b.mu.Lock()
 	if b.err != nil {
@@ -137,80 +115,58 @@ func (b *Barrier) WaitNode(node int, clock int64) (int64, error) {
 	if clock > b.max {
 		b.max = clock
 	}
-	gen := b.gen
 	b.arrived++
-	if node >= 0 && node < len(b.present) {
-		b.present[node] = true
-	}
+	b.present[node] = true
 	s := b.sched
-	if s != nil && node >= 0 {
-		s.NoteBarrier() // the running segment crosses a barrier
-	}
-	if b.arrived == b.n {
-		// Last arriver: every participant is inside WaitNode, so fold the
-		// stolen handler cycles race-free (see foldClocks) and resolve the
-		// round at the true clock maximum.
-		if b.foldClocks != nil {
-			if f := b.foldClocks(); f > b.max {
-				b.max = f
-			}
+	s.NoteBarrier() // the running segment crosses a barrier
+	if b.arrived < b.n {
+		if b.arrived == 1 && b.watchdog > 0 {
+			gen := b.gen
+			b.timer = time.AfterFunc(b.watchdog, func() { b.stalled(gen) })
 		}
-		b.result = b.max
-		res := b.result
-		// Under the deterministic scheduler the last arriver — the only
-		// running node — readies its parked siblings itself, so wakeup
-		// order never depends on the host (invariant 1 in sched's docs).
-		// All resume at the barrier's resolved time; ties break by node.
-		if s != nil && node >= 0 {
-			for i, p := range b.present {
-				if p && i != node {
-					s.SetReadyAt(i, res)
-				}
-			}
-		}
-		b.max = 0
-		b.arrived = 0
-		for i := range b.present {
-			b.present[i] = false
-		}
-		b.gen++
-		b.stopTimer()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		if s != nil && node >= 0 {
-			// Re-enter the run queue alongside the siblings just readied.
-			s.Yield(node, res)
-		}
-		return res, nil
-	}
-	if b.arrived == 1 && b.watchdog > 0 {
-		b.timer = time.AfterFunc(b.watchdog, func() { b.stalled(gen) })
-	}
-	if s != nil && node >= 0 {
-		// Hand the token on before parking.  Safe while holding b.mu: the
-		// granted node can only contend for b.mu once we release it inside
-		// cond.Wait, and nothing we touch until then is simulator state.
+		// Hand the token on and park until the last arriver has readied
+		// this node and the run queue grants it.
 		s.Block(node)
-	}
-	for gen == b.gen && b.err == nil {
-		b.cond.Wait()
-	}
-	if b.err != nil {
-		err := b.err
 		b.mu.Unlock()
-		return clock, err
+		if !s.AwaitGrant(node) {
+			return clock, b.poisonErr()
+		}
+		// The next round cannot resolve before this node arrives at it.
+		return b.result, nil
 	}
-	res := b.result
+	// Last arriver: every participant is parked, so fold the stolen handler
+	// cycles (see foldClocks) and resolve the round at the true clock
+	// maximum.
+	if b.foldClocks != nil {
+		if f := b.foldClocks(); f > b.max {
+			b.max = f
+		}
+	}
+	res := b.max
+	b.result = res
+	// The last arriver — the only running node — readies its parked
+	// siblings itself, so wakeup order never depends on the host (invariant
+	// 1 in sched's docs).  All resume at the barrier's resolved time; ties
+	// break by node.
+	for i := range b.present {
+		if i != node {
+			s.SetReadyAt(i, res)
+		}
+		b.present[i] = false
+	}
+	b.max = 0
+	b.arrived = 0
+	b.gen++
+	b.stopTimer()
 	b.mu.Unlock()
-	if s != nil && node >= 0 {
-		// Readied by the last arriver; wait for the run queue's grant
-		// before re-entering simulator code.
-		s.AwaitGrant(node)
+	// Re-enter the run queue alongside the siblings just readied.
+	if !s.Yield(node, res) {
+		return clock, b.poisonErr()
 	}
 	return res, nil
 }
 
-// Abort poisons the barrier with cause: every parked waiter wakes and
+// Abort poisons the barrier with cause: every parked node unwinds and
 // every future wait fails fast with an error matching ErrAborted.  The
 // first abort wins; later calls are no-ops.
 func (b *Barrier) Abort(cause error) {
@@ -228,13 +184,11 @@ func (b *Barrier) abortLocked(cause error) {
 	} else {
 		b.err = &abortedError{cause: cause}
 	}
-	if b.sched != nil {
-		// Lock order is always barrier → scheduler, so poisoning here is
-		// safe; released waiters must not block on the dead run queue.
-		b.sched.Poison()
-	}
+	// Lock order is always barrier → scheduler.  The error is in place
+	// before any gate closes, so a node that wakes to a poisoned scheduler
+	// finds it.
+	b.sched.Poison()
 	b.stopTimer()
-	b.cond.Broadcast()
 }
 
 // Err returns the abort error, or nil while the barrier is healthy.
@@ -242,6 +196,17 @@ func (b *Barrier) Err() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.err
+}
+
+// poisonErr is what a scheduling call that found the run poisoned fails
+// with: the abort error, which abortLocked stores before it poisons — or a
+// stand-in when the scheduler poisoned itself over a failed posted effect
+// and the poster has yet to abort on its behalf.
+func (b *Barrier) poisonErr() error {
+	if err := b.Err(); err != nil {
+		return err
+	}
+	return &abortedError{cause: errors.New("a sibling's posted effect failed")}
 }
 
 // stalled is the watchdog timer callback for round gen.
@@ -253,9 +218,6 @@ func (b *Barrier) stalled(gen uint64) {
 	}
 	stall := &StallError{Arrived: b.arrived, N: b.n, Timeout: b.watchdog}
 	if b.onStall != nil {
-		// Parked nodes released the lock inside cond.Wait and cannot
-		// wake before our Broadcast, so the callback reads their state
-		// race-free under mu.
 		stall.Diagnostics = b.onStall(b.present)
 	}
 	b.abortLocked(stall)

@@ -62,9 +62,7 @@ type checkpoint struct {
 
 // takeCheckpoint snapshots every installed, valid line of n into its
 // checkpoint, charging CheckpointPerLine per line.  Called by
-// Node.Barrier (owner goroutine, no lock needed: tags are atomic and
-// data is only written by the owner or under locks the owner is not
-// currently inside).
+// Node.Barrier.
 func (n *Node) takeCheckpoint() {
 	ck := &n.ckpt
 	bs := int(n.M.AS.BlockSize)
@@ -184,7 +182,7 @@ func (n *Node) Degraded() bool { return n.degraded }
 // events: a machine-wide abort by default; under Recovery with a
 // KillRecover plan, a checkpoint restart — and, once the node has been
 // killed past its restart budget, degraded-mode re-homing.  Runs in the
-// dying node's goroutine at a point where it holds no block lock.
+// dying node's goroutine.
 func (n *Node) killed(f *fault.Injector, after int) {
 	if !n.M.Recovery || !f.Plan().KillRecover {
 		panic(&fault.KillError{Node: n.ID, After: after})

@@ -20,13 +20,12 @@ import (
 //	n.Emit(fx)                   // hand over the shared half
 //
 // On the spot — the default — EnterHandler yields like SchedYield and Emit
-// applies the effect there and then, under the block's lock.  When the
-// machine runs ahead (Machine.RunAhead), EnterHandler only notes the clock
-// the yield would have offered and Emit appends the effect to the node's
-// log: the node keeps the token, and the scheduler applies the effect at
-// exactly the position in the grant order where the yield would have
-// resumed.  The handler body cannot tell the difference, and neither can
-// any simulated observable.
+// applies the effect there and then.  When the machine runs ahead
+// (Machine.RunAhead), EnterHandler only notes the clock the yield would have
+// offered and Emit appends the effect to the node's log: the node keeps the
+// token, and the scheduler applies the effect at exactly the position in the
+// grant order where the yield would have resumed.  The handler body cannot
+// tell the difference, and neither can any simulated observable.
 
 // Effect is the shared half of a split protocol handler.  Kind, Mask and
 // Data are the protocol's to define; Data is a block-sized buffer owned by
@@ -47,9 +46,8 @@ type Effect struct {
 
 // EffectApplier is implemented by protocols whose handlers are split; it
 // applies one effect on behalf of node n, which posted it.  It may run on
-// any node's goroutine, but never concurrently with n or with another
-// ApplyEffect unless the machine is free-running, in which case it runs on
-// n's own goroutine, inside the handler.
+// any node's goroutine — whichever is driving the scheduler — but, like all
+// simulator code, never concurrently with n or with another ApplyEffect.
 type EffectApplier interface {
 	ApplyEffect(n *Node, e *Effect)
 }
@@ -65,8 +63,7 @@ const effectRing = 64
 // configures it: it holds exactly when executing local halves early cannot
 // be observed —
 //
-//   - the deterministic scheduler orders the run, with no checker hook
-//     watching individual grants;
+//   - no checker hook is watching individual grants;
 //   - nothing restructures a handler's charges mid-flight (fault plans,
 //     delivery loss, recovery replay) or timestamps its steps (a trace);
 //   - the interconnect prices a message without looking at the clock or at
@@ -79,8 +76,6 @@ const effectRing = 64
 // Call after Freeze.
 func (m *Machine) RunAhead() (on bool, reason string) {
 	switch {
-	case !m.DetSched:
-		return false, "free-running"
 	case m.SchedHook != nil:
 		return false, "scheduler hook"
 	case m.Loss != nil: // before Fault: AttachLoss brings an injector along
@@ -157,7 +152,7 @@ func (n *Node) Emit(e *Effect) {
 		// The log was empty, so no effect that could steal cycles from
 		// this node is ahead of it in the schedule: key the post now.
 		// Later posts are keyed as their predecessors are applied.
-		n.M.schedder.Post(n.ID, e.clock+n.stolen.Load())
+		n.M.schedder.Post(n.ID, e.clock+n.stolen)
 	}
 }
 
@@ -172,7 +167,7 @@ func (m *Machine) applyHead(node int) (next int64, more bool) {
 	if n.fxLen == 0 {
 		return 0, false
 	}
-	return n.fx[n.fxHead].clock + n.stolen.Load(), true
+	return n.fx[n.fxHead].clock + n.stolen, true
 }
 
 // drain parks the node until every effect it has posted is applied.  It
@@ -181,17 +176,7 @@ func (m *Machine) applyHead(node int) (next int64, more bool) {
 // scheduling call: barriers, yields, simulated locks, the end of the body.
 // One compare when the log is empty, which it always is off run-ahead.
 func (n *Node) drain() {
-	if n.fxLen == 0 {
-		return
+	if n.fxLen != 0 && !n.M.schedder.Drain(n.ID) {
+		n.unwind() // the run is over: nothing will be applied any more
 	}
-	s := n.M.schedder
-	s.Drain(n.ID)
-	if v := s.PostFailure(n.ID); v != nil {
-		// One of this node's effects panicked on the goroutine that was
-		// applying it; the failure is this node's.
-		panic(v)
-	}
-	// Non-zero only when the scheduler was poisoned under us: the run is
-	// over, nothing will be applied any more.
-	n.fxHead, n.fxLen = 0, 0
 }

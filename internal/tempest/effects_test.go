@@ -37,22 +37,19 @@ func (p *splitProtocol) ApplyEffect(n *Node, e *Effect) {
 	if n.ID == p.failOn {
 		panic(errApply)
 	}
-	p.mu.Lock() // nodes unwinding from a failed run apply concurrently
 	p.applied = append(p.applied, n.ID)
-	p.mu.Unlock()
 	if home := p.m.AS.HomeOf(e.Block); home != n.ID {
 		p.m.Nodes[home].ChargeRemote(1)
 	}
 }
 
-// newSplitMachine builds a frozen deterministic machine running
-// splitProtocol; prep, if not nil, configures it before Freeze.
+// newSplitMachine builds a frozen machine running splitProtocol; prep, if not
+// nil, configures it before Freeze.
 func newSplitMachine(p int, kind memsys.Kind, prep func(*Machine)) (*Machine, *splitProtocol, *memsys.Region) {
 	m := New(p, 32, cost.Default())
 	r := m.AS.Alloc("data", 64*32, kind, memsys.Interleaved)
 	pr := &splitProtocol{failOn: -1}
 	m.SetProtocol(pr)
-	m.DetSched = true
 	if prep != nil {
 		prep(m)
 	}
@@ -70,7 +67,6 @@ func TestRunAheadPredicate(t *testing.T) {
 		want string // "" = on
 	}{
 		{"LCM-only machine", memsys.KindLCM, nil, ""},
-		{"free-running", memsys.KindLCM, func(m *Machine) { m.DetSched = false }, "free-running"},
 		{"checker hook", memsys.KindLCM, func(m *Machine) { m.SchedHook = func(*sched.Scheduler) {} }, "scheduler hook"},
 		{"fault plan", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, CorruptPerMil: 5}) }, "fault plan"},
 		{"loss", memsys.KindLCM, func(m *Machine) { m.AttachLoss(net.LossConfig{Seed: 1, DropPerMil: 5}) }, "lossy network"},

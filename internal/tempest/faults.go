@@ -74,7 +74,7 @@ func (n *Node) preFault(b memsys.BlockID) {
 // sender's per-transfer checksum is verified against the received data; a
 // mismatch triggers a bounded re-fetch with exponential backoff, charged
 // in virtual cycles.  Runs in the receiving node's goroutine with src
-// stable (the caller holds the block's lock), so the re-fetch can simply
+// stable (no scheduling point lies inside), so the re-fetch can simply
 // re-copy the true data.
 func (n *Node) deliverBlock(f *fault.Injector, b memsys.BlockID, l *Line, src []byte) {
 	sum := fault.Checksum(src)

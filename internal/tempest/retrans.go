@@ -1,8 +1,6 @@
 package tempest
 
 import (
-	"sync"
-
 	"lcm/internal/fault"
 	"lcm/internal/net"
 )
@@ -37,7 +35,6 @@ type reliableNet struct {
 	inner net.Network
 	f     *fault.Injector
 
-	mu      sync.Mutex
 	sendSeq []uint64 // per sender: last sequence number issued
 	recvSeq []uint64 // per sender: highest sequence delivered in order
 }
@@ -74,8 +71,6 @@ func (m *Machine) AttachLoss(cfg net.LossConfig) *net.Loss {
 // nextSeq issues the sequence number for src's next message.  Re-sends
 // of a dropped message reuse its number.
 func (r *reliableNet) nextSeq(src int) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.sendSeq[src]++
 	return r.sendSeq[src]
 }
@@ -83,8 +78,6 @@ func (r *reliableNet) nextSeq(src int) uint64 {
 // delivered records the arrival of message seq from src, counting
 // duplicate discards and resequencing holds into c.
 func (r *reliableNet) delivered(src int, seq uint64, d net.Delivery, c *net.Counters) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	switch d {
 	case net.Duplicated:
 		// The second copy carries seq <= recvSeq and is discarded.

@@ -111,12 +111,17 @@ func (m *Machine) Run(body func(n *Node)) {
 //
 // A node "fails" by panicking (a protocol bug, an injected unrecoverable
 // fault, or a retry budget running out).  The first failure aborts the
-// machine's barrier, so siblings parked there unwind promptly and are
-// reported as collateral.  When Machine.Watchdog is positive, a barrier
-// round that stalls past the bound is aborted with per-node diagnostics,
-// and nodes that still fail to unwind within a grace period are reported
-// unresponsive (their goroutines are leaked and the machine is poisoned —
-// read nothing further from it).
+// machine's barrier and poisons the scheduler, so every sibling — parked at
+// the barrier, in a handler's yield, on a simulated lock — unwinds from
+// where it is parked, without running another line of protocol code, and is
+// reported as collateral.  A node that returns while a sibling still waits
+// for it is a deadlock, reported the same way the moment the run queue
+// empties.  When Machine.Watchdog is positive, a barrier round that stalls
+// past the bound — some node holds the token and never reaches a scheduling
+// point — is aborted with per-node diagnostics, and nodes that still fail
+// to unwind within a grace period are reported unresponsive (their
+// goroutines are leaked and the machine is poisoned — read nothing further
+// from it).
 //
 // On failure the machine must be considered poisoned: the barrier stays
 // aborted and protocol state may be mid-transition.  Build a fresh
@@ -128,44 +133,30 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	if m.cfgErr != nil {
 		return m.cfgErr
 	}
-	if m.Recovery && !m.DetSched {
-		// Restart-by-deterministic-replay is only sound when the access
-		// stream is reproducible.
-		return errors.New("tempest: Recovery requires the deterministic scheduler (set DetSched)")
+	// Each run gets a fresh scheduler (the previous run's, if any, is fully
+	// drained: RunErr does not return while node goroutines live).  A barrier
+	// abort or watchdog stall poisons it, which makes every parked node
+	// unwind; a node that exits while a sibling still waits at the barrier is
+	// a deadlock the scheduler detects and converts to an abort.
+	sc := sched.New(m.P, m.SchedSeed)
+	if m.SchedHook != nil {
+		m.SchedHook(sc)
 	}
-	if m.Watchdog > 0 {
-		m.bar.SetWatchdog(m.Watchdog, m.barrierDiagnostics)
-	} else {
-		m.bar.SetWatchdog(0, nil)
-	}
-	// Each run gets a fresh deterministic scheduler (the previous run's, if
-	// any, is fully drained: RunErr does not return while node goroutines
-	// live).  A barrier abort or watchdog stall poisons it so unwinding
-	// nodes free-run; a node that exits while a sibling still waits at the
-	// barrier is a deadlock the scheduler detects and converts to an abort.
-	var sc *sched.Scheduler
+	sc.OnDeadlock(func() {
+		m.bar.Abort(errors.New("tempest: scheduler deadlock: all live nodes blocked"))
+	})
+	m.schedder = sc
+	m.bar.arm(sc, m.Watchdog, m.barrierDiagnostics)
 	runAhead, _ := m.RunAhead()
 	m.setRunAhead(runAhead)
-	if m.DetSched {
-		sc = sched.New(m.P, m.SchedSeed)
-		if m.SchedHook != nil {
-			m.SchedHook(sc)
-		}
-		sc.OnDeadlock(func() {
-			m.bar.Abort(errors.New("tempest: scheduler deadlock: all live nodes blocked"))
-		})
-		m.schedder = sc
-		m.bar.setSched(sc)
-		if runAhead {
-			sc.SetRunAhead(m.applyHead)
-		}
-		sc.Start()
-	} else {
-		m.schedder = nil
-		m.bar.setSched(nil)
+	if runAhead {
+		sc.SetRunAhead(m.applyHead)
 	}
+	sc.Start()
 
 	var (
+		// mu guards the failure record: the nodes of an aborted run all
+		// unwind at once, each on its own goroutine, outside the token.
 		mu       sync.Mutex
 		nodeErrs = make([]*NodeError, m.P)
 		finished = make([]bool, m.P)
@@ -199,12 +190,10 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 					m.bar.Abort(fmt.Errorf("node %d died: %w", nd.ID, err))
 					failOnce.Do(func() { close(failed) })
 				}
-				if sc != nil {
-					sc.Exit(nd.ID)
-				}
+				sc.Exit(nd.ID)
 			}()
-			if sc != nil {
-				sc.AwaitGrant(nd.ID)
+			if !sc.AwaitGrant(nd.ID) {
+				nd.unwind()
 			}
 			body(nd)
 			nd.drain() // the fold reads cycles other nodes' effects steal
@@ -288,52 +277,45 @@ func (m *Machine) Diagnostics() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "machine: P=%d protocol=%s blocks=%d\n", m.P, m.protocol.Name(), m.AS.NumBlocks())
 	for _, nd := range m.Nodes {
-		sb.WriteString(m.nodeDiagnostics(nd, true))
+		var tags [4]int
+		for _, l := range nd.lines {
+			if l != nil && l.Tag() < 4 {
+				tags[l.Tag()]++
+			}
+		}
+		fmt.Fprintf(&sb, "%s tags[inv=%d ro=%d rw=%d priv=%d]\n", nodeDiagnostics(nd, nd.Clock()),
+			tags[TagInvalid], tags[TagReadOnly], tags[TagReadWrite], tags[TagPrivate])
+		if m.Trace != nil {
+			if evts := m.Trace.NodeEvents(nd.ID); len(evts) > 0 {
+				fmt.Fprintf(&sb, "         last trace: %s\n", evts[len(evts)-1])
+			}
+		}
 	}
 	return sb.String()
 }
 
-// barrierDiagnostics is the watchdog's stall-time dump.  It runs with the
-// barrier lock held: nodes parked at the barrier (present[i]) released
-// that lock inside cond.Wait and cannot wake until the abort broadcasts,
-// so their state is readable race-free; for absent nodes — the stalled or
-// dead ones — only their atomic fields are touched.
+// barrierDiagnostics is the watchdog's stall-time dump.  It runs on the
+// timer's goroutine, with the barrier lock held, while the node that holds
+// the token may be running: nodes parked at the barrier (present[i]) cannot
+// wake before the abort, so what only they write is readable race-free;
+// what other nodes' handlers write to them (stolen cycles, tags, the trace)
+// and everything about the absent nodes stays out of the dump.
 func (m *Machine) barrierDiagnostics(present []bool) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "machine: P=%d protocol=%s blocks=%d\n", m.P, m.protocol.Name(), m.AS.NumBlocks())
 	for _, nd := range m.Nodes {
 		if present[nd.ID] {
-			sb.WriteString(m.nodeDiagnostics(nd, true))
+			sb.WriteString(nodeDiagnostics(nd, nd.clock) + "\n")
 		} else {
-			fmt.Fprintf(&sb, "node %2d: NOT AT BARRIER (stalled or dead); stolen=%d\n",
-				nd.ID, nd.stolen.Load())
+			fmt.Fprintf(&sb, "node %2d: NOT AT BARRIER (stalled or dead)\n", nd.ID)
 		}
 	}
 	return sb.String()
 }
 
-// nodeDiagnostics renders one node's state.  The caller must guarantee
-// the node is quiescent (machine stopped, or parked under the barrier
-// lock the caller holds).
-func (m *Machine) nodeDiagnostics(nd *Node, atBarrier bool) string {
-	var sb strings.Builder
-	var tags [4]int
-	for _, l := range nd.lines {
-		if l != nil {
-			t := l.Tag()
-			if t < 4 {
-				tags[t]++
-			}
-		}
-	}
-	fmt.Fprintf(&sb, "node %2d: clock=%d barriers=%d misses=%d flushes=%d retries=%d tags[inv=%d ro=%d rw=%d priv=%d]\n",
-		nd.ID, nd.Clock(), nd.Ctr.Barriers, nd.Ctr.Misses, nd.Ctr.Flushes, nd.Ctr.FaultRetries,
-		tags[TagInvalid], tags[TagReadOnly], tags[TagReadWrite], tags[TagPrivate])
-	if m.Trace != nil {
-		evts := m.Trace.NodeEvents(nd.ID)
-		if len(evts) > 0 {
-			fmt.Fprintf(&sb, "         last trace: %s\n", evts[len(evts)-1])
-		}
-	}
-	return sb.String()
+// nodeDiagnostics renders clock and the part of a node's state that only
+// the node itself writes; the caller must know it to be parked or finished.
+func nodeDiagnostics(nd *Node, clock int64) string {
+	return fmt.Sprintf("node %2d: clock=%d barriers=%d misses=%d flushes=%d retries=%d",
+		nd.ID, clock, nd.Ctr.Barriers, nd.Ctr.Misses, nd.Ctr.Flushes, nd.Ctr.FaultRetries)
 }

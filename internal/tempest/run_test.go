@@ -5,7 +5,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lcm/internal/sched"
 )
+
+// schedBarrier returns a barrier for n participants over a started
+// scheduler, the way RunErr sets one up for a run.
+func schedBarrier(n int) (*Barrier, *sched.Scheduler) {
+	b, s := NewBarrier(n), sched.New(n, 0)
+	b.arm(s, 0, nil)
+	s.Start()
+	return b, s
+}
 
 // waitArrived polls until n waiters are parked in the barrier.
 func waitArrived(t *testing.T, b *Barrier, n int) {
@@ -26,10 +37,11 @@ func waitArrived(t *testing.T, b *Barrier, n int) {
 }
 
 func TestBarrierAbortReleasesWaiters(t *testing.T) {
-	b := NewBarrier(3)
+	b, s := schedBarrier(3)
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(id int) {
+			s.AwaitGrant(id)
 			_, err := b.WaitNode(id, 0)
 			errs <- err
 		}(i)
@@ -57,7 +69,8 @@ func TestBarrierAbortReleasesWaiters(t *testing.T) {
 }
 
 func TestBarrierSingleParticipantMaxClock(t *testing.T) {
-	b := NewBarrier(1)
+	b, s := schedBarrier(1)
+	s.AwaitGrant(0)
 	for round, clock := range []int64{42, 7, 1000} {
 		c, err := b.WaitNode(0, clock)
 		if err != nil {
@@ -145,16 +158,46 @@ func TestRunPanicsWithRunError(t *testing.T) {
 	t.Fatal("Run returned despite node panic")
 }
 
-// TestWatchdogDetectsBarrierStall: a node that never reaches the barrier
-// must not hang the run forever — the watchdog aborts the round with
+// TestDeadlockReportedAtOnce: a node that returns without arriving leaves
+// its sibling waiting for good.  That is the scheduler's deadlock — nothing
+// Ready, something Blocked — and it is reported the moment the run queue
+// empties, watchdog or no watchdog.
+func TestDeadlockReportedAtOnce(t *testing.T) {
+	m, _ := newTestMachine(t, 2, 64)
+	start := time.Now()
+	err := m.RunErr(func(n *Node) {
+		if n.ID == 0 {
+			n.Barrier() // node 1 returns without arriving
+		}
+	})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadlocked run took %v with no wall-clock bound armed", elapsed)
+	}
+	if !errors.Is(err, ErrAborted) || errors.Is(err, ErrStalled) ||
+		!strings.Contains(err.Error(), "all live nodes blocked") {
+		t.Fatalf("RunErr = %v, want the scheduler-deadlock abort", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || len(re.Nodes) != 1 || re.Nodes[0].Node != 0 || !re.Nodes[0].Collateral {
+		t.Fatalf("RunErr = %+v, want exactly node 0, parked at the barrier, as collateral", err)
+	}
+}
+
+// TestWatchdogDetectsBarrierStall: a node that holds the token and never
+// reaches another scheduling point — here it wedges in host time — is the
+// one hang the scheduler cannot see.  The watchdog aborts the round with
 // per-node diagnostics.
 func TestWatchdogDetectsBarrierStall(t *testing.T) {
 	m, _ := newTestMachine(t, 2, 64)
 	m.Watchdog = 100 * time.Millisecond
+	over := make(chan struct{})
 	start := time.Now()
 	err := m.RunErr(func(n *Node) {
 		if n.ID == 0 {
-			n.Barrier() // node 1 never arrives
+			defer close(over) // unwinding from the abort ends the run
+			n.Barrier()
+		} else {
+			<-over // node 1 never arrives
 		}
 	})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -170,10 +213,10 @@ func TestWatchdogDetectsBarrierStall(t *testing.T) {
 	if se.Arrived != 1 || se.N != 2 {
 		t.Fatalf("stall = %d/%d arrived, want 1/2", se.Arrived, se.N)
 	}
-	if !strings.Contains(se.Diagnostics, "NOT AT BARRIER") {
+	if !strings.Contains(se.Diagnostics, "node  1: NOT AT BARRIER") {
 		t.Fatalf("stall diagnostics do not flag the missing node:\n%s", se.Diagnostics)
 	}
-	if !strings.Contains(se.Diagnostics, "node  0") {
+	if !strings.Contains(se.Diagnostics, "node  0: clock=") {
 		t.Fatalf("stall diagnostics missing parked node dump:\n%s", se.Diagnostics)
 	}
 }

@@ -3,18 +3,21 @@
 //
 // The machine is a collection of autonomous nodes connected by a
 // point-to-point network.  Each node runs its program on its own goroutine
-// and owns a virtual cycle clock.  Every program load and store consults
-// the node's fine-grain access-control tag for the addressed block —
-// exactly the control point Blizzard-E instruments — and a disallowed
-// access invokes the active coherence protocol's user-level fault handler.
-// Protocol handlers run synchronously in the faulting node's goroutine
-// under the block's home lock, charging the requester the modelled network
-// latency and the home node a handler-occupancy charge; this mirrors the
-// execution-driven simulation methodology of the Wisconsin Wind Tunnel
-// project from which the paper comes.  (A protocol may split a handler
-// into the part only the faulting node can see and the part the home can;
-// the machine then applies the second part at the handler's place in the
-// schedule without stopping the node there.  See effects.go.)
+// and owns a virtual cycle clock; a cooperative token (internal/sched) lets
+// exactly one of them execute at a time and moves in virtual-time order, so
+// a run is a pure function of its inputs and nothing a node touches needs a
+// lock.  Every program load and store consults the node's fine-grain
+// access-control tag for the addressed block — exactly the control point
+// Blizzard-E instruments — and a disallowed access invokes the active
+// coherence protocol's user-level fault handler.  Protocol handlers run
+// synchronously in the faulting node's goroutine, from one scheduling point
+// to the next, charging the requester the modelled network latency and the
+// home node a handler-occupancy charge; this mirrors the execution-driven
+// simulation methodology of the Wisconsin Wind Tunnel project from which
+// the paper comes.  (A protocol may split a handler into the part only the
+// faulting node can see and the part the home can; the machine then applies
+// the second part at the handler's place in the schedule without stopping
+// the node there.  See effects.go.)
 //
 // The package deliberately exposes the Tempest control points and nothing
 // more: access-control tags, block data transfer, fault-handler dispatch,
@@ -24,8 +27,6 @@ package tempest
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lcm/internal/cost"
@@ -70,12 +71,12 @@ func TagName(t Tag) string {
 	}
 }
 
-// Line is a node's cached copy of one block.  The tag is atomic because
-// remote protocol handlers revoke access concurrently with the owner's tag
-// checks; everything else is mutated only by the owning node's goroutine or
-// under the block's lock (see the data-movement rules in DESIGN.md).
+// Line is a node's cached copy of one block.  Other nodes' protocol handlers
+// revoke the tag; everything else is mutated only by the owning node — all of
+// it by whoever holds the scheduler token (see the data-movement rules in
+// DESIGN.md).
 type Line struct {
-	tag atomic.Uint32
+	tag Tag
 
 	// Data is the cached copy, blockSize bytes.
 	Data []byte
@@ -116,11 +117,10 @@ type Line struct {
 func (l *Line) Block() memsys.BlockID { return l.block }
 
 // Tag returns the line's current access tag.
-func (l *Line) Tag() Tag { return l.tag.Load() }
+func (l *Line) Tag() Tag { return l.tag }
 
-// SetTag stores a new access tag.  Callers must either be the owning node's
-// goroutine or hold the block's lock.
-func (l *Line) SetTag(t Tag) { l.tag.Store(t) }
+// SetTag stores a new access tag.
+func (l *Line) SetTag(t Tag) { l.tag = t }
 
 // Protocol is a user-level coherence protocol: the policy code that Tempest
 // dispatches to on access faults and memory-system directives.  Fault
@@ -203,15 +203,17 @@ type Machine struct {
 	// of aborting the machine, and a node killed past its restart budget
 	// hands its home regions to a live peer (degraded mode).  All
 	// recovery charges are gated on this flag, so fault-free runs stay
-	// bit-identical to historical results.  Requires DetSched.  Set
-	// before Run.
+	// bit-identical to historical results.  Set before Run.
 	Recovery bool
 
 	// Watchdog, when positive, bounds the wall-clock duration of any
 	// single barrier round: a round that stalls past the bound is
-	// aborted with per-node diagnostics instead of deadlocking, and
-	// RunErr bounds its post-failure wait for straggler nodes.  Zero
-	// (the default) disables all wall-clock timers.  Set before Run.
+	// aborted with per-node diagnostics instead of hanging, and
+	// RunErr bounds its post-failure wait for straggler nodes.  A node
+	// that returns without arriving is a deadlock the scheduler reports at
+	// once; what only a timer can catch is a body that holds the token and
+	// never reaches another scheduling point.  Zero (the default) disables
+	// all wall-clock timers.  Set before Run.
 	Watchdog time.Duration
 
 	// ScalarAccess disables the bulk span transfer paths: every
@@ -222,18 +224,10 @@ type Machine struct {
 	// Run.
 	ScalarAccess bool
 
-	// DetSched enables the deterministic virtual-time scheduler (see
-	// internal/sched): node goroutines hand a cooperative token around at
-	// synchronization points instead of free-running, so the whole
-	// interleaving — and with it simulated cycles and order-dependent
-	// fault counts at P>1 — is a pure function of (workload, P,
-	// SchedSeed).  Set before Run.  Off by default at this level so raw
-	// tempest tests exercise the free-running engine; the workloads layer
-	// turns it on by default.
-	DetSched bool
-
-	// SchedSeed selects the deterministic schedule's tie-break hash when
-	// DetSched is set (0 = canonical cycle/node order).
+	// SchedSeed selects the schedule's tie-break hash (0 = canonical
+	// cycle/node order): the whole interleaving — and with it simulated
+	// cycles and order-dependent fault counts at P>1 — is a pure function
+	// of (workload, P, SchedSeed).  Set before Run.
 	SchedSeed uint64
 
 	// SchedHook, when non-nil, is invoked on each run's fresh scheduler
@@ -243,7 +237,6 @@ type Machine struct {
 
 	protocol Protocol
 	applier  EffectApplier // protocol, if its handlers are split (effects.go)
-	locks    []sync.Mutex
 	bar      *Barrier
 	frozen   bool
 	cfgErr   error
@@ -270,17 +263,14 @@ func New(p int, blockSize uint32, c cost.Model) *Machine {
 		m.Nodes[i] = &Node{ID: i, M: m}
 	}
 	// Fold every node's stolen handler cycles into the barrier maximum at
-	// the instant the last participant arrives.  At that point all P nodes
-	// are inside WaitNode — the parked ones under the barrier mutex, so no
-	// ChargeRemote can be in flight — which makes the fold race-free and
-	// the barrier result independent of host scheduling (the historical
-	// FoldStolen wobble: a charge could land before or after its victim's
-	// pre-barrier fold, moving the max by the stolen amount).
+	// the instant the last participant arrives: handlers that ran after a
+	// node's own pre-barrier fold may still have charged it.
 	m.bar.foldClocks = func() int64 {
 		var max int64
 		for _, nd := range m.Nodes {
-			if c := nd.clock + nd.stolen.Swap(0); c > max {
-				max = c
+			nd.FoldStolen()
+			if nd.clock > max {
+				max = nd.clock
 			}
 		}
 		return max
@@ -316,8 +306,8 @@ func (m *Machine) RecordConfigError(err error) {
 	}
 }
 
-// Freeze finalizes the address space, sizes per-node line tables and block
-// locks, and attaches the protocol.  Must be called exactly once, after all
+// Freeze finalizes the address space, sizes per-node line tables, and
+// attaches the protocol.  Must be called exactly once, after all
 // allocation and before Run.  It panics on recorded configuration errors;
 // FreezeErr reports them as an error instead.
 func (m *Machine) Freeze() {
@@ -343,7 +333,6 @@ func (m *Machine) FreezeErr() error {
 	m.frozen = true
 	m.AS.Freeze()
 	n := m.AS.NumBlocks()
-	m.locks = make([]sync.Mutex, n)
 	for _, nd := range m.Nodes {
 		nd.lines = make([]*Line, n)
 		nd.spanBuf = make([]byte, m.AS.BlockSize)
@@ -361,26 +350,15 @@ func (m *Machine) FreezeErr() error {
 // Frozen reports whether Freeze has run.
 func (m *Machine) Frozen() bool { return m.frozen }
 
-// Lock acquires the home/directory lock of block b.  All protocol state
-// transitions and cross-node data movement for b happen under this lock.
-// Under the deterministic scheduler the lock is uncontended (only the
-// token holder runs simulator code) and doubles as the footprint the
-// model checker records for sleep-set pruning.
-func (m *Machine) Lock(b memsys.BlockID) {
-	if s := m.schedder; s != nil {
-		s.NoteLock(uint32(b))
-	}
-	m.locks[b].Lock()
-}
+// Lock announces that the token holder is about to touch block b's home and
+// directory state — protocol state transitions, cross-node data movement.
+// The token is what excludes every other node until the holder's next
+// scheduling point, so there is nothing to acquire or release; the call
+// records b in the footprint the model checker prunes sleep sets by.
+func (m *Machine) Lock(b memsys.BlockID) { m.schedder.NoteLock(uint32(b)) }
 
-// Unlock releases block b's lock.
-func (m *Machine) Unlock(b memsys.BlockID) { m.locks[b].Unlock() }
-
-// Barrier returns the machine's global barrier.
-func (m *Machine) Barrier() *Barrier { return m.bar }
-
-// Sched returns the current (or most recent) run's deterministic
-// scheduler, nil when DetSched is off or no run has started.
+// Sched returns the current (or most recent) run's scheduler, nil before the
+// first run.
 func (m *Machine) Sched() *sched.Scheduler { return m.schedder }
 
 // AttachTrace enables event tracing with the given per-node ring capacity.
@@ -423,16 +401,19 @@ type Node struct {
 	// PD is per-node protocol state, owned by the active protocol.
 	PD any
 
+	// clock is advanced by the node itself; stolen by the handlers other
+	// nodes run against blocks homed here, and folded into clock at
+	// barriers and at the end of Run.
 	clock  int64
-	stolen atomic.Int64
+	stolen int64
 
 	lines []*Line
 
 	// mruBlock/mruLine cache the most recently accessed (block, line)
 	// pair so consecutive same-block accesses skip the line-table load.
-	// Owner goroutine only; the cached line's atomic tag is still checked
-	// on every access, so concurrent remote revocations stay correct (see
-	// "Fast-path invariants" in DESIGN.md).  mruLine == nil means empty.
+	// The cached line's tag is still checked on every access, so a
+	// revocation by another node's handler is seen (see "Fast-path
+	// invariants" in DESIGN.md).  mruLine == nil means empty.
 	mruBlock memsys.BlockID
 	mruLine  *Line
 
@@ -479,45 +460,53 @@ type Node struct {
 // effects it has posted (Machine.RunAhead), the stolen part is whatever has
 // been applied so far, not the schedule's value; a body that needs an exact
 // mid-phase reading calls SchedYield first.
-func (n *Node) Clock() int64 { return n.clock + n.stolen.Load() }
+func (n *Node) Clock() int64 { return n.clock + n.stolen }
 
-// SchedYield is a deterministic-scheduler synchronization point: under
-// DetSched the node offers the token at its current virtual time and does
-// not proceed until the run queue grants it again.  Protocol handlers
-// call it immediately before acquiring a block's home lock, so the order
-// in which contending nodes enter a handler is decided by virtual time,
-// not by the host's mutex arbitration.  No-op when DetSched is off.
+// SchedYield is a scheduling point: the node offers the token at its
+// current virtual time and does not proceed until the run queue grants it
+// again.  Protocol handlers call it on entry, before they touch a block's
+// home state, so the order in which contending nodes run a handler is
+// decided by virtual time.  If the run has been aborted in the meantime the
+// node does not proceed at all: it unwinds (see unwind).
 func (n *Node) SchedYield() {
-	if s := n.M.schedder; s != nil {
-		n.drain()
-		s.Yield(n.ID, n.Clock())
+	n.drain()
+	if !n.M.schedder.Yield(n.ID, n.Clock()) {
+		n.unwind()
 	}
 }
 
-// Charge advances the node's clock by c cycles (owner goroutine only).
+// unwind is what a scheduling call that finds the run poisoned does instead
+// of returning: it panics with the barrier's abort error, which RunErr
+// recovers into a collateral failure.  The node was parked, or about to
+// park, so it leaves without running another line of protocol code.
+func (n *Node) unwind() {
+	if v := n.M.schedder.PostFailure(n.ID); v != nil {
+		// One of this node's effects panicked on the goroutine that was
+		// applying it; the failure is this node's.
+		panic(v)
+	}
+	panic(n.M.bar.poisonErr())
+}
+
+// Charge advances the node's clock by c cycles (owner only).
 func (n *Node) Charge(c int64) { n.clock += c }
 
 // ChargeRemote charges c cycles to another node's clock (handler occupancy
-// stolen from the home processor).  Safe from any goroutine.
-func (n *Node) ChargeRemote(c int64) { n.stolen.Add(c) }
+// stolen from the home processor).
+func (n *Node) ChargeRemote(c int64) { n.stolen += c }
 
 // FoldStolen folds stolen handler cycles into the local clock.  Called at
 // barriers and at the end of Run.
-func (n *Node) FoldStolen() { n.clock += n.stolen.Swap(0) }
+func (n *Node) FoldStolen() { n.clock, n.stolen = n.clock+n.stolen, 0 }
 
 // Line returns the node's line for block b, or nil if none was ever
 // installed.  The line's tag must be checked before using its data.
 func (n *Node) Line(b memsys.BlockID) *Line { return n.lines[b] }
 
 // Install makes the node's line for b hold a copy of src with the given
-// tag, creating the line on first use.  Callers must hold b's lock when
-// another node's handler may look the line up while this node runs — every
-// coherent block — since those lookups happen under the lock too; lines of
-// loosely coherent blocks are looked up by others only inside the
-// reconciliation window, when their owners are parked at its barriers.
-// With a fault injector attached, the transfer
-// is checksummed and corrupted arrivals are healed by bounded re-fetch
-// (see deliverBlock).
+// tag, creating the line on first use.  With a fault injector attached, the
+// transfer is checksummed and corrupted arrivals are healed by bounded
+// re-fetch (see deliverBlock).
 func (n *Node) Install(b memsys.BlockID, src []byte, tag Tag) *Line {
 	l := n.lines[b]
 	if l == nil {
@@ -587,8 +576,8 @@ func (n *Node) fifoLen() int { return len(n.fifo) - n.fifoHead }
 
 // makeRoom evicts resident blocks FIFO-style until the cache is under
 // capacity.  Called on the fault path before the protocol installs a new
-// line; the caller holds no block lock.  Blocks the protocol refuses to
-// evict (LCM private copies) are requeued.
+// line.  Blocks the protocol refuses to evict (LCM private copies) are
+// requeued.
 //
 // Pops advance fifoHead instead of re-slicing, and the dead prefix is
 // copied away once it dominates the backing array: a plain

@@ -1,7 +1,6 @@
 package tempest
 
 import (
-	"sync"
 	"testing"
 
 	"lcm/internal/cost"
@@ -13,7 +12,6 @@ import (
 // machine, accessors, clocks and barriers in isolation.
 type fakeProtocol struct {
 	m          *Machine
-	mu         sync.Mutex
 	readFaults int
 	writeFault int
 }
@@ -23,20 +21,14 @@ func (f *fakeProtocol) Attach(m *Machine) { f.m = m }
 
 func (f *fakeProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
 	f.m.Lock(b)
-	defer f.m.Unlock(b)
-	f.mu.Lock()
 	f.readFaults++
-	f.mu.Unlock()
 	n.Ctr.Misses++
 	return n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
 }
 
 func (f *fakeProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
 	f.m.Lock(b)
-	defer f.m.Unlock(b)
-	f.mu.Lock()
 	f.writeFault++
-	f.mu.Unlock()
 	n.Ctr.Misses++
 	return n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
 }
@@ -218,10 +210,8 @@ func TestInstallReusesLine(t *testing.T) {
 	m, r := newTestMachine(t, 1, 64)
 	b := m.AS.Block(r.Base)
 	n := m.Nodes[0]
-	m.Lock(b)
 	l1 := n.Install(b, m.AS.HomeData(b), TagReadOnly)
 	l2 := n.Install(b, m.AS.HomeData(b), TagReadWrite)
-	m.Unlock(b)
 	if l1 != l2 {
 		t.Fatal("Install allocated a second line for the same block")
 	}

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"lcm/internal/core"
 	"lcm/internal/cstar"
@@ -292,7 +291,6 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 
 	cum := zipfTable(spec.Keys, spec.Skew)
 
-	var tallyMu sync.Mutex
 	var stats KVStats
 	shardOps := make([]int64, spec.Shards)
 
@@ -393,7 +391,6 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 		}
 		cstar.EndParallel(n)
 
-		tallyMu.Lock()
 		stats.Gets += myGets
 		stats.Puts += myPuts
 		stats.MigratedBlocks += myMigrated
@@ -401,7 +398,6 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 		for s, k := range myShardOps {
 			shardOps[s] += k
 		}
-		tallyMu.Unlock()
 	})
 	if runErr != nil {
 		res.Err = runErr

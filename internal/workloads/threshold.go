@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sync"
 
 	"lcm/internal/core"
 	"lcm/internal/cstar"
@@ -81,7 +80,6 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 	total := inner * inner
 	scratch := newRowScratch(cfg.P, inner)
 	var updated, visited int64
-	var tallyMu sync.Mutex
 
 	runErr := m.RunErr(func(n *tempest.Node) {
 		cur, prev := a, old
@@ -161,10 +159,8 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 			})
 			cstar.EndParallel(n)
 		}
-		tallyMu.Lock()
 		updated += myUpdated
 		visited += myVisited
-		tallyMu.Unlock()
 	})
 	if runErr != nil {
 		// The machine is poisoned (a node died or the watchdog fired);

@@ -73,19 +73,13 @@ type Config struct {
 	// Recover enables checkpoint/restart plus degraded-mode re-homing
 	// (tempest.Machine.Recovery): kills under a KillRecover fault plan
 	// restart from the last barrier checkpoint instead of aborting.
-	// Requires the deterministic scheduler (incompatible with FreeRun).
 	Recover bool
-	// SchedSeed selects the deterministic schedule (see internal/sched):
+	// SchedSeed selects the schedule (see internal/sched):
 	// every (workload, P, seed) triple replays bit-identically, including
 	// simulated cycles and copying-mode fault counts at P>1.  Seed 0 is
 	// the canonical (cycle, node) order; other seeds permute same-cycle
 	// ties.
 	SchedSeed uint64
-	// FreeRun disables the deterministic scheduler and lets node
-	// goroutines interleave at the host's whim, as the simulator did
-	// historically.  Order-dependent observables are then not run-to-run
-	// reproducible; only benchmarking wall-clock parallelism wants this.
-	FreeRun bool
 
 	// tap, when non-nil, is handed the machine as soon as it exists, before
 	// the workload allocates on it.  The package's tests reach the machine
@@ -119,7 +113,6 @@ func (c Config) machine(sys cstar.System) *tempest.Machine {
 	}
 	m.Watchdog = c.Watchdog
 	m.ScalarAccess = c.ScalarAccess
-	m.DetSched = !c.FreeRun
 	m.SchedSeed = c.SchedSeed
 	if c.Net != nil {
 		nw, err := net.New(*c.Net, c.P, *c.CostModel)
@@ -149,7 +142,7 @@ type Result struct {
 	// C aggregates per-node protocol counters.
 	C stats.NodeCounters
 	// S holds the shared counters (clean copies, conflicts, ...).
-	S stats.Snapshot
+	S stats.Shared
 	// Extra carries per-workload facts (modified ratios, cell counts).
 	Extra map[string]float64
 	// PerNodeClocks and PerNodeMisses summarize load balance.
@@ -192,9 +185,8 @@ type HostStats struct {
 	// not, Reason says why.
 	RunAhead bool
 	Reason   string
-	// Stats counts the deterministic scheduler's grants, how many of them
-	// switched goroutines and how many were deferred applies; all zero for
-	// a free-running machine.
+	// Stats counts the scheduler's grants, how many of them switched
+	// goroutines and how many were deferred applies.
 	sched.Stats
 }
 
@@ -232,14 +224,12 @@ func (r Result) Label() string {
 func finish(m *tempest.Machine, r *Result) {
 	r.Cycles = m.MaxClock()
 	r.C = m.TotalCounters()
-	r.S = m.Shared.Snapshot()
+	r.S = m.Shared
 	r.Net = m.Net.Name()
 	r.Links = m.Net.LinkStats()
 	r.Trace = m.Trace
 	r.Host.RunAhead, r.Host.Reason = m.RunAhead()
-	if sc := m.Sched(); sc != nil {
-		r.Host.Stats = sc.Stats()
-	}
+	r.Host.Stats = m.Sched().Stats()
 	if m.Fault != nil {
 		r.Faults = m.Fault.Tally()
 	}

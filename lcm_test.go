@@ -51,7 +51,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if m.MaxClock() <= 0 || m.TotalCounters().Misses == 0 {
 		t.Fatal("no simulated activity recorded")
 	}
-	if s := m.Shared.Snapshot(); s.WriteConflicts != 0 {
+	if s := m.Shared; s.WriteConflicts != 0 {
 		t.Fatalf("unexpected conflicts: %d", s.WriteConflicts)
 	}
 }
