@@ -1,8 +1,8 @@
 package lcm_test
 
-// One testing.B benchmark per table and figure of the paper, plus the
-// Section 7 ablations.  Each benchmark runs the corresponding workload on
-// the simulated machine and reports, besides Go's wall-clock numbers, the
+// One testing.B sub-benchmark per cell of the paper's grid (Table 1 and
+// Figures 2-3), plus the Section 7 ablations.  Each runs the corresponding
+// workload on the simulated machine and reports, besides Go's wall-clock numbers, the
 // simulated metrics the paper's artifact reports: virtual cycles
 // ("simcycles"), cache misses ("simmisses") and clean copies
 // ("cleancopies").
@@ -42,88 +42,34 @@ func report(b *testing.B, r workloads.Result) {
 	b.ReportMetric(float64(r.CleanCopies()), "cleancopies")
 }
 
-// benchWorkload runs one (workload, system) cell b.N times.
-func benchWorkload(b *testing.B, run func() workloads.Result) {
-	b.Helper()
-	var last workloads.Result
-	for i := 0; i < b.N; i++ {
-		last = run()
+// BenchmarkGrid regenerates Table 1 and Figures 2-3 a cell at a time:
+// BenchmarkGrid/<cell>/<system> runs that cell under that memory system
+// through the same resolver every harness campaign uses.
+func BenchmarkGrid(b *testing.B) {
+	s := benchSuite()
+	for _, cell := range harness.GridCells() {
+		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
+			b.Run(cell.Label()+"/"+sys.String(), func(b *testing.B) {
+				var last workloads.Result
+				for i := 0; i < b.N; i++ {
+					last = s.Run(cell, sys, s.Cfg)
+				}
+				report(b, last)
+			})
+		}
 	}
-	report(b, last)
-}
-
-func forSystems(b *testing.B, run func(sys cstar.System) workloads.Result) {
-	for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
-		b.Run(sys.String(), func(b *testing.B) {
-			benchWorkload(b, func() workloads.Result { return run(sys) })
-		})
-	}
-}
-
-// BenchmarkTable1StencilStat regenerates the Stencil-stat row of Table 1
-// and the static half of Figure 2.
-func BenchmarkTable1StencilStat(b *testing.B) {
-	s := benchSuite()
-	forSystems(b, func(sys cstar.System) workloads.Result {
-		return workloads.RunStencil(sys, s.StencilSpec("static"), s.Cfg)
-	})
-}
-
-// BenchmarkTable1StencilDyn regenerates the Stencil-dyn row of Table 1 and
-// the dynamic half of Figure 2.
-func BenchmarkTable1StencilDyn(b *testing.B) {
-	s := benchSuite()
-	forSystems(b, func(sys cstar.System) workloads.Result {
-		return workloads.RunStencil(sys, s.StencilSpec("dynamic"), s.Cfg)
-	})
-}
-
-// BenchmarkTable1AdaptiveStat regenerates the Adaptive row of Table 1 /
-// Figure 3 with static partitioning.
-func BenchmarkTable1AdaptiveStat(b *testing.B) {
-	s := benchSuite()
-	forSystems(b, func(sys cstar.System) workloads.Result {
-		return workloads.RunAdaptive(sys, s.AdaptiveSpec("static"), s.Cfg)
-	})
-}
-
-// BenchmarkTable1AdaptiveDyn regenerates the Adaptive row of Table 1 /
-// Figure 3 with dynamic partitioning (the paper's headline 1.9x case).
-func BenchmarkTable1AdaptiveDyn(b *testing.B) {
-	s := benchSuite()
-	forSystems(b, func(sys cstar.System) workloads.Result {
-		return workloads.RunAdaptive(sys, s.AdaptiveSpec("dynamic"), s.Cfg)
-	})
-}
-
-// BenchmarkTable1Threshold regenerates the Threshold row of Table 1 /
-// Figure 3.
-func BenchmarkTable1Threshold(b *testing.B) {
-	s := benchSuite()
-	forSystems(b, func(sys cstar.System) workloads.Result {
-		return workloads.RunThreshold(sys, s.ThresholdSpec(), s.Cfg)
-	})
-}
-
-// BenchmarkTable1Unstructured regenerates the Unstructured row of Table 1
-// / Figure 3.
-func BenchmarkTable1Unstructured(b *testing.B) {
-	s := benchSuite()
-	forSystems(b, func(sys cstar.System) workloads.Result {
-		return workloads.RunUnstructured(sys, s.UnstructuredSpec(), s.Cfg)
-	})
 }
 
 // BenchmarkAblationReduction regenerates the Section 7.1 comparison of
 // lock-based, hand-partialled and RSM reductions.
 func BenchmarkAblationReduction(b *testing.B) {
 	s := benchSuite()
-	var last []harness.ReductionResult
+	var last []workloads.Result
 	for i := 0; i < b.N; i++ {
 		last = s.RunReduction(1 << 14)
 	}
 	for _, r := range last {
-		b.ReportMetric(float64(r.Cycles), "simcycles_"+r.Strategy)
+		b.ReportMetric(float64(r.Cycles), "simcycles_"+r.Sched)
 	}
 }
 
@@ -131,7 +77,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 // kernel.
 func BenchmarkAblationFalseSharing(b *testing.B) {
 	s := benchSuite()
-	var last []harness.FalseSharingResult
+	var last []workloads.Result
 	for i := 0; i < b.N; i++ {
 		last = s.RunFalseSharing(8, 10)
 	}
@@ -143,15 +89,15 @@ func BenchmarkAblationFalseSharing(b *testing.B) {
 // BenchmarkAblationStaleData regenerates the Section 7.5 staleness sweep.
 func BenchmarkAblationStaleData(b *testing.B) {
 	s := benchSuite()
-	var last []harness.StaleResult
+	var last []workloads.Result
 	for i := 0; i < b.N; i++ {
 		last = s.RunStaleData(128, 12, []int{0, 4})
 	}
 	for _, r := range last {
-		if r.StalePhases == 4 && r.MaxLagSeen > 4 {
-			b.Fatalf("staleness bound violated: %+v", r)
+		if r.Extra["max_lag"] > 4 {
+			b.Fatalf("staleness bound violated: %s saw lag %v", r.Sched, r.Extra["max_lag"])
 		}
-		b.ReportMetric(float64(r.Misses), "simmisses")
+		b.ReportMetric(float64(r.C.Misses), "simmisses")
 	}
 }
 

@@ -14,7 +14,10 @@
 //	         [-nilat N] [-netsweep] [-schedseed N]
 //	         [-kvskew S] [-kvreshard N]
 //
-// With no selection flags, all experiments run.  -cells selects
+// With no selection flags, all experiments run.  -netsweep, -chaos and
+// -recovery each run only their own campaign: combined with one another,
+// with another selection or with -csv/-json/-detjson they are refused (exit
+// status 2) rather than one of the two being dropped.  -cells selects
 // individual grid cells by name, including the serving-traffic cells
 // KV-read and KV-write (the sharded key-value workload); -kvskew and
 // -kvreshard tune the KV cells' Zipf skew and reshard cadence, and both
@@ -53,7 +56,6 @@ import (
 	"time"
 
 	"lcm/internal/cost"
-	"lcm/internal/cstar"
 	"lcm/internal/harness"
 	"lcm/internal/net"
 	"lcm/internal/workloads"
@@ -64,7 +66,7 @@ func main() {
 }
 
 // writeFile opens path, calls fn on it, and reports any error.
-func writeFile(path string, fn func(f *os.File) error) error {
+func writeFile(path string, fn func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -149,9 +151,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *memProfile != "" {
 		defer func() {
-			err := writeFile(*memProfile, func(f *os.File) error {
+			err := writeFile(*memProfile, func(w io.Writer) error {
 				runtime.GC() // settle allocations so the profile shows live heap
-				return pprof.WriteHeapProfile(f)
+				return pprof.WriteHeapProfile(w)
 			})
 			if err != nil {
 				fmt.Fprintln(stderr, "lcmbench:", err)
@@ -172,89 +174,113 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.Cfg.Net = &netCfg
 	}
 
+	// -netsweep, -chaos and -recovery each run their own campaign and
+	// nothing else; a second selection would be dropped, so it is refused.
+	selected := []struct {
+		name string
+		set  bool
+	}{
+		{"netsweep", *netSweep}, {"chaos", *chaos}, {"recovery", *recovery},
+		{"cells", *cells != ""}, {"table1", *table1}, {"fig2", *fig2}, {"fig3", *fig3},
+		{"ablate", *ablate}, {"sweeps", *sweeps},
+		{"csv", *csvPath != ""}, {"json", *jsonPath != ""}, {"detjson", *detJSONPath != ""},
+	}
+	for _, only := range selected[:3] {
+		for _, other := range selected {
+			if only.set && other.set && other.name != only.name {
+				fmt.Fprintf(stderr, "lcmbench: -%s runs only its own campaign and cannot be combined with -%s\n", only.name, other.name)
+				return 2
+			}
+		}
+	}
+
 	start := time.Now()
+	done := func() int {
+		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
+		return 0
+	}
 	if *netSweep {
 		s.DefaultNetSweep()
-		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-		return 0
+		return done()
+	}
+	verdict := func(name, passed string, err error) int {
+		if err != nil {
+			fmt.Fprintf(stderr, "lcmbench: %s FAILED:\n%v\n", name, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "%s passed: %s\n", name, passed)
+		return done()
 	}
 	if *chaos {
-		if err := s.RunChaos(harness.DefaultChaosPlans()); err != nil {
-			fmt.Fprintf(stderr, "lcmbench: chaos campaign FAILED:\n%v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "chaos campaign passed: all recoveries bit-identical, counters match injected plans")
-		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-		return 0
+		return verdict("chaos campaign", "all recoveries bit-identical, counters match injected plans",
+			s.RunChaos(harness.DefaultChaosPlans()))
 	}
 	if *recovery {
-		if err := s.RunRecovery(harness.DefaultRecoveryPlans(), []uint64{1, 2}); err != nil {
-			fmt.Fprintf(stderr, "lcmbench: recovery matrix FAILED:\n%v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "recovery matrix passed: all runs survived, answers and replays bit-identical, recovery counters exact")
-		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-		return 0
+		return verdict("recovery matrix", "all runs survived, answers and replays bit-identical, recovery counters exact",
+			s.RunRecovery(harness.DefaultRecoveryPlans(), []uint64{1, 2}))
 	}
-	var cellSpecs []harness.CellSpec
-	if *cells != "" {
-		for _, name := range strings.Split(*cells, ",") {
-			c, err := harness.ParseCell(name)
-			if err != nil {
-				fmt.Fprintln(stderr, "lcmbench:", err)
-				return 2
-			}
-			cellSpecs = append(cellSpecs, c)
-		}
-	}
-
 	all := *cells == "" && !*table1 && !*fig2 && !*fig3 && !*ablate
 
-	if all || *table1 || *fig2 || *fig3 || len(cellSpecs) > 0 {
-		var rows []map[cstar.System]workloads.Result
-		if len(cellSpecs) > 0 {
-			var err error
-			rows, err = s.RunCells(cellSpecs)
-			if err != nil {
-				fmt.Fprintln(stderr, "lcmbench:", err)
-				return 2
-			}
-			s.Table1(rows)
+	if all || *table1 || *fig2 || *fig3 || *cells != "" {
+		// The full grid unless -cells names some; only the full grid has
+		// the rows the figures are drawn from.
+		grid := *cells == ""
+		var cellSpecs []harness.CellSpec
+		if grid {
+			fmt.Fprintf(stdout, "running benchmarks (P=%d, scale 1/%d)...\n", *p, *scale)
+			cellSpecs = harness.GridCells()
 		} else {
-			rows = s.RunPaperSelect(all || *table1, all || *fig2, all || *fig3)
+			for _, name := range strings.Split(*cells, ",") {
+				c, err := harness.ParseCell(name)
+				if err != nil {
+					fmt.Fprintln(stderr, "lcmbench:", err)
+					return 2
+				}
+				cellSpecs = append(cellSpecs, c)
+			}
 		}
-		if *csvPath != "" {
-			if err := writeFile(*csvPath, func(f *os.File) error { return harness.WriteCSV(f, rows) }); err != nil {
+		rows, err := s.RunCells(cellSpecs)
+		if err != nil {
+			fmt.Fprintln(stderr, "lcmbench:", err)
+			return 2
+		}
+		if all || *table1 || !grid {
+			s.Table1(rows)
+		}
+		if grid && (all || *fig2) {
+			s.Fig2(rows)
+		}
+		if grid && (all || *fig3) {
+			s.Fig3(rows)
+		}
+		for _, sink := range []struct {
+			path  string
+			write func(w io.Writer) error
+		}{
+			{*csvPath, func(w io.Writer) error { return harness.WriteCSV(w, rows) }},
+			{*jsonPath, func(w io.Writer) error { return harness.WriteJSON(w, s.Cfg, s.Scale, rows) }},
+			{*detJSONPath, func(w io.Writer) error {
+				b, err := harness.MarshalDeterministic(s.Cfg, s.Scale, rows)
+				if err == nil {
+					_, err = w.Write(b)
+				}
+				return err
+			}},
+		} {
+			if sink.path == "" {
+				continue
+			}
+			if err := writeFile(sink.path, sink.write); err != nil {
 				fmt.Fprintln(stderr, "lcmbench:", err)
 				return 1
 			}
-			fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			if err := writeFile(*jsonPath, func(f *os.File) error { return harness.WriteJSON(f, s.Cfg, s.Scale, rows) }); err != nil {
-				fmt.Fprintln(stderr, "lcmbench:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
-		}
-		if *detJSONPath != "" {
-			b, err := harness.MarshalDeterministic(s.Cfg, s.Scale, rows)
-			if err == nil {
-				err = os.WriteFile(*detJSONPath, b, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "lcmbench:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *detJSONPath)
+			fmt.Fprintf(stdout, "wrote %s\n", sink.path)
 		}
 		bad := 0
-		for _, row := range rows {
-			for _, r := range row {
-				if r.Err != nil {
-					fmt.Fprintf(stderr, "FAILED %s/%s: %v\n", r.Label(), r.System, r.Err)
-					bad++
-				}
+		for _, r := range harness.Results(rows) {
+			if r.Err != nil {
+				fmt.Fprintf(stderr, "FAILED %s/%s: %v\n", r.Label(), r.System, r.Err)
+				bad++
 			}
 		}
 		if bad > 0 {
@@ -270,6 +296,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweeps {
 		s.RunSweeps()
 	}
-	fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-	return 0
+	return done()
 }

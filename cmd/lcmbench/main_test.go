@@ -23,17 +23,30 @@ func TestBlockSizeConfigErrorExitsOne(t *testing.T) {
 // Unusable flags are rejected before any cell runs, with exit status 2
 // and one line on stderr.
 func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
-	for _, c := range []struct {
+	type usage struct {
 		args []string
 		want string
-	}{
+	}
+	cases := []usage{
 		{[]string{"-blocksize", "48"}, "lcmbench: -blocksize must be a power of two >= 8\n"},
 		{[]string{"-scale", "0"}, "lcmbench: -scale must be >= 1\n"},
 		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "-3"}, "lcmbench: -p must be >= 1\n"},
 		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "0"}, "lcmbench: -p must be >= 1\n"},
 		{[]string{"-par", "4"}, "flag provided but not defined: -par\n"},
 		{[]string{"-freerun"}, "flag provided but not defined: -freerun\n"},
-	} {
+		{[]string{"-chaos", "-recovery"}, "lcmbench: -chaos runs only its own campaign and cannot be combined with -recovery\n"},
+	}
+	// -netsweep, -chaos and -recovery each run only their own campaign.  A
+	// second selection, or a sink the campaign would never write, used to
+	// be dropped with exit status 0.
+	for _, only := range []string{"-netsweep", "-chaos", "-recovery"} {
+		for _, other := range [][]string{{"-cells", "Threshold"}, {"-table1"}, {"-fig2"}, {"-fig3"}, {"-ablate"},
+			{"-sweeps"}, {"-csv", "x.csv"}, {"-json", "x.json"}, {"-detjson", "x.json"}} {
+			cases = append(cases, usage{append([]string{only, "-scale", "64", "-p", "2"}, other...),
+				"lcmbench: " + only + " runs only its own campaign and cannot be combined with " + other[0] + "\n"})
+		}
+	}
+	for _, c := range cases {
 		var out, errOut strings.Builder
 		if code := run(c.args, &out, &errOut); code != 2 || errOut.String() != c.want || out.Len() != 0 {
 			t.Errorf("run(%v) = %d\nstdout: %q\nstderr: %q\nwant exit code 2, stderr %q", c.args, code, out.String(), errOut.String(), c.want)

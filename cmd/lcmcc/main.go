@@ -21,68 +21,73 @@ import (
 	"os"
 
 	"lcm"
+	"lcm/internal/cstar"
 	"lcm/internal/lang"
 )
 
 func main() {
-	run := flag.Bool("run", false, "execute the program on the simulated machine")
-	printAST := flag.Bool("print", false, "print the parsed function in canonical form")
-	rows := flag.Int("rows", 64, "aggregate rows")
-	cols := flag.Int("cols", 64, "aggregate columns")
-	iters := flag.Int("iters", 10, "iterations")
-	p := flag.Int("p", 16, "simulated processors")
-	sysName := flag.String("sys", "lcm-mcc", "memory system for -run: copying, lcm-scc, lcm-mcc")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	src, err := readSource(flag.Arg(0))
+// run is the whole program with main's process concerns made explicit so
+// tests can drive it in process.  It returns the exit code: 0 on success,
+// 1 when the program does not compile or run, 2 on unusable arguments.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lcmcc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	execute := fs.Bool("run", false, "execute the program on the simulated machine")
+	printAST := fs.Bool("print", false, "print the parsed function in canonical form")
+	rows := fs.Int("rows", 64, "aggregate rows")
+	cols := fs.Int("cols", 64, "aggregate columns")
+	iters := fs.Int("iters", 10, "iterations")
+	p := fs.Int("p", 16, "simulated processors")
+	sysName := fs.String("sys", "lcm-mcc", "memory system for -run: copying, lcm-scc, lcm-mcc")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sys, err := cstar.ParseSystem(*sysName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lcmcc:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lcmcc:", err)
+		return 2
+	}
+
+	src, err := readSource(fs.Arg(0), stdin)
+	if err != nil {
+		fmt.Fprintln(stderr, "lcmcc:", err)
+		return 2
 	}
 
 	prog, err := lcm.CompileCStar(src)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lcmcc:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lcmcc:", err)
+		return 1
 	}
 
 	if *printAST {
-		fmt.Print(lang.Format(prog.Fn))
-		fmt.Println()
+		fmt.Fprint(stdout, lang.Format(prog.Fn))
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("parallel function %q over aggregate %q (rank %d)\n\n",
+	fmt.Fprintf(stdout, "parallel function %q over aggregate %q (rank %d)\n\n",
 		prog.Fn.Name, prog.Fn.Agg, prog.Fn.Rank)
-	fmt.Println("access analysis:")
-	fmt.Printf("  writes own element only: %v\n", prog.Summary.WritesOwnElementOnly)
-	fmt.Printf("  reads shared data:       %v\n", prog.Summary.ReadsSharedData)
-	fmt.Printf("  dynamic subscripts:      %v\n", prog.Summary.DynamicStructure)
-	fmt.Printf("  reductions:              %d", len(prog.Fn.Reductions))
+	fmt.Fprintln(stdout, "access analysis:")
+	fmt.Fprintf(stdout, "  writes own element only: %v\n", prog.Summary.WritesOwnElementOnly)
+	fmt.Fprintf(stdout, "  reads shared data:       %v\n", prog.Summary.ReadsSharedData)
+	fmt.Fprintf(stdout, "  dynamic subscripts:      %v\n", prog.Summary.DynamicStructure)
+	fmt.Fprintf(stdout, "  reductions:              %d", len(prog.Fn.Reductions))
 	for _, rd := range prog.Fn.Reductions {
-		fmt.Printf("  %s (%v)", rd.Name, rd.Op)
+		fmt.Fprintf(stdout, "  %s (%v)", rd.Name, rd.Op)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
-	fmt.Println("\nlowering per memory system:")
+	fmt.Fprintln(stdout, "\nlowering per memory system:")
 	for _, sys := range []lcm.System{lcm.Copying, lcm.LCMscc, lcm.LCMmcc} {
 		plan := lcm.Lower(prog.Summary, sys)
-		fmt.Printf("  %-8s mode=%-8v flushBetweenInvocations=%v\n",
+		fmt.Fprintf(stdout, "  %-8s mode=%-8v flushBetweenInvocations=%v\n",
 			sys, plan.Mode, plan.FlushBetweenInvocations)
 	}
 
-	if !*run {
-		return
-	}
-	var sys lcm.System
-	switch *sysName {
-	case "copying":
-		sys = lcm.Copying
-	case "lcm-scc":
-		sys = lcm.LCMscc
-	case "lcm-mcc":
-		sys = lcm.LCMmcc
-	default:
-		fmt.Fprintf(os.Stderr, "lcmcc: unknown system %q\n", *sysName)
-		os.Exit(2)
+	if !*execute {
+		return 0
 	}
 
 	m := lcm.NewMachine(lcm.MachineConfig{Nodes: *p, System: sys})
@@ -95,16 +100,16 @@ func main() {
 	// RunNode returns the same first-fault error on every node; report it
 	// once rather than P times.
 	if err := inst.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "lcmcc:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lcmcc:", err)
+		return 1
 	}
 
 	c := m.TotalCounters()
-	fmt.Printf("\nran %d iterations on %dx%d under %v:\n", *iters, *rows, *cols, sys)
-	fmt.Printf("  simulated time: %d cycles\n", m.MaxClock())
-	fmt.Printf("  cache misses:   %d (%d remote)\n", c.Misses, c.RemoteMisses)
-	fmt.Printf("  marks/flushes:  %d/%d\n", c.Marks, c.Flushes)
-	fmt.Printf("  copied words:   %d\n", c.CopiedWords)
+	fmt.Fprintf(stdout, "\nran %d iterations on %dx%d under %v:\n", *iters, *rows, *cols, sys)
+	fmt.Fprintf(stdout, "  simulated time: %d cycles\n", m.MaxClock())
+	fmt.Fprintf(stdout, "  cache misses:   %d (%d remote)\n", c.Misses, c.RemoteMisses)
+	fmt.Fprintf(stdout, "  marks/flushes:  %d/%d\n", c.Marks, c.Flushes)
+	fmt.Fprintf(stdout, "  copied words:   %d\n", c.CopiedWords)
 	for _, rd := range prog.Fn.Reductions {
 		var v float64
 		m.Run(func(n *lcm.Node) {
@@ -113,15 +118,16 @@ func main() {
 			}
 			n.Barrier()
 		})
-		fmt.Printf("  reduction %s = %g\n", rd.Name, v)
+		fmt.Fprintf(stdout, "  reduction %s = %g\n", rd.Name, v)
 	}
+	return 0
 }
 
 // readSource loads the program text from a file, or stdin when no path is
 // given.
-func readSource(path string) (string, error) {
+func readSource(path string, stdin io.Reader) (string, error) {
 	if path == "" {
-		b, err := io.ReadAll(os.Stdin)
+		b, err := io.ReadAll(stdin)
 		return string(b), err
 	}
 	b, err := os.ReadFile(path)

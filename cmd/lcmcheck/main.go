@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -47,119 +48,106 @@ func killPlan() *fault.Plan {
 	}
 }
 
-func usage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lcmcheck: "+format+"\n", args...)
-	os.Exit(2)
-}
-
-func systems(name string) []cstar.System {
-	switch name {
-	case "copying":
-		return []cstar.System{cstar.Copying}
-	case "scc":
-		return []cstar.System{cstar.LCMscc}
-	case "mcc":
-		return []cstar.System{cstar.LCMmcc}
-	case "all":
-		return []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc}
-	}
-	usage("unknown -protocol %q (want copying, scc, mcc or all)", name)
-	return nil
-}
-
 func main() {
-	protocol := flag.String("protocol", "all", "protocol to check: copying, scc, mcc or all")
-	nodes := flag.Int("nodes", 2, "simulated nodes (2-3)")
-	blocks := flag.Int("blocks", 2, "coherence blocks in the shared vector")
-	scriptName := flag.String("script", "", "check only this canned script (empty = all; see internal/check Scripts)")
-	maxSchedules := flag.Int("max-schedules", 0, "bound the interleavings explored per configuration (0 = exhaust the tree)")
-	noSleep := flag.Bool("nosleep", false, "disable the sleep-set reduction (slower, fully exhaustive)")
-	kill := flag.Bool("kill", false, "inject a recoverable node kill (node 1, every 2nd protocol fault, twice) with checkpoint/restart enabled, model-checking crash recovery across interleavings")
-	replay := flag.String("replay", "", "replay one decision path (comma-separated indices) instead of exploring")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		usage("unexpected arguments %v", flag.Args())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program with main's process concerns made explicit so
+// tests can drive it in process.  It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lcmcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	protocol := fs.String("protocol", "all", "protocol to check: copying, scc, mcc or all")
+	nodes := fs.Int("nodes", 2, "simulated nodes (2-3)")
+	blocks := fs.Int("blocks", 2, "coherence blocks in the shared vector")
+	scriptName := fs.String("script", "", "check only this canned script (empty = all; see internal/check Scripts)")
+	maxSchedules := fs.Int("max-schedules", 0, "bound the interleavings explored per configuration (0 = exhaust the tree)")
+	noSleep := fs.Bool("nosleep", false, "disable the sleep-set reduction (slower, fully exhaustive)")
+	kill := fs.Bool("kill", false, "inject a recoverable node kill (node 1, every 2nd protocol fault, twice) with checkpoint/restart enabled, model-checking crash recovery across interleavings")
+	replay := fs.String("replay", "", "replay one decision path (comma-separated indices) instead of exploring")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "lcmcheck: "+format+"\n", args...)
+		return 2
+	}
+	if fs.NArg() != 0 {
+		return usage("unexpected arguments %v", fs.Args())
 	}
 	if *nodes < 2 || *nodes > 3 {
-		usage("-nodes must be 2 or 3")
+		return usage("-nodes must be 2 or 3")
 	}
 	if *blocks < 2 || *blocks > 4 {
-		usage("-blocks must be 2-4")
+		return usage("-blocks must be 2-4")
 	}
-
-	var scripts []check.Script
-	for _, s := range check.Scripts(*nodes, *blocks) {
-		if *scriptName == "" || s.Name == *scriptName {
-			scripts = append(scripts, s)
+	systems := []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc}
+	if *protocol != "all" {
+		sys, err := cstar.ParseSystem(*protocol)
+		if err != nil {
+			return usage("-protocol: %v, or all", err)
 		}
+		systems = []cstar.System{sys}
 	}
-	if len(scripts) == 0 {
-		usage("no script named %q", *scriptName)
+	base := check.Config{Nodes: *nodes, Blocks: *blocks, MaxSchedules: *maxSchedules, NoSleep: *noSleep}
+	if *kill {
+		base.Faults, base.Recovery = killPlan(), true
 	}
 
 	if *replay != "" {
 		path, err := check.ParsePath(*replay)
 		if err != nil {
-			usage("%v", err)
+			return usage("%v", err)
 		}
-		syss := systems(*protocol)
-		if len(syss) != 1 || len(scripts) != 1 {
-			usage("-replay needs a single -protocol and -script")
-		}
-		cfg := check.Config{System: syss[0], Nodes: *nodes, Blocks: *blocks, Script: scripts[0]}
-		if *kill {
-			cfg.Faults, cfg.Recovery = killPlan(), true
-		}
-		vio, dump, err := check.Replay(cfg, path)
+		scripts, err := check.Select(*nodes, *blocks, *scriptName)
 		if err != nil {
-			usage("%v", err)
+			return usage("%v", err)
+		}
+		if len(systems) != 1 || len(scripts) != 1 {
+			return usage("-replay needs a single -protocol and -script")
+		}
+		base.System, base.Script = systems[0], scripts[0]
+		vio, dump, err := check.Replay(base, path)
+		if err != nil {
+			return usage("%v", err)
 		}
 		if vio != nil {
-			fmt.Printf("replay %v/%s path %v: VIOLATION\n%v\n%s\n",
-				syss[0], scripts[0].Name, path, vio.Err, dump)
-			os.Exit(1)
+			fmt.Fprintf(stdout, "replay %v/%s path %v: VIOLATION\n%v\n%s\n",
+				base.System, base.Script.Name, path, vio.Err, dump)
+			return 1
 		}
-		fmt.Printf("replay %v/%s path %v: clean\n", syss[0], scripts[0].Name, path)
-		return
+		fmt.Fprintf(stdout, "replay %v/%s path %v: clean\n", base.System, base.Script.Name, path)
+		return 0
 	}
 
 	start := time.Now()
 	failed := false
-	for _, sys := range systems(*protocol) {
-		for _, s := range scripts {
-			cfg := check.Config{
-				System: sys, Nodes: *nodes, Blocks: *blocks, Script: s,
-				MaxSchedules: *maxSchedules, NoSleep: *noSleep,
-			}
-			if *kill {
-				cfg.Faults, cfg.Recovery = killPlan(), true
-			}
-			res, err := check.Explore(cfg)
-			if err != nil {
-				usage("%v", err)
-			}
-			status := "exhausted"
-			if !res.Exhausted {
-				status = "stopped at bound"
-			}
-			fmt.Printf("%-8s %-10s %dn x %db: %6d schedules, %6d pruned, %s\n",
-				sys, s.Name, *nodes, *blocks, res.Schedules, res.Pruned, status)
-			if res.Violation != nil {
-				killFlag := ""
-				if *kill {
-					killFlag = " -kill"
-				}
-				fmt.Printf("VIOLATION %v/%s: %v\n  replay: lcmcheck -protocol %s -script %s -nodes %d -blocks %d%s -replay %q\n%s\n",
-					sys, s.Name, res.Violation.Err, *protocol, s.Name, *nodes, *blocks,
-					killFlag, pathString(res.Violation.Path), res.Violation.Trace)
-				failed = true
-			}
+	err := check.ExploreAll(base, systems, *scriptName, func(cfg check.Config, res check.Result) {
+		status := "exhausted"
+		if !res.Exhausted {
+			status = "stopped at bound"
 		}
+		fmt.Fprintf(stdout, "%-8s %-10s %dn x %db: %6d schedules, %6d pruned, %s\n",
+			cfg.System, cfg.Script.Name, *nodes, *blocks, res.Schedules, res.Pruned, status)
+		if res.Violation != nil {
+			killFlag := ""
+			if *kill {
+				killFlag = " -kill"
+			}
+			fmt.Fprintf(stdout, "VIOLATION %v/%s: %v\n  replay: lcmcheck -protocol %v -script %s -nodes %d -blocks %d%s -replay %q\n%s\n",
+				cfg.System, cfg.Script.Name, res.Violation.Err, cfg.System, cfg.Script.Name, *nodes, *blocks,
+				killFlag, pathString(res.Violation.Path), res.Violation.Trace)
+			failed = true
+		}
+	})
+	if err != nil {
+		return usage("%v", err)
 	}
-	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func pathString(path []int) string {

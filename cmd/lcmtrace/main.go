@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lcm/internal/cstar"
@@ -28,94 +29,94 @@ import (
 )
 
 func main() {
-	w := flag.String("w", "stencil", "workload: stencil, adaptive, threshold, unstructured")
-	sysName := flag.String("sys", "lcm-mcc", "memory system: copying, lcm-scc, lcm-mcc")
-	sched := flag.String("sched", "static", "partitioning: static or dynamic")
-	p := flag.Int("p", 32, "simulated processors")
-	scale := flag.Int("scale", 8, "divide problem sizes by this factor")
-	verify := flag.Bool("verify", false, "check against the sequential reference")
-	traceN := flag.Int("trace", 0, "dump the last N protocol events (0 = no trace)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var sys cstar.System
-	switch *sysName {
-	case "copying":
-		sys = cstar.Copying
-	case "lcm-scc":
-		sys = cstar.LCMscc
-	case "lcm-mcc":
-		sys = cstar.LCMmcc
-	default:
-		fmt.Fprintf(os.Stderr, "lcmtrace: unknown system %q\n", *sysName)
-		os.Exit(2)
+// run is the whole program with main's process concerns made explicit so
+// tests can drive it in process.  It returns the exit code: 0 on success,
+// 1 on a failed verification, 2 on unusable flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lcmtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	w := fs.String("w", "stencil", "workload: stencil, adaptive, threshold, unstructured")
+	sysName := fs.String("sys", "lcm-mcc", "memory system: copying, lcm-scc, lcm-mcc")
+	sched := fs.String("sched", "static", "partitioning: static or dynamic")
+	p := fs.Int("p", 32, "simulated processors")
+	scale := fs.Int("scale", 8, "divide problem sizes by this factor")
+	verify := fs.Bool("verify", false, "check against the sequential reference")
+	traceN := fs.Int("trace", 0, "dump the last N protocol events (0 = no trace)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	suite := harness.New(os.Stdout)
+	if *p < 1 || *scale < 1 {
+		fmt.Fprintln(stderr, "lcmtrace: -p and -scale must be >= 1")
+		return 2
+	}
+	sys, err := cstar.ParseSystem(*sysName)
+	if err != nil {
+		fmt.Fprintln(stderr, "lcmtrace:", err)
+		return 2
+	}
+	// Threshold and Unstructured have no partitioning knob: their cells
+	// are named by the workload alone.
+	cell, err := harness.ParseCell(*w + "-" + *sched)
+	if err != nil {
+		cell, err = harness.ParseCell(*w)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "lcmtrace: unknown workload %q (with -sched %s)\n", *w, *sched)
+		return 2
+	}
+
+	suite := harness.New(stdout)
 	suite.Scale = *scale
-	cfg := workloads.Config{P: *p, Verify: *verify}
-	if *traceN > 0 {
-		cfg.TraceCap = *traceN
-	}
-	suite.Cfg = cfg
+	r := suite.Run(cell, sys, workloads.Config{P: *p, Verify: *verify, TraceCap: *traceN})
 
-	var r workloads.Result
-	switch *w {
-	case "stencil":
-		r = workloads.RunStencil(sys, suite.StencilSpec(*sched), cfg)
-	case "adaptive":
-		r = workloads.RunAdaptive(sys, suite.AdaptiveSpec(*sched), cfg)
-	case "threshold":
-		r = workloads.RunThreshold(sys, suite.ThresholdSpec(), cfg)
-	case "unstructured":
-		r = workloads.RunUnstructured(sys, suite.UnstructuredSpec(), cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "lcmtrace: unknown workload %q\n", *w)
-		os.Exit(2)
-	}
-
-	fmt.Printf("%s under %s (%s partitioning, P=%d, scale 1/%d)\n\n",
+	fmt.Fprintf(stdout, "%s under %s (%s partitioning, P=%d, scale 1/%d)\n\n",
 		r.Workload, r.System, *sched, *p, *scale)
-	fmt.Printf("simulated time:      %16s cycles\n", stats.GroupInt(r.Cycles))
-	fmt.Printf("accesses:            %16s\n", stats.GroupInt(r.C.Hits))
-	fmt.Printf("cache misses:        %16s (%s remote, %s local fills)\n",
+	fmt.Fprintf(stdout, "simulated time:      %16s cycles\n", stats.GroupInt(r.Cycles))
+	fmt.Fprintf(stdout, "accesses:            %16s\n", stats.GroupInt(r.C.Hits))
+	fmt.Fprintf(stdout, "cache misses:        %16s (%s remote, %s local fills)\n",
 		stats.GroupInt(r.C.Misses), stats.GroupInt(r.C.RemoteMisses), stats.GroupInt(r.C.LocalFills))
-	fmt.Printf("upgrades:            %16s\n", stats.GroupInt(r.C.Upgrades))
-	fmt.Printf("invalidations sent:  %16s\n", stats.GroupInt(r.C.InvalidationsSent))
-	fmt.Printf("marks:               %16s\n", stats.GroupInt(r.C.Marks))
-	fmt.Printf("flushes:             %16s (%s words)\n",
+	fmt.Fprintf(stdout, "upgrades:            %16s\n", stats.GroupInt(r.C.Upgrades))
+	fmt.Fprintf(stdout, "invalidations sent:  %16s\n", stats.GroupInt(r.C.InvalidationsSent))
+	fmt.Fprintf(stdout, "marks:               %16s\n", stats.GroupInt(r.C.Marks))
+	fmt.Fprintf(stdout, "flushes:             %16s (%s words)\n",
 		stats.GroupInt(r.C.Flushes), stats.GroupInt(r.C.WordsFlushed))
-	fmt.Printf("explicit copies:     %16s words\n", stats.GroupInt(r.C.CopiedWords))
-	fmt.Printf("barriers per node:   %16s\n", stats.GroupInt(r.C.Barriers/int64(*p)))
-	fmt.Printf("clean copies:        %16s home / %s local\n",
+	fmt.Fprintf(stdout, "explicit copies:     %16s words\n", stats.GroupInt(r.C.CopiedWords))
+	fmt.Fprintf(stdout, "barriers per node:   %16s\n", stats.GroupInt(r.C.Barriers/int64(*p)))
+	fmt.Fprintf(stdout, "clean copies:        %16s home / %s local\n",
 		stats.GroupInt(r.S.CleanCopiesHome), stats.GroupInt(r.S.CleanCopiesLocal))
-	fmt.Printf("blocks reconciled:   %16s\n", stats.GroupInt(r.S.Reconciles))
-	fmt.Printf("write conflicts:     %16s\n", stats.GroupInt(r.S.WriteConflicts))
+	fmt.Fprintf(stdout, "blocks reconciled:   %16s\n", stats.GroupInt(r.S.Reconciles))
+	fmt.Fprintf(stdout, "write conflicts:     %16s\n", stats.GroupInt(r.S.WriteConflicts))
 	for k, v := range r.Extra {
-		fmt.Printf("%-20s %16.4f\n", k+":", v)
+		fmt.Fprintf(stdout, "%-20s %16.4f\n", k+":", v)
 	}
-	fmt.Printf("\nper-node distribution:\n")
-	fmt.Printf("  clock:  %s\n", r.PerNodeClocks)
-	fmt.Printf("  misses: %s\n", r.PerNodeMisses)
+	fmt.Fprintf(stdout, "\nper-node distribution:\n")
+	fmt.Fprintf(stdout, "  clock:  %s\n", r.PerNodeClocks)
+	fmt.Fprintf(stdout, "  misses: %s\n", r.PerNodeMisses)
 
 	if r.Trace != nil {
-		fmt.Printf("\nlast protocol events (merged by virtual time):\n")
+		fmt.Fprintf(stdout, "\nlast protocol events (merged by virtual time):\n")
 		kinds := []trace.Kind{trace.ReadMiss, trace.WriteMiss, trace.Upgrade,
 			trace.Mark, trace.Flush, trace.Invalidate, trace.Commit, trace.Conflict}
-		fmt.Printf("retained event mix: ")
+		fmt.Fprintf(stdout, "retained event mix: ")
 		for _, k := range kinds {
 			if c := r.Trace.CountKind(k); c > 0 {
-				fmt.Printf("%s=%d ", k, c)
+				fmt.Fprintf(stdout, "%s=%d ", k, c)
 			}
 		}
-		fmt.Println()
-		fmt.Print(r.Trace.Dump(*traceN))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, r.Trace.Dump(*traceN))
 	}
 
 	if *verify {
 		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "\nVERIFICATION FAILED: %v\n", r.Err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "\nVERIFICATION FAILED: %v\n", r.Err)
+			return 1
 		}
-		fmt.Println("\nresult verified against the sequential reference")
+		fmt.Fprintln(stdout, "\nresult verified against the sequential reference")
 	}
+	return 0
 }

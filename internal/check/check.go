@@ -456,6 +456,44 @@ func Explore(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// Select returns the canned scripts for a machine of the given shape: all
+// of them, or only the one called name.
+func Select(nodes, blocks int, name string) ([]Script, error) {
+	var out []Script
+	for _, s := range Scripts(nodes, blocks) {
+		if name == "" || s.Name == name {
+			out = append(out, s)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no script named %q", name)
+	}
+	return out, nil
+}
+
+// ExploreAll explores every system x every canned script selected by name
+// ("" = all), handing each finished exploration to report in order.  base
+// supplies the shape, the bounds and the fault plan; its System and Script
+// are set per exploration.
+func ExploreAll(base Config, systems []cstar.System, script string, report func(Config, Result)) error {
+	scripts, err := Select(base.Nodes, base.Blocks, script)
+	if err != nil {
+		return err
+	}
+	for _, sys := range systems {
+		for _, sc := range scripts {
+			cfg := base
+			cfg.System, cfg.Script = sys, sc
+			res, err := Explore(cfg)
+			if err != nil {
+				return err
+			}
+			report(cfg, res)
+		}
+	}
+	return nil
+}
+
 // Replay executes a single decision path and returns its violation (nil
 // if the path is clean) plus the run's event trace.
 func Replay(cfg Config, path []int) (*Violation, string, error) {

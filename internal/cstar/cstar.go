@@ -59,6 +59,21 @@ func (s System) String() string {
 	}
 }
 
+// ParseSystem resolves a memory-system name as the tools spell it: the
+// String form ("copying", "lcm-scc", "lcm-mcc") or the model checker's
+// short form ("scc", "mcc").
+func ParseSystem(name string) (System, error) {
+	switch name {
+	case "copying":
+		return Copying, nil
+	case "lcm-scc", "scc":
+		return LCMscc, nil
+	case "lcm-mcc", "mcc":
+		return LCMmcc, nil
+	}
+	return 0, fmt.Errorf("unknown system %q (want copying, lcm-scc|scc or lcm-mcc|mcc)", name)
+}
+
 // IsLCM reports whether the system uses the LCM protocol.
 func (s System) IsLCM() bool { return s == LCMscc || s == LCMmcc }
 

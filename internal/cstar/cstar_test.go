@@ -20,6 +20,19 @@ func TestSystemStrings(t *testing.T) {
 	if ModeLCM.String() != "lcm" || ModeCopying.String() != "copying" {
 		t.Fatal("mode strings")
 	}
+	// ParseSystem inverts String and also takes the checker's short names.
+	for name, want := range map[string]System{
+		"copying": Copying, "lcm-scc": LCMscc, "scc": LCMscc, "lcm-mcc": LCMmcc, "mcc": LCMmcc,
+	} {
+		if got, err := ParseSystem(name); err != nil || got != want {
+			t.Errorf("ParseSystem(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "all", "LCM-scc", "mesi"} {
+		if _, err := ParseSystem(name); err == nil {
+			t.Errorf("ParseSystem(%q) accepted an unknown name", name)
+		}
+	}
 }
 
 func TestLowerDecisions(t *testing.T) {

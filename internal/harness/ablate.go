@@ -17,57 +17,80 @@ import (
 // Each returns measurements and prints a table; the claims being tested
 // are stated in the output.
 
-// ReductionResult measures one reduction strategy.
-type ReductionResult struct {
-	Strategy string
-	Cycles   int64
-	Misses   int64
-	Value    float64
+// measured collects a raw machine's clocks and counters into a result, as
+// the workloads do for a cell, so that an ablation's variants travel and
+// render like any other run.  variant names the row; extra carries the
+// experiment's own observables.
+func measured(m *tempest.Machine, experiment, variant string, sys cstar.System, extra map[string]float64) workloads.Result {
+	return workloads.Result{Workload: experiment, Sched: variant, System: sys,
+		Cycles: m.MaxClock(), C: m.TotalCounters(), Extra: extra}
+}
+
+func misses(r workloads.Result) string { return stats.GroupInt(r.C.Misses) }
+
+// extra shows a per-experiment fact of the result as a whole number.
+func extra(key string) func(workloads.Result) string {
+	return func(r workloads.Result) string { return fmt.Sprintf("%.0f", r.Extra[key]) }
+}
+
+// ablation prints one experiment's table — a row per variant, named by its
+// Sched — and the paper claim under test, and returns the variants.
+func (s *Suite) ablation(title string, variants []workloads.Result, claim string, cols ...col) []workloads.Result {
+	names := make([]point, len(variants))
+	rows := make([][]workloads.Result, len(variants))
+	for i, r := range variants {
+		names[i], rows[i] = point{label: r.Sched}, []workloads.Result{r}
+	}
+	s.pivot(title, names, rows, append([]col{pick("cycles", 0, cycles), pick("misses", 0, misses)}, cols...), claim)
+	return variants
 }
 
 // RunReduction compares three ways of summing n values across P nodes
 // (Section 7.1): a lock around a shared accumulator, per-node partial sums
 // combined serially, and an RSM reduction region whose reconciliation
-// function does the combine.
-func (s *Suite) RunReduction(n int) []ReductionResult {
+// function does the combine.  Extra["value"] is the sum each computed.
+func (s *Suite) RunReduction(n int) []workloads.Result {
 	cfg := s.Cfg
 	want := float64(n) * float64(n-1) / 2
 
-	var out []ReductionResult
+	var out []workloads.Result
 
 	// Strategy 1: lock-protected shared accumulator.  Each node adds its
 	// chunk under the lock in batches, as a pragmatic programmer would;
 	// the lock transfer and the serialized critical sections dominate.
-	{
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.Copying)
-		total := cstar.NewVectorF64(m, "total", 1, core.Coherent(), memsys.SingleHome)
-		m.Freeze()
-		var lk tempest.SimLock
-		m.Run(func(nd *tempest.Node) {
-			lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
-			var local float64
-			for i := lo; i < hi; i++ {
-				local += float64(i)
-				nd.Compute(1)
-				// Batch into the shared total every 64 elements — the
-				// naive per-element lock would be even worse.
-				if (i-lo)%64 == 63 || i == hi-1 {
-					lk.Acquire(nd)
-					total.Set(nd, 0, total.Get(nd, 0)+local)
-					lk.Release(nd)
-					local = 0
-				}
+	m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.Copying)
+	total := cstar.NewVectorF64(m, "total", 1, core.Coherent(), memsys.SingleHome)
+	m.Freeze()
+	var lk tempest.SimLock
+	m.Run(func(nd *tempest.Node) {
+		lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
+		var local float64
+		for i := lo; i < hi; i++ {
+			local += float64(i)
+			nd.Compute(1)
+			// Batch into the shared total every 64 elements — the
+			// naive per-element lock would be even worse.
+			if (i-lo)%64 == 63 || i == hi-1 {
+				lk.Acquire(nd)
+				total.Set(nd, 0, total.Get(nd, 0)+local)
+				lk.Release(nd)
+				local = 0
 			}
-			nd.Barrier()
-		})
-		out = append(out, ReductionResult{"lock", m.MaxClock(), m.TotalCounters().Misses, total.Peek(0)})
-	}
+		}
+		nd.Barrier()
+	})
+	out = append(out, measured(m, "Reduction", "lock", cstar.Copying, map[string]float64{"value": total.Peek(0)}))
 
 	// Strategy 2: hand-written partial sums (what the paper suggests a
-	// programmer rewrites the loop into).
-	{
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.Copying)
-		red := cstar.NewReduceF64(m, "total", cstar.Copying)
+	// programmer rewrites the loop into).  Strategy 3: RSM reduction — the
+	// same source, with the memory system combining private copies at
+	// reconciliation.
+	for _, v := range []struct {
+		name string
+		sys  cstar.System
+	}{{"partials", cstar.Copying}, {"rsm-reduction", cstar.LCMmcc}} {
+		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), v.sys)
+		red := cstar.NewReduceF64(m, "total", v.sys)
 		m.Freeze()
 		m.Run(func(nd *tempest.Node) {
 			lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
@@ -77,60 +100,20 @@ func (s *Suite) RunReduction(n int) []ReductionResult {
 			}
 			red.Reduce(nd)
 		})
-		var v float64
+		var sum float64
 		m.Run(func(nd *tempest.Node) {
 			if nd.ID == 0 {
-				v = red.Value(nd)
+				sum = red.Value(nd)
 			}
 		})
-		out = append(out, ReductionResult{"partials", m.MaxClock(), m.TotalCounters().Misses, v})
+		out = append(out, measured(m, "Reduction", v.name, v.sys, map[string]float64{"value": sum}))
 	}
 
-	// Strategy 3: RSM reduction — the memory system combines private
-	// copies at reconciliation.
-	{
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.LCMmcc)
-		red := cstar.NewReduceF64(m, "total", cstar.LCMmcc)
-		m.Freeze()
-		m.Run(func(nd *tempest.Node) {
-			lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
-			for i := lo; i < hi; i++ {
-				red.Add(nd, float64(i))
-				nd.Compute(1)
-			}
-			red.Reduce(nd)
-		})
-		var v float64
-		m.Run(func(nd *tempest.Node) {
-			if nd.ID == 0 {
-				v = red.Value(nd)
-			}
-		})
-		out = append(out, ReductionResult{"rsm-reduction", m.MaxClock(), m.TotalCounters().Misses, v})
-	}
-
-	tb := stats.NewTable(
+	return s.ablation(
 		fmt.Sprintf("Ablation 7.1: global sum of %d values, P=%d (all values must equal %.0f)", n, cfg.P, want),
-		"cycles", "misses", "value")
-	for _, r := range out {
-		tb.AddRow(r.Strategy, map[string]string{
-			"cycles": stats.GroupInt(r.Cycles),
-			"misses": stats.GroupInt(r.Misses),
-			"value":  fmt.Sprintf("%.0f", r.Value),
-		})
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  paper claim: the RSM reconciliation reduction avoids the lock bottleneck and")
-	fmt.Fprintln(s.Out, "  needs no extra analysis or data structures, at cost comparable to hand-written partials.")
-	fmt.Fprintln(s.Out)
-	return out
-}
-
-// FalseSharingResult measures one system on the false-sharing kernel.
-type FalseSharingResult struct {
-	System cstar.System
-	Cycles int64
-	Misses int64
+		out, `  paper claim: the RSM reconciliation reduction avoids the lock bottleneck and
+  needs no extra analysis or data structures, at cost comparable to hand-written partials.`,
+		pick("value", 0, extra("value")))
 }
 
 // RunFalseSharing measures Section 7.4: writers updating distinct words of
@@ -142,13 +125,13 @@ type FalseSharingResult struct {
 // previous writer; under LCM the first write of the phase makes a private
 // copy and all later writes hit it, with reconciliation merging the
 // disjoint words.
-func (s *Suite) RunFalseSharing(blocks, steps int) []FalseSharingResult {
+func (s *Suite) RunFalseSharing(blocks, steps int) []workloads.Result {
 	cfg := s.Cfg
-	var out []FalseSharingResult
+	var out []workloads.Result
 	wordsPerBlock := int(bs(cfg) / 4)
 	writers := min(cfg.P, wordsPerBlock, blocks)
 	rounds := 4 * blocks // each writer revisits each block 4 times per phase
-	for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
+	for _, sys := range reportOrder {
 		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), sys)
 		v := cstar.NewVectorI32(m, "shared", blocks*wordsPerBlock, cstar.DataPolicy(sys), memsys.Interleaved)
 		m.Freeze()
@@ -165,7 +148,7 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []FalseSharingResult {
 				nd.ReconcileCopies()
 			}
 		})
-		out = append(out, FalseSharingResult{sys, m.MaxClock(), m.TotalCounters().Misses})
+		out = append(out, measured(m, "FalseSharing", sys.String(), sys, nil))
 		// Sanity: each writer hit each block rounds/blocks times per phase.
 		cstar.DrainToHome(m)
 		want := int32(steps * rounds / blocks)
@@ -175,38 +158,21 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []FalseSharingResult {
 			}
 		}
 	}
-	tb := stats.NewTable(
+	return s.ablation(
 		fmt.Sprintf("Ablation 7.4: false sharing — %d writers, %d-byte blocks, %d blocks, %d phases x %d interleaved rounds",
 			writers, bs(cfg), blocks, steps, rounds),
-		"cycles", "misses")
-	for _, r := range out {
-		tb.AddRow(r.System.String(), map[string]string{
-			"cycles": stats.GroupInt(r.Cycles),
-			"misses": stats.GroupInt(r.Misses),
-		})
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  paper claim: with private copies and word-level merge, false sharing causes no")
-	fmt.Fprintln(s.Out, "  coherence ping-pong; the invalidation protocol transfers each block per writer per step.")
-	fmt.Fprintln(s.Out)
-	return out
-}
-
-// StaleResult measures one staleness setting.
-type StaleResult struct {
-	StalePhases int
-	Cycles      int64
-	Misses      int64
-	MaxLagSeen  int
+		out, `  paper claim: with private copies and word-level merge, false sharing causes no
+  coherence ping-pong; the invalidation protocol transfers each block per writer per step.`)
 }
 
 // RunStaleData measures Section 7.5: one producer updates a field every
 // phase; the other nodes read all of it every phase.  With StalePhases=k a
 // consumer's copy survives up to k producer updates, trading staleness for
 // eliminated re-fetches — the N-body "distant elements" optimization.
-func (s *Suite) RunStaleData(words, phases int, staleness []int) []StaleResult {
+// Extra["max_lag"] is the worst staleness, in phases, a consumer read.
+func (s *Suite) RunStaleData(words, phases int, staleness []int) []workloads.Result {
 	cfg := s.Cfg
-	var out []StaleResult
+	var out []workloads.Result
 	for _, k := range staleness {
 		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.LCMmcc)
 		pol := core.Stale(k)
@@ -239,24 +205,15 @@ func (s *Suite) RunStaleData(words, phases int, staleness []int) []StaleResult {
 				maxLag = myMax
 			}
 		})
-		out = append(out, StaleResult{k, m.MaxClock(), m.TotalCounters().Misses, maxLag})
+		out = append(out, measured(m, "StaleData", fmt.Sprintf("stale=%d", k), cstar.LCMmcc,
+			map[string]float64{"max_lag": float64(maxLag)}))
 	}
-	tb := stats.NewTable(
+	return s.ablation(
 		fmt.Sprintf("Ablation 7.5: stale data — producer updates %d words over %d phases, %d consumers",
 			words, phases, cfg.P-1),
-		"cycles", "misses", "max_lag")
-	for _, r := range out {
-		tb.AddRow(fmt.Sprintf("stale=%d", r.StalePhases), map[string]string{
-			"cycles":  stats.GroupInt(r.Cycles),
-			"misses":  stats.GroupInt(r.Misses),
-			"max_lag": fmt.Sprintf("%d", r.MaxLagSeen),
-		})
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  paper claim: tolerating staleness eliminates refetches of repeatedly-updated data;")
-	fmt.Fprintln(s.Out, "  misses fall as allowed staleness grows, bounded lag in exchange.")
-	fmt.Fprintln(s.Out)
-	return out
+		out, `  paper claim: tolerating staleness eliminates refetches of repeatedly-updated data;
+  misses fall as allowed staleness grows, bounded lag in exchange.`,
+		pick("max_lag", 0, extra("max_lag")))
 }
 
 // RunAblations runs all Section 7 experiments at default sizes.

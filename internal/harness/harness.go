@@ -12,7 +12,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"lcm/internal/cstar"
 	"lcm/internal/stats"
@@ -30,10 +29,10 @@ type Suite struct {
 	Scale int
 	// Out receives the rendered tables.
 	Out io.Writer
-	// OnProgress, when non-nil, is invoked after every completed (cell,
-	// system) run of a grid campaign (see Progress).  It lets callers —
-	// cmd progress meters, the lcmd job server — stream campaign state
-	// without the harness writing anywhere but Out.
+	// OnProgress, when non-nil, is invoked after every completed run of
+	// every campaign (see Progress).  It lets callers — the lcmd job
+	// server — stream campaign state without the harness writing anywhere
+	// but Out.
 	OnProgress func(Progress)
 	// KVSkew overrides the KV cells' Zipf exponent (0 = the workload
 	// default of 0.99); KVReshard their reshard cadence in phases
@@ -128,40 +127,12 @@ func (s *Suite) KVSpec(mix string) workloads.KVSpec {
 	return p
 }
 
-var systems = []cstar.System{cstar.LCMscc, cstar.LCMmcc, cstar.Copying}
-
-// runRow runs one benchmark row under all three systems, stamping each
-// result with its host wall-clock duration for the trajectory record and
-// reporting campaign progress after each system completes.
-func (s *Suite) runRow(cell string, done *int, total int, run func(sys cstar.System) workloads.Result) map[cstar.System]workloads.Result {
-	out := make(map[cstar.System]workloads.Result, len(systems))
-	for _, sys := range systems {
-		t0 := time.Now()
-		r := run(sys)
-		r.Wall = time.Since(t0)
-		out[sys] = r
-		*done++
-		if s.OnProgress != nil {
-			s.OnProgress(Progress{
-				Cell: cell, System: sys.String(), Done: *done, Total: total,
-				SimCycles: r.Cycles, SimMisses: r.C.Misses, Wall: r.Wall, Err: r.Err,
-			})
-		}
-	}
-	return out
-}
-
-// rows runs all six benchmark rows of Table 1 / Figures 2-3.
-func (s *Suite) rows() []map[cstar.System]workloads.Result {
-	fmt.Fprintf(s.Out, "running benchmarks (P=%d, scale 1/%d)...\n", s.Cfg.P, s.Scale)
-	all, err := s.RunCells(GridCells())
-	if err != nil {
-		// GridCells are the canonical cell set; a runner error for them
-		// is a harness bug, not a configuration problem.
-		panic(err)
-	}
-	return all
-}
+// systems is the order a grid row's runs execute in; reportOrder the order
+// tables, figures and files list them in.
+var (
+	systems     = []cstar.System{cstar.LCMscc, cstar.LCMmcc, cstar.Copying}
+	reportOrder = []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc}
+)
 
 // Table1 reproduces the paper's Table 1: cache misses (in thousands) per
 // system and clean copies (in thousands) for the two LCM variants.
@@ -185,21 +156,17 @@ func (s *Suite) Table1(rows []map[cstar.System]workloads.Result) {
 // figure renders one execution-time bar group.
 func (s *Suite) figure(title string, rows []map[cstar.System]workloads.Result) {
 	fmt.Fprintln(s.Out, title)
-	var max int64
-	for _, row := range rows {
-		for _, sys := range systems {
-			if c := row[sys].Cycles; c > max {
-				max = c
-			}
-		}
+	var longest int64
+	for _, r := range Results(rows) {
+		longest = max(longest, r.Cycles)
 	}
 	for _, row := range rows {
 		base := row[cstar.Copying].Cycles
 		fmt.Fprintf(s.Out, "  %s\n", row[cstar.LCMscc].Label())
-		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
+		for _, sys := range reportOrder {
 			r := row[sys]
 			fmt.Fprintf(s.Out, "    %-8s %14s cycles  %-40s x%s vs Stache\n",
-				sys, stats.GroupInt(r.Cycles), stats.Bar(r.Cycles, max, 40),
+				sys, stats.GroupInt(r.Cycles), stats.Bar(r.Cycles, longest, 40),
 				stats.Speedup(base, r.Cycles))
 		}
 	}
@@ -220,27 +187,4 @@ func (s *Suite) Fig3(rows []map[cstar.System]workloads.Result) {
 	fmt.Fprintln(s.Out, "  paper: Adaptive-dyn ~1.9x faster under LCM-mcc; Threshold 97%/74% faster under")
 	fmt.Fprintln(s.Out, "         LCM-mcc/scc; Unstructured 19-28% faster under LCM.")
 	fmt.Fprintln(s.Out)
-}
-
-// RunPaper runs every benchmark and prints Table 1 and Figures 2 and 3.
-// It returns the raw results for further inspection.
-func (s *Suite) RunPaper() []map[cstar.System]workloads.Result {
-	return s.RunPaperSelect(true, true, true)
-}
-
-// RunPaperSelect runs the benchmarks needed by the selected artifacts and
-// prints them.  Table 1 and the figures share the same runs, so everything
-// executes once.
-func (s *Suite) RunPaperSelect(table1, fig2, fig3 bool) []map[cstar.System]workloads.Result {
-	rows := s.rows()
-	if table1 {
-		s.Table1(rows)
-	}
-	if fig2 {
-		s.Fig2(rows)
-	}
-	if fig3 {
-		s.Fig3(rows)
-	}
-	return rows
 }

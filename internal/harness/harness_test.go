@@ -19,10 +19,23 @@ func smallSuite(buf *bytes.Buffer) *Suite {
 	return s
 }
 
+// runGrid runs the six Table-1 / Figure 2-3 cells.
+func runGrid(t *testing.T, s *Suite) []map[cstar.System]workloads.Result {
+	t.Helper()
+	rows, err := s.RunCells(GridCells())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestRunPaperEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	rows := s.RunPaper()
+	rows := runGrid(t, s)
+	s.Table1(rows)
+	s.Fig2(rows)
+	s.Fig3(rows)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -53,7 +66,7 @@ func TestPaperShapeClaims(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
 	s.Scale = 8
-	rows := s.rows()
+	rows := runGrid(t, s)
 	stencilStat, stencilDyn := rows[0], rows[1]
 	adaptiveDyn := rows[3]
 	threshold, unstructured := rows[4], rows[5]
@@ -98,10 +111,10 @@ func TestReductionAblation(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatal("want 3 strategies")
 	}
-	want := res[0].Value
+	want := res[0].Extra["value"]
 	for _, r := range res {
-		if r.Value != want {
-			t.Fatalf("strategy %s result %v != %v", r.Strategy, r.Value, want)
+		if r.Extra["value"] != want {
+			t.Fatalf("strategy %s result %v != %v", r.Sched, r.Extra["value"], want)
 		}
 	}
 	// The lock must be the bottleneck; the RSM reduction competitive
@@ -123,7 +136,7 @@ func TestFalseSharingAblation(t *testing.T) {
 	if strings.Contains(buf.String(), "WARNING") {
 		t.Fatalf("false-sharing kernel lost updates:\n%s", buf.String())
 	}
-	var stache, mcc FalseSharingResult
+	var stache, mcc workloads.Result
 	for _, r := range res {
 		switch r.System {
 		case cstar.Copying:
@@ -134,7 +147,7 @@ func TestFalseSharingAblation(t *testing.T) {
 	}
 	// Invalidation coherence must transfer blocks per writer per step;
 	// LCM's private copies avoid the write-steal traffic.
-	if !(stache.Misses > 0 && mcc.Misses > 0) {
+	if !(stache.C.Misses > 0 && mcc.C.Misses > 0) {
 		t.Fatal("no traffic measured")
 	}
 	if !(mcc.Cycles < stache.Cycles) {
@@ -146,21 +159,21 @@ func TestFalseSharingAblation(t *testing.T) {
 func TestStaleDataAblation(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
-	res := s.RunStaleData(64, 12, []int{0, 2, 4})
+	staleness := []int{0, 2, 4}
+	res := s.RunStaleData(64, 12, staleness)
 	if len(res) != 3 {
 		t.Fatal("want 3 settings")
 	}
 	for i := 1; i < len(res); i++ {
-		if !(res[i].Misses < res[i-1].Misses) {
-			t.Errorf("misses should fall with staleness: %+v", res)
+		if !(res[i].C.Misses < res[i-1].C.Misses) {
+			t.Errorf("misses should fall with staleness: %d then %d", res[i-1].C.Misses, res[i].C.Misses)
 		}
-		if res[i].MaxLagSeen > res[i].StalePhases {
-			t.Errorf("staleness bound violated: lag %d > allowed %d",
-				res[i].MaxLagSeen, res[i].StalePhases)
+		if lag := int(res[i].Extra["max_lag"]); lag > staleness[i] {
+			t.Errorf("staleness bound violated: lag %d > allowed %d", lag, staleness[i])
 		}
 	}
-	if res[0].MaxLagSeen != 0 {
-		t.Errorf("stale=0 must be fresh, lag %d", res[0].MaxLagSeen)
+	if lag := res[0].Extra["max_lag"]; lag != 0 {
+		t.Errorf("stale=0 must be fresh, lag %v", lag)
 	}
 }
 
@@ -187,21 +200,16 @@ func TestBlockSizeSweep(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
 	res := s.RunBlockSizeSweep([]uint32{16, 32, 64})
-	if len(res) != 9 {
-		t.Fatalf("cells = %d, want 9", len(res))
+	if len(res) != 3 || len(res[0]) != 3 {
+		t.Fatalf("rows = %d x %d, want 3 sizes x 3 systems", len(res), len(res[0]))
 	}
 	// Larger blocks must reduce LCM-mcc misses (spatial amortization).
-	missAt := func(bsz uint32) int64 {
-		for _, r := range res {
-			if r.BlockSize == bsz && r.System == cstar.LCMmcc {
-				return r.Misses
-			}
-		}
-		return -1
+	if r := res[0][mcc]; r.System != cstar.LCMmcc || r.Err != nil {
+		t.Fatalf("row position mcc holds %v (err %v)", r.System, r.Err)
 	}
-	if !(missAt(16) > missAt(32) && missAt(32) > missAt(64)) {
-		t.Fatalf("mcc misses not monotone in block size: %d, %d, %d",
-			missAt(16), missAt(32), missAt(64))
+	m16, m32, m64 := res[0][mcc].C.Misses, res[1][mcc].C.Misses, res[2][mcc].C.Misses
+	if !(m16 > m32 && m32 > m64) {
+		t.Fatalf("mcc misses not monotone in block size: %d, %d, %d", m16, m32, m64)
 	}
 	if !strings.Contains(buf.String(), "block size") {
 		t.Fatal("missing sweep table")
@@ -212,21 +220,14 @@ func TestProcessorSweep(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
 	res := s.RunProcessorSweep([]int{2, 4, 8})
-	if len(res) != 6 {
-		t.Fatalf("cells = %d, want 6", len(res))
+	if len(res) != 3 || len(res[0]) != 2 {
+		t.Fatalf("rows = %d x %d, want 3 sizes x 2 systems", len(res), len(res[0]))
 	}
 	// More processors must shorten the run for both systems.
-	cy := func(p int, sys cstar.System) int64 {
-		for _, r := range res {
-			if r.P == p && r.System == sys {
-				return r.Cycles
-			}
-		}
-		return -1
-	}
-	for _, sys := range []cstar.System{cstar.Copying, cstar.LCMmcc} {
-		if !(cy(2, sys) > cy(4, sys) && cy(4, sys) > cy(8, sys)) {
-			t.Fatalf("%v does not scale: %d, %d, %d", sys, cy(2, sys), cy(4, sys), cy(8, sys))
+	for i, sys := range sweepPair {
+		c2, c4, c8 := res[0][i].Cycles, res[1][i].Cycles, res[2][i].Cycles
+		if res[0][i].System != sys || !(c2 > c4 && c4 > c8) {
+			t.Fatalf("%v does not scale: %d, %d, %d", sys, c2, c4, c8)
 		}
 	}
 }
@@ -241,21 +242,14 @@ func TestCommitSweep(t *testing.T) {
 	cm.LocalFill = 5000
 	s.Cfg.CostModel = &cm
 	res := s.RunCommitSweep([]int{2, 8})
-	cy := func(p int, serial bool) int64 {
-		for _, r := range res {
-			if r.P == p && r.Serial == serial {
-				return r.Cycles
-			}
-		}
-		return -1
-	}
+	const parallel, serial = 0, 1
 	// Serializing the commit must hurt, and hurt more at larger P.
-	if !(cy(8, true) > cy(8, false)) {
+	if !(res[1][serial].Cycles > res[1][parallel].Cycles) {
 		t.Fatalf("serial commit (%d) not slower than parallel (%d) at P=8",
-			cy(8, true), cy(8, false))
+			res[1][serial].Cycles, res[1][parallel].Cycles)
 	}
-	slow2 := float64(cy(2, true)) / float64(cy(2, false))
-	slow8 := float64(cy(8, true)) / float64(cy(8, false))
+	slow2 := float64(res[0][serial].Cycles) / float64(res[0][parallel].Cycles)
+	slow8 := float64(res[1][serial].Cycles) / float64(res[1][parallel].Cycles)
 	if slow8 <= slow2 {
 		t.Fatalf("bottleneck should grow with P: slowdown %0.2f at P=2, %0.2f at P=8", slow2, slow8)
 	}
@@ -265,7 +259,7 @@ func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
 	s.Cfg.Verify = false
-	rows := s.rows()
+	rows := runGrid(t, s)
 	var csv bytes.Buffer
 	if err := WriteCSV(&csv, rows); err != nil {
 		t.Fatal(err)

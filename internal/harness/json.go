@@ -71,8 +71,7 @@ type BenchRecord struct {
 	// ran ahead of the scheduler token ("on", or "off: " and the reason
 	// the machine gave), and the scheduler's grants, goroutine hand-offs
 	// and deferred applies.  Informational, like WallNS: no observable
-	// depends on them, benchdiff ignores them, and MarshalDeterministic
-	// masks them.
+	// depends on them, and MaskHostTime clears them.
 	RunAhead      string `json:"run_ahead,omitempty"`
 	SchedGrants   int64  `json:"sched_grants,omitempty"`
 	SchedHandoffs int64  `json:"sched_handoffs,omitempty"`
@@ -123,55 +122,49 @@ func benchFile(cfg workloads.Config, scale int, rows []map[cstar.System]workload
 		Scheduler: "det",
 		SchedSeed: cfg.SchedSeed,
 	}
-	for _, row := range rows {
-		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
-			r, ok := row[sys]
-			if !ok {
-				continue
-			}
-			bf.Net = r.Net
-			bf.Records = append(bf.Records, BenchRecord{
-				Workload:       r.Workload,
-				Sched:          r.Sched,
-				System:         r.System.String(),
-				WallNS:         r.Wall.Nanoseconds(),
-				SimCycles:      r.Cycles,
-				SimMisses:      r.C.Misses,
-				CleanCopies:    r.CleanCopies(),
-				Verified:       cfg.Verify && r.Err == nil,
-				NetMsgs:        r.C.Net.TotalMsgs(),
-				NetBytes:       r.C.Net.Bytes,
-				NetQueueCycles: r.C.Net.QueueCycles,
-				MaxLinkBusy:    r.Links.MaxBusy,
+	for _, r := range Results(rows) {
+		bf.Net = r.Net
+		bf.Records = append(bf.Records, BenchRecord{
+			Workload:       r.Workload,
+			Sched:          r.Sched,
+			System:         r.System.String(),
+			WallNS:         r.Wall.Nanoseconds(),
+			SimCycles:      r.Cycles,
+			SimMisses:      r.C.Misses,
+			CleanCopies:    r.CleanCopies(),
+			Verified:       cfg.Verify && r.Err == nil,
+			NetMsgs:        r.C.Net.TotalMsgs(),
+			NetBytes:       r.C.Net.Bytes,
+			NetQueueCycles: r.C.Net.QueueCycles,
+			MaxLinkBusy:    r.Links.MaxBusy,
 
-				FaultCorruptions: r.Faults.Corruptions,
-				FaultTimeouts:    r.Faults.Timeouts,
-				FaultSpikes:      r.Faults.Spikes,
-				FaultStalls:      r.Faults.Stalls,
-				FaultKills:       r.Faults.Kills,
-				Retransmits:      r.C.Net.Retransmits,
-				DupDelivered:     r.C.Net.DupDelivered,
-				ReorderHeld:      r.C.Net.ReorderHeld,
-				Checkpoints:      r.C.Checkpoints,
-				Restarts:         r.C.Restarts,
-				RehomedRegions:   r.C.Rehomings,
-				RehomedBlocks:    r.C.RehomedBlocks,
-				RecoveryCycles:   r.C.RecoveryCycles,
+			FaultCorruptions: r.Faults.Corruptions,
+			FaultTimeouts:    r.Faults.Timeouts,
+			FaultSpikes:      r.Faults.Spikes,
+			FaultStalls:      r.Faults.Stalls,
+			FaultKills:       r.Faults.Kills,
+			Retransmits:      r.C.Net.Retransmits,
+			DupDelivered:     r.C.Net.DupDelivered,
+			ReorderHeld:      r.C.Net.ReorderHeld,
+			Checkpoints:      r.C.Checkpoints,
+			Restarts:         r.C.Restarts,
+			RehomedRegions:   r.C.Rehomings,
+			RehomedBlocks:    r.C.RehomedBlocks,
+			RecoveryCycles:   r.C.RecoveryCycles,
 
-				KVOps:            r.KV.Ops,
-				KVGets:           r.KV.Gets,
-				KVPuts:           r.KV.Puts,
-				KVReshards:       r.KV.Reshards,
-				KVMigratedBlocks: r.KV.MigratedBlocks,
-				KVHotShardOps:    r.KV.HotShardOps,
-				KVAnswer:         r.KV.Answer,
+			KVOps:            r.KV.Ops,
+			KVGets:           r.KV.Gets,
+			KVPuts:           r.KV.Puts,
+			KVReshards:       r.KV.Reshards,
+			KVMigratedBlocks: r.KV.MigratedBlocks,
+			KVHotShardOps:    r.KV.HotShardOps,
+			KVAnswer:         r.KV.Answer,
 
-				RunAhead:      runAheadLabel(r.Host),
-				SchedGrants:   r.Host.Grants,
-				SchedHandoffs: r.Host.Handoffs,
-				SchedApplies:  r.Host.Applies,
-			})
-		}
+			RunAhead:      runAheadLabel(r.Host),
+			SchedGrants:   r.Host.Grants,
+			SchedHandoffs: r.Host.Handoffs,
+			SchedApplies:  r.Host.Applies,
+		})
 	}
 	return bf
 }
@@ -186,16 +179,26 @@ func WriteJSON(w io.Writer, cfg workloads.Config, scale int, rows []map[cstar.Sy
 	return enc.Encode(bf)
 }
 
-// MarshalDeterministic renders benchmark rows as BENCH_*.json bytes with
-// the timestamp left zero and wall-clock times masked, so two runs of the
-// same (workload set, P, scale, schedule seed) configuration must produce
-// byte-identical output.  The replay tests assert exactly that.
-func MarshalDeterministic(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) ([]byte, error) {
-	bf := benchFile(cfg, scale, rows)
+// MaskHostTime zeroes everything in the file that describes the host rather
+// than the simulated machine: the timestamp, and each record's wall clock,
+// run-ahead decision and scheduler tallies.  It is the one list of what is
+// host time; MarshalDeterministic and benchdiff both mask with it, so what
+// one calls deterministic the other compares.
+func (bf *BenchFile) MaskHostTime() {
+	bf.UnixNS = 0
 	for i := range bf.Records {
 		r := &bf.Records[i]
 		r.WallNS = 0
 		r.RunAhead, r.SchedGrants, r.SchedHandoffs, r.SchedApplies = "", 0, 0, 0
 	}
+}
+
+// MarshalDeterministic renders benchmark rows as BENCH_*.json bytes with
+// host time masked, so two runs of the same (workload set, P, scale,
+// schedule seed) configuration must produce byte-identical output.  The
+// replay tests assert exactly that.
+func MarshalDeterministic(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) ([]byte, error) {
+	bf := benchFile(cfg, scale, rows)
+	bf.MaskHostTime()
 	return json.MarshalIndent(bf, "", "  ")
 }

@@ -9,153 +9,62 @@ import (
 	"lcm/internal/workloads"
 )
 
-// NetSweepResult is one cell of the interconnect sensitivity sweep.
-type NetSweepResult struct {
-	// P is the machine size; CyclesPerByte the link serialization rate
-	// (higher = less bandwidth).
-	P             int
-	CyclesPerByte int64
-	System        cstar.System
-	Cycles        int64
-	Msgs          int64
-	Bytes         int64
-	QueueCycles   int64
-	MaxLinkBusy   int64
-}
+// sweepSystems are the systems a sweep compares, and cop, mcc and scc the
+// positions of their results in each row.  Most sweeps run only sweepPair,
+// the baseline against LCM-mcc.
+var (
+	sweepSystems = []cstar.System{cstar.Copying, cstar.LCMmcc, cstar.LCMscc}
+	sweepPair    = sweepSystems[:2]
+)
 
-// RunNetworkSweep runs Stencil-dyn over the fat-tree interconnect across
-// machine sizes and link bandwidths, for the Copying baseline and
-// LCM-mcc.  This is the paper's central claim as a curve: LCM moves
-// fewer and cheaper messages, so making the network a contended resource
-// (more nodes, slower links) should widen its advantage, where the flat
-// uniform model could only ever show a constant gap.
-func (s *Suite) RunNetworkSweep(ps []int, cpbs []int64) []NetSweepResult {
-	var out []NetSweepResult
-	spec := s.StencilSpec("dynamic")
+const cop, mcc, scc = 0, 1, 2
+
+func msgs(r workloads.Result) string  { return stats.GroupInt(r.C.Net.TotalMsgs()) }
+func queue(r workloads.Result) string { return stats.GroupInt(r.C.Net.QueueCycles) }
+
+// netSweep runs one cell over the fat-tree interconnect across machine
+// sizes and link bandwidths (cycles per byte: higher = less bandwidth), for
+// the Copying baseline and LCM-mcc.  This is the paper's central claim as a
+// curve: LCM moves fewer and cheaper messages, so making the network a
+// contended resource (more nodes, slower links) should widen its advantage,
+// where the flat uniform model could only ever show a constant gap.  what
+// names the cell in the title.
+func (s *Suite) netSweep(cell CellSpec, what string, ps []int, cpbs []int64, note string) [][]workloads.Result {
+	var points []point
 	for _, p := range ps {
 		for _, cpb := range cpbs {
-			for _, sys := range []cstar.System{cstar.Copying, cstar.LCMmcc} {
-				cfg := s.Cfg
+			points = append(points, point{fmt.Sprintf("P=%d cpb=%d", p, cpb), func(cfg workloads.Config) workloads.Config {
 				cfg.P = p
 				cfg.Net = &net.Config{Model: "fattree", CyclesPerByte: cpb}
-				r := workloads.RunStencil(sys, spec, cfg)
-				out = append(out, NetSweepResult{
-					P: p, CyclesPerByte: cpb, System: sys,
-					Cycles: r.Cycles,
-					Msgs:   r.C.Net.TotalMsgs(), Bytes: r.C.Net.Bytes,
-					QueueCycles: r.C.Net.QueueCycles,
-					MaxLinkBusy: r.Links.MaxBusy,
-				})
-			}
+				return cfg
+			}})
 		}
 	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Sweep: Stencil-dyn (%dx%d, %d iters) on the fat-tree interconnect",
-			spec.N, spec.N, spec.Iters),
-		"copying:cycles", "mcc:cycles", "mcc advantage",
-		"copying:msgs", "mcc:msgs", "copying:queue", "mcc:queue")
-	for _, p := range ps {
-		for _, cpb := range cpbs {
-			var cop, mcc NetSweepResult
-			for _, r := range out {
-				if r.P != p || r.CyclesPerByte != cpb {
-					continue
-				}
-				if r.System == cstar.Copying {
-					cop = r
-				} else {
-					mcc = r
-				}
-			}
-			tb.AddRow(fmt.Sprintf("P=%d cpb=%d", p, cpb), map[string]string{
-				"copying:cycles": stats.GroupInt(cop.Cycles),
-				"mcc:cycles":     stats.GroupInt(mcc.Cycles),
-				"mcc advantage":  stats.Speedup(cop.Cycles, mcc.Cycles) + "x",
-				"copying:msgs":   stats.GroupInt(cop.Msgs),
-				"mcc:msgs":       stats.GroupInt(mcc.Msgs),
-				"copying:queue":  stats.GroupInt(cop.QueueCycles),
-				"mcc:queue":      stats.GroupInt(mcc.QueueCycles),
-			})
-		}
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  with an explicit network, the baseline's larger message count turns into")
-	fmt.Fprintln(s.Out, "  queueing: LCM's advantage widens as links slow down or the machine grows")
-	fmt.Fprintln(s.Out, "  (the uniform model charged both systems the same flat per-message price).")
-	fmt.Fprintln(s.Out)
-	return out
-}
-
-// RunKVNetworkSweep runs the read-mostly KV serving cell over the
-// fat-tree interconnect across machine sizes and link bandwidths, for
-// the Copying baseline and LCM-mcc.  Serving traffic stresses the
-// network differently from the paper's kernels: Zipf skew concentrates
-// block ownership on hot shards, and each reshard epoch moves whole
-// shards between owners in a burst, so this sweep covers bursty
-// ownership migration where Stencil-dyn covers steady neighbor
-// exchange.
-func (s *Suite) RunKVNetworkSweep(ps []int, cpbs []int64) []NetSweepResult {
-	var out []NetSweepResult
-	spec := s.KVSpec("read")
-	for _, p := range ps {
-		for _, cpb := range cpbs {
-			for _, sys := range []cstar.System{cstar.Copying, cstar.LCMmcc} {
-				cfg := s.Cfg
-				cfg.P = p
-				cfg.Net = &net.Config{Model: "fattree", CyclesPerByte: cpb}
-				r := workloads.RunKV(sys, spec, cfg)
-				out = append(out, NetSweepResult{
-					P: p, CyclesPerByte: cpb, System: sys,
-					Cycles: r.Cycles,
-					Msgs:   r.C.Net.TotalMsgs(), Bytes: r.C.Net.Bytes,
-					QueueCycles: r.C.Net.QueueCycles,
-					MaxLinkBusy: r.Links.MaxBusy,
-				})
-			}
-		}
-	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Sweep: KV-read (%d keys, %d shards, skew %.2f) on the fat-tree interconnect",
-			spec.Keys, spec.Shards, spec.Skew),
-		"copying:cycles", "mcc:cycles", "mcc advantage",
-		"copying:msgs", "mcc:msgs", "copying:queue", "mcc:queue")
-	for _, p := range ps {
-		for _, cpb := range cpbs {
-			var cop, mcc NetSweepResult
-			for _, r := range out {
-				if r.P != p || r.CyclesPerByte != cpb {
-					continue
-				}
-				if r.System == cstar.Copying {
-					cop = r
-				} else {
-					mcc = r
-				}
-			}
-			tb.AddRow(fmt.Sprintf("P=%d cpb=%d", p, cpb), map[string]string{
-				"copying:cycles": stats.GroupInt(cop.Cycles),
-				"mcc:cycles":     stats.GroupInt(mcc.Cycles),
-				"mcc advantage":  stats.Speedup(cop.Cycles, mcc.Cycles) + "x",
-				"copying:msgs":   stats.GroupInt(cop.Msgs),
-				"mcc:msgs":       stats.GroupInt(mcc.Msgs),
-				"copying:queue":  stats.GroupInt(cop.QueueCycles),
-				"mcc:queue":      stats.GroupInt(mcc.QueueCycles),
-			})
-		}
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  serving traffic adds reshard bursts: every migration epoch moves whole")
-	fmt.Fprintln(s.Out, "  shards to new owners at a barrier, and the Zipf-hot shards keep a few")
-	fmt.Fprintln(s.Out, "  links busy while the rest idle — watch mcc:queue vs copying:queue.")
-	fmt.Fprintln(s.Out)
-	return out
+	return s.sweep("Sweep: "+what+" on the fat-tree interconnect", cell, points, sweepPair, []col{
+		pick("copying:cycles", cop, cycles), pick("mcc:cycles", mcc, cycles),
+		speedup("mcc advantage", cop, mcc),
+		pick("copying:msgs", cop, msgs), pick("mcc:msgs", mcc, msgs),
+		pick("copying:queue", cop, queue), pick("mcc:queue", mcc, queue),
+	}, note)
 }
 
 // DefaultNetSweep runs the network sweeps at sizes suited to the scale:
-// Stencil-dyn for steady neighbor exchange, then KV-read for bursty
-// ownership migration.
-func (s *Suite) DefaultNetSweep() []NetSweepResult {
-	out := s.RunNetworkSweep([]int{8, 16, 32}, []int64{2, 8, 32})
-	out = append(out, s.RunKVNetworkSweep([]int{8, 16, 32}, []int64{2, 8, 32})...)
-	return out
+// Stencil-dyn for steady neighbor exchange, then the read-mostly KV serving
+// cell.  Serving traffic stresses the network differently from the paper's
+// kernels: Zipf skew concentrates block ownership on hot shards, and each
+// reshard epoch moves whole shards between owners in a burst, so the second
+// sweep covers bursty ownership migration where the first covers steady
+// neighbor exchange.
+func (s *Suite) DefaultNetSweep() {
+	ps, cpbs := []int{8, 16, 32}, []int64{2, 8, 32}
+	s.netSweep(CellSpec{"Stencil", "dynamic"}, s.stencilName("dynamic"), ps, cpbs,
+		`  with an explicit network, the baseline's larger message count turns into
+  queueing: LCM's advantage widens as links slow down or the machine grows
+  (the uniform model charged both systems the same flat per-message price).`)
+	kv := s.KVSpec("read")
+	s.netSweep(CellSpec{"KV", "read"},
+		fmt.Sprintf("KV-read (%d keys, %d shards, skew %.2f)", kv.Keys, kv.Shards, kv.Skew), ps, cpbs,
+		`  serving traffic adds reshard bursts: every migration epoch moves whole
+  shards to new owners at a barrier, and the Zipf-hot shards keep a few
+  links busy while the rest idle — watch mcc:queue vs copying:queue.`)
 }

@@ -2,8 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"lcm/internal/cstar"
 	"lcm/internal/workloads"
@@ -110,64 +110,37 @@ func CellNames() []string {
 	return names
 }
 
-// Progress is one cell-completion notification delivered to
-// Suite.OnProgress: the (cell, system) run that just finished and the
-// campaign position.  SimCycles is the run's simulated execution time;
-// Wall its host cost.  Err reports a failed run (the campaign continues;
-// the caller decides whether failures are fatal).
+// Progress is one run-completion notification delivered to
+// Suite.OnProgress: the campaign position and the run that just finished,
+// with its host cost in Wall.  A failed run carries its Err; the campaign
+// continues, and the caller decides whether failures are fatal.
 type Progress struct {
-	Cell   string
-	System string
-	Done   int
-	Total  int
-
-	SimCycles int64
-	SimMisses int64
-	Wall      time.Duration
-	Err       error
+	Cell        string
+	Done, Total int
+	Result      workloads.Result
 }
 
-// runner returns the function executing one cell under one system, or an
-// error for an unknown cell.
-func (s *Suite) runner(c CellSpec) (func(sys cstar.System) workloads.Result, error) {
-	switch c.Workload {
-	case "Stencil":
-		if c.Sched != "static" && c.Sched != "dynamic" {
-			return nil, fmt.Errorf("cell %s: Stencil needs a static or dynamic schedule", c.Label())
+// Run executes one cell under one memory system and machine configuration.
+// It is the one place a cell name meets its workload: every campaign, and
+// the tools that run a single cell, resolve through it.  A cell that is not
+// one of AllCells comes back as a failed result.
+func (s *Suite) Run(c CellSpec, sys cstar.System, cfg workloads.Config) workloads.Result {
+	if slices.Contains(AllCells(), c) {
+		switch c.Workload {
+		case "Stencil":
+			return workloads.RunStencil(sys, s.StencilSpec(c.Sched), cfg)
+		case "Adaptive":
+			return workloads.RunAdaptive(sys, s.AdaptiveSpec(c.Sched), cfg)
+		case "Threshold":
+			return workloads.RunThreshold(sys, s.ThresholdSpec(), cfg)
+		case "Unstructured":
+			return workloads.RunUnstructured(sys, s.UnstructuredSpec(), cfg)
+		case "KV":
+			return workloads.RunKV(sys, s.KVSpec(c.Sched), cfg)
 		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunStencil(sys, s.StencilSpec(c.Sched), s.Cfg)
-		}, nil
-	case "Adaptive":
-		if c.Sched != "static" && c.Sched != "dynamic" {
-			return nil, fmt.Errorf("cell %s: Adaptive needs a static or dynamic schedule", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunAdaptive(sys, s.AdaptiveSpec(c.Sched), s.Cfg)
-		}, nil
-	case "Threshold":
-		if c.Sched != "" {
-			return nil, fmt.Errorf("cell %s: Threshold has no schedule variants", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunThreshold(sys, s.ThresholdSpec(), s.Cfg)
-		}, nil
-	case "Unstructured":
-		if c.Sched != "" {
-			return nil, fmt.Errorf("cell %s: Unstructured has no schedule variants", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunUnstructured(sys, s.UnstructuredSpec(), s.Cfg)
-		}, nil
-	case "KV":
-		if c.Sched != "read" && c.Sched != "write" {
-			return nil, fmt.Errorf("cell %s: KV needs a read or write mix", c.Label())
-		}
-		return func(sys cstar.System) workloads.Result {
-			return workloads.RunKV(sys, s.KVSpec(c.Sched), s.Cfg)
-		}, nil
 	}
-	return nil, fmt.Errorf("unknown workload %q in cell %s", c.Workload, c.Label())
+	return workloads.Result{Workload: c.Workload, Sched: c.Sched, System: sys,
+		Err: &UnknownCellError{Name: c.Label(), Known: CellNames()}}
 }
 
 // RunCells runs the given grid cells under all three memory systems,
@@ -176,19 +149,33 @@ func (s *Suite) runner(c CellSpec) (func(sys cstar.System) workloads.Result, err
 // system to its measurements, exactly as the whole-grid campaign produces
 // them.  An unknown cell is an error before anything runs.
 func (s *Suite) RunCells(cells []CellSpec) ([]map[cstar.System]workloads.Result, error) {
-	runs := make([]func(sys cstar.System) workloads.Result, len(cells))
-	for i, c := range cells {
-		run, err := s.runner(c)
-		if err != nil {
-			return nil, err
+	for _, c := range cells {
+		if !slices.Contains(AllCells(), c) {
+			return nil, &UnknownCellError{Name: c.Label(), Known: CellNames()}
 		}
-		runs[i] = run
 	}
-	total := len(cells) * len(systems)
-	done := 0
 	rows := make([]map[cstar.System]workloads.Result, len(cells))
-	for i := range cells {
-		rows[i] = s.runRow(cells[i].Label(), &done, total, runs[i])
+	for i, group := range s.walk(campaign{cells: cells, systems: systems, points: []point{identity}}) {
+		row := i / len(systems) // one group per (cell, system)
+		if rows[row] == nil {
+			rows[row] = make(map[cstar.System]workloads.Result, len(systems))
+		}
+		rows[row][group[0].System] = group[0]
 	}
 	return rows, nil
+}
+
+// Results flattens campaign rows into the order every sink writes them in:
+// row by row, and within a row copying, lcm-scc, lcm-mcc, passing over a
+// system the row did not run.
+func Results(rows []map[cstar.System]workloads.Result) []workloads.Result {
+	out := make([]workloads.Result, 0, len(rows)*len(reportOrder))
+	for _, row := range rows {
+		for _, sys := range reportOrder {
+			if r, ok := row[sys]; ok {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }

@@ -19,170 +19,65 @@ import (
 // of each block exist and flushes arrive spread out — the sweep checks
 // that reconcile cost grows gracefully with P).
 
-// BlockSizeResult is one cell of the block-size sweep.
-type BlockSizeResult struct {
-	BlockSize uint32
-	System    cstar.System
-	Cycles    int64
-	Misses    int64
+// stencilName renders the Stencil cell a sweep runs for its title, e.g.
+// "Stencil-stat (64x64, 3 iters)".
+func (s *Suite) stencilName(sched string) string {
+	spec := s.StencilSpec(sched)
+	return fmt.Sprintf("%s (%dx%d, %d iters)",
+		workloads.Result{Workload: "Stencil", Sched: sched}.Label(), spec.N, spec.N, spec.Iters)
 }
+
+func missesK(r workloads.Result) string   { return stats.Thousands(r.C.Misses) + "k" }
+func evictions(r workloads.Result) string { return stats.GroupInt(r.C.Evictions) }
 
 // RunBlockSizeSweep runs the Stencil benchmark across block sizes for all
 // three systems.
-func (s *Suite) RunBlockSizeSweep(sizes []uint32) []BlockSizeResult {
-	var out []BlockSizeResult
-	spec := s.StencilSpec("static")
-	for _, bsz := range sizes {
-		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
-			cfg := s.Cfg
-			cfg.BlockSize = bsz
-			r := workloads.RunStencil(sys, spec, cfg)
-			out = append(out, BlockSizeResult{bsz, sys, r.Cycles, r.C.Misses})
-		}
-	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Sweep: Stencil-stat (%dx%d, %d iters) vs block size",
-			spec.N, spec.N, spec.Iters),
-		"copying:cycles", "scc:cycles", "mcc:cycles", "scc:miss", "mcc:miss")
-	for _, bsz := range sizes {
-		row := map[string]string{}
-		for _, r := range out {
-			if r.BlockSize != bsz {
-				continue
-			}
-			switch r.System {
-			case cstar.Copying:
-				row["copying:cycles"] = stats.GroupInt(r.Cycles)
-			case cstar.LCMscc:
-				row["scc:cycles"] = stats.GroupInt(r.Cycles)
-				row["scc:miss"] = stats.Thousands(r.Misses) + "k"
-			case cstar.LCMmcc:
-				row["mcc:cycles"] = stats.GroupInt(r.Cycles)
-				row["mcc:miss"] = stats.Thousands(r.Misses) + "k"
-			}
-		}
-		tb.AddRow(fmt.Sprintf("%dB blocks", bsz), row)
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  larger blocks amortize fetches for all systems; the scc/mcc gap tracks the")
-	fmt.Fprintln(s.Out, "  spatial reuse a local clean copy preserves across flushed invocations.")
-	fmt.Fprintln(s.Out)
-	return out
+func (s *Suite) RunBlockSizeSweep(sizes []uint32) [][]workloads.Result {
+	points := axis(sizes, "%dB blocks", func(cfg *workloads.Config, bsz uint32) { cfg.BlockSize = bsz })
+	return s.sweep("Sweep: "+s.stencilName("static")+" vs block size",
+		CellSpec{"Stencil", "static"}, points, sweepSystems, []col{
+			pick("copying:cycles", cop, cycles), pick("scc:cycles", scc, cycles), pick("mcc:cycles", mcc, cycles),
+			pick("scc:miss", scc, missesK), pick("mcc:miss", mcc, missesK),
+		}, `  larger blocks amortize fetches for all systems; the scc/mcc gap tracks the
+  spatial reuse a local clean copy preserves across flushed invocations.`)
 }
 
-// ScaleResult is one cell of the processor-count sweep.
-type ScaleResult struct {
-	P      int
-	System cstar.System
-	Cycles int64
+// RunProcessorSweep runs Stencil-dyn across machine sizes, under the
+// Copying baseline and LCM-mcc.
+func (s *Suite) RunProcessorSweep(ps []int) [][]workloads.Result {
+	return s.sweep("Sweep: "+s.stencilName("dynamic")+" vs processors",
+		CellSpec{"Stencil", "dynamic"}, machineSizes(ps), sweepPair, []col{
+			pick("copying:cycles", cop, cycles), pick("mcc:cycles", mcc, cycles),
+			speedup("mcc speedup over copying", cop, mcc),
+		}, `  both systems scale; LCM's reconciliation commits in parallel at the homes, so
+  it does not become the serialization point the paper's Section 5.1 worries about.`)
 }
 
-// RunProcessorSweep runs Stencil-dyn across machine sizes.
-func (s *Suite) RunProcessorSweep(ps []int) []ScaleResult {
-	var out []ScaleResult
-	spec := s.StencilSpec("dynamic")
-	for _, p := range ps {
-		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMmcc} {
-			cfg := s.Cfg
-			cfg.P = p
-			r := workloads.RunStencil(sys, spec, cfg)
-			out = append(out, ScaleResult{p, sys, r.Cycles})
-		}
-	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Sweep: Stencil-dyn (%dx%d, %d iters) vs processors",
-			spec.N, spec.N, spec.Iters),
-		"copying:cycles", "mcc:cycles", "mcc speedup over copying")
-	for _, p := range ps {
-		var cop, mcc int64
-		for _, r := range out {
-			if r.P != p {
-				continue
-			}
-			if r.System == cstar.Copying {
-				cop = r.Cycles
-			} else {
-				mcc = r.Cycles
-			}
-		}
-		tb.AddRow(fmt.Sprintf("P=%d", p), map[string]string{
-			"copying:cycles":           stats.GroupInt(cop),
-			"mcc:cycles":               stats.GroupInt(mcc),
-			"mcc speedup over copying": stats.Speedup(cop, mcc) + "x",
-		})
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  both systems scale; LCM's reconciliation commits in parallel at the homes, so")
-	fmt.Fprintln(s.Out, "  it does not become the serialization point the paper's Section 5.1 worries about.")
-	fmt.Fprintln(s.Out)
-	return out
+// machineSizes is the processor-count axis: one point per P.
+func machineSizes(ps []int) []point {
+	return axis(ps, "P=%d", func(cfg *workloads.Config, p int) { cfg.P = p })
 }
 
-// CacheResult is one cell of the cache-capacity sweep.
-type CacheResult struct {
-	// Lines is the per-node cache capacity in blocks (0 = unbounded).
-	Lines  int
-	System cstar.System
-	Cycles int64
-	Evict  int64
-}
-
-// RunCacheSweep runs Stencil-stat with bounded per-node caches.  The paper
-// notes that Stache's huge static-partition advantage depends on keeping
-// whole chunk interiors resident: "On a machine with a limited cache ...
-// the first version's [dynamic] performance is likely to be more typical."
-// Shrinking the cache below the working set makes the baseline refetch its
-// chunk every iteration, eroding exactly that advantage.
-func (s *Suite) RunCacheSweep(lines []int) []CacheResult {
-	var out []CacheResult
-	spec := s.StencilSpec("static")
-	for _, lns := range lines {
-		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMmcc} {
-			cfg := s.Cfg
-			cfg.CacheLines = lns
-			r := workloads.RunStencil(sys, spec, cfg)
-			out = append(out, CacheResult{lns, sys, r.Cycles, r.C.Evictions})
+// RunCacheSweep runs Stencil-stat with per-node caches bounded to the given
+// capacities in blocks (0 = unbounded).  The paper notes that Stache's huge
+// static-partition advantage depends on keeping whole chunk interiors
+// resident: "On a machine with a limited cache ... the first version's
+// [dynamic] performance is likely to be more typical."  Shrinking the cache
+// below the working set makes the baseline refetch its chunk every
+// iteration, eroding exactly that advantage.
+func (s *Suite) RunCacheSweep(lines []int) [][]workloads.Result {
+	points := axis(lines, "%d blocks", func(cfg *workloads.Config, lns int) { cfg.CacheLines = lns })
+	for i, lns := range lines {
+		if lns == 0 {
+			points[i].label = "unbounded"
 		}
 	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Sweep: Stencil-stat (%dx%d, %d iters) vs per-node cache capacity",
-			spec.N, spec.N, spec.Iters),
-		"copying:cycles", "mcc:cycles", "stache advantage", "copying:evict")
-	for _, lns := range lines {
-		var cop, mcc CacheResult
-		for _, r := range out {
-			if r.Lines != lns {
-				continue
-			}
-			if r.System == cstar.Copying {
-				cop = r
-			} else {
-				mcc = r
-			}
-		}
-		name := "unbounded"
-		if lns > 0 {
-			name = fmt.Sprintf("%d blocks", lns)
-		}
-		tb.AddRow(name, map[string]string{
-			"copying:cycles":   stats.GroupInt(cop.Cycles),
-			"mcc:cycles":       stats.GroupInt(mcc.Cycles),
-			"stache advantage": stats.Speedup(mcc.Cycles, cop.Cycles) + "x",
-			"copying:evict":    stats.GroupInt(cop.Evict),
-		})
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  the baseline's static-partition advantage shrinks as the cache stops holding")
-	fmt.Fprintln(s.Out, "  chunk interiors across iterations (paper Section 6.3's caveat).")
-	fmt.Fprintln(s.Out)
-	return out
-}
-
-// CommitResult is one cell of the commit-strategy sweep.
-type CommitResult struct {
-	P      int
-	Serial bool
-	Cycles int64
+	return s.sweep("Sweep: "+s.stencilName("static")+" vs per-node cache capacity",
+		CellSpec{"Stencil", "static"}, points, sweepPair, []col{
+			pick("copying:cycles", cop, cycles), pick("mcc:cycles", mcc, cycles),
+			speedup("stache advantage", mcc, cop), pick("copying:evict", cop, evictions),
+		}, `  the baseline's static-partition advantage shrinks as the cache stops holding
+  chunk interiors across iterations (paper Section 6.3's caveat).`)
 }
 
 // RunCommitSweep contrasts LCM's parallel per-home reconciliation commit
@@ -190,51 +85,25 @@ type CommitResult struct {
 // worries that "reconciliation occurs at the home location of a modified
 // block ... [which] poses a potential bottleneck for systems with many
 // processors" and then argues it is unlikely to matter; the sweep
-// quantifies that argument.
-func (s *Suite) RunCommitSweep(ps []int) []CommitResult {
-	var out []CommitResult
+// quantifies that argument.  A row holds the parallel run, then the serial.
+func (s *Suite) RunCommitSweep(ps []int) [][]workloads.Result {
 	spec := s.StencilSpec("static")
-	for _, p := range ps {
-		for _, serial := range []bool{false, true} {
-			cfg := s.Cfg
-			cfg.P = p
-			mode := core.CommitHomeParallel
-			if serial {
-				mode = core.CommitSerial
-			}
-			r := runStencilWithCommitMode(spec, cfg, mode)
-			out = append(out, CommitResult{p, serial, r.Cycles})
+	points := machineSizes(ps)
+	rows := make([][]workloads.Result, len(points))
+	for i, pt := range points {
+		for _, mode := range []core.CommitMode{core.CommitHomeParallel, core.CommitSerial} {
+			rows[i] = append(rows[i], runStencilWithCommitMode(spec, pt.apply(s.Cfg), mode))
 		}
 	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Sweep: LCM-mcc Stencil-stat (%dx%d, %d iters) commit strategy",
-			spec.N, spec.N, spec.Iters),
-		"parallel:cycles", "serial:cycles", "serial slowdown")
-	for _, p := range ps {
-		var par, ser int64
-		for _, r := range out {
-			if r.P != p {
-				continue
-			}
-			if r.Serial {
-				ser = r.Cycles
-			} else {
-				par = r.Cycles
-			}
-		}
-		tb.AddRow(fmt.Sprintf("P=%d", p), map[string]string{
-			"parallel:cycles": stats.GroupInt(par),
-			"serial:cycles":   stats.GroupInt(ser),
-			"serial slowdown": stats.Speedup(ser, par) + "x",
-		})
-	}
-	fmt.Fprintln(s.Out, tb.String())
-	fmt.Fprintln(s.Out, "  even fully serialized, commit work is ~1% of a phase at realistic costs —")
-	fmt.Fprintln(s.Out, "  confirming Section 5.1's argument that reconciliation is unlikely to bottleneck")
-	fmt.Fprintln(s.Out, "  (few copies per block, flushes spread out); the slowdown appears, and grows")
-	fmt.Fprintln(s.Out, "  with P, only when per-block commit work is inflated (see the harness tests).")
-	fmt.Fprintln(s.Out)
-	return out
+	const parallel, serial = 0, 1
+	s.pivot("Sweep: LCM-mcc "+s.stencilName("static")+" commit strategy", points, rows, []col{
+		pick("parallel:cycles", parallel, cycles), pick("serial:cycles", serial, cycles),
+		speedup("serial slowdown", serial, parallel),
+	}, `  even fully serialized, commit work is ~1% of a phase at realistic costs —
+  confirming Section 5.1's argument that reconciliation is unlikely to bottleneck
+  (few copies per block, flushes spread out); the slowdown appears, and grows
+  with P, only when per-block commit work is inflated (see the harness tests).`)
+	return rows
 }
 
 // runStencilWithCommitMode reimplements just enough of the stencil loop to
@@ -263,10 +132,7 @@ func runStencilWithCommitMode(spec workloads.StencilSpec, cfg workloads.Config, 
 			cstar.EndParallel(n)
 		}
 	})
-	res := workloads.Result{Workload: "Stencil", System: cstar.LCMmcc}
-	res.Cycles = m.MaxClock()
-	res.C = m.TotalCounters()
-	return res
+	return measured(m, "Stencil", "static", cstar.LCMmcc, nil)
 }
 
 // RunSweeps runs the extension sweeps at sizes suited to the suite scale.

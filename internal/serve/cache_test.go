@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +128,38 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestNormalizeRejectsBadSpecs(t *testing.T) {
+	// A field the kind never reads is refused by name, so it cannot give
+	// one campaign two cache keys.
+	for _, c := range []struct {
+		sp    JobSpec
+		field string
+	}{
+		{JobSpec{Kind: "chaos", Cells: []string{"Threshold"}}, "cells"},
+		{JobSpec{Kind: "netsweep", Cells: []string{"Threshold"}}, "cells"},
+		{JobSpec{Kind: "check", Cells: []string{"Threshold"}}, "cells"},
+		{JobSpec{Kind: "grid", Seeds: []uint64{1}}, "seeds"},
+		{JobSpec{Kind: "chaos", Seeds: []uint64{1}}, "seeds"},
+		{JobSpec{Kind: "grid", Protocol: "scc"}, "protocol"},
+		{JobSpec{Kind: "recovery", Nodes: 2}, "nodes"},
+		{JobSpec{Kind: "netsweep", Blocks: 2}, "blocks"},
+		{JobSpec{Kind: "chaos", Script: "mixed"}, "script"},
+		{JobSpec{Kind: "grid", MaxSchedules: 100}, "max_schedules"},
+		{JobSpec{Kind: "chaos", KVSkew: 1.2}, "kv_skew"},
+		{JobSpec{Kind: "recovery", KVReshard: 2}, "kv_reshard"},
+		{JobSpec{Kind: "check", KVSkew: 1.2}, "kv_skew"},
+		{JobSpec{Kind: "netsweep", FaultPlan: "light"}, "fault_plan"},
+		{JobSpec{Kind: "check", FaultPlan: "light"}, "fault_plan"},
+	} {
+		spec := c.sp
+		err := spec.Normalize()
+		if err == nil || !strings.HasPrefix(err.Error(), c.field+" applies only to ") || !strings.Contains(err.Error(), "not to a "+c.sp.Kind+" job") {
+			t.Errorf("Normalize(%+v) = %v, want an error naming %s and %s", c.sp, err, c.field, c.sp.Kind)
+		}
+	}
+	// The KV knobs are read by the kinds that run KV cells.
+	for _, sp := range []JobSpec{{Kind: "grid", KVSkew: 1.2}, {Kind: "netsweep", KVReshard: 2}} {
+		normalized(t, sp)
+	}
 	bad := []JobSpec{
 		{Kind: "nope"},
 		{Kind: "grid", Cells: []string{"Mandelbrot"}},

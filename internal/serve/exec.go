@@ -60,47 +60,34 @@ func buildConfig(sp JobSpec) workloads.Config {
 	return cfg
 }
 
-// chaosPlans resolves a chaos fault-plan name ("" = all defaults).
-func chaosPlans(name string) ([]harness.ChaosPlan, error) {
+// faultPlans resolves a chaos or recovery job's fault-plan name against
+// that kind's default plans ("" = all of them).
+func faultPlans(kind, name string) ([]harness.FaultPlan, error) {
 	all := harness.DefaultChaosPlans()
+	if kind == "recovery" {
+		all = harness.DefaultRecoveryPlans()
+	}
 	if name == "" {
 		return all, nil
 	}
 	for _, p := range all {
 		if p.Name == name {
-			return []harness.ChaosPlan{p}, nil
+			return []harness.FaultPlan{p}, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown chaos fault_plan %q", name)
-}
-
-// recoveryPlans resolves a recovery plan name ("" = all defaults).
-func recoveryPlans(name string) ([]harness.RecoveryPlan, error) {
-	all := harness.DefaultRecoveryPlans()
-	if name == "" {
-		return all, nil
-	}
-	for _, p := range all {
-		if p.Name == name {
-			return []harness.RecoveryPlan{p}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown recovery fault_plan %q", name)
+	return nil, fmt.Errorf("unknown %s fault_plan %q", kind, name)
 }
 
 // checkSystems resolves a model-checker protocol selector.
 func checkSystems(name string) ([]cstar.System, error) {
-	switch name {
-	case "", "all":
+	if name == "" || name == "all" {
 		return []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc}, nil
-	case "copying":
-		return []cstar.System{cstar.Copying}, nil
-	case "scc":
-		return []cstar.System{cstar.LCMscc}, nil
-	case "mcc":
-		return []cstar.System{cstar.LCMmcc}, nil
 	}
-	return nil, fmt.Errorf("unknown protocol %q (want copying, scc, mcc or all)", name)
+	sys, err := cstar.ParseSystem(name)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: %v, or all", err)
+	}
+	return []cstar.System{sys}, nil
 }
 
 // verdict is the deterministic result body of chaos and recovery jobs:
@@ -161,6 +148,13 @@ func (s *Server) execute(j *Job) {
 	suite.KVSkew = sp.KVSkew
 	suite.KVReshard = sp.KVReshard
 
+	suite.OnProgress = func(p harness.Progress) {
+		j.publish(Event{
+			Event: "cell", Cell: p.Cell, System: p.Result.System.String(),
+			Done: p.Done, Total: p.Total, SimCycles: p.Result.Cycles,
+		})
+	}
+
 	var body []byte
 	ctype := "application/json"
 	var err error
@@ -171,27 +165,21 @@ func (s *Server) execute(j *Job) {
 	case "netsweep":
 		suite.DefaultNetSweep()
 		body, ctype = out.Bytes(), "text/plain; charset=utf-8"
-	case "chaos":
-		plans, _ := chaosPlans(sp.FaultPlan)
+	case "chaos", "recovery":
+		plans, _ := faultPlans(sp.Kind, sp.FaultPlan)
 		names := make([]string, len(plans))
 		for i, p := range plans {
 			names[i] = p.Name
 		}
-		cerr := suite.RunChaos(plans)
-		body, err = json.MarshalIndent(verdict{
-			Schema: "lcmd-chaos/1", Kind: sp.Kind, P: sp.P, Scale: sp.Scale,
-			Plans: names, OK: cerr == nil, Failures: failureLines(cerr),
-		}, "", "  ")
-	case "recovery":
-		plans, _ := recoveryPlans(sp.FaultPlan)
-		names := make([]string, len(plans))
-		for i, p := range plans {
-			names[i] = p.Name
+		var ferr error
+		if sp.Kind == "chaos" {
+			ferr = suite.RunChaos(plans)
+		} else {
+			ferr = suite.RunRecovery(plans, sp.Seeds)
 		}
-		rerr := suite.RunRecovery(plans, sp.Seeds)
 		body, err = json.MarshalIndent(verdict{
-			Schema: "lcmd-recovery/1", Kind: sp.Kind, P: sp.P, Scale: sp.Scale,
-			Plans: names, Seeds: sp.Seeds, OK: rerr == nil, Failures: failureLines(rerr),
+			Schema: "lcmd-" + sp.Kind + "/1", Kind: sp.Kind, P: sp.P, Scale: sp.Scale,
+			Plans: names, Seeds: sp.Seeds, OK: ferr == nil, Failures: failureLines(ferr),
 		}, "", "  ")
 	case "check":
 		body, err = runCheck(sp)
@@ -225,32 +213,20 @@ func (s *Server) runGrid(j *Job, suite *harness.Suite, sp JobSpec) ([]byte, erro
 			cells = append(cells, c)
 		}
 	}
-	suite.OnProgress = func(p harness.Progress) {
-		j.publish(Event{
-			Event: "cell", Cell: p.Cell, System: p.System,
-			Done: p.Done, Total: p.Total, SimCycles: p.SimCycles,
-		})
-	}
 	rows, err := suite.RunCells(cells)
 	if err != nil {
 		return nil, err
 	}
 	var failures []string
 	var samples []RecordSample
-	for _, row := range rows {
-		for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
-			r, ok := row[sys]
-			if !ok {
-				continue
-			}
-			if r.Err != nil {
-				failures = append(failures, fmt.Sprintf("%s/%s: %v", r.Label(), r.System, r.Err))
-			}
-			samples = append(samples, RecordSample{
-				Job: j.ID, Workload: r.Workload, Sched: r.Sched,
-				System: r.System.String(), SimCycles: r.Cycles, C: r.C, Host: r.Host,
-			})
+	for _, r := range harness.Results(rows) {
+		if r.Err != nil {
+			failures = append(failures, fmt.Sprintf("%s/%s: %v", r.Label(), r.System, r.Err))
 		}
+		samples = append(samples, RecordSample{
+			Job: j.ID, Workload: r.Workload, Sched: r.Sched,
+			System: r.System.String(), SimCycles: r.Cycles, C: r.C, Host: r.Host,
+		})
 	}
 	s.stats.AddRecords(samples)
 	if len(failures) > 0 {
@@ -262,40 +238,25 @@ func (s *Server) runGrid(j *Job, suite *harness.Suite, sp JobSpec) ([]byte, erro
 // runCheck explores the model-checker tuple and renders its report.
 func runCheck(sp JobSpec) ([]byte, error) {
 	systems, _ := checkSystems(sp.Protocol)
-	var scripts []check.Script
-	for _, sc := range check.Scripts(sp.Nodes, sp.Blocks) {
-		if sp.Script == "" || sc.Name == sp.Script {
-			scripts = append(scripts, sc)
-		}
-	}
-	if len(scripts) == 0 {
-		return nil, fmt.Errorf("no model-check script named %q", sp.Script)
-	}
-	maxSchedules := sp.MaxSchedules
-	if maxSchedules < 0 {
-		maxSchedules = 0 // negative requests exhaustion
+	base := check.Config{Nodes: sp.Nodes, Blocks: sp.Blocks, MaxSchedules: sp.MaxSchedules}
+	if base.MaxSchedules < 0 {
+		base.MaxSchedules = 0 // negative requests exhaustion
 	}
 	report := checkReport{Schema: "lcmd-check/1", Nodes: sp.Nodes, Blocks: sp.Blocks, OK: true}
-	for _, sys := range systems {
-		for _, sc := range scripts {
-			res, err := check.Explore(check.Config{
-				System: sys, Nodes: sp.Nodes, Blocks: sp.Blocks,
-				Script: sc, MaxSchedules: maxSchedules,
-			})
-			if err != nil {
-				return nil, err
-			}
-			oc := checkOutcome{
-				System: sys.String(), Script: sc.Name,
-				Schedules: res.Schedules, Pruned: res.Pruned, Exhausted: res.Exhausted,
-			}
-			if res.Violation != nil {
-				oc.Violation = res.Violation.Err.Error()
-				oc.Path = res.Violation.Path
-				report.OK = false
-			}
-			report.Outcomes = append(report.Outcomes, oc)
+	err := check.ExploreAll(base, systems, sp.Script, func(cfg check.Config, res check.Result) {
+		oc := checkOutcome{
+			System: cfg.System.String(), Script: cfg.Script.Name,
+			Schedules: res.Schedules, Pruned: res.Pruned, Exhausted: res.Exhausted,
 		}
+		if res.Violation != nil {
+			oc.Violation = res.Violation.Err.Error()
+			oc.Path = res.Violation.Path
+			report.OK = false
+		}
+		report.Outcomes = append(report.Outcomes, oc)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return json.MarshalIndent(report, "", "  ")
 }

@@ -6,25 +6,25 @@ import (
 )
 
 func TestPlanAndProtocolSelectors(t *testing.T) {
-	if plans, err := chaosPlans(""); err != nil || len(plans) < 2 {
-		t.Errorf("chaosPlans(\"\") = %d plans, %v; want all defaults", len(plans), err)
+	if plans, err := faultPlans("chaos", ""); err != nil || len(plans) < 2 {
+		t.Errorf("faultPlans(chaos, \"\") = %d plans, %v; want all defaults", len(plans), err)
 	}
-	if plans, err := chaosPlans("heavy"); err != nil || len(plans) != 1 || plans[0].Name != "heavy" {
-		t.Errorf("chaosPlans(heavy) = %v, %v", plans, err)
+	if plans, err := faultPlans("chaos", "heavy"); err != nil || len(plans) != 1 || plans[0].Name != "heavy" {
+		t.Errorf("faultPlans(chaos, heavy) = %v, %v", plans, err)
 	}
-	if _, err := chaosPlans("zap"); err == nil {
-		t.Errorf("chaosPlans accepted an unknown plan")
+	if plans, err := faultPlans("recovery", ""); err != nil || len(plans) < 2 {
+		t.Errorf("faultPlans(recovery, \"\") = %d plans, %v; want all defaults", len(plans), err)
 	}
-	if plans, err := recoveryPlans(""); err != nil || len(plans) < 2 {
-		t.Errorf("recoveryPlans(\"\") = %d plans, %v; want all defaults", len(plans), err)
+	if plans, err := faultPlans("recovery", "dup-storm"); err != nil || len(plans) != 1 || plans[0].Name != "dup-storm" || !plans[0].Recover {
+		t.Errorf("faultPlans(recovery, dup-storm) = %v, %v", plans, err)
 	}
-	if plans, err := recoveryPlans("dup-storm"); err != nil || len(plans) != 1 || plans[0].Name != "dup-storm" {
-		t.Errorf("recoveryPlans(dup-storm) = %v, %v", plans, err)
+	// An unknown name is refused, another kind's plan included.
+	for _, c := range [][2]string{{"chaos", "zap"}, {"recovery", "zap"}, {"chaos", "dup-storm"}, {"recovery", "heavy"}} {
+		if _, err := faultPlans(c[0], c[1]); err == nil {
+			t.Errorf("faultPlans(%s, %s) accepted an unknown plan", c[0], c[1])
+		}
 	}
-	if _, err := recoveryPlans("zap"); err == nil {
-		t.Errorf("recoveryPlans accepted an unknown plan")
-	}
-	for name, n := range map[string]int{"": 3, "all": 3, "copying": 1, "scc": 1, "mcc": 1} {
+	for name, n := range map[string]int{"": 3, "all": 3, "copying": 1, "scc": 1, "mcc": 1, "lcm-scc": 1, "lcm-mcc": 1} {
 		systems, err := checkSystems(name)
 		if err != nil || len(systems) != n {
 			t.Errorf("checkSystems(%q) = %d systems, %v; want %d", name, len(systems), err, n)

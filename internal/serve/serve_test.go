@@ -482,6 +482,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{`{"kind":"grid","surprise":true}`, `unknown field \"surprise\"`},
 		{`{"kind":"grid","par":4}`, `unknown field \"par\"`},
 		{`{"kind":"grid","scheduler":"freerun"}`, `scheduler must be det, got \"freerun\"`},
+		{`{"kind":"chaos","cells":["Threshold"]}`, `cells applies only to grid jobs, not to a chaos job`},
+		{`{"kind":"grid","fault_plan":"light"}`, `fault_plan applies only to chaos and recovery jobs, not to a grid job`},
+		{`{"kind":"recovery","kv_skew":1.2}`, `kv_skew applies only to grid and netsweep jobs, not to a recovery job`},
 		{`not json`, ""},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))

@@ -18,6 +18,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"lcm/internal/cost"
 	"lcm/internal/harness"
@@ -28,6 +30,7 @@ import (
 // tuple plus host-side execution knobs.  The zero value of every field
 // means "the default", so a spec with explicit defaults and one that
 // omits them normalize to the same tuple and hit the same cache entry.
+// A field set for a kind that never reads it is refused (Normalize).
 type JobSpec struct {
 	// Kind selects the campaign: "grid" (Table-1 cells), "netsweep"
 	// (interconnect sensitivity sweep), "chaos" (fault-injection
@@ -106,6 +109,28 @@ func (sp *JobSpec) Normalize() error {
 	if !validKinds[sp.Kind] {
 		return fmt.Errorf("unknown kind %q (want grid, netsweep, chaos, recovery or check)", sp.Kind)
 	}
+	// A field the kind never reads would still shape the cache key, so two
+	// specs that run the same thing could get two keys: refuse it.
+	for _, f := range []struct {
+		name  string
+		set   bool
+		kinds []string // the kinds that read the field
+	}{
+		{"cells", len(sp.Cells) > 0, []string{"grid"}},
+		{"kv_skew", sp.KVSkew != 0, []string{"grid", "netsweep"}},
+		{"kv_reshard", sp.KVReshard != 0, []string{"grid", "netsweep"}},
+		{"fault_plan", sp.FaultPlan != "", []string{"chaos", "recovery"}},
+		{"seeds", len(sp.Seeds) > 0, []string{"recovery"}},
+		{"protocol", sp.Protocol != "", []string{"check"}},
+		{"nodes", sp.Nodes != 0, []string{"check"}},
+		{"blocks", sp.Blocks != 0, []string{"check"}},
+		{"script", sp.Script != "", []string{"check"}},
+		{"max_schedules", sp.MaxSchedules != 0, []string{"check"}},
+	} {
+		if f.set && !slices.Contains(f.kinds, sp.Kind) {
+			return fmt.Errorf("%s applies only to %s jobs, not to a %s job", f.name, strings.Join(f.kinds, " and "), sp.Kind)
+		}
+	}
 	if sp.P == 0 {
 		sp.P = 32
 	}
@@ -147,19 +172,11 @@ func (sp *JobSpec) Normalize() error {
 		}
 	}
 	switch sp.Kind {
-	case "grid", "netsweep":
-		if sp.FaultPlan != "" {
-			return fmt.Errorf("fault_plan applies only to chaos and recovery jobs")
-		}
-	case "chaos":
-		if _, err := chaosPlans(sp.FaultPlan); err != nil {
+	case "chaos", "recovery":
+		if _, err := faultPlans(sp.Kind, sp.FaultPlan); err != nil {
 			return err
 		}
-	case "recovery":
-		if _, err := recoveryPlans(sp.FaultPlan); err != nil {
-			return err
-		}
-		if len(sp.Seeds) == 0 {
+		if sp.Kind == "recovery" && len(sp.Seeds) == 0 {
 			sp.Seeds = []uint64{1, 2}
 		}
 	case "check":
