@@ -194,6 +194,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// failed reports every run that did not complete, one line each, and
+	// whether there was any.
+	failed := func(results []workloads.Result) bool {
+		bad := false
+		for _, r := range results {
+			if r.Err != nil {
+				fmt.Fprintf(stderr, "FAILED %s/%s: %v\n", r.Label(), r.System, r.Err)
+				bad = true
+			}
+		}
+		return bad
+	}
+
 	start := time.Now()
 	done := func() int {
 		fmt.Fprintf(stdout, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
@@ -276,25 +289,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "wrote %s\n", sink.path)
 		}
-		bad := 0
-		for _, r := range harness.Results(rows) {
-			if r.Err != nil {
-				fmt.Fprintf(stderr, "FAILED %s/%s: %v\n", r.Label(), r.System, r.Err)
-				bad++
-			}
-		}
-		if bad > 0 {
+		if failed(harness.Results(rows)) {
 			return 1
 		}
 		if *verify {
 			fmt.Fprintln(stdout, "all benchmark results verified against sequential references")
 		}
 	}
-	if all || *ablate {
-		s.RunAblations()
+	if (all || *ablate) && failed(s.RunAblations()) {
+		return 1
 	}
-	if *sweeps {
-		s.RunSweeps()
+	if *sweeps && failed(s.RunSweeps()) {
+		return 1
 	}
 	return done()
 }

@@ -7,16 +7,35 @@ import (
 
 // A block size above 256 bytes exceeds the per-element modified bitmask
 // of the LCM directory.  The protocol records it as a config error (not
-// a panic), every affected cell fails its run, and lcmbench turns the
-// failed cells into exit status 1 with a diagnostic on stderr.
+// a panic), every affected run fails — a grid cell or an ablation variant
+// alike, since both build their machines from the same configuration — and
+// lcmbench turns the failed runs into exit status 1 with one FAILED line
+// each on stderr and no goroutine dump.
 func TestBlockSizeConfigErrorExitsOne(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-fig2", "-scale", "64", "-p", "2", "-blocksize", "512"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("run() = %d, want exit code 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "block size 512 exceeds 256 bytes") {
-		t.Errorf("stderr missing the config-error diagnostic:\n%s", errOut.String())
+	for _, c := range []struct {
+		selection string
+		failed    int // runs on an LCM system
+	}{
+		{"-fig2", 12},  // six grid cells x {scc, mcc}
+		{"-ablate", 8}, // 7.1's rsm-reduction, 7.4's scc and mcc, 7.5's five settings
+	} {
+		var out, errOut strings.Builder
+		code := run([]string{c.selection, "-scale", "64", "-p", "2", "-blocksize", "512"}, &out, &errOut)
+		if code != 1 {
+			t.Fatalf("run(%s) = %d, want exit code 1\nstdout:\n%s\nstderr:\n%s", c.selection, code, out.String(), errOut.String())
+		}
+		lines := strings.Split(strings.TrimSuffix(errOut.String(), "\n"), "\n")
+		if len(lines) != c.failed {
+			t.Errorf("run(%s): %d lines on stderr, want %d:\n%s", c.selection, len(lines), c.failed, errOut.String())
+		}
+		for _, l := range lines {
+			if !strings.HasPrefix(l, "FAILED ") || !strings.Contains(l, "block size 512 exceeds 256 bytes") {
+				t.Errorf("run(%s): stderr line is not a config-error diagnostic: %q", c.selection, l)
+			}
+		}
+		if strings.Contains(out.String()+errOut.String(), "goroutine ") {
+			t.Errorf("run(%s) dumped goroutines:\n%s", c.selection, errOut.String())
+		}
 	}
 }
 

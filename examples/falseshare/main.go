@@ -49,7 +49,6 @@ func run(sys lcm.System) (int64, int64, bool) {
 		}
 	})
 
-	lcm.DrainToHome(m)
 	ok := true
 	want := int32(phases * rounds / blocks)
 	for i := 0; i < nodes; i++ {

@@ -99,7 +99,6 @@ func run(title, src string) {
 		fmt.Fprintf(os.Stderr, "minicc: verification run: %v\n", err)
 		os.Exit(1)
 	}
-	lcm.DrainToHome(m)
 	for i := 0; i < size; i++ {
 		for j := 0; j < size; j++ {
 			if inst.Result(iters).Peek(i, j) != want[i][j] {

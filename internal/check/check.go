@@ -341,7 +341,6 @@ func finalChecks(m *tempest.Machine, v *cstar.VectorF32, o *oracle, tb *trace.Bu
 			return &Violation{Err: err, Step: -1}
 		}
 	}
-	cstar.DrainToHome(m)
 	for e, want := range o.final {
 		if got := v.Peek(e); got != want {
 			return &Violation{Err: fmt.Errorf("lost update: element %d home value %v, oracle says %v", e, got, want), Step: -1}

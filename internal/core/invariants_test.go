@@ -75,7 +75,7 @@ func TestInvariantsHoldWithMixedRegions(t *testing.T) {
 		for it := 0; it < 3; it++ {
 			n.WriteU32(loose.Base+memsys.Addr(n.ID*4), uint32(it))
 			n.WriteU32(coh.Base+memsys.Addr(n.ID*32), uint32(it))
-			n.WriteI64(red.Base, n.ReadI64(red.Base)+1)
+			tempest.Write(n, red.Base, tempest.Read[int64](n, red.Base)+1)
 			n.FlushCopies()
 			_ = n.ReadU32(loose.Base + memsys.Addr(((n.ID+1)%4)*4))
 			n.ReconcileCopies()

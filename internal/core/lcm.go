@@ -34,7 +34,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math/bits"
 
@@ -198,12 +198,6 @@ func (p *LCM) Variant() Variant { return p.variant }
 
 // Phase returns the current reconcile-phase generation.
 func (p *LCM) Phase() uint32 { return p.phase }
-
-// DrainToHome flushes dirty coherent-region copies to the home image for
-// sequential verification (see stache.Protocol.DrainToHome).  LCM-region
-// data is already committed at home by ReconcileCopies.  Call only while
-// the machine is quiescent.
-func (p *LCM) DrainToHome() { p.coherent.DrainToHome() }
 
 // Conflicts returns the violations detected so far (conflict-checked
 // regions only), in detection order: the order of the grants that detected
@@ -569,19 +563,20 @@ func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool)
 		// The common case (no store-granularity tracking): most of a
 		// flushed block is untouched, so compare eight bytes at a time and
 		// look closer only around actual modifications.
-		for off := uint32(0); off < bs; off += 8 {
-			if binary.LittleEndian.Uint64(l.Data[off:]) == binary.LittleEndian.Uint64(clean[off:]) {
+		d64, c64 := memsys.View[uint64](l.Data), memsys.View[uint64](clean)
+		d32, c32 := memsys.View[uint32](l.Data), memsys.View[uint32](clean)
+		for i, w := range d64 {
+			if w == c64[i] {
 				continue
 			}
 			if es == 8 {
-				mask |= 1 << (off / 8)
+				mask |= 1 << i
 				continue
 			}
-			if binary.LittleEndian.Uint32(l.Data[off:]) != binary.LittleEndian.Uint32(clean[off:]) {
-				mask |= 1 << (off / 4)
-			}
-			if binary.LittleEndian.Uint32(l.Data[off+4:]) != binary.LittleEndian.Uint32(clean[off+4:]) {
-				mask |= 1 << (off/4 + 1)
+			for j := 2 * i; j < 2*i+2; j++ {
+				if d32[j] != c32[j] {
+					mask |= 1 << j
+				}
 			}
 		}
 		return mask
@@ -595,7 +590,7 @@ func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool)
 				}
 			}
 		}
-		if stored || !equalBytes(l.Data[off:off+es], clean[off:off+es]) {
+		if stored || !bytes.Equal(l.Data[off:off+es], clean[off:off+es]) {
 			mask |= 1 << (off / es)
 		}
 	}

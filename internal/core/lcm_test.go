@@ -217,13 +217,13 @@ func TestReductionRegionSums(t *testing.T) {
 		// Each node accumulates locally over several "invocations",
 		// flushing between them as the compiler would.
 		for i := 0; i < 5; i++ {
-			v := n.ReadI64(r.Base)
-			n.WriteI64(r.Base, v+int64(n.ID+1))
+			v := tempest.Read[int64](n, r.Base)
+			tempest.Write(n, r.Base, v+int64(n.ID+1))
 			n.FlushCopies()
 		}
 		n.ReconcileCopies()
 		want := int64(5 * (1 + 2 + 3 + 4))
-		if got := n.ReadI64(r.Base); got != want {
+		if got := tempest.Read[int64](n, r.Base); got != want {
 			t.Errorf("node %d total = %d, want %d", n.ID, got, want)
 		}
 	})

@@ -8,8 +8,9 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
+	"bytes"
+
+	"lcm/internal/memsys"
 )
 
 // Reconciler folds one modified element of a returning copy into the
@@ -17,7 +18,8 @@ import (
 //
 // Merge is called only for elements whose incoming value differs from the
 // clean (pre-phase) value, element by element.  pending, incoming and clean
-// are ElemSize-byte little-endian slices; pending initially equals clean.
+// are ElemSize-byte slices of block buffers, read and written through
+// memsys.View; pending initially equals clean.
 // prior reports whether another returning copy already modified this
 // element in the current phase.  Merge returns true when the call
 // constitutes a write-write conflict (two copies wrote different values to
@@ -48,69 +50,43 @@ func (o Overwrite) ElemSize() uint32 {
 
 // Merge implements Reconciler.
 func (o Overwrite) Merge(pending, incoming, _ []byte, prior bool) bool {
-	conflict := false
-	if prior {
-		conflict = !equalBytes(pending, incoming)
-	}
+	conflict := prior && !bytes.Equal(pending, incoming)
 	copy(pending, incoming)
 	return conflict
 }
 
-func equalBytes(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+// sum reconciles by accumulating each copy's contribution
+// (incoming - clean) into the pending value: the C** "%+=" reduction.
+type sum[T memsys.Word] struct{}
+
+// ElemSize implements Reconciler.
+func (sum[T]) ElemSize() uint32 { return memsys.SizeOf[T]() }
+
+// Merge implements Reconciler.
+func (sum[T]) Merge(pending, incoming, clean []byte, _ bool) bool {
+	p := memsys.View[T](pending)
+	p[0] += memsys.View[T](incoming)[0] - memsys.View[T](clean)[0]
+	return false
+}
+
+type (
+	// SumF32 is the "%+=" reduction for single-precision data.
+	SumF32 = sum[float32]
+	// SumF64 is SumF32 for double-precision data.
+	SumF64 = sum[float64]
+	// SumI64 accumulates 64-bit integer contributions; exact, so it is also
+	// what the property tests use to check reduction reconciliation against
+	// a serial fold.
+	SumI64 = sum[int64]
+)
+
+// mergeExtreme keeps incoming in pending when it lies beyond it: above for
+// max, below otherwise.
+func mergeExtreme[T memsys.Word](pending, incoming []byte, max bool) bool {
+	p, in := memsys.View[T](pending), memsys.View[T](incoming)[0]
+	if max && in > p[0] || !max && in < p[0] {
+		p[0] = in
 	}
-	return true
-}
-
-// SumF32 reconciles by accumulating each copy's contribution
-// (incoming - clean) into the pending value: the C** "%+=" reduction for
-// single-precision data.
-type SumF32 struct{}
-
-// ElemSize implements Reconciler.
-func (SumF32) ElemSize() uint32 { return 4 }
-
-// Merge implements Reconciler.
-func (SumF32) Merge(pending, incoming, clean []byte, _ bool) bool {
-	p := math.Float32frombits(binary.LittleEndian.Uint32(pending))
-	in := math.Float32frombits(binary.LittleEndian.Uint32(incoming))
-	cl := math.Float32frombits(binary.LittleEndian.Uint32(clean))
-	binary.LittleEndian.PutUint32(pending, math.Float32bits(p+(in-cl)))
-	return false
-}
-
-// SumF64 is SumF32 for double-precision data.
-type SumF64 struct{}
-
-// ElemSize implements Reconciler.
-func (SumF64) ElemSize() uint32 { return 8 }
-
-// Merge implements Reconciler.
-func (SumF64) Merge(pending, incoming, clean []byte, _ bool) bool {
-	p := math.Float64frombits(binary.LittleEndian.Uint64(pending))
-	in := math.Float64frombits(binary.LittleEndian.Uint64(incoming))
-	cl := math.Float64frombits(binary.LittleEndian.Uint64(clean))
-	binary.LittleEndian.PutUint64(pending, math.Float64bits(p+(in-cl)))
-	return false
-}
-
-// SumI64 accumulates 64-bit integer contributions; exact, so it is also
-// what the property tests use to check reduction reconciliation against a
-// serial fold.
-type SumI64 struct{}
-
-// ElemSize implements Reconciler.
-func (SumI64) ElemSize() uint32 { return 8 }
-
-// Merge implements Reconciler.
-func (SumI64) Merge(pending, incoming, clean []byte, _ bool) bool {
-	p := int64(binary.LittleEndian.Uint64(pending))
-	in := int64(binary.LittleEndian.Uint64(incoming))
-	cl := int64(binary.LittleEndian.Uint64(clean))
-	binary.LittleEndian.PutUint64(pending, uint64(p+(in-cl)))
 	return false
 }
 
@@ -123,12 +99,7 @@ func (MinF64) ElemSize() uint32 { return 8 }
 
 // Merge implements Reconciler.
 func (MinF64) Merge(pending, incoming, _ []byte, _ bool) bool {
-	p := math.Float64frombits(binary.LittleEndian.Uint64(pending))
-	in := math.Float64frombits(binary.LittleEndian.Uint64(incoming))
-	if in < p {
-		copy(pending, incoming)
-	}
-	return false
+	return mergeExtreme[float64](pending, incoming, false)
 }
 
 // MaxF64 reconciles with the maximum of all written values and the initial
@@ -140,12 +111,7 @@ func (MaxF64) ElemSize() uint32 { return 8 }
 
 // Merge implements Reconciler.
 func (MaxF64) Merge(pending, incoming, _ []byte, _ bool) bool {
-	p := math.Float64frombits(binary.LittleEndian.Uint64(pending))
-	in := math.Float64frombits(binary.LittleEndian.Uint64(incoming))
-	if in > p {
-		copy(pending, incoming)
-	}
-	return false
+	return mergeExtreme[float64](pending, incoming, true)
 }
 
 // ProdF64 reconciles by multiplying contributions: pending *= incoming/clean.
@@ -157,14 +123,12 @@ func (ProdF64) ElemSize() uint32 { return 8 }
 
 // Merge implements Reconciler.
 func (ProdF64) Merge(pending, incoming, clean []byte, _ bool) bool {
-	p := math.Float64frombits(binary.LittleEndian.Uint64(pending))
-	in := math.Float64frombits(binary.LittleEndian.Uint64(incoming))
-	cl := math.Float64frombits(binary.LittleEndian.Uint64(clean))
+	p, in, cl := memsys.View[float64](pending), memsys.View[float64](incoming)[0], memsys.View[float64](clean)[0]
 	if cl == 0 {
-		binary.LittleEndian.PutUint64(pending, math.Float64bits(in))
-		return false
+		p[0] = in
+	} else {
+		p[0] *= in / cl
 	}
-	binary.LittleEndian.PutUint64(pending, math.Float64bits(p*(in/cl)))
 	return false
 }
 

@@ -1,33 +1,24 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"lcm/internal/memsys"
 )
 
-func putI64(v int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
-	return b
-}
+// put returns v as it sits in simulated memory; get reads it back.
+func put[T memsys.Word](v T) []byte { return memsys.Bytes([]T{v}) }
 
-func getI64(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
+func get[T memsys.Word](b []byte) T { return memsys.View[T](b)[0] }
 
-func putF64(v float64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-	return b
-}
-
-func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-func putU32(v uint32) []byte {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, v)
-	return b
-}
+var (
+	putI64, getI64 = put[int64], get[int64]
+	putF64, getF64 = put[float64], get[float64]
+	putU32         = put[uint32]
+)
 
 func TestOverwriteMerge(t *testing.T) {
 	rec := Overwrite{}
@@ -38,7 +29,7 @@ func TestOverwriteMerge(t *testing.T) {
 	if rec.Merge(pending, putU32(5), putU32(0), false) {
 		t.Fatal("first write flagged as conflict")
 	}
-	if binary.LittleEndian.Uint32(pending) != 5 {
+	if get[uint32](pending) != 5 {
 		t.Fatal("value not merged")
 	}
 	// Second writer, same value: no conflict.
@@ -49,7 +40,7 @@ func TestOverwriteMerge(t *testing.T) {
 	if !rec.Merge(pending, putU32(9), putU32(0), true) {
 		t.Fatal("conflicting write not flagged")
 	}
-	if binary.LittleEndian.Uint32(pending) != 9 {
+	if get[uint32](pending) != 9 {
 		t.Fatal("last value did not win")
 	}
 }
@@ -81,6 +72,58 @@ func TestSumI64MatchesSerialFold(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// foldMatches checks one reconciler against a serial fold: for any initial
+// value and any sequence of copies that each started from it and wrote
+// something, merging the copies one by one leaves exactly the bytes that
+// folding their values with plain Go arithmetic does.
+func foldMatches[T memsys.Word](rec Reconciler, fold func(acc, in, clean T) T) func(*testing.T) {
+	return func(t *testing.T) {
+		if rec.ElemSize() != memsys.SizeOf[T]() {
+			t.Fatalf("ElemSize %d, want %d", rec.ElemSize(), memsys.SizeOf[T]())
+		}
+		f := func(initial T, written []T) bool {
+			clean, pending, want := put(initial), put(initial), initial
+			for i, v := range written {
+				want = fold(want, v, initial)
+				if rec.Merge(pending, put(v), clean, i > 0) {
+					return false // arithmetic reconcilers never conflict
+				}
+			}
+			return bytes.Equal(pending, put(want)) && get[T](clean) == initial
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func sumFold[T memsys.Word](acc, in, clean T) T { return acc + (in - clean) }
+
+// Every named arithmetic reconciler against its serial fold.
+func TestReconcilersMatchSerialFold(t *testing.T) {
+	t.Run("SumF32", foldMatches[float32](SumF32{}, sumFold[float32]))
+	t.Run("SumF64", foldMatches[float64](SumF64{}, sumFold[float64]))
+	t.Run("SumI64", foldMatches[int64](SumI64{}, sumFold[int64]))
+	t.Run("MinF64", foldMatches[float64](MinF64{}, func(acc, in, _ float64) float64 {
+		if in < acc {
+			return in
+		}
+		return acc
+	}))
+	t.Run("MaxF64", foldMatches[float64](MaxF64{}, func(acc, in, _ float64) float64 {
+		if in > acc {
+			return in
+		}
+		return acc
+	}))
+	t.Run("ProdF64", foldMatches[float64](ProdF64{}, func(acc, in, clean float64) float64 {
+		if clean == 0 {
+			return in
+		}
+		return acc * (in / clean)
+	}))
 }
 
 // Property: min/max reconciliation equals the serial min/max including the
@@ -127,17 +170,12 @@ func TestSumF64Contributions(t *testing.T) {
 
 func TestSumF32Contributions(t *testing.T) {
 	rec := SumF32{}
-	mk := func(v float32) []byte {
-		b := make([]byte, 4)
-		binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-		return b
-	}
+	mk := put[float32]
 	clean := mk(1)
 	pending := mk(1)
 	rec.Merge(pending, mk(3), clean, false)
 	rec.Merge(pending, mk(0), clean, true)
-	got := math.Float32frombits(binary.LittleEndian.Uint32(pending))
-	if got != 2 {
+	if got := get[float32](pending); got != 2 {
 		t.Fatalf("sum = %v, want 2", got)
 	}
 }
@@ -163,8 +201,7 @@ func TestProdF64(t *testing.T) {
 func TestFuncReconciler(t *testing.T) {
 	// XOR-merge as a custom policy.
 	rec := Func{Elem: 4, F: func(pending, incoming, clean []byte, prior bool) bool {
-		v := binary.LittleEndian.Uint32(pending) ^ binary.LittleEndian.Uint32(incoming)
-		binary.LittleEndian.PutUint32(pending, v)
+		memsys.View[uint32](pending)[0] ^= get[uint32](incoming)
 		return false
 	}}
 	if rec.ElemSize() != 4 {
@@ -172,7 +209,7 @@ func TestFuncReconciler(t *testing.T) {
 	}
 	pending := putU32(0b1100)
 	rec.Merge(pending, putU32(0b1010), putU32(0), false)
-	if got := binary.LittleEndian.Uint32(pending); got != 0b0110 {
+	if got := get[uint32](pending); got != 0b0110 {
 		t.Fatalf("xor merge = %#b", got)
 	}
 }
@@ -196,15 +233,14 @@ func TestDisjointOverwriteMergeProperty(t *testing.T) {
 			if v == 0 {
 				continue // unmodified elements merge nothing
 			}
-			incoming := make([]byte, 4)
-			binary.LittleEndian.PutUint32(incoming, v)
+			incoming := putU32(v)
 			if rec.Merge(pending[e*4:e*4+4], incoming, clean[e*4:e*4+4], false) {
 				return false // disjoint writes must not conflict
 			}
 			want[e] = v
 		}
 		for e := 0; e < elems; e++ {
-			if binary.LittleEndian.Uint32(pending[e*4:]) != want[e] {
+			if get[uint32](pending[e*4:]) != want[e] {
 				return false
 			}
 		}

@@ -148,7 +148,7 @@ func raPrograms(t *testing.T) []raProgram {
 					n.Compute(int64(1 + (n.ID*3+round)%7))
 					_ = n.ReadU32(word(rs[0], 8)) // a post before the lock's yield
 					lk.Acquire(n)
-					n.WriteI64(rs[0].Base, n.ReadI64(rs[0].Base)+int64(n.ID+1))
+					tempest.Write(n, rs[0].Base, tempest.Read[int64](n, rs[0].Base)+int64(n.ID+1))
 					n.FlushCopies()
 					lk.Release(n)
 				}

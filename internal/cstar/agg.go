@@ -1,9 +1,7 @@
 package cstar
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"lcm/internal/core"
 	"lcm/internal/memsys"
@@ -18,8 +16,10 @@ import (
 //
 // Each aggregate also offers Peek/Poke, which access the home memory image
 // directly: these are for sequential initialization before a run and
-// verification after it (combined with the protocols' DrainToHome), not
-// for simulated execution, and they charge nothing.
+// verification after it, not for simulated execution, and they charge
+// nothing.  Between runs the home image is current — coherent stores write
+// through and reconciliation commits every loose copy — so there is nothing
+// to drain first.
 
 // agg is the common allocation bookkeeping.
 type agg struct {
@@ -55,177 +55,81 @@ func (a *agg) addr(i int) memsys.Addr {
 	return a.R.Base + memsys.Addr(i)*memsys.Addr(a.elem)
 }
 
-// VectorF32 is a one-dimensional aggregate of float32.
-type VectorF32 struct{ agg }
+// homeElem returns the element of type T at address addr of the home image.
+func homeElem[T memsys.Word](a *agg, addr memsys.Addr) *T {
+	return memsys.At[T](a.M.AS.HomeBytes(addr, int(memsys.SizeOf[T]())), 0)
+}
+
+// Vector is a one-dimensional aggregate of T.
+type Vector[T memsys.Word] struct{ agg }
+
+// The element types the C** runtime instantiates.
+type (
+	// VectorF32 is a one-dimensional aggregate of float32.
+	VectorF32 = Vector[float32]
+	// VectorF64 is a one-dimensional aggregate of float64.
+	VectorF64 = Vector[float64]
+	// VectorI32 is a one-dimensional aggregate of int32 (indices, counters,
+	// quad-tree child pointers).
+	VectorI32 = Vector[int32]
+	// VectorI64 is a one-dimensional aggregate of int64.
+	VectorI64 = Vector[int64]
+)
+
+func newVector[T memsys.Word](m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *Vector[T] {
+	return &Vector[T]{allocAgg(m, name, n, memsys.SizeOf[T](), pol, home, 0)}
+}
 
 // NewVectorF32 allocates a float32 aggregate with the given memory policy.
 func NewVectorF32(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorF32 {
-	return &VectorF32{allocAgg(m, name, n, 4, pol, home, 0)}
+	return newVector[float32](m, name, n, pol, home)
+}
+
+// NewVectorF64 allocates a float64 aggregate with the given memory policy.
+func NewVectorF64(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorF64 {
+	return newVector[float64](m, name, n, pol, home)
+}
+
+// NewVectorI32 allocates an int32 aggregate with the given memory policy.
+func NewVectorI32(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorI32 {
+	return newVector[int32](m, name, n, pol, home)
+}
+
+// NewVectorI64 allocates an int64 aggregate with the given memory policy.
+func NewVectorI64(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorI64 {
+	return newVector[int64](m, name, n, pol, home)
 }
 
 // Addr returns the address of element i.
-func (v *VectorF32) Addr(i int) memsys.Addr { return v.addr(i) }
+func (v *Vector[T]) Addr(i int) memsys.Addr { return v.addr(i) }
 
 // Get loads element i through node n.
-func (v *VectorF32) Get(n *tempest.Node, i int) float32 { return n.ReadF32(v.addr(i)) }
+func (v *Vector[T]) Get(n *tempest.Node, i int) T { return tempest.Read[T](n, v.addr(i)) }
 
 // Set stores element i through node n.
-func (v *VectorF32) Set(n *tempest.Node, i int, x float32) { n.WriteF32(v.addr(i), x) }
+func (v *Vector[T]) Set(n *tempest.Node, i int, x T) { tempest.Write(n, v.addr(i), x) }
 
 // Peek reads element i from the home image (sequential, free).
-func (v *VectorF32) Peek(i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(v.M.AS.HomeBytes(v.addr(i), 4)))
-}
+func (v *Vector[T]) Peek(i int) T { return *homeElem[T](&v.agg, v.addr(i)) }
 
 // Poke writes element i to the home image (sequential, free).
-func (v *VectorF32) Poke(i int, x float32) {
-	binary.LittleEndian.PutUint32(v.M.AS.HomeBytes(v.addr(i), 4), math.Float32bits(x))
-}
+func (v *Vector[T]) Poke(i int, x T) { *homeElem[T](&v.agg, v.addr(i)) = x }
 
 // GetSpan loads elements [i, i+len(dst)) into dst through node n.
-func (v *VectorF32) GetSpan(n *tempest.Node, i int, dst []float32) {
-	n.ReadSpanF32(v.addr(i), dst)
-}
+func (v *Vector[T]) GetSpan(n *tempest.Node, i int, dst []T) { tempest.ReadSpan(n, v.addr(i), dst) }
 
 // SetSpan stores src into elements [i, i+len(src)) through node n.
-func (v *VectorF32) SetSpan(n *tempest.Node, i int, src []float32) {
-	n.WriteSpanF32(v.addr(i), src)
-}
-
-// FillSpan stores x into elements [lo, hi) through node n.
-func (v *VectorF32) FillSpan(n *tempest.Node, lo, hi int, x float32) {
-	n.FillSpanF32(v.addr(lo), hi-lo, x)
-}
+func (v *Vector[T]) SetSpan(n *tempest.Node, i int, src []T) { tempest.WriteSpan(n, v.addr(i), src) }
 
 // CopyRange copies elements [lo,hi) from src through node n, counting and
 // charging the copied words: this is the compiler-generated explicit-copy
 // loop of the Copying baseline.  The transfer runs block segment by block
 // segment (see tempest.CopySpan) with accounting identical to the
 // element-by-element loop.
-func (v *VectorF32) CopyRange(n *tempest.Node, src *VectorF32, lo, hi int) {
-	n.CopySpan(v.addr(lo), src.addr(lo), hi-lo, 4)
+func (v *Vector[T]) CopyRange(n *tempest.Node, src *Vector[T], lo, hi int) {
+	tempest.CopySpan[T](n, v.addr(lo), src.addr(lo), hi-lo)
 	n.Ctr.CopiedWords += int64(hi - lo)
 	n.Charge(int64(hi-lo) * n.M.Cost.CopyPerWord)
-}
-
-// VectorF64 is a one-dimensional aggregate of float64.
-type VectorF64 struct{ agg }
-
-// NewVectorF64 allocates a float64 aggregate with the given memory policy.
-func NewVectorF64(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorF64 {
-	return &VectorF64{allocAgg(m, name, n, 8, pol, home, 0)}
-}
-
-// Addr returns the address of element i.
-func (v *VectorF64) Addr(i int) memsys.Addr { return v.addr(i) }
-
-// Get loads element i through node n.
-func (v *VectorF64) Get(n *tempest.Node, i int) float64 { return n.ReadF64(v.addr(i)) }
-
-// Set stores element i through node n.
-func (v *VectorF64) Set(n *tempest.Node, i int, x float64) { n.WriteF64(v.addr(i), x) }
-
-// Peek reads element i from the home image (sequential, free).
-func (v *VectorF64) Peek(i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.M.AS.HomeBytes(v.addr(i), 8)))
-}
-
-// Poke writes element i to the home image (sequential, free).
-func (v *VectorF64) Poke(i int, x float64) {
-	binary.LittleEndian.PutUint64(v.M.AS.HomeBytes(v.addr(i), 8), math.Float64bits(x))
-}
-
-// GetSpan loads elements [i, i+len(dst)) into dst through node n.
-func (v *VectorF64) GetSpan(n *tempest.Node, i int, dst []float64) {
-	n.ReadSpanF64(v.addr(i), dst)
-}
-
-// SetSpan stores src into elements [i, i+len(src)) through node n.
-func (v *VectorF64) SetSpan(n *tempest.Node, i int, src []float64) {
-	n.WriteSpanF64(v.addr(i), src)
-}
-
-// VectorI32 is a one-dimensional aggregate of int32 (indices, counters,
-// quad-tree child pointers).
-type VectorI32 struct{ agg }
-
-// NewVectorI32 allocates an int32 aggregate with the given memory policy.
-func NewVectorI32(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorI32 {
-	return &VectorI32{allocAgg(m, name, n, 4, pol, home, 0)}
-}
-
-// Addr returns the address of element i.
-func (v *VectorI32) Addr(i int) memsys.Addr { return v.addr(i) }
-
-// Get loads element i through node n.
-func (v *VectorI32) Get(n *tempest.Node, i int) int32 { return n.ReadI32(v.addr(i)) }
-
-// Set stores element i through node n.
-func (v *VectorI32) Set(n *tempest.Node, i int, x int32) { n.WriteI32(v.addr(i), x) }
-
-// Peek reads element i from the home image (sequential, free).
-func (v *VectorI32) Peek(i int) int32 {
-	return int32(binary.LittleEndian.Uint32(v.M.AS.HomeBytes(v.addr(i), 4)))
-}
-
-// Poke writes element i to the home image (sequential, free).
-func (v *VectorI32) Poke(i int, x int32) {
-	binary.LittleEndian.PutUint32(v.M.AS.HomeBytes(v.addr(i), 4), uint32(x))
-}
-
-// GetSpan loads elements [i, i+len(dst)) into dst through node n.
-func (v *VectorI32) GetSpan(n *tempest.Node, i int, dst []int32) {
-	n.ReadSpanI32(v.addr(i), dst)
-}
-
-// SetSpan stores src into elements [i, i+len(src)) through node n.
-func (v *VectorI32) SetSpan(n *tempest.Node, i int, src []int32) {
-	n.WriteSpanI32(v.addr(i), src)
-}
-
-// CopyRange copies elements [lo,hi) from src through node n, counting and
-// charging the copied words.
-func (v *VectorI32) CopyRange(n *tempest.Node, src *VectorI32, lo, hi int) {
-	n.CopySpan(v.addr(lo), src.addr(lo), hi-lo, 4)
-	n.Ctr.CopiedWords += int64(hi - lo)
-	n.Charge(int64(hi-lo) * n.M.Cost.CopyPerWord)
-}
-
-// VectorI64 is a one-dimensional aggregate of int64.
-type VectorI64 struct{ agg }
-
-// NewVectorI64 allocates an int64 aggregate with the given memory policy.
-func NewVectorI64(m *tempest.Machine, name string, n int, pol core.Policy, home memsys.HomePolicy) *VectorI64 {
-	return &VectorI64{allocAgg(m, name, n, 8, pol, home, 0)}
-}
-
-// Addr returns the address of element i.
-func (v *VectorI64) Addr(i int) memsys.Addr { return v.addr(i) }
-
-// Get loads element i through node n.
-func (v *VectorI64) Get(n *tempest.Node, i int) int64 { return n.ReadI64(v.addr(i)) }
-
-// Set stores element i through node n.
-func (v *VectorI64) Set(n *tempest.Node, i int, x int64) { n.WriteI64(v.addr(i), x) }
-
-// Peek reads element i from the home image (sequential, free).
-func (v *VectorI64) Peek(i int) int64 {
-	return int64(binary.LittleEndian.Uint64(v.M.AS.HomeBytes(v.addr(i), 8)))
-}
-
-// Poke writes element i to the home image (sequential, free).
-func (v *VectorI64) Poke(i int, x int64) {
-	binary.LittleEndian.PutUint64(v.M.AS.HomeBytes(v.addr(i), 8), uint64(x))
-}
-
-// GetSpan loads elements [i, i+len(dst)) into dst through node n.
-func (v *VectorI64) GetSpan(n *tempest.Node, i int, dst []int64) {
-	n.ReadSpanI64(v.addr(i), dst)
-}
-
-// SetSpan stores src into elements [i, i+len(src)) through node n.
-func (v *VectorI64) SetSpan(n *tempest.Node, i int, src []int64) {
-	n.WriteSpanI64(v.addr(i), src)
 }
 
 // MatrixF32 is a two-dimensional row-major aggregate of float32 — the
@@ -264,12 +168,12 @@ func (mx *MatrixF32) Set(n *tempest.Node, i, j int, x float32) {
 
 // Peek reads element (i, j) from the home image (sequential, free).
 func (mx *MatrixF32) Peek(i, j int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(mx.M.AS.HomeBytes(mx.Addr(i, j), 4)))
+	return *homeElem[float32](&mx.agg, mx.Addr(i, j))
 }
 
 // Poke writes element (i, j) to the home image (sequential, free).
 func (mx *MatrixF32) Poke(i, j int, x float32) {
-	binary.LittleEndian.PutUint32(mx.M.AS.HomeBytes(mx.Addr(i, j), 4), math.Float32bits(x))
+	*homeElem[float32](&mx.agg, mx.Addr(i, j)) = x
 }
 
 // GetRowSpan loads elements (i, j) .. (i, j+len(dst)) of one row into dst
@@ -295,7 +199,7 @@ func (mx *MatrixF32) SetRowSpan(n *tempest.Node, i, j int, src []float32) {
 // Each row moves block segment by block segment (see tempest.CopySpan).
 func (mx *MatrixF32) CopyRows(n *tempest.Node, src *MatrixF32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		n.CopySpan(mx.Addr(i, 0), src.Addr(i, 0), mx.Cols, 4)
+		tempest.CopySpan[float32](n, mx.Addr(i, 0), src.Addr(i, 0), mx.Cols)
 		n.Ctr.CopiedWords += int64(mx.Cols)
 	}
 	n.Charge(int64(hi-lo) * int64(mx.Cols) * n.M.Cost.CopyPerWord)

@@ -113,67 +113,149 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
-func TestVectorRoundTrips(t *testing.T) {
-	m := NewMachine(2, 32, cost.Default(), LCMmcc)
-	vf32 := NewVectorF32(m, "f32", 10, core.LooselyCoherent(), memsys.Interleaved)
-	vf64 := NewVectorF64(m, "f64", 10, core.LooselyCoherent(), memsys.Interleaved)
-	vi32 := NewVectorI32(m, "i32", 10, core.LooselyCoherent(), memsys.Interleaved)
-	vi64 := NewVectorI64(m, "i64", 10, core.LooselyCoherent(), memsys.Interleaved)
-	m.Freeze()
-	// Sequential init via Poke, then parallel read via Get.
-	vf32.Poke(3, 1.5)
-	vf64.Poke(4, 2.5)
-	vi32.Poke(5, -3)
-	vi64.Poke(6, 1<<40)
-	m.Run(func(n *tempest.Node) {
-		if n.ID == 0 {
-			if vf32.Get(n, 3) != 1.5 || vf64.Get(n, 4) != 2.5 || vi32.Get(n, 5) != -3 || vi64.Get(n, 6) != 1<<40 {
-				t.Error("poke/get mismatch")
-			}
-			vf32.Set(n, 0, 9)
-			vi64.Set(n, 0, 7)
-		}
-		n.ReconcileCopies() // every node joins the reconciliation barrier
-		if n.ID == 0 && (vf32.Get(n, 0) != 9 || vi64.Get(n, 0) != 7) {
-			t.Error("set/reconcile/get mismatch")
-		}
-	})
-	m.Run(func(n *tempest.Node) { n.Barrier() }) // nothing hangs on reuse
-	if vf32.Peek(0) != 9 || vi64.Peek(0) != 7 {
-		t.Fatal("home image lacks reconciled values")
+// vectorRow is one element type of the Vector[T] table; its columns are the
+// aggregate's operations.  Every column runs on a fresh two-node machine
+// under the given system, with 24 elements so spans cross block boundaries.
+type vectorRow struct {
+	name                                  string
+	getSet, peekPoke, span, addrCopyRange func(t *testing.T, sys System)
+}
+
+func newVectorRow[T memsys.Word](name string, val func(i int) T) vectorRow {
+	const n = 24
+	setup := func(sys System) (*tempest.Machine, *Vector[T], *Vector[T]) {
+		m := NewMachine(2, 32, cost.Default(), sys)
+		v := newVector[T](m, name, n, DataPolicy(sys), memsys.Interleaved)
+		w := newVector[T](m, name+"'", n, DataPolicy(sys), memsys.Interleaved)
+		m.Freeze()
+		return m, v, w
 	}
-	if vf32.Len() != 10 || vf32.Region().Name != "f32" {
-		t.Fatal("metadata")
+	return vectorRow{
+		name: name,
+		// Set on one node, visible to Get on the other after the parallel call.
+		getSet: func(t *testing.T, sys System) {
+			m, v, _ := setup(sys)
+			m.Run(func(nd *tempest.Node) {
+				if nd.ID == 0 {
+					v.Set(nd, 2, val(2))
+					if got := v.Get(nd, 2); got != val(2) {
+						t.Errorf("own Get = %v, want %v", got, val(2))
+					}
+				}
+				nd.ReconcileCopies()
+				if got := v.Get(nd, 2); got != val(2) {
+					t.Errorf("node %d Get after reconcile = %v, want %v", nd.ID, got, val(2))
+				}
+			})
+			m.Run(func(nd *tempest.Node) { nd.Barrier() }) // nothing hangs on reuse
+		},
+		// Poke before a run is what Get loads; what a run stores is what Peek
+		// reads afterwards, with nothing to drain in between.
+		peekPoke: func(t *testing.T, sys System) {
+			m, v, _ := setup(sys)
+			v.Poke(5, val(5))
+			if got := v.Peek(5); got != val(5) {
+				t.Fatalf("Peek = %v, want %v", got, val(5))
+			}
+			m.Run(func(nd *tempest.Node) {
+				if nd.ID == 1 {
+					if got := v.Get(nd, 5); got != val(5) {
+						t.Errorf("Get of poked element = %v, want %v", got, val(5))
+					}
+					v.Set(nd, 6, val(6))
+				}
+				nd.ReconcileCopies()
+			})
+			if got := v.Peek(6); got != val(6) {
+				t.Errorf("Peek of stored element = %v, want %v", got, val(6))
+			}
+			if v.Len() != n || v.Region().Name != name {
+				t.Errorf("metadata: Len %d, region %q", v.Len(), v.Region().Name)
+			}
+		},
+		// Spans move whole slices through the span engine; values round-trip
+		// and are visible to element-wise Get on the same node.
+		span: func(t *testing.T, sys System) {
+			m, v, _ := setup(sys)
+			m.Run(func(nd *tempest.Node) {
+				if nd.ID == 0 {
+					want := make([]T, 11) // starts and ends mid-block
+					for i := range want {
+						want[i] = val(i)
+					}
+					v.SetSpan(nd, 3, want)
+					got := make([]T, len(want))
+					v.GetSpan(nd, 3, got)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("span[%d] = %v, want %v", i, got[i], want[i])
+						}
+						if e := v.Get(nd, 3+i); e != want[i] {
+							t.Errorf("element readback [%d] = %v, want %v", i, e, want[i])
+						}
+					}
+				}
+				nd.ReconcileCopies()
+			})
+		},
+		// Elements are laid out at their size; CopyRange moves them through
+		// the machine and counts what it moved.
+		addrCopyRange: func(t *testing.T, sys System) {
+			m, src, dst := setup(sys)
+			if got, want := src.Addr(1)-src.Addr(0), memsys.Addr(memsys.SizeOf[T]()); got != want {
+				t.Fatalf("element stride %d, want %d", got, want)
+			}
+			for i := 0; i < n; i++ {
+				src.Poke(i, val(i))
+			}
+			m.Run(func(nd *tempest.Node) {
+				if nd.ID == 0 {
+					dst.CopyRange(nd, src, 1, 21)
+				}
+				nd.ReconcileCopies()
+			})
+			for i := 0; i < n; i++ {
+				want := val(i)
+				if i < 1 || i >= 21 {
+					want = 0
+				}
+				if got := dst.Peek(i); got != want {
+					t.Errorf("copied [%d] = %v, want %v", i, got, want)
+				}
+			}
+			if c := m.TotalCounters(); c.CopiedWords != 20 {
+				t.Errorf("copied words %d, want 20", c.CopiedWords)
+			}
+		},
 	}
 }
 
-// The I64 span accessors move whole slices through the machine's
-// amortized span engine; values must round-trip and be visible to
-// element-wise Get on the same node.
-func TestVectorI64Spans(t *testing.T) {
-	m := NewMachine(2, 32, cost.Default(), LCMmcc)
-	v := NewVectorI64(m, "i64", 24, core.LooselyCoherent(), memsys.Interleaved)
-	m.Freeze()
-	m.Run(func(n *tempest.Node) {
-		if n.ID == 0 {
-			want := make([]int64, 11) // crosses block boundaries
-			for i := range want {
-				want[i] = int64(i)*-5 + 2
-			}
-			v.SetSpan(n, 3, want)
-			got := make([]int64, len(want))
-			v.GetSpan(n, 3, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("span[%d] = %d, want %d", i, got[i], want[i])
-				}
-				if e := v.Get(n, 3+i); e != want[i] {
-					t.Errorf("element readback [%d] = %d, want %d", i, e, want[i])
-				}
-			}
+// vectorRows is the table: the four element types the runtime instantiates.
+var vectorRows = []vectorRow{
+	newVectorRow("f32", func(i int) float32 { return float32(i)*1.5 + 0.25 }),
+	newVectorRow("f64", func(i int) float64 { return float64(i)*-2.5 - 1 }),
+	newVectorRow("i32", func(i int) int32 { return int32(i*i) - 3 }),
+	newVectorRow("i64", func(i int) int64 { return int64(i)*-5 + 1<<40 }),
+}
+
+// eachVector runs one column of the table for every element type under the
+// Copying baseline and LCM-mcc.
+func eachVector(t *testing.T, column func(vectorRow) func(*testing.T, System)) {
+	for _, row := range vectorRows {
+		for _, sys := range []System{Copying, LCMmcc} {
+			t.Run(row.name+"/"+sys.String(), func(t *testing.T) { column(row)(t, sys) })
 		}
-		n.Barrier()
-	})
+	}
+}
+
+func TestVectorRoundTrips(t *testing.T) {
+	eachVector(t, func(r vectorRow) func(*testing.T, System) { return r.getSet })
+	eachVector(t, func(r vectorRow) func(*testing.T, System) { return r.peekPoke })
+}
+
+// (The name is from when only the I64 vector had spans to test.)
+func TestVectorI64Spans(t *testing.T) {
+	eachVector(t, func(r vectorRow) func(*testing.T, System) { return r.span })
 }
 
 func TestMatrixRowMajorAddressing(t *testing.T) {
@@ -209,7 +291,6 @@ func TestMatrixFillAndCopyRows(t *testing.T) {
 		}
 		n.Barrier()
 	})
-	DrainToHome(m)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 8; j++ {
 			if dst.Peek(i, j) != 3 {
@@ -340,7 +421,6 @@ func stencilStepMatches(sys System, sched Scheduler, mesh [][]float32, want [][]
 		})
 		EndParallel(n)
 	})
-	DrainToHome(m)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if a.Peek(i, j) != want[i][j] {
@@ -351,41 +431,7 @@ func stencilStepMatches(sys System, sched Scheduler, mesh [][]float32, want [][]
 	return true
 }
 
+// (The name is from when only the I32 vector had a CopyRange to test.)
 func TestAggregateAddrsAndI32Copy(t *testing.T) {
-	m := NewMachine(2, 32, cost.Default(), Copying)
-	f32 := NewVectorF32(m, "f32", 8, core.Coherent(), memsys.Interleaved)
-	f64 := NewVectorF64(m, "f64", 8, core.Coherent(), memsys.Interleaved)
-	i32s := NewVectorI32(m, "i32s", 8, core.Coherent(), memsys.Interleaved)
-	i32d := NewVectorI32(m, "i32d", 8, core.Coherent(), memsys.Interleaved)
-	i64 := NewVectorI64(m, "i64", 8, core.Coherent(), memsys.Interleaved)
-	m.Freeze()
-	if f32.Addr(1)-f32.Addr(0) != 4 || f64.Addr(1)-f64.Addr(0) != 8 ||
-		i32s.Addr(1)-i32s.Addr(0) != 4 || i64.Addr(1)-i64.Addr(0) != 8 {
-		t.Fatal("element strides")
-	}
-	for i := 0; i < 8; i++ {
-		i32s.Poke(i, int32(i*i))
-	}
-	m.Run(func(n *tempest.Node) {
-		if n.ID == 0 {
-			i32d.CopyRange(n, i32s, 0, 8)
-			f32.Set(n, 2, 1.5)
-			i64.Set(n, 3, -9)
-		}
-		n.Barrier()
-		if n.ID == 1 {
-			if f32.Get(n, 2) != 1.5 || i64.Get(n, 3) != -9 {
-				t.Error("cross-node reads")
-			}
-		}
-	})
-	DrainToHome(m)
-	for i := 0; i < 8; i++ {
-		if i32d.Peek(i) != int32(i*i) {
-			t.Fatalf("copied i32d[%d] = %d", i, i32d.Peek(i))
-		}
-	}
-	if c := m.TotalCounters(); c.CopiedWords != 8 {
-		t.Fatalf("copied words %d", c.CopiedWords)
-	}
+	eachVector(t, func(r vectorRow) func(*testing.T, System) { return r.addrCopyRange })
 }

@@ -36,14 +36,3 @@ func DataPolicy(sys System) core.Policy {
 	}
 	return core.Coherent()
 }
-
-// DrainToHome flushes dirty cached copies to home images for sequential
-// verification, whatever the machine's protocol.
-func DrainToHome(m *tempest.Machine) {
-	switch p := m.Protocol().(type) {
-	case *core.LCM:
-		p.DrainToHome()
-	case *stache.Protocol:
-		p.DrainToHome()
-	}
-}

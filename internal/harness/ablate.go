@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"lcm/internal/core"
-	"lcm/internal/cost"
 	"lcm/internal/cstar"
 	"lcm/internal/memsys"
 	"lcm/internal/stats"
@@ -17,13 +17,19 @@ import (
 // Each returns measurements and prints a table; the claims being tested
 // are stated in the output.
 
-// measured collects a raw machine's clocks and counters into a result, as
-// the workloads do for a cell, so that an ablation's variants travel and
-// render like any other run.  variant names the row; extra carries the
-// experiment's own observables.
-func measured(m *tempest.Machine, experiment, variant string, sys cstar.System, extra map[string]float64) workloads.Result {
-	return workloads.Result{Workload: experiment, Sched: variant, System: sys,
-		Cycles: m.MaxClock(), C: m.TotalCounters(), Extra: extra}
+// measured runs the bodies on a raw machine, one run each, and collects its
+// clocks and counters into a result, as the workloads do for a cell, so that
+// an ablation's variants travel, render and fail like any other run.  variant
+// names the row; the caller adds the experiment's own observables as Extra.
+func measured(m *tempest.Machine, experiment, variant string, sys cstar.System, bodies ...func(*tempest.Node)) workloads.Result {
+	r := workloads.Result{Workload: experiment, Sched: variant, System: sys, Net: m.Net.Name()}
+	for _, body := range bodies {
+		if r.Err = m.RunErr(body); r.Err != nil {
+			return r
+		}
+	}
+	r.Cycles, r.C = m.MaxClock(), m.TotalCounters()
+	return r
 }
 
 func misses(r workloads.Result) string { return stats.GroupInt(r.C.Misses) }
@@ -50,19 +56,17 @@ func (s *Suite) ablation(title string, variants []workloads.Result, claim string
 // combined serially, and an RSM reduction region whose reconciliation
 // function does the combine.  Extra["value"] is the sum each computed.
 func (s *Suite) RunReduction(n int) []workloads.Result {
-	cfg := s.Cfg
+	cfg := s.Cfg.Norm()
 	want := float64(n) * float64(n-1) / 2
-
-	var out []workloads.Result
 
 	// Strategy 1: lock-protected shared accumulator.  Each node adds its
 	// chunk under the lock in batches, as a pragmatic programmer would;
 	// the lock transfer and the serialized critical sections dominate.
-	m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.Copying)
+	m := cfg.Machine(cstar.Copying)
 	total := cstar.NewVectorF64(m, "total", 1, core.Coherent(), memsys.SingleHome)
 	m.Freeze()
 	var lk tempest.SimLock
-	m.Run(func(nd *tempest.Node) {
+	lock := measured(m, "Reduction", "lock", cstar.Copying, func(nd *tempest.Node) {
 		lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
 		var local float64
 		for i := lo; i < hi; i++ {
@@ -79,7 +83,8 @@ func (s *Suite) RunReduction(n int) []workloads.Result {
 		}
 		nd.Barrier()
 	})
-	out = append(out, measured(m, "Reduction", "lock", cstar.Copying, map[string]float64{"value": total.Peek(0)}))
+	lock.Extra = map[string]float64{"value": total.Peek(0)}
+	out := []workloads.Result{lock}
 
 	// Strategy 2: hand-written partial sums (what the paper suggests a
 	// programmer rewrites the loop into).  Strategy 3: RSM reduction — the
@@ -89,24 +94,24 @@ func (s *Suite) RunReduction(n int) []workloads.Result {
 		name string
 		sys  cstar.System
 	}{{"partials", cstar.Copying}, {"rsm-reduction", cstar.LCMmcc}} {
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), v.sys)
+		m := cfg.Machine(v.sys)
 		red := cstar.NewReduceF64(m, "total", v.sys)
 		m.Freeze()
-		m.Run(func(nd *tempest.Node) {
+		var sum float64
+		r := measured(m, "Reduction", v.name, v.sys, func(nd *tempest.Node) {
 			lo, hi := (cstar.StaticSchedule{}).Range(nd.ID, m.P, 0, n)
 			for i := lo; i < hi; i++ {
 				red.Add(nd, float64(i))
 				nd.Compute(1)
 			}
 			red.Reduce(nd)
-		})
-		var sum float64
-		m.Run(func(nd *tempest.Node) {
+		}, func(nd *tempest.Node) { // reading the total back is a run of its own
 			if nd.ID == 0 {
 				sum = red.Value(nd)
 			}
 		})
-		out = append(out, measured(m, "Reduction", v.name, v.sys, map[string]float64{"value": sum}))
+		r.Extra = map[string]float64{"value": sum}
+		out = append(out, r)
 	}
 
 	return s.ablation(
@@ -126,16 +131,16 @@ func (s *Suite) RunReduction(n int) []workloads.Result {
 // copy and all later writes hit it, with reconciliation merging the
 // disjoint words.
 func (s *Suite) RunFalseSharing(blocks, steps int) []workloads.Result {
-	cfg := s.Cfg
+	cfg := s.Cfg.Norm()
 	var out []workloads.Result
-	wordsPerBlock := int(bs(cfg) / 4)
+	wordsPerBlock := int(cfg.BlockSize / 4)
 	writers := min(cfg.P, wordsPerBlock, blocks)
 	rounds := 4 * blocks // each writer revisits each block 4 times per phase
 	for _, sys := range reportOrder {
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), sys)
+		m := cfg.Machine(sys)
 		v := cstar.NewVectorI32(m, "shared", blocks*wordsPerBlock, cstar.DataPolicy(sys), memsys.Interleaved)
 		m.Freeze()
-		m.Run(func(nd *tempest.Node) {
+		r := measured(m, "FalseSharing", sys.String(), sys, func(nd *tempest.Node) {
 			for st := 0; st < steps; st++ {
 				for r := 0; r < rounds; r++ {
 					if nd.ID < writers {
@@ -148,11 +153,10 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []workloads.Result {
 				nd.ReconcileCopies()
 			}
 		})
-		out = append(out, measured(m, "FalseSharing", sys.String(), sys, nil))
+		out = append(out, r)
 		// Sanity: each writer hit each block rounds/blocks times per phase.
-		cstar.DrainToHome(m)
 		want := int32(steps * rounds / blocks)
-		for w := 0; w < writers; w++ {
+		for w := 0; w < writers && r.Err == nil; w++ {
 			if got := v.Peek(w); got != want {
 				fmt.Fprintf(s.Out, "  WARNING: word %d = %d, want %d\n", w, got, want)
 			}
@@ -160,7 +164,7 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []workloads.Result {
 	}
 	return s.ablation(
 		fmt.Sprintf("Ablation 7.4: false sharing — %d writers, %d-byte blocks, %d blocks, %d phases x %d interleaved rounds",
-			writers, bs(cfg), blocks, steps, rounds),
+			writers, cfg.BlockSize, blocks, steps, rounds),
 		out, `  paper claim: with private copies and word-level merge, false sharing causes no
   coherence ping-pong; the invalidation protocol transfers each block per writer per step.`)
 }
@@ -171,10 +175,10 @@ func (s *Suite) RunFalseSharing(blocks, steps int) []workloads.Result {
 // eliminated re-fetches — the N-body "distant elements" optimization.
 // Extra["max_lag"] is the worst staleness, in phases, a consumer read.
 func (s *Suite) RunStaleData(words, phases int, staleness []int) []workloads.Result {
-	cfg := s.Cfg
+	cfg := s.Cfg.Norm()
 	var out []workloads.Result
 	for _, k := range staleness {
-		m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.LCMmcc)
+		m := cfg.Machine(cstar.LCMmcc)
 		pol := core.Stale(k)
 		if k == 0 {
 			pol = core.LooselyCoherent()
@@ -182,7 +186,7 @@ func (s *Suite) RunStaleData(words, phases int, staleness []int) []workloads.Res
 		field := cstar.NewVectorF32(m, "field", words, pol, memsys.SingleHome)
 		m.Freeze()
 		maxLag := 0
-		m.Run(func(nd *tempest.Node) {
+		r := measured(m, "StaleData", fmt.Sprintf("stale=%d", k), cstar.LCMmcc, func(nd *tempest.Node) {
 			myMax := 0
 			for ph := 0; ph < phases; ph++ {
 				if nd.ID == 0 {
@@ -205,8 +209,8 @@ func (s *Suite) RunStaleData(words, phases int, staleness []int) []workloads.Res
 				maxLag = myMax
 			}
 		})
-		out = append(out, measured(m, "StaleData", fmt.Sprintf("stale=%d", k), cstar.LCMmcc,
-			map[string]float64{"max_lag": float64(maxLag)}))
+		r.Extra = map[string]float64{"max_lag": float64(maxLag)}
+		out = append(out, r)
 	}
 	return s.ablation(
 		fmt.Sprintf("Ablation 7.5: stale data — producer updates %d words over %d phases, %d consumers",
@@ -216,25 +220,12 @@ func (s *Suite) RunStaleData(words, phases int, staleness []int) []workloads.Res
 		pick("max_lag", 0, extra("max_lag")))
 }
 
-// RunAblations runs all Section 7 experiments at default sizes.
-func (s *Suite) RunAblations() {
-	s.RunReduction(1 << 16)
-	s.RunFalseSharing(16, 50)
-	s.RunStaleData(256, 40, []int{0, 1, 2, 4, 8})
-}
-
-// costOf resolves the suite's cost model (defaulting like workloads do).
-func costOf(cfg workloads.Config) cost.Model {
-	if cfg.CostModel != nil {
-		return *cfg.CostModel
-	}
-	return cost.Default()
-}
-
-// bs resolves the suite's block size (defaulting like workloads do).
-func bs(cfg workloads.Config) uint32 {
-	if cfg.BlockSize == 0 {
-		return 32
-	}
-	return cfg.BlockSize
+// RunAblations runs all Section 7 experiments at default sizes and returns
+// every variant's result; as with grid cells, a variant that failed carries
+// its Err and the caller decides what that means.
+func (s *Suite) RunAblations() []workloads.Result {
+	return slices.Concat(
+		s.RunReduction(1<<16),
+		s.RunFalseSharing(16, 50),
+		s.RunStaleData(256, 40, []int{0, 1, 2, 4, 8}))
 }

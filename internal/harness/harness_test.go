@@ -7,6 +7,7 @@ import (
 
 	"lcm/internal/cost"
 	"lcm/internal/cstar"
+	"lcm/internal/net"
 	"lcm/internal/workloads"
 )
 
@@ -153,6 +154,30 @@ func TestFalseSharingAblation(t *testing.T) {
 	if !(mcc.Cycles < stache.Cycles) {
 		t.Errorf("LCM-mcc (%d cycles) should beat the invalidation protocol (%d) under false sharing",
 			mcc.Cycles, stache.Cycles)
+	}
+}
+
+// The ablations build their machines through the suite's configuration like
+// every cell does, so the interconnect flag reaches them: 7.4 on the fat tree
+// is a different experiment from 7.4 on the uniform model, and says so.
+func TestAblationsHonourNetFlag(t *testing.T) {
+	uniform := smallSuite(&bytes.Buffer{}).RunFalseSharing(4, 20)
+	s := smallSuite(&bytes.Buffer{})
+	s.Cfg.Net = &net.Config{Model: "fattree"}
+	fattree := s.RunFalseSharing(4, 20)
+	if len(fattree) != len(uniform) {
+		t.Fatalf("%d variants on the fat tree, %d on the uniform model", len(fattree), len(uniform))
+	}
+	for i, r := range fattree {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Sched, r.Err)
+		}
+		if r.Net != "fattree" || uniform[i].Net != "uniform" {
+			t.Errorf("%s: Net %q on the fat tree, %q on the uniform model", r.Sched, r.Net, uniform[i].Net)
+		}
+		if r.Cycles == uniform[i].Cycles {
+			t.Errorf("%s: %d cycles under both interconnect models", r.Sched, r.Cycles)
+		}
 	}
 }
 

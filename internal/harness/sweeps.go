@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"lcm/internal/core"
 	"lcm/internal/cstar"
@@ -110,7 +111,7 @@ func (s *Suite) RunCommitSweep(ps []int) [][]workloads.Result {
 // test commit strategies (the workloads package has no commit-mode knob,
 // since no real configuration would choose the serial mode).
 func runStencilWithCommitMode(spec workloads.StencilSpec, cfg workloads.Config, mode core.CommitMode) workloads.Result {
-	m := cstar.NewMachine(cfg.P, bs(cfg), costOf(cfg), cstar.LCMmcc)
+	m := cfg.Machine(cstar.LCMmcc)
 	m.Protocol().(*core.LCM).SetCommitMode(mode)
 	a := cstar.NewMatrixF32(m, "A", spec.N, spec.N, cstar.DataPolicy(cstar.LCMmcc), memsys.Interleaved)
 	m.Freeze()
@@ -120,7 +121,7 @@ func runStencilWithCommitMode(spec workloads.StencilSpec, cfg workloads.Config, 
 	plan := cstar.Lower(cstar.AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}, cstar.LCMmcc)
 	inner := spec.N - 2
 	total := inner * inner
-	m.Run(func(n *tempest.Node) {
+	return measured(m, "Stencil", "static", cstar.LCMmcc, func(n *tempest.Node) {
 		for it := 0; it < spec.Iters; it++ {
 			cstar.ForEach(n, cstar.StaticSchedule{}, plan, it, total, func(idx int) {
 				i := 1 + idx/inner
@@ -132,19 +133,22 @@ func runStencilWithCommitMode(spec workloads.StencilSpec, cfg workloads.Config, 
 			cstar.EndParallel(n)
 		}
 	})
-	return measured(m, "Stencil", "static", cstar.LCMmcc, nil)
 }
 
-// RunSweeps runs the extension sweeps at sizes suited to the suite scale.
-func (s *Suite) RunSweeps() {
-	s.RunBlockSizeSweep([]uint32{8, 16, 32, 64, 128})
-	s.RunProcessorSweep([]int{4, 8, 16, 32})
+// RunSweeps runs the extension sweeps at sizes suited to the suite scale and
+// returns the results of the block-size, processor, cache and commit sweeps,
+// failed runs included (the interconnect sweep reports through its table).
+func (s *Suite) RunSweeps() []workloads.Result {
+	rows := s.RunBlockSizeSweep([]uint32{8, 16, 32, 64, 128})
+	rows = append(rows, s.RunProcessorSweep([]int{4, 8, 16, 32})...)
 	// Working set per node at scale: 2 meshes / P plus boundary; sweep
 	// around it.
 	spec := s.StencilSpec("static")
-	per := int(bs(s.Cfg) / 4)
-	ws := 2 * spec.N * ((spec.N + per - 1) / per) / s.Cfg.P
-	s.RunCacheSweep([]int{0, 2 * ws, ws, ws / 2, ws / 4})
-	s.RunCommitSweep([]int{4, 8, 16, 32})
+	cfg := s.Cfg.Norm()
+	per := int(cfg.BlockSize / 4)
+	ws := 2 * spec.N * ((spec.N + per - 1) / per) / cfg.P
+	rows = append(rows, s.RunCacheSweep([]int{0, 2 * ws, ws, ws / 2, ws / 4})...)
+	rows = append(rows, s.RunCommitSweep([]int{4, 8, 16, 32})...)
 	s.DefaultNetSweep()
+	return slices.Concat(rows...)
 }

@@ -177,7 +177,6 @@ func runProgram(t *testing.T, src string, sys cstar.System, rows, cols, iters in
 			t.Error(err)
 		}
 	})
-	cstar.DrainToHome(m)
 	wantMesh, wantReds := p.SeqApply(rows, cols, iters, init)
 	got := inst.Result(iters)
 	for i := 0; i < rows; i++ {
@@ -289,7 +288,6 @@ func TestCompiledProgramProperty(t *testing.T) {
 			if !ok {
 				return false
 			}
-			cstar.DrainToHome(m)
 			got := inst.Result(3)
 			for i := 0; i < 10; i++ {
 				for j := 0; j < 10; j++ {
@@ -384,7 +382,6 @@ func TestCompiledVectorMatchesReference(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		cstar.DrainToHome(m)
 		got := inst.Result(iters)
 		for i := 0; i < n; i++ {
 			if got.Peek(i, 0) != wantMesh[i][0] {

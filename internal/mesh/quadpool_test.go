@@ -105,7 +105,6 @@ func TestSubdividePoolExhaustion(t *testing.T) {
 			t.Errorf("count = %d, want 5", got)
 		}
 	})
-	cstar.DrainToHome(m) // Count lives dirty in node 0's cache
 	if q.CountCells() != 5 {
 		t.Fatalf("CountCells = %d", q.CountCells())
 	}

@@ -12,11 +12,9 @@ import "lcm/internal/cost"
 // four (the CM-5's thinned upper tree), with the channel within a
 // bundle chosen by a deterministic hash of the endpoints.
 //
-// Virtual timestamps from different node clocks are only loosely
-// ordered, so queueing outcomes — and therefore cycle totals — vary
-// run to run at P>1.  Message and byte counters remain deterministic.
+// Queueing makes every charge depend on the order messages arrive in;
+// the scheduler token fixes that order, so cycle totals replay bit for bit.
 type FatTree struct {
-	lossPort
 	cfg    Config
 	cost   cost.Model
 	p      int

@@ -99,9 +99,12 @@ func (t LossTally) String() string {
 	return fmt.Sprintf("dropped=%d duplicated=%d reordered=%d", t.Dropped, t.Duplicated, t.Reordered)
 }
 
-// Loss is the seeded delivery-fault state attached to a Network with
-// SetLoss.  The per-sender streams keep the injected pattern a pure
-// function of each sender's send sequence, which the scheduler fixes.
+// Loss is the seeded delivery-fault state of a lossy run.  The network
+// models price messages and never consult it; the retransmission layer in
+// internal/tempest draws each message's fate (Classify) and then prices the
+// consequences through the model.  The per-sender streams keep the injected
+// pattern a pure function of each sender's send sequence, which the
+// scheduler fixes.
 type Loss struct {
 	cfg LossConfig
 
@@ -168,23 +171,4 @@ func lossMix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// lossPort is the delivery-fault plumbing shared by the network models:
-// it holds the attached Loss and implements the Network interface's
-// SetLoss/Deliver pair.
-type lossPort struct {
-	loss *Loss
-}
-
-// SetLoss attaches (or, with nil, detaches) a seeded loss model.
-func (lp *lossPort) SetLoss(l *Loss) { lp.loss = l }
-
-// Deliver classifies the sender's next message under the attached loss
-// model; a model with no loss attached delivers everything.
-func (lp *lossPort) Deliver(src, dst int) Delivery {
-	if lp.loss == nil {
-		return Delivered
-	}
-	return lp.loss.Classify(src)
 }

@@ -1,10 +1,6 @@
 package net
 
-import (
-	"testing"
-
-	"lcm/internal/cost"
-)
+import "testing"
 
 // TestLossDeterministic pins the determinism contract: the fate sequence
 // drawn by a sender is a pure function of (seed, sender, draw index),
@@ -96,37 +92,6 @@ func TestLossZeroConfigLosesNothing(t *testing.T) {
 	}
 	if got := l.Tally(); got != (LossTally{}) {
 		t.Fatalf("zero config tallied %v", got)
-	}
-}
-
-// TestModelsCarryLoss checks both interconnect models expose the
-// SetLoss/Deliver port: without loss everything is delivered; with loss
-// attached, Deliver draws from the model, and pricing methods never
-// consult it themselves.
-func TestModelsCarryLoss(t *testing.T) {
-	c := cost.Default()
-	models := []Network{
-		NewUniform(c, DefaultHeaderBytes),
-		NewFatTree(Config{Model: "fattree"}, 8, c),
-	}
-	for _, m := range models {
-		if d := m.Deliver(0, 1); d != Delivered {
-			t.Errorf("%s without loss: Deliver = %v", m.Name(), d)
-		}
-		l := NewLoss(LossConfig{Seed: 3, DropPerMil: 1000}, 8)
-		m.SetLoss(l)
-		if d := m.Deliver(0, 1); d != Dropped {
-			t.Errorf("%s with certain drop: Deliver = %v", m.Name(), d)
-		}
-		var ctr Counters
-		m.RoundTrip(0, 1, 32, 0, &ctr) // pricing must not draw from the loss model
-		if got := l.Tally(); got.Total() != 1 {
-			t.Errorf("%s: pricing consulted the loss model (tally %v, want 1 draw)", m.Name(), got)
-		}
-		m.SetLoss(nil)
-		if d := m.Deliver(0, 1); d != Delivered {
-			t.Errorf("%s after detach: Deliver = %v", m.Name(), d)
-		}
 	}
 }
 

@@ -130,8 +130,8 @@ type LinkStats struct {
 // records the message(s) into c.  now is the caller's current virtual
 // time, used by contention-aware models to resolve queueing.
 //
-// Implementations must be safe for concurrent use: protocol handlers on
-// different nodes route messages concurrently.
+// One node computes at a time (the scheduler token, DESIGN.md section 3a),
+// so implementations need no synchronisation of their own.
 type Network interface {
 	// Name identifies the model ("uniform" or "fattree").
 	Name() string
@@ -165,15 +165,6 @@ type Network interface {
 	OrderFree() bool
 	// LinkStats reports occupancy after the machine quiesces.
 	LinkStats() LinkStats
-	// SetLoss attaches a seeded delivery-fault model (nil detaches);
-	// with none attached every message is delivered.
-	SetLoss(l *Loss)
-	// Deliver classifies the fate of src's next injected message under
-	// the attached loss model.  Pricing methods never consult it
-	// themselves — the retransmission layer in internal/tempest draws
-	// the fate first and then prices the consequences through the
-	// model.
-	Deliver(src, dst int) Delivery
 }
 
 // Config selects and parameterizes a network model.  The zero value

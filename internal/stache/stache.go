@@ -34,7 +34,8 @@ const (
 	stateIdle dirState = iota
 	// stateShared: one or more read-only copies; home image valid.
 	stateShared
-	// stateExcl: exactly one read-write copy; home image stale.
+	// stateExcl: exactly one read-write copy; its stores write through, so
+	// the home image is current here too.
 	stateExcl
 )
 
@@ -280,11 +281,6 @@ func (p *Protocol) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	l.SetTag(tempest.TagInvalid)
 	return true
 }
-
-// DrainToHome is retained for API symmetry with earlier revisions: since
-// coherent stores write through to the home image, the home copy of every
-// block is already current and there is nothing to drain.
-func (p *Protocol) DrainToHome() {}
 
 // MarkModification implements tempest.Protocol.  Under plain coherent
 // memory the directive degenerates to "make the block writable", which is

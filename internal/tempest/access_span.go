@@ -1,23 +1,23 @@
 package tempest
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"lcm/internal/memsys"
 )
 
-// Span accessors: bulk loads and stores over [a, a+k*elem) that pay the
-// Blizzard-E lookup once per block segment instead of once per element.
+// Span accessors: bulk loads, stores and copies over [a, a+k*elem) that pay
+// the Blizzard-E lookup once per block segment instead of once per element.
 // Each span splits at block boundaries; within one segment a single tag
 // check (and at most one fault and one makeRoom) covers the whole
-// transfer, which is then a bulk copy, while the virtual-cycle accounting charges k × Cost.CacheHit
-// and Ctr.Hits += k exactly as k scalar accesses would.  The per-block
-// fault sequence is identical to the scalar path's: a scalar loop touching
-// the same range faults each block once, at its first element, in the same
-// order.  With Machine.ScalarAccess set every span decomposes into the
-// scalar accessors so differential tests can assert that equivalence.
+// transfer, which is then one copy between the caller's slice and the view
+// of the line — no element loop, no staging buffer — while the virtual-cycle
+// accounting charges k × Cost.CacheHit and Ctr.Hits += k exactly as k scalar
+// accesses would.  The per-block fault sequence is identical to the scalar
+// path's: a scalar loop touching the same range faults each block once, at
+// its first element, in the same order.  With Machine.ScalarAccess set every
+// span decomposes into the scalar accessors so differential tests can assert
+// that equivalence.
 //
 // Spans must start element-aligned (aggregates are allocated that way), so
 // segments never straddle a block boundary mid-element.
@@ -36,291 +36,70 @@ func (n *Node) spanSeg(a memsys.Addr, elem uint32, max int) (memsys.BlockID, uin
 	return b, off, k
 }
 
-// ReadSpanU32 loads len(dst) consecutive 32-bit words starting at a.
-func (n *Node) ReadSpanU32(a memsys.Addr, dst []uint32) {
+// ReadSpan loads len(dst) consecutive elements starting at a.
+func ReadSpan[T memsys.Word](n *Node, a memsys.Addr, dst []T) {
+	elem := memsys.SizeOf[T]()
 	if n.M.ScalarAccess {
 		for i := range dst {
-			dst[i] = n.ReadU32(a + memsys.Addr(4*i))
+			dst[i] = Read[T](n, a+memsys.Addr(uint32(i)*elem))
 		}
 		return
 	}
 	for len(dst) > 0 {
-		b, off, k := n.spanSeg(a, 4, len(dst))
-		seg := n.loadSeg(b, int64(k)).Data[off:]
-		for i := 0; i < k; i++ {
-			dst[i] = binary.LittleEndian.Uint32(seg[4*i:])
-		}
+		b, off, k := n.spanSeg(a, elem, len(dst))
+		copy(dst[:k], memsys.View[T](n.loadSeg(b, int64(k)).Data[off:]))
 		dst = dst[k:]
-		a += memsys.Addr(4 * k)
+		a += memsys.Addr(uint32(k) * elem)
 	}
 }
 
-// WriteSpanU32 stores the words of src consecutively starting at a.
-func (n *Node) WriteSpanU32(a memsys.Addr, src []uint32) {
+// WriteSpan stores the elements of src consecutively starting at a.
+func WriteSpan[T memsys.Word](n *Node, a memsys.Addr, src []T) {
+	elem := memsys.SizeOf[T]()
 	if n.M.ScalarAccess {
 		for i, v := range src {
-			n.WriteU32(a+memsys.Addr(4*i), v)
+			Write(n, a+memsys.Addr(uint32(i)*elem), v)
 		}
 		return
 	}
 	for len(src) > 0 {
-		_, _, k := n.spanSeg(a, 4, len(src))
-		buf := n.spanBuf[:4*k]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], src[i])
-		}
-		n.storeAt(a, buf, int64(k))
+		_, _, k := n.spanSeg(a, elem, len(src))
+		n.storeAt(a, memsys.Bytes(src[:k]), int64(k))
 		src = src[k:]
-		a += memsys.Addr(4 * k)
-	}
-}
-
-// ReadSpanU64 loads len(dst) consecutive 64-bit words starting at a.
-func (n *Node) ReadSpanU64(a memsys.Addr, dst []uint64) {
-	if n.M.ScalarAccess {
-		for i := range dst {
-			dst[i] = n.ReadU64(a + memsys.Addr(8*i))
-		}
-		return
-	}
-	for len(dst) > 0 {
-		b, off, k := n.spanSeg(a, 8, len(dst))
-		seg := n.loadSeg(b, int64(k)).Data[off:]
-		for i := 0; i < k; i++ {
-			dst[i] = binary.LittleEndian.Uint64(seg[8*i:])
-		}
-		dst = dst[k:]
-		a += memsys.Addr(8 * k)
-	}
-}
-
-// WriteSpanU64 stores the words of src consecutively starting at a.
-func (n *Node) WriteSpanU64(a memsys.Addr, src []uint64) {
-	if n.M.ScalarAccess {
-		for i, v := range src {
-			n.WriteU64(a+memsys.Addr(8*i), v)
-		}
-		return
-	}
-	for len(src) > 0 {
-		_, _, k := n.spanSeg(a, 8, len(src))
-		buf := n.spanBuf[:8*k]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], src[i])
-		}
-		n.storeAt(a, buf, int64(k))
-		src = src[k:]
-		a += memsys.Addr(8 * k)
+		a += memsys.Addr(uint32(k) * elem)
 	}
 }
 
 // ReadSpanF32 loads len(dst) consecutive single-precision floats.
-func (n *Node) ReadSpanF32(a memsys.Addr, dst []float32) {
-	if n.M.ScalarAccess {
-		for i := range dst {
-			dst[i] = n.ReadF32(a + memsys.Addr(4*i))
-		}
-		return
-	}
-	for len(dst) > 0 {
-		b, off, k := n.spanSeg(a, 4, len(dst))
-		seg := n.loadSeg(b, int64(k)).Data[off:]
-		for i := 0; i < k; i++ {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(seg[4*i:]))
-		}
-		dst = dst[k:]
-		a += memsys.Addr(4 * k)
-	}
-}
+func (n *Node) ReadSpanF32(a memsys.Addr, dst []float32) { ReadSpan(n, a, dst) }
 
 // WriteSpanF32 stores the floats of src consecutively starting at a.
-func (n *Node) WriteSpanF32(a memsys.Addr, src []float32) {
-	if n.M.ScalarAccess {
-		for i, v := range src {
-			n.WriteF32(a+memsys.Addr(4*i), v)
-		}
-		return
-	}
-	for len(src) > 0 {
-		_, _, k := n.spanSeg(a, 4, len(src))
-		buf := n.spanBuf[:4*k]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(src[i]))
-		}
-		n.storeAt(a, buf, int64(k))
-		src = src[k:]
-		a += memsys.Addr(4 * k)
-	}
-}
+func (n *Node) WriteSpanF32(a memsys.Addr, src []float32) { WriteSpan(n, a, src) }
 
-// ReadSpanF64 loads len(dst) consecutive double-precision floats.
-func (n *Node) ReadSpanF64(a memsys.Addr, dst []float64) {
-	if n.M.ScalarAccess {
-		for i := range dst {
-			dst[i] = n.ReadF64(a + memsys.Addr(8*i))
-		}
-		return
-	}
-	for len(dst) > 0 {
-		b, off, k := n.spanSeg(a, 8, len(dst))
-		seg := n.loadSeg(b, int64(k)).Data[off:]
-		for i := 0; i < k; i++ {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(seg[8*i:]))
-		}
-		dst = dst[k:]
-		a += memsys.Addr(8 * k)
-	}
-}
-
-// WriteSpanF64 stores the floats of src consecutively starting at a.
-func (n *Node) WriteSpanF64(a memsys.Addr, src []float64) {
-	if n.M.ScalarAccess {
-		for i, v := range src {
-			n.WriteF64(a+memsys.Addr(8*i), v)
-		}
-		return
-	}
-	for len(src) > 0 {
-		_, _, k := n.spanSeg(a, 8, len(src))
-		buf := n.spanBuf[:8*k]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(src[i]))
-		}
-		n.storeAt(a, buf, int64(k))
-		src = src[k:]
-		a += memsys.Addr(8 * k)
-	}
-}
-
-// ReadSpanI32 loads len(dst) consecutive 32-bit signed integers.
-func (n *Node) ReadSpanI32(a memsys.Addr, dst []int32) {
-	if n.M.ScalarAccess {
-		for i := range dst {
-			dst[i] = n.ReadI32(a + memsys.Addr(4*i))
-		}
-		return
-	}
-	for len(dst) > 0 {
-		b, off, k := n.spanSeg(a, 4, len(dst))
-		seg := n.loadSeg(b, int64(k)).Data[off:]
-		for i := 0; i < k; i++ {
-			dst[i] = int32(binary.LittleEndian.Uint32(seg[4*i:]))
-		}
-		dst = dst[k:]
-		a += memsys.Addr(4 * k)
-	}
-}
-
-// WriteSpanI32 stores the integers of src consecutively starting at a.
-func (n *Node) WriteSpanI32(a memsys.Addr, src []int32) {
-	if n.M.ScalarAccess {
-		for i, v := range src {
-			n.WriteI32(a+memsys.Addr(4*i), v)
-		}
-		return
-	}
-	for len(src) > 0 {
-		_, _, k := n.spanSeg(a, 4, len(src))
-		buf := n.spanBuf[:4*k]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(src[i]))
-		}
-		n.storeAt(a, buf, int64(k))
-		src = src[k:]
-		a += memsys.Addr(4 * k)
-	}
-}
-
-// ReadSpanI64 loads len(dst) consecutive 64-bit signed integers.
-func (n *Node) ReadSpanI64(a memsys.Addr, dst []int64) {
-	if n.M.ScalarAccess {
-		for i := range dst {
-			dst[i] = n.ReadI64(a + memsys.Addr(8*i))
-		}
-		return
-	}
-	for len(dst) > 0 {
-		b, off, k := n.spanSeg(a, 8, len(dst))
-		seg := n.loadSeg(b, int64(k)).Data[off:]
-		for i := 0; i < k; i++ {
-			dst[i] = int64(binary.LittleEndian.Uint64(seg[8*i:]))
-		}
-		dst = dst[k:]
-		a += memsys.Addr(8 * k)
-	}
-}
-
-// WriteSpanI64 stores the integers of src consecutively starting at a.
-func (n *Node) WriteSpanI64(a memsys.Addr, src []int64) {
-	if n.M.ScalarAccess {
-		for i, v := range src {
-			n.WriteI64(a+memsys.Addr(8*i), v)
-		}
-		return
-	}
-	for len(src) > 0 {
-		_, _, k := n.spanSeg(a, 8, len(src))
-		buf := n.spanBuf[:8*k]
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(src[i]))
-		}
-		n.storeAt(a, buf, int64(k))
-		src = src[k:]
-		a += memsys.Addr(8 * k)
-	}
-}
-
-// CopySpan copies k elements of elem bytes (4 or 8) from src to dst
-// through the tagged access path, exactly as the scalar loop
+// CopySpan copies k elements of type T from src to dst through the tagged
+// access path, exactly as the scalar loop
 // "for i: store(dst+i*elem, load(src+i*elem))" would: segments split at
 // the earliest next block boundary of either the source or the
 // destination, and each segment performs its loads (one tag check) then
 // its stores (one tag check), so the per-block fault order matches the
 // element-by-element loop's.  Data moves directly from the source line to
 // the destination with no staging buffer.
-func (n *Node) CopySpan(dst, src memsys.Addr, k int, elem uint32) {
-	if elem != 4 && elem != 8 {
-		panic(fmt.Sprintf("tempest: CopySpan element size %d (want 4 or 8)", elem))
-	}
+func CopySpan[T memsys.Word](n *Node, dst, src memsys.Addr, k int) {
+	elem := memsys.SizeOf[T]()
 	if n.M.ScalarAccess {
 		for i := 0; i < k; i++ {
-			d, s := dst+memsys.Addr(uint32(i)*elem), src+memsys.Addr(uint32(i)*elem)
-			if elem == 4 {
-				n.WriteU32(d, n.ReadU32(s))
-			} else {
-				n.WriteU64(d, n.ReadU64(s))
-			}
+			off := memsys.Addr(uint32(i) * elem)
+			Write(n, dst+off, Read[T](n, src+off))
 		}
 		return
 	}
 	for k > 0 {
 		sb, soff, kk := n.spanSeg(src, elem, k)
-		_, _, dk := n.spanSeg(dst, elem, kk)
-		kk = dk
+		_, _, kk = n.spanSeg(dst, elem, kk)
 		l := n.loadSeg(sb, int64(kk))
 		n.storeAt(dst, l.Data[soff:soff+uint32(kk)*elem], int64(kk))
 		k -= kk
 		src += memsys.Addr(uint32(kk) * elem)
 		dst += memsys.Addr(uint32(kk) * elem)
-	}
-}
-
-// FillSpanF32 stores v to k consecutive float32 elements starting at a.
-func (n *Node) FillSpanF32(a memsys.Addr, k int, v float32) {
-	if n.M.ScalarAccess {
-		for i := 0; i < k; i++ {
-			n.WriteF32(a+memsys.Addr(4*i), v)
-		}
-		return
-	}
-	for k > 0 {
-		_, _, kk := n.spanSeg(a, 4, k)
-		buf := n.spanBuf[:4*kk]
-		for i := 0; i < kk; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		n.storeAt(a, buf, int64(kk))
-		k -= kk
-		a += memsys.Addr(4 * kk)
 	}
 }

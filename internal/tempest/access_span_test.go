@@ -2,11 +2,13 @@ package tempest
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
+	"lcm/internal/stats"
 )
 
 // fillHome writes a deterministic byte pattern into every home block of r,
@@ -22,93 +24,118 @@ func fillHome(m *Machine, r *memsys.Region) {
 	}
 }
 
-// spanPattern exercises every span accessor with segment boundaries that
-// land mid-block, mid-span and exactly on block edges, plus interleaved
-// scalar accesses.  Run on a span machine and a ScalarAccess machine, the
-// virtual-time observables must match bit-for-bit.
-func spanPattern(n *Node, base memsys.Addr) {
-	f32 := make([]float32, 13)
-	n.ReadSpanF32(base+4, f32) // starts mid-block, spans two blocks
-	for i := range f32 {
-		f32[i] += 0.5
-	}
-	n.WriteSpanF32(base+4, f32)
+// spanSegs are the segments every row of the differential table transfers,
+// as (byte offset, element count): starting and ending mid-block, whole
+// blocks edge to edge, inside one block, and crossing one boundary.
+var spanSegs = []struct {
+	off memsys.Addr
+	k   int
+}{{8, 13}, {64, 16}, {136, 3}, {48, 7}}
 
-	u32 := make([]uint32, 16) // exactly two blocks, block-aligned
-	n.ReadSpanU32(base+64, u32)
-	n.WriteSpanU32(base+64, u32)
-
-	i32 := make([]int32, 3) // single partial block
-	n.ReadSpanI32(base+140, i32)
-	n.WriteSpanI32(base+140, i32)
-
-	u64 := make([]uint64, 5)
-	n.ReadSpanU64(base+8, u64)
-	n.WriteSpanU64(base+8, u64)
-
-	i64 := make([]int64, 7) // mid-block start, crosses a boundary
-	n.ReadSpanI64(base+48, i64)
-	for i := range i64 {
-		i64[i] -= 3
-	}
-	n.WriteSpanI64(base+48, i64)
-
-	f64 := make([]float64, 4)
-	n.ReadSpanF64(base+192, f64)
-	n.WriteSpanF64(base+192, f64)
-
-	// Copy with different source and destination block phases, so the
-	// dual-boundary segmentation is exercised.
-	n.CopySpan(base+268, base+64, 17, 4)
-	n.CopySpan(base+392, base+8, 6, 8)
-
-	n.FillSpanF32(base+452, 11, 3.25)
-
-	// Scalar accesses interleaved with spans share the same MRU/tag path.
-	_ = n.ReadF32(base + 4)
-	n.WriteF32(base+500, n.ReadF32(base+456))
+// spanRow is one element type of the table: it reads, bumps and writes back
+// every segment through that type's span accessors and returns the bytes it
+// read.
+type spanRow struct {
+	name string
+	run  func(n *Node, base memsys.Addr) []byte
 }
 
-// TestSpanScalarEquivalence runs the same access pattern through the span
-// engine and through the per-element fallback on two identical machines
-// and asserts that the clock, hit/miss counters, fault counts and the
-// final home image are bit-identical.
-func TestSpanScalarEquivalence(t *testing.T) {
-	type run struct {
-		clock        int64
-		hits, misses int64
-		reads, wris  int
-		image        []byte
-	}
-	exec := func(scalar bool) run {
-		m, r := newTestMachine(t, 1, 256)
-		m.ScalarAccess = scalar
-		fillHome(m, r)
-		m.Run(func(n *Node) { spanPattern(n, r.Base) })
-		fp := m.protocol.(*fakeProtocol)
-		var img []byte
-		b0 := m.AS.Block(r.Base)
-		b1 := m.AS.Block(r.Base + memsys.Addr(r.Size) - 1)
-		for b := b0; b <= b1; b++ {
-			img = append(img, m.AS.HomeData(b)...)
+func newSpanRow[T memsys.Word](name string, read, write func(*Node, memsys.Addr, []T), step T) spanRow {
+	return spanRow{name, func(n *Node, base memsys.Addr) (seen []byte) {
+		for _, seg := range spanSegs {
+			buf := make([]T, seg.k)
+			read(n, base+seg.off, buf)
+			seen = append(seen, memsys.Bytes(buf)...)
+			for i := range buf {
+				buf[i] += step
+			}
+			write(n, base+seg.off, buf)
 		}
-		nd := m.Nodes[0]
-		return run{nd.Clock(), nd.Ctr.Hits, nd.Ctr.Misses, fp.readFaults, fp.writeFault, img}
+		return seen
+	}}
+}
+
+// spanRows covers every Word type: float32 through the Node methods (the one
+// element type with callers of its own), the rest through the generic
+// transfers the aggregates use.
+var spanRows = []spanRow{
+	newSpanRow("f32", (*Node).ReadSpanF32, (*Node).WriteSpanF32, 0.5),
+	newSpanRow("f64", ReadSpan[float64], WriteSpan[float64], -0.25),
+	newSpanRow("i32", ReadSpan[int32], WriteSpan[int32], 7),
+	newSpanRow("i64", ReadSpan[int64], WriteSpan[int64], -3),
+	newSpanRow("u32", ReadSpan[uint32], WriteSpan[uint32], 1),
+	newSpanRow("u64", ReadSpan[uint64], WriteSpan[uint64], 1<<40),
+}
+
+// spanPattern runs every row, then the copy and scalar accesses that
+// share the rows' MRU and tag path, and returns everything it read.
+func spanPattern(n *Node, base memsys.Addr) (seen []byte) {
+	for _, row := range spanRows {
+		seen = append(seen, row.run(n, base)...)
 	}
-	span, scal := exec(false), exec(true)
-	if span.clock != scal.clock {
-		t.Errorf("clock: span %d, scalar %d", span.clock, scal.clock)
+	// Copy with different source and destination block phases, so the
+	// dual-boundary segmentation is exercised.
+	CopySpan[uint32](n, base+268, base+64, 17)
+	CopySpan[float64](n, base+392, base+8, 6)
+
+	v := n.ReadF32(base+4) + n.ReadF32(base+456)
+	n.WriteF32(base+500, v)
+	return append(seen, memsys.Bytes([]float32{v})...)
+}
+
+// spanRun is what one execution of spanPattern leaves behind: everything a
+// span machine and a ScalarAccess machine must agree on.
+type spanRun struct {
+	seen, image []byte
+	clock       int64
+	ctr         stats.NodeCounters
+	faults      []fakeFault
+}
+
+func runSpanPattern(t *testing.T, scalar bool, cacheLines, passes int) spanRun {
+	m, r := newTestMachine(t, 1, 256)
+	m.ScalarAccess, m.CacheLines = scalar, cacheLines
+	fillHome(m, r)
+	var out spanRun
+	m.Run(func(n *Node) {
+		for i := 0; i < passes; i++ {
+			out.seen = append(out.seen, spanPattern(n, r.Base)...)
+		}
+	})
+	out.image = m.AS.HomeBytes(r.Base, int(r.Size))
+	out.clock, out.ctr = m.Nodes[0].Clock(), m.Nodes[0].Ctr
+	out.faults = m.protocol.(*fakeProtocol).order
+	return out
+}
+
+func (got spanRun) diff(t *testing.T, want spanRun) {
+	t.Helper()
+	if !bytes.Equal(got.seen, want.seen) {
+		t.Errorf("answers differ between span and scalar execution")
 	}
-	if span.hits != scal.hits || span.misses != scal.misses {
-		t.Errorf("hits/misses: span %d/%d, scalar %d/%d",
-			span.hits, span.misses, scal.hits, scal.misses)
-	}
-	if span.reads != scal.reads || span.wris != scal.wris {
-		t.Errorf("faults: span %d/%d, scalar %d/%d",
-			span.reads, span.wris, scal.reads, scal.wris)
-	}
-	if !bytes.Equal(span.image, scal.image) {
+	if !bytes.Equal(got.image, want.image) {
 		t.Errorf("final home image differs between span and scalar execution")
+	}
+	if got.clock != want.clock {
+		t.Errorf("clock: span %d, scalar %d", got.clock, want.clock)
+	}
+	if got.ctr != want.ctr {
+		t.Errorf("counters: span %+v, scalar %+v", got.ctr, want.ctr)
+	}
+	if !slices.Equal(got.faults, want.faults) {
+		t.Errorf("per-block fault order:\n span   %v\n scalar %v", got.faults, want.faults)
+	}
+}
+
+// TestSpanScalarEquivalence runs the table through the span engine and
+// through the per-element fallback on two identical machines and asserts
+// that the answers, the clock, every counter, the order in which blocks
+// faulted and the final home image are bit-identical.
+func TestSpanScalarEquivalence(t *testing.T) {
+	span := runSpanPattern(t, false, 0, 1)
+	span.diff(t, runSpanPattern(t, true, 0, 1))
+	if len(span.faults) == 0 || span.ctr.Hits == 0 {
+		t.Errorf("pattern faulted %d times and hit %d: nothing was compared", len(span.faults), span.ctr.Hits)
 	}
 }
 
@@ -133,7 +160,7 @@ func TestSpanRoundTrip(t *testing.T) {
 				t.Errorf("scalar readback [%d] = %v, want %v", i, v, want[i])
 			}
 		}
-		n.CopySpan(r.Base+128, r.Base+8, len(want), 4)
+		CopySpan[float32](n, r.Base+128, r.Base+8, len(want))
 		for i := range want {
 			if v := n.ReadF32(r.Base + 128 + memsys.Addr(4*i)); v != want[i] {
 				t.Errorf("copy dst [%d] = %v, want %v", i, v, want[i])
@@ -143,9 +170,9 @@ func TestSpanRoundTrip(t *testing.T) {
 		for i := range wantI {
 			wantI[i] = int64(i)*-7 + 3
 		}
-		n.WriteSpanI64(r.Base+184, wantI)
+		WriteSpan(n, r.Base+184, wantI)
 		gotI := make([]int64, len(wantI))
-		n.ReadSpanI64(r.Base+184, gotI)
+		ReadSpan(n, r.Base+184, gotI)
 		for i := range wantI {
 			if gotI[i] != wantI[i] {
 				t.Errorf("i64[%d] = %v, want %v", i, gotI[i], wantI[i])
@@ -276,24 +303,10 @@ func TestMakeRoomFIFOBounded(t *testing.T) {
 // TestSpanEquivalenceUnderEviction repeats the equivalence check with a
 // tight cache so the span fault path interacts with makeRoom/eviction.
 func TestSpanEquivalenceUnderEviction(t *testing.T) {
-	exec := func(scalar bool) (int64, int64, int64, int64) {
-		m, r := newTestMachine(t, 1, 256)
-		m.CacheLines = 3
-		m.ScalarAccess = scalar
-		fillHome(m, r)
-		m.Run(func(n *Node) {
-			for pass := 0; pass < 4; pass++ {
-				spanPattern(n, r.Base)
-			}
-		})
-		nd := m.Nodes[0]
-		return nd.Clock(), nd.Ctr.Hits, nd.Ctr.Misses, nd.Ctr.Evictions
-	}
-	c1, h1, m1, e1 := exec(false)
-	c2, h2, m2, e2 := exec(true)
-	if c1 != c2 || h1 != h2 || m1 != m2 || e1 != e2 {
-		t.Errorf("span (clock %d hits %d misses %d evict %d) != scalar (%d %d %d %d)",
-			c1, h1, m1, e1, c2, h2, m2, e2)
+	span := runSpanPattern(t, false, 3, 4)
+	span.diff(t, runSpanPattern(t, true, 3, 4))
+	if span.ctr.Evictions == 0 {
+		t.Errorf("no evictions with CacheLines=3")
 	}
 }
 
@@ -307,7 +320,7 @@ func TestSpanUnalignedPanics(t *testing.T) {
 			}
 		}()
 		dst := make([]float64, 2)
-		n.ReadSpanF64(r.Base+4, dst) // 8-byte elements at offset 4
+		ReadSpan(n, r.Base+4, dst) // 8-byte elements at offset 4
 	})
 }
 

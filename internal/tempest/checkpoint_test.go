@@ -2,7 +2,9 @@ package tempest
 
 import (
 	"testing"
+	"unsafe"
 
+	"lcm/internal/cost"
 	"lcm/internal/fault"
 	"lcm/internal/memsys"
 )
@@ -187,5 +189,39 @@ func TestKillWithoutRecoverStillAborts(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("run succeeded despite an unrecoverable kill")
+	}
+}
+
+// TestCheckpointImagesAligned: checkpoint images hold block data like any
+// other buffer (memsys/view.go's alignment rule), so at the smallest and the
+// largest block size every data and clean image of a checkpoint starts on an
+// 8-byte boundary.  (The buffers reachable from outside the package are
+// walked by memsys's TestBlockBuffersAligned.)
+func TestCheckpointImagesAligned(t *testing.T) {
+	for _, bs := range []uint32{8, 256} {
+		m := New(2, bs, cost.Uniform(1))
+		r := m.AS.Alloc("data", 5*uint64(bs), memsys.KindCoherent, memsys.Interleaved)
+		m.SetProtocol(&fakeProtocol{})
+		m.Recovery = true
+		m.Freeze()
+		m.Run(func(n *Node) {
+			for a := r.Base; a < r.End(); a += memsys.Addr(bs) {
+				n.ReadU32(a)
+				n.Line(m.AS.Block(a)).Clean = n.BlockBuf() // as LCM-mcc keeps one
+			}
+			n.Barrier()
+		})
+		for _, n := range m.Nodes {
+			if len(n.ckpt.lines) != 5 {
+				t.Fatalf("bs %d node %d: checkpoint holds %d lines, want 5", bs, n.ID, len(n.ckpt.lines))
+			}
+			for _, s := range n.ckpt.lines {
+				for _, img := range [][]byte{s.data, s.clean} {
+					if p := uintptr(unsafe.Pointer(unsafe.SliceData(img))); img == nil || p%8 != 0 {
+						t.Errorf("bs %d node %d block %d: checkpoint image at %#x is not 8-byte aligned", bs, n.ID, s.block, p)
+					}
+				}
+			}
+		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the sequence-numbered ack/retransmission layer that makes
-// the protocol survive an unreliable interconnect.  AttachLoss seeds the
-// active network model with delivery faults (drop/duplicate/reorder; see
-// net.Loss) and wraps it in reliableNet, which sits between every
-// protocol charge site and the model:
+// the protocol survive an unreliable interconnect.  AttachLoss seeds a
+// delivery-fault model (drop/duplicate/reorder; see net.Loss) and wraps the
+// active network model in reliableNet, which sits between every protocol
+// charge site and the model and draws each message's fate before pricing it:
 //
 //   - each message carries a per-sender sequence number; the receiver
 //     acks cumulatively;
@@ -33,15 +33,17 @@ import (
 // would double-inject).
 type reliableNet struct {
 	inner net.Network
+	loss  *net.Loss
 	f     *fault.Injector
 
 	sendSeq []uint64 // per sender: last sequence number issued
 	recvSeq []uint64 // per sender: highest sequence delivered in order
 }
 
-func newReliableNet(inner net.Network, f *fault.Injector, p int) *reliableNet {
+func newReliableNet(inner net.Network, l *net.Loss, f *fault.Injector, p int) *reliableNet {
 	return &reliableNet{
 		inner:   inner,
+		loss:    l,
 		f:       f,
 		sendSeq: make([]uint64, p),
 		recvSeq: make([]uint64, p),
@@ -62,8 +64,7 @@ func (m *Machine) AttachLoss(cfg net.LossConfig) *net.Loss {
 		m.AttachFaults(fault.Plan{})
 	}
 	l := net.NewLoss(cfg, m.P)
-	m.Net.SetLoss(l)
-	m.Net = newReliableNet(m.Net, m.Fault, m.P)
+	m.Net = newReliableNet(m.Net, l, m.Fault, m.P)
 	m.Loss = l
 	return l
 }
@@ -98,7 +99,7 @@ func (r *reliableNet) exchange(src, dst int, now int64, c *net.Counters, price f
 	seq := r.nextSeq(src)
 	var waste int64
 	for attempt := 1; ; attempt++ {
-		d := r.inner.Deliver(src, dst)
+		d := r.loss.Classify(src)
 		if d == net.Dropped {
 			if attempt > r.f.RetryBudget() {
 				panic(&fault.RetryExhaustedError{
@@ -169,13 +170,6 @@ func (r *reliableNet) Barrier(node int, c *net.Counters) { r.inner.Barrier(node,
 
 // LinkStats implements net.Network.
 func (r *reliableNet) LinkStats() net.LinkStats { return r.inner.LinkStats() }
-
-// SetLoss forwards to the wrapped model.
-func (r *reliableNet) SetLoss(l *net.Loss) { r.inner.SetLoss(l) }
-
-// Deliver reports what the layer guarantees: everything above it is
-// delivered exactly once, in order.
-func (r *reliableNet) Deliver(src, dst int) net.Delivery { return net.Delivered }
 
 // OrderFree reports false: each message draws its fate from the sender's
 // loss stream, in send order.

@@ -335,7 +335,6 @@ func (m *Machine) FreezeErr() error {
 	n := m.AS.NumBlocks()
 	for _, nd := range m.Nodes {
 		nd.lines = make([]*Line, n)
-		nd.spanBuf = make([]byte, m.AS.BlockSize)
 	}
 	for _, r := range m.AS.Regions() {
 		if r.ConflictCheck {
@@ -423,10 +422,6 @@ type Node struct {
 	// proportional to the live queue, not to the eviction history.
 	fifo     []memsys.BlockID
 	fifoHead int
-
-	// spanBuf is a block-sized staging buffer for the span store path
-	// (owner goroutine only), allocated at Freeze.
-	spanBuf []byte
 
 	// lineArena and dataArena back new lines in chunks (owner goroutine
 	// only): a P-node run creates up to P×blocks lines, so first-touch

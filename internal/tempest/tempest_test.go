@@ -14,6 +14,12 @@ type fakeProtocol struct {
 	m          *Machine
 	readFaults int
 	writeFault int
+	order      []fakeFault // every fault, in the order taken
+}
+
+type fakeFault struct {
+	b     memsys.BlockID
+	write bool
 }
 
 func (f *fakeProtocol) Name() string      { return "fake" }
@@ -22,6 +28,7 @@ func (f *fakeProtocol) Attach(m *Machine) { f.m = m }
 func (f *fakeProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
 	f.m.Lock(b)
 	f.readFaults++
+	f.order = append(f.order, fakeFault{b, false})
 	n.Ctr.Misses++
 	return n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
 }
@@ -29,6 +36,7 @@ func (f *fakeProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
 func (f *fakeProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
 	f.m.Lock(b)
 	f.writeFault++
+	f.order = append(f.order, fakeFault{b, true})
 	n.Ctr.Misses++
 	return n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
 }
@@ -56,27 +64,27 @@ func TestAccessorsRoundTrip(t *testing.T) {
 	m, r := newTestMachine(t, 1, 64)
 	m.Run(func(n *Node) {
 		n.WriteF32(r.Base, 1.5)
-		n.WriteF64(r.Base+8, -2.25)
-		n.WriteI32(r.Base+16, -7)
-		n.WriteI64(r.Base+24, 1<<40)
+		Write[float64](n, r.Base+8, -2.25)
+		Write[int32](n, r.Base+16, -7)
+		Write[int64](n, r.Base+24, 1<<40)
 		n.WriteU32(r.Base+40, 0xDEADBEEF)
-		n.WriteU64(r.Base+48, 0xCAFEBABE12345678)
+		Write[uint64](n, r.Base+48, 0xCAFEBABE12345678)
 		if v := n.ReadF32(r.Base); v != 1.5 {
 			t.Errorf("f32 = %v", v)
 		}
-		if v := n.ReadF64(r.Base + 8); v != -2.25 {
+		if v := Read[float64](n, r.Base+8); v != -2.25 {
 			t.Errorf("f64 = %v", v)
 		}
-		if v := n.ReadI32(r.Base + 16); v != -7 {
+		if v := Read[int32](n, r.Base+16); v != -7 {
 			t.Errorf("i32 = %v", v)
 		}
-		if v := n.ReadI64(r.Base + 24); v != 1<<40 {
+		if v := Read[int64](n, r.Base+24); v != 1<<40 {
 			t.Errorf("i64 = %v", v)
 		}
 		if v := n.ReadU32(r.Base + 40); v != 0xDEADBEEF {
 			t.Errorf("u32 = %#x", v)
 		}
-		if v := n.ReadU64(r.Base + 48); v != 0xCAFEBABE12345678 {
+		if v := Read[uint64](n, r.Base+48); v != 0xCAFEBABE12345678 {
 			t.Errorf("u64 = %#x", v)
 		}
 	})
@@ -90,7 +98,7 @@ func TestStraddlePanics(t *testing.T) {
 				t.Error("expected straddle panic")
 			}
 		}()
-		n.ReadF64(r.Base + 28) // 8 bytes at offset 28 of a 32-byte block
+		Read[float64](n, r.Base+28) // 8 bytes at offset 28 of a 32-byte block
 	})
 }
 
@@ -195,7 +203,7 @@ func TestRunIsSPMD(t *testing.T) {
 	// Each node writes one word; afterwards all must be in home... no
 	// coherence in fakeProtocol, but each node's own line holds it.
 	m.Run(func(n *Node) {
-		n.WriteI32(r.Base+memsys.Addr(n.ID*32), int32(n.ID+1))
+		Write(n, r.Base+memsys.Addr(n.ID*32), int32(n.ID+1))
 	})
 	for i, n := range m.Nodes {
 		b := m.AS.Block(r.Base + memsys.Addr(i*32))

@@ -60,10 +60,10 @@ func relaxLeaf(lv, navg float32, ord, it int) float32 {
 
 // RunAdaptive executes the Adaptive benchmark on the given system.
 func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
-	cfg = cfg.norm()
+	cfg = cfg.Norm()
 	res := Result{Workload: "Adaptive", System: sys, Sched: spec.Sched,
 		Extra: map[string]float64{}}
-	m := cfg.machine(sys)
+	m := cfg.Machine(sys)
 
 	q := mesh.New(m, "mesh", spec.N, spec.N, spec.MaxDepth, cstar.DataPolicy(sys))
 	var old *mesh.QuadPool
@@ -152,7 +152,6 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 		return res
 	}
 	finish(m, &res)
-	cstar.DrainToHome(m)
 	res.Extra["cells"] = float64(q.CountCells())
 
 	if cfg.Verify {

@@ -259,7 +259,7 @@ const fnvOffset = 14695981039346656037
 
 // RunKV executes the sharded KV serving workload on the given system.
 func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
-	cfg = cfg.norm()
+	cfg = cfg.Norm()
 	spec = spec.norm()
 	res := Result{Workload: "KV", System: sys, Sched: spec.Mix, Extra: map[string]float64{}}
 	readFrac, err := spec.readFrac()
@@ -267,7 +267,7 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 		res.Err = err
 		return res
 	}
-	m := cfg.machine(sys)
+	m := cfg.Machine(sys)
 	p := cfg.P
 
 	perShard := spec.Keys / spec.Shards
@@ -413,7 +413,6 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 	}
 	// Fold the answer from the home images: per-shard store checksums
 	// in shard order, then the get checksums in stream order.
-	cstar.DrainToHome(m)
 	stats.PerShard = make([]uint64, spec.Shards)
 	answer := uint64(fnvOffset)
 	for s := 0; s < spec.Shards; s++ {

@@ -52,9 +52,9 @@ func stencilVal(up, down, left, right float32) float32 {
 
 // RunStencil executes the Stencil benchmark on the given memory system.
 func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
-	cfg = cfg.norm()
+	cfg = cfg.Norm()
 	res := Result{Workload: "Stencil", System: sys, Sched: spec.Sched}
-	m := cfg.machine(sys)
+	m := cfg.Machine(sys)
 
 	a := cstar.NewMatrixF32(m, "A", spec.N, spec.N, cstar.DataPolicy(sys), memsys.Interleaved)
 	var old *cstar.MatrixF32
@@ -139,7 +139,6 @@ func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
 		if sys == cstar.Copying && spec.Iters%2 == 0 {
 			final = old
 		}
-		cstar.DrainToHome(m)
 		if res.Err == nil {
 			res.Err = verifyStencil(final, spec)
 		}

@@ -45,9 +45,9 @@ func thresholdSources(spec ThresholdSpec) [][2]int {
 
 // RunThreshold executes the Threshold benchmark on the given system.
 func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
-	cfg = cfg.norm()
+	cfg = cfg.Norm()
 	res := Result{Workload: "Threshold", System: sys, Extra: map[string]float64{}}
-	m := cfg.machine(sys)
+	m := cfg.Machine(sys)
 
 	a := cstar.NewMatrixF32(m, "T", spec.N, spec.N, cstar.DataPolicy(sys), memsys.Interleaved)
 	var old *cstar.MatrixF32
@@ -176,7 +176,6 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 		if sys == cstar.Copying && spec.Iters%2 == 0 {
 			final = old
 		}
-		cstar.DrainToHome(m)
 		if res.Err == nil {
 			res.Err = verifyThreshold(final, spec)
 		}

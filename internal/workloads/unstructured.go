@@ -47,12 +47,12 @@ func relaxVertex(v, navg float32, vid, it int) float32 {
 
 // RunUnstructured executes the Unstructured benchmark.
 func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result {
-	cfg = cfg.norm()
+	cfg = cfg.Norm()
 	if spec.Stride == 0 {
 		spec.Stride = 8
 	}
 	res := Result{Workload: "Unstructured", System: sys, Extra: map[string]float64{}}
-	m := cfg.machine(sys)
+	m := cfg.Machine(sys)
 
 	topo := graph.Build(spec.Nodes, spec.Edges, spec.Seed)
 	// Vertex values: one padded record per vertex, block-partitioned so a
@@ -142,7 +142,6 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 		if sys == cstar.Copying && spec.Iters%2 == 0 {
 			final = old
 		}
-		cstar.DrainToHome(m)
 		if res.Err == nil {
 			res.Err = verifyUnstructured(final, topo, spec, initV)
 		}

@@ -88,7 +88,9 @@ type Config struct {
 	tap func(*tempest.Machine)
 }
 
-func (c Config) norm() Config {
+// Norm returns the configuration with every unset field at its default: the
+// paper's 32 processors and 32-byte blocks, cost.Default().
+func (c Config) Norm() Config {
 	if c.P == 0 {
 		c.P = 32
 	}
@@ -102,7 +104,13 @@ func (c Config) norm() Config {
 	return c
 }
 
-func (c Config) machine(sys cstar.System) *tempest.Machine {
+// Machine builds the machine the configuration describes, running the given
+// memory system: the one constructor every experiment goes through, so that
+// no flag reaches some runs and not others.  Input the configuration cannot
+// satisfy (an unknown network model) is recorded on the machine and
+// surfaces from RunErr.
+func (c Config) Machine(sys cstar.System) *tempest.Machine {
+	c = c.Norm()
 	m := cstar.NewMachine(c.P, c.BlockSize, *c.CostModel, sys)
 	if c.TraceCap > 0 {
 		m.AttachTrace(c.TraceCap)

@@ -192,3 +192,24 @@ func TestResultLabels(t *testing.T) {
 		t.Fatalf("label %q", r.Label())
 	}
 }
+
+// BenchmarkHitPathCells runs what lcmperf's hit-path workload times — the
+// Stencil-static and Threshold cells at the paper's sizes under the Copying
+// baseline, P=32, 12 steps — so that the profiler flags of go test apply to
+// exactly those two cells (EXPERIMENTS.md, "hit-path: where host time and
+// the 156 MB a pass go", gives the command).
+func BenchmarkHitPathCells(b *testing.B) {
+	stencil, threshold := PaperStencil("static"), PaperThreshold()
+	stencil.Iters, threshold.Iters = 12, 12
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, r := range []Result{
+			RunStencil(cstar.Copying, stencil, Config{P: 32}),
+			RunThreshold(cstar.Copying, threshold, Config{P: 32}),
+		} {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+}

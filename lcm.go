@@ -181,10 +181,6 @@ func Conflicts(m *Machine) []Conflict {
 	return nil
 }
 
-// DrainToHome flushes dirty cached state to home images for sequential
-// inspection via Peek; call only while the machine is quiescent.
-func DrainToHome(m *Machine) { cstar.DrainToHome(m) }
-
 // DataPolicy is the policy a C** compiler gives shared aggregate data
 // under the given system.
 func DataPolicy(sys System) Policy { return cstar.DataPolicy(sys) }

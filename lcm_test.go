@@ -152,7 +152,6 @@ func TestPublicSimLock(t *testing.T) {
 			lk.Release(n)
 		}
 	})
-	lcm.DrainToHome(m)
 	if got := v.Peek(0); got != 40 {
 		t.Fatalf("lock-protected counter = %d, want 40", got)
 	}
