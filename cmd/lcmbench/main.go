@@ -55,9 +55,7 @@ import (
 	"strings"
 	"time"
 
-	"lcm/internal/cost"
 	"lcm/internal/harness"
-	"lcm/internal/net"
 	"lcm/internal/workloads"
 )
 
@@ -118,25 +116,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *scale < 1 {
-		fmt.Fprintln(stderr, "lcmbench: -scale must be >= 1")
+	cfg, err := harness.Tuple{P: *p, Scale: *scale, BlockSize: *blockSize, KVSkew: *kvSkew,
+		Net: *netModel, LinkBW: *linkBW, NILat: *niLat}.Config()
+	if err != nil {
+		fmt.Fprintln(stderr, "lcmbench:", err)
 		return 2
 	}
-	if *p < 1 {
-		fmt.Fprintln(stderr, "lcmbench: -p must be >= 1")
-		return 2
-	}
-	if *kvSkew < 0 {
-		fmt.Fprintln(stderr, "lcmbench: -kvskew must be >= 0")
-		return 2
-	}
-	if *blockSize != 0 && (*blockSize < 8 || *blockSize&(*blockSize-1) != 0) {
-		// Power-of-two >= 8 is the address-space requirement; sizes
-		// above the protocol's element-tracking limit pass through here
-		// and fail per cell with a config error (exit 1).
-		fmt.Fprintln(stderr, "lcmbench: -blocksize must be a power of two >= 8")
-		return 2
-	}
+	cfg.Verify, cfg.SchedSeed = *verify, *schedSeed
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -161,18 +147,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	s := harness.New(stdout)
-	s.Cfg = workloads.Config{P: *p, BlockSize: uint32(*blockSize), Verify: *verify, SchedSeed: *schedSeed}
+	s.Cfg = cfg
 	s.Scale = *scale
 	s.KVSkew = *kvSkew
 	s.KVReshard = *kvReshard
-	if *netModel != "uniform" || *linkBW != 0 || *niLat != 0 {
-		netCfg := net.Config{Model: *netModel, CyclesPerByte: *linkBW, NICycles: *niLat}
-		if _, err := net.New(netCfg, *p, cost.Default()); err != nil {
-			fmt.Fprintln(stderr, "lcmbench:", err)
-			return 2
-		}
-		s.Cfg.Net = &netCfg
-	}
 
 	// -netsweep, -chaos and -recovery each run their own campaign and
 	// nothing else; a second selection would be dropped, so it is refused.
@@ -238,19 +216,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The full grid unless -cells names some; only the full grid has
 		// the rows the figures are drawn from.
 		grid := *cells == ""
-		var cellSpecs []harness.CellSpec
+		var names []string
 		if grid {
 			fmt.Fprintf(stdout, "running benchmarks (P=%d, scale 1/%d)...\n", *p, *scale)
-			cellSpecs = harness.GridCells()
 		} else {
-			for _, name := range strings.Split(*cells, ",") {
-				c, err := harness.ParseCell(name)
-				if err != nil {
-					fmt.Fprintln(stderr, "lcmbench:", err)
-					return 2
-				}
-				cellSpecs = append(cellSpecs, c)
-			}
+			names = strings.Split(*cells, ",")
+		}
+		cellSpecs, err := harness.ParseCells(names)
+		if err != nil {
+			fmt.Fprintln(stderr, "lcmbench:", err)
+			return 2
 		}
 		rows, err := s.RunCells(cellSpecs)
 		if err != nil {

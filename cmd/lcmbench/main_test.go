@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // A block size above 256 bytes exceeds the per-element modified bitmask
@@ -47,10 +48,16 @@ func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
 		want string
 	}
 	cases := []usage{
-		{[]string{"-blocksize", "48"}, "lcmbench: -blocksize must be a power of two >= 8\n"},
-		{[]string{"-scale", "0"}, "lcmbench: -scale must be >= 1\n"},
-		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "-3"}, "lcmbench: -p must be >= 1\n"},
-		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "0"}, "lcmbench: -p must be >= 1\n"},
+		{[]string{"-blocksize", "48"}, "lcmbench: blocksize must be a power of two >= 8, got 48\n"},
+		{[]string{"-scale", "0"}, "lcmbench: scale must be >= 1, got 0\n"},
+		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "-3"}, "lcmbench: p must be >= 1, got -3\n"},
+		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "0"}, "lcmbench: p must be >= 1, got 0\n"},
+		// Links that finish before they start, and a link parameter the
+		// uniform model would never read.
+		{[]string{"-net", "fattree", "-linkbw", "-5"}, "lcmbench: linkbw and nilat must be >= 0, got -5 and 0\n"},
+		{[]string{"-net", "fattree", "-nilat", "-7"}, "lcmbench: linkbw and nilat must be >= 0, got 0 and -7\n"},
+		{[]string{"-linkbw", "3"}, "lcmbench: linkbw and nilat apply only to the fattree network\n"},
+		{[]string{"-net", "torus"}, "lcmbench: net: unknown model \"torus\" (want uniform or fattree)\n"},
 		{[]string{"-par", "4"}, "flag provided but not defined: -par\n"},
 		{[]string{"-freerun"}, "flag provided but not defined: -freerun\n"},
 		{[]string{"-chaos", "-recovery"}, "lcmbench: -chaos runs only its own campaign and cannot be combined with -recovery\n"},
@@ -85,6 +92,28 @@ func TestUnknownCellExitsTwo(t *testing.T) {
 		if !strings.Contains(errOut.String(), "unknown grid cell") ||
 			!strings.Contains(errOut.String(), "want one of") {
 			t.Errorf("run(-cells %s): stderr missing structured diagnostic:\n%s", cells, errOut.String())
+		}
+	}
+}
+
+// Unstructured divides 256 vertices by -scale: past 128 that used to leave
+// one vertex (graph construction drew pairs of distinct vertices forever) or
+// none (a division by zero and a goroutine dump).  Every scale now runs the
+// floor-sized graph and returns, within a deadline per case.
+func TestUnstructuredAtAnyScaleReturns(t *testing.T) {
+	for _, scale := range []string{"128", "256", "512", "100000"} {
+		var out, errOut strings.Builder
+		code := make(chan int, 1)
+		go func() {
+			code <- run([]string{"-cells", "Unstructured", "-scale", scale, "-p", "8", "-verify"}, &out, &errOut)
+		}()
+		select {
+		case c := <-code:
+			if c != 0 || errOut.Len() != 0 || !strings.Contains(out.String(), "all benchmark results verified") {
+				t.Errorf("run(-cells Unstructured -scale %s) = %d\nstdout:\n%s\nstderr:\n%s", scale, c, out.String(), errOut.String())
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run(-cells Unstructured -scale %s) has not returned after 30 s", scale)
 		}
 	}
 }

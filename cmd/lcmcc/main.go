@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,6 +44,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	p := fs.Int("p", 16, "simulated processors")
 	sysName := fs.String("sys", "lcm-mcc", "memory system for -run: copying, lcm-scc, lcm-mcc")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *rows < 1 || *cols < 1 || *p < 1 || *iters < 0 {
+		fmt.Fprintln(stderr, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0")
 		return 2
 	}
 	sys, err := cstar.ParseSystem(*sysName)
@@ -92,14 +97,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	m := lcm.NewMachine(lcm.MachineConfig{Nodes: *p, System: sys})
 	inst := prog.Instantiate(m, *rows, *cols, sys)
-	m.Freeze()
+	if err := m.FreezeErr(); err != nil {
+		fmt.Fprintln(stderr, "lcmcc:", err)
+		return 1
+	}
 	inst.Init(func(i, j int) float32 { return float32((i*31+j*17)%97) / 9.7 })
-	m.Run(func(n *lcm.Node) {
+	err = m.RunErr(func(n *lcm.Node) {
 		_ = inst.RunNode(n, *iters, lcm.StaticSchedule{})
 	})
 	// RunNode returns the same first-fault error on every node; report it
 	// once rather than P times.
-	if err := inst.Err(); err != nil {
+	if err = errors.Join(err, inst.Err()); err != nil {
 		fmt.Fprintln(stderr, "lcmcc:", err)
 		return 1
 	}

@@ -20,6 +20,12 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-sys", "mesi"}, stencilSrc, 2, "lcmcc: unknown system \"mesi\" (want copying, lcm-scc|scc or lcm-mcc|mcc)\n"},
 		{[]string{filepath.Join(t.TempDir(), "missing.cstar")}, "", 2, "lcmcc: open "},
 		{[]string{"-freerun"}, stencilSrc, 2, "flag provided but not defined: -freerun\n"},
+		{[]string{"-run", "-rows", "0"}, stencilSrc, 2, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0\n"},
+		{[]string{"-run", "-rows", "-3"}, stencilSrc, 2, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0\n"},
+		{[]string{"-run", "-cols", "0"}, stencilSrc, 2, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0\n"},
+		{[]string{"-run", "-p", "-4"}, stencilSrc, 2, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0\n"},
+		{[]string{"-run", "-p", "0"}, stencilSrc, 2, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0\n"},
+		{[]string{"-run", "-iters", "-1"}, stencilSrc, 2, "lcmcc: -rows, -cols and -p must be >= 1 and -iters >= 0\n"},
 		{[]string{"-run"}, `parallel f(A) { A[i-5][j] = A[i][j]; }`, 1, "lcmcc: lang: row subscript"},
 		{nil, `parallel`, 1, "lcmcc: "},
 	} {

@@ -44,7 +44,7 @@ import (
 // second protocol fault, twice, and restarts from its barrier checkpoint.
 func killPlan() *fault.Plan {
 	return &fault.Plan{
-		Seed: 0x6b111, KillNode: 1, KillAfter: 2, KillCount: 2, KillRecover: true,
+		Seed: 0x6b111, KillNode: 1, KillAfter: 2, KillCount: 2, Recover: true,
 	}
 }
 
@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	base := check.Config{Nodes: *nodes, Blocks: *blocks, MaxSchedules: *maxSchedules, NoSleep: *noSleep}
 	if *kill {
-		base.Faults, base.Recovery = killPlan(), true
+		base.Faults = killPlan()
 	}
 
 	if *replay != "" {

@@ -25,7 +25,6 @@ import (
 	"lcm/internal/harness"
 	"lcm/internal/stats"
 	"lcm/internal/trace"
-	"lcm/internal/workloads"
 )
 
 func main() {
@@ -49,10 +48,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *p < 1 || *scale < 1 {
-		fmt.Fprintln(stderr, "lcmtrace: -p and -scale must be >= 1")
+	cfg, err := harness.Tuple{P: *p, Scale: *scale}.Config()
+	if err != nil {
+		fmt.Fprintln(stderr, "lcmtrace:", err)
 		return 2
 	}
+	cfg.Verify, cfg.TraceCap = *verify, *traceN
 	sys, err := cstar.ParseSystem(*sysName)
 	if err != nil {
 		fmt.Fprintln(stderr, "lcmtrace:", err)
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	suite := harness.New(stdout)
 	suite.Scale = *scale
-	r := suite.Run(cell, sys, workloads.Config{P: *p, Verify: *verify, TraceCap: *traceN})
+	r := suite.Run(cell, sys, cfg)
 
 	fmt.Fprintf(stdout, "%s under %s (%s partitioning, P=%d, scale 1/%d)\n\n",
 		r.Workload, r.System, *sched, *p, *scale)

@@ -15,8 +15,8 @@ func TestBadInputsExitTwo(t *testing.T) {
 		{[]string{"-w", "mandelbrot"}, "lcmtrace: unknown workload \"mandelbrot\" (with -sched static)\n"},
 		{[]string{"-w", "stencil", "-sched", "guided"}, "lcmtrace: unknown workload \"stencil\" (with -sched guided)\n"},
 		{[]string{"-sys", "mesi"}, "lcmtrace: unknown system \"mesi\" (want copying, lcm-scc|scc or lcm-mcc|mcc)\n"},
-		{[]string{"-p", "0"}, "lcmtrace: -p and -scale must be >= 1\n"},
-		{[]string{"-scale", "0"}, "lcmtrace: -p and -scale must be >= 1\n"},
+		{[]string{"-p", "0"}, "lcmtrace: p must be >= 1, got 0\n"},
+		{[]string{"-scale", "0"}, "lcmtrace: scale must be >= 1, got 0\n"},
 		{[]string{"-freerun"}, "flag provided but not defined: -freerun\n"},
 	} {
 		var out, errOut strings.Builder

@@ -12,16 +12,15 @@ import (
 func killCfg(sys cstar.System, s Script) Config {
 	return Config{
 		System: sys, Nodes: 2, Blocks: 2, Script: s,
-		Faults:   &fault.Plan{Seed: 0x6b111, KillNode: 1, KillAfter: 2, KillCount: 2, KillRecover: true},
-		Recovery: true,
+		Faults: &fault.Plan{Seed: 0x6b111, KillNode: 1, KillAfter: 2, KillCount: 2, Recover: true},
 	}
 }
 
-// TestExploreKillRecoverClean: every protocol survives exploration with a
+// TestExploreKillRestartClean: every protocol survives exploration with a
 // recoverable kill injected into every run — all safety properties (single
 // writer, directory/tag agreement, no lost updates, flush/commit pairing)
 // must hold through checkpointed restarts on every interleaving.
-func TestExploreKillRecoverClean(t *testing.T) {
+func TestExploreKillRestartClean(t *testing.T) {
 	for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
 		for _, s := range Scripts(2, 2) {
 			cfg := killCfg(sys, s)
@@ -60,12 +59,12 @@ func TestExploreKillDeterministic(t *testing.T) {
 	}
 }
 
-// TestUnrecoverableKillReported: without KillRecover the kill aborts the
+// TestUnrecoverableKillReported: without Recover the kill aborts the
 // run and exploration reports it as a replayable violation instead of
 // hanging or panicking the process.
 func TestUnrecoverableKillReported(t *testing.T) {
 	cfg := killCfg(cstar.LCMscc, Scripts(2, 2)[0])
-	cfg.Faults.KillRecover = false
+	cfg.Faults.Recover = false
 	cfg.MaxSchedules = 50
 	res, err := Explore(cfg)
 	if err != nil {

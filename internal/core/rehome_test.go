@@ -39,9 +39,8 @@ func runRehomeProgram(t *testing.T, v Variant, kill bool) rehomeRun {
 	m.SetProtocol(lcm)
 	m.Freeze()
 	if kill {
-		m.Recovery = true
 		// Node 3 dies on its 2nd and 4th access fault; the budget covers one.
-		m.AttachFaults(fault.Plan{Seed: 9, KillNode: dead, KillAfter: 2, KillCount: 2, KillRecover: true, RestartBudget: 1})
+		m.AttachFaults(fault.Plan{Seed: 9, KillNode: dead, KillAfter: 2, KillCount: 2, Recover: true, RestartBudget: 1})
 	}
 	var run rehomeRun
 	w := func(blk, i int) memsys.Addr { return word(r, blk*8+i) }

@@ -83,7 +83,7 @@ type Model struct {
 	Compute int64
 
 	// The four fields below price crash recovery.  They are charged only
-	// when the machine runs with Recovery enabled, so fault-free runs
+	// under a fault plan with Recover (fault.Plan), so fault-free runs
 	// remain bit-identical to historical results.
 
 	// CheckpointPerLine is charged per installed line snapshotted into a

@@ -5,20 +5,24 @@
 // by user-level software — ran on hardware where transient message loss,
 // corrupted transfers and stalled handlers were real events.  The
 // simulator's interconnect is perfect, so this package re-introduces those
-// events under test control: an Injector attached to a machine decides, at
-// every data-movement boundary, whether to corrupt a block transfer, drop
-// a fault-handler round trip, spike a home handler's occupancy, stall a
-// node's virtual clock, or kill a node outright.
+// events under test control.  Everything that can go wrong in a run is one
+// Plan, executed by one Injector: at every data-movement boundary it decides
+// whether to corrupt a block transfer, drop a fault-handler round trip,
+// spike a home handler's occupancy, stall a node's virtual clock, or kill a
+// node outright; for every message the interconnect carries it draws a fate
+// (Classify: delivered, dropped, duplicated, reordered); and its Recover bit
+// says whether the machine checkpoints and restarts.
 //
-// Determinism is the design constraint.  Every node owns an independent
-// splitmix64 stream seeded from (Plan.Seed, node ID), and every injection
-// decision is made in the owning node's goroutine at a point fixed by that
-// node's access stream.  Since the simulator's access streams are
-// themselves deterministic (see the golden accounting tests in
-// internal/workloads), the same Plan injects the same faults at the same
-// points on every run, regardless of goroutine interleaving — which is
-// what lets the chaos harness assert that recovery counters match the
-// injected plan exactly.
+// Determinism is the design constraint.  Every node owns one independent
+// splitmix64 stream seeded from (Plan.Seed, node ID) — faults and message
+// fates are draws from the same stream, so a plan that mixes them gets
+// decorrelated decisions — and every injection decision is made in the
+// owning node's goroutine at a point fixed by that node's access stream.
+// Since the simulator's access streams are themselves deterministic (see
+// the golden accounting tests in internal/workloads), the same Plan injects
+// the same faults at the same points on every run, regardless of goroutine
+// interleaving — which is what lets the fault matrix assert that recovery
+// counters match the injected plan exactly.
 //
 // Faults never change program-visible data: corruption is healed by
 // re-fetch, timeouts are retried, and stalls/spikes only charge virtual
@@ -70,18 +74,27 @@ type Plan struct {
 	BackoffBase int64
 	BackoffCap  int
 
+	// DropPerMil, DupPerMil and ReorderPerMil make delivery unreliable:
+	// the probabilities (‰) that a message is lost in flight, arrives
+	// twice, or overtakes an earlier one and is held for resequencing at
+	// the receiver.  They are drawn disjointly from a single roll per
+	// message: drop wins over duplicate wins over reorder.
+	DropPerMil    int
+	DupPerMil     int
+	ReorderPerMil int
+
 	// KillNode / KillAfter inject a node failure: node KillNode dies on
 	// its KillAfter-th access fault.  Active only when KillAfter > 0.
-	// Without KillRecover the failure is unrecoverable (machine-wide
-	// abort); with it, and with the machine's Recovery mode on, each kill
-	// becomes a deterministic restart from the node's last barrier-epoch
-	// checkpoint.
+	// Without Recover the failure is unrecoverable (machine-wide abort).
 	KillNode  int
 	KillAfter int
 
-	// KillRecover turns injected kills into checkpoint restarts (see
-	// above).  Ignored unless the machine runs with Recovery enabled.
-	KillRecover bool
+	// Recover runs the machine with crash recovery on: every node
+	// checkpoints its protocol state at each barrier epoch, an injected
+	// kill becomes a deterministic restart from the last checkpoint, and
+	// a node killed past RestartBudget hands its home regions to a live
+	// peer (degraded mode).
+	Recover bool
 
 	// KillCount is the number of kills injected (default 1 when a kill
 	// trigger is configured): with KillAfter the node dies at every
@@ -120,24 +133,65 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
+// Lossy reports whether the plan makes delivery unreliable.
+func (p Plan) Lossy() bool {
+	return p.DropPerMil > 0 || p.DupPerMil > 0 || p.ReorderPerMil > 0
+}
+
 // String renders the plan for reports.
 func (p Plan) String() string {
 	s := fmt.Sprintf("seed=%#x corrupt=%d‰ transient=%d‰ spike=%d‰ stall=%d‰",
 		p.Seed, p.CorruptPerMil, p.TransientPerMil, p.SpikePerMil, p.StallPerMil)
+	if p.Lossy() {
+		s += fmt.Sprintf(" drop=%d‰ dup=%d‰ reorder=%d‰", p.DropPerMil, p.DupPerMil, p.ReorderPerMil)
+	}
 	if p.KillAfter > 0 {
 		s += fmt.Sprintf(" kill=n%d@%d", p.KillNode, p.KillAfter)
 	}
 	if p.KillAtBarrier > 0 {
 		s += fmt.Sprintf(" kill=n%d@bar%d", p.KillNode, p.KillAtBarrier)
 	}
-	if p.KillRecover {
+	if p.Recover {
 		s += fmt.Sprintf(" recover(x%d,budget=%d)", p.KillCount, p.RestartBudget)
 	}
 	return s
 }
 
-// Tally counts the faults an Injector actually injected.  The chaos
-// harness asserts the machine's recovery counters against it.
+// Delivery is the fate of one injected message.
+type Delivery uint8
+
+const (
+	// Delivered: the message arrives intact, in order, exactly once.
+	Delivered Delivery = iota
+	// Dropped: the message is lost; the sender times out and must
+	// retransmit.
+	Dropped
+	// Duplicated: the message arrives twice; the receiver's sequence
+	// numbers discard the second copy.
+	Duplicated
+	// Reordered: the message arrives ahead of an earlier one; the
+	// receiver holds it until the gap fills (virtual-time resequencing,
+	// no extra latency charged).
+	Reordered
+)
+
+func (d Delivery) String() string {
+	switch d {
+	case Delivered:
+		return "delivered"
+	case Dropped:
+		return "dropped"
+	case Duplicated:
+		return "duplicated"
+	case Reordered:
+		return "reordered"
+	default:
+		return fmt.Sprintf("Delivery(%d)", uint8(d))
+	}
+}
+
+// Tally counts the faults an Injector actually injected.  The fault
+// matrix asserts the machine's recovery counters against it, one for one.
 type Tally struct {
 	// Corruptions is the number of block transfers corrupted in flight.
 	Corruptions int64
@@ -148,8 +202,13 @@ type Tally struct {
 	// Stalls is the number of node stalls.
 	Stalls int64
 	// Kills is the number of injected node failures (at most KillCount;
-	// unrecoverable unless the plan sets KillRecover).
+	// unrecoverable unless the plan sets Recover).
 	Kills int64
+	// Dropped, Duplicated and Reordered count the messages Classify gave
+	// each fate.
+	Dropped    int64
+	Duplicated int64
+	Reordered  int64
 }
 
 // Add accumulates o into t.
@@ -159,17 +218,26 @@ func (t *Tally) Add(o Tally) {
 	t.Spikes += o.Spikes
 	t.Stalls += o.Stalls
 	t.Kills += o.Kills
+	t.Dropped += o.Dropped
+	t.Duplicated += o.Duplicated
+	t.Reordered += o.Reordered
 }
 
 // Total returns the total number of injected faults.
 func (t Tally) Total() int64 {
-	return t.Corruptions + t.Timeouts + t.Spikes + t.Stalls + t.Kills
+	return t.Corruptions + t.Timeouts + t.Spikes + t.Stalls + t.Kills +
+		t.Dropped + t.Duplicated + t.Reordered
 }
 
-// String renders the tally for reports.
+// String renders the tally for reports; message fates appear only when
+// some were injected.
 func (t Tally) String() string {
-	return fmt.Sprintf("corruptions=%d timeouts=%d spikes=%d stalls=%d kills=%d",
+	s := fmt.Sprintf("corruptions=%d timeouts=%d spikes=%d stalls=%d kills=%d",
 		t.Corruptions, t.Timeouts, t.Spikes, t.Stalls, t.Kills)
+	if t.Dropped+t.Duplicated+t.Reordered > 0 {
+		s += fmt.Sprintf(" dropped=%d duplicated=%d reordered=%d", t.Dropped, t.Duplicated, t.Reordered)
+	}
+	return s
 }
 
 // nodeStream is one node's private injection state.  All fields are
@@ -216,9 +284,6 @@ func (in *Injector) Tally() Tally {
 	return t
 }
 
-// NodeTally returns node i's injected-fault tally (quiescent only).
-func (in *Injector) NodeTally(i int) Tally { return in.nodes[i].tally }
-
 // next advances node's stream and returns the next 64-bit value.
 func (in *Injector) next(node int) uint64 {
 	s := &in.nodes[node]
@@ -239,6 +304,30 @@ func (in *Injector) roll(node, perMil int) bool {
 		return false
 	}
 	return in.next(node)%1000 < uint64(perMil)
+}
+
+// Classify draws the fate of src's next injected message, tallying any
+// injected fault.  A plan without delivery faults draws nothing.
+func (in *Injector) Classify(src int) Delivery {
+	p := &in.plan
+	if !p.Lossy() {
+		return Delivered
+	}
+	v := in.next(src) % 1000
+	t := &in.nodes[src].tally
+	switch {
+	case v < uint64(p.DropPerMil):
+		t.Dropped++
+		return Dropped
+	case v < uint64(p.DropPerMil+p.DupPerMil):
+		t.Duplicated++
+		return Duplicated
+	case v < uint64(p.DropPerMil+p.DupPerMil+p.ReorderPerMil):
+		t.Reordered++
+		return Reordered
+	default:
+		return Delivered
+	}
 }
 
 // CorruptTransfer decides whether node's next inbound block transfer is
@@ -380,7 +469,7 @@ var ErrRetryExhausted = errors.New("fault: recovery retry budget exhausted")
 // and became unrecoverable.
 type RetryExhaustedError struct {
 	Node     int
-	Op       string // "block transfer" or "remote request"
+	Op       string // "block transfer", "remote request" or "retransmission"
 	Block    uint32
 	Attempts int
 }

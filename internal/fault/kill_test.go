@@ -73,7 +73,7 @@ func TestKillDefaults(t *testing.T) {
 
 // TestKillPlanString covers the plan rendering used in reports.
 func TestKillPlanString(t *testing.T) {
-	p := Plan{Seed: 1, KillNode: 1, KillAfter: 3, KillAtBarrier: 2, KillRecover: true,
+	p := Plan{Seed: 1, KillNode: 1, KillAfter: 3, KillAtBarrier: 2, Recover: true,
 		KillCount: 4, RestartBudget: 2}
 	s := p.String()
 	for _, want := range []string{"kill=n1@3", "kill=n1@bar2", "recover(x4,budget=2)"} {

@@ -31,10 +31,12 @@ type Topology struct {
 
 // Build creates a deterministic pseudo-random connected multigraph with n
 // vertices and e undirected edges.  A Hamiltonian-style ring guarantees
-// connectivity; remaining edges are uniform random pairs.
-func Build(n, e int, seed uint64) *Topology {
-	if e < n {
-		panic(fmt.Sprintf("graph: need at least %d edges to connect %d vertices", n, n))
+// connectivity; remaining edges are uniform random pairs of distinct
+// vertices, so there must be two vertices to draw them from and at least as
+// many edges as the ring needs.
+func Build(n, e int, seed uint64) (*Topology, error) {
+	if n < 2 || e < n {
+		return nil, fmt.Errorf("graph: %d vertices and %d edges: need at least 2 vertices and as many edges as vertices", n, e)
 	}
 	type pair struct{ a, b int32 }
 	edges := make([]pair, 0, e)
@@ -70,7 +72,7 @@ func Build(n, e int, seed uint64) *Topology {
 		t.Targets[fill[p.b]] = p.a
 		fill[p.b]++
 	}
-	return t
+	return t, nil
 }
 
 // Degree returns the degree of vertex v.

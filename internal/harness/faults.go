@@ -16,23 +16,15 @@ import (
 
 	"lcm/internal/cstar"
 	"lcm/internal/fault"
-	"lcm/internal/net"
 	"lcm/internal/tempest"
 	"lcm/internal/workloads"
 )
 
-// FaultPlan is one named column of the fault matrix: an injector plan, a
-// delivery-fault config (drop/duplicate/reorder), or both.
+// FaultPlan is one named column of the fault matrix.  Kill plans set Recover
+// so the machine restarts instead of aborting.
 type FaultPlan struct {
 	Name string
-	// Plan, when non-nil, is the fault-injection campaign (kill triggers
-	// use KillRecover so the machine restarts instead of aborting).
-	Plan *fault.Plan
-	// Loss, when non-nil, makes delivery unreliable.
-	Loss *net.LossConfig
-	// Recover runs the machine with checkpoint/restart and degraded-mode
-	// re-homing on; kill plans need it to survive.
-	Recover bool
+	fault.Plan
 }
 
 // DefaultChaosPlans returns the standard chaos campaign: a light plan with
@@ -41,14 +33,14 @@ type FaultPlan struct {
 // transfers and requests.
 func DefaultChaosPlans() []FaultPlan {
 	return []FaultPlan{
-		{Name: "light", Plan: &fault.Plan{
+		{Name: "light", Plan: fault.Plan{
 			Seed:            0x1c3a05_0001,
 			CorruptPerMil:   5,
 			TransientPerMil: 5,
 			SpikePerMil:     3, SpikeCycles: 2000,
 			StallPerMil: 2, StallCycles: 5000,
 		}},
-		{Name: "heavy", Plan: &fault.Plan{
+		{Name: "heavy", Plan: fault.Plan{
 			Seed:            0x1c3a05_0002,
 			CorruptPerMil:   60,
 			TransientPerMil: 60,
@@ -64,21 +56,21 @@ func DefaultChaosPlans() []FaultPlan {
 // duplicate/reorder storm.
 func DefaultRecoveryPlans() []FaultPlan {
 	return []FaultPlan{
-		{Name: "kill-at-barrier", Recover: true, Plan: &fault.Plan{
-			Seed: 0x1c3a05_0101, KillNode: 1, KillAtBarrier: 2, KillRecover: true,
+		{Name: "kill-at-barrier", Plan: fault.Plan{
+			Seed: 0x1c3a05_0101, KillNode: 1, KillAtBarrier: 2, Recover: true,
 		}},
-		{Name: "kill-mid-epoch", Recover: true, Plan: &fault.Plan{
-			Seed: 0x1c3a05_0102, KillNode: 1, KillAfter: 5, KillRecover: true,
+		{Name: "kill-mid-epoch", Plan: fault.Plan{
+			Seed: 0x1c3a05_0102, KillNode: 1, KillAfter: 5, Recover: true,
 		}},
-		{Name: "kill-rehome", Recover: true, Plan: &fault.Plan{
+		{Name: "kill-rehome", Plan: fault.Plan{
 			Seed: 0x1c3a05_0103, KillNode: 1, KillAfter: 3, KillCount: 4,
-			KillRecover: true, RestartBudget: 2,
+			Recover: true, RestartBudget: 2,
 		}},
-		{Name: "drop-1pct", Recover: true, Loss: &net.LossConfig{
-			Seed: 0x1c3a05_0104, DropPerMil: 10,
+		{Name: "drop-1pct", Plan: fault.Plan{
+			Seed: 0x1c3a05_0104, DropPerMil: 10, Recover: true,
 		}},
-		{Name: "dup-storm", Recover: true, Loss: &net.LossConfig{
-			Seed: 0x1c3a05_0105, DupPerMil: 120, ReorderPerMil: 40,
+		{Name: "dup-storm", Plan: fault.Plan{
+			Seed: 0x1c3a05_0105, DupPerMil: 120, ReorderPerMil: 40, Recover: true,
 		}},
 	}
 }
@@ -87,21 +79,13 @@ func DefaultRecoveryPlans() []FaultPlan {
 // where there is a choice.
 var faultCells = []CellSpec{{"Stencil", "static"}, {"Adaptive", "static"}, {"Threshold", ""}, {"Unstructured", ""}}
 
-// at is the point that runs under the plan with its injector and loss
-// seeds shifted by the matrix seed.
+// at is the point that runs under the plan with its seed shifted by the
+// matrix seed.
 func (p FaultPlan) at(seed uint64) point {
 	return point{p.Name, func(cfg workloads.Config) workloads.Config {
-		cfg.Recover = p.Recover
-		if p.Plan != nil {
-			plan := *p.Plan
-			plan.Seed += seed * 0x9e3779b97f4a7c15
-			cfg.Faults = &plan
-		}
-		if p.Loss != nil {
-			loss := *p.Loss
-			loss.Seed += seed * 0x9e3779b97f4a7c15
-			cfg.Loss = &loss
-		}
+		plan := p.Plan
+		plan.Seed += seed * 0x9e3779b97f4a7c15
+		cfg.Faults = &plan
 		return cfg
 	}}
 }
@@ -147,7 +131,7 @@ func (s *Suite) RunRecovery(plans []FaultPlan, seeds []uint64) error {
 func (s *Suite) runFaults(plans []FaultPlan, seeds []uint64, describe func(FaultPlan, uint64, workloads.Result) string) error {
 	v := *s // the matrix runs on a copy of the suite with the check on
 	v.Cfg.Verify = true
-	skip := func(p FaultPlan) bool { return p.Plan != nil && p.Plan.KillNode >= v.Cfg.P }
+	skip := func(p FaultPlan) bool { return p.KillNode >= v.Cfg.P }
 	points := []point{identity}
 	for _, p := range plans {
 		for _, seed := range seeds {
@@ -200,8 +184,11 @@ func checkFaulted(base, res workloads.Result, p FaultPlan, P int) error {
 	if res.Err != nil {
 		return fmt.Errorf("run failed under fault plan: %w", res.Err)
 	}
-	// (A loss model alone may see no message on a one-node machine.)
-	if res.Faults.Total() == 0 && res.Loss.Total() == 0 && (P > 1 || p.Plan != nil) {
+	// (A plan with delivery faults only may inject nothing at P=1: a
+	// one-node machine may send no message.)
+	deliveryOnly := p.Lossy() && p.CorruptPerMil <= 0 && p.TransientPerMil <= 0 &&
+		p.SpikePerMil <= 0 && p.StallPerMil <= 0 && p.KillAfter <= 0 && p.KillAtBarrier <= 0
+	if res.Faults.Total() == 0 && (P > 1 || !deliveryOnly) {
 		return fmt.Errorf("plan injected nothing; matrix cell proves nothing")
 	}
 	for _, c := range []struct {
@@ -226,9 +213,9 @@ func checkFaulted(base, res workloads.Result, p FaultPlan, P int) error {
 		{"OccupancySpikes==Spikes", res.Faults.Spikes, res.C.OccupancySpikes},
 		{"Stalls==Stalls", res.Faults.Stalls, res.C.Stalls},
 		{"Restarts==Kills", res.Faults.Kills, res.C.Restarts},
-		{"Retransmits==Dropped", res.Loss.Dropped, res.C.Net.Retransmits},
-		{"DupDelivered==Duplicated", res.Loss.Duplicated, res.C.Net.DupDelivered},
-		{"ReorderHeld==Reordered", res.Loss.Reordered, res.C.Net.ReorderHeld},
+		{"Retransmits==Dropped", res.Faults.Dropped, res.C.Net.Retransmits},
+		{"DupDelivered==Duplicated", res.Faults.Duplicated, res.C.Net.DupDelivered},
+		{"ReorderHeld==Reordered", res.Faults.Reordered, res.C.Net.ReorderHeld},
 	} {
 		if c.want != c.got {
 			return fmt.Errorf("%s: want %d, got %d", c.name, c.want, c.got)
@@ -245,22 +232,20 @@ func checkFaulted(base, res workloads.Result, p FaultPlan, P int) error {
 	}
 	// Degraded mode: killed past the restart budget, the node re-homes
 	// exactly once; within budget, never.
-	if p.Plan != nil {
-		budget := int64(p.Plan.RestartBudget)
-		if budget <= 0 {
-			budget = 4 // fault.Plan default
-		}
-		wantRehomings := int64(0)
-		if res.Faults.Kills > budget && P > 1 {
-			wantRehomings = 1
-		}
-		if res.C.Rehomings != wantRehomings {
-			return fmt.Errorf("Rehomings: want %d (kills=%d budget=%d), got %d",
-				wantRehomings, res.Faults.Kills, budget, res.C.Rehomings)
-		}
-		if wantRehomings == 1 && res.C.RehomedBlocks == 0 {
-			return fmt.Errorf("re-homed with zero blocks migrated")
-		}
+	budget := int64(p.RestartBudget)
+	if budget <= 0 {
+		budget = 4 // fault.Plan default
+	}
+	wantRehomings := int64(0)
+	if res.Faults.Kills > budget && P > 1 {
+		wantRehomings = 1
+	}
+	if res.C.Rehomings != wantRehomings {
+		return fmt.Errorf("Rehomings: want %d (kills=%d budget=%d), got %d",
+			wantRehomings, res.Faults.Kills, budget, res.C.Rehomings)
+	}
+	if wantRehomings == 1 && res.C.RehomedBlocks == 0 {
+		return fmt.Errorf("re-homed with zero blocks migrated")
 	}
 	return nil
 }
@@ -276,7 +261,7 @@ func checkReplay(a, b workloads.Result) error {
 		a, b any
 	}{
 		{"cycles", a.Cycles, b.Cycles}, {"counters", a.C, b.C}, {"shared counters", a.S, b.S},
-		{"fault tally", a.Faults, b.Faults}, {"loss tally", a.Loss, b.Loss},
+		{"fault tally", a.Faults, b.Faults},
 	} {
 		if c.a != c.b {
 			return fmt.Errorf("replay diverged: %s %+v vs %+v", c.what, c.a, c.b)

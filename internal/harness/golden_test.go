@@ -11,7 +11,6 @@ import (
 
 	"lcm/internal/cstar"
 	"lcm/internal/fault"
-	"lcm/internal/net"
 	"lcm/internal/workloads"
 )
 
@@ -104,7 +103,7 @@ func TestFaultChecksCatchEachRow(t *testing.T) {
 	}
 	// The assertions outside the equality table.
 	doctor["run failed under fault plan"] = func(r *workloads.Result) { r.Err = errors.New("node died") }
-	doctor["plan injected nothing"] = func(r *workloads.Result) { r.Faults, r.Loss = fault.Tally{}, net.LossTally{} }
+	doctor["plan injected nothing"] = func(r *workloads.Result) { r.Faults = fault.Tally{} }
 	doctor["FaultRetries"] = func(r *workloads.Result) { r.C.FaultRetries = -1 }
 	doctor["Rehomings"] = func(r *workloads.Result) { r.C.Rehomings++ }
 	doctor["re-homed with zero blocks"] = func(r *workloads.Result) { r.C.RehomedBlocks = 0 }

@@ -94,8 +94,10 @@ func (s *Suite) AdaptiveSpec(sched string) workloads.AdaptiveSpec {
 func (s *Suite) UnstructuredSpec() workloads.UnstructuredSpec {
 	p := workloads.PaperUnstructured()
 	if s.Scale > 1 {
-		p.Nodes /= s.Scale
-		p.Edges /= s.Scale
+		// Floors, as every other spec has: a graph needs two vertices
+		// and an edge per vertex (graph.Build).
+		p.Nodes = max(p.Nodes/s.Scale, 2)
+		p.Edges = max(p.Edges/s.Scale, p.Nodes)
 		p.Iters = s.scaleIters(p.Iters)
 	}
 	return p

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
+	"lcm/internal/cost"
 	"lcm/internal/cstar"
+	"lcm/internal/net"
 	"lcm/internal/workloads"
 )
 
@@ -100,6 +103,23 @@ func ParseCell(name string) (CellSpec, error) {
 	return CellSpec{}, &UnknownCellError{Name: name, Known: CellNames()}
 }
 
+// ParseCells resolves a list of cell names; no names at all select the
+// Table-1 grid.
+func ParseCells(names []string) ([]CellSpec, error) {
+	if len(names) == 0 {
+		return GridCells(), nil
+	}
+	cells := make([]CellSpec, len(names))
+	for i, name := range names {
+		c, err := ParseCell(name)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = c
+	}
+	return cells, nil
+}
+
 // CellNames returns the labels of every selectable cell in canonical
 // order.
 func CellNames() []string {
@@ -108,6 +128,54 @@ func CellNames() []string {
 		names = append(names, c.Label())
 	}
 	return names
+}
+
+// Tuple is the machine tuple as it arrives from outside the program — the
+// flags of a command, the fields of a job spec — before anything has looked
+// at it.
+type Tuple struct {
+	P, Scale, BlockSize int
+	KVSkew              float64
+	// Net is "" or "uniform", or "fattree" with its link serialization
+	// (cycles per byte) and network-interface occupancy (0 = defaults).
+	Net           string
+	LinkBW, NILat int64
+}
+
+// Config validates the tuple and builds the machine configuration it
+// describes: the one place every front end's input is checked, so that a
+// value one of them refuses is refused by all, and a value no run reads
+// (link parameters under the uniform model) is refused rather than ignored.
+// Block sizes above the protocols' element-tracking limit pass and fail per
+// run with a configuration error.
+func (t Tuple) Config() (workloads.Config, error) {
+	uniform := t.Net == "" || t.Net == "uniform"
+	var err error
+	switch {
+	case t.P < 1:
+		err = fmt.Errorf("p must be >= 1, got %d", t.P)
+	case t.Scale < 1:
+		err = fmt.Errorf("scale must be >= 1, got %d", t.Scale)
+	case t.BlockSize != 0 && (t.BlockSize < 8 || t.BlockSize&(t.BlockSize-1) != 0):
+		err = fmt.Errorf("blocksize must be a power of two >= 8, got %d", t.BlockSize)
+	case t.KVSkew < 0:
+		err = fmt.Errorf("kvskew must be >= 0, got %v", t.KVSkew)
+	case t.LinkBW < 0 || t.NILat < 0:
+		err = fmt.Errorf("linkbw and nilat must be >= 0, got %d and %d", t.LinkBW, t.NILat)
+	case uniform && (t.LinkBW != 0 || t.NILat != 0):
+		err = errors.New("linkbw and nilat apply only to the fattree network")
+	}
+	if err != nil {
+		return workloads.Config{}, err
+	}
+	cfg := workloads.Config{P: t.P, BlockSize: uint32(t.BlockSize)}
+	if !uniform {
+		cfg.Net = &net.Config{Model: t.Net, CyclesPerByte: t.LinkBW, NICycles: t.NILat}
+		if _, err := net.New(*cfg.Net, t.P, cost.Default()); err != nil {
+			return workloads.Config{}, err
+		}
+	}
+	return cfg, nil
 }
 
 // Progress is one run-completion notification delivered to

@@ -270,9 +270,6 @@ func (r *Region) homeOf(i uint32, p int) int {
 	}
 }
 
-// Frozen reports whether Freeze has run.
-func (as *AddressSpace) Frozen() bool { return as.frozen }
-
 // NumBlocks returns the total number of blocks allocated so far.
 func (as *AddressSpace) NumBlocks() uint32 {
 	return uint32(uint64(as.next) >> as.blockShift)
@@ -286,11 +283,6 @@ func (as *AddressSpace) Block(a Addr) BlockID {
 // Split returns the block containing a and a's byte offset within it.
 func (as *AddressSpace) Split(a Addr) (BlockID, uint32) {
 	return BlockID(uint64(a) >> as.blockShift), uint32(a) & (as.BlockSize - 1)
-}
-
-// BlockBase returns the first address of block b.
-func (as *AddressSpace) BlockBase(b BlockID) Addr {
-	return Addr(uint64(b) << as.blockShift)
 }
 
 // HomeOf returns the effective home node of block b — the Freeze-time

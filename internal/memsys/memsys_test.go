@@ -30,7 +30,7 @@ func TestSplitRoundTrip(t *testing.T) {
 	as.Freeze()
 	for a := Addr(0); a < 1024; a += 7 {
 		b, off := as.Split(a)
-		if got := as.BlockBase(b) + Addr(off); got != a {
+		if got := Addr(b)*64 + Addr(off); got != a {
 			t.Fatalf("split(%d) = (%d,%d) does not recombine (%d)", a, b, off, got)
 		}
 	}

@@ -1,19 +1,15 @@
 package net
 
-import (
-	"testing"
+import "testing"
 
-	"lcm/internal/cost"
-)
-
-func newTestTree(p int) *FatTree {
-	return NewFatTree(Config{Model: "fattree"}, p, cost.Default())
+func newTestTree(p int) *Network {
+	return NewFatTree(Config{Model: "fattree"}, p)
 }
 
 // TestFatTreeHops checks LCA routing: siblings under one level-1 switch
 // are 2 hops apart, and distance grows 2 hops per shared-prefix level.
 func TestFatTreeHops(t *testing.T) {
-	ft := newTestTree(32)
+	ft := newTestTree(32).topo.(*fatTree)
 	cases := []struct{ src, dst, hops int }{
 		{0, 0, 0},
 		{0, 1, 2},   // same level-1 switch
@@ -25,11 +21,11 @@ func TestFatTreeHops(t *testing.T) {
 		{17, 18, 2}, // locality is position-independent
 	}
 	for _, tc := range cases {
-		if got := ft.Hops(tc.src, tc.dst); got != tc.hops {
+		if got := ft.hops(tc.src, tc.dst); got != tc.hops {
 			t.Errorf("Hops(%d,%d) = %d, want %d", tc.src, tc.dst, got, tc.hops)
 		}
 		// Routes are symmetric in length.
-		if got := ft.Hops(tc.dst, tc.src); got != tc.hops {
+		if got := ft.hops(tc.dst, tc.src); got != tc.hops {
 			t.Errorf("Hops(%d,%d) = %d, want %d (symmetry)", tc.dst, tc.src, got, tc.hops)
 		}
 	}
@@ -117,12 +113,13 @@ func TestFatTreeFlushFireAndForget(t *testing.T) {
 func TestFatTreeChannelMultiplicity(t *testing.T) {
 	ft := newTestTree(64)
 	want := []int{1, 2, 4}
-	if len(ft.levelMul) != len(want) {
-		t.Fatalf("levels = %d, want %d", len(ft.levelMul), len(want))
+	levelMul := ft.topo.(*fatTree).levelMul
+	if len(levelMul) != len(want) {
+		t.Fatalf("levels = %d, want %d", len(levelMul), len(want))
 	}
 	for i, m := range want {
-		if ft.levelMul[i] != m {
-			t.Errorf("level %d multiplicity = %d, want %d", i+1, ft.levelMul[i], m)
+		if levelMul[i] != m {
+			t.Errorf("level %d multiplicity = %d, want %d", i+1, levelMul[i], m)
 		}
 	}
 	// Disjoint pairs at level 1 use disjoint channels: no cross-queueing.
@@ -151,8 +148,8 @@ func TestFatTreeLinkStats(t *testing.T) {
 // TestFatTreeBandwidthSensitivity checks that lowering link bandwidth
 // (more cycles per byte) raises data-carrying charges.
 func TestFatTreeBandwidthSensitivity(t *testing.T) {
-	fast := NewFatTree(Config{CyclesPerByte: 2}, 16, cost.Default())
-	slow := NewFatTree(Config{CyclesPerByte: 32}, 16, cost.Default())
+	fast := NewFatTree(Config{CyclesPerByte: 2}, 16)
+	slow := NewFatTree(Config{CyclesPerByte: 32}, 16)
 	var cf, cs Counters
 	f := fast.RoundTrip(0, 9, 128, 0, &cf)
 	s := slow.RoundTrip(0, 9, 128, 0, &cs)

@@ -6,23 +6,26 @@
 // latency, and link/NI occupancy so that traffic reduction can translate
 // into the latency advantage the paper measures.
 //
-// Two models are provided:
+// A protocol exchange is a row of one class table (classes): the kinds it
+// counts, whether a reply is routed, whether the sender waits for the
+// traversal.  One Network type accounts every exchange in one place (send)
+// — messages, bytes and queueing cycles into the calling node's
+// net.Counters, which internal/stats embeds per node — and, when the run's
+// fault plan makes delivery unreliable, loses and re-sends it in one place
+// (deliver, reliable.go).  What a class costs is the topology's business,
+// and there are two:
 //
-//   - Uniform charges each message class exactly the flat price of the
-//     cost.Model it is built from.  It reproduces the pre-net simulator
-//     bit-for-bit (counters and virtual cycles) and is the default.
-//   - FatTree routes messages over a CM-5-style 4-ary fat tree with
+//   - uniform charges each class exactly the flat price of the cost.Model
+//     it is built from.  It reproduces the pre-net simulator bit-for-bit
+//     (counters and virtual cycles) and is the default.
+//   - fatTree routes messages over a CM-5-style 4-ary fat tree with
 //     per-hop latency, per-byte serialization, and per-channel and
 //     per-NI queueing in virtual time.  Queueing makes it sensitive to
-//     contention and to the interleaving; under the deterministic
-//     scheduler (the workloads default) its totals replay
-//     bit-identically, but its different pricing selects a different
-//     schedule than the uniform model's, so order-dependent observables
-//     legitimately differ between the two.  It is an analysis mode, not
-//     a goldens mode.
-//
-// Both models account messages, bytes, and queueing cycles into the
-// calling node's net.Counters, which internal/stats embeds per node.
+//     contention and to the interleaving; the deterministic scheduler
+//     makes its totals replay bit-identically, but its different pricing
+//     selects a different schedule than the uniform model's, so
+//     order-dependent observables legitimately differ between the two.  It
+//     is an analysis mode, not a goldens mode.
 package net
 
 import (
@@ -79,8 +82,7 @@ type Counters struct {
 	// under the uniform model).
 	QueueCycles int64
 	// Retransmits counts messages this node re-sent after a delivery
-	// fault dropped them (lossy runs only; see Loss and the tempest
-	// retransmission layer).
+	// fault dropped them (lossy runs only; see reliable.go).
 	Retransmits int64
 	// RetransCycles counts the virtual cycles lost to those drops: the
 	// timeout window plus backoff per retransmission.
@@ -125,47 +127,152 @@ type LinkStats struct {
 	TotalBusy int64
 }
 
+// class is one row of the message-class table: everything that is the same
+// about an exchange whichever topology prices it.  The payload rides the
+// exchange's last leg (the reply when there is one).
+type class struct {
+	// req and reply are the kinds counted for the two legs; legs is 1 when
+	// no reply is routed.
+	req, reply Kind
+	legs       int64
+	// detached marks a fire-and-forget class: the sender waits for
+	// injection only, but the message still occupies channels for
+	// followers.
+	detached bool
+}
+
+// classID indexes the class table.
+type classID int
+
+const (
+	// roundTrip is a blocking request/response exchange with the payload on
+	// the reply.
+	roundTrip classID = iota
+	// timeout is a request whose reply never arrived (fault injection): the
+	// request is routed, the reply is not.
+	timeout
+	// forward is the home-to-owner forward leg of a three-hop miss.
+	forward
+	// upgrade is a no-data permission-upgrade round trip.
+	upgrade
+	// invalidate is one blocking invalidation of a remote copy: the writer
+	// must know the copy is dead before proceeding.
+	invalidate
+	// flush is a fire-and-forget writeback.
+	flush
+
+	numClasses
+)
+
+// classes is the one place that says what each protocol exchange is; the
+// uniform model's price array (uniform.go) and the table in PROTOCOLS.md
+// ("Message classes") have a row for each.
+var classes = [numClasses]class{
+	roundTrip:  {req: MsgMissRequest, reply: MsgDataReply, legs: 2},
+	timeout:    {req: MsgMissRequest, legs: 1},
+	forward:    {req: MsgForward, legs: 1},
+	upgrade:    {req: MsgUpgrade, reply: MsgUpgrade, legs: 2},
+	invalidate: {req: MsgInvalidate, legs: 1},
+	flush:      {req: MsgFlush, legs: 1, detached: true},
+}
+
+// topology is what differs between interconnect models: the price of one
+// exchange of a class.
+type topology interface {
+	name() string
+	// price returns the cycles src waits for one exchange of class id
+	// started at now, adding any time spent behind busy channels to *queue.
+	price(id classID, src, dst int, payload, now int64, queue *int64) int64
+	// orderFree reports whether price is a pure function of the message —
+	// its class, endpoints and payload.
+	orderFree() bool
+	linkStats() LinkStats
+}
+
 // Network is the interconnect consulted by the protocol layers.  Each
-// method returns the virtual cycles to charge the calling node and
-// records the message(s) into c.  now is the caller's current virtual
-// time, used by contention-aware models to resolve queueing.
+// exchange method returns the virtual cycles to charge the calling node and
+// records the message(s) into c.  now is the caller's current virtual time,
+// used by contention-aware topologies to resolve queueing.
 //
 // One node computes at a time (the scheduler token, DESIGN.md section 3a),
-// so implementations need no synchronisation of their own.
-type Network interface {
-	// Name identifies the model ("uniform" or "fattree").
-	Name() string
-	// RoundTrip prices a blocking request/response exchange carrying
-	// payload data bytes on the reply.
-	RoundTrip(src, dst int, payload int64, now int64, c *Counters) int64
-	// Timeout prices a request whose reply never arrived (fault
-	// injection): the request is routed, the reply is not.
-	Timeout(src, dst int, now int64, c *Counters) int64
-	// Forward prices the home-to-owner forward leg of a three-hop miss.
-	Forward(src, dst int, now int64, c *Counters) int64
-	// Upgrade prices a no-data permission-upgrade round trip.
-	Upgrade(src, dst int, now int64, c *Counters) int64
-	// Invalidate prices one blocking invalidation of a remote copy.
-	Invalidate(src, dst int, now int64, c *Counters) int64
-	// Flush prices a fire-and-forget writeback of payload data bytes:
-	// the sender is charged injection only, but the message still
-	// occupies channels for followers.
-	Flush(src, dst int, payload int64, now int64, c *Counters) int64
-	// Barrier accounts one barrier packet.  Barriers ride the CM-5
-	// control network, so no data-network cycles are charged; the
-	// synchronization cost itself stays cost.Model.Barrier.
-	Barrier(node int, c *Counters)
-	// OrderFree reports whether every charge the model makes is a pure
-	// function of the message — its class, endpoints and payload — so
-	// that neither the order in which nodes send nor the time they send
-	// at can move a cycle or a counter.  The uniform model is; a model
-	// that queues messages on shared channels is not.  Order-free models
-	// are the ones under which handlers may run ahead of the scheduler
-	// token (tempest.Machine.RunAhead).
-	OrderFree() bool
-	// LinkStats reports occupancy after the machine quiesces.
-	LinkStats() LinkStats
+// so a Network needs no synchronisation of its own.
+type Network struct {
+	topo   topology
+	header int64
+	// lossy is the retransmission state of an unreliable network, nil on a
+	// reliable one (see reliable.go).
+	lossy *reliable
 }
+
+// send accounts one exchange of class id into c and prices it.
+func (nw *Network) send(id classID, src, dst int, payload, now int64, c *Counters) int64 {
+	cl := &classes[id]
+	c.Msgs[cl.req]++
+	if cl.legs == 2 {
+		c.Msgs[cl.reply]++
+	}
+	c.Bytes += cl.legs*nw.header + payload
+	return nw.topo.price(id, src, dst, payload, now, &c.QueueCycles)
+}
+
+// Name identifies the model ("uniform" or "fattree").
+func (nw *Network) Name() string { return nw.topo.name() }
+
+// RoundTrip prices a blocking request/response exchange carrying payload
+// data bytes on the reply.
+func (nw *Network) RoundTrip(src, dst int, payload int64, now int64, c *Counters) int64 {
+	return nw.deliver(roundTrip, src, dst, payload, now, c)
+}
+
+// Timeout prices a request whose reply never arrived.  It is never
+// classified: it prices an exchange already declared lost, and drawing it
+// a fate would inject twice.
+func (nw *Network) Timeout(src, dst int, now int64, c *Counters) int64 {
+	return nw.send(timeout, src, dst, 0, now, c)
+}
+
+// Forward prices the home-to-owner forward leg of a three-hop miss.
+func (nw *Network) Forward(src, dst int, now int64, c *Counters) int64 {
+	return nw.deliver(forward, src, dst, 0, now, c)
+}
+
+// Upgrade prices a no-data permission-upgrade round trip.
+func (nw *Network) Upgrade(src, dst int, now int64, c *Counters) int64 {
+	return nw.deliver(upgrade, src, dst, 0, now, c)
+}
+
+// Invalidate prices one blocking invalidation of a remote copy.
+func (nw *Network) Invalidate(src, dst int, now int64, c *Counters) int64 {
+	return nw.deliver(invalidate, src, dst, 0, now, c)
+}
+
+// Flush prices a fire-and-forget writeback of payload data bytes: the
+// sender is charged injection only, but the message still occupies
+// channels for followers.
+func (nw *Network) Flush(src, dst int, payload int64, now int64, c *Counters) int64 {
+	return nw.deliver(flush, src, dst, payload, now, c)
+}
+
+// Barrier accounts one barrier packet.  Barriers ride the CM-5 control
+// network, which stays reliable, so no data-network cycles are charged; the
+// synchronization cost itself stays cost.Model.Barrier.
+func (nw *Network) Barrier(node int, c *Counters) {
+	c.Msgs[MsgBarrier]++
+	c.Bytes += nw.header
+}
+
+// OrderFree reports whether every charge the network makes is a pure
+// function of the message — its class, endpoints and payload — so that
+// neither the order in which nodes send nor the time they send at can move
+// a cycle or a counter.  The uniform model is; a topology that queues
+// messages on shared channels is not, and neither is a lossy network, where
+// each message draws its fate from the sender's stream in send order.
+// Order-free networks are the ones under which handlers may run ahead of
+// the scheduler token (tempest.Machine.RunAhead).
+func (nw *Network) OrderFree() bool { return nw.lossy == nil && nw.topo.orderFree() }
+
+// LinkStats reports occupancy after the machine quiesces.
+func (nw *Network) LinkStats() LinkStats { return nw.topo.linkStats() }
 
 // Config selects and parameterizes a network model.  The zero value
 // means "uniform with default parameters".
@@ -216,13 +323,13 @@ func (cfg Config) withDefaults() Config {
 
 // New builds the Network selected by cfg for a p-node machine charged
 // under cost model c.
-func New(cfg Config, p int, c cost.Model) (Network, error) {
+func New(cfg Config, p int, c cost.Model) (*Network, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Model {
 	case "uniform":
 		return NewUniform(c, cfg.HeaderBytes), nil
 	case "fattree":
-		return NewFatTree(cfg, p, c), nil
+		return NewFatTree(cfg, p), nil
 	default:
 		return nil, fmt.Errorf("net: unknown model %q (want uniform or fattree)", cfg.Model)
 	}

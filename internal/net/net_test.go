@@ -66,6 +66,80 @@ func TestUniformAccounting(t *testing.T) {
 	}
 }
 
+// TestEveryClassBothModels walks the class table: each exchange class, sent
+// once on a quiet network, must count the kinds and bytes of its row and
+// charge the closed form of each model — under the uniform model the flat
+// price plus the per-byte term, under the fat tree the uncontended route of
+// each leg (the sender of a detached class pays injection only while the
+// message still occupies its whole route).  A class without a row here fails.
+func TestEveryClassBothModels(t *testing.T) {
+	const (
+		src, dst, hops = 0, 5, 4 // of 16 leaves: same level-2 subtree
+		H              = DefaultHeaderBytes
+	)
+	c := cost.Default()
+	oneWay := func(bytes int64) int64 {
+		return 2*DefaultNICycles + hops*(DefaultHopCycles+bytes*DefaultCyclesPerByte)
+	}
+	kinds := func(ks ...Kind) (m [NumKinds]int64) {
+		for _, k := range ks {
+			m[k]++
+		}
+		return m
+	}
+	rows := map[classID]struct {
+		name    string
+		send    func(nw *Network, c *Counters) int64
+		msgs    [NumKinds]int64
+		bytes   int64
+		uniform int64
+		fattree int64 // charge to the sender
+		busy    int64 // link occupancy the exchange leaves behind
+	}{
+		roundTrip: {"roundTrip", func(nw *Network, c *Counters) int64 { return nw.RoundTrip(src, dst, 32, 0, c) },
+			kinds(MsgMissRequest, MsgDataReply), 2*H + 32,
+			c.RemoteRoundTrip + 32*c.PerByte, oneWay(H) + oneWay(H+32), oneWay(H) + oneWay(H+32)},
+		timeout: {"timeout", func(nw *Network, c *Counters) int64 { return nw.Timeout(src, dst, 0, c) },
+			kinds(MsgMissRequest), H, c.RemoteRoundTrip, oneWay(H), oneWay(H)},
+		forward: {"forward", func(nw *Network, c *Counters) int64 { return nw.Forward(src, dst, 0, c) },
+			kinds(MsgForward), H, c.ThirdHop, oneWay(H), oneWay(H)},
+		upgrade: {"upgrade", func(nw *Network, c *Counters) int64 { return nw.Upgrade(src, dst, 0, c) },
+			kinds(MsgUpgrade, MsgUpgrade), 2 * H, c.Upgrade, 2 * oneWay(H), 2 * oneWay(H)},
+		invalidate: {"invalidate", func(nw *Network, c *Counters) int64 { return nw.Invalidate(src, dst, 0, c) },
+			kinds(MsgInvalidate), H, c.InvalidatePerCopy, oneWay(H), oneWay(H)},
+		flush: {"flush", func(nw *Network, c *Counters) int64 { return nw.Flush(src, dst, 16, 0, c) },
+			kinds(MsgFlush), H + 16, c.FlushPerBlock + 16*c.PerByte, DefaultNICycles, oneWay(H + 16)},
+	}
+	for id := classID(0); id < numClasses; id++ {
+		row, ok := rows[id]
+		if !ok {
+			t.Errorf("class %d has no row in this test", id)
+			continue
+		}
+		for _, model := range []string{"uniform", "fattree"} {
+			nw, err := New(Config{Model: model}, 16, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ctr Counters
+			got := row.send(nw, &ctr)
+			want, busy := row.uniform, int64(0)
+			if model == "fattree" {
+				want, busy = row.fattree, row.busy
+			}
+			if got != want {
+				t.Errorf("%s/%s: charged %d, want %d", row.name, model, got, want)
+			}
+			if wantCtr := (Counters{Msgs: row.msgs, Bytes: row.bytes}); ctr != wantCtr {
+				t.Errorf("%s/%s: counters\n got  %+v\n want %+v", row.name, model, ctr, wantCtr)
+			}
+			if ls := nw.LinkStats(); ls.TotalBusy != busy {
+				t.Errorf("%s/%s: links busy %d cycles, want %d", row.name, model, ls.TotalBusy, busy)
+			}
+		}
+	}
+}
+
 func TestCountersAdd(t *testing.T) {
 	var a, b Counters
 	a.Msgs[MsgFlush] = 2

@@ -7,15 +7,13 @@ import (
 	"lcm/internal/cost"
 	"lcm/internal/fault"
 	"lcm/internal/net"
-	"lcm/internal/tempest"
 )
 
 // TestModelsCarryLoss checks both interconnect models under the
-// retransmission layer tempest.Machine.AttachLoss interposes, which holds
-// the loss model itself: without loss everything is delivered; with a
-// certain drop attached every attempt draws one fate and the exchange gives
-// up at the retry budget; and the models' own pricing — the exchange that
-// failed, each timeout window it waited out — never draws one.
+// retransmission layer: without loss everything is delivered and the network
+// keeps its order-freedom; with a certain drop attached every attempt draws
+// one fate and the exchange gives up at the retry budget; and pricing — the
+// exchange that failed, each timeout window it waited out — never draws one.
 func TestModelsCarryLoss(t *testing.T) {
 	c := cost.Default()
 	for _, model := range []string{"uniform", "fattree"} {
@@ -23,16 +21,18 @@ func TestModelsCarryLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := tempest.New(8, 32, c)
-		m.SetNetwork(nw)
+		orderFree := nw.OrderFree()
+		nw.SetFaults(fault.NewInjector(8, fault.Plan{Seed: 3, CorruptPerMil: 1000}), 8)
 		var ctr net.Counters
-		m.Net.RoundTrip(0, 1, 32, 0, &ctr)
-		if ctr.Retransmits != 0 {
-			t.Errorf("%s without loss: %d retransmissions", model, ctr.Retransmits)
+		nw.RoundTrip(0, 1, 32, 0, &ctr)
+		if ctr.Retransmits != 0 || nw.OrderFree() != orderFree {
+			t.Errorf("%s under a plan without delivery faults: %d retransmissions, order-free %v",
+				model, ctr.Retransmits, nw.OrderFree())
 		}
-		l := m.AttachLoss(net.LossConfig{Seed: 3, DropPerMil: 1000})
-		if m.Net.Name() != model {
-			t.Errorf("%s under the retransmission layer is named %q", model, m.Net.Name())
+		f := fault.NewInjector(8, fault.Plan{Seed: 3, DropPerMil: 1000})
+		nw.SetFaults(f, 8)
+		if nw.Name() != model || nw.OrderFree() {
+			t.Errorf("%s made lossy is named %q, order-free %v", model, nw.Name(), nw.OrderFree())
 		}
 		func() {
 			defer func() {
@@ -40,11 +40,11 @@ func TestModelsCarryLoss(t *testing.T) {
 					t.Errorf("%s with certain drop: exchange ended with %v", model, err)
 				}
 			}()
-			m.Net.RoundTrip(0, 1, 32, 0, &ctr)
+			nw.RoundTrip(0, 1, 32, 0, &ctr)
 		}()
-		budget := int64(m.Fault.RetryBudget())
-		if got := l.Tally(); got.Dropped != budget+1 || got.Total() != got.Dropped {
-			t.Errorf("%s: loss tally %v, want %d drops (one draw per attempt, none by pricing)", model, got, budget+1)
+		budget := int64(f.RetryBudget())
+		if got := f.Tally(); got.Dropped != budget+1 || got.Total() != got.Dropped {
+			t.Errorf("%s: fault tally %v, want %d drops (one draw per attempt, none by pricing)", model, got, budget+1)
 		}
 		if ctr.Retransmits != budget {
 			t.Errorf("%s: %d retransmissions, want %d", model, ctr.Retransmits, budget)

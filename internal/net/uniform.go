@@ -2,82 +2,40 @@ package net
 
 import "lcm/internal/cost"
 
-// Uniform prices every message class exactly as the flat cost.Model did
-// before the network existed: fixed latency per class, a per-byte term
-// on data transfers, no topology, no queueing.  It exists so that the
-// default simulator configuration is bit-identical — in counters and in
-// virtual cycles — to the pre-net golden results.
-type Uniform struct {
-	c      cost.Model
-	header int64
+// uniform prices every message class exactly as the flat cost.Model did
+// before the network existed: fixed latency per class, a per-byte term on
+// the payload, no topology, no queueing.  It exists so that the default
+// simulator configuration is bit-identical — in counters and in virtual
+// cycles — to the pre-net golden results.
+type uniform struct {
+	flat    [numClasses]int64
+	perByte int64
 }
 
 // NewUniform builds the uniform model over cost model c with the given
-// per-message header size (bytes, accounting only).
-func NewUniform(c cost.Model, headerBytes int64) *Uniform {
+// per-message header size (bytes, accounting only; 0 means the default).
+func NewUniform(c cost.Model, headerBytes int64) *Network {
 	if headerBytes == 0 {
 		headerBytes = DefaultHeaderBytes
 	}
-	return &Uniform{c: c, header: headerBytes}
+	return &Network{header: headerBytes, topo: &uniform{perByte: c.PerByte, flat: [numClasses]int64{
+		roundTrip:  c.RemoteRoundTrip,
+		timeout:    c.RemoteRoundTrip, // the lost exchange costs its full window
+		forward:    c.ThirdHop,
+		upgrade:    c.Upgrade,
+		invalidate: c.InvalidatePerCopy,
+		flush:      c.FlushPerBlock,
+	}}}
 }
 
-// Name implements Network.
-func (u *Uniform) Name() string { return "uniform" }
+func (u *uniform) name() string { return "uniform" }
 
-// RoundTrip charges the legacy RemoteRoundTrip plus the bandwidth term.
-func (u *Uniform) RoundTrip(src, dst int, payload int64, now int64, c *Counters) int64 {
-	c.Msgs[MsgMissRequest]++
-	c.Msgs[MsgDataReply]++
-	c.Bytes += 2*u.header + payload
-	return u.c.RemoteRoundTrip + payload*u.c.PerByte
+func (u *uniform) price(id classID, src, dst int, payload, now int64, queue *int64) int64 {
+	return u.flat[id] + payload*u.perByte
 }
 
-// Timeout charges a full round trip for the lost exchange, as the flat
-// model's fault path did.
-func (u *Uniform) Timeout(src, dst int, now int64, c *Counters) int64 {
-	c.Msgs[MsgMissRequest]++
-	c.Bytes += u.header
-	return u.c.RemoteRoundTrip
-}
+// orderFree: every price is a constant of the class plus a payload term.
+func (u *uniform) orderFree() bool { return true }
 
-// Forward charges the legacy third-hop increment.
-func (u *Uniform) Forward(src, dst int, now int64, c *Counters) int64 {
-	c.Msgs[MsgForward]++
-	c.Bytes += u.header
-	return u.c.ThirdHop
-}
-
-// Upgrade charges the legacy no-data upgrade round trip.
-func (u *Uniform) Upgrade(src, dst int, now int64, c *Counters) int64 {
-	c.Msgs[MsgUpgrade] += 2
-	c.Bytes += 2 * u.header
-	return u.c.Upgrade
-}
-
-// Invalidate charges the legacy per-copy invalidation price.
-func (u *Uniform) Invalidate(src, dst int, now int64, c *Counters) int64 {
-	c.Msgs[MsgInvalidate]++
-	c.Bytes += u.header
-	return u.c.InvalidatePerCopy
-}
-
-// Flush charges the legacy per-block flush price plus bandwidth.
-func (u *Uniform) Flush(src, dst int, payload int64, now int64, c *Counters) int64 {
-	c.Msgs[MsgFlush]++
-	c.Bytes += u.header + payload
-	return u.c.FlushPerBlock + payload*u.c.PerByte
-}
-
-// Barrier accounts the control-network packet; the barrier's cycle cost
-// is charged by the barrier itself, exactly as before.
-func (u *Uniform) Barrier(node int, c *Counters) {
-	c.Msgs[MsgBarrier]++
-	c.Bytes += u.header
-}
-
-// OrderFree implements Network: every charge above is a constant of the
-// message class plus a payload term.
-func (u *Uniform) OrderFree() bool { return true }
-
-// LinkStats reports nothing: the uniform model has no links.
-func (u *Uniform) LinkStats() LinkStats { return LinkStats{} }
+// linkStats reports nothing: the uniform model has no links.
+func (u *uniform) linkStats() LinkStats { return LinkStats{} }

@@ -45,15 +45,6 @@ type Set struct {
 	spill []uint64
 }
 
-// SpillWords returns the number of spill words a set needs to hold IDs
-// in [0, maxID].
-func SpillWords(maxID int) int {
-	if maxID < wordBits {
-		return 0
-	}
-	return maxID / wordBits
-}
-
 // Of returns a set holding the given IDs (a test convenience).
 func Of(ids ...int) Set {
 	var s Set
@@ -120,37 +111,12 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// Single returns the sole member when the set has exactly one, else
-// (-1, false).
-func (s *Set) Single() (int, bool) {
-	if s.Count() != 1 {
-		return -1, false
-	}
-	it := s.Iter()
-	id, _ := it.Next()
-	return id, true
-}
-
 // Clear removes all members, keeping spill storage for reuse.
 func (s *Set) Clear() {
 	s.lo = 0
 	for i := range s.spill {
 		s.spill[i] = 0
 	}
-}
-
-// Intersects reports whether s and o share any member.
-func (s *Set) Intersects(o *Set) bool {
-	if s.lo&o.lo != 0 {
-		return true
-	}
-	n := min(len(s.spill), len(o.spill))
-	for i := 0; i < n; i++ {
-		if s.spill[i]&o.spill[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // SubsetOf reports whether every member of s is also in o.
@@ -273,7 +239,7 @@ type Arena struct {
 
 // NewArena returns an arena producing sets pre-sized for IDs in
 // [0, maxID].
-func NewArena(maxID int) *Arena { return &Arena{words: SpillWords(maxID)} }
+func NewArena(maxID int) *Arena { return &Arena{words: max(maxID, 0) / wordBits} }
 
 // Words returns the spill width of the sets this arena produces.
 func (a *Arena) Words() int { return a.words }

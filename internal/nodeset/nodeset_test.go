@@ -33,10 +33,6 @@ func checkAgainst(t *testing.T, s *Set, ref refSet) {
 	if got := s.Empty(); got != (len(want) == 0) {
 		t.Fatalf("Empty() = %v with %d members", got, len(want))
 	}
-	id, ok := s.Single()
-	if wantOK := len(want) == 1; ok != wantOK || (ok && id != want[0]) {
-		t.Fatalf("Single() = (%d, %v), want one of %v", id, ok, want)
-	}
 	// Membership probes on both sides of every boundary of interest.
 	for _, probe := range []int{0, 1, 62, 63, 64, 65, 127, 128, 129, 1023} {
 		if got := s.Contains(probe); got != ref[probe] {
@@ -79,7 +75,7 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	checkAgainst(t, &s, ref)
 }
 
-// TestSetAlgebra checks Intersects/SubsetOf/Subtract/Clone against the
+// TestSetAlgebra checks SubsetOf/Subtract/Clone against the
 // model on random pairs, including pairs with different spill lengths.
 func TestSetAlgebra(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -95,17 +91,11 @@ func TestSetAlgebra(t *testing.T) {
 			b.Add(idb)
 			rb[idb] = true
 		}
-		wantInter := false
 		wantSubset := true
 		for id := range ra {
-			if rb[id] {
-				wantInter = true
-			} else {
+			if !rb[id] {
 				wantSubset = false
 			}
-		}
-		if got := a.Intersects(&b); got != wantInter {
-			t.Fatalf("Intersects(%v, %v) = %v, want %v", a, b, got, wantInter)
 		}
 		if got := a.SubsetOf(&b); got != wantSubset {
 			t.Fatalf("SubsetOf(%v, %v) = %v, want %v", a, b, got, wantSubset)

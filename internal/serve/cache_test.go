@@ -173,6 +173,9 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{Kind: "check", Nodes: 9},
 		{Kind: "check", Protocol: "mesi"},
 		{Kind: "grid", KVSkew: -0.5},
+		{Kind: "grid", Net: "fattree", LinkBW: -5}, // a link that finishes before it starts
+		{Kind: "grid", Net: "fattree", NILat: -7},
+		{Kind: "grid", LinkBW: 3}, // the uniform model never reads it: one run, two keys
 	}
 	for _, sp := range bad {
 		spec := sp

@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"strings"
 	"time"
 
 	"lcm/internal/check"
 	"lcm/internal/cstar"
 	"lcm/internal/harness"
-	"lcm/internal/net"
-	"lcm/internal/workloads"
 )
 
 // maxOutputEvents caps the harness output lines mirrored into a job's
@@ -42,22 +41,6 @@ func (le *lineEmitter) Write(p []byte) (int, error) {
 			le.j.publish(Event{Event: "output", Line: strings.TrimRight(line, "\n")})
 		}
 	}
-}
-
-// buildConfig turns a normalized spec into the machine configuration,
-// mirroring cmd/lcmbench flag handling exactly so server-mode results
-// are byte-identical to process-mode runs of the same tuple.
-func buildConfig(sp JobSpec) workloads.Config {
-	cfg := workloads.Config{
-		P:         sp.P,
-		BlockSize: uint32(sp.BlockSize),
-		Verify:    sp.Verify,
-		SchedSeed: sp.SchedSeed,
-	}
-	if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
-		cfg.Net = &net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}
-	}
-	return cfg
 }
 
 // faultPlans resolves a chaos or recovery job's fault-plan name against
@@ -135,15 +118,38 @@ func failureLines(err error) []string {
 // execute runs one dequeued job to a terminal state.  It is the queue's
 // worker body: the job is already in StateRunning.
 func (s *Server) execute(j *Job) {
+	start := time.Now()
+	body, ctype, err := s.run(j)
+	wall := time.Since(start)
+	s.stats.JobExecuted(j.Spec.Kind, j.Spec.Scheduler, wall.Seconds())
+	if err != nil {
+		j.fail(err.Error(), wall)
+		return
+	}
+	s.cache.Put(j.Key, body, ctype, j.ID)
+	j.finish(body, ctype, "miss", wall)
+}
+
+// run computes a job's result.  A panic on the way is that job's failure
+// and leaves the worker and the process alive: a machine's RunErr contains
+// what its nodes do, but a campaign also runs code before any machine
+// exists, on the worker's own goroutine.
+func (s *Server) run(j *Job) (body []byte, ctype string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
 	if s.beforeRun != nil {
 		s.beforeRun(j)
 	}
-	start := time.Now()
 	sp := j.Spec
 
 	var out bytes.Buffer
 	suite := harness.New(io.MultiWriter(&out, &lineEmitter{j: j}))
-	suite.Cfg = buildConfig(sp)
+	if suite.Cfg, err = sp.config(); err != nil {
+		return nil, "", err
+	}
 	suite.Scale = sp.Scale
 	suite.KVSkew = sp.KVSkew
 	suite.KVReshard = sp.KVReshard
@@ -155,10 +161,7 @@ func (s *Server) execute(j *Job) {
 		})
 	}
 
-	var body []byte
-	ctype := "application/json"
-	var err error
-
+	ctype = "application/json"
 	switch sp.Kind {
 	case "grid":
 		body, err = s.runGrid(j, suite, sp)
@@ -186,32 +189,16 @@ func (s *Server) execute(j *Job) {
 	default:
 		err = fmt.Errorf("unknown kind %q", sp.Kind)
 	}
-	wall := time.Since(start)
-
-	if err != nil {
-		s.stats.JobExecuted(sp.Kind, sp.Scheduler, wall.Seconds())
-		j.fail(err.Error(), wall)
-		return
-	}
-	s.cache.Put(j.Key, body, ctype, j.ID)
-	s.stats.JobExecuted(sp.Kind, sp.Scheduler, wall.Seconds())
-	j.finish(body, ctype, "miss", wall)
+	return body, ctype, err
 }
 
 // runGrid executes a grid job's cells, threads the per-record counters
 // into the metrics registry, and renders the deterministic BENCH bytes —
 // the same bytes `lcmbench -detjson` writes for this tuple.
 func (s *Server) runGrid(j *Job, suite *harness.Suite, sp JobSpec) ([]byte, error) {
-	cells := harness.GridCells()
-	if len(sp.Cells) > 0 {
-		cells = cells[:0]
-		for _, name := range sp.Cells {
-			c, err := harness.ParseCell(name)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
-		}
+	cells, err := harness.ParseCells(sp.Cells)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := suite.RunCells(cells)
 	if err != nil {

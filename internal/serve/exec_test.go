@@ -35,17 +35,17 @@ func TestPlanAndProtocolSelectors(t *testing.T) {
 	}
 }
 
-// buildConfig must mirror cmd/lcmbench's flag handling: a plain uniform
-// tuple leaves Net nil (the bit-exact historical charges path), any
-// explicit interconnect knob constructs the model config.
+// A spec's machine configuration is the one lcmbench builds from the same
+// tuple: a uniform tuple leaves Net nil (the bit-exact historical charges
+// path), the fat tree constructs the model config with its knobs.
 func TestBuildConfigNetSelection(t *testing.T) {
-	sp := normalized(t, JobSpec{Kind: "grid", P: 8, Scale: 16})
-	if cfg := buildConfig(sp); cfg.Net != nil {
-		t.Errorf("uniform default built an explicit net config %+v", cfg.Net)
+	sp := normalized(t, JobSpec{Kind: "grid", P: 8, Scale: 16, Verify: true, SchedSeed: 7})
+	if cfg, err := sp.config(); err != nil || cfg.Net != nil || cfg.P != 8 || !cfg.Verify || cfg.SchedSeed != 7 {
+		t.Errorf("uniform default built %+v, %v", cfg, err)
 	}
 	sp = normalized(t, JobSpec{Kind: "grid", P: 8, Scale: 16, Net: "fattree", LinkBW: 8, NILat: 100})
-	cfg := buildConfig(sp)
-	if cfg.Net == nil || cfg.Net.Model != "fattree" || cfg.Net.CyclesPerByte != 8 || cfg.Net.NICycles != 100 {
+	cfg, err := sp.config()
+	if err != nil || cfg.Net == nil || cfg.Net.Model != "fattree" || cfg.Net.CyclesPerByte != 8 || cfg.Net.NICycles != 100 {
 		t.Errorf("fattree spec built net config %+v", cfg.Net)
 	}
 }

@@ -595,6 +595,44 @@ func TestFailedJobReportsError(t *testing.T) {
 	}
 }
 
+// The one worker survives its jobs.  An Unstructured grid at scale 256 used
+// to wedge it for good (graph construction never returned) and at scale 512
+// to take the whole process down (a division by zero on the worker's
+// goroutine, which nothing recovered); both now run the floor-sized graph.  A
+// job that panics outside any simulated machine fails alone, saying why, and
+// the job queued behind it completes.
+func TestWorkerSurvivesItsJobs(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
+	s.beforeRun = func(j *Job) {
+		if j.Spec.SchedSeed == 0xbad {
+			panic("campaign bug")
+		}
+	}
+	tiny := func(scale int) JobSpec {
+		return JobSpec{Kind: "grid", Cells: []string{"Unstructured"}, P: 8, Scale: scale}
+	}
+	bad := smallGrid()
+	bad.SchedSeed = 0xbad
+	var ids []string
+	for _, sp := range []JobSpec{tiny(256), tiny(512), bad, smallGrid()} {
+		code, sr := submit(t, ts, sp)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit(%+v) = %d, want 202", sp, code)
+		}
+		ids = append(ids, sr.ID)
+	}
+	for i, want := range []string{"done", "done", "failed", "done"} {
+		evs := progress(t, ts, ids[i])
+		last := evs[len(evs)-1]
+		if last.Event != want {
+			t.Errorf("job %d ended %+v, want %s", i, last, want)
+		}
+		if want == "failed" && !strings.HasPrefix(last.Error, "job panicked: campaign bug\n") {
+			t.Errorf("panicking job's error is %q", last.Error)
+		}
+	}
+}
+
 func TestHealthzAndCollectorNames(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	code, body := get(t, ts, "/healthz")

@@ -21,9 +21,8 @@ import (
 	"slices"
 	"strings"
 
-	"lcm/internal/cost"
 	"lcm/internal/harness"
-	"lcm/internal/net"
+	"lcm/internal/workloads"
 )
 
 // JobSpec is the wire shape of one submitted job: the deterministic run
@@ -134,17 +133,14 @@ func (sp *JobSpec) Normalize() error {
 	if sp.P == 0 {
 		sp.P = 32
 	}
-	if sp.P < 1 {
-		return fmt.Errorf("p must be >= 1, got %d", sp.P)
-	}
 	if sp.Scale == 0 {
 		sp.Scale = 1
 	}
-	if sp.Scale < 1 {
-		return fmt.Errorf("scale must be >= 1, got %d", sp.Scale)
+	if sp.Net == "" {
+		sp.Net = "uniform"
 	}
-	if sp.BlockSize != 0 && (sp.BlockSize < 8 || sp.BlockSize&(sp.BlockSize-1) != 0) {
-		return fmt.Errorf("blocksize must be a power of two >= 8, got %d", sp.BlockSize)
+	if _, err := sp.config(); err != nil {
+		return err
 	}
 	switch sp.Scheduler {
 	case "":
@@ -153,23 +149,8 @@ func (sp *JobSpec) Normalize() error {
 	default:
 		return fmt.Errorf("scheduler must be det, got %q", sp.Scheduler)
 	}
-	if sp.Net == "" {
-		sp.Net = "uniform"
-	}
-	if sp.Net != "uniform" || sp.LinkBW != 0 || sp.NILat != 0 {
-		cfg := net.Config{Model: sp.Net, CyclesPerByte: sp.LinkBW, NICycles: sp.NILat}
-		if _, err := net.New(cfg, sp.P, cost.Default()); err != nil {
-			return err
-		}
-	}
-	if sp.KVSkew < 0 {
-		return fmt.Errorf("kv_skew must be >= 0, got %v", sp.KVSkew)
-	}
-
-	for _, name := range sp.Cells {
-		if _, err := harness.ParseCell(name); err != nil {
-			return err
-		}
+	if _, err := harness.ParseCells(sp.Cells); err != nil {
+		return err
 	}
 	switch sp.Kind {
 	case "chaos", "recovery":
@@ -200,6 +181,16 @@ func (sp *JobSpec) Normalize() error {
 		}
 	}
 	return nil
+}
+
+// config is the machine configuration the spec describes: what `lcmbench`
+// builds from the same tuple given as flags, so server-mode results are
+// byte-identical to process-mode runs.
+func (sp JobSpec) config() (workloads.Config, error) {
+	cfg, err := harness.Tuple{P: sp.P, Scale: sp.Scale, BlockSize: sp.BlockSize, KVSkew: sp.KVSkew,
+		Net: sp.Net, LinkBW: sp.LinkBW, NILat: sp.NILat}.Config()
+	cfg.Verify, cfg.SchedSeed = sp.Verify, sp.SchedSeed
+	return cfg, err
 }
 
 // CacheKey returns the content address of the spec's result: the SHA-256

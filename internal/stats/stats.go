@@ -74,7 +74,7 @@ type NodeCounters struct {
 	StallCycles int64
 
 	// The fields below are the crash-recovery record; all stay zero
-	// unless the machine runs with Recovery enabled.
+	// unless the run's fault plan sets Recover (fault.Plan).
 
 	// Checkpoints counts barrier-epoch checkpoints this node captured.
 	Checkpoints int64
@@ -174,15 +174,6 @@ func NewTable(title string, cols ...string) *Table {
 // AddRow appends a row; vals maps column name to cell text.
 func (t *Table) AddRow(name string, vals map[string]string) {
 	t.rows = append(t.rows, tableRow{name: name, vals: vals})
-}
-
-// AddInts appends a row of integer cells rendered with thousands grouping.
-func (t *Table) AddInts(name string, vals map[string]int64) {
-	m := make(map[string]string, len(vals))
-	for k, v := range vals {
-		m[k] = GroupInt(v)
-	}
-	t.AddRow(name, m)
 }
 
 // String renders the table.

@@ -82,7 +82,7 @@ func TestSpeedup(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Table 1", "scc", "mcc")
-	tb.AddInts("Stencil", map[string]int64{"scc": 3216, "mcc": 6374})
+	tb.AddRow("Stencil", map[string]string{"scc": GroupInt(3216), "mcc": GroupInt(6374)})
 	tb.AddRow("Adaptive", map[string]string{"scc": "-", "mcc": "x"})
 	out := tb.String()
 	for _, want := range []string{"Table 1", "workload", "scc", "mcc", "3,216", "6,374", "Adaptive", "-"} {

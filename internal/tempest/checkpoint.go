@@ -179,12 +179,11 @@ func (n *Node) CheckpointLines() int { return len(n.ckpt.lines) }
 func (n *Node) Degraded() bool { return n.degraded }
 
 // killed handles an injected kill of node n triggered after `after`
-// events: a machine-wide abort by default; under Recovery with a
-// KillRecover plan, a checkpoint restart — and, once the node has been
-// killed past its restart budget, degraded-mode re-homing.  Runs in the
-// dying node's goroutine.
+// events: a machine-wide abort by default; under a plan with Recover, a
+// checkpoint restart — and, once the node has been killed past its restart
+// budget, degraded-mode re-homing.  Runs in the dying node's goroutine.
 func (n *Node) killed(f *fault.Injector, after int) {
-	if !n.M.Recovery || !f.Plan().KillRecover {
+	if !f.Plan().Recover {
 		panic(&fault.KillError{Node: n.ID, After: after})
 	}
 	n.restartFromCheckpoint()

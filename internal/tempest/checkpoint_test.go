@@ -9,20 +9,21 @@ import (
 	"lcm/internal/memsys"
 )
 
-// recoveryMachine is newTestMachine with the deterministic scheduler and
-// checkpoint/restart enabled.
-func recoveryMachine(t *testing.T, p int, words uint64) (*Machine, *memsys.Region) {
+// recoveryMachine is newTestMachine running plan with checkpoint/restart
+// enabled.
+func recoveryMachine(t *testing.T, p int, words uint64, plan fault.Plan) (*Machine, *memsys.Region) {
 	t.Helper()
 	m, r := newTestMachine(t, p, words)
-	m.Recovery = true
+	plan.Recover = true
+	m.AttachFaults(plan)
 	return m, r
 }
 
-// TestCheckpointEveryBarrier: under Recovery every node snapshots at
+// TestCheckpointEveryBarrier: under a plan with Recover every node snapshots at
 // every barrier — one checkpoint per barrier crossed, covering the lines
 // the node had installed.
 func TestCheckpointEveryBarrier(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 128)
+	m, r := recoveryMachine(t, 2, 128, fault.Plan{})
 	err := m.RunErr(func(n *Node) {
 		touchAll(t, n, r, 128)
 		n.Barrier()
@@ -48,7 +49,7 @@ func TestCheckpointEveryBarrier(t *testing.T) {
 // and the machine must be back to its barrier image byte for byte with the
 // late line invalidated.
 func TestRestoreCheckpoint(t *testing.T) {
-	m, r := recoveryMachine(t, 1, 64)
+	m, r := recoveryMachine(t, 1, 64, fault.Plan{})
 	half := memsys.Addr(32 * 4) // second half stays untouched until after the barrier
 	err := m.RunErr(func(n *Node) {
 		for w := uint64(0); w < 32; w++ {
@@ -81,12 +82,11 @@ func TestRestoreCheckpoint(t *testing.T) {
 	}
 }
 
-// TestKillRecoverRestarts: a KillRecover plan turns injected kills into
+// TestKilledNodeRestarts: a plan with Recover turns injected kills into
 // checkpoint restarts — the run completes, data verifies, and the restart
 // accounting matches the kills injected.
-func TestKillRecoverRestarts(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 128)
-	m.AttachFaults(fault.Plan{Seed: 3, KillNode: 1, KillAfter: 2, KillCount: 2, KillRecover: true})
+func TestKilledNodeRestarts(t *testing.T) {
+	m, r := recoveryMachine(t, 2, 128, fault.Plan{Seed: 3, KillNode: 1, KillAfter: 2, KillCount: 2})
 	err := m.RunErr(func(n *Node) {
 		touchAll(t, n, r, 128)
 		n.Barrier()
@@ -94,7 +94,7 @@ func TestKillRecoverRestarts(t *testing.T) {
 		n.Barrier()
 	})
 	if err != nil {
-		t.Fatalf("RunErr under KillRecover plan: %v", err)
+		t.Fatalf("RunErr under a recovering plan: %v", err)
 	}
 	tally := m.Fault.Tally()
 	if tally.Kills == 0 {
@@ -118,8 +118,7 @@ func TestKillRecoverRestarts(t *testing.T) {
 // TestKillAtBarrierRecovers: a crash at the barrier itself restarts from
 // the previous epoch's checkpoint and the barrier still completes.
 func TestKillAtBarrierRecovers(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 128)
-	m.AttachFaults(fault.Plan{Seed: 4, KillNode: 1, KillAtBarrier: 2, KillRecover: true})
+	m, r := recoveryMachine(t, 2, 128, fault.Plan{Seed: 4, KillNode: 1, KillAtBarrier: 2})
 	err := m.RunErr(func(n *Node) {
 		for i := 0; i < 3; i++ {
 			touchAll(t, n, r, 128)
@@ -141,10 +140,8 @@ func TestKillAtBarrierRecovers(t *testing.T) {
 // the node's home responsibility migrates to the live peer and the run
 // still completes with intact data.
 func TestRehomePastBudget(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 128)
-	m.AttachFaults(fault.Plan{
-		Seed: 5, KillNode: 1, KillAfter: 2, KillCount: 4,
-		KillRecover: true, RestartBudget: 2,
+	m, r := recoveryMachine(t, 2, 128, fault.Plan{
+		Seed: 5, KillNode: 1, KillAfter: 2, KillCount: 4, RestartBudget: 2,
 	})
 	err := m.RunErr(func(n *Node) {
 		touchAll(t, n, r, 128)
@@ -177,11 +174,10 @@ func TestRehomePastBudget(t *testing.T) {
 	}
 }
 
-// TestKillWithoutRecoverStillAborts: Recovery on the machine does not
-// soften a plan that never opted into KillRecover — the historical abort
-// path is preserved.
+// TestKillWithoutRecoverStillAborts: a kill under a plan without Recover
+// aborts the machine — the historical abort path is preserved.
 func TestKillWithoutRecoverStillAborts(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 64)
+	m, r := newTestMachine(t, 2, 64)
 	m.AttachFaults(fault.Plan{Seed: 6, KillNode: 1, KillAfter: 2})
 	err := m.RunErr(func(n *Node) {
 		touchAll(t, n, r, 64)
@@ -202,7 +198,7 @@ func TestCheckpointImagesAligned(t *testing.T) {
 		m := New(2, bs, cost.Uniform(1))
 		r := m.AS.Alloc("data", 5*uint64(bs), memsys.KindCoherent, memsys.Interleaved)
 		m.SetProtocol(&fakeProtocol{})
-		m.Recovery = true
+		m.AttachFaults(fault.Plan{Recover: true})
 		m.Freeze()
 		m.Run(func(n *Node) {
 			for a := r.Base; a < r.End(); a += memsys.Addr(bs) {

@@ -64,8 +64,9 @@ const effectRing = 64
 // be observed —
 //
 //   - no checker hook is watching individual grants;
-//   - nothing restructures a handler's charges mid-flight (fault plans,
-//     delivery loss, recovery replay) or timestamps its steps (a trace);
+//   - nothing restructures a handler's charges mid-flight (a fault plan:
+//     injected faults, delivery loss, recovery replay) or timestamps its
+//     steps (a trace);
 //   - the interconnect prices a message without looking at the clock or at
 //     earlier traffic;
 //   - the protocol's handlers are split; and
@@ -78,12 +79,8 @@ func (m *Machine) RunAhead() (on bool, reason string) {
 	switch {
 	case m.SchedHook != nil:
 		return false, "scheduler hook"
-	case m.Loss != nil: // before Fault: AttachLoss brings an injector along
-		return false, "lossy network"
 	case m.Fault != nil:
 		return false, "fault plan"
-	case m.Recovery:
-		return false, "recovery"
 	case m.Trace != nil:
 		return false, "protocol trace"
 	case !m.Net.OrderFree():

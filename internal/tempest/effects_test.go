@@ -69,11 +69,11 @@ func TestRunAheadPredicate(t *testing.T) {
 		{"LCM-only machine", memsys.KindLCM, nil, ""},
 		{"checker hook", memsys.KindLCM, func(m *Machine) { m.SchedHook = func(*sched.Scheduler) {} }, "scheduler hook"},
 		{"fault plan", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, CorruptPerMil: 5}) }, "fault plan"},
-		{"loss", memsys.KindLCM, func(m *Machine) { m.AttachLoss(net.LossConfig{Seed: 1, DropPerMil: 5}) }, "lossy network"},
-		{"recovery", memsys.KindLCM, func(m *Machine) { m.Recovery = true }, "recovery"},
+		{"loss", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, DropPerMil: 5}) }, "fault plan"},
+		{"recovery", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Recover: true}) }, "fault plan"},
 		{"trace", memsys.KindLCM, func(m *Machine) { m.AttachTrace(16) }, "protocol trace"},
 		{"fat tree", memsys.KindLCM, func(m *Machine) {
-			m.SetNetwork(net.NewFatTree(net.Config{}, m.P, m.Cost))
+			m.SetNetwork(net.NewFatTree(net.Config{}, m.P))
 		}, "order-sensitive network"},
 		{"unsplit protocol", memsys.KindLCM, func(m *Machine) { m.SetProtocol(&fakeProtocol{}) }, "protocol without split handlers"},
 		{"coherent region", memsys.KindCoherent, nil, "coherent region"},

@@ -27,6 +27,7 @@ import (
 // with checksums still verified.
 func (m *Machine) AttachFaults(plan fault.Plan) *fault.Injector {
 	m.Fault = fault.NewInjector(m.P, plan)
+	m.Net.SetFaults(m.Fault, m.P)
 	return m.Fault
 }
 

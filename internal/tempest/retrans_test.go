@@ -9,17 +9,17 @@ import (
 	"lcm/internal/net"
 )
 
-// lossSeed brute-forces a seed whose first draws for sender 0 under cfg
+// lossSeed brute-forces a seed whose first draws for sender 0 under plan
 // match the wanted fate pattern, so the closed-form charge tests can
 // script the loss model through its real randomness.
-func lossSeed(t *testing.T, cfg net.LossConfig, want []net.Delivery) uint64 {
+func lossSeed(t *testing.T, plan fault.Plan, want []fault.Delivery) uint64 {
 	t.Helper()
 	for seed := uint64(1); seed < 1_000_000; seed++ {
-		cfg.Seed = seed
-		l := net.NewLoss(cfg, 1)
+		plan.Seed = seed
+		f := fault.NewInjector(1, plan)
 		ok := true
 		for _, w := range want {
-			if l.Classify(0) != w {
+			if f.Classify(0) != w {
 				ok = false
 				break
 			}
@@ -28,14 +28,15 @@ func lossSeed(t *testing.T, cfg net.LossConfig, want []net.Delivery) uint64 {
 			return seed
 		}
 	}
-	t.Fatalf("no seed under 1e6 yields %v at %v", want, cfg)
+	t.Fatalf("no seed under 1e6 yields %v at %v", want, plan)
 	return 0
 }
 
-func lossyNet(inner net.Network, cfg net.LossConfig, p int) (*reliableNet, *net.Loss, *fault.Injector) {
-	l := net.NewLoss(cfg, p)
-	f := fault.NewInjector(p, fault.Plan{})
-	return newReliableNet(inner, l, f, p), l, f
+// lossyNet makes nw deliver as unreliably as plan says.
+func lossyNet(nw *net.Network, plan fault.Plan, p int) (*net.Network, *fault.Injector) {
+	f := fault.NewInjector(p, plan)
+	nw.SetFaults(f, p)
+	return nw, f
 }
 
 // TestRetransDropCostUniform pins the closed-form recovery charge on the
@@ -45,9 +46,9 @@ func lossyNet(inner net.Network, cfg net.LossConfig, p int) (*reliableNet, *net.
 // 1 backoff + the payload term.
 func TestRetransDropCostUniform(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{DropPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Dropped, net.Delivered})
-	r, _, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), cfg, 2)
+	plan := fault.Plan{DropPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Dropped, fault.Delivered})
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), plan, 2)
 
 	var ctr net.Counters
 	got := r.RoundTrip(0, 1, 32, 0, &ctr)
@@ -80,16 +81,15 @@ func TestRetransDropCostUniform(t *testing.T) {
 // what a fresh fat tree charges for timeout-then-roundtrip at the same
 // virtual times, plus the backoff penalty.
 func TestRetransDropCostFatTree(t *testing.T) {
-	c := cost.Default()
-	cfg := net.LossConfig{DropPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Dropped, net.Delivered})
-	r, _, f := lossyNet(net.NewFatTree(net.Config{Model: "fattree"}, 8, c), cfg, 8)
+	plan := fault.Plan{DropPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Dropped, fault.Delivered})
+	r, f := lossyNet(net.NewFatTree(net.Config{Model: "fattree"}, 8), plan, 8)
 
 	const now = 12345
 	var ctr net.Counters
 	got := r.RoundTrip(0, 5, 32, now, &ctr)
 
-	ref := net.NewFatTree(net.Config{Model: "fattree"}, 8, c)
+	ref := net.NewFatTree(net.Config{Model: "fattree"}, 8)
 	var refCtr net.Counters
 	timeout := ref.Timeout(0, 5, now, &refCtr)
 	want := timeout + f.Backoff(1) + ref.RoundTrip(0, 5, 32, now+timeout+f.Backoff(1), &refCtr)
@@ -106,9 +106,9 @@ func TestRetransDropCostFatTree(t *testing.T) {
 // zero protocol cost — and is counted, not retried.
 func TestRetransDuplicateIdempotent(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{DupPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Duplicated})
-	r, l, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), cfg, 2)
+	plan := fault.Plan{DupPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Duplicated})
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), plan, 2)
 
 	var ctr net.Counters
 	got := r.RoundTrip(0, 1, 32, 0, &ctr)
@@ -118,8 +118,8 @@ func TestRetransDuplicateIdempotent(t *testing.T) {
 	if ctr.DupDelivered != 1 || ctr.Retransmits != 0 {
 		t.Errorf("dup account: DupDelivered=%d Retransmits=%d, want 1/0", ctr.DupDelivered, ctr.Retransmits)
 	}
-	if l.Tally().Duplicated != 1 {
-		t.Errorf("loss tally %v, want one duplicate", l.Tally())
+	if f.Tally().Duplicated != 1 {
+		t.Errorf("loss tally %v, want one duplicate", f.Tally())
 	}
 }
 
@@ -128,9 +128,9 @@ func TestRetransDuplicateIdempotent(t *testing.T) {
 // virtual-time exchange.
 func TestRetransReorderHeld(t *testing.T) {
 	c := cost.Default()
-	cfg := net.LossConfig{ReorderPerMil: 500}
-	cfg.Seed = lossSeed(t, cfg, []net.Delivery{net.Reordered})
-	r, _, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), cfg, 2)
+	plan := fault.Plan{ReorderPerMil: 500}
+	plan.Seed = lossSeed(t, plan, []fault.Delivery{fault.Reordered})
+	r, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes), plan, 2)
 
 	var ctr net.Counters
 	if got, want := r.RoundTrip(0, 1, 0, 0, &ctr), c.RemoteRoundTrip; got != want {
@@ -146,8 +146,8 @@ func TestRetransReorderHeld(t *testing.T) {
 // fault.ErrRetryExhausted.
 func TestRetransExhaustion(t *testing.T) {
 	c := cost.Default()
-	r, _, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
-		net.LossConfig{Seed: 1, DropPerMil: 1000}, 2)
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
+		fault.Plan{Seed: 1, DropPerMil: 1000}, 2)
 
 	defer func() {
 		v := recover()
@@ -173,20 +173,20 @@ func TestRetransExhaustion(t *testing.T) {
 	r.RoundTrip(0, 1, 32, 0, &ctr)
 }
 
-// TestReliableNetPassThrough checks the wrapper's non-exchange surface:
-// barriers and timeouts are never classified, and the wrapper keeps the
-// inner model's name.
+// TestReliableNetPassThrough checks a lossy network's non-exchange surface:
+// barriers and timeouts are never classified, and the network keeps its
+// model's name.
 func TestReliableNetPassThrough(t *testing.T) {
 	c := cost.Default()
-	r, l, _ := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
-		net.LossConfig{Seed: 1, DropPerMil: 1000}, 2)
+	r, f := lossyNet(net.NewUniform(c, net.DefaultHeaderBytes),
+		fault.Plan{Seed: 1, DropPerMil: 1000}, 2)
 	var ctr net.Counters
 	if got, want := r.Timeout(0, 1, 0, &ctr), c.RemoteRoundTrip; got != want {
 		t.Errorf("Timeout charged %d, want %d", got, want)
 	}
 	r.Barrier(0, &ctr)
-	if l.Tally().Total() != 0 {
-		t.Errorf("pass-through paths drew from the loss model: %v", l.Tally())
+	if f.Tally().Total() != 0 {
+		t.Errorf("pass-through paths drew a message fate: %v", f.Tally())
 	}
 	if r.Name() != "uniform" {
 		t.Errorf("Name = %q", r.Name())

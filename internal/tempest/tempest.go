@@ -181,30 +181,20 @@ type Machine struct {
 	// oldest resident block FIFO-style.  Set before Run.
 	CacheLines int
 
-	// Fault, when non-nil, injects deterministic faults at the
-	// data-movement boundary (see internal/fault and faults.go).
-	// Attach with AttachFaults before Run.
+	// Fault, when non-nil, executes the run's fault plan: faults at the
+	// data-movement boundary (faults.go), message fates on the network
+	// (net/reliable.go) and, under a plan with Recover, checkpoints at
+	// every barrier epoch with kills restarting from the last one
+	// (checkpoint.go).  All recovery charges are gated on the plan, so
+	// fault-free runs stay bit-identical to historical results.  Attach
+	// with AttachFaults before Run.
 	Fault *fault.Injector
 
 	// Net prices and accounts every protocol message (see internal/net).
 	// New installs the uniform model, which reproduces the historical
 	// flat charges bit-exactly; SetNetwork swaps in a topology-aware
-	// model before Run.  AttachLoss wraps whichever model is installed
-	// with the retransmission layer (see retrans.go).
-	Net net.Network
-
-	// Loss is the delivery-fault model attached by AttachLoss, nil on
-	// reliable runs.
-	Loss *net.Loss
-
-	// Recovery enables crash recovery: every node snapshots its protocol
-	// state at each barrier epoch (see checkpoint.go), injected kills
-	// under a KillRecover plan restart from the last checkpoint instead
-	// of aborting the machine, and a node killed past its restart budget
-	// hands its home regions to a live peer (degraded mode).  All
-	// recovery charges are gated on this flag, so fault-free runs stay
-	// bit-identical to historical results.  Set before Run.
-	Recovery bool
+	// model before Run.
+	Net *net.Network
 
 	// Watchdog, when positive, bounds the wall-clock duration of any
 	// single barrier round: a round that stalls past the bound is
@@ -289,10 +279,12 @@ func (m *Machine) SetProtocol(p Protocol) {
 // Protocol returns the installed protocol.
 func (m *Machine) Protocol() Protocol { return m.protocol }
 
-// SetNetwork replaces the interconnect model.  Must precede Run.
-func (m *Machine) SetNetwork(nw net.Network) {
+// SetNetwork replaces the interconnect model, which carries the attached
+// fault plan's delivery faults like the one it replaces.  Must precede Run.
+func (m *Machine) SetNetwork(nw *net.Network) {
 	if nw != nil {
 		m.Net = nw
+		nw.SetFaults(m.Fault, m.P)
 	}
 }
 
@@ -345,9 +337,6 @@ func (m *Machine) FreezeErr() error {
 	m.protocol.Attach(m)
 	return nil
 }
-
-// Frozen reports whether Freeze has run.
-func (m *Machine) Frozen() bool { return m.frozen }
 
 // Lock announces that the token holder is about to touch block b's home and
 // directory state — protocol state transitions, cross-node data movement.
@@ -633,7 +622,7 @@ func (n *Node) Barrier() {
 	}
 	n.clock = c + n.M.Cost.Barrier
 	n.Ctr.Barriers++
-	if n.M.Recovery {
+	if f := n.M.Fault; f != nil && f.Plan().Recover {
 		// The epoch boundary is where the consistency contract makes
 		// node state meaningful, so it is the checkpoint point.
 		n.takeCheckpoint()

@@ -237,9 +237,6 @@ func TestFreezeGuards(t *testing.T) {
 	m.Freeze()
 	mustPanic(t, func() { m.Freeze() })                     // double freeze
 	mustPanic(t, func() { m.SetProtocol(&fakeProtocol{}) }) // after freeze
-	if !m.Frozen() {
-		t.Fatal("not frozen")
-	}
 }
 
 func TestSimLockSerializesVirtualTime(t *testing.T) {

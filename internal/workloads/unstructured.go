@@ -52,9 +52,12 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 		spec.Stride = 8
 	}
 	res := Result{Workload: "Unstructured", System: sys, Extra: map[string]float64{}}
+	topo, err := graph.Build(spec.Nodes, spec.Edges, spec.Seed)
+	if err != nil {
+		res.Err = err
+		return res
+	}
 	m := cfg.Machine(sys)
-
-	topo := graph.Build(spec.Nodes, spec.Edges, spec.Seed)
 	// Vertex values: one padded record per vertex, block-partitioned so a
 	// node's vertices are homed locally (owner-compute layout).
 	val := cstar.NewVectorF32(m, "g.val", spec.Nodes*spec.Stride, cstar.DataPolicy(sys), memsys.Blocked)

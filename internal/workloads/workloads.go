@@ -49,9 +49,10 @@ type Config struct {
 	// paper's configuration: Stache backs caching with all of local
 	// memory).
 	CacheLines int
-	// Faults, when non-nil, attaches a deterministic fault injector
-	// executing this plan (see internal/fault); recovery is charged in
-	// virtual cycles and tallied in Result.Faults.
+	// Faults, when non-nil, is everything that goes wrong in the run (see
+	// internal/fault): injected faults, unreliable delivery, and whether
+	// the machine checkpoints and restarts.  Recovery is charged in
+	// virtual cycles and what was injected is tallied in Result.Faults.
 	Faults *fault.Plan
 	// Watchdog, when positive, bounds the wall-clock duration of any
 	// barrier round; a stalled barrier is aborted with diagnostics
@@ -65,15 +66,6 @@ type Config struct {
 	// Net selects the interconnect model (nil = uniform, which matches
 	// the historical flat charges bit-exactly; see internal/net).
 	Net *net.Config
-	// Loss, when non-nil, makes the interconnect unreliable with the
-	// given seeded drop/duplicate/reorder rates; the tempest
-	// retransmission layer is interposed so runs still complete, with
-	// recovery charged in virtual cycles and tallied in Result.Loss.
-	Loss *net.LossConfig
-	// Recover enables checkpoint/restart plus degraded-mode re-homing
-	// (tempest.Machine.Recovery): kills under a KillRecover fault plan
-	// restart from the last barrier checkpoint instead of aborting.
-	Recover bool
 	// SchedSeed selects the schedule (see internal/sched):
 	// every (workload, P, seed) triple replays bit-identically, including
 	// simulated cycles and copying-mode fault counts at P>1.  Seed 0 is
@@ -130,10 +122,6 @@ func (c Config) Machine(sys cstar.System) *tempest.Machine {
 			m.SetNetwork(nw)
 		}
 	}
-	if c.Loss != nil {
-		m.AttachLoss(*c.Loss)
-	}
-	m.Recovery = c.Recover
 	if c.tap != nil {
 		c.tap(m)
 	}
@@ -166,9 +154,6 @@ type Result struct {
 	// Faults is the injector's record of faults injected during the run
 	// (zero when Config.Faults was nil).
 	Faults fault.Tally
-	// Loss is the delivery-fault record of an unreliable-network run
-	// (zero when Config.Loss was nil).
-	Loss net.LossTally
 	// KV holds the serving-workload observables (zero for the paper's
 	// four kernels).
 	KV KVStats
@@ -240,9 +225,6 @@ func finish(m *tempest.Machine, r *Result) {
 	r.Host.Stats = m.Sched().Stats()
 	if m.Fault != nil {
 		r.Faults = m.Fault.Tally()
-	}
-	if m.Loss != nil {
-		r.Loss = m.Loss.Tally()
 	}
 	clocks := make([]int64, m.P)
 	misses := make([]int64, m.P)
