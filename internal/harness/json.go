@@ -69,8 +69,8 @@ type BenchRecord struct {
 	KVAnswer         int64 `json:"kv_answer,omitempty"`
 	// Host-side scheduling facts: whether the cell's protocol handlers
 	// ran ahead of the scheduler token ("on", or "off: " and the reason
-	// the machine gave), and the scheduler's grants, goroutine hand-offs
-	// and deferred applies.  Informational, like WallNS: no observable
+	// the machine gave), and the scheduler's grants, hand-offs between node
+	// coroutines and deferred applies.  Informational, like WallNS: no observable
 	// depends on them, and MaskHostTime clears them.
 	RunAhead      string `json:"run_ahead,omitempty"`
 	SchedGrants   int64  `json:"sched_grants,omitempty"`

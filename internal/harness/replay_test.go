@@ -95,7 +95,7 @@ func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
 			t.Errorf("%s/%s: grants %d, hand-offs %d, applies %d", r.Workload, r.System, r.SchedGrants, r.SchedHandoffs, r.SchedApplies)
 		}
 		if want == "on" && r.SchedHandoffs*4 > r.SchedGrants {
-			t.Errorf("%s/%s: %d of %d grants switched goroutines; run-ahead should leave a small fraction",
+			t.Errorf("%s/%s: %d of %d grants switched coroutines; run-ahead should leave a small fraction",
 				r.Workload, r.System, r.SchedHandoffs, r.SchedGrants)
 		}
 	}

@@ -3,10 +3,7 @@ package sched
 import (
 	"errors"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // postRing is a miniature of the machine's side of run-ahead: a bounded log
@@ -63,22 +60,14 @@ type postsRun struct {
 func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) postsRun {
 	t.Helper()
 	var (
-		s      = New(p, seed)
-		ring   = newPostRing(p, 4)
-		res    postsRun
-		state  = make([]State, p) // written by the token holder only
-		live   = p
-		over   atomic.Bool
-		fired  atomic.Bool
-		end    = make(chan struct{})
-		endOne sync.Once
-		wg     sync.WaitGroup
+		s     = New(p, seed)
+		ring  = newPostRing(p, 4)
+		res   postsRun
+		state = make([]State, p) // written by the token holder only
 	)
-	finish := func() { endOne.Do(func() { close(end) }) }
-	s.OnDeadlock(func() { fired.Store(true); finish() })
+	s.OnDeadlock(func() { res.deadlock = true })
 	// granted records one grant step, wherever it was made: by the token
-	// holder right after its grant, or by dispatch (which holds s.mu, hence
-	// the bare read of s.step) as it applies a post.
+	// holder right after its grant, or by dispatch as it applies a post.
 	granted := func(node int) {
 		if g := s.step - 1; g != len(res.grants) {
 			t.Errorf("node %d: granted at step %d, observed as grant %d", node, g, len(res.grants))
@@ -95,12 +84,12 @@ func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) po
 		}
 	}
 	per := len(script) / p
+	// hold is a node's body; it returns when the node exits or is unwound,
+	// left Blocked by a deadlock.
 	hold := func(id int) {
+		granted(id)
 		ops := script[id*per : (id+1)*per]
 		for pc := 0; ; pc++ {
-			if over.Load() {
-				return
-			}
 			op := byte(15)
 			if pc < len(ops) {
 				op = ops[pc]
@@ -131,9 +120,7 @@ func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) po
 			case 12: // block
 				drain(id)
 				state[id] = Blocked
-				s.Block(id)
-				s.AwaitGrant(id)
-				if over.Load() {
+				if !s.Block(id) {
 					return
 				}
 				granted(id)
@@ -162,38 +149,11 @@ func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) po
 					}
 				}
 				state[id] = Done
-				live--
-				last := live == 0
-				s.Exit(id)
-				if last {
-					finish()
-				}
 				return
 			}
 		}
 	}
-	s.Start()
-	for id := 0; id < p; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			s.AwaitGrant(id)
-			if over.Load() {
-				return
-			}
-			granted(id)
-			hold(id)
-		}(id)
-	}
-	select {
-	case <-end:
-	case <-time.After(30 * time.Second):
-		t.Errorf("P=%d seed=%d runAhead=%v: no progress after %d grants", p, seed, runAhead, len(res.grants))
-	}
-	over.Store(true)
-	s.Poison()
-	wg.Wait()
-	res.deadlock = fired.Load()
+	s.Run(hold)
 	if st := s.Stats(); st.Grants != int64(len(res.grants)) || (!runAhead && st.Applies != 0) {
 		t.Errorf("P=%d seed=%d runAhead=%v: Stats %+v after %d observed grants", p, seed, runAhead, st, len(res.grants))
 	}
@@ -223,42 +183,29 @@ func checkPosts(t *testing.T, p int, seed uint64, script []byte) {
 }
 
 // TestPostFailureBelongsToThePoster: a panic inside the ApplyFunc surfaces
-// on the goroutine driving dispatch — here node 1's, applying node 0's
-// post while node 0 is parked in Drain; the scheduler must charge it to
-// node 0, poison itself, and wake node 0.
+// in the scheduling call driving dispatch — here node 1's Drain, applying
+// node 0's post while node 0 is parked in its own; the scheduler must charge
+// it to node 0, poison itself, and unwind node 0.
 func TestPostFailureBelongsToThePoster(t *testing.T) {
 	boom := errors.New("boom")
 	s := New(2, 0)
-	var applier atomic.Int64
-	applier.Store(-1)
-	running := make([]atomic.Bool, 2)
+	applier, driving := -1, -1
 	s.SetRunAhead(func(node int) (int64, bool) {
-		for id := range running {
-			if running[id].Load() {
-				applier.Store(int64(id))
-			}
-		}
+		applier = driving
 		panic(boom)
 	})
-	s.Start()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for id := 0; id < 2; id++ {
-		go func(id int) {
-			defer wg.Done()
-			s.AwaitGrant(id)
-			s.Post(id, int64(10+10*id)) // node 0 parks first; its post sorts first
-			running[id].Store(true)
-			s.Drain(id)
-			running[id].Store(false)
-		}(id)
+	drained := [2]bool{true, true}
+	s.Run(func(id int) {
+		s.Post(id, int64(10+10*id)) // node 0 parks first; its post sorts first
+		driving = id
+		drained[id] = s.Drain(id)
+	})
+	if !s.poisoned.Load() || drained != [2]bool{} {
+		t.Fatalf("a failed apply must poison the scheduler and fail both drains: poisoned=%v drained=%v",
+			s.poisoned.Load(), drained)
 	}
-	waitAll(t, &wg, "after a failed apply")
-	if !poisoned(s) {
-		t.Fatal("a failed apply must poison the scheduler")
-	}
-	if got := applier.Load(); got != 1 {
-		t.Fatalf("node 0's post was applied by node %d's goroutine, want node 1's", got)
+	if got := applier; got != 1 {
+		t.Fatalf("node 0's post was applied inside node %d's Drain, want node 1's", got)
 	}
 	if got := s.PostFailure(0); got != boom {
 		t.Fatalf("PostFailure(0) = %v, want %v", got, boom)
@@ -321,33 +268,25 @@ func (l *phaseLog) phase(s *Scheduler, node, batch int) {
 
 // TestPostDoesNotAllocate: a deferred scheduling point allocates nothing —
 // not when it is posted, not when it is applied, not when its node drains
-// and the token moves.  The test goroutine is node 0; AllocsPerRun counts
-// the mallocs of every goroutine.
+// and the token moves.  Node 0 measures; AllocsPerRun counts the mallocs of
+// the whole process.
 func TestPostDoesNotAllocate(t *testing.T) {
 	for _, p := range []int{1, 2, 32} {
 		for _, seed := range []uint64{0, 1} {
 			s := New(p, seed)
 			log := newPhaseLog(p)
 			s.SetRunAhead(log.apply)
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			s.Start()
-			for node := 1; node < p; node++ {
-				wg.Add(1)
-				go func(node int) {
-					defer wg.Done()
-					s.AwaitGrant(node)
-					for !stop.Load() {
+			stop, allocs := false, 0.0
+			s.Run(func(node int) {
+				if node != 0 {
+					for !stop {
 						log.phase(s, node, 8)
 					}
-					s.Exit(node)
-				}(node)
-			}
-			s.AwaitGrant(0)
-			allocs := testing.AllocsPerRun(200, func() { log.phase(s, 0, 8) })
-			stop.Store(true)
-			s.Exit(0)
-			waitAll(t, &wg, "after the measured phases")
+					return
+				}
+				allocs = testing.AllocsPerRun(200, func() { log.phase(s, 0, 8) })
+				stop = true
+			})
 			if allocs != 0 {
 				t.Errorf("P=%d seed=%d: %.2f allocs per phase of 8 posts and a drain, want 0", p, seed, allocs)
 			}

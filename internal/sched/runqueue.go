@@ -1,8 +1,10 @@
 package sched
 
+import "math/bits"
+
 // rqEntry is a Ready node's key in the run queue.  The tie-break hash is
 // computed once, when the entry is built, so a comparison is three integer
-// compares whatever the seed.
+// subtractions whatever the seed.
 type rqEntry struct {
 	clock int64
 	hash  uint64 // mix(seed, node, seq); 0 for every entry under seed 0
@@ -12,14 +14,17 @@ type rqEntry struct {
 // before is Order restricted to run-queue entries: node IDs are unique
 // among them, so Order's final Seq comparison is unreachable, and under
 // seed 0 every hash is 0, which skips the hash step exactly as Order does.
-func (a rqEntry) before(b rqEntry) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	if a.hash != b.hash {
-		return a.hash < b.hash
-	}
-	return a.node < b.node
+func (a rqEntry) before(b rqEntry) bool { return a.less(b) != 0 }
+
+// less is before as a 0/1 integer: (clock, hash, node) compared as one
+// multi-word number by the borrow out of a − b, so that a sift, whose
+// comparisons are coin flips to a branch predictor, has none to mispredict.
+func (a rqEntry) less(b rqEntry) uint64 {
+	const sign = 1 << 63 // orders a signed clock as an unsigned word
+	_, borrow := bits.Sub64(uint64(a.node), uint64(b.node), 0)
+	_, borrow = bits.Sub64(a.hash, b.hash, borrow)
+	_, borrow = bits.Sub64(uint64(a.clock)^sign, uint64(b.clock)^sign, borrow)
+	return borrow
 }
 
 // runQueue is an indexed binary min-heap of the Ready nodes under before.
@@ -106,8 +111,8 @@ func (q *runQueue) down(i int, e rqEntry) {
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) && h[r].before(h[c]) {
-			c = r
+		if r := c + 1; r < len(h) {
+			c += int(h[r].less(h[c]))
 		}
 		if !h[c].before(e) {
 			break

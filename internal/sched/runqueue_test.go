@@ -3,10 +3,7 @@ package sched
 import (
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // opsRun is the outcome of driving one scheduler through an op script.
@@ -17,15 +14,15 @@ type opsRun struct {
 }
 
 // runOps drives a scheduler of p nodes through a script of scheduling
-// calls on real goroutines and checks it, grant by grant, against a
+// calls and checks it, grant by grant, against a
 // reference model that keeps the Ready set in a plain slice and sorts it
 // with Order at every step.  The token holder interprets the script (one
-// byte per op, so only one goroutine ever reads it) and performs
+// byte per op) and performs
 //
 //	yield        its clock advances by 0..3, so ties are the common case
-//	block        parks on its own gate until somebody readies it
+//	block        parks until somebody readies it
 //	setReadyAt   readies some Blocked node, at a clock of the script's choice
-//	exit-other   Exit of some Ready or Blocked node, which never runs again
+//	exit-other   exit of some Ready or Blocked node, which never runs again
 //	exit-self
 //
 // and once the script runs out every node exits, readying the Blocked ones
@@ -41,16 +38,10 @@ func runOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) opsRu
 		seq   uint64
 	}
 	var (
-		s      = New(p, seed)
-		nodes  = make([]model, p) // the reference; written by the token holder only
-		res    opsRun
-		over   atomic.Bool // the run has ended: a released AwaitGrant is not a grant
-		fired  atomic.Bool
-		end    = make(chan struct{})
-		endOne sync.Once
-		wg     sync.WaitGroup
+		s     = New(p, seed)
+		nodes = make([]model, p) // the reference; written by the token holder only
+		res   opsRun
 	)
-	finish := func() { endOne.Do(func() { close(end) }) }
 	ready := func() []Candidate { // the reference run queue: sort the Ready set
 		var cs []Candidate
 		for i, n := range nodes {
@@ -94,7 +85,7 @@ func runOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) opsRu
 		return ids[int(k)%len(ids)]
 	}
 	isBlocked := func(st State) bool { return st == Blocked }
-	s.OnDeadlock(func() { fired.Store(true); finish() })
+	s.OnDeadlock(func() { res.deadlock = true })
 	if chooser {
 		s.SetChooser(func(step int, cands []Candidate) int {
 			res.offers++
@@ -105,15 +96,12 @@ func runOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) opsRu
 		})
 	}
 	pc := 0
-	// hold is what a node does with the token; it returns when the node
-	// has exited, been exited, or the run is over.
+	// hold is what a node does with the token, from its first grant on; it
+	// returns when the node has exited or been unwound: exited by a peer
+	// while parked, or left Blocked by a deadlock.
 	hold := func(id int) {
 		me := &nodes[id]
-	grants:
-		for {
-			if over.Load() {
-				return
-			}
+		for granted := true; granted; {
 			if g := s.Steps() - 1; g != len(res.got) {
 				t.Errorf("node %d granted at step %d, observed as grant %d", id, g, len(res.got))
 			}
@@ -133,13 +121,12 @@ func runOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) opsRu
 					me.state = Ready
 					me.seq++
 					expect()
-					s.Yield(id, me.clock)
+					granted = s.Yield(id, me.clock)
 				case 10, 11: // block
 					me.state = Blocked
 					me.seq++
 					expect()
-					s.Block(id)
-					s.AwaitGrant(id)
+					granted = s.Block(id)
 				case 12, 13: // setReadyAt
 					if v := pick(id, arg, isBlocked); v >= 0 {
 						nodes[v].state = Ready
@@ -151,44 +138,20 @@ func runOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) opsRu
 				case 14: // exit a Ready or Blocked node
 					if v := pick(id, arg, func(st State) bool { return st == Ready || st == Blocked }); v >= 0 {
 						nodes[v].state = Done
-						s.Exit(v)
+						s.exit(v)
 					}
 					continue
 				case 15: // exit
 					me.state = Done
-					last := !expect() && !res.wantD
-					s.Exit(id)
-					if last {
-						finish()
-					}
+					expect()
 					return
 				}
-				if me.state == Done { // exited by a peer while parked
-					return
-				}
-				continue grants
+				break
 			}
 		}
 	}
-	expect() // Start's grant
-	s.Start()
-	for id := 0; id < p; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			s.AwaitGrant(id)
-			hold(id)
-		}(id)
-	}
-	select {
-	case <-end:
-	case <-time.After(30 * time.Second):
-		t.Errorf("P=%d seed=%d: no progress; grants so far %v, reference %v", p, seed, res.got, res.want)
-	}
-	over.Store(true)
-	s.Poison() // releases the nodes that were exited or left Blocked
-	wg.Wait()
-	res.deadlock = fired.Load()
+	expect() // Run's first grant
+	s.Run(hold)
 	return res
 }
 

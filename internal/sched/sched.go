@@ -1,14 +1,17 @@
 // Package sched is the seeded deterministic scheduler for the simulated
 // multicomputer.
 //
-// Every node of a machine runs on its own goroutine, and a cooperative
-// token decides which of them executes: at most one node is in simulator
-// code at a time, and the token moves only at explicit synchronization
-// points (protocol handler entry, barrier entry/exit, simulated locks).  It
-// is the only way a machine runs, so it is also the machine's only
-// synchronisation: the channel hand-off that moves the token orders every
-// access one node makes against every access of the next.  The next node to
-// run is the minimum of a virtual-time run queue ordered by
+// Every node of a machine runs as a coroutine of one goroutine (Run, in
+// run.go), and a cooperative token decides which of them executes: exactly
+// one node is in simulator code at a time, and the token moves only at
+// explicit synchronization points (protocol handler entry, barrier
+// entry/exit, simulated locks).  It is the only way a machine runs, and a
+// run is a sequence of single-node steps, so nothing below needs a lock: the
+// scheduler is a plain state machine that the token holder advances, and a
+// scheduling call that gives the token to another node parks its coroutine,
+// which returns control to Run's trampoline, which resumes the successor —
+// two coroutine switches and no trip through the Go scheduler.  The next
+// node to run is the minimum of a virtual-time run queue ordered by
 //
 //	(virtual clock, seeded tie-break hash, node ID, scheduling sequence)
 //
@@ -31,31 +34,29 @@
 //
 //   - If the yielding token holder is still the Order-minimum it keeps
 //     the token in place.  Step, sequence number and segment recording
-//     advance exactly as for a grant, but no goroutine parks.
+//     advance exactly as for a grant, but no coroutine parks.
 //   - Otherwise the yielder takes the minimum's place at the top of the
 //     heap in a single sift (replace-top), the old minimum is granted, and
-//     the yielder parks on its gate.
+//     the yielder parks.
 //
 // Two invariants make the schedule host-independent:
 //
 //  1. Only the running node performs Blocked→Ready transitions (a barrier's
 //     last arriver readies its parked siblings; a simulated lock's releaser
 //     readies its waiters), so wakeup order never depends on the host.
-//  2. A node parks on exactly one channel, its gate, which is buffered:
-//     a node can be granted the token before it has parked, and consumes
-//     the grant whenever its goroutine gets around to it.  Every grant is
-//     sent under the scheduler lock after a poisoned check, and Poison
-//     closes every gate under the same lock — so no send can hit a closed
-//     gate, a grant buffered before the poison is still consumed, and
-//     every wait on a gate after it reports the poison instead of a grant.
+//  2. A node parks in exactly one place, the scheduling call that gave the
+//     token away, and only the trampoline resumes it — when the state
+//     machine has made it the token holder — or unwinds it.
 //
 // A poisoned run is over (the machine aborted it: a node died, the watchdog
-// fired, the run deadlocked).  The token is not handed on any more, and
-// every call that would have waited for it — AwaitGrant, Yield, Drain —
-// returns false instead, at once or as soon as the gate closes under it.
-// The caller must then unwind without touching simulator state, so a failing
-// run has at most one goroutine in simulator code, as a healthy one does:
-// whichever node held the token when the poison landed, until its own next
+// fired, the run deadlocked).  Poison is one flag, set from any goroutine.
+// Every scheduling call reads it first and returns false without touching
+// the state machine, and the trampoline reads it before every resume: it
+// hands the token to nobody any more and unwinds each parked coroutine
+// instead, whose scheduling call — Yield, Block, Drain — then returns false
+// too.  The caller must unwind without touching simulator state, so a
+// failing run has at most one node in simulator code, as a healthy one
+// does: whichever held the token when the poison landed, until its own next
 // scheduling call.
 //
 // Run-ahead (SetRunAhead) removes most scheduling points from the host
@@ -63,14 +64,15 @@
 // handler whose effect on other nodes can wait posts that effect instead of
 // yielding: the node keeps the token and runs on, and the post takes the
 // yield's place in the run queue — same Order key, same sequence number,
-// same grant step when its turn comes.  dispatch applies posts inline, on
-// whichever goroutine is driving it, and only switches goroutines when the
-// minimum is a Ready node or a node whose log has just run dry while it
-// waits in Drain.  A post's key is its node's clock at the handler's entry,
-// read lazily: the first post of an empty log is keyed by the poster (it
-// holds the token, so its clock is current), every later one at the moment
-// its predecessor is applied, which is when the serial order would have had
-// the node running towards that yield.  See DESIGN.md, "Run-ahead".
+// same grant step when its turn comes.  dispatch applies posts inline, in
+// whichever node's scheduling call is driving it, and only switches
+// coroutines when the minimum is a Ready node or a node whose log has just
+// run dry while it waits in Drain.  A post's key is its node's clock at the
+// handler's entry, read lazily: the first post of an empty log is keyed by
+// the poster (it holds the token, so its clock is current), every later one
+// at the moment its predecessor is applied, which is when the serial order
+// would have had the node running towards that yield.  See DESIGN.md,
+// "Run-ahead".
 //
 // The scheduler also carries the hooks the bounded model checker
 // (internal/check) builds on: a Chooser that overrides the run-queue order
@@ -84,6 +86,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // State is a node's scheduling state.
@@ -117,8 +120,8 @@ type Candidate struct {
 
 // Chooser overrides the run-queue policy: at every grant it receives the
 // Ready candidates sorted in canonical order and returns the index to run.
-// It is called with the scheduler's lock held while every node is
-// quiescent; it must not call back into the Scheduler.
+// It is called while every node is quiescent, inside the scheduling call
+// that moves the token; it must not call back into the Scheduler.
 type Chooser func(step int, cands []Candidate) int
 
 // Segment is the work one node performed between two scheduling points:
@@ -138,20 +141,13 @@ type nodeState struct {
 	state State
 	clock int64
 	seq   uint64
-	// gate delivers the node's grants (buffered: at most one is ever
-	// outstanding) and is closed by Poison.
-	gate chan struct{}
+	// park suspends the node's coroutine until the trampoline resumes it
+	// (true) or unwinds it (false).  Set by Run.
+	park func(struct{}) bool
 }
 
 // Scheduler serializes one machine run.  Create a fresh Scheduler per run.
 type Scheduler struct {
-	// mu is held for the length of one scheduling decision.  The token keeps
-	// the nodes of a healthy run apart by itself; the lock is for goroutines
-	// that act without it: the barrier's watchdog timer and the deadlock
-	// callback, which Poison the run from outside, and the nodes of a poisoned
-	// run, which all unwind — Exit, and Poison again through the barrier's
-	// abort — at the same time.
-	mu    sync.Mutex
 	nodes []nodeState
 	seed  uint64
 
@@ -161,89 +157,79 @@ type Scheduler struct {
 	rq      runQueue
 	blocked int // nodes in the Blocked state
 
-	running  int // node holding the token, -1 if none
-	step     int // grants so far
-	poisoned bool
+	running int // node holding the token, -1 if none
+	step    int // grants so far
+
+	// poisoned is the only state a goroutine without the token writes (the
+	// barrier's watchdog does); dead is closed with it, for a supervisor.
+	poisoned atomic.Bool
+	dead     chan struct{}
 
 	chooser    Chooser
 	observer   func(step int)
 	onDeadlock func()
 
 	// apply is the machine's side of run-ahead, nil when every handler
-	// yields.  failNode/failure record a panic raised inside it.
-	apply    ApplyFunc
-	failNode int
-	failure  any
+	// yields.  fail records the first panic raised inside it.
+	apply ApplyFunc
+	fail  atomic.Pointer[postFailure]
 
-	handoffs int64 // grants delivered through a gate to another goroutine
+	handoffs int64 // grants that moved the token to another node's coroutine
 	applies  int64 // posts applied by dispatch
 
-	record bool // immutable after Start
+	record bool // immutable after Run begins
 	segs   []Segment
 	curSeg int // index into segs of the running segment, -1 if none
 
 	candBuf []Candidate
+
+	// stop unwinds the coroutines of Run, by node, under unwinding; cur is
+	// the node the trampoline is inside (run.go).
+	stop      []func()
+	cur       atomic.Int32
+	unwinding sync.Mutex
 }
 
 // New creates a scheduler for n nodes with the given tie-break seed.  All
-// nodes start Ready at clock 0.  Call Start before launching node
-// goroutines.
+// nodes start Ready at clock 0.  Configure it, then call Run.
 func New(n int, seed uint64) *Scheduler {
 	s := &Scheduler{
-		nodes:    make([]nodeState, n),
-		seed:     seed,
-		rq:       newRunQueue(n),
-		running:  -1,
-		curSeg:   -1,
-		failNode: -1,
+		nodes:   make([]nodeState, n),
+		seed:    seed,
+		rq:      newRunQueue(n),
+		running: -1,
+		curSeg:  -1,
+		dead:    make(chan struct{}),
 	}
+	s.cur.Store(-1)
 	for i := range s.nodes {
-		s.nodes[i] = nodeState{state: Ready, gate: make(chan struct{}, 1)}
+		s.nodes[i].state = Ready
 		s.rq.push(s.entry(i))
 	}
 	return s
 }
 
-// SetChooser installs a grant-order override (checker mode).  Must precede
-// Start.
+// SetChooser installs a grant-order override (checker mode), before Run.
 func (s *Scheduler) SetChooser(c Chooser) { s.chooser = c }
 
-// SetObserver installs a quiescent-point callback invoked (with the
-// scheduler lock held) before every grant decision.  Must precede Start.
+// SetObserver installs a quiescent-point callback invoked before every
+// grant decision.  Must precede Run.
 func (s *Scheduler) SetObserver(f func(step int)) { s.observer = f }
 
-// OnDeadlock installs the callback invoked — on a fresh goroutine, so it
-// may take any lock — when no node is Ready or Running but some node is
-// still Blocked.  Must precede Start.
+// OnDeadlock installs the callback invoked — once, inside the scheduling
+// call that found it, whose caller must therefore hold no lock the callback
+// takes — when no node is Ready or Running but some node is still Blocked.
+// The run is poisoned when it returns.  Must precede Run.
 func (s *Scheduler) OnDeadlock(f func()) { s.onDeadlock = f }
 
-// EnableRecording turns on segment footprint recording.  Must precede
-// Start.
+// EnableRecording turns on segment footprint recording, before Run.
 func (s *Scheduler) EnableRecording() { s.record = true }
 
-// Start performs the initial grant.  Call after configuration, before the
-// node goroutines call AwaitGrant.
-func (s *Scheduler) Start() {
-	s.mu.Lock()
-	s.dispatch(-1)
-	s.mu.Unlock()
-}
-
-// AwaitGrant blocks until the node is granted the token and returns true, or
-// until the scheduler is poisoned and returns false: the run is over and the
-// caller must unwind.
-func (s *Scheduler) AwaitGrant(node int) bool {
-	_, granted := <-s.nodes[node].gate
-	return granted
-}
-
 // Yield is a scheduling point: the running node offers the token at the
-// given virtual clock and waits to be granted again.  Like AwaitGrant it
-// returns false when the run is poisoned.
+// given virtual clock and waits to be granted again.  It returns false when
+// the run is poisoned: the run is over and the caller must unwind.
 func (s *Scheduler) Yield(node int, clock int64) bool {
-	s.mu.Lock()
-	if s.poisoned {
-		s.mu.Unlock()
+	if s.poisoned.Load() {
 		return false
 	}
 	ns := &s.nodes[node]
@@ -251,21 +237,19 @@ func (s *Scheduler) Yield(node int, clock int64) bool {
 	ns.clock = clock
 	ns.seq++
 	s.endSegment(node)
-	kept := s.requeue(node)
-	s.mu.Unlock()
-	return kept || s.AwaitGrant(node)
+	return s.requeue(node) || ns.park(struct{}{})
 }
 
 // requeue re-enters the yielding node into the run queue and moves the
-// token, reporting whether node kept it (and so must not park).  Caller
-// holds s.mu and has updated node's clock and seq.
+// token, reporting whether node kept it (and so must not park).  The caller
+// has updated node's clock and seq.
 func (s *Scheduler) requeue(node int) bool {
 	ns := &s.nodes[node]
 	e := s.entry(node)
 	if s.running == node && s.chooser == nil && s.observer == nil {
 		if s.rq.len() == 0 || e.before(s.rq.min()) {
 			// Still the Order-minimum: the grant a dispatch would make,
-			// minus the trip through the gate.
+			// minus the trip through the trampoline.
 			s.beginSegment(node)
 			return true
 		}
@@ -288,16 +272,12 @@ func (s *Scheduler) requeue(node int) bool {
 	return s.dispatch(node)
 }
 
-// Block transitions the running node to Blocked and passes the token on.
-// The caller then parks in AwaitGrant until a peer's SetReady has made it
-// runnable and the run queue grants it.  Unlike Yield, Block does not wait
-// here: the caller typically still holds a lock of its own (the barrier's)
-// that it must release first.
-func (s *Scheduler) Block(node int) {
-	s.mu.Lock()
-	if s.poisoned {
-		s.mu.Unlock()
-		return
+// Block transitions the running node to Blocked, passes the token on and
+// parks until a peer's SetReady has made the node runnable and the run queue
+// grants it.  Like Yield it returns false when the run is poisoned.
+func (s *Scheduler) Block(node int) bool {
+	if s.poisoned.Load() {
+		return false
 	}
 	ns := &s.nodes[node]
 	s.detach(node)
@@ -309,31 +289,18 @@ func (s *Scheduler) Block(node int) {
 		s.running = -1
 	}
 	s.dispatch(-1)
-	s.mu.Unlock()
+	return ns.park(struct{}{})
 }
 
 // SetReady makes a Blocked node runnable again at its recorded clock.
 // Must be called by the running node (invariant 1 in the package comment).
-func (s *Scheduler) SetReady(node int) {
-	s.mu.Lock()
-	s.setReadyLocked(node, s.nodes[node].clock)
-	s.mu.Unlock()
-}
+func (s *Scheduler) SetReady(node int) { s.SetReadyAt(node, s.nodes[node].clock) }
 
 // SetReadyAt is SetReady with an updated virtual clock (a barrier's last
 // arriver readies its siblings at the barrier's resolved time).
 func (s *Scheduler) SetReadyAt(node int, clock int64) {
-	s.mu.Lock()
-	s.setReadyLocked(node, clock)
-	s.mu.Unlock()
-}
-
-func (s *Scheduler) setReadyLocked(node int, clock int64) {
-	if s.poisoned {
-		return
-	}
 	ns := &s.nodes[node]
-	if ns.state != Blocked {
+	if s.poisoned.Load() || ns.state != Blocked {
 		return
 	}
 	s.blocked--
@@ -341,15 +308,12 @@ func (s *Scheduler) setReadyLocked(node int, clock int64) {
 	ns.clock = clock
 	ns.seq++
 	s.rq.push(s.entry(node))
-	s.dispatch(-1) // no-op while the caller holds the token
 }
 
-// Exit marks the node Done and passes the token on.  Called from the run
-// loop when a node's body returns or dies (it is safe in any state).
-func (s *Scheduler) Exit(node int) {
-	s.mu.Lock()
-	if s.nodes[node].state == Done {
-		s.mu.Unlock()
+// exit marks the node Done and passes the token on.  Run calls it when a
+// node's body returns or dies (it is safe in any state).
+func (s *Scheduler) exit(node int) {
+	if s.poisoned.Load() || s.nodes[node].state == Done {
 		return
 	}
 	s.detach(node)
@@ -359,72 +323,43 @@ func (s *Scheduler) Exit(node int) {
 		s.running = -1
 	}
 	s.dispatch(-1)
-	s.mu.Unlock()
 }
 
-// Poison ends the run: every parked node wakes with its wait reporting the
-// poison, and so does every later scheduling call (see the package comment).
-// Safe from any goroutine, including while holding locks ordered before the
-// scheduler's.
+// Poison ends the run: every later scheduling call reports it, and the
+// trampoline unwinds every parked node instead of resuming another (see the
+// package comment).  Safe from any goroutine, holding any lock.
 func (s *Scheduler) Poison() {
-	s.mu.Lock()
-	s.poisonLocked()
-	s.mu.Unlock()
+	if s.poisoned.CompareAndSwap(false, true) {
+		close(s.dead)
+	}
 }
 
-func (s *Scheduler) poisonLocked() {
-	if s.poisoned {
-		return
-	}
-	s.poisoned = true
-	// Grants are only ever sent under s.mu by dispatch, which returns
-	// early once poisoned.
-	for i := range s.nodes {
-		close(s.nodes[i].gate)
-	}
-}
+// Poisoned is closed once the run is poisoned.
+func (s *Scheduler) Poisoned() <-chan struct{} { return s.dead }
 
 // NoteLock records a block-lock acquisition in the running segment
 // (checker mode; cheap no-op otherwise).
 func (s *Scheduler) NoteLock(block uint32) {
-	if !s.record {
-		return
-	}
-	s.mu.Lock()
-	if s.curSeg >= 0 {
+	if s.record && s.curSeg >= 0 {
 		s.segs[s.curSeg].Blocks = append(s.segs[s.curSeg].Blocks, block)
 	}
-	s.mu.Unlock()
 }
 
 // NoteBarrier marks the running segment as crossing a barrier (checker
 // mode; cheap no-op otherwise).
 func (s *Scheduler) NoteBarrier() {
-	if !s.record {
-		return
-	}
-	s.mu.Lock()
-	if s.curSeg >= 0 {
+	if s.record && s.curSeg >= 0 {
 		s.segs[s.curSeg].Barrier = true
 	}
-	s.mu.Unlock()
 }
 
 // Segments returns the recorded segment footprints.  Call only after the
 // run completes.
-func (s *Scheduler) Segments() []Segment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.segs
-}
+func (s *Scheduler) Segments() []Segment { return s.segs }
 
 // Steps returns the number of grants performed.  Call only after the run
 // completes.
-func (s *Scheduler) Steps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.step
-}
+func (s *Scheduler) Steps() int { return s.step }
 
 // entry builds node's run-queue key from its current clock and seq.
 func (s *Scheduler) entry(node int) rqEntry {
@@ -443,7 +378,7 @@ func (s *Scheduler) candidate(e rqEntry) Candidate {
 
 // detach takes node out of the bookkeeping its current state carries (a
 // run-queue slot if Ready — or if it dies with posts pending — and the
-// Blocked count if Blocked) ahead of a state change.  Caller holds s.mu.
+// Blocked count if Blocked) ahead of a state change.
 func (s *Scheduler) detach(node int) {
 	if s.rq.pos[node] >= 0 {
 		s.rq.remove(node)
@@ -453,21 +388,28 @@ func (s *Scheduler) detach(node int) {
 	}
 }
 
-// dispatch moves the token along the run queue until a goroutine
-// has to run: it applies every post that precedes the first Ready node —
-// inline, no goroutine switch — and grants that node, or resumes a Draining
-// node the moment its log runs dry.  It reports whether the token went to
-// self, the calling node (-1 if the caller cannot take it), which then
-// continues without a trip through its gate.  Caller holds s.mu.  A no-op
-// while some node holds the token.  On deadlock (nothing queued, something
-// Blocked) it fires the OnDeadlock callback.
+// dispatch moves the token along the run queue until a node has to run: it
+// applies every post that precedes the first Ready node — inline, no
+// coroutine switch — and grants that node, or resumes a Draining node the
+// moment its log runs dry.  It reports whether the token went to self, the
+// calling node (-1 if the caller cannot take it), which then continues
+// without parking; otherwise s.running names the node the trampoline resumes
+// once the caller has parked or returned.  A no-op while some node holds the
+// token.  On deadlock (nothing queued, something Blocked) it fires the
+// OnDeadlock callback and poisons the run.
 func (s *Scheduler) dispatch(self int) bool {
-	if s.poisoned || s.running != -1 {
+	if s.poisoned.Load() || s.running != -1 {
 		return false
 	}
 	for {
 		if s.rq.len() == 0 {
-			s.fireDeadlockLocked()
+			if s.blocked > 0 {
+				if cb := s.onDeadlock; cb != nil {
+					s.onDeadlock = nil // fire once
+					cb()
+				}
+				s.Poison()
+			}
 			return false
 		}
 		node := int(s.rq.min().node)
@@ -520,23 +462,21 @@ func (s *Scheduler) choose() int {
 }
 
 // grant moves the token to node, which the caller has already taken out of
-// the run queue, and reports whether node is self (which then skips its
-// gate).  Caller holds s.mu and has checked poisoned.
+// the run queue, and reports whether node is self (which then does not
+// park).
 func (s *Scheduler) grant(node, self int) bool {
-	ns := &s.nodes[node]
-	ns.state = Running
+	s.nodes[node].state = Running
 	s.running = node
 	if node == self {
 		return true
 	}
 	s.handoffs++
-	ns.gate <- struct{}{} // buffered: never blocks (at most one outstanding grant)
 	return false
 }
 
 // beginSegment is the bookkeeping every grant performs, whether or not the
 // token changes hands: the step counter and, in checker mode, a fresh
-// Segment.  Caller holds s.mu.
+// Segment.
 func (s *Scheduler) beginSegment(node int) {
 	if s.record {
 		s.segs = append(s.segs, Segment{Node: node, Step: s.step})
@@ -545,19 +485,7 @@ func (s *Scheduler) beginSegment(node int) {
 	s.step++
 }
 
-// fireDeadlockLocked is called when nothing is Ready and nothing runs: if
-// some node is still Blocked it fires the OnDeadlock callback, once, on a
-// fresh goroutine — the caller may hold a lock (the barrier's, say) that
-// the callback needs to abort cleanly.
-func (s *Scheduler) fireDeadlockLocked() {
-	if s.blocked > 0 && s.onDeadlock != nil {
-		cb := s.onDeadlock
-		s.onDeadlock = nil // fire once
-		go cb()
-	}
-}
-
-// endSegment closes the running segment, if any.  Caller holds s.mu.
+// endSegment closes the running segment, if any.
 func (s *Scheduler) endSegment(node int) {
 	if s.record && s.curSeg >= 0 && s.segs[s.curSeg].Node == node {
 		s.curSeg = -1

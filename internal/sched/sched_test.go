@@ -1,39 +1,23 @@
 package sched
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
-// runNodes drives n goroutines through the scheduler, each executing its
-// script of (clock) yield points, and returns the grant order observed by
-// the scheduler's step observer.
+// runNodes drives one node per script through the scheduler, each executing
+// its script of (clock) yield points, and returns the grant order the
+// Chooser was offered.
 func runNodes(t *testing.T, s *Scheduler, scripts [][]int64) []int {
 	t.Helper()
-	var mu sync.Mutex
 	var order []int
 	s.SetObserver(func(step int) {})
 	s.SetChooser(func(step int, cands []Candidate) int {
-		mu.Lock()
 		order = append(order, cands[0].Node)
-		mu.Unlock()
 		return 0
 	})
-	s.Start()
-	var wg sync.WaitGroup
-	for id := range scripts {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			s.AwaitGrant(id)
-			for _, clock := range scripts[id] {
-				s.Yield(id, clock)
-			}
-			s.Exit(id)
-		}(id)
-	}
-	wg.Wait()
+	s.Run(func(id int) {
+		for _, clock := range scripts[id] {
+			s.Yield(id, clock)
+		}
+	})
 	return order
 }
 
@@ -80,36 +64,21 @@ func TestReplayIdentical(t *testing.T) {
 func TestBlockSetReady(t *testing.T) {
 	s := New(2, 0)
 	var order []int
-	var mu sync.Mutex
 	s.SetChooser(func(step int, cands []Candidate) int {
-		mu.Lock()
 		order = append(order, cands[0].Node)
-		mu.Unlock()
 		return 0
 	})
-	s.Start()
-	woken := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // node 0: blocks immediately, waits for node 1 to ready it
-		defer wg.Done()
-		s.AwaitGrant(0)
-		s.Block(0)
-		s.AwaitGrant(0)
-		close(woken)
-		s.Exit(0)
-	}()
-	go func() { // node 1: runs, readies node 0 at clock 100, yields past it
-		defer wg.Done()
-		s.AwaitGrant(1)
+	woken := false
+	s.Run(func(id int) {
+		if id == 0 { // blocks immediately, waits for node 1 to ready it
+			woken = s.Block(0)
+			return
+		}
+		// Node 1 runs, readies node 0 at clock 100, yields past it.
 		s.SetReadyAt(0, 100)
 		s.Yield(1, 200)
-		s.Exit(1)
-	}()
-	wg.Wait()
-	select {
-	case <-woken:
-	default:
+	})
+	if !woken {
 		t.Fatal("blocked node never woke")
 	}
 	// Grants: 0 (start), 1 (after block), 0@100 (readied, beats 1@200), 1@200.
@@ -121,76 +90,17 @@ func TestBlockSetReady(t *testing.T) {
 	}
 }
 
-// TestPoisonReleasesWaiters: poisoning unblocks AwaitGrant and turns
-// scheduling calls into no-ops so unwinding nodes cannot hang.
-func TestPoisonReleasesWaiters(t *testing.T) {
-	s := New(2, 0)
-	s.Start()
-	done := make(chan struct{})
-	go func() {
-		s.AwaitGrant(1) // node 0 was granted first; node 1 waits
-		s.Yield(1, 10)  // no-op after poison
-		s.Exit(1)
-		close(done)
-	}()
-	s.Poison()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("poison did not release the waiting node")
-	}
-	if !poisoned(s) {
-		t.Fatal("poisoned = false after Poison")
-	}
-}
-
-// TestDeadlockCallback: all nodes Blocked with none Ready fires OnDeadlock
-// exactly once, on a goroutine that may take unrelated locks.
-func TestDeadlockCallback(t *testing.T) {
-	s := New(1, 0)
-	fired := make(chan struct{})
-	s.OnDeadlock(func() {
-		close(fired)
-		s.Poison()
-	})
-	s.Start()
-	done := make(chan struct{})
-	go func() {
-		s.AwaitGrant(0)
-		s.Block(0)      // nothing can ever ready us: deadlock
-		s.AwaitGrant(0) // released by the callback's Poison
-		close(done)
-	}()
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadlock callback never fired")
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked node not released after deadlock poison")
-	}
-}
-
 // TestSegmentsRecordFootprints: recording captures per-grant segments with
 // the lock footprint and barrier flag noted by the running node.
 func TestSegmentsRecordFootprints(t *testing.T) {
 	s := New(1, 0)
 	s.EnableRecording()
-	s.Start()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.AwaitGrant(0)
+	s.Run(func(int) {
 		s.NoteLock(7)
 		s.NoteLock(3)
 		s.Yield(0, 10)
 		s.NoteBarrier()
-		s.Exit(0)
-	}()
-	wg.Wait()
+	})
 	segs := s.Segments()
 	if len(segs) != 2 {
 		t.Fatalf("got %d segments, want 2: %+v", len(segs), segs)
@@ -230,31 +140,18 @@ func TestOrderTotality(t *testing.T) {
 
 // TestSetReadyAndSteps: a lock-style handshake — node 0 blocks, node 1
 // wakes it with SetReady at its recorded clock — plus the post-run Steps
-// accessor and the no-op guards on SetReady, Exit, and the note hooks.
+// accessor and the no-op guards on SetReady, exit, and the note hooks.
 func TestSetReadyAndSteps(t *testing.T) {
 	s := New(2, 0)
-	s.Start()
-	woken := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.AwaitGrant(0)
-		s.Block(0) // park until node 1 readies us
-		<-woken
-		s.AwaitGrant(0)
-		s.Yield(0, 10)
-		s.Exit(0)
-	}()
-	go func() {
-		defer wg.Done()
-		s.AwaitGrant(1)
+	s.Run(func(id int) {
+		if id == 0 {
+			s.Block(0) // park until node 1 readies us
+			s.Yield(0, 10)
+			return
+		}
 		s.SetReady(0)
-		close(woken)
 		s.Yield(1, 5)
-		s.Exit(1)
-	}()
-	wg.Wait()
+	})
 	if got := s.Steps(); got < 4 {
 		t.Fatalf("Steps() = %d, want at least 4 grants", got)
 	}
@@ -263,7 +160,7 @@ func TestSetReadyAndSteps(t *testing.T) {
 	s.NoteLock(0)
 	s.NoteBarrier()
 	s.SetReady(0)
-	s.Exit(0)
+	s.exit(0)
 	if segs := s.Segments(); len(segs) != 0 {
 		t.Fatalf("segments recorded without EnableRecording: %v", segs)
 	}
@@ -275,13 +172,21 @@ func TestPoisonGuards(t *testing.T) {
 	s := New(2, 0)
 	s.Poison()
 	s.Poison() // idempotent
-	if !poisoned(s) {
-		t.Fatal("poisoned = false after Poison")
+	select {
+	case <-s.Poisoned():
+	default:
+		t.Fatal("Poisoned() still open after Poison")
 	}
-	s.Block(0)
+	if s.Block(0) || s.Yield(0, 5) || s.Drain(0) {
+		t.Fatal("a scheduling call succeeded on a poisoned scheduler")
+	}
 	s.SetReady(0)
 	s.SetReadyAt(0, 5)
-	s.Exit(0)
+	s.Post(0, 5)
+	s.exit(0)
+	if s.nodes[0].state != Ready || s.rq.len() != 2 || s.Steps() != 0 {
+		t.Fatal("a poisoned scheduler's state machine moved")
+	}
 }
 
 // TestOrderPinned pins the exact total order for a fixed candidate set

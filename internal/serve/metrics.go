@@ -304,7 +304,7 @@ func (c schedCollector) Collect(emit func(Metric)) {
 		}
 		emit(Metric{"lcmd_sched_records_total", "Executed grid records by whether protocol handlers ran ahead of the scheduler token, and why not.", "counter", l, float64(t.records)})
 		emit(Metric{"lcmd_sched_grants_total", "Scheduling decisions of the deterministic scheduler.", "counter", l, float64(t.grants)})
-		emit(Metric{"lcmd_sched_handoffs_total", "Scheduling decisions that switched goroutines.", "counter", l, float64(t.handoffs)})
+		emit(Metric{"lcmd_sched_handoffs_total", "Scheduling decisions that moved the token to another node's coroutine.", "counter", l, float64(t.handoffs)})
 		emit(Metric{"lcmd_sched_deferred_applies_total", "Scheduling decisions that applied a posted handler effect in place, without a switch.", "counter", l, float64(t.applies)})
 	}
 }

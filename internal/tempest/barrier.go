@@ -12,7 +12,7 @@ import (
 // Barrier is a reusable barrier over a run's scheduler that also computes
 // the maximum virtual clock of the arriving nodes; WaitNode returns that
 // maximum, which each node adopts as its post-barrier clock.  Arrivers hand
-// the token on and park on their scheduler gate; the last one readies them
+// the token on and park in the scheduler's Block; the last one readies them
 // all at the resolved time.
 //
 // A barrier can be aborted: Abort poisons the scheduler, which makes every
@@ -25,10 +25,10 @@ import (
 // structured, bounded failure.  Once aborted, a barrier stays poisoned;
 // build a fresh machine to run again.
 type Barrier struct {
-	// mu guards everything below against the two goroutines that abort from
-	// outside the token — the watchdog's timer and the scheduler's deadlock
-	// callback — and against the nodes of an aborted run, which all unwind,
-	// and call Abort and Err, at once.
+	// mu guards everything below against the watchdog's timer, which aborts
+	// from outside the token, and against the parked nodes of a stalled run,
+	// which RunErr unwinds — they call Abort and Err — on its own goroutine
+	// while the token holder may still be running.
 	mu      sync.Mutex
 	n       int
 	arrived int
@@ -125,10 +125,11 @@ func (b *Barrier) WaitNode(node int, clock int64) (int64, error) {
 			b.timer = time.AfterFunc(b.watchdog, func() { b.stalled(gen) })
 		}
 		// Hand the token on and park until the last arriver has readied
-		// this node and the run queue grants it.
-		s.Block(node)
+		// this node and the run queue grants it.  The lock goes first: a
+		// parked coroutine that held it would stop every other node of the
+		// run at its next arrival, and the deadlock callback takes it.
 		b.mu.Unlock()
-		if !s.AwaitGrant(node) {
+		if !s.Block(node) {
 			return clock, b.poisonErr()
 		}
 		// The next round cannot resolve before this node arrives at it.
@@ -184,9 +185,8 @@ func (b *Barrier) abortLocked(cause error) {
 	} else {
 		b.err = &abortedError{cause: cause}
 	}
-	// Lock order is always barrier → scheduler.  The error is in place
-	// before any gate closes, so a node that wakes to a poisoned scheduler
-	// finds it.
+	// The error is in place before the poison, so a node that is unwound
+	// from a poisoned scheduler finds it.
 	b.sched.Poison()
 	b.stopTimer()
 }

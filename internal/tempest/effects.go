@@ -46,14 +46,14 @@ type Effect struct {
 
 // EffectApplier is implemented by protocols whose handlers are split; it
 // applies one effect on behalf of node n, which posted it.  It may run on
-// any node's goroutine — whichever is driving the scheduler — but, like all
+// any node's coroutine — whichever is driving the scheduler — but, like all
 // simulator code, never concurrently with n or with another ApplyEffect.
 type EffectApplier interface {
 	ApplyEffect(n *Node, e *Effect)
 }
 
 // effectRing is the capacity of a node's effect log under run-ahead, a
-// power of two.  A full log is a drain point — two goroutine switches,
+// power of two.  A full log is a drain point — two token hand-offs,
 // amortized over the ring — so the size trades a few hundred bytes per node
 // against switches that are already rare.
 const effectRing = 64

@@ -12,25 +12,23 @@ import (
 	"lcm/internal/sched"
 )
 
-// This file is the hardened execution core.  Run historically crashed the
-// whole process when any node's body panicked, and a dead node left its
-// siblings blocked in the barrier forever.  RunErr recovers node panics
-// into structured per-node errors, aborts the barrier so every sibling
-// unwinds instead of deadlocking, and — when a watchdog is armed — bounds
-// the wall-clock cost of a wedged node, returning a diagnostic dump
-// instead of hanging.
+// This file is the hardened execution core: RunErr recovers node panics into
+// structured per-node errors, aborts the barrier so every sibling unwinds
+// instead of deadlocking, and — when a watchdog is armed — bounds the
+// wall-clock cost of a wedged node, returning a diagnostic dump instead of
+// hanging.
 
 // ErrUnresponsive marks a node that neither finished nor died within the
-// post-failure grace period (its goroutine is leaked; the machine's state
-// must not be trusted afterwards).
+// post-failure grace period (its coroutine is leaked, and the trampoline
+// with it; the machine's state must not be trusted afterwards).
 var ErrUnresponsive = errors.New("tempest: node unresponsive after run failure")
 
 // NodeError is one node's structured failure.
 type NodeError struct {
 	Node int
 	Err  error
-	// Stack is the node goroutine's stack at the point of death (empty
-	// for unresponsive nodes).
+	// Stack is the node's stack at the point of death (empty for nodes that
+	// are unresponsive or never began).
 	Stack string
 	// Collateral marks nodes that died only because the barrier was
 	// aborted on behalf of another node's failure.
@@ -96,32 +94,40 @@ func (e *RunError) Unwrap() error {
 	return nil
 }
 
-// Run executes body on every node concurrently (SPMD) and returns when
-// all nodes finish.  The machine must be frozen.  If any node fails, Run
-// panics with the *RunError that RunErr would return; callers that want
-// to handle failure call RunErr instead.
+// Run executes body on every node (SPMD) and returns when all nodes finish.
+// The machine must be frozen.  If any node fails, Run panics with the
+// *RunError that RunErr would return; callers that want to handle failure
+// call RunErr instead.
 func (m *Machine) Run(body func(n *Node)) {
 	if err := m.RunErr(body); err != nil {
 		panic(err)
 	}
 }
 
-// RunErr executes body on every node concurrently (SPMD) and returns a
-// structured error when any node fails.
+// errGoexit is the failure of a node whose body ended in runtime.Goexit (a
+// t.FailNow, say): it neither returned nor panicked.
+var errGoexit = errors.New("tempest: node body called runtime.Goexit")
+
+// RunErr executes body on every node (SPMD) and returns a structured error
+// when any node fails.  The node bodies are the coroutines of one goroutine,
+// the scheduler's trampoline (sched.Run), which RunErr starts and
+// supervises: exactly one body is executing at any time, and a body that
+// blocks in host time stops the whole machine.
 //
 // A node "fails" by panicking (a protocol bug, an injected unrecoverable
 // fault, or a retry budget running out).  The first failure aborts the
 // machine's barrier and poisons the scheduler, so every sibling — parked at
-// the barrier, in a handler's yield, on a simulated lock — unwinds from
+// the barrier, in a handler's yield, on a simulated lock — is unwound from
 // where it is parked, without running another line of protocol code, and is
-// reported as collateral.  A node that returns while a sibling still waits
-// for it is a deadlock, reported the same way the moment the run queue
-// empties.  When Machine.Watchdog is positive, a barrier round that stalls
-// past the bound — some node holds the token and never reaches a scheduling
-// point — is aborted with per-node diagnostics, and nodes that still fail
-// to unwind within a grace period are reported unresponsive (their
-// goroutines are leaked and the machine is poisoned — read nothing further
-// from it).
+// reported as collateral; so is a sibling that had not begun.  A node that
+// returns while a sibling still waits for it is a deadlock, reported the
+// same way the moment the run queue empties.  When Machine.Watchdog is
+// positive, a barrier round that stalls past the bound — some node holds the
+// token and never reaches a scheduling point — is aborted with per-node
+// diagnostics; the trampoline is wedged with that node, so RunErr unwinds
+// the parked ones itself, and if the node still fails to unwind within a
+// grace period it is reported unresponsive (its coroutine and the trampoline
+// are leaked and the machine is poisoned — read nothing further from it).
 //
 // On failure the machine must be considered poisoned: the barrier stays
 // aborted and protocol state may be mid-transition.  Build a fresh
@@ -133,11 +139,7 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	if m.cfgErr != nil {
 		return m.cfgErr
 	}
-	// Each run gets a fresh scheduler (the previous run's, if any, is fully
-	// drained: RunErr does not return while node goroutines live).  A barrier
-	// abort or watchdog stall poisons it, which makes every parked node
-	// unwind; a node that exits while a sibling still waits at the barrier is
-	// a deadlock the scheduler detects and converts to an abort.
+	// Each run gets a fresh scheduler; a deadlock it detects becomes an abort.
 	sc := sched.New(m.P, m.SchedSeed)
 	if m.SchedHook != nil {
 		m.SchedHook(sc)
@@ -152,32 +154,37 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	if runAhead {
 		sc.SetRunAhead(m.applyHead)
 	}
-	sc.Start()
 
+	// One record per node, under mu: the parked nodes of a stalled run end on
+	// this goroutine while the token holder may yet end on the trampoline's.
+	type record struct {
+		began, finished bool
+		err             *NodeError
+	}
 	var (
-		// mu guards the failure record: the nodes of an aborted run all
-		// unwind at once, each on its own goroutine, outside the token.
-		mu       sync.Mutex
-		nodeErrs = make([]*NodeError, m.P)
-		finished = make([]bool, m.P)
-		failOnce sync.Once
-		failed   = make(chan struct{})
-		wg       sync.WaitGroup
+		mu   sync.Mutex
+		recs = make([]record, m.P)
+		done = make(chan struct{})
 	)
-	wg.Add(m.P)
-	for _, nd := range m.Nodes {
-		go func(nd *Node) {
-			defer wg.Done()
+	go func() {
+		defer close(done)
+		sc.Run(func(id int) {
+			nd, returned := m.Nodes[id], false
+			mu.Lock()
+			recs[id].began = true
+			mu.Unlock()
 			defer func() {
 				var err error
 				if r := recover(); r != nil {
 					err = panicError(r)
+				} else if !returned {
+					err = errGoexit
 				}
 				mu.Lock()
-				finished[nd.ID] = true
+				recs[id].finished = true
 				if err != nil {
-					nodeErrs[nd.ID] = &NodeError{
-						Node:       nd.ID,
+					recs[id].err = &NodeError{
+						Node:       id,
 						Err:        err,
 						Stack:      string(debug.Stack()),
 						Collateral: errors.Is(err, ErrAborted),
@@ -185,58 +192,49 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 				}
 				mu.Unlock()
 				if err != nil {
-					// Abort (which poisons the scheduler) before Exit, so
-					// the token is never handed onward from a dying run.
-					m.bar.Abort(fmt.Errorf("node %d died: %w", nd.ID, err))
-					failOnce.Do(func() { close(failed) })
+					// Abort poisons the scheduler before sched.Run marks the node
+					// Done: the token is never handed onward from a dying run.
+					m.bar.Abort(fmt.Errorf("node %d died: %w", id, err))
 				}
-				sc.Exit(nd.ID)
 			}()
-			if !sc.AwaitGrant(nd.ID) {
-				nd.unwind()
-			}
 			body(nd)
 			nd.drain() // the fold reads cycles other nodes' effects steal
 			nd.FoldStolen()
-		}(nd)
-	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+			returned = true
+		})
+	}()
 
 	hung := false
-	select {
-	case <-done:
-	case <-failed:
-		// A node died.  The barrier abort releases parked siblings;
-		// give the rest a grace period to unwind before declaring them
-		// unresponsive.  Without a watchdog the caller asked for no
-		// wall-clock bounds, so wait indefinitely (abort still
-		// prevents the barrier deadlock itself).
-		if m.Watchdog > 0 {
-			grace := 2*m.Watchdog + 500*time.Millisecond
+	if m.Watchdog > 0 {
+		select {
+		case <-done:
+		case <-sc.Poisoned():
+			// The run failed, perhaps by stalling: a token holder wedged in
+			// host time has the trampoline wedged inside it, so unwind the
+			// parked nodes from here, then give the holder a grace period.
+			sc.Unwind()
 			select {
 			case <-done:
-			case <-time.After(grace):
+			case <-time.After(2*m.Watchdog + 500*time.Millisecond):
 				hung = true
 			}
-		} else {
-			<-done
 		}
+	} else {
+		// The caller asked for no wall-clock bounds.
+		<-done
 	}
 
 	mu.Lock()
 	var errs []*NodeError
-	for _, ne := range nodeErrs {
-		if ne != nil {
-			errs = append(errs, ne)
-		}
-	}
-	if hung {
-		for id, fin := range finished {
-			if !fin && nodeErrs[id] == nil {
-				errs = append(errs, &NodeError{Node: id, Err: ErrUnresponsive})
-			}
+	for id, r := range recs {
+		switch {
+		case r.err != nil:
+			errs = append(errs, r.err)
+		case !r.began:
+			// Only a poisoned run leaves a node without its first grant.
+			errs = append(errs, &NodeError{Node: id, Err: m.bar.poisonErr(), Collateral: true})
+		case !r.finished:
+			errs = append(errs, &NodeError{Node: id, Err: ErrUnresponsive})
 		}
 	}
 	mu.Unlock()
@@ -251,12 +249,11 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	})
 	re := &RunError{Nodes: errs}
 	if !hung {
-		// All node goroutines have exited, so the machine is quiescent
-		// and fully readable.
+		// The trampoline has returned: the machine is quiescent and readable.
 		re.Diagnostics = m.Diagnostics()
 	} else if se := new(StallError); errors.As(m.bar.Err(), &se) {
-		// Unsafe to touch node state with goroutines leaked; reuse the
-		// dump the watchdog took under the barrier lock.
+		// Unsafe to touch node state with the token holder still out there;
+		// reuse the dump the watchdog took under the barrier lock.
 		re.Diagnostics = se.Diagnostics
 	}
 	return re
@@ -297,7 +294,7 @@ func (m *Machine) Diagnostics() string {
 // barrierDiagnostics is the watchdog's stall-time dump.  It runs on the
 // timer's goroutine, with the barrier lock held, while the node that holds
 // the token may be running: nodes parked at the barrier (present[i]) cannot
-// wake before the abort, so what only they write is readable race-free;
+// be resumed before the abort, so what only they write is readable race-free;
 // what other nodes' handlers write to them (stolen cycles, tags, the trace)
 // and everything about the absent nodes stays out of the dump.
 func (m *Machine) barrierDiagnostics(present []bool) string {

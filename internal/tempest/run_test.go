@@ -2,6 +2,7 @@ package tempest
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -9,59 +10,36 @@ import (
 	"lcm/internal/sched"
 )
 
-// schedBarrier returns a barrier for n participants over a started
-// scheduler, the way RunErr sets one up for a run.
+// schedBarrier returns a barrier for n participants over a fresh scheduler,
+// the way RunErr sets one up for a run.
 func schedBarrier(n int) (*Barrier, *sched.Scheduler) {
 	b, s := NewBarrier(n), sched.New(n, 0)
 	b.arm(s, 0, nil)
-	s.Start()
 	return b, s
-}
-
-// waitArrived polls until n waiters are parked in the barrier.
-func waitArrived(t *testing.T, b *Barrier, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		arrived := b.arrived
-		b.mu.Unlock()
-		if arrived == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d waiters arrived", arrived, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func TestBarrierAbortReleasesWaiters(t *testing.T) {
 	b, s := schedBarrier(3)
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(id int) {
-			s.AwaitGrant(id)
-			_, err := b.WaitNode(id, 0)
-			errs <- err
-		}(i)
-	}
-	waitArrived(t, b, 2)
 	cause := errors.New("participant died")
-	b.Abort(cause)
-	for i := 0; i < 2; i++ {
-		err := <-errs
+	errs := make([]error, 3)
+	s.Run(func(id int) {
+		if id == 2 { // runs last, with both siblings parked in the barrier
+			if b.arrived != 2 {
+				t.Errorf("%d/2 waiters arrived before the abort", b.arrived)
+			}
+			b.Abort(cause)
+		}
+		// The barrier stays poisoned: node 2's wait fails fast instead of
+		// blocking forever on a dead sibling.
+		_, errs[id] = b.WaitNode(id, 0)
+	})
+	for id, err := range errs {
 		if !errors.Is(err, ErrAborted) {
-			t.Fatalf("released waiter error = %v, want ErrAborted", err)
+			t.Fatalf("node %d's wait error = %v, want ErrAborted", id, err)
 		}
 		if !errors.Is(err, cause) {
 			t.Fatalf("abort cause not preserved: %v", err)
 		}
-	}
-	// The barrier stays poisoned: later waits fail fast instead of
-	// blocking forever on a dead sibling.
-	if _, err := b.WaitNode(2, 0); !errors.Is(err, ErrAborted) {
-		t.Fatalf("post-abort wait error = %v, want ErrAborted", err)
 	}
 	if !errors.Is(b.Err(), ErrAborted) {
 		t.Fatalf("Err() = %v, want ErrAborted", b.Err())
@@ -70,18 +48,19 @@ func TestBarrierAbortReleasesWaiters(t *testing.T) {
 
 func TestBarrierSingleParticipantMaxClock(t *testing.T) {
 	b, s := schedBarrier(1)
-	s.AwaitGrant(0)
-	for round, clock := range []int64{42, 7, 1000} {
-		c, err := b.WaitNode(0, clock)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+	s.Run(func(int) {
+		for round, clock := range []int64{42, 7, 1000} {
+			c, err := b.WaitNode(0, clock)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if c != clock {
+				// A solo participant's max is its own clock, and the max
+				// must reset between rounds (round 1 passes a lower clock).
+				t.Fatalf("round %d: clock = %d, want %d", round, c, clock)
+			}
 		}
-		if c != clock {
-			// A solo participant's max is its own clock, and the max
-			// must reset between rounds (round 1 passes a lower clock).
-			t.Fatalf("round %d: clock = %d, want %d", round, c, clock)
-		}
-	}
+	})
 }
 
 func TestBarrierReuseAcrossRunPhases(t *testing.T) {
@@ -181,6 +160,83 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 	if !errors.As(err, &re) || len(re.Nodes) != 1 || re.Nodes[0].Node != 0 || !re.Nodes[0].Collateral {
 		t.Fatalf("RunErr = %+v, want exactly node 0, parked at the barrier, as collateral", err)
 	}
+}
+
+// TestRunErrLeavesNoGoroutines: a run's coroutines and its trampoline are
+// gone when RunErr returns — after a healthy run, after a node dies mid-phase
+// (by panic, or by the runtime.Goexit of a t.FailNow) with siblings parked at
+// the barrier, in a yield and on a SimLock, and after a scheduler deadlock —
+// and each death is the right node's.  Only an ErrUnresponsive run leaks.
+func TestRunErrLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+
+	m, r := newTestMachine(t, 4, 64)
+	if err := m.RunErr(func(n *Node) { touchAll(t, n, r, 64); n.Barrier() }); err != nil {
+		t.Fatal(err)
+	}
+	settled("healthy run")
+
+	boom := errors.New("node body bug")
+	for _, death := range []struct {
+		name string
+		die  func()
+		want error
+	}{
+		{"panic", func() { panic(boom) }, boom},
+		{"goexit", runtime.Goexit, errGoexit},
+	} {
+		m, _ = newTestMachine(t, 5, 64)
+		var lk SimLock
+		err := m.RunErr(func(n *Node) {
+			switch n.ID {
+			case 1: // in a yield that is due after the death
+				n.Compute(2000)
+				n.SchedYield()
+			case 2: // at the barrier, inside the critical section
+				lk.Acquire(n)
+			case 3: // waiting for the lock node 2 holds
+				n.Compute(100)
+				lk.Acquire(n)
+			case 4: // dies once everyone else is parked
+				n.Compute(1000)
+				n.SchedYield()
+				death.die()
+			}
+			n.Barrier()
+		})
+		var re *RunError
+		if !errors.As(err, &re) || len(re.Nodes) != 5 {
+			t.Fatalf("%s: RunErr = %v, want all 5 nodes failed", death.name, err)
+		}
+		if first := re.First(); first.Node != 4 || first.Collateral || !errors.Is(first.Err, death.want) {
+			t.Errorf("%s: primary failure = %+v, want node 4 dying of %v", death.name, first, death.want)
+		}
+		for _, ne := range re.Nodes[1:] {
+			if !ne.Collateral || !errors.Is(ne.Err, ErrAborted) {
+				t.Errorf("%s: node %d: %v (collateral=%v), want a collateral ErrAborted", death.name, ne.Node, ne.Err, ne.Collateral)
+			}
+		}
+		settled("run with a " + death.name)
+	}
+
+	m, _ = newTestMachine(t, 2, 64)
+	err := m.RunErr(func(n *Node) {
+		if n.ID == 0 {
+			n.Barrier() // node 1 returns without arriving
+		}
+	})
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("deadlocked run: %v", err)
+	}
+	settled("deadlocked run")
 }
 
 // TestWatchdogDetectsBarrierStall: a node that holds the token and never

@@ -27,8 +27,7 @@ func (lk *SimLock) Acquire(n *Node) {
 	n.SchedYield()
 	for s := n.M.schedder; lk.held; {
 		lk.waiters = append(lk.waiters, n.ID)
-		s.Block(n.ID)
-		if !s.AwaitGrant(n.ID) {
+		if !s.Block(n.ID) {
 			n.unwind()
 		}
 	}

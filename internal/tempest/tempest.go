@@ -2,15 +2,15 @@
 // role of the paper's CM-5 + Blizzard-E substrate.
 //
 // The machine is a collection of autonomous nodes connected by a
-// point-to-point network.  Each node runs its program on its own goroutine
-// and owns a virtual cycle clock; a cooperative token (internal/sched) lets
-// exactly one of them execute at a time and moves in virtual-time order, so
-// a run is a pure function of its inputs and nothing a node touches needs a
-// lock.  Every program load and store consults the node's fine-grain
+// point-to-point network.  Each node runs its program as a coroutine of the
+// run's one goroutine and owns a virtual cycle clock; a cooperative token
+// (internal/sched) lets exactly one of them execute at a time and moves in
+// virtual-time order, so a run is a pure function of its inputs and nothing
+// a node touches needs a lock.  Every program load and store consults the node's fine-grain
 // access-control tag for the addressed block — exactly the control point
 // Blizzard-E instruments — and a disallowed access invokes the active
 // coherence protocol's user-level fault handler.  Protocol handlers run
-// synchronously in the faulting node's goroutine, from one scheduling point
+// synchronously in the faulting node's coroutine, from one scheduling point
 // to the next, charging the requester the modelled network latency and the
 // home node a handler-occupancy charge; this mirrors the execution-driven
 // simulation methodology of the Wisconsin Wind Tunnel project from which
@@ -431,8 +431,8 @@ type Node struct {
 	// halves this node's handlers have posted but the scheduler has not
 	// yet applied, fxLen of them starting at fxHead, when runAhead is set;
 	// a single scratch record otherwise.  Touched by the owner while it
-	// runs and by whichever goroutine drives the scheduler while it does
-	// not; the token orders the two.
+	// runs and by whichever node drives the scheduler while it does not;
+	// the token orders the two.
 	fx       []Effect
 	fxHead   int
 	fxLen    int
@@ -465,8 +465,8 @@ func (n *Node) SchedYield() {
 // park, so it leaves without running another line of protocol code.
 func (n *Node) unwind() {
 	if v := n.M.schedder.PostFailure(n.ID); v != nil {
-		// One of this node's effects panicked on the goroutine that was
-		// applying it; the failure is this node's.
+		// One of this node's effects panicked inside the scheduling call
+		// that was applying it; the failure is this node's.
 		panic(v)
 	}
 	panic(n.M.bar.poisonErr())

@@ -178,8 +178,8 @@ type HostStats struct {
 	// not, Reason says why.
 	RunAhead bool
 	Reason   string
-	// Stats counts the scheduler's grants, how many of them switched
-	// goroutines and how many were deferred applies.
+	// Stats counts the scheduler's grants, how many of them moved the token
+	// to another node's coroutine and how many were deferred applies.
 	sched.Stats
 }
 

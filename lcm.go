@@ -41,7 +41,7 @@ import (
 type Machine = tempest.Machine
 
 // Node is one simulated processor; workload code receives one per
-// SPMD goroutine and issues all memory accesses through it.
+// SPMD body and issues all memory accesses through it.
 type Node = tempest.Node
 
 // Line is a node's cached copy of a block.
