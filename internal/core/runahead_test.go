@@ -35,6 +35,62 @@ type raProgram struct {
 	name  string
 	build func(m *tempest.Machine) []*memsys.Region
 	body  func(n *tempest.Node, rs []*memsys.Region, lk *tempest.SimLock)
+
+	// seen, for the mixed-region programs, is what the last run did inside
+	// the operation the case is about (see raSeen.watch).
+	seen *raSeen
+}
+
+// raSeen is host-side evidence — read from outside the simulation, no part
+// of the outcome — that a mixed-region program reached its point.
+type raSeen struct {
+	drains  int // operations on a coherent line, permitted when issued, that took scheduling decisions inside: drains that are no barrier
+	revoked int // of those, how many found the line revoked once drained
+}
+
+// watch runs op, node n's operation on coherent block b, which needs tag
+// `need`.  On the spot the handler before op yielded, so a revocation keyed
+// before it has happened by now and there is nothing to record; ahead of the
+// token the tag still permits the operation, and only a drain inside op can
+// make it see what the schedule says it sees.
+func (s *raSeen) watch(n *tempest.Node, b memsys.BlockID, need tempest.Tag, op func()) {
+	l := n.Line(b)
+	permitted := l != nil && l.Tag() >= need
+	steps, misses, upgrades := n.M.Sched().Steps(), n.Ctr.Misses, n.Ctr.Upgrades
+	op()
+	if !permitted || n.M.Sched().Steps() == steps {
+		return
+	}
+	s.drains++
+	// Revoked in between: the access faulted after all, or (DropCopy, which
+	// then has nothing to drop) a writer now owns the line.
+	revoked := n.Ctr.Misses > misses || n.Ctr.Upgrades > upgrades
+	for _, o := range n.M.Nodes {
+		if ol := o.Line(b); o != n && ol != nil && ol.Tag() == tempest.TagReadWrite {
+			revoked = true
+		}
+	}
+	if revoked {
+		s.revoked++
+	}
+}
+
+// mixed is a program over one loosely coherent region, rs[0], and one
+// sequentially consistent region, rs[1], in the same address space.
+func mixed(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen)) raProgram {
+	seen := new(raSeen)
+	return raProgram{
+		name: name,
+		seen: seen,
+		build: func(m *tempest.Machine) []*memsys.Region {
+			*seen = raSeen{}
+			return []*memsys.Region{
+				alloc(t, m, "loose", 8, LooselyCoherent(), memsys.Interleaved),
+				alloc(t, m, "sc", 2, Coherent(), memsys.SingleHome),
+			}
+		},
+		body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) { body(n, rs[0], rs[1], seen) },
+	}
 }
 
 func alloc(t *testing.T, m *tempest.Machine, name string, blocks uint64, pol Policy, home memsys.HomePolicy) *memsys.Region {
@@ -188,6 +244,137 @@ func raPrograms(t *testing.T) []raProgram {
 				n.ReconcileCopies()
 			},
 		},
+		// The mixed-region programs: node 0 posts (a fault on a loose block,
+		// keyed ten cycles into the round) and then touches a coherent line
+		// its tag still permits, while node 1's write fault on that line is
+		// keyed one cycle into the round — before the post, so the schedule
+		// has it revoked by then.
+		mixed(t, "coherent-read-revoked", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			for round := 0; round < 3; round++ {
+				_ = n.ReadU32(word(coh, 0)) // every node shares the line
+				n.ReconcileCopies()
+				switch n.ID {
+				case 0:
+					n.Compute(10)
+					_ = n.ReadU32(word(lcm, 8*round))
+					var v uint32
+					seen.watch(n, n.M.AS.Block(coh.Base), tempest.TagReadOnly, func() { v = n.ReadU32(word(coh, 0)) })
+					n.WriteU32(word(lcm, 32+round), v) // what the load returned is part of the outcome
+				case 1:
+					n.Compute(1)
+					n.WriteU32(word(coh, 0), uint32(round+1))
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		mixed(t, "coherent-store-hit", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			// Node 0 owns the block.  On even rounds nobody else touches it
+			// and the store stays a hit: no miss, no handler, only the drain.
+			// On odd rounds node 1's read fault, keyed before the post, takes
+			// the value from the home image — which a store written through
+			// ahead of its turn would already have changed — and downgrades
+			// the line, so the store faults after all.
+			for round := 0; round < 4; round++ {
+				if n.ID == 0 {
+					n.WriteU32(word(coh, 9), uint32(round))
+				}
+				n.ReconcileCopies()
+				switch n.ID {
+				case 0:
+					n.Compute(10)
+					_ = n.ReadU32(word(lcm, 8*round))
+					seen.watch(n, n.M.AS.Block(coh.Base)+1, tempest.TagReadWrite, func() { n.WriteU32(word(coh, 9), uint32(100+round)) })
+				case 1:
+					n.Compute(1)
+					if round%2 == 1 {
+						n.WriteU32(word(lcm, 32+round), n.ReadU32(word(coh, 9)))
+					}
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		mixed(t, "mark-with-coherent-mru", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			// The Mark directive posts without passing through a fault path,
+			// so the MRU still names the coherent line the node read last.
+			for round := 0; round < 3; round++ {
+				_ = n.ReadU32(word(coh, 0))
+				n.ReconcileCopies()
+				switch n.ID {
+				case 0:
+					_ = n.ReadU32(word(coh, 1)) // a hit with an empty log: the line is the MRU
+					n.Compute(10)
+					n.Mark(word(lcm, 8*round))
+					var v uint32
+					seen.watch(n, n.M.AS.Block(coh.Base), tempest.TagReadOnly, func() { v = n.ReadU32(word(coh, 0)) })
+					n.WriteU32(word(lcm, 8*round), v)
+				case 1:
+					n.Compute(1)
+					n.WriteU32(word(coh, 0), uint32(round+1))
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		mixed(t, "dropcopy-after-post", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			// DropCopy peeks at the tag before it reaches Evict's scheduling
+			// point: on odd rounds the copy it means to drop is revoked in
+			// between and there is nothing to evict, on even rounds the home
+			// must forget the sharer.  Mark's peek on a coherent block is
+			// the same shape (odd rounds: node 0 owns the line until node 1's
+			// read fault downgrades it).
+			for round := 0; round < 4; round++ {
+				if n.ID == 0 && round%2 == 1 {
+					n.WriteU32(word(coh, 8), uint32(round))
+				}
+				_ = n.ReadU32(word(coh, 0))
+				n.ReconcileCopies()
+				switch n.ID {
+				case 0:
+					n.Compute(10)
+					_ = n.ReadU32(word(lcm, 8*round))
+					seen.watch(n, n.M.AS.Block(coh.Base), tempest.TagReadOnly, func() { n.DropCopy(word(coh, 0)) })
+					_ = n.ReadU32(word(lcm, 8*round+32))
+					n.Mark(word(coh, 8))
+				case 1:
+					n.Compute(1)
+					if round%2 == 1 {
+						n.WriteU32(word(coh, 0), uint32(round))
+						_ = n.ReadU32(word(coh, 8))
+					}
+				}
+				_ = n.ReadU32(word(coh, 0))
+				n.ReconcileCopies()
+			}
+		}),
+		{
+			// makeRoom peeks at its victim's tag before Evict's scheduling
+			// point too: a two-line cache whose victims alternate between
+			// loose lines (evicted by a post) and coherent ones other nodes
+			// keep revoking.
+			name: "eviction-mixed",
+			build: func(m *tempest.Machine) []*memsys.Region {
+				m.CacheLines = 2
+				return []*memsys.Region{
+					alloc(t, m, "loose", 16, LooselyCoherent(), memsys.Interleaved),
+					alloc(t, m, "sc", 4, Coherent(), memsys.Interleaved),
+				}
+			},
+			body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) {
+				for phase := 0; phase < 2; phase++ {
+					for i := 0; i < 16; i++ {
+						n.Compute(int64(1 + (n.ID*3+i)%5))
+						switch {
+						case i%4 == 1:
+							_ = n.ReadU32(word(rs[1], 8*((n.ID+i)%4)))
+						case i%8 == 3:
+							n.WriteU32(word(rs[1], 8*((n.ID+i)%4)+n.ID%8), uint32(phase*100+i))
+						default:
+							_ = n.ReadU32(word(rs[0], 8*((n.ID*5+i*3)%16)))
+						}
+					}
+					n.ReconcileCopies()
+				}
+			},
+		},
 	}
 }
 
@@ -240,25 +427,27 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 
 func TestRunAheadMatchesOnTheSpot(t *testing.T) {
 	for _, pr := range raPrograms(t) {
-		for _, v := range []Variant{SCC, MCC} {
-			for _, p := range []int{1, 4, 8, 33} {
-				for _, seed := range []uint64{0, 1, 7} {
-					ahead := runProgram(t, pr, v, p, seed, false)
-					spot := runProgram(t, pr, v, p, seed, true)
-					if reflect.DeepEqual(ahead, spot) {
-						continue
-					}
-					at := reflect.TypeOf(ahead)
-					for i := 0; i < at.NumField(); i++ {
-						a, s := reflect.ValueOf(ahead).Field(i).Interface(), reflect.ValueOf(spot).Field(i).Interface()
-						if !reflect.DeepEqual(a, s) {
-							t.Errorf("%s/%s P=%d seed=%d: %s differs\n run-ahead   %v\n on the spot %v",
-								pr.name, v, p, seed, at.Field(i).Name, clip(a), clip(s))
+		t.Run(pr.name, func(t *testing.T) {
+			for _, v := range []Variant{SCC, MCC} {
+				for _, p := range []int{1, 4, 8, 33} {
+					for _, seed := range []uint64{0, 1, 7} {
+						ahead := runProgram(t, pr, v, p, seed, false)
+						spot := runProgram(t, pr, v, p, seed, true)
+						if reflect.DeepEqual(ahead, spot) {
+							continue
+						}
+						at := reflect.TypeOf(ahead)
+						for i := 0; i < at.NumField(); i++ {
+							a, s := reflect.ValueOf(ahead).Field(i).Interface(), reflect.ValueOf(spot).Field(i).Interface()
+							if !reflect.DeepEqual(a, s) {
+								t.Errorf("%s P=%d seed=%d: %s differs\n run-ahead   %v\n on the spot %v",
+									v, p, seed, at.Field(i).Name, clip(a), clip(s))
+							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -293,5 +482,44 @@ func TestRunAheadProgramsExerciseTheirPoint(t *testing.T) {
 	}
 	if flushes < 4*300 {
 		t.Errorf("ring-full: %d effects over 4 nodes, want several rings' worth each", flushes)
+	}
+
+	// The mixed-region programs: node 0 reached the coherent line ahead of
+	// the token and drained inside the operation, and at least once found the
+	// line revoked in between — by node 1's write fault where the case says
+	// invalidated (the program stores to no other coherent block), by its
+	// read fault otherwise.
+	for _, tc := range []struct {
+		name        string
+		invalidated bool
+		hits        bool // some operations stay hits: a drain and nothing else
+	}{
+		{"coherent-read-revoked", true, false},
+		{"coherent-store-hit", false, true},
+		{"mark-with-coherent-mru", true, false},
+		{"dropcopy-after-post", true, false},
+	} {
+		pr := byName[tc.name]
+		o := runProgram(t, pr, SCC, 4, 0, false)
+		if pr.seen.revoked == 0 || (tc.hits && pr.seen.drains == pr.seen.revoked) {
+			t.Errorf("%s: %d operations drained inside, %d of them found the line revoked", tc.name, pr.seen.drains, pr.seen.revoked)
+		}
+		if tc.invalidated && o.Counters[1].InvalidationsSent == 0 {
+			t.Errorf("%s: node 1 invalidated nothing", tc.name)
+		}
+		// On the spot nothing is issued ahead of the token, so no operation
+		// the tag permits finds its line revoked.
+		if runProgram(t, pr, SCC, 4, 0, true); pr.seen.revoked != 0 {
+			t.Errorf("%s: on the spot, %d permitted operations found the line revoked", tc.name, pr.seen.revoked)
+		}
+	}
+	evictions = 0
+	var invalidations int64
+	for _, c := range runProgram(t, byName["eviction-mixed"], SCC, 4, 0, false).Counters {
+		evictions += c.Evictions
+		invalidations += c.InvalidationsSent
+	}
+	if evictions == 0 || invalidations == 0 {
+		t.Errorf("eviction-mixed: %d evictions, %d invalidations of coherent lines", evictions, invalidations)
 	}
 }

@@ -12,7 +12,7 @@
 // — messages, bytes and queueing cycles into the calling node's
 // net.Counters, which internal/stats embeds per node — and, when the run's
 // fault plan makes delivery unreliable, loses and re-sends it in one place
-// (deliver, reliable.go).  What a class costs is the topology's business,
+// (retransmit, reliable.go).  What a class costs is the topology's business,
 // and there are two:
 //
 //   - uniform charges each class exactly the flat price of the cost.Model
@@ -204,15 +204,27 @@ type Network struct {
 	lossy *reliable
 }
 
-// send accounts one exchange of class id into c and prices it.
+// send runs one exchange of class id from src: it accounts the exchange
+// into c and prices it.  On a lossy network the exchange draws its fate
+// first (retransmit, reliable.go) and is priced once the retries are over.
+// The timeout class is never classified: it prices an exchange already
+// declared lost, and drawing it a fate would inject twice.
+//
+// The loss test lives here, not in a wrapper: a front that chooses between
+// two seven-argument calls is past the inlining budget, and the reliable
+// path — every remote miss — would pay a call for it.
 func (nw *Network) send(id classID, src, dst int, payload, now int64, c *Counters) int64 {
+	var waste int64
+	if nw.lossy != nil && id != timeout {
+		waste = nw.retransmit(src, dst, now, c)
+	}
 	cl := &classes[id]
 	c.Msgs[cl.req]++
 	if cl.legs == 2 {
 		c.Msgs[cl.reply]++
 	}
 	c.Bytes += cl.legs*nw.header + payload
-	return nw.topo.price(id, src, dst, payload, now, &c.QueueCycles)
+	return waste + nw.topo.price(id, src, dst, payload, now+waste, &c.QueueCycles)
 }
 
 // Name identifies the model ("uniform" or "fattree").
@@ -221,36 +233,34 @@ func (nw *Network) Name() string { return nw.topo.name() }
 // RoundTrip prices a blocking request/response exchange carrying payload
 // data bytes on the reply.
 func (nw *Network) RoundTrip(src, dst int, payload int64, now int64, c *Counters) int64 {
-	return nw.deliver(roundTrip, src, dst, payload, now, c)
+	return nw.send(roundTrip, src, dst, payload, now, c)
 }
 
-// Timeout prices a request whose reply never arrived.  It is never
-// classified: it prices an exchange already declared lost, and drawing it
-// a fate would inject twice.
+// Timeout prices a request whose reply never arrived.
 func (nw *Network) Timeout(src, dst int, now int64, c *Counters) int64 {
 	return nw.send(timeout, src, dst, 0, now, c)
 }
 
 // Forward prices the home-to-owner forward leg of a three-hop miss.
 func (nw *Network) Forward(src, dst int, now int64, c *Counters) int64 {
-	return nw.deliver(forward, src, dst, 0, now, c)
+	return nw.send(forward, src, dst, 0, now, c)
 }
 
 // Upgrade prices a no-data permission-upgrade round trip.
 func (nw *Network) Upgrade(src, dst int, now int64, c *Counters) int64 {
-	return nw.deliver(upgrade, src, dst, 0, now, c)
+	return nw.send(upgrade, src, dst, 0, now, c)
 }
 
 // Invalidate prices one blocking invalidation of a remote copy.
 func (nw *Network) Invalidate(src, dst int, now int64, c *Counters) int64 {
-	return nw.deliver(invalidate, src, dst, 0, now, c)
+	return nw.send(invalidate, src, dst, 0, now, c)
 }
 
 // Flush prices a fire-and-forget writeback of payload data bytes: the
 // sender is charged injection only, but the message still occupies
 // channels for followers.
 func (nw *Network) Flush(src, dst int, payload int64, now int64, c *Counters) int64 {
-	return nw.deliver(flush, src, dst, payload, now, c)
+	return nw.send(flush, src, dst, payload, now, c)
 }
 
 // Barrier accounts one barrier packet.  Barriers ride the CM-5 control

@@ -43,18 +43,14 @@ func (nw *Network) SetFaults(f *fault.Injector, p int) {
 	}
 }
 
-// deliver runs one exchange of class id from src: on a reliable network it
-// is send; on a lossy one, dropped sends are retried with timeout + backoff
-// until delivered or the retry budget runs out, and the surviving exchange
-// is priced at the virtual time it finally happens.
-func (nw *Network) deliver(id classID, src, dst int, payload, now int64, c *Counters) int64 {
+// retransmit draws the fate of one exchange from src on a lossy network:
+// dropped sends are retried with timeout + backoff until one is delivered or
+// the retry budget runs out.  It returns the cycles wasted on the way; send
+// prices the surviving exchange at the virtual time it finally happens.
+func (nw *Network) retransmit(src, dst int, now int64, c *Counters) (waste int64) {
 	r := nw.lossy
-	if r == nil {
-		return nw.send(id, src, dst, payload, now, c)
-	}
 	r.sendSeq[src]++ // re-sends of a dropped message reuse its number
 	seq := r.sendSeq[src]
-	var waste int64
 	for attempt := 1; ; attempt++ {
 		switch r.f.Classify(src) {
 		case fault.Dropped:
@@ -74,6 +70,6 @@ func (nw *Network) deliver(id classID, src, dst int, payload, now int64, c *Coun
 		if seq > r.recvSeq[src] {
 			r.recvSeq[src] = seq
 		}
-		return waste + nw.send(id, src, dst, payload, now+waste, c)
+		return waste
 	}
 }

@@ -24,21 +24,53 @@ import (
 // caller must still check the returned line's tag: line pointers are
 // assigned once and never reassigned, so a stale MRU entry can at worst
 // carry a revoked tag, which the check catches.
+//
+// An ordered line is withheld — nil, as if never installed — while the
+// node's effect log is non-empty: the caller falls into its fault path, whose
+// first step (hitAfterDrain) drains and looks again.  The MRU path needs no
+// such test because Emit keeps ordered lines out of the MRU while posts are
+// outstanding.  The drain is not called from here: it would cost lineFor its
+// inlining, and every access a call (DESIGN.md "Run-ahead").
 func (n *Node) lineFor(b memsys.BlockID) *Line {
 	if l := n.mruLine; l != nil && n.mruBlock == b {
 		return l
 	}
 	l := n.lines[b]
 	if l != nil {
+		// The flag first: a machine that never sets it reads one more byte
+		// of a line it is about to tag-check and nothing else.
+		if l.ordered && n.fxLen != 0 {
+			return nil
+		}
 		n.mruBlock, n.mruLine = b, l
 	}
 	return l
+}
+
+// hitAfterDrain is the first step of both fault paths when lineFor withheld
+// the line: it drains the effect log, which puts the node where the
+// on-the-spot schedule has it at this access, and reports whether the tag
+// still permits the access — a plain hit, no miss counted, no handler run.
+// False means the line was revoked in between and the access is a fault in
+// any schedule.  Only the withheld test is inlined into the fault paths, so
+// a fault on a loosely coherent block pays for a byte of the line it is
+// about to install into, not for a call.
+func (n *Node) hitAfterDrain(l *Line, need Tag) bool {
+	n.drain()
+	if l.Tag() < need {
+		return false
+	}
+	n.mruBlock, n.mruLine = l.block, l
+	return true
 }
 
 // loadFault is the out-of-line read-miss path: trap to the protocol and
 // refresh the MRU with the installed line.  Kept separate so the hot-path
 // functions stay small enough to avoid extra call layers.
 func (n *Node) loadFault(b memsys.BlockID) *Line {
+	if l := n.lines[b]; n.withheld(l) && n.hitAfterDrain(l, TagReadOnly) {
+		return l
+	}
 	n.preFault(b)
 	n.makeRoom()
 	l := n.M.protocol.ReadFault(n, b)
@@ -48,6 +80,9 @@ func (n *Node) loadFault(b memsys.BlockID) *Line {
 
 // storeFault is loadFault's write-miss counterpart.
 func (n *Node) storeFault(b memsys.BlockID) *Line {
+	if l := n.lines[b]; n.withheld(l) && n.hitAfterDrain(l, TagReadWrite) {
+		return l
+	}
 	n.preFault(b)
 	n.makeRoom()
 	l := n.M.protocol.WriteFault(n, b)

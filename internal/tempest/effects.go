@@ -69,10 +69,14 @@ const effectRing = 64
 //     steps (a trace);
 //   - the interconnect prices a message without looking at the clock or at
 //     earlier traffic;
-//   - the protocol's handlers are split; and
-//   - no region is sequentially consistent: a hit on a coherent line reads
-//     data other nodes' handlers write, and the hit path has no room for a
-//     check.
+//   - the protocol's handlers are split.
+//
+// Which regions the address space holds does not enter: run-ahead is per
+// region.  A fault on a loosely coherent block posts; whatever reads or
+// changes a sequentially consistent line's tag, data or directory entry
+// while posts are outstanding drains first, then looks again (Line.ordered:
+// lineFor and hitAfterDrain for accesses, settle for the tag peeks outside
+// handlers; Stache's handlers drain at their SchedYield).
 //
 // Call after Freeze.
 func (m *Machine) RunAhead() (on bool, reason string) {
@@ -87,11 +91,6 @@ func (m *Machine) RunAhead() (on bool, reason string) {
 		return false, "order-sensitive network"
 	case m.applier == nil:
 		return false, "protocol without split handlers"
-	}
-	for _, r := range m.AS.Regions() {
-		if r.Kind == memsys.KindCoherent {
-			return false, "coherent region"
-		}
 	}
 	return true, ""
 }
@@ -150,6 +149,13 @@ func (n *Node) Emit(e *Effect) {
 		// this node is ahead of it in the schedule: key the post now.
 		// Later posts are keyed as their predecessors are applied.
 		n.M.schedder.Post(n.ID, e.clock+n.stolen)
+		// From here to the next drain the MRU must not name an ordered
+		// line: lineFor's MRU path does not test the log, and a directive
+		// posts without passing through a fault path that would refresh
+		// it.  Nothing puts one back before the log is empty again.
+		if l := n.mruLine; l != nil && l.ordered {
+			n.mruLine = nil
+		}
 	}
 }
 
@@ -175,5 +181,21 @@ func (m *Machine) applyHead(node int) (next int64, more bool) {
 func (n *Node) drain() {
 	if n.fxLen != 0 && !n.M.schedder.Drain(n.ID) {
 		n.unwind() // the run is over: nothing will be applied any more
+	}
+}
+
+// withheld reports whether l is a line its owner may not look at just now:
+// an ordered line (nil is no line) while posts are outstanding.  lineFor
+// spells the same test out, flag first.
+func (n *Node) withheld(l *Line) bool { return l != nil && l.ordered && n.fxLen != 0 }
+
+// settle drains before the owner looks at a line other nodes' real handlers
+// write: the tag peeks outside a handler (makeRoom's victim, DropCopy, the
+// Mark directive) read what the on-the-spot schedule reads only after the
+// drain has put the node where that schedule has it.  The access paths do
+// the same through lineFor and hitAfterDrain.
+func (n *Node) settle(l *Line) {
+	if n.withheld(l) {
+		n.drain()
 	}
 }

@@ -76,7 +76,7 @@ func TestRunAheadPredicate(t *testing.T) {
 			m.SetNetwork(net.NewFatTree(net.Config{}, m.P))
 		}, "order-sensitive network"},
 		{"unsplit protocol", memsys.KindLCM, func(m *Machine) { m.SetProtocol(&fakeProtocol{}) }, "protocol without split handlers"},
-		{"coherent region", memsys.KindCoherent, nil, "coherent region"},
+		{"coherent region → on", memsys.KindCoherent, nil, ""},
 	}
 	for _, tc := range cases {
 		m, _, _ := newSplitMachine(8, tc.kind, tc.prep)

@@ -78,6 +78,14 @@ func TagName(t Tag) string {
 type Line struct {
 	tag Tag
 
+	// ordered marks a line of a sequentially consistent region on a machine
+	// whose other handlers can run ahead (set once, at newLine): its tag,
+	// data and directory entry are written by other nodes' real handlers,
+	// so the owner drains its effect log before it looks at any of them
+	// (see lineFor and settle).  It sits in the padding after tag, on the
+	// cache line every access reads anyway.
+	ordered bool
+
 	// Data is the cached copy, blockSize bytes.
 	Data []byte
 
@@ -527,6 +535,8 @@ func (n *Node) newLine(b memsys.BlockID) *Line {
 	n.lineArena = n.lineArena[1:]
 	l.Data = n.BlockBuf()
 	l.block = b
+	// Decided from the machine, not from the coming run: lines outlive runs.
+	l.ordered = n.M.applier != nil && n.M.AS.RegionOfBlock(b).Kind == memsys.KindCoherent
 	return l
 }
 
@@ -586,6 +596,7 @@ func (n *Node) makeRoom() {
 			continue
 		}
 		l.inFIFO = false
+		n.settle(l) // only an ordered victim: an LCM one is evicted by a post
 		if l.Tag() == TagInvalid {
 			continue // already revoked remotely; the slot is free
 		}
@@ -642,7 +653,9 @@ func (n *Node) Barrier() {
 // (modified) copies are not dropped.
 func (n *Node) DropCopy(a memsys.Addr) {
 	b := n.M.AS.Block(a)
-	if l := n.lines[b]; l != nil && l.Tag() == TagReadOnly {
+	l := n.lines[b]
+	n.settle(l)
+	if l != nil && l.Tag() == TagReadOnly {
 		n.M.protocol.Evict(n, b)
 		if n.mruLine != nil && n.mruBlock == b {
 			n.mruLine = nil
@@ -650,8 +663,12 @@ func (n *Node) DropCopy(a memsys.Addr) {
 	}
 }
 
-// Mark executes the LCM MarkModification directive for addr.
-func (n *Node) Mark(addr memsys.Addr) { n.M.protocol.MarkModification(n, addr) }
+// Mark executes the LCM MarkModification directive for addr.  On a
+// coherent block the directive is a tag peek that decides whether to fault.
+func (n *Node) Mark(addr memsys.Addr) {
+	n.settle(n.lines[n.M.AS.Block(addr)])
+	n.M.protocol.MarkModification(n, addr)
+}
 
 // FlushCopies executes the LCM FlushCopies directive.
 func (n *Node) FlushCopies() { n.M.protocol.FlushCopies(n) }
