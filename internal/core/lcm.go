@@ -39,6 +39,7 @@ import (
 	"math/bits"
 
 	"lcm/internal/memsys"
+	"lcm/internal/net"
 	"lcm/internal/nodeset"
 	"lcm/internal/stache"
 	"lcm/internal/tempest"
@@ -274,10 +275,11 @@ func (p *LCM) phaseEntry(b memsys.BlockID, ph uint32) *entry {
 // each one body in two halves (tempest's effects.go has the contract).  The
 // local half is everything the faulting node can do by itself: between two
 // reconciliations the home image of a loosely coherent block is constant,
-// so installing from it, and charging for that, needs nobody's permission.
-// The shared half is a tempest.Effect of one of these kinds, applied by
-// ApplyEffect: on the spot, or — when the machine runs ahead — later, at
-// the handler's position in the grant order.
+// so installing from it needs nobody's permission.  The shared half is a
+// tempest.Effect of one of these kinds, applied by ApplyEffect, and the
+// handler's message to the home (Node.Send), whose price depends on the
+// traffic before it: both happen on the spot, or — when the machine runs
+// ahead — later, at the handler's position in the grant order.
 const (
 	fxRead  uint8 = iota // a node took a read-only copy
 	fxMark               // a node took a private copy from home
@@ -285,9 +287,10 @@ const (
 	fxEvict              // a node dropped a read-only copy
 )
 
-// chargeMiss charges the requester's side of a data-carrying fetch like
-// Stache does; the home's side is chargeHome, in the effect.
-func (p *LCM) chargeMiss(n *tempest.Node, home int) {
+// chargeMiss charges the requester's side of the data-carrying fetch of the
+// handler that emitted fx, like Stache does; the home's side is chargeHome,
+// in the effect.
+func (p *LCM) chargeMiss(n *tempest.Node, fx *tempest.Effect, home int) {
 	m := p.m
 	n.Ctr.Misses++
 	if home == n.ID {
@@ -295,7 +298,7 @@ func (p *LCM) chargeMiss(n *tempest.Node, home int) {
 		n.Ctr.LocalFills++
 		return
 	}
-	n.Charge(m.Net.RoundTrip(n.ID, home, int64(m.AS.BlockSize), n.Clock(), &n.Ctr.Net))
+	n.Send(fx, net.ClassRoundTrip, home, int64(m.AS.BlockSize))
 	n.Ctr.RemoteMisses++
 }
 
@@ -385,7 +388,7 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	l.Gen = ph
 	fx.Kind = fxRead
 	n.Emit(fx)
-	p.chargeMiss(n, p.m.AS.HomeOf(b))
+	p.chargeMiss(n, fx, p.m.AS.HomeOf(b))
 	if t := p.m.Trace; t != nil {
 		t.Record(n.ID, n.Clock(), trace.ReadMiss, uint32(b), 0)
 	}
@@ -452,12 +455,12 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		if home == n.ID {
 			n.Charge(c.MarkLocal)
 		} else {
-			n.Charge(p.m.Net.Upgrade(n.ID, home, n.Clock(), &n.Ctr.Net))
+			n.Send(fx, net.ClassUpgrade, home, 0)
 		}
 	} else {
 		// Fetch the clean value from home.
 		l = n.Install(b, p.m.AS.HomeData(b), tempest.TagPrivate)
-		p.chargeMiss(n, home)
+		p.chargeMiss(n, fx, home)
 	}
 	l.Gen = ph
 	l.WMask = 0
@@ -545,7 +548,7 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	} else {
 		// One-way message carrying the modified elements; the network
 		// charges the fixed send cost plus payload bandwidth.
-		n.Charge(p.m.Net.Flush(n.ID, home, words*int64(es), n.Clock(), &n.Ctr.Net))
+		n.Send(fx, net.ClassFlush, home, words*int64(es))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
+	"lcm/internal/net"
 	"lcm/internal/sched"
 	"lcm/internal/stats"
 	"lcm/internal/tempest"
@@ -16,7 +17,9 @@ import (
 // identical machines, once letting the LCM handlers post their effects and
 // once applying them on the spot — forced the way the model checker forces
 // it, with a (no-op) scheduler hook — and must leave behind the same
-// machine, down to the order of the conflict log.
+// machine, down to the order of the conflict log; and that on both
+// interconnects: the uniform one, and a fat tree, where an exchange is priced
+// by the clock it is sent at and by the traffic sent before it.
 
 // outcome is everything a run leaves behind that the schedule determines.
 type outcome struct {
@@ -91,6 +94,17 @@ func mixed(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsy
 		},
 		body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) { body(n, rs[0], rs[1], seen) },
 	}
+}
+
+// onFatTree is pr on a machine whose interconnect is a CM-5 fat tree.
+func onFatTree(pr raProgram) raProgram {
+	build := pr.build
+	pr.name += "/fattree"
+	pr.build = func(m *tempest.Machine) []*memsys.Region {
+		m.SetNetwork(net.NewFatTree(net.Config{}, m.P))
+		return build(m)
+	}
+	return pr
 }
 
 func alloc(t *testing.T, m *tempest.Machine, name string, blocks uint64, pol Policy, home memsys.HomePolicy) *memsys.Region {
@@ -346,6 +360,30 @@ func raPrograms(t *testing.T) []raProgram {
 			}
 		}),
 		{
+			// Messages that queue, on a network that has queues: every node
+			// fetches a block of one home in the same cycle, so each request
+			// but the first granted waits at the home's network interface for
+			// the ones before it, and node 2's write-back to that home then
+			// rides channels they left busy.  Who waits, and for how long, is
+			// decided by the order of the sends.
+			name: "contention",
+			build: func(m *tempest.Machine) []*memsys.Region {
+				return []*memsys.Region{alloc(t, m, "hot", 64, LooselyCoherent(), memsys.SingleHome)}
+			},
+			body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) {
+				for phase := 0; phase < 2; phase++ {
+					blk := (2*n.ID + phase) % 64 // fresh every phase: faults again
+					if n.ID == 2 {
+						n.WriteU32(word(rs[0], 8*blk+phase), uint32(phase+1))
+						n.FlushCopies()
+					} else {
+						_ = n.ReadU32(word(rs[0], 8*blk))
+					}
+					n.ReconcileCopies()
+				}
+			},
+		},
+		{
 			// makeRoom peeks at its victim's tag before Evict's scheduling
 			// point too: a two-line cache whose victims alternate between
 			// loose lines (evicted by a post) and coherent ones other nodes
@@ -426,7 +464,12 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 }
 
 func TestRunAheadMatchesOnTheSpot(t *testing.T) {
-	for _, pr := range raPrograms(t) {
+	base := raPrograms(t)
+	progs := base
+	for _, pr := range base {
+		progs = append(progs, onFatTree(pr))
+	}
+	for _, pr := range progs {
 		t.Run(pr.name, func(t *testing.T) {
 			for _, v := range []Variant{SCC, MCC} {
 				for _, p := range []int{1, 4, 8, 33} {
@@ -513,6 +556,22 @@ func TestRunAheadProgramsExerciseTheirPoint(t *testing.T) {
 			t.Errorf("%s: on the spot, %d permitted operations found the line revoked", tc.name, pr.seen.revoked)
 		}
 	}
+
+	// Contention, on the fat tree: requests sent in one cycle are granted in
+	// node order, so nodes 2 and 3 wait behind node 1's.  The waits are the
+	// same cycles both ways.
+	contention := onFatTree(byName["contention"])
+	ahead := runProgram(t, contention, SCC, 4, 0, false)
+	spot := runProgram(t, contention, SCC, 4, 0, true)
+	for _, id := range []int{2, 3} {
+		if ahead.Counters[id].Net.QueueCycles == 0 {
+			t.Errorf("contention: node %d queued behind nobody: %+v", id, ahead.Counters[id].Net)
+		}
+	}
+	if !reflect.DeepEqual(ahead.Clocks, spot.Clocks) || !reflect.DeepEqual(ahead.Counters, spot.Counters) {
+		t.Errorf("contention: clocks %v with run-ahead, %v on the spot", ahead.Clocks, spot.Clocks)
+	}
+
 	evictions = 0
 	var invalidations int64
 	for _, c := range runProgram(t, byName["eviction-mixed"], SCC, 4, 0, false).Counters {

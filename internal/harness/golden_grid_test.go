@@ -105,3 +105,36 @@ func TestGoldenGridCounters(t *testing.T) {
 		t.Fatalf("golden table has %d entries but grid produced %d cells", len(goldenGrid), i)
 	}
 }
+
+// TestGoldenFatTreeGrid pins every simulated observable of every selectable
+// cell on the fat tree — cycles, queueing, the busiest link — against
+// testdata/fattree_grid.golden: the bytes `lcmbench -cells <all eight>
+// -scale 16 -p 8 -net fattree -detjson` wrote at the last commit whose LCM
+// handlers priced their exchanges on the spot, in every configuration.  Where
+// an exchange is priced must not move a cycle.
+func TestGoldenFatTreeGrid(t *testing.T) {
+	cfg, err := Tuple{P: 8, Scale: 16, Net: "fattree"}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(io.Discard)
+	s.Cfg, s.Scale = cfg, 16
+	rows, err := s.RunCells(AllCells())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range Results(rows) {
+		if r.Err != nil {
+			t.Errorf("%s/%s: run failed: %v", r.Label(), r.System, r.Err)
+		}
+		if lcm := r.System != cstar.Copying; r.Host.RunAhead != lcm || (lcm && r.Host.Applies == 0) {
+			t.Errorf("%s/%s: run-ahead %v (%q), %d applies; want on for LCM, off for Copying",
+				r.Label(), r.System, r.Host.RunAhead, r.Host.Reason, r.Host.Applies)
+		}
+	}
+	got, err := MarshalDeterministic(s.Cfg, s.Scale, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fattree_grid", string(got))
+}

@@ -50,22 +50,28 @@ func TestCampaignGoldens(t *testing.T) {
 			if err := c.run(s); err != nil {
 				t.Fatalf("campaign failed:\n%v", err)
 			}
-			got := c.head + buf.String() + c.verdict
-			path := filepath.Join("testdata", c.name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("output drifted from %s (rerun with -update after a deliberate change):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, c.name, c.head+buf.String()+c.verdict)
 		})
+	}
+}
+
+// checkGolden holds got to the bytes of testdata/<name>.golden, or, under
+// -update, writes them.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s (rerun with -update after a deliberate change):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
 

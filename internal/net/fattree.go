@@ -10,8 +10,10 @@ package net
 // four (the CM-5's thinned upper tree), with the channel within a
 // bundle chosen by a deterministic hash of the endpoints.
 //
-// Queueing makes every charge depend on the order messages arrive in;
-// the scheduler token fixes that order, so cycle totals replay bit for bit.
+// Queueing makes every charge depend on the order messages arrive in.  That
+// order is the order handlers' effects are applied in — the grant order,
+// whether a handler yielded for its grant or posted and ran ahead of it — so
+// cycle totals replay bit for bit.
 type fatTree struct {
 	cfg Config
 
@@ -118,7 +120,7 @@ func (ft *fatTree) traverse(src, dst int, bytes, t int64, queue *int64) int64 {
 // network-interface injection only (plus any queueing for it); the body of
 // the message continues without the sender and still occupies channels
 // against later traffic.
-func (ft *fatTree) price(id classID, src, dst int, payload, now int64, queue *int64) int64 {
+func (ft *fatTree) price(id Class, src, dst int, payload, now int64, queue *int64) int64 {
 	cl := &classes[id]
 	// The payload rides the exchange's last leg.
 	reqBytes, replyBytes := ft.cfg.HeaderBytes, ft.cfg.HeaderBytes+payload
@@ -138,10 +140,6 @@ func (ft *fatTree) price(id classID, src, dst int, payload, now int64, queue *in
 	}
 	return t - now
 }
-
-// orderFree: a message queues behind whatever occupied its channels before
-// it, so charges depend on send order and send time.
-func (ft *fatTree) orderFree() bool { return false }
 
 func (ft *fatTree) linkStats() LinkStats {
 	ls := LinkStats{Links: len(ft.chs)}

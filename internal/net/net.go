@@ -8,7 +8,7 @@
 //
 // A protocol exchange is a row of one class table (classes): the kinds it
 // counts, whether a reply is routed, whether the sender waits for the
-// traversal.  One Network type accounts every exchange in one place (send)
+// traversal.  One Network type accounts every exchange in one place (Send)
 // — messages, bytes and queueing cycles into the calling node's
 // net.Counters, which internal/stats embeds per node — and, when the run's
 // fault plan makes delivery unreliable, loses and re-sends it in one place
@@ -26,6 +26,11 @@
 //     selects a different schedule than the uniform model's, so
 //     order-dependent observables legitimately differ between the two.  It
 //     is an analysis mode, not a goldens mode.
+//
+// A price may depend on when an exchange is sent and on what was sent before
+// it, so every Send happens at its handler's position in the grant order: a
+// handler that runs ahead of the scheduler token records the exchange and
+// whoever applies its effect sends it (tempest.Node.Send).
 package net
 
 import (
@@ -141,25 +146,26 @@ type class struct {
 	detached bool
 }
 
-// classID indexes the class table.
-type classID int
+// Class names a row of the class table: one kind of protocol exchange.  A
+// split handler records it on its tempest.Effect, so one byte.
+type Class uint8
 
 const (
-	// roundTrip is a blocking request/response exchange with the payload on
-	// the reply.
-	roundTrip classID = iota
-	// timeout is a request whose reply never arrived (fault injection): the
-	// request is routed, the reply is not.
-	timeout
-	// forward is the home-to-owner forward leg of a three-hop miss.
-	forward
-	// upgrade is a no-data permission-upgrade round trip.
-	upgrade
-	// invalidate is one blocking invalidation of a remote copy: the writer
-	// must know the copy is dead before proceeding.
-	invalidate
-	// flush is a fire-and-forget writeback.
-	flush
+	// ClassRoundTrip is a blocking request/response exchange with the payload
+	// on the reply.
+	ClassRoundTrip Class = iota
+	// ClassTimeout is a request whose reply never arrived (fault injection):
+	// the request is routed, the reply is not.
+	ClassTimeout
+	// ClassForward is the home-to-owner forward leg of a three-hop miss.
+	ClassForward
+	// ClassUpgrade is a no-data permission-upgrade round trip.
+	ClassUpgrade
+	// ClassInvalidate is one blocking invalidation of a remote copy: the
+	// writer must know the copy is dead before proceeding.
+	ClassInvalidate
+	// ClassFlush is a fire-and-forget writeback.
+	ClassFlush
 
 	numClasses
 )
@@ -168,12 +174,12 @@ const (
 // uniform model's price array (uniform.go) and the table in PROTOCOLS.md
 // ("Message classes") have a row for each.
 var classes = [numClasses]class{
-	roundTrip:  {req: MsgMissRequest, reply: MsgDataReply, legs: 2},
-	timeout:    {req: MsgMissRequest, legs: 1},
-	forward:    {req: MsgForward, legs: 1},
-	upgrade:    {req: MsgUpgrade, reply: MsgUpgrade, legs: 2},
-	invalidate: {req: MsgInvalidate, legs: 1},
-	flush:      {req: MsgFlush, legs: 1, detached: true},
+	ClassRoundTrip:  {req: MsgMissRequest, reply: MsgDataReply, legs: 2},
+	ClassTimeout:    {req: MsgMissRequest, legs: 1},
+	ClassForward:    {req: MsgForward, legs: 1},
+	ClassUpgrade:    {req: MsgUpgrade, reply: MsgUpgrade, legs: 2},
+	ClassInvalidate: {req: MsgInvalidate, legs: 1},
+	ClassFlush:      {req: MsgFlush, legs: 1, detached: true},
 }
 
 // topology is what differs between interconnect models: the price of one
@@ -182,20 +188,17 @@ type topology interface {
 	name() string
 	// price returns the cycles src waits for one exchange of class id
 	// started at now, adding any time spent behind busy channels to *queue.
-	price(id classID, src, dst int, payload, now int64, queue *int64) int64
-	// orderFree reports whether price is a pure function of the message —
-	// its class, endpoints and payload.
-	orderFree() bool
+	price(id Class, src, dst int, payload, now int64, queue *int64) int64
 	linkStats() LinkStats
 }
 
 // Network is the interconnect consulted by the protocol layers.  Each
 // exchange method returns the virtual cycles to charge the calling node and
-// records the message(s) into c.  now is the caller's current virtual time,
-// used by contention-aware topologies to resolve queueing.
+// records the message(s) into c.  now is the sender's virtual time, used by
+// contention-aware topologies to resolve queueing.
 //
-// One node computes at a time (the scheduler token, DESIGN.md section 3a),
-// so a Network needs no synchronisation of its own.
+// One segment of the grant order runs at a time (the scheduler token,
+// DESIGN.md section 3a), so a Network needs no synchronisation of its own.
 type Network struct {
 	topo   topology
 	header int64
@@ -204,18 +207,19 @@ type Network struct {
 	lossy *reliable
 }
 
-// send runs one exchange of class id from src: it accounts the exchange
-// into c and prices it.  On a lossy network the exchange draws its fate
-// first (retransmit, reliable.go) and is priced once the retries are over.
+// Send runs one exchange of class id from src, started at now: it accounts
+// the exchange into c and returns the virtual cycles it costs src.  On a
+// lossy network the exchange draws its fate first (retransmit, reliable.go)
+// and is priced once the retries are over.
 // The timeout class is never classified: it prices an exchange already
 // declared lost, and drawing it a fate would inject twice.
 //
 // The loss test lives here, not in a wrapper: a front that chooses between
 // two seven-argument calls is past the inlining budget, and the reliable
 // path — every remote miss — would pay a call for it.
-func (nw *Network) send(id classID, src, dst int, payload, now int64, c *Counters) int64 {
+func (nw *Network) Send(id Class, src, dst int, payload, now int64, c *Counters) int64 {
 	var waste int64
-	if nw.lossy != nil && id != timeout {
+	if nw.lossy != nil && id != ClassTimeout {
 		waste = nw.retransmit(src, dst, now, c)
 	}
 	cl := &classes[id]
@@ -233,34 +237,34 @@ func (nw *Network) Name() string { return nw.topo.name() }
 // RoundTrip prices a blocking request/response exchange carrying payload
 // data bytes on the reply.
 func (nw *Network) RoundTrip(src, dst int, payload int64, now int64, c *Counters) int64 {
-	return nw.send(roundTrip, src, dst, payload, now, c)
+	return nw.Send(ClassRoundTrip, src, dst, payload, now, c)
 }
 
 // Timeout prices a request whose reply never arrived.
 func (nw *Network) Timeout(src, dst int, now int64, c *Counters) int64 {
-	return nw.send(timeout, src, dst, 0, now, c)
+	return nw.Send(ClassTimeout, src, dst, 0, now, c)
 }
 
 // Forward prices the home-to-owner forward leg of a three-hop miss.
 func (nw *Network) Forward(src, dst int, now int64, c *Counters) int64 {
-	return nw.send(forward, src, dst, 0, now, c)
+	return nw.Send(ClassForward, src, dst, 0, now, c)
 }
 
 // Upgrade prices a no-data permission-upgrade round trip.
 func (nw *Network) Upgrade(src, dst int, now int64, c *Counters) int64 {
-	return nw.send(upgrade, src, dst, 0, now, c)
+	return nw.Send(ClassUpgrade, src, dst, 0, now, c)
 }
 
 // Invalidate prices one blocking invalidation of a remote copy.
 func (nw *Network) Invalidate(src, dst int, now int64, c *Counters) int64 {
-	return nw.send(invalidate, src, dst, 0, now, c)
+	return nw.Send(ClassInvalidate, src, dst, 0, now, c)
 }
 
 // Flush prices a fire-and-forget writeback of payload data bytes: the
 // sender is charged injection only, but the message still occupies
 // channels for followers.
 func (nw *Network) Flush(src, dst int, payload int64, now int64, c *Counters) int64 {
-	return nw.send(flush, src, dst, payload, now, c)
+	return nw.Send(ClassFlush, src, dst, payload, now, c)
 }
 
 // Barrier accounts one barrier packet.  Barriers ride the CM-5 control
@@ -270,16 +274,6 @@ func (nw *Network) Barrier(node int, c *Counters) {
 	c.Msgs[MsgBarrier]++
 	c.Bytes += nw.header
 }
-
-// OrderFree reports whether every charge the network makes is a pure
-// function of the message — its class, endpoints and payload — so that
-// neither the order in which nodes send nor the time they send at can move
-// a cycle or a counter.  The uniform model is; a topology that queues
-// messages on shared channels is not, and neither is a lossy network, where
-// each message draws its fate from the sender's stream in send order.
-// Order-free networks are the ones under which handlers may run ahead of
-// the scheduler token (tempest.Machine.RunAhead).
-func (nw *Network) OrderFree() bool { return nw.lossy == nil && nw.topo.orderFree() }
 
 // LinkStats reports occupancy after the machine quiesces.
 func (nw *Network) LinkStats() LinkStats { return nw.topo.linkStats() }

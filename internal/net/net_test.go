@@ -87,7 +87,7 @@ func TestEveryClassBothModels(t *testing.T) {
 		}
 		return m
 	}
-	rows := map[classID]struct {
+	rows := map[Class]struct {
 		name    string
 		send    func(nw *Network, c *Counters) int64
 		msgs    [NumKinds]int64
@@ -96,21 +96,21 @@ func TestEveryClassBothModels(t *testing.T) {
 		fattree int64 // charge to the sender
 		busy    int64 // link occupancy the exchange leaves behind
 	}{
-		roundTrip: {"roundTrip", func(nw *Network, c *Counters) int64 { return nw.RoundTrip(src, dst, 32, 0, c) },
+		ClassRoundTrip: {"roundTrip", func(nw *Network, c *Counters) int64 { return nw.RoundTrip(src, dst, 32, 0, c) },
 			kinds(MsgMissRequest, MsgDataReply), 2*H + 32,
 			c.RemoteRoundTrip + 32*c.PerByte, oneWay(H) + oneWay(H+32), oneWay(H) + oneWay(H+32)},
-		timeout: {"timeout", func(nw *Network, c *Counters) int64 { return nw.Timeout(src, dst, 0, c) },
+		ClassTimeout: {"timeout", func(nw *Network, c *Counters) int64 { return nw.Timeout(src, dst, 0, c) },
 			kinds(MsgMissRequest), H, c.RemoteRoundTrip, oneWay(H), oneWay(H)},
-		forward: {"forward", func(nw *Network, c *Counters) int64 { return nw.Forward(src, dst, 0, c) },
+		ClassForward: {"forward", func(nw *Network, c *Counters) int64 { return nw.Forward(src, dst, 0, c) },
 			kinds(MsgForward), H, c.ThirdHop, oneWay(H), oneWay(H)},
-		upgrade: {"upgrade", func(nw *Network, c *Counters) int64 { return nw.Upgrade(src, dst, 0, c) },
+		ClassUpgrade: {"upgrade", func(nw *Network, c *Counters) int64 { return nw.Upgrade(src, dst, 0, c) },
 			kinds(MsgUpgrade, MsgUpgrade), 2 * H, c.Upgrade, 2 * oneWay(H), 2 * oneWay(H)},
-		invalidate: {"invalidate", func(nw *Network, c *Counters) int64 { return nw.Invalidate(src, dst, 0, c) },
+		ClassInvalidate: {"invalidate", func(nw *Network, c *Counters) int64 { return nw.Invalidate(src, dst, 0, c) },
 			kinds(MsgInvalidate), H, c.InvalidatePerCopy, oneWay(H), oneWay(H)},
-		flush: {"flush", func(nw *Network, c *Counters) int64 { return nw.Flush(src, dst, 16, 0, c) },
+		ClassFlush: {"flush", func(nw *Network, c *Counters) int64 { return nw.Flush(src, dst, 16, 0, c) },
 			kinds(MsgFlush), H + 16, c.FlushPerBlock + 16*c.PerByte, DefaultNICycles, oneWay(H + 16)},
 	}
-	for id := classID(0); id < numClasses; id++ {
+	for id := Class(0); id < numClasses; id++ {
 		row, ok := rows[id]
 		if !ok {
 			t.Errorf("class %d has no row in this test", id)

@@ -3,7 +3,7 @@ package net
 import "lcm/internal/fault"
 
 // reliable is the sequence-numbered ack/retransmission state that lets the
-// protocols survive an unreliable interconnect.  It sits in front of send
+// protocols survive an unreliable interconnect.  It sits in front of Send
 // at every protocol charge site — stache fetches, LCM flushes and merges,
 // invalidations, upgrades — and draws each message's fate from the fault
 // plan (fault.Injector.Classify) before pricing it:
@@ -13,7 +13,7 @@ import "lcm/internal/fault"
 //   - a dropped message is detected by ack timeout: the sender waits out
 //     one timeout window (the timeout class), backs off exponentially
 //     (fault.Injector.Backoff), and re-sends, up to the retry budget —
-//     every wasted cycle and re-sent message goes through send, so
+//     every wasted cycle and re-sent message goes through Send, so
 //     retransmissions show up in net_msgs and net_queue_cycles like any
 //     other traffic;
 //   - a duplicated message arrives with a stale sequence number and is
@@ -45,7 +45,7 @@ func (nw *Network) SetFaults(f *fault.Injector, p int) {
 
 // retransmit draws the fate of one exchange from src on a lossy network:
 // dropped sends are retried with timeout + backoff until one is delivered or
-// the retry budget runs out.  It returns the cycles wasted on the way; send
+// the retry budget runs out.  It returns the cycles wasted on the way; Send
 // prices the surviving exchange at the virtual time it finally happens.
 func (nw *Network) retransmit(src, dst int, now int64, c *Counters) (waste int64) {
 	r := nw.lossy
@@ -57,7 +57,7 @@ func (nw *Network) retransmit(src, dst int, now int64, c *Counters) (waste int64
 			if attempt > r.f.RetryBudget() {
 				panic(&fault.RetryExhaustedError{Node: src, Op: "retransmission", Attempts: attempt})
 			}
-			lost := nw.send(timeout, src, dst, 0, now+waste, c) + r.f.Backoff(attempt)
+			lost := nw.Send(ClassTimeout, src, dst, 0, now+waste, c) + r.f.Backoff(attempt)
 			waste += lost
 			c.Retransmits++
 			c.RetransCycles += lost

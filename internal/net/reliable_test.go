@@ -10,10 +10,11 @@ import (
 )
 
 // TestModelsCarryLoss checks both interconnect models under the
-// retransmission layer: without loss everything is delivered and the network
-// keeps its order-freedom; with a certain drop attached every attempt draws
-// one fate and the exchange gives up at the retry budget; and pricing — the
-// exchange that failed, each timeout window it waited out — never draws one.
+// retransmission layer: under a plan without delivery faults nothing is
+// re-sent; with a certain drop attached the network keeps its name, every
+// attempt draws one fate and the exchange gives up at the retry budget; and
+// pricing — the exchange that failed, each timeout window it waited out —
+// never draws one.
 func TestModelsCarryLoss(t *testing.T) {
 	c := cost.Default()
 	for _, model := range []string{"uniform", "fattree"} {
@@ -21,18 +22,16 @@ func TestModelsCarryLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orderFree := nw.OrderFree()
 		nw.SetFaults(fault.NewInjector(8, fault.Plan{Seed: 3, CorruptPerMil: 1000}), 8)
 		var ctr net.Counters
 		nw.RoundTrip(0, 1, 32, 0, &ctr)
-		if ctr.Retransmits != 0 || nw.OrderFree() != orderFree {
-			t.Errorf("%s under a plan without delivery faults: %d retransmissions, order-free %v",
-				model, ctr.Retransmits, nw.OrderFree())
+		if ctr.Retransmits != 0 {
+			t.Errorf("%s under a plan without delivery faults: %d retransmissions", model, ctr.Retransmits)
 		}
 		f := fault.NewInjector(8, fault.Plan{Seed: 3, DropPerMil: 1000})
 		nw.SetFaults(f, 8)
-		if nw.Name() != model || nw.OrderFree() {
-			t.Errorf("%s made lossy is named %q, order-free %v", model, nw.Name(), nw.OrderFree())
+		if nw.Name() != model {
+			t.Errorf("%s made lossy is named %q", model, nw.Name())
 		}
 		func() {
 			defer func() {

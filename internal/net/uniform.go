@@ -19,23 +19,20 @@ func NewUniform(c cost.Model, headerBytes int64) *Network {
 		headerBytes = DefaultHeaderBytes
 	}
 	return &Network{header: headerBytes, topo: &uniform{perByte: c.PerByte, flat: [numClasses]int64{
-		roundTrip:  c.RemoteRoundTrip,
-		timeout:    c.RemoteRoundTrip, // the lost exchange costs its full window
-		forward:    c.ThirdHop,
-		upgrade:    c.Upgrade,
-		invalidate: c.InvalidatePerCopy,
-		flush:      c.FlushPerBlock,
+		ClassRoundTrip:  c.RemoteRoundTrip,
+		ClassTimeout:    c.RemoteRoundTrip, // the lost exchange costs its full window
+		ClassForward:    c.ThirdHop,
+		ClassUpgrade:    c.Upgrade,
+		ClassInvalidate: c.InvalidatePerCopy,
+		ClassFlush:      c.FlushPerBlock,
 	}}}
 }
 
 func (u *uniform) name() string { return "uniform" }
 
-func (u *uniform) price(id classID, src, dst int, payload, now int64, queue *int64) int64 {
+func (u *uniform) price(id Class, src, dst int, payload, now int64, queue *int64) int64 {
 	return u.flat[id] + payload*u.perByte
 }
-
-// orderFree: every price is a constant of the class plus a payload term.
-func (u *uniform) orderFree() bool { return true }
 
 // linkStats reports nothing: the uniform model has no links.
 func (u *uniform) linkStats() LinkStats { return LinkStats{} }

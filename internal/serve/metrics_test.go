@@ -79,7 +79,7 @@ func TestSchedCollectorRunAheadCounters(t *testing.T) {
 	})
 	js.AddRecords([]RecordSample{
 		{Job: "j2", System: "lcm-mcc", Host: host("", 100, 4, 90)},
-		{Job: "j2", System: "lcm-mcc", Host: host("order-sensitive network", 70, 60, 0)},
+		{Job: "j2", System: "lcm-mcc", Host: host("fault plan", 70, 60, 0)},
 	})
 	got := map[string]float64{}
 	schedCollector{js}.Collect(func(m Metric) {
@@ -103,8 +103,8 @@ func TestSchedCollectorRunAheadCounters(t *testing.T) {
 		{"lcmd_sched_grants_total/off/protocol without split handlers", 500},
 		{"lcmd_sched_handoffs_total/off/protocol without split handlers", 480},
 		{"lcmd_sched_deferred_applies_total/off/protocol without split handlers", 0},
-		{"lcmd_sched_records_total/off/order-sensitive network", 1},
-		{"lcmd_sched_handoffs_total/off/order-sensitive network", 60},
+		{"lcmd_sched_records_total/off/fault plan", 1},
+		{"lcmd_sched_handoffs_total/off/fault plan", 60},
 	} {
 		if v, ok := got[tc.key]; !ok || v != tc.want {
 			t.Errorf("%s = %v (present=%v), want %v", tc.key, v, ok, tc.want)

@@ -2,6 +2,7 @@ package tempest
 
 import (
 	"lcm/internal/memsys"
+	"lcm/internal/net"
 )
 
 // This file is the machine side of run-ahead (internal/sched has the
@@ -26,6 +27,12 @@ import (
 // token, and the scheduler applies the effect at exactly the position in the
 // grant order where the yield would have resumed.  The handler body cannot
 // tell the difference, and neither can any simulated observable.
+//
+// A handler's message to the block's home is part of the shared half: what
+// it costs depends on the sender's clock and on the traffic sent before it.
+// The handler sends through Node.Send, after Emit, and the exchange is
+// priced when the effect is applied, not when it is posted (DESIGN.md
+// "Priced where it is ordered").
 
 // Effect is the shared half of a split protocol handler.  Kind, Mask and
 // Data are the protocol's to define; Data is a block-sized buffer owned by
@@ -33,7 +40,10 @@ import (
 // (the local half may overwrite the originals long before the effect is
 // applied).
 type Effect struct {
-	Kind  uint8
+	Kind uint8
+	// class, dst and payload are the exchange a posted handler sent
+	// (Node.Send); dst < 0 when it sent none.
+	class net.Class
 	Block memsys.BlockID
 	Mask  uint64
 	Data  []byte
@@ -41,7 +51,8 @@ type Effect struct {
 	// clock is the node's local clock — stolen cycles excluded — at
 	// EnterHandler; the effect's scheduling key is this plus the stolen
 	// cycles at the time the key is taken.
-	clock int64
+	clock        int64
+	dst, payload int32
 }
 
 // EffectApplier is implemented by protocols whose handlers are split; it
@@ -67,8 +78,6 @@ const effectRing = 64
 //   - nothing restructures a handler's charges mid-flight (a fault plan:
 //     injected faults, delivery loss, recovery replay) or timestamps its
 //     steps (a trace);
-//   - the interconnect prices a message without looking at the clock or at
-//     earlier traffic;
 //   - the protocol's handlers are split.
 //
 // Which regions the address space holds does not enter: run-ahead is per
@@ -87,8 +96,6 @@ func (m *Machine) RunAhead() (on bool, reason string) {
 		return false, "fault plan"
 	case m.Trace != nil:
 		return false, "protocol trace"
-	case !m.Net.OrderFree():
-		return false, "order-sensitive network"
 	case m.applier == nil:
 		return false, "protocol without split handlers"
 	}
@@ -132,7 +139,7 @@ func (n *Node) EnterHandler(b memsys.BlockID) *Effect {
 		n.SchedYield()
 	}
 	e := &n.fx[slot]
-	e.Block, e.Mask, e.clock = b, 0, n.clock
+	e.Block, e.Mask, e.clock, e.dst = b, 0, n.clock, -1
 	return e
 }
 
@@ -159,14 +166,45 @@ func (n *Node) Emit(e *Effect) {
 	}
 }
 
+// Send is the exchange of class cl, carrying payload bytes, that the handler
+// which emitted e has with node dst; the handler calls it after Emit, where
+// it charged the exchange when the charge was its own to make.  On the spot
+// it still is: the node's clock is the schedule's, and the exchange is priced
+// and charged here.  A posted handler records the exchange on e, which stays
+// the poster's until its next scheduling call, and applyHead prices it.  A
+// posted handler charges nothing between EnterHandler and Send, so the record
+// keeps one clock for both, and Send panics on one that does (what does
+// charge in between — Install healing a corrupted transfer — needs a fault
+// plan, which is on the spot).
+func (n *Node) Send(e *Effect, cl net.Class, dst int, payload int64) {
+	if !n.runAhead {
+		n.clock += n.M.Net.Send(cl, n.ID, dst, payload, n.Clock(), &n.Ctr.Net)
+		return
+	}
+	if n.clock != e.clock {
+		panic("tempest: a posted handler charged its clock before its Send")
+	}
+	e.class, e.dst, e.payload = cl, int32(dst), int32(payload)
+}
+
 // applyHead is the scheduler's sched.ApplyFunc: it applies the oldest
-// effect in node's log and returns the key of the next, read now.
+// effect in node's log, sends what its handler sent, and returns the key of
+// the next, read now.
+//
+// The exchange is priced here because here is where it is ordered: the
+// channels are as every send granted earlier left them, and e.clock plus
+// n.stolen is the clock the handler would have sent at had it yielded for
+// this grant.  The price goes to stolen, not clock: the records behind e
+// captured their clocks without it, and their keys are read with stolen added.
 func (m *Machine) applyHead(node int) (next int64, more bool) {
 	n := m.Nodes[node]
 	e := &n.fx[n.fxHead]
 	n.fxHead = (n.fxHead + 1) & (len(n.fx) - 1)
 	n.fxLen--
 	m.applier.ApplyEffect(n, e)
+	if e.dst >= 0 {
+		n.stolen += m.Net.Send(e.class, n.ID, int(e.dst), int64(e.payload), e.clock+n.stolen, &n.Ctr.Net)
+	}
 	if n.fxLen == 0 {
 		return 0, false
 	}

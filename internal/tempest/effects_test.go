@@ -13,9 +13,9 @@ import (
 )
 
 // splitProtocol is the smallest protocol with split handlers: a read fault
-// installs the home image locally and posts one effect, which steals a
-// cycle from the block's home, records the order effects were applied in,
-// and fails on demand.
+// installs the home image locally, posts one effect — which steals a cycle
+// from the block's home, records the order effects were applied in, and
+// fails on demand — and sends a round trip to a remote home.
 type splitProtocol struct {
 	fakeProtocol
 	applied []int // poster of each effect, in application order
@@ -29,7 +29,11 @@ func (p *splitProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
 	l := n.Install(b, p.m.AS.HomeData(b), TagReadOnly)
 	n.Emit(fx)
 	n.Ctr.Misses++
-	n.Charge(10)
+	if home := p.m.AS.HomeOf(b); home != n.ID {
+		n.Send(fx, net.ClassRoundTrip, home, int64(p.m.AS.BlockSize))
+	} else {
+		n.Charge(10)
+	}
 	return l
 }
 
@@ -57,6 +61,10 @@ func newSplitMachine(p int, kind memsys.Kind, prep func(*Machine)) (*Machine, *s
 	return m, pr, r
 }
 
+// fatTree puts m on a CM-5 fat tree, where what an exchange costs depends on
+// when it is sent and on what was sent before it.
+func fatTree(m *Machine) { m.SetNetwork(net.NewFatTree(net.Config{}, m.P)) }
+
 // TestRunAheadPredicate: run-ahead is derived from the machine, never
 // configured, and every way of losing it names its reason.
 func TestRunAheadPredicate(t *testing.T) {
@@ -72,9 +80,11 @@ func TestRunAheadPredicate(t *testing.T) {
 		{"loss", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, DropPerMil: 5}) }, "fault plan"},
 		{"recovery", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Recover: true}) }, "fault plan"},
 		{"trace", memsys.KindLCM, func(m *Machine) { m.AttachTrace(16) }, "protocol trace"},
-		{"fat tree", memsys.KindLCM, func(m *Machine) {
-			m.SetNetwork(net.NewFatTree(net.Config{}, m.P))
-		}, "order-sensitive network"},
+		{"fat tree → on", memsys.KindLCM, fatTree, ""},
+		{"lossy fat tree", memsys.KindLCM, func(m *Machine) {
+			fatTree(m)
+			m.AttachFaults(fault.Plan{Seed: 1, DropPerMil: 5})
+		}, "fault plan"},
 		{"unsplit protocol", memsys.KindLCM, func(m *Machine) { m.SetProtocol(&fakeProtocol{}) }, "protocol without split handlers"},
 		{"coherent region → on", memsys.KindCoherent, nil, ""},
 	}
@@ -88,11 +98,17 @@ func TestRunAheadPredicate(t *testing.T) {
 }
 
 // TestRunAheadKeepsClocksAndOrder: the split protocol's effects are applied
-// in the same order, and steal the same cycles, whether they are posted or
-// applied on the spot; only the number of goroutine hand-offs differs.
+// in the same order, steal the same cycles and — on either network — pay the
+// same prices and wait in the same queues whether they are posted or applied
+// on the spot; only the number of coroutine hand-offs differs.
 func TestRunAheadKeepsClocksAndOrder(t *testing.T) {
-	run := func(onTheSpot bool) ([]int, []int64, sched.Stats) {
-		m, pr, r := newSplitMachine(4, memsys.KindLCM, nil)
+	t.Run("uniform", func(t *testing.T) { testRunAheadKeepsClocksAndOrder(t, nil) })
+	t.Run("fattree", func(t *testing.T) { testRunAheadKeepsClocksAndOrder(t, fatTree) })
+}
+
+func testRunAheadKeepsClocksAndOrder(t *testing.T, prep func(*Machine)) {
+	run := func(onTheSpot bool) ([]int, []int64, net.Counters, sched.Stats) {
+		m, pr, r := newSplitMachine(4, memsys.KindLCM, prep)
 		if onTheSpot {
 			m.SchedHook = func(*sched.Scheduler) {}
 		}
@@ -118,10 +134,10 @@ func TestRunAheadKeepsClocksAndOrder(t *testing.T) {
 		for i, nd := range m.Nodes {
 			clocks[i] = nd.Clock()
 		}
-		return pr.applied, clocks, m.Sched().Stats()
+		return pr.applied, clocks, m.TotalCounters().Net, m.Sched().Stats()
 	}
-	order, clocks, ahead := run(false)
-	wantOrder, wantClocks, spot := run(true)
+	order, clocks, traffic, ahead := run(false)
+	wantOrder, wantClocks, wantTraffic, spot := run(true)
 	if len(order) == 0 || len(order) != len(wantOrder) {
 		t.Fatalf("%d effects applied with run-ahead, %d on the spot", len(order), len(wantOrder))
 	}
@@ -135,6 +151,10 @@ func TestRunAheadKeepsClocksAndOrder(t *testing.T) {
 			t.Fatalf("final clocks differ: run-ahead %v, on the spot %v", clocks, wantClocks)
 		}
 	}
+	queues := prep != nil // the fat tree: four nodes faulting in step must wait for one another
+	if traffic != wantTraffic || traffic.TotalMsgs() == 0 || (queues && traffic.QueueCycles == 0) {
+		t.Errorf("network counters: run-ahead %+v, on the spot %+v", traffic, wantTraffic)
+	}
 	if ahead.Grants != spot.Grants {
 		t.Errorf("grants: %d with run-ahead, %d on the spot", ahead.Grants, spot.Grants)
 	}
@@ -142,7 +162,7 @@ func TestRunAheadKeepsClocksAndOrder(t *testing.T) {
 		t.Errorf("deferred applies: %d with run-ahead (want %d), %d on the spot (want 0)", ahead.Applies, len(order), spot.Applies)
 	}
 	if ahead.Handoffs*4 > spot.Handoffs {
-		t.Errorf("run-ahead made %d goroutine hand-offs, on the spot %d: expected a small fraction", ahead.Handoffs, spot.Handoffs)
+		t.Errorf("run-ahead made %d coroutine hand-offs, on the spot %d: expected a small fraction", ahead.Handoffs, spot.Handoffs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"lcm/internal/cstar"
 	"lcm/internal/memsys"
 	"lcm/internal/net"
+	"lcm/internal/sched"
 	"lcm/internal/tempest"
 )
 
@@ -158,6 +159,46 @@ func TestLCMChargeFormulas(t *testing.T) {
 		tc := m.TotalCounters()
 		if tc.Flushes != 2 || tc.WordsFlushed != 2 || tc.Marks != 3 {
 			t.Errorf("%v: counters: %+v", sys, tc)
+		}
+	}
+}
+
+// TestLCMFatTreePostedMissFormula: one poster, three read misses to one home
+// on a fat tree.  Each exchange is priced when its effect is applied, at the
+// poster's clock as the schedule has it — the local clock at the fault plus
+// the prices of the posts before it — so the three never meet in a channel
+// and the poster's clock is the uncontended NI/hop/serialization sum,
+// posted or on the spot.  (Priced at the local clock alone, the second
+// request would leave before the first reply arrived and queue behind it.)
+func TestLCMFatTreePostedMissFormula(t *testing.T) {
+	const H, bs = net.DefaultHeaderBytes, 32
+	oneWay := func(bytes int64) int64 { // node 1 and node 0 share a switch: two links
+		return 2*net.DefaultNICycles + 2*(net.DefaultHopCycles+bytes*net.DefaultCyclesPerByte)
+	}
+	for _, onTheSpot := range []bool{false, true} {
+		// P=4, 128 floats = 16 blocks: blocks 0-3 homed at node 0.
+		m, v, c := netdiffMachine(t, 4, 128, cstar.LCMscc)
+		m.SetNetwork(net.NewFatTree(net.Config{}, m.P))
+		if onTheSpot {
+			m.SchedHook = func(*sched.Scheduler) {}
+		}
+		m.Run(func(n *tempest.Node) {
+			if n.ID == 1 {
+				_ = v.Get(n, 0) + v.Get(n, 8) + v.Get(n, 16)
+			}
+		})
+		want := 3 * (oneWay(H) + oneWay(H+bs) + c.CacheHit)
+		if got := m.Nodes[1].Clock(); got != want {
+			t.Errorf("onTheSpot=%v: poster clock = %d, want %d", onTheSpot, got, want)
+		}
+		if got, want := m.Nodes[0].Clock(), 3*c.HomeOccupancy; got != want {
+			t.Errorf("onTheSpot=%v: home clock = %d, want %d", onTheSpot, got, want)
+		}
+		if q := m.Nodes[1].Ctr.Net.QueueCycles; q != 0 {
+			t.Errorf("onTheSpot=%v: the poster's own exchanges queued for %d cycles", onTheSpot, q)
+		}
+		if got := m.Sched().Stats().Applies; (got == 3) == onTheSpot {
+			t.Errorf("onTheSpot=%v: %d effects were posted", onTheSpot, got)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package workloads
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"lcm/internal/core"
 	"lcm/internal/cstar"
 	"lcm/internal/memsys"
+	"lcm/internal/net"
 	"lcm/internal/sched"
 	"lcm/internal/tempest"
 )
@@ -72,18 +74,25 @@ func runAheadRows() []diffRow {
 }
 
 // TestRunAheadMatchesOnTheSpotOnEveryLCMCell: every LCM grid cell, at
-// machine sizes from one node to past the nodeset word, on three schedules,
-// produces the same Result, node clocks, conflict log, grant count and
-// memory image whether its handlers run ahead of the token or yield at
+// machine sizes from one node to past the nodeset word (33 leaves are a
+// fat tree that is no power of four), on three schedules and three
+// interconnects — uniform, the fat tree, the fat tree with a quarter of the
+// link bandwidth — produces the same Result (queueing cycles and the busiest
+// link's occupancy are part of it), node clocks, conflict log, grant count
+// and memory image whether its handlers run ahead of the token or yield at
 // every fault.  All of them run ahead, the ones that keep a graph or a shard
-// map in coherent memory included: run-ahead is per region.
+// map in coherent memory included, on a network that queues included:
+// run-ahead is per region, and an exchange is priced where it is ordered.
 func TestRunAheadMatchesOnTheSpotOnEveryLCMCell(t *testing.T) {
+	nets := []*net.Config{nil, {Model: "fattree"}, {Model: "fattree", CyclesPerByte: 32}}
 	for _, row := range runAheadRows() {
 		t.Run(row.name, func(t *testing.T) {
 			for _, sys := range []cstar.System{cstar.LCMscc, cstar.LCMmcc} {
 				for _, p := range []int{1, 4, 8, 33} {
 					for _, seed := range []uint64{0, 1, 7} {
-						diffRunAhead(t, row, sys, Config{P: p, Verify: true, SchedSeed: seed})
+						for _, nw := range nets {
+							diffRunAhead(t, row, sys, Config{P: p, Verify: true, SchedSeed: seed, Net: nw})
+						}
 					}
 				}
 			}
@@ -95,32 +104,38 @@ func TestRunAheadMatchesOnTheSpotOnEveryLCMCell(t *testing.T) {
 // compares everything the two runs leave behind.
 func diffRunAhead(t *testing.T, row diffRow, sys cstar.System, cfg Config) {
 	t.Helper()
-	p, seed := cfg.P, cfg.SchedSeed
 	ahead, aheadState := runObserved(row, sys, cfg, false)
 	spot, spotState := runObserved(row, sys, cfg, true)
+	where := fmt.Sprintf("%s P=%d seed=%d net=%s", sys, cfg.P, cfg.SchedSeed, ahead.Net)
+	if cfg.Net != nil {
+		where += fmt.Sprintf("/%d", cfg.Net.CyclesPerByte)
+	}
 	if ahead.Err != nil || spot.Err != nil {
-		t.Fatalf("%s P=%d seed=%d: run failed: run-ahead %v, on the spot %v", sys, p, seed, ahead.Err, spot.Err)
+		t.Fatalf("%s: run failed: run-ahead %v, on the spot %v", where, ahead.Err, spot.Err)
 	}
 	if !ahead.Host.RunAhead || ahead.Host.Reason != "" || ahead.Host.Applies == 0 {
-		t.Errorf("%s P=%d: run-ahead %v (%q), %d applies; want on",
-			sys, p, ahead.Host.RunAhead, ahead.Host.Reason, ahead.Host.Applies)
+		t.Errorf("%s: run-ahead %v (%q), %d applies; want on",
+			where, ahead.Host.RunAhead, ahead.Host.Reason, ahead.Host.Applies)
 	}
 	if spot.Host.RunAhead || spot.Host.Reason != "scheduler hook" || spot.Host.Applies != 0 {
-		t.Errorf("%s P=%d: hooked run: run-ahead %v (%q), %d applies", sys, p, spot.Host.RunAhead, spot.Host.Reason, spot.Host.Applies)
+		t.Errorf("%s: hooked run: run-ahead %v (%q), %d applies", where, spot.Host.RunAhead, spot.Host.Reason, spot.Host.Applies)
+	}
+	if cfg.Net != nil && cfg.P > 1 && (ahead.C.Net.QueueCycles == 0 || ahead.Links.MaxBusy == 0) {
+		t.Errorf("%s: nothing queued (%d cycles) on links busy at most %d cycles", where, ahead.C.Net.QueueCycles, ahead.Links.MaxBusy)
 	}
 	ahead.Host, spot.Host = HostStats{}, HostStats{}
 	if !reflect.DeepEqual(ahead, spot) {
-		t.Errorf("%s P=%d seed=%d: Results differ:\n run-ahead   %+v\n on the spot %+v", sys, p, seed, ahead, spot)
+		t.Errorf("%s: Results differ:\n run-ahead   %+v\n on the spot %+v", where, ahead, spot)
 	}
 	if !reflect.DeepEqual(aheadState, spotState) {
 		for i := range aheadState.Clocks {
 			if aheadState.Clocks[i] != spotState.Clocks[i] {
-				t.Errorf("%s P=%d seed=%d: node %d clock %d with run-ahead, %d on the spot", sys, p, seed, i, aheadState.Clocks[i], spotState.Clocks[i])
+				t.Errorf("%s: node %d clock %d with run-ahead, %d on the spot", where, i, aheadState.Clocks[i], spotState.Clocks[i])
 				break
 			}
 		}
-		t.Errorf("%s P=%d seed=%d: machine state differs (steps %d vs %d, %d vs %d conflicts, memory equal: %v)",
-			sys, p, seed, aheadState.Steps, spotState.Steps, len(aheadState.Conflicts), len(spotState.Conflicts),
+		t.Errorf("%s: machine state differs (steps %d vs %d, %d vs %d conflicts, memory equal: %v)",
+			where, aheadState.Steps, spotState.Steps, len(aheadState.Conflicts), len(spotState.Conflicts),
 			reflect.DeepEqual(aheadState.Memory, spotState.Memory))
 	}
 }
