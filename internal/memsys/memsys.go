@@ -360,7 +360,9 @@ func (as *AddressSpace) Regions() []*Region { return as.regions }
 
 // HomeData returns the home ("main memory") image of block b.  Protocol
 // handlers mutate it while a run is under way; initialization code may write
-// it freely before the machine starts running.
+// it freely before the machine starts running.  A tempest home line (any
+// line but an LCM protocol's copy of a loosely coherent block) is this slice
+// itself, so a write to it is seen by every node holding the block.
 func (as *AddressSpace) HomeData(b BlockID) []byte {
 	base := uint64(b) << as.blockShift
 	return as.data[base : base+uint64(as.BlockSize) : base+uint64(as.BlockSize)]
@@ -368,7 +370,8 @@ func (as *AddressSpace) HomeData(b BlockID) []byte {
 
 // HomeBytes exposes the raw home image for a byte range, for sequential
 // initialization and verification outside the protocol (for example,
-// loading the initial mesh and checking final answers).
+// loading the initial mesh and checking final answers), and for tempest's
+// span run path, which moves a run of permitted home lines in one copy.
 func (as *AddressSpace) HomeBytes(a Addr, n int) []byte {
 	return as.data[a : a+Addr(n)]
 }

@@ -59,16 +59,18 @@ func (ft *fatTree) niOut(node int) int { return 2 * node }
 func (ft *fatTree) niIn(node int) int  { return 2*node + 1 }
 
 // upChan returns the channel index for the up-link out of child subtree
-// `child` at level l (1-based), bundle slot h.
+// `child` at level l (1-based), bundle slot h mod the multiplicity.  A
+// multiplicity is 1, 2 or 4 and h is never negative, so the slot is a mask,
+// not a divide.
 func (ft *fatTree) upChan(l, child, h int) int {
 	mul := ft.levelMul[l-1]
-	return ft.levelOff[l-1] + child*mul*2 + h%mul
+	return ft.levelOff[l-1] + child*mul*2 + h&(mul-1)
 }
 
 // downChan is the matching down-link into child subtree `child`.
 func (ft *fatTree) downChan(l, child, h int) int {
 	mul := ft.levelMul[l-1]
-	return ft.levelOff[l-1] + child*mul*2 + mul + h%mul
+	return ft.levelOff[l-1] + child*mul*2 + mul + h&(mul-1)
 }
 
 // lca returns the tree level of src and dst's least common ancestor

@@ -19,6 +19,10 @@ import (
 //   - stateExcl: exactly the owner holds a copy, read-write; nobody else
 //     holds any access.
 //   - No line anywhere carries TagPrivate (that tag belongs to LCM).
+//   - Every installed line's data is the block's home image itself, not a
+//     copy of it (tempest's home lines), whatever its tag: that is what
+//     lets a coherent store write memory once and a handler serve any
+//     block from the home image.
 //
 // The audit runs in two passes.  The block-major pass checks the sparse
 // positive obligations (recorded sharers and owners really hold their
@@ -63,8 +67,14 @@ func (p *Protocol) CheckInvariants() error {
 					break // unallocated arena tail
 				}
 				b := l.Block()
+				if p.m.AS.RegionOfBlock(b).Kind != memsys.KindCoherent {
+					continue
+				}
+				if home := p.m.AS.HomeData(b); len(l.Data) != len(home) || &l.Data[0] != &home[0] {
+					return fmt.Errorf("stache: node %d's line for block %d is a copy, not the home image", id, b)
+				}
 				tag := l.Tag()
-				if tag == tempest.TagInvalid || p.m.AS.RegionOfBlock(b).Kind != memsys.KindCoherent {
+				if tag == tempest.TagInvalid {
 					continue
 				}
 				if tag == tempest.TagPrivate {

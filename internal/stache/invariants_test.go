@@ -35,6 +35,13 @@ func TestInvariantsAfterScriptedScenarios(t *testing.T) {
 	if err := pr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// A coherent line that is a copy of its block rather than the home
+	// image is a violation whatever its tag: a store to it would miss memory.
+	l := m.Nodes[1].Line(m.AS.Block(r.Base))
+	l.Data = append([]byte(nil), l.Data...)
+	if err := pr.CheckInvariants(); err == nil {
+		t.Fatal("audit accepted a coherent line holding a copy of its block")
+	}
 }
 
 // Property: any barrier-separated random single-writer access pattern

@@ -12,10 +12,11 @@ import (
 // tag violation.  Accesses must not straddle block boundaries; the C**
 // runtime allocates aggregates element-aligned so they never do.
 //
-// The span accessors in access_span.go funnel into loadSeg/storeAt; the
-// scalar accessors Read and Write are those two sequences with k=1 flattened
-// in.  The only difference is how many permitted accesses a single tag check
-// amortizes.  Data is read and written through the typed view of the line
+// The span accessors in access_span.go funnel into loadSeg/storeAt, block by
+// block, wherever their run path (homeRun) stops; the scalar accessors Read
+// and Write are those two sequences with k=1 flattened in.  The only
+// difference is how many permitted accesses a single tag check amortizes.
+// Data is read and written through the typed view of the line
 // (internal/memsys/view.go), in host order, never decoded; see "Fast-path
 // invariants" in DESIGN.md for what was measured.
 
@@ -25,10 +26,10 @@ import (
 // assigned once and never reassigned, so a stale MRU entry can at worst
 // carry a revoked tag, which the check catches.
 //
-// An ordered line is withheld — nil, as if never installed — while the
-// node's effect log is non-empty: the caller falls into its fault path, whose
-// first step (hitAfterDrain) drains and looks again.  The MRU path needs no
-// such test because Emit keeps ordered lines out of the MRU while posts are
+// A home line is withheld — nil, as if never installed — while the node's
+// effect log is non-empty: the caller falls into its fault path, whose first
+// step (hitAfterDrain) drains and looks again.  The MRU path needs no such
+// test because Emit keeps home lines out of the MRU while posts are
 // outstanding.  The drain is not called from here: it would cost lineFor its
 // inlining, and every access a call (DESIGN.md "Run-ahead").
 func (n *Node) lineFor(b memsys.BlockID) *Line {
@@ -37,9 +38,9 @@ func (n *Node) lineFor(b memsys.BlockID) *Line {
 	}
 	l := n.lines[b]
 	if l != nil {
-		// The flag first: a machine that never sets it reads one more byte
-		// of a line it is about to tag-check and nothing else.
-		if l.ordered && n.fxLen != 0 {
+		// The flag first: an LCM line reads one more byte of a line it is
+		// about to tag-check and nothing else.
+		if l.home && n.fxLen != 0 {
 			return nil
 		}
 		n.mruBlock, n.mruLine = b, l
@@ -98,9 +99,14 @@ func (n *Node) loadSeg(b memsys.BlockID, k int64) *Line {
 	if l == nil || l.Tag() < TagReadOnly {
 		l = n.loadFault(b)
 	}
+	n.hits(k)
+	return l
+}
+
+// hits charges k permitted accesses.
+func (n *Node) hits(k int64) {
 	n.clock += k * n.M.Cost.CacheHit
 	n.Ctr.Hits += k
-	return l
 }
 
 // Read is the scalar load fast path — loadSeg with k=1 flattened in, so a
@@ -122,16 +128,16 @@ func Read[T memsys.Word](n *Node, a memsys.Addr) T {
 }
 
 // storeAt is the span store sequence: it stores src at address a — one tag
-// check and one fault for the whole segment — and charges k permitted
-// stores.
+// check and one fault for the whole segment — charges k permitted stores and
+// returns the line it stored to.
 //
-// Stores to private (LCM) copies touch only the node-local line.  Stores to
-// coherent exclusive copies additionally write through to the home image, so
-// protocol handlers serve the current value of any coherent block from the
-// home image and never read another node's line buffer.  The write-through
-// is a simulation mechanism, not a modelled cost: a permitted store still
-// charges one cache hit per element.
-func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) {
+// Stores to private (LCM) copies touch only the node-local line.  A coherent
+// exclusive copy is a home line, so its store is the store to the home image
+// that protocol handlers serve the block's current value from: they never
+// read another node's line buffer, and a permitted store charges one cache
+// hit per element like any other.  No scheduling point lies between the tag
+// check and the copy, so the line cannot be revoked under the store.
+func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) *Line {
 	b, off := n.M.AS.Split(a)
 	if off+uint32(len(src)) > n.M.AS.BlockSize {
 		panic(fmt.Sprintf("tempest: store of %d bytes at %#x straddles block boundary", len(src), a))
@@ -140,26 +146,20 @@ func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) {
 	if l == nil || l.Tag() < TagReadWrite {
 		l = n.storeFault(b)
 	}
-	n.clock += k * n.M.Cost.CacheHit
-	n.Ctr.Hits += k
-	if l.Tag() == TagPrivate {
-		copy(l.Data[off:], src)
-		if n.M.trackWrites {
-			n.recordWrite(b, l, off, uint32(len(src)))
-		}
-		return
-	}
-	// No scheduling point lies between the tag check and the copies, so the
-	// line cannot be revoked under the store.
-	n.M.Lock(b)
+	n.hits(k)
 	copy(l.Data[off:], src)
-	copy(n.M.AS.HomeData(b)[off:], src)
+	if l.Tag() != TagPrivate {
+		n.M.Lock(b)
+	} else if n.M.trackWrites {
+		n.recordWrite(b, l, off, uint32(len(src)))
+	}
+	return l
 }
 
 // Write is the scalar store fast path: storeAt with k=1 flattened in and its
-// copies replaced by typed stores through the view (a copy whose length the
-// compiler cannot see is a call to memmove, twice per coherent store; see
-// DESIGN.md for what that cost).
+// copy replaced by a typed store through the view (a copy whose length the
+// compiler cannot see is a call to memmove; see DESIGN.md for what that
+// cost).
 func Write[T memsys.Word](n *Node, a memsys.Addr, v T) {
 	b, off := n.M.AS.Split(a)
 	size := memsys.SizeOf[T]()
@@ -173,14 +173,11 @@ func Write[T memsys.Word](n *Node, a memsys.Addr, v T) {
 	n.clock += n.M.Cost.CacheHit
 	n.Ctr.Hits++
 	*memsys.At[T](l.Data, off) = v
-	if l.Tag() == TagPrivate {
-		if n.M.trackWrites {
-			n.recordWrite(b, l, off, size)
-		}
-		return
+	if l.Tag() != TagPrivate {
+		n.M.Lock(b)
+	} else if n.M.trackWrites {
+		n.recordWrite(b, l, off, size)
 	}
-	n.M.Lock(b)
-	*memsys.At[T](n.M.AS.HomeData(b), off) = v
 }
 
 // ReadU32 loads a 32-bit word.

@@ -8,6 +8,7 @@ import (
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
+	"lcm/internal/sched"
 	"lcm/internal/stats"
 )
 
@@ -90,11 +91,14 @@ type spanRun struct {
 	clock       int64
 	ctr         stats.NodeCounters
 	faults      []fakeFault
+	stored      []uint32 // the model checker's store footprint, repeats collapsed
 }
 
 func runSpanPattern(t *testing.T, scalar bool, cacheLines, passes int) spanRun {
 	m, r := newTestMachine(t, 1, 256)
 	m.ScalarAccess, m.CacheLines = scalar, cacheLines
+	var s *sched.Scheduler
+	m.SchedHook = func(sc *sched.Scheduler) { sc.EnableRecording(); s = sc }
 	fillHome(m, r)
 	var out spanRun
 	m.Run(func(n *Node) {
@@ -105,6 +109,16 @@ func runSpanPattern(t *testing.T, scalar bool, cacheLines, passes int) spanRun {
 	out.image = m.AS.HomeBytes(r.Base, int(r.Size))
 	out.clock, out.ctr = m.Nodes[0].Clock(), m.Nodes[0].Ctr
 	out.faults = m.protocol.(*fakeProtocol).order
+	for _, seg := range s.Segments() {
+		for _, b := range seg.Blocks {
+			if len(out.stored) == 0 || out.stored[len(out.stored)-1] != b {
+				out.stored = append(out.stored, b)
+			}
+		}
+	}
+	if len(out.stored) == 0 {
+		t.Fatalf("no store footprint recorded")
+	}
 	return out
 }
 
@@ -125,17 +139,111 @@ func (got spanRun) diff(t *testing.T, want spanRun) {
 	if !slices.Equal(got.faults, want.faults) {
 		t.Errorf("per-block fault order:\n span   %v\n scalar %v", got.faults, want.faults)
 	}
+	if !slices.Equal(got.stored, want.stored) {
+		t.Errorf("store footprint:\n span   %v\n scalar %v", got.stored, want.stored)
+	}
 }
 
-// TestSpanScalarEquivalence runs the table through the span engine and
-// through the per-element fallback on two identical machines and asserts
-// that the answers, the clock, every counter, the order in which blocks
-// faulted and the final home image are bit-identical.
+// postProtocol is fakeProtocol split the way LCM is: a fault on a loosely
+// coherent block posts an effect — the machine runs ahead, having no plan,
+// trace or hook — and installs a read-only or private copy of its own; a
+// coherent block faults as in fakeProtocol, onto a home line.
+type postProtocol struct {
+	fakeProtocol
+}
+
+func (f *postProtocol) ApplyEffect(*Node, *Effect) {}
+
+func (f *postProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
+	return f.fault(n, b, false, TagReadOnly)
+}
+
+func (f *postProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
+	return f.fault(n, b, true, TagPrivate)
+}
+
+func (f *postProtocol) fault(n *Node, b memsys.BlockID, write bool, loose Tag) *Line {
+	if f.m.AS.RegionOfBlock(b).Kind == memsys.KindCoherent {
+		if write {
+			return f.fakeProtocol.WriteFault(n, b)
+		}
+		return f.fakeProtocol.ReadFault(n, b)
+	}
+	f.order = append(f.order, fakeFault{b, write})
+	n.Ctr.Misses++
+	n.Emit(n.EnterHandler(b))
+	return n.Install(b, f.m.AS.HomeData(b), loose)
+}
+
+// runLongSpans runs spans of 80 blocks — long enough that the run path covers
+// 64 and more in one copy — on one node of a machine holding a coherent and a
+// loosely coherent region under postProtocol: cold and warm, meeting a revoked
+// block mid-run, ending mid-block, copying between home lines and into
+// private ones, and issued while posts are outstanding, which must take the
+// per-block path and so drain.
+func runLongSpans(t *testing.T, scalar bool) spanRun {
+	const blocks = 80
+	const span = blocks * 8 // float32s in 80 32-byte blocks
+	m := New(1, 32, cost.Uniform(1))
+	coh := m.AS.Alloc("coh", 2*blocks*32+64, memsys.KindCoherent, memsys.Interleaved)
+	loose := m.AS.Alloc("loose", blocks*32+64, memsys.KindLCM, memsys.Interleaved)
+	p := &postProtocol{}
+	m.SetProtocol(p)
+	m.Freeze()
+	m.ScalarAccess = scalar
+	fillHome(m, coh)
+	fillHome(m, loose)
+	var out spanRun
+	m.Run(func(n *Node) {
+		row := make([]float32, span)
+		read := func(a memsys.Addr, dst []float32) {
+			ReadSpan(n, a, dst)
+			out.seen = append(out.seen, memsys.Bytes(dst)...)
+		}
+		read(coh.Base, row) // cold: every block faults, in order
+		for i := range row {
+			row[i] += 1
+		}
+		WriteSpan(n, coh.Base, row) // warm: one run
+		n.Line(m.AS.Block(coh.Base + 40*32)).SetTag(TagInvalid)
+		read(coh.Base+4, row[:span-3])          // meets the revoked block; ends mid-block
+		WriteSpan(n, coh.Base+12, row[:span-5]) // a store run ending mid-block
+		for pass := 0; pass < 2; pass++ {       // both sides home lines: cold, then one run
+			CopySpan[float32](n, coh.Base+blocks*32+8, coh.Base+4, span-4)
+		}
+		n.WriteF32(loose.Base, 7) // a private copy: its handler posts
+		if n.fxLen == 0 {
+			t.Errorf("a loosely coherent store fault left nothing posted")
+		}
+		read(coh.Base, row)
+		if n.fxLen != 0 {
+			t.Errorf("a span over home lines with %d posts outstanding did not drain", n.fxLen)
+		}
+		CopySpan[float32](n, loose.Base+16, coh.Base+4, span-4) // into private copies
+		read(loose.Base+16, row[:span-4])
+	})
+	out.image = m.AS.HomeBytes(coh.Base, int(loose.End()-coh.Base)) // both regions
+	out.clock, out.ctr = m.Nodes[0].Clock(), m.Nodes[0].Ctr
+	out.faults = p.order
+	return out
+}
+
+// TestSpanScalarEquivalence runs the table, and the long spans the run path
+// moves in one copy, through the span engine and through the per-element
+// fallback on two identical machines and asserts that the answers, the
+// clock, every counter, the order in which blocks faulted, the final home
+// image and (for the table, which posts nothing) the store footprint the
+// model checker records are identical.
 func TestSpanScalarEquivalence(t *testing.T) {
 	span := runSpanPattern(t, false, 0, 1)
 	span.diff(t, runSpanPattern(t, true, 0, 1))
 	if len(span.faults) == 0 || span.ctr.Hits == 0 {
 		t.Errorf("pattern faulted %d times and hit %d: nothing was compared", len(span.faults), span.ctr.Hits)
+	}
+	long := runLongSpans(t, false)
+	long.diff(t, runLongSpans(t, true))
+	if len(long.faults) < 3*80 {
+		t.Errorf("long spans faulted %d times: the cold spans did not fault block by block", len(long.faults))
 	}
 }
 
@@ -212,10 +320,14 @@ func TestSpanChargesPerElement(t *testing.T) {
 }
 
 // privProtocol installs write-faulting blocks as private copies, the way
-// LCM does, so the WMask recording path is exercised.
+// LCM does, so the WMask recording path is exercised.  Like LCM it is split
+// (it never posts): only a split protocol's lines outside coherent regions
+// have buffers of their own to be private in.
 type privProtocol struct {
 	fakeProtocol
 }
+
+func (f *privProtocol) ApplyEffect(*Node, *Effect) {}
 
 func (f *privProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
 	f.m.Lock(b)

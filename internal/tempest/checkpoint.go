@@ -16,7 +16,8 @@ import (
 // intentionally inconsistent).  A node's snapshot holds its installed
 // lines — tag, data image, local clean copy, reconcile generations,
 // mark/write-mask bookkeeping — i.e. everything the protocol keeps per
-// node.  Directory state needs no snapshot: it lives in the global
+// node; a home line has no data image of its own to hold.  Directory
+// state and home images need no snapshot: they live in the global
 // simulator structures that survive a node crash (it models state kept
 // in the survivors' memories and the home's directory).
 //
@@ -89,10 +90,12 @@ func (n *Node) takeCheckpoint() {
 			s.cleanGen = l.CleanGen
 			s.marked = l.Marked
 			s.wmask = l.WMask
-			if s.data == nil {
-				s.data = make([]byte, bs)
+			if !l.home { // a home line's data is the home's, not the node's
+				if s.data == nil {
+					s.data = make([]byte, bs)
+				}
+				copy(s.data, l.Data)
 			}
-			copy(s.data, l.Data)
 			s.hasClean = l.Clean != nil
 			if s.hasClean {
 				if s.clean == nil {
@@ -128,9 +131,12 @@ func (n *Node) restartFromCheckpoint() {
 // RestoreCheckpoint literally restores the node's lines to the last
 // checkpoint image: snapshotted lines get their tag, data, clean copy
 // and bookkeeping back; lines installed after the snapshot are
-// invalidated.  For quiescent machines only (tests and post-mortem
-// inspection) — the live restart path models the restore plus a
-// deterministic replay, which lands back on the current state.
+// invalidated.  A home line gets its tag and bookkeeping back and nothing
+// else: its data is the home image, which is memory's, not the node's, and
+// the checkpoint neither holds nor rolls it back.  For quiescent machines
+// only (tests and post-mortem inspection) — the live restart path models
+// the restore plus a deterministic replay, which lands back on the current
+// state.
 func (n *Node) RestoreCheckpoint() {
 	ck := &n.ckpt
 	snapped := make(map[memsys.BlockID]bool, len(ck.lines))
@@ -143,7 +149,9 @@ func (n *Node) RestoreCheckpoint() {
 		l.CleanGen = s.cleanGen
 		l.Marked = s.marked
 		l.WMask = s.wmask
-		copy(l.Data, s.data)
+		if !l.home {
+			copy(l.Data, s.data)
+		}
 		if s.hasClean {
 			if l.Clean == nil {
 				l.Clean = n.BlockBuf()

@@ -19,6 +19,19 @@ func recoveryMachine(t *testing.T, p int, words uint64, plan fault.Plan) (*Machi
 	return m, r
 }
 
+// privateMachine is recoveryMachine over a loosely coherent region under
+// privProtocol, block size bs: its lines are buffers of their own, which a
+// checkpoint holds images of, where newTestMachine's are home lines.
+func privateMachine(t *testing.T, p int, bs uint32, words uint64) (*Machine, *memsys.Region) {
+	t.Helper()
+	m := New(p, bs, cost.Uniform(1))
+	r := m.AS.Alloc("data", words*4, memsys.KindLCM, memsys.Interleaved)
+	m.SetProtocol(&privProtocol{})
+	m.AttachFaults(fault.Plan{Recover: true})
+	m.Freeze()
+	return m, r
+}
+
 // TestCheckpointEveryBarrier: under a plan with Recover every node snapshots at
 // every barrier — one checkpoint per barrier crossed, covering the lines
 // the node had installed.
@@ -45,11 +58,11 @@ func TestCheckpointEveryBarrier(t *testing.T) {
 }
 
 // TestRestoreCheckpoint proves the snapshot holds real state: mutate every
-// checkpointed line after the barrier, install a brand-new line, restore,
-// and the machine must be back to its barrier image byte for byte with the
-// late line invalidated.
+// checkpointed private line after the barrier, install a brand-new line,
+// restore, and the machine must be back to its barrier image byte for byte
+// with the late line invalidated.
 func TestRestoreCheckpoint(t *testing.T) {
-	m, r := recoveryMachine(t, 1, 64, fault.Plan{})
+	m, r := privateMachine(t, 1, 32, 64)
 	half := memsys.Addr(32 * 4) // second half stays untouched until after the barrier
 	err := m.RunErr(func(n *Node) {
 		for w := uint64(0); w < 32; w++ {
@@ -79,6 +92,56 @@ func TestRestoreCheckpoint(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("RunErr: %v", err)
+	}
+}
+
+// TestRestoreCheckpointHomeLine pins what a home line restores: its tag and
+// bookkeeping, not data.  Its data is the home image, so a store another node
+// made after the checkpoint stays in memory, and the line is still the home
+// image afterwards; a line installed after the checkpoint is invalidated as
+// for any other.
+func TestRestoreCheckpointHomeLine(t *testing.T) {
+	m, r := recoveryMachine(t, 2, 64, fault.Plan{})
+	b := m.AS.Block(r.Base)
+	late := r.Base + 32*4
+	err := m.RunErr(func(n *Node) {
+		if n.ID == 0 {
+			for w := uint32(0); w < 8; w++ {
+				n.WriteU32(r.Base+memsys.Addr(w*4), w+1000)
+			}
+		}
+		n.Barrier() // node 0's checkpoint holds block b read-write
+		if n.ID == 1 {
+			n.WriteU32(r.Base, 42)
+			return
+		}
+		n.Line(b).SetTag(TagReadOnly)
+		n.ReadU32(late)
+	})
+	if err != nil {
+		t.Fatalf("RunErr: %v", err)
+	}
+	n := m.Nodes[0]
+	n.RestoreCheckpoint()
+	home := m.AS.HomeData(b)
+	l := n.Line(b)
+	if l.Tag() != TagReadWrite {
+		t.Errorf("home line restored to tag %s, want the checkpoint's rw", TagName(l.Tag()))
+	}
+	if &l.Data[0] != &home[0] {
+		t.Errorf("restore gave the home line a buffer of its own")
+	}
+	for w := uint32(0); w < 8; w++ {
+		want := w + 1000
+		if w == 0 {
+			want = 42 // node 1's store after the checkpoint: memory's, not node 0's
+		}
+		if got := *memsys.At[uint32](home, w*4); got != want {
+			t.Errorf("home word %d after restore = %d, want %d", w, got, want)
+		}
+	}
+	if l := n.Line(m.AS.Block(late)); l == nil || l.Tag() != TagInvalid {
+		t.Errorf("line installed after the checkpoint survived the restore")
 	}
 }
 
@@ -195,11 +258,7 @@ func TestKillWithoutRecoverStillAborts(t *testing.T) {
 // walked by memsys's TestBlockBuffersAligned.)
 func TestCheckpointImagesAligned(t *testing.T) {
 	for _, bs := range []uint32{8, 256} {
-		m := New(2, bs, cost.Uniform(1))
-		r := m.AS.Alloc("data", 5*uint64(bs), memsys.KindCoherent, memsys.Interleaved)
-		m.SetProtocol(&fakeProtocol{})
-		m.AttachFaults(fault.Plan{Recover: true})
-		m.Freeze()
+		m, r := privateMachine(t, 2, bs, 5*uint64(bs)/4)
 		m.Run(func(n *Node) {
 			for a := r.Base; a < r.End(); a += memsys.Addr(bs) {
 				n.ReadU32(a)

@@ -83,9 +83,10 @@ const effectRing = 64
 // Which regions the address space holds does not enter: run-ahead is per
 // region.  A fault on a loosely coherent block posts; whatever reads or
 // changes a sequentially consistent line's tag, data or directory entry
-// while posts are outstanding drains first, then looks again (Line.ordered:
-// lineFor and hitAfterDrain for accesses, settle for the tag peeks outside
-// handlers; Stache's handlers drain at their SchedYield).
+// while posts are outstanding drains first, then looks again (Line.home:
+// lineFor and hitAfterDrain for accesses, the span run path's empty-log
+// test, settle for the tag peeks outside handlers; Stache's handlers drain
+// at their SchedYield).
 //
 // Call after Freeze.
 func (m *Machine) RunAhead() (on bool, reason string) {
@@ -156,11 +157,11 @@ func (n *Node) Emit(e *Effect) {
 		// this node is ahead of it in the schedule: key the post now.
 		// Later posts are keyed as their predecessors are applied.
 		n.M.schedder.Post(n.ID, e.clock+n.stolen)
-		// From here to the next drain the MRU must not name an ordered
-		// line: lineFor's MRU path does not test the log, and a directive
-		// posts without passing through a fault path that would refresh
-		// it.  Nothing puts one back before the log is empty again.
-		if l := n.mruLine; l != nil && l.ordered {
+		// From here to the next drain the MRU must not name a home line:
+		// lineFor's MRU path does not test the log, and a directive posts
+		// without passing through a fault path that would refresh it.
+		// Nothing puts one back before the log is empty again.
+		if l := n.mruLine; l != nil && l.home {
 			n.mruLine = nil
 		}
 	}
@@ -223,9 +224,10 @@ func (n *Node) drain() {
 }
 
 // withheld reports whether l is a line its owner may not look at just now:
-// an ordered line (nil is no line) while posts are outstanding.  lineFor
-// spells the same test out, flag first.
-func (n *Node) withheld(l *Line) bool { return l != nil && l.ordered && n.fxLen != 0 }
+// a home line (nil is no line) while posts are outstanding.  Only a split
+// protocol posts, and its home lines are exactly its coherent ones.  lineFor
+// spells the same test out.
+func (n *Node) withheld(l *Line) bool { return l != nil && l.home && n.fxLen != 0 }
 
 // settle drains before the owner looks at a line other nodes' real handlers
 // write: the tag peeks outside a handler (makeRoom's victim, DropCopy, the

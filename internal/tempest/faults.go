@@ -76,15 +76,24 @@ func (n *Node) preFault(b memsys.BlockID) {
 // mismatch triggers a bounded re-fetch with exponential backoff, charged
 // in virtual cycles.  Runs in the receiving node's goroutine with src
 // stable (no scheduling point lies inside), so the re-fetch can simply
-// re-copy the true data.
+// re-copy the true data.  A home line's data is the home image, which a
+// transfer must not corrupt: its block arrives in the node's wire buffer.
 func (n *Node) deliverBlock(f *fault.Injector, b memsys.BlockID, l *Line, src []byte) {
+	got := l.Data
+	if l.home {
+		if n.wire == nil {
+			n.wire = n.BlockBuf()
+		}
+		got = n.wire
+		copy(got, src)
+	}
 	sum := fault.Checksum(src)
 	remote := n.M.AS.HomeOf(b) != n.ID
 	for attempt := 1; ; attempt++ {
 		if f.CorruptTransfer(n.ID) {
-			f.CorruptBytes(n.ID, l.Data)
+			f.CorruptBytes(n.ID, got)
 		}
-		if fault.Checksum(l.Data) == sum {
+		if fault.Checksum(got) == sum {
 			return // transfer verified intact
 		}
 		n.Ctr.CorruptedTransfers++
@@ -101,6 +110,6 @@ func (n *Node) deliverBlock(f *fault.Injector, b memsys.BlockID, l *Line, src []
 		} else {
 			n.clock += n.M.Cost.LocalFill + backoff
 		}
-		copy(l.Data, src)
+		copy(got, src)
 	}
 }

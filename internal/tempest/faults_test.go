@@ -1,6 +1,7 @@
 package tempest
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -99,6 +100,55 @@ func TestFaultDeterminism(t *testing.T) {
 		if counters[i] != counters[0] {
 			t.Fatalf("run %d counters %+v != run 0 %+v", i, counters[i], counters[0])
 		}
+	}
+}
+
+// corruptionRun runs a two-node exchange over home lines — each node bumps
+// its half of the region, then sums the other's — under plan (nil: no
+// injector at all) and returns the machine.
+func corruptionRun(t *testing.T, plan *fault.Plan) (*Machine, *memsys.Region) {
+	t.Helper()
+	const words = 256
+	m, r := newTestMachine(t, 2, words)
+	fillHome(m, r)
+	if plan != nil {
+		m.AttachFaults(*plan)
+	}
+	half := memsys.Addr(words * 4 / 2)
+	err := m.RunErr(func(n *Node) {
+		mine, theirs := r.Base+memsys.Addr(n.ID)*half, r.Base+memsys.Addr(1-n.ID)*half
+		for w := memsys.Addr(0); w < half; w += 4 {
+			n.WriteU32(mine+w, n.ReadU32(mine+w)+uint32(n.ID)+1)
+		}
+		n.Barrier()
+		var sum uint32
+		for w := memsys.Addr(0); w < half; w += 4 {
+			sum += n.ReadU32(theirs + w)
+		}
+		n.WriteU32(mine, sum)
+	})
+	if err != nil {
+		t.Fatalf("RunErr: %v", err)
+	}
+	return m, r
+}
+
+// TestCorruptionNeverReachesTheHomeImage: a corrupted transfer into a home
+// line is caught and re-fetched in the node's wire buffer, so the home image
+// a corrupting plan leaves is the fault-free run's, and the faults injected
+// and cycles charged are exactly what they were when every line had a buffer
+// of its own (pinned from that tree).
+func TestCorruptionNeverReachesTheHomeImage(t *testing.T) {
+	clean, r := corruptionRun(t, nil)
+	m, _ := corruptionRun(t, &fault.Plan{Seed: 7, CorruptPerMil: 400})
+	if !bytes.Equal(m.AS.HomeBytes(r.Base, int(r.Size)), clean.AS.HomeBytes(r.Base, int(r.Size))) {
+		t.Errorf("home image under corruption differs from the fault-free run's")
+	}
+	c := m.TotalCounters()
+	got := [...]int64{m.Fault.Tally().Corruptions, c.CorruptedTransfers, c.FaultRetries, c.BackoffCycles,
+		m.Nodes[0].Clock(), m.Nodes[1].Clock()}
+	if want := [...]int64{44, 44, 44, 237000, 168765, 120696}; got != want {
+		t.Errorf("corruptions, corrupted transfers, retries, backoff, clocks = %v, want %v", got, want)
 	}
 }
 

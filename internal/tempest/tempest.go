@@ -78,15 +78,20 @@ func TagName(t Tag) string {
 type Line struct {
 	tag Tag
 
-	// ordered marks a line of a sequentially consistent region on a machine
-	// whose other handlers can run ahead (set once, at newLine): its tag,
-	// data and directory entry are written by other nodes' real handlers,
-	// so the owner drains its effect log before it looks at any of them
-	// (see lineFor and settle).  It sits in the padding after tag, on the
-	// cache line every access reads anyway.
-	ordered bool
+	// home marks a line whose Data is the block's home image itself (set
+	// once, at newLine): a line of a sequentially consistent region, or any
+	// line on a machine whose protocol has no split handlers.  Such a line
+	// never holds a private copy, and with a valid tag its bytes are the
+	// home's by definition, so nothing copies into it and a store writes
+	// memory once.  Its tag, data and directory entry are written by other
+	// nodes' real handlers, so while the effect log is non-empty the owner
+	// drains before it looks at any of them (see lineFor and settle).  It
+	// sits in the padding after tag, on the cache line every access reads
+	// anyway.
+	home bool
 
-	// Data is the cached copy, blockSize bytes.
+	// Data is the cached copy, blockSize bytes: the home image's bytes for
+	// a home line, a node-local buffer otherwise.
 	Data []byte
 
 	// Clean is the node-local clean copy kept by LCM-mcc (nil when none).
@@ -429,6 +434,11 @@ type Node struct {
 	dataArena  []byte
 	lineChunks [][]Line
 
+	// wire is where a block transfer into a home line arrives under a fault
+	// plan, so an injected corruption hits the node's copy on the wire and
+	// never the home image (deliverBlock); carved on first use.
+	wire []byte
+
 	// ckpt is the node's last barrier-epoch checkpoint; degraded marks a
 	// node whose home responsibility migrated to a peer.  Both owner
 	// goroutine only; see checkpoint.go.
@@ -496,16 +506,21 @@ func (n *Node) FoldStolen() { n.clock, n.stolen = n.clock+n.stolen, 0 }
 func (n *Node) Line(b memsys.BlockID) *Line { return n.lines[b] }
 
 // Install makes the node's line for b hold a copy of src with the given
-// tag, creating the line on first use.  With a fault injector attached, the
-// transfer is checksummed and corrupted arrivals are healed by bounded
-// re-fetch (see deliverBlock).
+// tag, creating the line on first use.  A home line copies nothing — src is
+// the home image it already is — and may not be made private.  With a fault
+// injector attached, the transfer is checksummed and corrupted arrivals are
+// healed by bounded re-fetch (see deliverBlock).
 func (n *Node) Install(b memsys.BlockID, src []byte, tag Tag) *Line {
 	l := n.lines[b]
 	if l == nil {
 		l = n.newLine(b)
 		n.lines[b] = l
 	}
-	copy(l.Data, src)
+	if !l.home {
+		copy(l.Data, src)
+	} else if tag == TagPrivate {
+		panic(fmt.Sprintf("tempest: private copy of block %d, whose line is its home image", b))
+	}
 	if f := n.M.Fault; f != nil {
 		n.deliverBlock(f, b, l, src)
 	}
@@ -521,11 +536,13 @@ func (n *Node) Install(b memsys.BlockID, src []byte, tag Tag) *Line {
 // arenas grow by at a time.
 const lineArenaChunk = 64
 
-// newLine carves a fresh line with a zeroed block-sized data buffer from
-// the node's arenas (owner goroutine only; install paths all run in the
-// faulting node's goroutine).  The backing arrays are only ever resliced,
-// never reallocated, so pointers into them stay valid for the machine's
-// lifetime.
+// newLine carves a fresh line from the node's arena (owner goroutine only;
+// install paths all run in the faulting node's goroutine), with the block's
+// home image as its data if it is a home line and a zeroed block-sized
+// buffer from the data arena otherwise.  Only a split protocol (the LCM)
+// makes private copies, and only outside coherent regions, so every other
+// line is a home line.  The backing arrays are only ever resliced, never
+// reallocated, so pointers into them stay valid for the machine's lifetime.
 func (n *Node) newLine(b memsys.BlockID) *Line {
 	if len(n.lineArena) == 0 {
 		n.lineArena = make([]Line, lineArenaChunk)
@@ -533,10 +550,14 @@ func (n *Node) newLine(b memsys.BlockID) *Line {
 	}
 	l := &n.lineArena[0]
 	n.lineArena = n.lineArena[1:]
-	l.Data = n.BlockBuf()
 	l.block = b
 	// Decided from the machine, not from the coming run: lines outlive runs.
-	l.ordered = n.M.applier != nil && n.M.AS.RegionOfBlock(b).Kind == memsys.KindCoherent
+	l.home = n.M.applier == nil || n.M.AS.RegionOfBlock(b).Kind == memsys.KindCoherent
+	if l.home {
+		l.Data = n.M.AS.HomeData(b)
+	} else {
+		l.Data = n.BlockBuf()
+	}
 	return l
 }
 
@@ -596,7 +617,7 @@ func (n *Node) makeRoom() {
 			continue
 		}
 		l.inFIFO = false
-		n.settle(l) // only an ordered victim: an LCM one is evicted by a post
+		n.settle(l) // only a home victim: an LCM one is evicted by a post
 		if l.Tag() == TagInvalid {
 			continue // already revoked remotely; the slot is free
 		}
