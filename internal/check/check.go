@@ -239,6 +239,12 @@ func runOne(cfg Config, o *oracle, path []int) runOut {
 	m.SchedHook = func(s *sched.Scheduler) {
 		s.EnableRecording()
 		s.SetChooser(func(step int, cands []sched.Candidate) int {
+			// Every node is quiescent at a grant: check the invariants here.
+			if out.vio == nil {
+				if err := checkState(m, firstBlock, nBlocks); err != nil {
+					out.vio = &Violation{Err: err, Step: step}
+				}
+			}
 			out.fanout = append(out.fanout, len(cands))
 			ids := make([]int, len(cands))
 			for i, c := range cands {
@@ -249,14 +255,6 @@ func runOne(cfg Config, o *oracle, path []int) runOut {
 				return path[step]
 			}
 			return 0
-		})
-		s.SetObserver(func(step int) {
-			if out.vio != nil {
-				return
-			}
-			if err := checkState(m, firstBlock, nBlocks); err != nil {
-				out.vio = &Violation{Err: err, Step: step}
-			}
 		})
 	}
 

@@ -194,8 +194,6 @@ func (p *LCM) SetCommitMode(m CommitMode) { p.commit = m }
 // Name implements tempest.Protocol.
 func (p *LCM) Name() string { return p.variant.String() }
 
-// Variant returns the clean-copy placement policy.
-
 // Phase returns the current reconcile-phase generation.
 func (p *LCM) Phase() uint32 { return p.phase }
 

@@ -309,13 +309,14 @@ func raPrograms(t *testing.T) []raProgram {
 		}),
 		mixed(t, "mark-with-coherent-mru", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
 			// The Mark directive posts without passing through a fault path,
-			// so the MRU still names the coherent line the node read last.
+			// so the next read of the coherent line node 0 read last must be
+			// withheld by lineFor until the drain.
 			for round := 0; round < 3; round++ {
 				_ = n.ReadU32(word(coh, 0))
 				n.ReconcileCopies()
 				switch n.ID {
 				case 0:
-					_ = n.ReadU32(word(coh, 1)) // a hit with an empty log: the line is the MRU
+					_ = n.ReadU32(word(coh, 1)) // a hit with an empty log
 					n.Compute(10)
 					n.Mark(word(lcm, 8*round))
 					var v uint32

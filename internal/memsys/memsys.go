@@ -14,7 +14,6 @@ package memsys
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Addr is a global byte address in the simulated shared address space.
@@ -134,9 +133,6 @@ type Region struct {
 // End returns the first address past the region.
 func (r *Region) End() Addr { return r.Base + Addr(r.Size) }
 
-// Contains reports whether a lies inside the region.
-func (r *Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
-
 // FirstBlock returns the region's first block.
 func (r *Region) FirstBlock() BlockID { return r.firstBlock }
 
@@ -147,7 +143,8 @@ func (r *Region) NumBlocks() uint32 { return r.nBlocks }
 // region table, the home map, and the home ("main memory") image of every
 // block.  All allocation happens before Freeze; afterwards the structure
 // is immutable and safe for concurrent readers, except for the home image
-// bytes which protocols mutate under per-block locks.
+// bytes which protocols mutate under per-block locks and the home map,
+// which Rehome rewrites at a quiescent point.
 type AddressSpace struct {
 	P          int
 	BlockSize  uint32
@@ -157,23 +154,14 @@ type AddressSpace struct {
 	next    Addr
 	regions []*Region
 
-	// home[b] is the home node of block b, built at Freeze.
+	// home[b] is the home node of block b, built at Freeze and rewritten
+	// in place by Rehome.
 	home []int32
-	// rehomed, when non-nil, overrides home for degraded-mode recovery:
-	// rehomed[b] == rehomeNone means "use home[b]", anything else is the
-	// migrated home.  Allocated lazily by Rehome so the fault-free HomeOf
-	// fast path costs one nil check.  Mutated only while the machine is
-	// quiescent at a deterministic point (a single running node under the
-	// deterministic scheduler).
-	rehomed []int32
 	// regionOf[b] is the index into regions of block b's region.
 	regionOf []uint16
 	// data is the home image, indexed by Addr.
 	data []byte
 }
-
-// rehomeNone marks a block whose home has not migrated.
-const rehomeNone = int32(-1)
 
 // NewAddressSpace creates an address space for p nodes with the given
 // block size (a power of two, at least 8 bytes).
@@ -285,28 +273,18 @@ func (as *AddressSpace) Split(a Addr) (BlockID, uint32) {
 	return BlockID(uint64(a) >> as.blockShift), uint32(a) & (as.BlockSize - 1)
 }
 
-// HomeOf returns the effective home node of block b — the Freeze-time
-// home unless degraded-mode recovery migrated it.  Valid after Freeze.
-func (as *AddressSpace) HomeOf(b BlockID) int {
-	if as.rehomed != nil {
-		if h := as.rehomed[b]; h != rehomeNone {
-			return int(h)
-		}
-	}
-	return int(as.home[b])
-}
+// HomeOf returns the home node of block b — the Freeze-time home unless
+// degraded-mode recovery migrated it.  Valid after Freeze.
+func (as *AddressSpace) HomeOf(b BlockID) int { return int(as.home[b]) }
 
-// BaseHomeOf returns the Freeze-time home of block b, ignoring any
-// degraded-mode migration.
-func (as *AddressSpace) BaseHomeOf(b BlockID) int { return int(as.home[b]) }
-
-// Rehome migrates every block whose effective home is `from` to node
-// `to`, returning the number of blocks moved.  It implements degraded-
-// mode recovery: a node declared dead hands its home responsibility —
-// directory authority and the charging destination for fetches, flushes
-// and merges — to a live peer.  The home image itself needs no copy in
-// the simulator (data is a global array indexed by block), which models
-// the recovering peer adopting the dead node's memory pages.
+// Rehome migrates every block whose home is `from` to node `to`, rewriting
+// the home map in place, and returns the number of blocks moved.  It
+// implements degraded-mode recovery: a node declared dead hands its home
+// responsibility — directory authority and the charging destination for
+// fetches, flushes and merges — to a live peer.  The home image itself
+// needs no copy in the simulator (data is a global array indexed by
+// block), which models the recovering peer adopting the dead node's memory
+// pages.
 //
 // Call only at a deterministic quiescent point: under the deterministic
 // scheduler with the calling node holding the token, so no reader can
@@ -318,16 +296,10 @@ func (as *AddressSpace) Rehome(from, to int) int64 {
 	if from == to || from < 0 || from >= as.P || to < 0 || to >= as.P {
 		panic(fmt.Sprintf("memsys: Rehome(%d, %d) invalid for P=%d", from, to, as.P))
 	}
-	if as.rehomed == nil {
-		as.rehomed = make([]int32, len(as.home))
-		for i := range as.rehomed {
-			as.rehomed[i] = rehomeNone
-		}
-	}
 	var moved int64
-	for b := range as.home {
-		if as.HomeOf(BlockID(b)) == from {
-			as.rehomed[b] = int32(to)
+	for b, h := range as.home {
+		if int(h) == from {
+			as.home[b] = int32(to)
 			moved++
 		}
 	}
@@ -337,22 +309,6 @@ func (as *AddressSpace) Rehome(from, to int) int64 {
 // RegionOfBlock returns the region owning block b.  Valid after Freeze.
 func (as *AddressSpace) RegionOfBlock(b BlockID) *Region {
 	return as.regions[as.regionOf[b]]
-}
-
-// RegionOf returns the region containing address a, or nil if a is
-// unallocated.  Works before Freeze (binary search over regions).
-func (as *AddressSpace) RegionOf(a Addr) *Region {
-	if as.frozen {
-		if a >= as.next {
-			return nil
-		}
-		return as.RegionOfBlock(as.Block(a))
-	}
-	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].End() > a })
-	if i < len(as.regions) && as.regions[i].Contains(a) {
-		return as.regions[i]
-	}
-	return nil
 }
 
 // Regions returns the region table (do not mutate).

@@ -88,22 +88,13 @@ func TestRegionLookup(t *testing.T) {
 	as := NewAddressSpace(2, 32)
 	r1 := as.Alloc("a", 64, KindCoherent, Interleaved)
 	r2 := as.Alloc("b", 64, KindLCM, Interleaved)
-	// Pre-freeze lookup uses binary search.
-	if got := as.RegionOf(r2.Base + 10); got != r2 {
-		t.Fatalf("pre-freeze RegionOf -> %v, want b", got)
-	}
 	as.Freeze()
-	if got := as.RegionOf(r1.Base); got != r1 {
-		t.Fatalf("RegionOf(r1.Base) -> %v", got)
-	}
-	if got := as.RegionOf(r2.End() - 1); got != r2 {
-		t.Fatalf("RegionOf(end-1) -> %v", got)
-	}
-	if got := as.RegionOf(r2.End()); got != nil {
-		t.Fatalf("RegionOf past end -> %v, want nil", got)
-	}
-	if got := as.RegionOfBlock(r2.FirstBlock()); got != r2 {
-		t.Fatalf("RegionOfBlock -> %v", got)
+	for _, r := range []*Region{r1, r2} {
+		for _, b := range []BlockID{r.FirstBlock(), r.FirstBlock() + BlockID(r.NumBlocks()) - 1} {
+			if got := as.RegionOfBlock(b); got != r {
+				t.Fatalf("RegionOfBlock(%d) -> %s, want %s", b, got.Name, r.Name)
+			}
+		}
 	}
 }
 

@@ -12,16 +12,23 @@ func rehomeSpace(t *testing.T) (*AddressSpace, *Region) {
 	return as, r
 }
 
-// TestRehomeMigratesEveryBlock: after Rehome(from, to), no block's
-// effective home is `from`, the migrated blocks answer `to`, other homes
-// are untouched, and BaseHomeOf still reports the Freeze-time layout.
+// homes returns the home of every block of r.
+func homes(as *AddressSpace, r *Region) []int {
+	h := make([]int, r.NumBlocks())
+	for i := range h {
+		h[i] = as.HomeOf(r.FirstBlock() + BlockID(i))
+	}
+	return h
+}
+
+// TestRehomeMigratesEveryBlock: after Rehome(from, to), no block's home is
+// `from`, the migrated blocks answer `to`, and other homes are untouched.
 func TestRehomeMigratesEveryBlock(t *testing.T) {
 	as, r := rehomeSpace(t)
-	before := make([]int, r.NumBlocks())
+	before := homes(as, r)
 	var expect int64
-	for i := range before {
-		before[i] = as.HomeOf(r.FirstBlock() + BlockID(i))
-		if before[i] == 2 {
+	for _, h := range before {
+		if h == 2 {
 			expect++
 		}
 	}
@@ -31,37 +38,32 @@ func TestRehomeMigratesEveryBlock(t *testing.T) {
 	if moved := as.Rehome(2, 0); moved != expect {
 		t.Fatalf("Rehome moved %d blocks, want %d", moved, expect)
 	}
-	for i := range before {
-		b := r.FirstBlock() + BlockID(i)
+	for i, got := range homes(as, r) {
 		want := before[i]
 		if want == 2 {
 			want = 0
 		}
-		if got := as.HomeOf(b); got != want {
-			t.Errorf("block %d: HomeOf = %d, want %d", b, got, want)
-		}
-		if got := as.BaseHomeOf(b); got != before[i] {
-			t.Errorf("block %d: BaseHomeOf = %d, want Freeze-time home %d", b, got, before[i])
+		if got != want {
+			t.Errorf("block %d: HomeOf = %d, want %d", r.FirstBlock()+BlockID(i), got, want)
 		}
 	}
 }
 
 // TestRehomeChains: a second migration moves the adopter's entire
-// responsibility, including blocks it adopted earlier (effective home,
-// not base home, decides).
+// responsibility, including blocks it adopted earlier (the current home,
+// not the Freeze-time one, decides).
 func TestRehomeChains(t *testing.T) {
 	as, r := rehomeSpace(t)
+	frozen := homes(as, r)
 	as.Rehome(2, 3)
 	as.Rehome(3, 1)
-	for i := uint32(0); i < r.NumBlocks(); i++ {
+	for i, got := range homes(as, r) {
 		b := r.FirstBlock() + BlockID(i)
-		if h := as.HomeOf(b); h == 2 || h == 3 {
-			t.Errorf("block %d still homed at dead node %d after chained rehoming", b, h)
+		if got == 2 || got == 3 {
+			t.Errorf("block %d still homed at dead node %d after chained rehoming", b, got)
 		}
-		if base := as.BaseHomeOf(b); base == 2 || base == 3 {
-			if got := as.HomeOf(b); got != 1 {
-				t.Errorf("block %d (base home %d): HomeOf = %d, want final adopter 1", b, base, got)
-			}
+		if base := frozen[i]; (base == 2 || base == 3) && got != 1 {
+			t.Errorf("block %d (Freeze-time home %d): HomeOf = %d, want final adopter 1", b, base, got)
 		}
 	}
 }
@@ -85,16 +87,4 @@ func TestRehomeValidation(t *testing.T) {
 	mustPanic("Rehome(1,1)", func() { as.Rehome(1, 1) })
 	mustPanic("Rehome(-1,0)", func() { as.Rehome(-1, 0) })
 	mustPanic("Rehome(0,4)", func() { as.Rehome(0, 4) })
-}
-
-// TestRehomeUntouchedSpaceCostsNothing: before any migration the lazy
-// indirection is absent and HomeOf answers from the base map alone.
-func TestRehomeUntouchedSpaceCostsNothing(t *testing.T) {
-	as, r := rehomeSpace(t)
-	for i := uint32(0); i < r.NumBlocks(); i++ {
-		b := r.FirstBlock() + BlockID(i)
-		if as.HomeOf(b) != as.BaseHomeOf(b) {
-			t.Fatalf("block %d: effective and base home differ before any Rehome", b)
-		}
-	}
 }

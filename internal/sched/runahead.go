@@ -18,11 +18,11 @@ package sched
 type ApplyFunc func(node int) (next int64, more bool)
 
 // SetRunAhead lets nodes Post scheduling points instead of yielding at
-// them.  Must precede Run; incompatible with a Chooser, an Observer,
-// and recording, all of which need every scheduling point to be a real one.
+// them.  Must precede Run; incompatible with a Chooser and with recording,
+// both of which need every scheduling point to be a real one.
 func (s *Scheduler) SetRunAhead(apply ApplyFunc) {
-	if s.chooser != nil || s.observer != nil || s.record {
-		panic("sched: SetRunAhead is incompatible with Chooser/Observer/recording")
+	if s.chooser != nil || s.record {
+		panic("sched: SetRunAhead is incompatible with Chooser/recording")
 	}
 	s.apply = apply
 }

@@ -221,7 +221,6 @@ func TestRunAheadGuards(t *testing.T) {
 	apply := func(int) (int64, bool) { return 0, false }
 	for name, prep := range map[string]func(*Scheduler){
 		"chooser":   func(s *Scheduler) { s.SetChooser(func(int, []Candidate) int { return 0 }) },
-		"observer":  func(s *Scheduler) { s.SetObserver(func(int) {}) },
 		"recording": func(s *Scheduler) { s.EnableRecording() },
 	} {
 		s := New(2, 0)

@@ -76,10 +76,9 @@
 //
 // The scheduler also carries the hooks the bounded model checker
 // (internal/check) builds on: a Chooser that overrides the run-queue order
-// at every grant, an Observer called while the machine is quiescent at
-// each decision point, and per-segment footprints (which block locks a
-// node touched between two scheduling points) that enable sleep-set
-// pruning.
+// at every grant, called while the machine is quiescent, and per-segment
+// footprints (which block locks a node touched between two scheduling
+// points) that enable sleep-set pruning.
 package sched
 
 import (
@@ -166,7 +165,6 @@ type Scheduler struct {
 	dead     chan struct{}
 
 	chooser    Chooser
-	observer   func(step int)
 	onDeadlock func()
 
 	// apply is the machine's side of run-ahead, nil when every handler
@@ -212,10 +210,6 @@ func New(n int, seed uint64) *Scheduler {
 // SetChooser installs a grant-order override (checker mode), before Run.
 func (s *Scheduler) SetChooser(c Chooser) { s.chooser = c }
 
-// SetObserver installs a quiescent-point callback invoked before every
-// grant decision.  Must precede Run.
-func (s *Scheduler) SetObserver(f func(step int)) { s.observer = f }
-
 // OnDeadlock installs the callback invoked — once, inside the scheduling
 // call that found it, whose caller must therefore hold no lock the callback
 // takes — when no node is Ready or Running but some node is still Blocked.
@@ -246,7 +240,7 @@ func (s *Scheduler) Yield(node int, clock int64) bool {
 func (s *Scheduler) requeue(node int) bool {
 	ns := &s.nodes[node]
 	e := s.entry(node)
-	if s.running == node && s.chooser == nil && s.observer == nil {
+	if s.running == node && s.chooser == nil {
 		if s.rq.len() == 0 || e.before(s.rq.min()) {
 			// Still the Order-minimum: the grant a dispatch would make,
 			// minus the trip through the trampoline.
@@ -413,7 +407,7 @@ func (s *Scheduler) dispatch(self int) bool {
 			return false
 		}
 		node := int(s.rq.min().node)
-		if s.chooser != nil || s.observer != nil {
+		if s.chooser != nil {
 			node = s.choose()
 		}
 		s.beginSegment(node)
@@ -438,8 +432,8 @@ func (s *Scheduler) dispatch(self int) bool {
 	}
 }
 
-// choose is the checker-mode decision: it offers the Observer and the
-// Chooser the Ready set sorted by Order and returns the node picked.
+// choose is the checker-mode decision: it offers the Chooser the Ready set
+// sorted by Order and returns the node picked.
 func (s *Scheduler) choose() int {
 	cands := s.candBuf[:0]
 	for _, e := range s.rq.h {
@@ -448,15 +442,9 @@ func (s *Scheduler) choose() int {
 	s.candBuf = cands
 	seed := s.seed
 	sort.Slice(cands, func(i, j int) bool { return Order(seed, cands[i], cands[j]) })
-	if s.observer != nil {
-		s.observer(s.step)
-	}
-	idx := 0
-	if s.chooser != nil {
-		idx = s.chooser(s.step, cands)
-		if idx < 0 || idx >= len(cands) {
-			panic(fmt.Sprintf("sched: chooser returned %d of %d candidates", idx, len(cands)))
-		}
+	idx := s.chooser(s.step, cands)
+	if idx < 0 || idx >= len(cands) {
+		panic(fmt.Sprintf("sched: chooser returned %d of %d candidates", idx, len(cands)))
 	}
 	return cands[idx].Node
 }

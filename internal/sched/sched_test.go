@@ -8,7 +8,6 @@ import "testing"
 func runNodes(t *testing.T, s *Scheduler, scripts [][]int64) []int {
 	t.Helper()
 	var order []int
-	s.SetObserver(func(step int) {})
 	s.SetChooser(func(step int, cands []Candidate) int {
 		order = append(order, cands[0].Node)
 		return 0

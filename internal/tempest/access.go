@@ -20,30 +20,20 @@ import (
 // (internal/memsys/view.go), in host order, never decoded; see "Fast-path
 // invariants" in DESIGN.md for what was measured.
 
-// lineFor returns the node's line for b via the MRU cache, falling back to
-// the line table (and refreshing the MRU) on a different block.  The
-// caller must still check the returned line's tag: line pointers are
-// assigned once and never reassigned, so a stale MRU entry can at worst
-// carry a revoked tag, which the check catches.
+// lineFor returns the node's line for b from the line table, nil if none was
+// ever installed.  The caller must still check the returned line's tag.
 //
 // A home line is withheld — nil, as if never installed — while the node's
 // effect log is non-empty: the caller falls into its fault path, whose first
-// step (hitAfterDrain) drains and looks again.  The MRU path needs no such
-// test because Emit keeps home lines out of the MRU while posts are
-// outstanding.  The drain is not called from here: it would cost lineFor its
-// inlining, and every access a call (DESIGN.md "Run-ahead").
+// step (hitAfterDrain) drains and looks again.  The drain is not called from
+// here: it would cost lineFor its inlining, and every access a call
+// (DESIGN.md "Run-ahead").
 func (n *Node) lineFor(b memsys.BlockID) *Line {
-	if l := n.mruLine; l != nil && n.mruBlock == b {
-		return l
-	}
 	l := n.lines[b]
-	if l != nil {
-		// The flag first: an LCM line reads one more byte of a line it is
-		// about to tag-check and nothing else.
-		if l.home && n.fxLen != 0 {
-			return nil
-		}
-		n.mruBlock, n.mruLine = b, l
+	// The flag first: an LCM line reads one more byte of a line it is about
+	// to tag-check and nothing else.
+	if l != nil && l.home && n.fxLen != 0 {
+		return nil
 	}
 	return l
 }
@@ -58,25 +48,19 @@ func (n *Node) lineFor(b memsys.BlockID) *Line {
 // about to install into, not for a call.
 func (n *Node) hitAfterDrain(l *Line, need Tag) bool {
 	n.drain()
-	if l.Tag() < need {
-		return false
-	}
-	n.mruBlock, n.mruLine = l.block, l
-	return true
+	return l.Tag() >= need
 }
 
 // loadFault is the out-of-line read-miss path: trap to the protocol and
-// refresh the MRU with the installed line.  Kept separate so the hot-path
-// functions stay small enough to avoid extra call layers.
+// return the installed line.  Kept separate so the hot-path functions stay
+// small enough to avoid extra call layers.
 func (n *Node) loadFault(b memsys.BlockID) *Line {
 	if l := n.lines[b]; n.withheld(l) && n.hitAfterDrain(l, TagReadOnly) {
 		return l
 	}
 	n.preFault(b)
 	n.makeRoom()
-	l := n.M.protocol.ReadFault(n, b)
-	n.mruBlock, n.mruLine = b, l
-	return l
+	return n.M.protocol.ReadFault(n, b)
 }
 
 // storeFault is loadFault's write-miss counterpart.
@@ -86,9 +70,7 @@ func (n *Node) storeFault(b memsys.BlockID) *Line {
 	}
 	n.preFault(b)
 	n.makeRoom()
-	l := n.M.protocol.WriteFault(n, b)
-	n.mruBlock, n.mruLine = b, l
-	return l
+	return n.M.protocol.WriteFault(n, b)
 }
 
 // loadSeg is the span load sequence: one tag check for block b — faulting to

@@ -69,7 +69,7 @@ var spanRows = []spanRow{
 }
 
 // spanPattern runs every row, then the copy and scalar accesses that
-// share the rows' MRU and tag path, and returns everything it read.
+// share the rows' tag path, and returns everything it read.
 func spanPattern(n *Node, base memsys.Addr) (seen []byte) {
 	for _, row := range spanRows {
 		seen = append(seen, row.run(n, base)...)
@@ -361,22 +361,22 @@ func TestSpanWMaskRecording(t *testing.T) {
 	}
 }
 
-// TestMRURevocation: the MRU cache must never satisfy an access after the
-// line's tag has been revoked (as a remote protocol handler would).
-func TestMRURevocation(t *testing.T) {
+// TestRevocationTraps: a line that satisfied the last access must not satisfy
+// the next once its tag has been revoked (as a remote protocol handler would).
+func TestRevocationTraps(t *testing.T) {
 	m, r := newTestMachine(t, 1, 64)
 	m.Run(func(n *Node) {
 		fp := m.protocol.(*fakeProtocol)
-		_ = n.ReadF32(r.Base) // faults, installs, seeds the MRU
+		_ = n.ReadF32(r.Base) // faults, installs
 		if fp.readFaults != 1 {
 			t.Fatalf("readFaults = %d, want 1", fp.readFaults)
 		}
-		_ = n.ReadF32(r.Base + 4) // MRU hit, no new fault
+		_ = n.ReadF32(r.Base + 4) // same block: a hit, no new fault
 		if fp.readFaults != 1 {
-			t.Fatalf("readFaults after MRU hit = %d, want 1", fp.readFaults)
+			t.Fatalf("readFaults after a hit = %d, want 1", fp.readFaults)
 		}
 		// Revoke the tag the way a remote handler does, then access again:
-		// the MRU pointer is stale but the atomic tag check must trap.
+		// the line is still installed, but the tag check must trap.
 		n.Line(m.AS.Block(r.Base)).SetTag(TagInvalid)
 		_ = n.ReadF32(r.Base)
 		if fp.readFaults != 2 {

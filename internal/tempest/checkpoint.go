@@ -175,7 +175,6 @@ func (n *Node) RestoreCheckpoint() {
 			}
 		}
 	}
-	n.mruLine = nil
 }
 
 // CheckpointLines returns the number of lines in the node's last

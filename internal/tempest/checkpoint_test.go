@@ -225,14 +225,12 @@ func TestRehomePastBudget(t *testing.T) {
 	if n1.Ctr.RehomedBlocks == 0 {
 		t.Error("re-homing migrated zero blocks")
 	}
+	// At P=2 a block not homed at node 1 is homed at the only live peer.
 	first, nb := r.FirstBlock(), r.NumBlocks()
 	for i := uint32(0); i < nb; i++ {
 		b := first + memsys.BlockID(i)
 		if m.AS.HomeOf(b) == 1 {
 			t.Fatalf("block %d still homed at the degraded node", b)
-		}
-		if m.AS.BaseHomeOf(b) == 1 && m.AS.HomeOf(b) != 0 {
-			t.Fatalf("block %d migrated to %d, want the only live peer 0", b, m.AS.HomeOf(b))
 		}
 	}
 }

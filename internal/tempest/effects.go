@@ -157,13 +157,6 @@ func (n *Node) Emit(e *Effect) {
 		// this node is ahead of it in the schedule: key the post now.
 		// Later posts are keyed as their predecessors are applied.
 		n.M.schedder.Post(n.ID, e.clock+n.stolen)
-		// From here to the next drain the MRU must not name a home line:
-		// lineFor's MRU path does not test the log, and a directive posts
-		// without passing through a fault path that would refresh it.
-		// Nothing puts one back before the log is empty again.
-		if l := n.mruLine; l != nil && l.home {
-			n.mruLine = nil
-		}
 	}
 }
 

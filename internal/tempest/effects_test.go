@@ -126,7 +126,6 @@ func testRunAheadKeepsClocksAndOrder(t *testing.T, prep func(*Machine)) {
 						l.SetTag(TagInvalid) // fault again next round
 					}
 				}
-				n.mruLine = nil
 				n.Barrier()
 			}
 		})

@@ -235,7 +235,7 @@ type Machine struct {
 
 	// SchedHook, when non-nil, is invoked on each run's fresh scheduler
 	// before it starts, so the model checker (internal/check) can install
-	// its chooser, observer, and footprint recording.
+	// its chooser and footprint recording.
 	SchedHook func(*sched.Scheduler)
 
 	protocol Protocol
@@ -408,15 +408,9 @@ type Node struct {
 	clock  int64
 	stolen int64
 
+	// lines[b] is the node's line for block b, nil until first installed;
+	// a line, once assigned, is never replaced.
 	lines []*Line
-
-	// mruBlock/mruLine cache the most recently accessed (block, line)
-	// pair so consecutive same-block accesses skip the line-table load.
-	// The cached line's tag is still checked on every access, so a
-	// revocation by another node's handler is seen (see "Fast-path
-	// invariants" in DESIGN.md).  mruLine == nil means empty.
-	mruBlock memsys.BlockID
-	mruLine  *Line
 
 	// fifo is the residency queue for capacity-limited machines, a
 	// head-indexed ring: entries before fifoHead are dead.  The dead
@@ -626,9 +620,6 @@ func (n *Node) makeRoom() {
 			n.fifo = append(n.fifo, b) // unevictable: requeue
 			continue
 		}
-		if n.mruLine != nil && n.mruBlock == b {
-			n.mruLine = nil
-		}
 		n.Ctr.Evictions++
 	}
 }
@@ -678,9 +669,6 @@ func (n *Node) DropCopy(a memsys.Addr) {
 	n.settle(l)
 	if l != nil && l.Tag() == TagReadOnly {
 		n.M.protocol.Evict(n, b)
-		if n.mruLine != nil && n.mruBlock == b {
-			n.mruLine = nil
-		}
 	}
 }
 

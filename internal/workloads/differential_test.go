@@ -8,7 +8,7 @@ import (
 )
 
 // Differential tests for the span fast path: every Table-1 workload runs
-// twice per memory system — once through the span/MRU engine and once with
+// twice per memory system — once through the span engine and once with
 // Config.ScalarAccess forcing the per-element accessors — and the two runs
 // must agree on the answers (Verify) and on every observable: simulated
 // cycles, all aggregated node counters, and the shared-counter snapshot.
