@@ -1,7 +1,8 @@
 // Command lcmtrace runs one benchmark under one memory system and prints a
 // detailed breakdown: per-event-class counts, virtual-time composition,
-// per-node statistics, and optionally the tail of the protocol event
-// trace.  It is the debugging companion to cmd/lcmbench.
+// per-node statistics, how the host executed the run, and optionally the
+// tail of the protocol event trace, in the order the machine ran the events.
+// It is the debugging companion to cmd/lcmbench.
 //
 // Usage:
 //
@@ -43,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p := fs.Int("p", 32, "simulated processors")
 	scale := fs.Int("scale", 8, "divide problem sizes by this factor")
 	verify := fs.Bool("verify", false, "check against the sequential reference")
-	traceN := fs.Int("trace", 0, "dump the last N protocol events (0 = no trace)")
+	traceN := fs.Int("trace", 0, "dump the last N protocol events; N per node are retained (0 = no trace)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -53,7 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lcmtrace:", err)
 		return 2
 	}
-	cfg.Verify, cfg.TraceCap = *verify, *traceN
+	// Retain N events per node, so the event mix covers as much of the run
+	// whatever the machine size; the dump shows the last N.
+	cfg.Verify, cfg.TraceCap = *verify, *traceN*(*p)
 	sys, err := cstar.ParseSystem(*sysName)
 	if err != nil {
 		fmt.Fprintln(stderr, "lcmtrace:", err)
@@ -98,8 +101,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  clock:  %s\n", r.PerNodeClocks)
 	fmt.Fprintf(stdout, "  misses: %s\n", r.PerNodeMisses)
 
+	runAhead := "on"
+	if !r.Host.RunAhead {
+		runAhead = "off: " + r.Host.Reason
+	}
+	fmt.Fprintf(stdout, "\nrun-ahead %s: %s grants, %s hand-offs, %s applies\n", runAhead,
+		stats.GroupInt(r.Host.Grants), stats.GroupInt(r.Host.Handoffs), stats.GroupInt(r.Host.Applies))
+
 	if r.Trace != nil {
-		fmt.Fprintf(stdout, "\nlast protocol events (merged by virtual time):\n")
+		fmt.Fprintf(stdout, "\nlast protocol events (in execution order):\n")
 		kinds := []trace.Kind{trace.ReadMiss, trace.WriteMiss, trace.Upgrade,
 			trace.Mark, trace.Flush, trace.Invalidate, trace.Commit, trace.Conflict}
 		fmt.Fprintf(stdout, "retained event mix: ")

@@ -27,18 +27,24 @@ func TestBadInputsExitTwo(t *testing.T) {
 }
 
 // One verified run with a trace, under each spelling of a system name and
-// for a workload with and without a partitioning knob.
+// for a workload with and without a partitioning knob.  A trace does not
+// stop LCM's handlers running ahead, and the output says so.
 func TestTraceRunVerified(t *testing.T) {
-	for _, args := range [][]string{
-		{"-w", "stencil", "-sched", "dynamic", "-sys", "lcm-mcc"},
-		{"-w", "threshold", "-sys", "scc"},
+	for _, tc := range []struct {
+		args     []string
+		runAhead string
+	}{
+		{[]string{"-w", "stencil", "-sched", "dynamic", "-sys", "lcm-mcc"}, "run-ahead on:"},
+		{[]string{"-w", "threshold", "-sys", "scc"}, "run-ahead on:"},
+		{[]string{"-w", "threshold", "-sys", "copying"}, "run-ahead off: protocol without split handlers:"},
 	} {
+		args := tc.args
 		var out, errOut strings.Builder
 		code := run(append(args, "-scale", "32", "-p", "4", "-verify", "-trace", "5"), &out, &errOut)
 		if code != 0 {
 			t.Fatalf("run(%v) = %d, want 0\nstdout:\n%s\nstderr:\n%s", args, code, out.String(), errOut.String())
 		}
-		for _, want := range []string{"simulated time:", "last protocol events", "result verified against the sequential reference"} {
+		for _, want := range []string{"simulated time:", tc.runAhead, "last protocol events (in execution order)", "result verified against the sequential reference"} {
 			if !strings.Contains(out.String(), want) {
 				t.Errorf("run(%v): stdout missing %q:\n%s", args, want, out.String())
 			}

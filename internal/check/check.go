@@ -217,16 +217,24 @@ type runOut struct {
 	vio    *Violation
 }
 
+// traceEvents is how many events a run's trace retains per node.
+const traceEvents = 4096
+
+// newTrace allocates the trace buffer one exploration's runs share.
+func newTrace(cfg Config) *trace.Buffer { return trace.New(traceEvents * cfg.Nodes) }
+
 // runOne executes the configuration under the decision prefix path
-// (canonical choice beyond it) and checks every property.
-func runOne(cfg Config, o *oracle, path []int) runOut {
+// (canonical choice beyond it) and checks every property, recording the
+// run's events in tb, which it empties first.
+func runOne(cfg Config, o *oracle, path []int, tb *trace.Buffer) runOut {
 	newProto := cfg.NewProtocol
 	if newProto == nil {
 		newProto = func() tempest.Protocol { return cstar.NewProtocol(cfg.System) }
 	}
 	m := tempest.New(cfg.Nodes, 32, cost.Default())
 	m.SetProtocol(newProto())
-	tb := m.AttachTrace(4096)
+	tb.Reset()
+	m.Trace = tb
 	if cfg.Faults != nil {
 		m.AttachFaults(*cfg.Faults)
 	}
@@ -353,11 +361,15 @@ func finalChecks(m *tempest.Machine, v *cstar.VectorF32, o *oracle, tb *trace.Bu
 // flushed home and committed by reconciliation must agree, and a commit
 // must never appear on a block nothing was flushed to.  (The script's
 // race discipline guarantees no write-write conflicts, so every flushed
-// element is committed exactly once per phase.)
+// element is committed exactly once per phase.)  A trace that lost events
+// to its ring's wrap cannot be paired and is an error.
 func checkFlushCommit(tb *trace.Buffer) error {
+	if tb.Wrapped() {
+		return fmt.Errorf("flush/commit pairing: the trace wrapped, so its events are incomplete")
+	}
 	flushed := map[uint32]int64{}
 	committed := map[uint32]int64{}
-	for _, e := range tb.Merged() {
+	for _, e := range tb.Events() {
 		switch e.Kind {
 		case trace.Flush:
 			flushed[e.Block] += int64(e.Arg)
@@ -417,6 +429,7 @@ func Explore(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{}
+	tb := newTrace(cfg)
 	stack := [][]int{nil}
 	for len(stack) > 0 {
 		if cfg.MaxSchedules > 0 && res.Schedules >= cfg.MaxSchedules {
@@ -424,7 +437,7 @@ func Explore(cfg Config) (Result, error) {
 		}
 		path := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out := runOne(cfg, o, path)
+		out := runOne(cfg, o, path, tb)
 		res.Schedules++
 		if out.vio != nil {
 			res.Violation = out.vio
@@ -495,7 +508,7 @@ func Replay(cfg Config, path []int) (*Violation, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	out := runOne(cfg, o, path)
+	out := runOne(cfg, o, path, newTrace(cfg))
 	var dump string
 	if out.vio != nil {
 		dump = out.vio.Trace

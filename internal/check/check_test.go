@@ -219,25 +219,33 @@ func TestFinalChecksShortCircuits(t *testing.T) {
 	}
 }
 
-// TestCheckFlushCommit: balanced traces pass, orphan commits and
-// mismatched element counts are flagged.
+// TestCheckFlushCommit: balanced traces pass, orphan commits, mismatched
+// element counts and a trace that wrapped are flagged.
 func TestCheckFlushCommit(t *testing.T) {
-	tb := trace.New(2, 64)
+	tb := trace.New(64)
 	tb.Record(0, 10, trace.Flush, 3, 8)
 	tb.Record(1, 20, trace.Commit, 3, 8)
 	if err := checkFlushCommit(tb); err != nil {
 		t.Fatalf("balanced trace rejected: %v", err)
 	}
-	tb = trace.New(2, 64)
+	tb.Reset()
 	tb.Record(1, 20, trace.Commit, 5, 4)
 	if err := checkFlushCommit(tb); err == nil || !strings.Contains(err.Error(), "flushed none") {
 		t.Fatalf("orphan commit not flagged: %v", err)
 	}
-	tb = trace.New(2, 64)
+	tb.Reset()
 	tb.Record(0, 10, trace.Flush, 3, 8)
 	tb.Record(1, 20, trace.Commit, 3, 4)
 	if err := checkFlushCommit(tb); err == nil || !strings.Contains(err.Error(), "committed 4") {
 		t.Fatalf("count mismatch not flagged: %v", err)
+	}
+	// The flush fell off the front of the ring: its commit must not be
+	// reported as an orphan, nor the trace as balanced.
+	tb = trace.New(1)
+	tb.Record(0, 10, trace.Flush, 3, 8)
+	tb.Record(1, 20, trace.Commit, 3, 8)
+	if err := checkFlushCommit(tb); err == nil || !strings.Contains(err.Error(), "wrapped") {
+		t.Fatalf("wrapped trace not flagged: %v", err)
 	}
 }
 

@@ -285,6 +285,10 @@ const (
 	fxEvict              // a node dropped a read-only copy
 )
 
+// fxEvent is the trace event each effect kind records where it is applied
+// (an eviction records none).
+var fxEvent = [...]trace.Kind{fxRead: trace.ReadMiss, fxMark: trace.Mark, fxFlush: trace.Flush, fxEvict: trace.None}
+
 // chargeMiss charges the requester's side of the data-carrying fetch of the
 // handler that emitted fx, like Stache does; the home's side is chargeHome,
 // in the effect.
@@ -309,7 +313,9 @@ func (p *LCM) chargeHome(n *tempest.Node, b memsys.BlockID, c int64) {
 }
 
 // ApplyEffect implements tempest.EffectApplier: the shared half of the
-// handler that node n ran for block fx.Block.
+// handler that node n ran for block fx.Block.  The handler's trace event is
+// recorded here, at its place in the grant order, stamped with that grant's
+// clock.
 func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 	b := fx.Block
 	c := p.m.Cost
@@ -356,7 +362,7 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 		clean := p.m.AS.HomeData(b)
 		// Ascending element order, exactly once per modified element.
 		for mask := fx.Mask; mask != 0; mask &= mask - 1 {
-			p.mergeElem(n, b, e, r, rec, es, fx.Data, clean, uint32(bits.TrailingZeros64(mask))*es)
+			p.mergeElem(n, fx, e, r, rec, es, clean, uint32(bits.TrailingZeros64(mask))*es)
 		}
 		if fx.Mask != 0 {
 			e.writers.Add(n.ID)
@@ -368,6 +374,9 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 		p.chargeHome(n, b, c.FlushOccupancy+int64(bits.OnesCount64(fx.Mask))*c.MergePerWord)
 	case fxEvict:
 		p.entries[b].sharers.Remove(n.ID)
+	}
+	if t := p.m.Trace; t != nil && fxEvent[fx.Kind] != trace.None {
+		t.Record(n.ID, fx.At(n), fxEvent[fx.Kind], uint32(b), int32(bits.OnesCount64(fx.Mask)))
 	}
 }
 
@@ -387,9 +396,6 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	fx.Kind = fxRead
 	n.Emit(fx)
 	p.chargeMiss(n, fx, p.m.AS.HomeOf(b))
-	if t := p.m.Trace; t != nil {
-		t.Record(n.ID, n.Clock(), trace.ReadMiss, uint32(b), 0)
-	}
 	return l
 }
 
@@ -471,9 +477,6 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		p.m.Shared.CleanCopiesLocal++
 	}
 	p.noteMarked(n, l, b)
-	if t := p.m.Trace; t != nil {
-		t.Record(n.ID, n.Clock(), trace.Mark, uint32(b), 0)
-	}
 	return l
 }
 
@@ -538,9 +541,6 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	l.Marked = false
 	n.Emit(fx)
 
-	if t := p.m.Trace; t != nil {
-		t.Record(n.ID, n.Clock(), trace.Flush, uint32(b), int32(words))
-	}
 	if home == n.ID {
 		n.Charge(c.LocalFill + words*c.MergePerWord)
 	} else {
@@ -597,11 +597,12 @@ func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool)
 	return mask
 }
 
-// mergeElem folds the modified element at byte offset off of node n's
-// returned copy data into the pending image of block b, with conflict
-// detection and accounting.  The caller invokes mergeElem in ascending
-// offset order, exactly once per modified element.
-func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.Region, rec Reconciler, es uint32, data, clean []byte, off uint32) {
+// mergeElem folds the modified element at byte offset off of the copy that
+// node n's flush fx returned into the pending image of its block, with
+// conflict detection and accounting.  The caller invokes mergeElem in
+// ascending offset order, exactly once per modified element.
+func (p *LCM) mergeElem(n *tempest.Node, fx *tempest.Effect, e *entry, r *memsys.Region, rec Reconciler, es uint32, clean []byte, off uint32) {
+	b, data := fx.Block, fx.Data
 	idx := off / es
 	prior := e.written&(1<<idx) != 0
 	conflict := rec.Merge(e.pending[off:off+es], data[off:off+es], clean[off:off+es], prior)
@@ -613,7 +614,7 @@ func (p *LCM) mergeElem(n *tempest.Node, b memsys.BlockID, e *entry, r *memsys.R
 	if conflict {
 		p.m.Shared.WriteConflicts++
 		if t := p.m.Trace; t != nil {
-			t.Record(n.ID, n.Clock(), trace.Conflict, uint32(b), int32(idx))
+			t.Record(n.ID, fx.At(n), trace.Conflict, uint32(b), int32(idx))
 		}
 		if r.ConflictCheck {
 			// Cold path: the log snapshot clones the live writer set.

@@ -11,13 +11,15 @@ import (
 	"lcm/internal/sched"
 	"lcm/internal/stats"
 	"lcm/internal/tempest"
+	"lcm/internal/trace"
 )
 
 // Differential tests of run-ahead: every program below runs twice on
 // identical machines, once letting the LCM handlers post their effects and
 // once applying them on the spot — forced the way the model checker forces
 // it, with a (no-op) scheduler hook — and must leave behind the same
-// machine, down to the order of the conflict log; and that on both
+// machine, down to the order of the conflict log and the stamp of every
+// traced event; and that on both
 // interconnects: the uniform one, and a fat tree, where an exchange is priced
 // by the clock it is sent at and by the traffic sent before it.
 
@@ -30,7 +32,12 @@ type outcome struct {
 	Memory    []byte   // every block's home image
 	Tags      []uint32 // every node's tag for every block
 	Steps     int
+	Trace     []trace.Event // every protocol event, in execution order
 }
+
+// traceCap retains every event of the largest differential program, which
+// records 12 246 at this writing.
+const traceCap = 1 << 14
 
 // raProgram is one differential case: build allocates regions on a fresh
 // machine (and may set machine knobs), body is the SPMD program.
@@ -426,6 +433,7 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 	m.SetProtocol(lcm)
 	m.Freeze()
 	m.SchedSeed = seed
+	tb := m.AttachTrace(traceCap)
 	if onTheSpot {
 		m.SchedHook = func(*sched.Scheduler) {}
 	}
@@ -443,7 +451,10 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 	if !onTheSpot && st.Applies == 0 {
 		t.Fatalf("%s: no effect was deferred; the program tests nothing", pr.name)
 	}
-	out := outcome{Shared: m.Shared, Steps: m.Sched().Steps()}
+	if tb.Wrapped() {
+		t.Fatalf("%s/%s P=%d seed=%d: the trace wrapped; raise traceCap", pr.name, v, p, seed)
+	}
+	out := outcome{Shared: m.Shared, Steps: m.Sched().Steps(), Trace: tb.Events()}
 	for _, nd := range m.Nodes {
 		out.Clocks = append(out.Clocks, nd.Clock())
 		out.Counters = append(out.Counters, nd.Ctr)

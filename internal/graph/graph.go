@@ -11,18 +11,11 @@
 // under [Stache] as well as LCM").
 package graph
 
-import (
-	"fmt"
-
-	"lcm/internal/core"
-	"lcm/internal/cstar"
-	"lcm/internal/memsys"
-	"lcm/internal/tempest"
-)
+import "fmt"
 
 // Topology is a symmetric graph in CSR form, in plain Go memory: it is
-// built before the machine runs and then loaded into simulated aggregates
-// with Load.
+// built before the machine runs, and a workload copies it into whatever
+// simulated aggregates it keeps the graph in.
 type Topology struct {
 	N       int
 	Offsets []int32 // len N+1
@@ -95,50 +88,4 @@ func (t *Topology) CrossEdges(p int) int {
 		}
 	}
 	return cross
-}
-
-// Mesh is the simulated-memory representation: vertex values plus the CSR
-// topology as read-only coherent aggregates.
-type Mesh struct {
-	T       *Topology
-	Val     *cstar.VectorF32
-	Offsets *cstar.VectorI32
-	Targets *cstar.VectorI32
-}
-
-// NewMesh allocates the simulated aggregates for t.  Values get the given
-// policy (loose under LCM, coherent under Copying); the topology is always
-// coherent since it is read-only during relaxation.
-func NewMesh(m *tempest.Machine, name string, t *Topology, valPol core.Policy) *Mesh {
-	g := &Mesh{T: t}
-	g.Val = cstar.NewVectorF32(m, name+".val", t.N, valPol, memsys.Blocked)
-	g.Offsets = cstar.NewVectorI32(m, name+".off", t.N+1, core.Coherent(), memsys.Interleaved)
-	g.Targets = cstar.NewVectorI32(m, name+".tgt", len(t.Targets), core.Coherent(), memsys.Interleaved)
-	return g
-}
-
-// Load writes the topology into the home image (sequential, pre-run).
-func (g *Mesh) Load() {
-	for i, o := range g.T.Offsets {
-		g.Offsets.Poke(i, o)
-	}
-	for i, w := range g.T.Targets {
-		g.Targets.Poke(i, w)
-	}
-}
-
-// NeighborAvg returns the average value of v's neighbours, read through
-// node n from src.
-func (g *Mesh) NeighborAvg(n *tempest.Node, src *cstar.VectorF32, v int) float32 {
-	lo := g.Offsets.Get(n, v)
-	hi := g.Offsets.Get(n, v+1)
-	if lo == hi {
-		return src.Get(n, v)
-	}
-	var sum float32
-	for k := lo; k < hi; k++ {
-		w := g.Targets.Get(n, int(k))
-		sum += src.Get(n, int(w))
-	}
-	return sum / float32(hi-lo)
 }

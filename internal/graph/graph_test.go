@@ -3,10 +3,6 @@ package graph
 import (
 	"testing"
 	"testing/quick"
-
-	"lcm/internal/cost"
-	"lcm/internal/cstar"
-	"lcm/internal/tempest"
 )
 
 // build is Build for sizes the test knows to be valid.
@@ -111,29 +107,4 @@ func TestCrossEdgesSubstantial(t *testing.T) {
 	if cross < 1024/4 {
 		t.Fatalf("only %d cross edges; graph too local for the benchmark's premise", cross)
 	}
-}
-
-func TestMeshNeighborAvg(t *testing.T) {
-	// A triangle: every vertex's neighbour average is the mean of the
-	// other two.
-	tp := &Topology{
-		N:       3,
-		Offsets: []int32{0, 2, 4, 6},
-		Targets: []int32{1, 2, 0, 2, 0, 1},
-	}
-	m := cstar.NewMachine(1, 32, cost.Zero(), cstar.Copying)
-	g := NewMesh(m, "g", tp, cstar.DataPolicy(cstar.Copying))
-	m.Freeze()
-	g.Load()
-	g.Val.Poke(0, 1)
-	g.Val.Poke(1, 2)
-	g.Val.Poke(2, 3)
-	m.Run(func(n *tempest.Node) {
-		if got := g.NeighborAvg(n, g.Val, 0); got != 2.5 {
-			t.Errorf("avg(0) = %v, want 2.5", got)
-		}
-		if got := g.NeighborAvg(n, g.Val, 1); got != 2 {
-			t.Errorf("avg(1) = %v, want 2", got)
-		}
-	})
 }

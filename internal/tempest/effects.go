@@ -55,6 +55,12 @@ type Effect struct {
 	dst, payload int32
 }
 
+// At is the clock of the grant that ordered e — the clock n's handler resumed
+// at, or would have, from the yield at EnterHandler — and what an event of
+// the handler is stamped with.  Read it while e is being applied: there it
+// is the same whether e was posted or applied on the spot.
+func (e *Effect) At(n *Node) int64 { return e.clock + n.stolen }
+
 // EffectApplier is implemented by protocols whose handlers are split; it
 // applies one effect on behalf of node n, which posted it.  It may run on
 // any node's coroutine — whichever is driving the scheduler — but, like all
@@ -76,8 +82,7 @@ const effectRing = 64
 //
 //   - no checker hook is watching individual grants;
 //   - nothing restructures a handler's charges mid-flight (a fault plan:
-//     injected faults, delivery loss, recovery replay) or timestamps its
-//     steps (a trace);
+//     injected faults, delivery loss, recovery replay);
 //   - the protocol's handlers are split.
 //
 // Which regions the address space holds does not enter: run-ahead is per
@@ -86,7 +91,8 @@ const effectRing = 64
 // while posts are outstanding drains first, then looks again (Line.home:
 // lineFor and hitAfterDrain for accesses, the span run path's empty-log
 // test, settle for the tag peeks outside handlers; Stache's handlers drain
-// at their SchedYield).
+// at their SchedYield).  Neither does a trace: a split handler's events are
+// recorded where its effect is applied, stamped with Effect.At.
 //
 // Call after Freeze.
 func (m *Machine) RunAhead() (on bool, reason string) {
@@ -95,8 +101,6 @@ func (m *Machine) RunAhead() (on bool, reason string) {
 		return false, "scheduler hook"
 	case m.Fault != nil:
 		return false, "fault plan"
-	case m.Trace != nil:
-		return false, "protocol trace"
 	case m.applier == nil:
 		return false, "protocol without split handlers"
 	}

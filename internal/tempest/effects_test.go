@@ -79,7 +79,7 @@ func TestRunAheadPredicate(t *testing.T) {
 		{"fault plan", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, CorruptPerMil: 5}) }, "fault plan"},
 		{"loss", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Seed: 1, DropPerMil: 5}) }, "fault plan"},
 		{"recovery", memsys.KindLCM, func(m *Machine) { m.AttachFaults(fault.Plan{Recover: true}) }, "fault plan"},
-		{"trace", memsys.KindLCM, func(m *Machine) { m.AttachTrace(16) }, "protocol trace"},
+		{"trace → on", memsys.KindLCM, func(m *Machine) { m.AttachTrace(16) }, ""},
 		{"fat tree → on", memsys.KindLCM, fatTree, ""},
 		{"lossy fat tree", memsys.KindLCM, func(m *Machine) {
 			fatTree(m)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lcm/internal/sched"
+	"lcm/internal/trace"
 )
 
 // This file is the hardened execution core: RunErr recovers node panics into
@@ -268,10 +269,14 @@ func panicError(r any) error {
 }
 
 // Diagnostics renders a per-node dump — clock, key counters, access-tag
-// histogram, and the tail of the trace — for failure reports.  Call only
-// while the machine is quiescent.
+// histogram, and the node's last traced event — for failure reports.  Call
+// only while the machine is quiescent.
 func (m *Machine) Diagnostics() string {
 	var sb strings.Builder
+	var evts []trace.Event
+	if m.Trace != nil {
+		evts = m.Trace.Events()
+	}
 	fmt.Fprintf(&sb, "machine: P=%d protocol=%s blocks=%d\n", m.P, m.protocol.Name(), m.AS.NumBlocks())
 	for _, nd := range m.Nodes {
 		var tags [4]int
@@ -284,9 +289,10 @@ func (m *Machine) Diagnostics() string {
 		}
 		fmt.Fprintf(&sb, "%s tags[inv=%d ro=%d rw=%d priv=%d]\n", nodeDiagnostics(nd, nd.Clock()),
 			tags[TagInvalid], tags[TagReadOnly], tags[TagReadWrite], tags[TagPrivate])
-		if m.Trace != nil {
-			if evts := m.Trace.NodeEvents(nd.ID); len(evts) > 0 {
-				fmt.Fprintf(&sb, "         last trace: %s\n", evts[len(evts)-1])
+		for i := len(evts) - 1; i >= 0; i-- {
+			if int(evts[i].Node) == nd.ID {
+				fmt.Fprintf(&sb, "         last trace: %s\n", evts[i])
+				break
 			}
 		}
 	}

@@ -362,9 +362,9 @@ func (m *Machine) Lock(b memsys.BlockID) { m.schedder.NoteLock(uint32(b)) }
 // first run.
 func (m *Machine) Sched() *sched.Scheduler { return m.schedder }
 
-// AttachTrace enables event tracing with the given per-node ring capacity.
+// AttachTrace enables event tracing, retaining the last capacity events.
 func (m *Machine) AttachTrace(capacity int) *trace.Buffer {
-	m.Trace = trace.New(m.P, capacity)
+	m.Trace = trace.New(capacity)
 	return m.Trace
 }
 

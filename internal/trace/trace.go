@@ -1,17 +1,19 @@
-// Package trace records protocol events in per-node ring buffers for
-// debugging and for tests that assert on event sequences.
+// Package trace records protocol events in one ring buffer, in the order the
+// machine ran them, for debugging and for tests that assert on event
+// sequences.
 //
 // Tracing is off by default and costs one predictable branch when
-// disabled.  When enabled, each node's events go to its own fixed-size
-// ring, so tracing never allocates on the hot path and never introduces
-// cross-node synchronization that could perturb the behaviour being
-// traced.  Events carry the node's virtual clock, so a merged dump shows
-// the simulated interleaving rather than the host's.
+// disabled.  When enabled, events go to a fixed-size ring, so tracing never
+// allocates on the hot path.  A run is one sequence of steps (every node body
+// is a coroutine of one goroutine, granted in virtual-time order), so one ring
+// holds it in that order.  An event is recorded where its effect is applied
+// and carries the virtual clock of the grant that ordered it, so a trace is
+// the same event for event whether split handlers ran ahead of the token or
+// yielded at every fault.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -83,92 +85,61 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%12d] n%-2d %-10s b%-6d arg=%d", e.Clock, e.Node, e.Kind, e.Block, e.Arg)
 }
 
-// Buffer is a per-machine trace: one ring per node.
+// Buffer is a machine's trace: one ring holding the most recent events.
 type Buffer struct {
-	rings [][]Event
-	next  []int
-	wrap  []bool
-	cap   int
+	ring []Event
+	next int  // one past the newest event
+	wrap bool // an event was overwritten
 }
 
-// New creates a Buffer for p nodes with the given per-node capacity.
-func New(p, capacity int) *Buffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	b := &Buffer{
-		rings: make([][]Event, p),
-		next:  make([]int, p),
-		wrap:  make([]bool, p),
-		cap:   capacity,
-	}
-	for i := range b.rings {
-		b.rings[i] = make([]Event, capacity)
-	}
-	return b
+// New creates a Buffer that retains the last capacity events.
+func New(capacity int) *Buffer {
+	return &Buffer{ring: make([]Event, max(capacity, 1))}
 }
 
-// Record appends an event to node's ring.  Only the owning node's
-// goroutine (or a barrier-window committer acting as that node) may call
-// it for a given node.
+// Record appends an event, overwriting the oldest when the ring is full.
 func (b *Buffer) Record(node int, clock int64, kind Kind, block uint32, arg int32) {
-	r := b.rings[node]
-	i := b.next[node]
-	r[i] = Event{Clock: clock, Node: int16(node), Kind: kind, Block: block, Arg: arg}
-	i++
-	if i == b.cap {
-		i = 0
-		b.wrap[node] = true
+	if b.next == len(b.ring) {
+		b.next, b.wrap = 0, true
 	}
-	b.next[node] = i
+	b.ring[b.next] = Event{Clock: clock, Node: int16(node), Kind: kind, Block: block, Arg: arg}
+	b.next++
 }
 
-// NodeEvents returns node's retained events in recording order.
-func (b *Buffer) NodeEvents(node int) []Event {
-	r := b.rings[node]
-	if !b.wrap[node] {
-		out := make([]Event, b.next[node])
-		copy(out, r[:b.next[node]])
-		return out
-	}
-	out := make([]Event, 0, b.cap)
-	out = append(out, r[b.next[node]:]...)
-	out = append(out, r[:b.next[node]]...)
-	return out
-}
+// Wrapped reports whether events were dropped to make room for newer ones.
+func (b *Buffer) Wrapped() bool { return b.wrap }
 
-// Merged returns all retained events ordered by virtual clock (ties by
-// node then recording order).  Call only while the machine is quiescent.
-func (b *Buffer) Merged() []Event {
-	var all []Event
-	for n := range b.rings {
-		all = append(all, b.NodeEvents(n)...)
+// Reset empties the buffer, keeping its storage.
+func (b *Buffer) Reset() { b.next, b.wrap = 0, false }
+
+// Events returns the retained events in recording order.  Call only while
+// the machine is quiescent.
+func (b *Buffer) Events() []Event {
+	if !b.wrap {
+		return append([]Event(nil), b.ring[:b.next]...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Clock != all[j].Clock {
-			return all[i].Clock < all[j].Clock
-		}
-		return all[i].Node < all[j].Node
-	})
-	return all
+	return append(append(make([]Event, 0, len(b.ring)), b.ring[b.next:]...), b.ring[:b.next]...)
 }
 
 // CountKind returns how many retained events have the given kind.
 func (b *Buffer) CountKind(k Kind) int {
+	n := len(b.ring)
+	if !b.wrap {
+		n = b.next
+	}
 	total := 0
-	for n := range b.rings {
-		for _, e := range b.NodeEvents(n) {
-			if e.Kind == k {
-				total++
-			}
+	for _, e := range b.ring[:n] {
+		if e.Kind == k {
+			total++
 		}
 	}
 	return total
 }
 
-// Dump renders the merged trace, at most limit lines (0 = all).
+// Dump renders the retained events in recording order, at most the last
+// limit of them (0 = all).
 func (b *Buffer) Dump(limit int) string {
-	events := b.Merged()
+	events := b.Events()
 	if limit > 0 && len(events) > limit {
 		events = events[len(events)-limit:]
 	}

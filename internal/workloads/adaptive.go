@@ -116,7 +116,7 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 				if fixed[rIdx] {
 					return // electrode: potential is pinned
 				}
-				navg := rootNeighborAvg(n, src, q, spec, i, j)
+				navg := rootNeighborMean(n, src, q, spec, i, j)
 				// Collect leaves first: subdivision must not extend
 				// this invocation's own traversal.
 				leaves := leafScratch[n.ID][:0]
@@ -162,9 +162,9 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 	return res
 }
 
-// rootNeighborAvg averages the up/down/left/right root-cell values that
+// rootNeighborMean averages the up/down/left/right root-cell values that
 // exist, reading through src (the old copy under explicit copying).
-func rootNeighborAvg(n *tempest.Node, src, q *mesh.QuadPool, spec AdaptiveSpec, i, j int) float32 {
+func rootNeighborMean(n *tempest.Node, src, q *mesh.QuadPool, spec AdaptiveSpec, i, j int) float32 {
 	var sum float32
 	cnt := 0
 	if i > 0 {

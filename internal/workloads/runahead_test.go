@@ -91,7 +91,7 @@ func TestRunAheadMatchesOnTheSpotOnEveryLCMCell(t *testing.T) {
 				for _, p := range []int{1, 4, 8, 33} {
 					for _, seed := range []uint64{0, 1, 7} {
 						for _, nw := range nets {
-							diffRunAhead(t, row, sys, Config{P: p, Verify: true, SchedSeed: seed, Net: nw})
+							diffRunAhead(t, row, sys, Config{P: p, Verify: true, SchedSeed: seed, Net: nw, TraceCap: diffTraceCap})
 						}
 					}
 				}
@@ -100,8 +100,12 @@ func TestRunAheadMatchesOnTheSpotOnEveryLCMCell(t *testing.T) {
 	}
 }
 
+// diffTraceCap is the differential's trace, in events: the tail of a long
+// cell, since a trace that wrapped still keeps its last events in order.
+const diffTraceCap = 1 << 12
+
 // diffRunAhead runs one cell ahead of the token and on the spot and
-// compares everything the two runs leave behind.
+// compares everything the two runs leave behind, the trace included.
 func diffRunAhead(t *testing.T, row diffRow, sys cstar.System, cfg Config) {
 	t.Helper()
 	ahead, aheadState := runObserved(row, sys, cfg, false)
@@ -123,7 +127,17 @@ func diffRunAhead(t *testing.T, row diffRow, sys cstar.System, cfg Config) {
 	if cfg.Net != nil && cfg.P > 1 && (ahead.C.Net.QueueCycles == 0 || ahead.Links.MaxBusy == 0) {
 		t.Errorf("%s: nothing queued (%d cycles) on links busy at most %d cycles", where, ahead.C.Net.QueueCycles, ahead.Links.MaxBusy)
 	}
+	if a, s := ahead.Trace.Events(), spot.Trace.Events(); !reflect.DeepEqual(a, s) {
+		for i := range min(len(a), len(s)) {
+			if a[i] != s[i] {
+				t.Errorf("%s: trace event %d is %v with run-ahead, %v on the spot", where, i, a[i], s[i])
+				break
+			}
+		}
+		t.Errorf("%s: traces differ (%d and %d events retained)", where, len(a), len(s))
+	}
 	ahead.Host, spot.Host = HostStats{}, HostStats{}
+	ahead.Trace, spot.Trace = nil, nil
 	if !reflect.DeepEqual(ahead, spot) {
 		t.Errorf("%s: Results differ:\n run-ahead   %+v\n on the spot %+v", where, ahead, spot)
 	}

@@ -42,8 +42,9 @@ type Config struct {
 	CostModel *cost.Model
 	// Verify runs the sequential reference and checks the result.
 	Verify bool
-	// TraceCap, when positive, attaches a protocol event trace with this
-	// many retained events per node; it is returned in Result.Trace.
+	// TraceCap, when positive, attaches a protocol event trace that
+	// retains the last TraceCap events of the run; it is returned in
+	// Result.Trace.
 	TraceCap int
 	// CacheLines bounds each node's resident blocks (0 = unbounded, the
 	// paper's configuration: Stache backs caching with all of local
