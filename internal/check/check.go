@@ -301,7 +301,7 @@ func checkState(m *tempest.Machine, first memsys.BlockID, n uint32) error {
 		b := first + memsys.BlockID(i)
 		writers := 0
 		for _, nd := range m.Nodes {
-			if l := nd.Line(b); l != nil && l.Tag() == tempest.TagReadWrite {
+			if nd.Tag(b) == tempest.TagReadWrite {
 				writers++
 			}
 		}

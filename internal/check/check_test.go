@@ -123,11 +123,10 @@ func (p *brokenStache) Attach(m *tempest.Machine) {
 	p.Protocol.Attach(m)
 }
 
-func (p *brokenStache) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
-	l := p.Protocol.WriteFault(n, b)
+func (p *brokenStache) WriteFault(n *tempest.Node, b memsys.BlockID) {
+	p.Protocol.WriteFault(n, b)
 	peer := (n.ID + 1) % p.m.P
-	p.m.Nodes[peer].Install(b, l.Data, tempest.TagReadWrite)
-	return l
+	p.m.Nodes[peer].Install(b, n.Data(b), tempest.TagReadWrite)
 }
 
 // TestBrokenProtocolCaught: the checker must find the planted violation,

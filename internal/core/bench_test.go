@@ -85,6 +85,46 @@ func BenchmarkReconcilePhase(b *testing.B) {
 	})
 }
 
+// BenchmarkCommitFanOut is the fan-out of an LCM commit on a P=32 machine:
+// one op revokes the 31 read-only copies of a block that node 0 committed,
+// charging 31 invalidations (invalidateOutstanding, what commitLists runs per
+// modified block).  Between ops the copies are put back by hand (31 tag bytes
+// and the sharer set), so the loop measures the fan-out, not 31 read faults
+// and a reconciliation.  ns/sharer is ns/op over 31.
+//
+//	go test -run '^$' -bench CommitFanOut -cpu 1 ./internal/core
+func BenchmarkCommitFanOut(b *testing.B) {
+	const p = 32
+	m := tempest.New(p, 32, cost.Default())
+	r := m.AS.Alloc("data", 32, memsys.KindLCM, memsys.Interleaved)
+	pr := New(SCC)
+	m.SetProtocol(pr)
+	m.Freeze()
+	blk := m.AS.Block(r.Base)
+	e := &pr.entries[blk]
+	m.Run(func(n *tempest.Node) {
+		if n.ID != 0 {
+			_ = n.ReadU32(r.Base) // every other node installs its copy
+		}
+		n.Barrier()
+		if n.ID != 0 {
+			return
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for id := 1; id < p; id++ {
+				m.Nodes[id].SetTag(blk, tempest.TagReadOnly)
+				e.sharers.Add(id)
+			}
+			pr.invalidateOutstanding(n, blk, e, r, pr.phase)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(p-1), "ns/sharer")
+	})
+	if !e.sharers.Empty() || m.Nodes[p-1].Tag(blk) != tempest.TagInvalid {
+		b.Fatal("the commit left a copy readable")
+	}
+}
+
 // BenchmarkOracleProgram runs a whole random phased program per iteration
 // (end-to-end protocol throughput).
 func BenchmarkOracleProgram(b *testing.B) {
@@ -119,9 +159,7 @@ func postedFaults(tb testing.TB, measure func(fault func())) {
 		fault := func() {
 			faults++
 			a := r.Base + memsys.Addr(32*(1+faults%31)) // homes 1..31
-			if l := n.Line(m.AS.Block(a)); l != nil {
-				l.SetTag(tempest.TagInvalid)
-			}
+			n.SetTag(m.AS.Block(a), tempest.TagInvalid)
 			_ = n.ReadU32(a)
 		}
 		for i := 0; i < 31; i++ {

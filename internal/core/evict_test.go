@@ -25,8 +25,7 @@ func TestEvictionRefusesPrivateCopies(t *testing.T) {
 			n.ReadU32(r.Base + memsys.Addr(i*32))
 		}
 		b0 := m.AS.Block(r.Base)
-		l := n.Line(b0)
-		if l == nil || l.Tag() != tempest.TagPrivate {
+		if n.Tag(b0) != tempest.TagPrivate {
 			t.Error("private copy was evicted")
 		}
 		if got := n.ReadU32(r.Base); got != 99 {

@@ -33,9 +33,9 @@ func (p *LCM) CheckInvariants() error { return p.checkTags(false) }
 // The audit runs in two passes.  The block-major pass checks the sparse
 // positive obligations (every recorded sharer really holds a read-only
 // copy).  The node-major pass checks every held copy against the
-// directory, scanning each node's line table sequentially — the table is
-// dense in blocks, so this order walks memory linearly instead of
-// striding across all nodes' tables once per block.
+// directory, walking each node's valid lines (Node.ValidLines) — its tag
+// array is dense in blocks, so this order reads memory linearly instead of
+// striding across all nodes' tags once per block.
 func (p *LCM) checkTags(forbidPrivate bool) error {
 	if err := p.coherent.CheckInvariants(); err != nil {
 		return err
@@ -52,43 +52,34 @@ func (p *LCM) checkTags(forbidPrivate bool) error {
 			if !ok {
 				break
 			}
-			l := p.m.Nodes[id].Line(b)
-			if l == nil || l.Tag() != tempest.TagReadOnly {
-				tag := "none"
-				if l != nil {
-					tag = tempest.TagName(l.Tag())
-				}
-				return fmt.Errorf("core: block %d sharer %d holds %s, want ro", b, id, tag)
+			if tag := p.m.Nodes[id].Tag(b); tag != tempest.TagReadOnly {
+				return fmt.Errorf("core: block %d sharer %d holds %s, want ro", b, id, tempest.TagName(tag))
 			}
 		}
 	}
 	for id, nd := range p.m.Nodes {
-		for _, chunk := range nd.InstalledLines() {
-			for li := range chunk {
-				l := &chunk[li]
-				if l.Data == nil {
-					break // unallocated arena tail
+		for it := nd.ValidLines(); ; {
+			b, tag, ok := it.Next()
+			if !ok {
+				break
+			}
+			if p.m.AS.RegionOfBlock(b).Kind == memsys.KindCoherent {
+				continue
+			}
+			switch tag {
+			case tempest.TagReadWrite:
+				return fmt.Errorf("core: loose block %d carries coherent rw tag at node %d", b, id)
+			case tempest.TagReadOnly:
+				if !p.entries[b].sharers.Contains(id) {
+					return fmt.Errorf("core: block %d read-only at node %d but not in sharer mask", b, id)
 				}
-				b := l.Block()
-				tag := l.Tag()
-				if tag == tempest.TagInvalid || p.m.AS.RegionOfBlock(b).Kind == memsys.KindCoherent {
-					continue
+			case tempest.TagPrivate:
+				if forbidPrivate {
+					return fmt.Errorf("core: node %d still holds block %d privately between phases", id, b)
 				}
-				switch tag {
-				case tempest.TagReadWrite:
-					return fmt.Errorf("core: loose block %d carries coherent rw tag at node %d", b, id)
-				case tempest.TagReadOnly:
-					if !p.entries[b].sharers.Contains(id) {
-						return fmt.Errorf("core: block %d read-only at node %d but not in sharer mask", b, id)
-					}
-				case tempest.TagPrivate:
-					if forbidPrivate {
-						return fmt.Errorf("core: node %d still holds block %d privately between phases", id, b)
-					}
-					if l.Gen != ph {
-						return fmt.Errorf("core: block %d private at node %d with stale generation %d (phase %d)",
-							b, id, l.Gen, ph)
-					}
+				if g := nd.Copy(b).Gen; g != ph {
+					return fmt.Errorf("core: block %d private at node %d with stale generation %d (phase %d)",
+						b, id, g, ph)
 				}
 			}
 		}

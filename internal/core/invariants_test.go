@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
+	"lcm/internal/sched"
 	"lcm/internal/tempest"
 )
 
@@ -123,6 +125,81 @@ func TestInvariantsAtWideMachines(t *testing.T) {
 				if want := uint32(p + i); got != want {
 					t.Fatalf("P=%d %v: elem %d = %d, want %d", p, v, i, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestTagBytesAtOneAndTwoSetWords drives a machine mixing a sequentially
+// consistent and a loosely coherent region at P = 1, 33 and 96 — sharer sets
+// of one and of two words — and holds the tag bytes, the withholding of
+// coherent lines while posts are outstanding and the audits to what they
+// must be: every node reads a coherent block and a loose one, the last node
+// then takes the coherent block exclusive (an invalidation fan-out across
+// the whole set), every node marks its own loose element between a read of
+// the coherent block and its reconciliation.  Running ahead and on the spot
+// end with the same tags and clocks, only the last node holds the coherent
+// block, and the audits pass mid-run and between phases.
+func TestTagBytesAtOneAndTwoSetWords(t *testing.T) {
+	for _, p := range []int{1, 33, 96} {
+		for _, v := range []Variant{SCC, MCC} {
+			type end struct {
+				Tags   [][]tempest.Tag
+				Clocks []int64
+			}
+			run := func(onTheSpot bool) end {
+				m := tempest.New(p, 32, cost.Default())
+				loose := m.AS.Alloc("loose", uint64(p)*4, memsys.KindLCM, memsys.Interleaved)
+				coh := m.AS.Alloc("coh", 64, memsys.KindCoherent, memsys.Interleaved)
+				pr := New(v)
+				m.SetProtocol(pr)
+				m.Freeze()
+				if onTheSpot {
+					m.SchedHook = func(*sched.Scheduler) {}
+				}
+				var midErr error
+				m.Run(func(n *tempest.Node) {
+					_ = n.ReadU32(coh.Base)
+					_ = n.ReadU32(loose.Base)
+					n.Barrier()
+					if n.ID == p-1 {
+						n.WriteU32(coh.Base, 7)
+						midErr = pr.CheckInvariants()
+					}
+					n.WriteU32(loose.Base+memsys.Addr(n.ID*4), uint32(n.ID+1))
+					if got := n.ReadU32(coh.Base + 32); got != 0 {
+						t.Errorf("P=%d %v: coherent word %d", p, v, got)
+					}
+					n.ReconcileCopies()
+				})
+				if midErr != nil {
+					t.Fatalf("P=%d %v mid-phase: %v", p, v, midErr)
+				}
+				if err := pr.CheckQuiescent(); err != nil {
+					t.Fatalf("P=%d %v: %v", p, v, err)
+				}
+				var e end
+				cb := m.AS.Block(coh.Base)
+				for _, n := range m.Nodes {
+					want := tempest.TagInvalid
+					if n.ID == p-1 {
+						want = tempest.TagReadWrite
+					}
+					if got := n.Tag(cb); got != want {
+						t.Errorf("P=%d %v: node %d holds the coherent block %s, want %s",
+							p, v, n.ID, tempest.TagName(got), tempest.TagName(want))
+					}
+					var tags []tempest.Tag
+					for b := memsys.BlockID(0); uint32(b) < m.AS.NumBlocks(); b++ {
+						tags = append(tags, n.Tag(b))
+					}
+					e.Tags = append(e.Tags, tags)
+					e.Clocks = append(e.Clocks, n.Clock())
+				}
+				return e
+			}
+			if ahead, spot := run(false), run(true); !reflect.DeepEqual(ahead, spot) {
+				t.Errorf("P=%d %v: running ahead ends with other tags or clocks than on the spot", p, v)
 			}
 		}
 	}

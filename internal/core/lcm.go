@@ -382,33 +382,34 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 
 // ReadFault implements tempest.Protocol: obtain a read-only copy carrying
 // the pre-phase (clean) value of the block.
-func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
+func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) {
 	r := p.m.AS.RegionOfBlock(b)
 	if r.Kind == memsys.KindCoherent {
-		return p.coherent.ReadFault(n, b)
+		p.coherent.ReadFault(n, b)
+		return
 	}
 	ph := p.phase
 	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	// The home image is not updated until reconciliation commits, so it
 	// is the clean (pre-phase) value throughout the parallel phase.
-	l := n.Install(b, p.m.AS.HomeData(b), tempest.TagReadOnly)
-	l.Gen = ph
+	n.Install(b, p.m.AS.HomeData(b), tempest.TagReadOnly)
+	n.Copy(b).Gen = ph
 	fx.Kind = fxRead
 	n.Emit(fx)
 	p.chargeMiss(n, fx, p.m.AS.HomeOf(b))
-	return l
 }
 
 // WriteFault implements tempest.Protocol.  A store to a loosely coherent
 // block with no private copy is the copy-on-write trigger: it behaves as an
 // implicit MarkModification (the "memory system detects the unusual case"
 // path of the paper's conclusion).
-func (p *LCM) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
+func (p *LCM) WriteFault(n *tempest.Node, b memsys.BlockID) {
 	r := p.m.AS.RegionOfBlock(b)
 	if r.Kind == memsys.KindCoherent {
-		return p.coherent.WriteFault(n, b)
+		p.coherent.WriteFault(n, b)
+		return
 	}
-	return p.mark(n, b)
+	p.mark(n, b)
 }
 
 // MarkModification implements tempest.Protocol: create an inconsistent,
@@ -424,27 +425,28 @@ func (p *LCM) MarkModification(n *tempest.Node, addr memsys.Addr) {
 }
 
 // mark is the common MarkModification/copy-on-write path.
-func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
+func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) {
 	ph := p.phase
 	c := p.m.Cost
 	n.Ctr.Marks++
-	l := n.Line(b)
+	tag, l := n.Tag(b), n.Copy(b)
 
 	// Already private this phase: the directive is a cheap tag check.
-	if l != nil && l.Tag() == tempest.TagPrivate && l.Gen == ph {
+	if tag == tempest.TagPrivate && l.Gen == ph {
 		n.Charge(c.MarkLocal)
-		return l
+		return
 	}
 
 	// LCM-mcc fast path: a local clean copy from this phase lets the
-	// node re-create its private copy without contacting home.
-	if p.variant == MCC && l != nil && l.Tag() == tempest.TagReadOnly &&
-		l.Clean != nil && l.CleanGen == ph {
-		l.SetTag(tempest.TagPrivate)
+	// node re-create its private copy without contacting home.  (Phases
+	// count from 1, so a line that never kept a clean copy fails the
+	// generation test.)
+	if p.variant == MCC && tag == tempest.TagReadOnly && l.CleanGen == ph {
+		n.SetTag(b, tempest.TagPrivate)
 		l.WMask = 0
 		n.Charge(c.MarkLocal)
 		p.noteMarked(n, l, b)
-		return l
+		return
 	}
 
 	home := p.m.AS.HomeOf(b)
@@ -452,9 +454,9 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	fx.Kind = fxMark
 	n.Emit(fx)
 
-	if l != nil && l.Tag() >= tempest.TagReadOnly {
+	if n.Tag(b) >= tempest.TagReadOnly {
 		// Upgrade in place: the cached data is the pre-phase value.
-		l.SetTag(tempest.TagPrivate)
+		n.SetTag(b, tempest.TagPrivate)
 		n.Ctr.Upgrades++
 		if home == n.ID {
 			n.Charge(c.MarkLocal)
@@ -463,25 +465,23 @@ func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		}
 	} else {
 		// Fetch the clean value from home.
-		l = n.Install(b, p.m.AS.HomeData(b), tempest.TagPrivate)
+		n.Install(b, p.m.AS.HomeData(b), tempest.TagPrivate)
+		l = n.Copy(b)
 		p.chargeMiss(n, fx, home)
 	}
 	l.Gen = ph
 	l.WMask = 0
 	if p.variant == MCC {
-		if l.Clean == nil {
-			l.Clean = n.BlockBuf()
-		}
-		copy(l.Clean, l.Data)
+		copy(n.Clean(b), n.Data(b))
 		l.CleanGen = ph
 		p.m.Shared.CleanCopiesLocal++
 	}
 	p.noteMarked(n, l, b)
-	return l
 }
 
-// noteMarked puts b on the node's marked list exactly once per mark epoch.
-func (p *LCM) noteMarked(n *tempest.Node, l *tempest.Line, b memsys.BlockID) {
+// noteMarked puts b, whose copy is l, on the node's marked list exactly once
+// per mark epoch.
+func (p *LCM) noteMarked(n *tempest.Node, l *tempest.Copy, b memsys.BlockID) {
 	if !l.Marked {
 		l.Marked = true
 		st := p.state(n)
@@ -507,8 +507,8 @@ func (p *LCM) FlushCopies(n *tempest.Node) {
 // modified elements home to be merged into the pending image, and releases
 // or reverts the private copy according to the variant.
 func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
-	l := n.Line(b)
-	if l == nil || l.Tag() != tempest.TagPrivate || !l.Marked {
+	l := n.Copy(b)
+	if n.Tag(b) != tempest.TagPrivate || !l.Marked {
 		panic(fmt.Sprintf("core: node %d flushing block %d which is not private-marked", n.ID, b))
 	}
 	r := p.m.AS.RegionOfBlock(b)
@@ -520,8 +520,9 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	// flush, so the full fault floor holds (the no-pending path panics).
 	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	fx.Kind = fxFlush
-	fx.Mask = modifiedElems(l, p.m.AS.HomeData(b), es, r.ConflictCheck)
-	copy(fx.Data, l.Data)
+	data := n.Data(b)
+	fx.Mask = modifiedElems(data, l.WMask, p.m.AS.HomeData(b), es, r.ConflictCheck)
+	copy(fx.Data, data)
 	words := int64(bits.OnesCount64(fx.Mask))
 	l.WMask = 0
 	n.Ctr.Flushes++
@@ -531,12 +532,12 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	case SCC:
 		// Single clean copy at home: drop the private copy; reuse
 		// re-fetches the clean value from home.
-		l.SetTag(tempest.TagInvalid)
+		n.SetTag(b, tempest.TagInvalid)
 	case MCC:
 		// Revert to the local clean copy; the node keeps a readable
 		// pre-phase copy without re-fetching.
-		copy(l.Data, l.Clean)
-		l.SetTag(tempest.TagReadOnly)
+		copy(data, n.Clean(b))
+		n.SetTag(b, tempest.TagReadOnly)
 	}
 	l.Marked = false
 	n.Emit(fx)
@@ -550,21 +551,21 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	}
 }
 
-// modifiedElems returns the set of es-byte elements of private copy l that
-// go home in a flush, as a bitmask by element index.  An element is
-// modified when its value differs from the clean copy, or — in
+// modifiedElems returns the set of es-byte elements of a private copy's
+// bytes, data, that go home in a flush, as a bitmask by element index.  An
+// element is modified when its value differs from the clean copy, or — in
 // conflict-checked regions, which track stores at word granularity
-// (footnote 2) — when it was stored to at all, even with an unchanged
-// value.
-func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool) uint64 {
+// (footnote 2) in the copy's wmask — when it was stored to at all, even with
+// an unchanged value.
+func modifiedElems(data []byte, wmask uint64, clean []byte, es uint32, conflictCheck bool) uint64 {
 	var mask uint64
 	bs := uint32(len(clean))
 	if !conflictCheck && (es == 4 || es == 8) {
 		// The common case (no store-granularity tracking): most of a
 		// flushed block is untouched, so compare eight bytes at a time and
 		// look closer only around actual modifications.
-		d64, c64 := memsys.View[uint64](l.Data), memsys.View[uint64](clean)
-		d32, c32 := memsys.View[uint32](l.Data), memsys.View[uint32](clean)
+		d64, c64 := memsys.View[uint64](data), memsys.View[uint64](clean)
+		d32, c32 := memsys.View[uint32](data), memsys.View[uint32](clean)
 		for i, w := range d64 {
 			if w == c64[i] {
 				continue
@@ -585,12 +586,12 @@ func modifiedElems(l *tempest.Line, clean []byte, es uint32, conflictCheck bool)
 		stored := false
 		if conflictCheck {
 			for w := off / 4; w < (off+es)/4; w++ {
-				if l.WMask&(1<<w) != 0 {
+				if wmask&(1<<w) != 0 {
 					stored = true
 				}
 			}
 		}
-		if stored || !bytes.Equal(l.Data[off:off+es], clean[off:off+es]) {
+		if stored || !bytes.Equal(data[off:off+es], clean[off:off+es]) {
 			mask |= 1 << (off / es)
 		}
 	}
@@ -639,17 +640,16 @@ func (p *LCM) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	if r.Kind == memsys.KindCoherent {
 		return p.coherent.Evict(n, b)
 	}
-	l := n.Line(b)
-	if l == nil || l.Tag() == tempest.TagInvalid {
+	switch n.Tag(b) {
+	case tempest.TagInvalid:
 		return true
-	}
-	if l.Tag() == tempest.TagPrivate {
+	case tempest.TagPrivate:
 		return false
 	}
 	fx := n.EnterHandler(b) // deterministic handler-entry order (see internal/sched)
 	fx.Kind = fxEvict
 	n.Emit(fx) // the home forgets the sharer
-	l.SetTag(tempest.TagInvalid)
+	n.SetTag(b, tempest.TagInvalid)
 	n.Charge(p.m.Cost.MarkLocal)
 	return true
 }
@@ -696,11 +696,10 @@ func (p *LCM) commitHome(n *tempest.Node, ph uint32) {
 // but not yet committed — must move to the adopter's list, or the next
 // reconciliation would never commit them (commitHome drains each node's
 // own list, and the dead node's is now authoritative for nothing).  The
-// two lists merge by registration order, so the adopter commits — and an
-// order-sensitive interconnect prices its invalidations — as one home that
-// had owned all the blocks from the start would.
-// Called from the dying node's goroutine at a deterministic point where
-// no node is inside the reconciliation window.
+// two lists merge by registration order, so the adopter commits — and
+// sends its invalidations — as one home that had owned all the blocks from
+// the start would.  Called from the dying node's coroutine at a
+// deterministic point where no node is inside the reconciliation window.
 func (p *LCM) Rehome(from, to int) {
 	moved := p.dirty[from]
 	p.dirty[from] = moved[:0]
@@ -780,23 +779,21 @@ func (p *LCM) invalidateOutstanding(n *tempest.Node, b memsys.BlockID, e *entry,
 	// Members are dropped in place while the fan-out walks them —
 	// nodeset.Iter snapshots each word before popping its bits, so
 	// removing the member just visited is safe and the ascending charge
-	// order matches the historical flat-mask loop exactly.
+	// order matches the historical flat-mask loop exactly.  Every sharer
+	// installed its copy before it joined the set.
 	sent := int64(0)
+	stale := r.Kind == memsys.KindStale
 	for it := e.sharers.Iter(); ; {
 		id, ok := it.Next()
 		if !ok {
 			break
 		}
-		l := p.m.Nodes[id].Line(b)
-		if l == nil {
-			e.sharers.Remove(id)
-			continue
-		}
-		if r.Kind == memsys.KindStale && ph-l.Gen < uint32(r.StalePhases) {
+		nd := p.m.Nodes[id]
+		if stale && ph-nd.Copy(b).Gen < uint32(r.StalePhases) {
 			continue // stale policy: the young copy survives the commit
 		}
 		e.sharers.Remove(id)
-		l.SetTag(tempest.TagInvalid)
+		nd.SetTag(b, tempest.TagInvalid)
 		n.Charge(p.m.Net.Invalidate(n.ID, id, n.Clock(), &n.Ctr.Net))
 		sent++
 	}
@@ -810,9 +807,7 @@ func (p *LCM) invalidateAllSharers(n *tempest.Node, b memsys.BlockID, e *entry) 
 		if !ok {
 			break
 		}
-		if l := p.m.Nodes[id].Line(b); l != nil {
-			l.SetTag(tempest.TagInvalid)
-		}
+		p.m.Nodes[id].SetTag(b, tempest.TagInvalid)
 		n.Ctr.InvalidationsSent++
 		n.Charge(p.m.Net.Invalidate(n.ID, id, n.Clock(), &n.Ctr.Net))
 	}

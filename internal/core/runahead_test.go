@@ -64,8 +64,7 @@ type raSeen struct {
 // token the tag still permits the operation, and only a drain inside op can
 // make it see what the schedule says it sees.
 func (s *raSeen) watch(n *tempest.Node, b memsys.BlockID, need tempest.Tag, op func()) {
-	l := n.Line(b)
-	permitted := l != nil && l.Tag() >= need
+	permitted := n.Tag(b) >= need
 	steps, misses, upgrades := n.M.Sched().Steps(), n.Ctr.Misses, n.Ctr.Upgrades
 	op()
 	if !permitted || n.M.Sched().Steps() == steps {
@@ -76,7 +75,7 @@ func (s *raSeen) watch(n *tempest.Node, b memsys.BlockID, need tempest.Tag, op f
 	// then has nothing to drop) a writer now owns the line.
 	revoked := n.Ctr.Misses > misses || n.Ctr.Upgrades > upgrades
 	for _, o := range n.M.Nodes {
-		if ol := o.Line(b); o != n && ol != nil && ol.Tag() == tempest.TagReadWrite {
+		if o != n && o.Tag(b) == tempest.TagReadWrite {
 			revoked = true
 		}
 	}
@@ -317,7 +316,7 @@ func raPrograms(t *testing.T) []raProgram {
 		mixed(t, "mark-with-coherent-mru", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
 			// The Mark directive posts without passing through a fault path,
 			// so the next read of the coherent line node 0 read last must be
-			// withheld by lineFor until the drain.
+			// withheld by tagFor until the drain.
 			for round := 0; round < 3; round++ {
 				_ = n.ReadU32(word(coh, 0))
 				n.ReconcileCopies()
@@ -459,11 +458,7 @@ func runProgram(t *testing.T, pr raProgram, v Variant, p int, seed uint64, onThe
 		out.Clocks = append(out.Clocks, nd.Clock())
 		out.Counters = append(out.Counters, nd.Ctr)
 		for b := memsys.BlockID(0); uint32(b) < m.AS.NumBlocks(); b++ {
-			tag := tempest.TagInvalid
-			if l := nd.Line(b); l != nil {
-				tag = l.Tag()
-			}
-			out.Tags = append(out.Tags, tag)
+			out.Tags = append(out.Tags, nd.Tag(b))
 		}
 	}
 	for _, c := range lcm.Conflicts() {

@@ -26,8 +26,7 @@ func aligned(t *testing.T, source string, buf []byte) {
 // on a P=2 machine under both LCM variants at the smallest and the largest
 // block size, and fails if any of them does not start on an 8-byte boundary.
 // The reconciler works on 8-byte elements, so every element it sees sits at a
-// multiple of 8 from its buffer's base.  (Checkpoint images are private to
-// tempest; TestCheckpointImagesAligned there covers them.)
+// multiple of 8 from its buffer's base.
 func TestBlockBuffersAligned(t *testing.T) {
 	for _, variant := range []core.Variant{core.SCC, core.MCC} {
 		for _, bs := range []uint32{8, 256} {
@@ -67,14 +66,14 @@ func TestBlockBuffersAligned(t *testing.T) {
 				for b := r.FirstBlock(); b < r.FirstBlock()+memsys.BlockID(r.NumBlocks()); b++ {
 					aligned(t, "home image", m.AS.HomeData(b))
 					for _, n := range m.Nodes {
-						l := n.Line(b)
-						if l == nil {
+						c := n.Copy(b)
+						if c == nil {
 							t.Fatalf("node %d never installed block %d", n.ID, b)
 						}
-						aligned(t, "line data", l.Data)
-						if l.Clean != nil {
+						aligned(t, "line data", n.Data(b))
+						if c.CleanGen != 0 {
 							clean++
-							aligned(t, "mcc clean copy", l.Clean)
+							aligned(t, "mcc clean copy", n.Clean(b))
 						}
 					}
 				}

@@ -12,16 +12,15 @@ import "unsafe"
 // bytes with bytes of the same host).
 //
 // Alignment is a property of the allocation sites, not of the accesses.
-// Every buffer that holds simulated data — the home image, line data and
-// clean copies and pending images (the node arenas behind
-// tempest.Node.BlockBuf), effect-ring snapshots, checkpoint images — is a
+// Every buffer that holds simulated data — the home image, a node's copy
+// and clean-copy slabs, the pending images and wire blocks of the node
+// arenas behind tempest.Node.BlockBuf, effect-ring snapshots — is a
 // block-size multiple carved out of a Go allocation of at least 8 bytes,
 // which the runtime aligns to 8; blocks are powers of two >= 8, and typed
 // accesses sit at multiples of their element size within a block.  So a
 // view's base is aligned for its element type and the hit path carries no
-// run-time alignment check: TestBlockBuffersAligned here and
-// TestCheckpointImagesAligned in internal/tempest walk a buffer from each
-// source and fail if its base is not 8-byte aligned, and under -race
+// run-time alignment check: TestBlockBuffersAligned walks a buffer from each
+// source and fails if its base is not 8-byte aligned, and under -race
 // checkptr verifies that no view reaches outside the allocation it was
 // taken from.
 //

@@ -18,17 +18,20 @@ import (
 //     read-only.
 //   - stateExcl: exactly the owner holds a copy, read-write; nobody else
 //     holds any access.
-//   - No line anywhere carries TagPrivate (that tag belongs to LCM).
-//   - Every installed line's data is the block's home image itself, not a
-//     copy of it (tempest's home lines), whatever its tag: that is what
-//     lets a coherent store write memory once and a handler serve any
-//     block from the home image.
+//   - No line of a coherent region carries TagPrivate (that tag belongs to
+//     LCM's copies of loosely coherent blocks).
+//
+// A coherent line's data is the block's home image by construction: the
+// line is its tag byte and nothing else (tempest's home lines), which is what
+// lets a coherent store write memory once and a handler serve any block from
+// the home image.
 //
 // The audit runs in two passes.  The block-major pass checks the sparse
 // positive obligations (recorded sharers and owners really hold their
 // copies).  The node-major pass checks every held copy against the
-// directory; it scans each node's line table sequentially, which walks
-// memory linearly instead of striding across all nodes' tables per block.
+// directory; it walks each node's valid lines (Node.ValidLines), which reads
+// the node's tag array linearly instead of striding across all nodes' tags
+// per block.
 func (p *Protocol) CheckInvariants() error {
 	for bi := range p.entries {
 		b := memsys.BlockID(bi)
@@ -43,8 +46,8 @@ func (p *Protocol) CheckInvariants() error {
 			continue
 		}
 		if e.state == stateExcl {
-			if l := p.m.Nodes[int(e.owner)].Line(b); l == nil || l.Tag() != tempest.TagReadWrite {
-				return fmt.Errorf("stache: block %d owner %d has tag %s", b, e.owner, lineTagName(l))
+			if tag := p.m.Nodes[int(e.owner)].Tag(b); tag != tempest.TagReadWrite {
+				return fmt.Errorf("stache: block %d owner %d has tag %s", b, e.owner, tempest.TagName(tag))
 			}
 			continue
 		}
@@ -54,54 +57,36 @@ func (p *Protocol) CheckInvariants() error {
 			if !ok {
 				break
 			}
-			if l := p.m.Nodes[id].Line(b); l == nil || l.Tag() != tempest.TagReadOnly {
-				return fmt.Errorf("stache: block %d sharer %d has tag %s", b, id, lineTagName(l))
+			if tag := p.m.Nodes[id].Tag(b); tag != tempest.TagReadOnly {
+				return fmt.Errorf("stache: block %d sharer %d has tag %s", b, id, tempest.TagName(tag))
 			}
 		}
 	}
 	for id, nd := range p.m.Nodes {
-		for _, chunk := range nd.InstalledLines() {
-			for li := range chunk {
-				l := &chunk[li]
-				if l.Data == nil {
-					break // unallocated arena tail
+		for it := nd.ValidLines(); ; {
+			b, tag, ok := it.Next()
+			if !ok {
+				break
+			}
+			if p.m.AS.RegionOfBlock(b).Kind != memsys.KindCoherent {
+				continue
+			}
+			if tag == tempest.TagPrivate {
+				return fmt.Errorf("stache: node %d holds private tag on block %d", id, b)
+			}
+			switch e := &p.entries[b]; e.state {
+			case stateIdle:
+				return fmt.Errorf("stache: idle block %d readable at node %d (%s)", b, id, tempest.TagName(tag))
+			case stateShared:
+				if !e.sharers.Contains(id) {
+					return fmt.Errorf("stache: block %d non-sharer %d has tag %s", b, id, tempest.TagName(tag))
 				}
-				b := l.Block()
-				if p.m.AS.RegionOfBlock(b).Kind != memsys.KindCoherent {
-					continue
-				}
-				if home := p.m.AS.HomeData(b); len(l.Data) != len(home) || &l.Data[0] != &home[0] {
-					return fmt.Errorf("stache: node %d's line for block %d is a copy, not the home image", id, b)
-				}
-				tag := l.Tag()
-				if tag == tempest.TagInvalid {
-					continue
-				}
-				if tag == tempest.TagPrivate {
-					return fmt.Errorf("stache: node %d holds private tag on block %d", id, b)
-				}
-				switch e := &p.entries[b]; e.state {
-				case stateIdle:
-					return fmt.Errorf("stache: idle block %d readable at node %d (%s)", b, id, tempest.TagName(tag))
-				case stateShared:
-					if !e.sharers.Contains(id) {
-						return fmt.Errorf("stache: block %d non-sharer %d has tag %s", b, id, tempest.TagName(tag))
-					}
-				case stateExcl:
-					if id != int(e.owner) {
-						return fmt.Errorf("stache: block %d non-owner %d has tag %s", b, id, tempest.TagName(tag))
-					}
+			case stateExcl:
+				if id != int(e.owner) {
+					return fmt.Errorf("stache: block %d non-owner %d has tag %s", b, id, tempest.TagName(tag))
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// lineTagName renders a possibly-absent line's tag for error messages.
-func lineTagName(l *tempest.Line) string {
-	if l == nil {
-		return "none"
-	}
-	return tempest.TagName(l.Tag())
 }

@@ -1,8 +1,10 @@
 package stache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
@@ -35,12 +37,11 @@ func TestInvariantsAfterScriptedScenarios(t *testing.T) {
 	if err := pr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// A coherent line that is a copy of its block rather than the home
-	// image is a violation whatever its tag: a store to it would miss memory.
-	l := m.Nodes[1].Line(m.AS.Block(r.Base))
-	l.Data = append([]byte(nil), l.Data...)
+	// A private tag on a coherent line is a violation: that tag belongs to
+	// LCM's copies.
+	m.Nodes[1].SetTag(m.AS.Block(r.Base), tempest.TagPrivate)
 	if err := pr.CheckInvariants(); err == nil {
-		t.Fatal("audit accepted a coherent line holding a copy of its block")
+		t.Fatal("audit accepted a coherent line with a private tag")
 	}
 }
 
@@ -143,5 +144,26 @@ func TestInvariantsAtWideMachines(t *testing.T) {
 		if err := pr.CheckInvariants(); err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
+	}
+}
+
+// TestFreezeAllocatesATagBytePerBlock guards the representation of access
+// rights: freezing a P=32 machine of N blocks gives each node one tag byte
+// per block and nothing per block beyond it, so the machine's own share of
+// Freeze — all of it but the address space's maps and image and the
+// directory — is about P × N bytes.  A table of line pointers was 8 × P × N.
+func TestFreezeAllocatesATagBytePerBlock(t *testing.T) {
+	const p, blocks = 32, 1 << 14
+	m := tempest.New(p, 32, cost.Default())
+	m.AS.Alloc("data", blocks*32, memsys.KindCoherent, memsys.Interleaved)
+	m.SetProtocol(New())
+	m.AS.Freeze() // the home image and maps: per block, not per node
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Freeze()
+	runtime.ReadMemStats(&after)
+	dir := uint64(blocks * unsafe.Sizeof(entry{}))
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(p*blocks)+dir+64*p; got > max {
+		t.Errorf("Freeze allocated %d bytes, want at most %d: P×N tag bytes, %d of directory and O(P)", got, max, dir)
 	}
 }

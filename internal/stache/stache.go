@@ -115,16 +115,11 @@ func (p *Protocol) chargeMiss(n *tempest.Node, home, owner int, threeHop bool) {
 // home already holds the owner's data; only the owner's access rights
 // change.
 func (p *Protocol) recallDirty(b memsys.BlockID, e *entry, downgradeTo tempest.Tag) {
-	owner := p.m.Nodes[int(e.owner)]
-	l := owner.Line(b)
-	if l == nil {
-		panic(fmt.Sprintf("stache: directory says node %d owns block %d but it has no line", e.owner, b))
-	}
-	l.SetTag(downgradeTo)
+	p.m.Nodes[int(e.owner)].SetTag(b, downgradeTo)
 }
 
 // ReadFault implements tempest.Protocol: obtain a read-only copy.
-func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
+func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) {
 	m := p.m
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
@@ -146,19 +141,18 @@ func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		e.state = stateShared
 		threeHop = true
 	}
-	l := n.Install(b, m.AS.HomeData(b), tempest.TagReadOnly)
+	n.Install(b, m.AS.HomeData(b), tempest.TagReadOnly)
 	e.sharers.Add(n.ID)
 	e.state = stateShared
 	p.chargeMiss(n, home, owner, threeHop)
 	if t := m.Trace; t != nil {
 		t.Record(n.ID, n.Clock(), trace.ReadMiss, uint32(b), 0)
 	}
-	return l
 }
 
 // WriteFault implements tempest.Protocol: obtain the (single) writable
 // copy, invalidating all other copies.
-func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
+func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) {
 	m := p.m
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
@@ -176,24 +170,24 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 		n.Charge(m.Net.Invalidate(n.ID, oldOwner, n.Clock(), &n.Ctr.Net))
 		e.sharers.Clear()
 		e.state = stateIdle
-		l := n.Install(b, m.AS.HomeData(b), tempest.TagReadWrite)
+		n.Install(b, m.AS.HomeData(b), tempest.TagReadWrite)
 		e.state = stateExcl
 		e.owner = int32(n.ID)
 		p.chargeMiss(n, home, oldOwner, true)
 		if t := m.Trace; t != nil {
 			t.Record(n.ID, n.Clock(), trace.WriteMiss, uint32(b), 0)
 		}
-		return l
+		return
 	}
 
 	// Invalidate outstanding read-only copies (other than ours).
 	p.invalidateSharers(n, b, e)
 
-	var l *tempest.Line
-	if e.sharers.Contains(n.ID) || hasValidLine(n, b) {
+	if e.sharers.Contains(n.ID) || n.Tag(b) >= tempest.TagReadOnly {
 		// Upgrade in place: we already hold the current data read-only.
-		l = n.Line(b)
-		l.SetTag(tempest.TagReadWrite)
+		// (The directory cannot lose track of a copy under the invariants;
+		// the tag test keeps the upgrade path robust if it did.)
+		n.SetTag(b, tempest.TagReadWrite)
 		n.Ctr.Upgrades++
 		if home == n.ID {
 			n.Charge(m.Cost.MarkLocal)
@@ -202,12 +196,12 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 			p.m.Nodes[home].ChargeRemote(m.Cost.HomeOccupancy)
 		}
 	} else {
-		l = n.Install(b, m.AS.HomeData(b), tempest.TagReadWrite)
+		n.Install(b, m.AS.HomeData(b), tempest.TagReadWrite)
 		p.chargeMiss(n, home, home, false)
 	}
 	if t := m.Trace; t != nil {
 		k := trace.WriteMiss
-		if l.Tag() == tempest.TagReadWrite && e.sharers.Contains(n.ID) {
+		if e.sharers.Contains(n.ID) {
 			k = trace.Upgrade
 		}
 		t.Record(n.ID, n.Clock(), k, uint32(b), 0)
@@ -215,15 +209,6 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) *tempest.Line {
 	e.sharers.Clear()
 	e.state = stateExcl
 	e.owner = int32(n.ID)
-	return l
-}
-
-// hasValidLine reports whether n holds a readable line for b (used when the
-// directory lost track, which cannot happen under the invariants but keeps
-// the upgrade path robust).
-func hasValidLine(n *tempest.Node, b memsys.BlockID) bool {
-	l := n.Line(b)
-	return l != nil && l.Tag() >= tempest.TagReadOnly
 }
 
 // invalidateSharers invalidates all read-only copies other than n's own and
@@ -238,9 +223,7 @@ func (p *Protocol) invalidateSharers(n *tempest.Node, b memsys.BlockID, e *entry
 		if id == n.ID {
 			continue
 		}
-		if l := p.m.Nodes[id].Line(b); l != nil {
-			l.SetTag(tempest.TagInvalid)
-		}
+		p.m.Nodes[id].SetTag(b, tempest.TagInvalid)
 		if t := p.m.Trace; t != nil {
 			t.Record(n.ID, n.Clock(), trace.Invalidate, uint32(b), int32(id))
 		}
@@ -259,8 +242,7 @@ func (p *Protocol) Evict(n *tempest.Node, b memsys.BlockID) bool {
 	m := p.m
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
-	l := n.Line(b)
-	if l == nil || l.Tag() == tempest.TagInvalid {
+	if n.Tag(b) == tempest.TagInvalid {
 		return true
 	}
 	e := &p.entries[b]
@@ -278,7 +260,7 @@ func (p *Protocol) Evict(n *tempest.Node, b memsys.BlockID) bool {
 		}
 		n.Charge(m.Cost.MarkLocal) // silent drop of a clean copy
 	}
-	l.SetTag(tempest.TagInvalid)
+	n.SetTag(b, tempest.TagInvalid)
 	return true
 }
 
@@ -287,7 +269,7 @@ func (p *Protocol) Evict(n *tempest.Node, b memsys.BlockID) bool {
 // what the C** compiler's explicit-copying code needs anyway.
 func (p *Protocol) MarkModification(n *tempest.Node, addr memsys.Addr) {
 	b := p.m.AS.Block(addr)
-	if l := n.Line(b); l == nil || l.Tag() < tempest.TagReadWrite {
+	if n.Tag(b) < tempest.TagReadWrite {
 		p.WriteFault(n, b)
 	}
 }

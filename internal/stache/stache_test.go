@@ -57,13 +57,12 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	}
 	// Every other node's copy must have been invalidated.
 	for i, n := range m.Nodes {
-		l := n.Line(b)
 		want := tempest.TagInvalid
 		if i == 2 {
 			want = tempest.TagReadWrite
 		}
-		if l.Tag() != want {
-			t.Fatalf("node %d tag %s", i, tempest.TagName(l.Tag()))
+		if tag := n.Tag(b); tag != want {
+			t.Fatalf("node %d tag %s", i, tempest.TagName(tag))
 		}
 	}
 	c := m.TotalCounters()
@@ -99,7 +98,7 @@ func TestThreeHopReadRecallsDirty(t *testing.T) {
 		t.Fatalf("home image %d, want 7", got)
 	}
 	// Old owner keeps a read-only copy.
-	if m.Nodes[1].Line(b).Tag() != tempest.TagReadOnly {
+	if m.Nodes[1].Tag(b) != tempest.TagReadOnly {
 		t.Fatal("old owner not downgraded to read-only")
 	}
 }
@@ -121,13 +120,12 @@ func TestThreeHopWriteMigratesOwnership(t *testing.T) {
 	if state != "excl" || owner != 3 {
 		t.Fatalf("state=%s owner=%d, want excl 3", state, owner)
 	}
-	if m.Nodes[0].Line(b).Tag() != tempest.TagInvalid {
+	if m.Nodes[0].Tag(b) != tempest.TagInvalid {
 		t.Fatal("old owner not invalidated")
 	}
 	// Node 3's copy must carry node 0's value.
-	l := m.Nodes[3].Line(b)
-	if l.Data[0] != 5 {
-		t.Fatalf("migrated copy lost the dirty value: %d", l.Data[0])
+	if got := m.Nodes[3].Data(b)[0]; got != 5 {
+		t.Fatalf("migrated copy lost the dirty value: %d", got)
 	}
 }
 

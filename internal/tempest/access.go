@@ -20,69 +20,79 @@ import (
 // (internal/memsys/view.go), in host order, never decoded; see "Fast-path
 // invariants" in DESIGN.md for what was measured.
 
-// lineFor returns the node's line for b from the line table, nil if none was
-// ever installed.  The caller must still check the returned line's tag.
+// tagFor returns the node's access byte for b from the tag array, to be
+// compared against need<<tagShift.
 //
-// A home line is withheld — nil, as if never installed — while the node's
+// A home line is withheld — 0, as if never installed — while the node's
 // effect log is non-empty: the caller falls into its fault path, whose first
 // step (hitAfterDrain) drains and looks again.  The drain is not called from
-// here: it would cost lineFor its inlining, and every access a call
+// here: it would cost tagFor its inlining, and every access a call
 // (DESIGN.md "Run-ahead").
-func (n *Node) lineFor(b memsys.BlockID) *Line {
-	l := n.lines[b]
-	// The flag first: an LCM line reads one more byte of a line it is about
-	// to tag-check and nothing else.
-	if l != nil && l.home && n.fxLen != 0 {
-		return nil
+func (n *Node) tagFor(b memsys.BlockID) byte {
+	t := n.tags[b]
+	if t&lineHome != 0 && n.fxLen != 0 {
+		return 0
 	}
-	return l
+	return t
 }
 
-// hitAfterDrain is the first step of both fault paths when lineFor withheld
+// lineAt returns the buffer that holds the node's line for b, whose access
+// byte is t, and the offset of the line's first byte in it: the block's home
+// image for a home line, the node's data slab at the line's slot for a copy,
+// one load away.  The access paths have checked that what they touch lies
+// within the block.
+func (n *Node) lineAt(b memsys.BlockID, t byte) ([]byte, uint32) {
+	if t&lineHome != 0 {
+		return n.M.AS.HomeData(b), 0
+	}
+	return n.data, uint32(n.slot[b])
+}
+
+// hitAfterDrain is the first step of both fault paths when tagFor withheld
 // the line: it drains the effect log, which puts the node where the
 // on-the-spot schedule has it at this access, and reports whether the tag
 // still permits the access — a plain hit, no miss counted, no handler run.
 // False means the line was revoked in between and the access is a fault in
 // any schedule.  Only the withheld test is inlined into the fault paths, so
-// a fault on a loosely coherent block pays for a byte of the line it is
-// about to install into, not for a call.
-func (n *Node) hitAfterDrain(l *Line, need Tag) bool {
+// a fault on a loosely coherent block pays for a byte it has just read, not
+// for a call.
+func (n *Node) hitAfterDrain(b memsys.BlockID, need Tag) bool {
 	n.drain()
-	return l.Tag() >= need
+	return n.Tag(b) >= need
 }
 
 // loadFault is the out-of-line read-miss path: trap to the protocol and
-// return the installed line.  Kept separate so the hot-path functions stay
-// small enough to avoid extra call layers.
-func (n *Node) loadFault(b memsys.BlockID) *Line {
-	if l := n.lines[b]; n.withheld(l) && n.hitAfterDrain(l, TagReadOnly) {
-		return l
+// return the line's access byte afterwards.  Kept separate so the hot-path
+// functions stay small enough to avoid extra call layers.
+func (n *Node) loadFault(b memsys.BlockID) byte {
+	if !n.withheld(b) || !n.hitAfterDrain(b, TagReadOnly) {
+		n.preFault(b)
+		n.makeRoom()
+		n.M.protocol.ReadFault(n, b)
 	}
-	n.preFault(b)
-	n.makeRoom()
-	return n.M.protocol.ReadFault(n, b)
+	return n.tags[b]
 }
 
 // storeFault is loadFault's write-miss counterpart.
-func (n *Node) storeFault(b memsys.BlockID) *Line {
-	if l := n.lines[b]; n.withheld(l) && n.hitAfterDrain(l, TagReadWrite) {
-		return l
+func (n *Node) storeFault(b memsys.BlockID) byte {
+	if !n.withheld(b) || !n.hitAfterDrain(b, TagReadWrite) {
+		n.preFault(b)
+		n.makeRoom()
+		n.M.protocol.WriteFault(n, b)
 	}
-	n.preFault(b)
-	n.makeRoom()
-	return n.M.protocol.WriteFault(n, b)
+	return n.tags[b]
 }
 
 // loadSeg is the span load sequence: one tag check for block b — faulting to
 // the protocol when it fails — then a single charge for k permitted loads
-// within the block.
-func (n *Node) loadSeg(b memsys.BlockID, k int64) *Line {
-	l := n.lineFor(b)
-	if l == nil || l.Tag() < TagReadOnly {
-		l = n.loadFault(b)
+// within the block.  It returns the line's access byte.
+func (n *Node) loadSeg(b memsys.BlockID, k int64) byte {
+	t := n.tagFor(b)
+	if t < loadOK {
+		t = n.loadFault(b)
 	}
 	n.hits(k)
-	return l
+	return t
 }
 
 // hits charges k permitted accesses.
@@ -100,42 +110,45 @@ func Read[T memsys.Word](n *Node, a memsys.Addr) T {
 	if off+memsys.SizeOf[T]() > n.M.AS.BlockSize {
 		panic(fmt.Sprintf("tempest: load of %d bytes at %#x straddles block boundary", memsys.SizeOf[T](), a))
 	}
-	l := n.lineFor(b)
-	if l == nil || l.Tag() < TagReadOnly {
-		l = n.loadFault(b)
+	t := n.tagFor(b)
+	if t < loadOK {
+		t = n.loadFault(b)
 	}
+	buf, o := n.lineAt(b, t)
+	p := memsys.At[T](buf, o+off)
 	n.clock += n.M.Cost.CacheHit
 	n.Ctr.Hits++
-	return *memsys.At[T](l.Data, off)
+	return *p
 }
 
 // storeAt is the span store sequence: it stores src at address a — one tag
 // check and one fault for the whole segment — charges k permitted stores and
-// returns the line it stored to.
+// returns the line's access byte.
 //
 // Stores to private (LCM) copies touch only the node-local line.  A coherent
 // exclusive copy is a home line, so its store is the store to the home image
 // that protocol handlers serve the block's current value from: they never
-// read another node's line buffer, and a permitted store charges one cache
-// hit per element like any other.  No scheduling point lies between the tag
-// check and the copy, so the line cannot be revoked under the store.
-func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) *Line {
+// read another node's copy, and a permitted store charges one cache hit per
+// element like any other.  No scheduling point lies between the tag check
+// and the copy, so the line cannot be revoked under the store.
+func (n *Node) storeAt(a memsys.Addr, src []byte, k int64) byte {
 	b, off := n.M.AS.Split(a)
 	if off+uint32(len(src)) > n.M.AS.BlockSize {
 		panic(fmt.Sprintf("tempest: store of %d bytes at %#x straddles block boundary", len(src), a))
 	}
-	l := n.lineFor(b)
-	if l == nil || l.Tag() < TagReadWrite {
-		l = n.storeFault(b)
+	t := n.tagFor(b)
+	if t < storeOK {
+		t = n.storeFault(b)
 	}
 	n.hits(k)
-	copy(l.Data[off:], src)
-	if l.Tag() != TagPrivate {
+	buf, o := n.lineAt(b, t)
+	copy(buf[o+off:], src)
+	if t < privateOK {
 		n.M.Lock(b)
 	} else if n.M.trackWrites {
-		n.recordWrite(b, l, off, uint32(len(src)))
+		n.recordWrite(b, off, uint32(len(src)))
 	}
-	return l
+	return t
 }
 
 // Write is the scalar store fast path: storeAt with k=1 flattened in and its
@@ -148,17 +161,19 @@ func Write[T memsys.Word](n *Node, a memsys.Addr, v T) {
 	if off+size > n.M.AS.BlockSize {
 		panic(fmt.Sprintf("tempest: store of %d bytes at %#x straddles block boundary", size, a))
 	}
-	l := n.lineFor(b)
-	if l == nil || l.Tag() < TagReadWrite {
-		l = n.storeFault(b)
+	t := n.tagFor(b)
+	if t < storeOK {
+		t = n.storeFault(b)
 	}
+	buf, o := n.lineAt(b, t)
+	p := memsys.At[T](buf, o+off)
 	n.clock += n.M.Cost.CacheHit
 	n.Ctr.Hits++
-	*memsys.At[T](l.Data, off) = v
-	if l.Tag() != TagPrivate {
+	*p = v
+	if t < privateOK {
 		n.M.Lock(b)
 	} else if n.M.trackWrites {
-		n.recordWrite(b, l, off, size)
+		n.recordWrite(b, off, size)
 	}
 }
 
@@ -175,17 +190,18 @@ func (n *Node) ReadF32(a memsys.Addr) float32 { return Read[float32](n, a) }
 // WriteF32 stores a single-precision float.
 func (n *Node) WriteF32(a memsys.Addr, v float32) { Write(n, a, v) }
 
-// recordWrite marks the stored words in the line's write mask when the
+// recordWrite marks the stored words in the copy's write mask when the
 // block's region is conflict-checked, so reconciliation can detect
 // value-equal stores as modifications (footnote 2 of the paper: trap
 // stores and record modified words).  The simulator records directly
 // instead of trapping; the observable semantics are the trap scheme's.
-func (n *Node) recordWrite(b memsys.BlockID, l *Line, off, size uint32) {
+func (n *Node) recordWrite(b memsys.BlockID, off, size uint32) {
 	if !n.M.AS.RegionOfBlock(b).ConflictCheck {
 		return
 	}
+	c := n.Copy(b)
 	for w := off / 4; w < (off+size)/4; w++ {
-		l.WMask |= 1 << w
+		c.WMask |= 1 << w
 	}
 }
 

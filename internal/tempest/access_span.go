@@ -49,40 +49,66 @@ func (n *Node) spanSeg(a memsys.Addr, elem uint32, max int) (memsys.BlockID, uin
 }
 
 // homeRun is the span run path.  With no effect outstanding it scans the
-// blocks of the span of max elements of size elem at a, first block first,
-// for home lines whose tags permit need, and returns how many of the
-// elements the blocks it passed hold; the first block that fails ends the
-// run and is the caller's to take through the per-block path.  A store run
-// notes each block it passes with Machine.Lock.  It charges nothing: the
-// caller moves the run with one copy against the home image and charges it
-// as hits.
+// access bytes of the blocks of the span of max elements of size elem at a,
+// first block first, for home lines whose tags permit need, and returns how
+// many of the elements the blocks it passed hold; the first block that fails
+// ends the run and is the caller's to take through the per-block path.  A
+// store run notes each block it passes with Machine.Lock.  It charges
+// nothing: the caller moves the run with one copy against the home image and
+// charges it as hits.
 //
-// It is out of line on purpose, unlike lineFor: one call covers a whole run,
+// It is out of line on purpose, unlike tagFor: one call covers a whole run,
 // and a span whose lines are not home lines stops calling it after its first
 // segment.
 func (n *Node) homeRun(a memsys.Addr, elem uint32, max int, need Tag) int {
 	if max == 0 || n.fxLen != 0 {
-		return 0 // with posts outstanding a home line is withheld (lineFor)
+		return 0 // with posts outstanding a home line is withheld (tagFor)
 	}
 	bs := uint64(n.M.AS.BlockSize)
 	b, off := n.M.AS.Split(a)
 	end := uint64(off) + uint64(max)*uint64(elem) // the span, from b's start
-	var got uint64
-	for got < end {
-		l := n.lines[b]
-		if l == nil || !l.home || l.tag < need {
-			break
+	tags := n.tags[b : uint64(b)+(end+bs-1)/bs]
+	passed := homePrefix(tags, byte(need)<<tagShift)
+	if need == TagReadWrite {
+		for i := 0; i < passed; i++ {
+			n.M.Lock(b + memsys.BlockID(i))
 		}
-		if need == TagReadWrite {
-			n.M.Lock(b)
-		}
-		got += bs
-		b++
 	}
-	if got == 0 {
+	if passed == 0 {
 		return 0
 	}
-	return int((min(got, end) - uint64(off)) / uint64(elem))
+	return int((min(uint64(passed)*bs, end) - uint64(off)) / uint64(elem))
+}
+
+// homePrefix returns how many of tags, from the first, are home lines whose
+// access byte is need (loadOK or storeOK) or above, testing eight at a time
+// while it can: a word passes when every byte has lineHome and, in its top
+// two bits, a tag of need's or above.  A home line is never private, so such
+// a tag is bit 7 for storeOK and bit 7 or 6 for loadOK.
+func homePrefix(tags []byte, need byte) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(tags); i += 8 {
+		w := load64(tags[i:])
+		hi := w
+		if need == loadOK {
+			hi |= w << 1
+		}
+		if w&(ones*uint64(lineHome)) != ones*uint64(lineHome) || hi&highs != highs {
+			break
+		}
+	}
+	for ; i < len(tags) && tags[i]&lineHome != 0 && tags[i] >= need; i++ {
+	}
+	return i
+}
+
+// load64 reads eight bytes of t little-endian, which the compiler turns into
+// one load.
+func load64(t []byte) uint64 {
+	_ = t[7]
+	return uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+		uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
 }
 
 // ReadSpan loads len(dst) consecutive elements starting at a.
@@ -106,9 +132,10 @@ func ReadSpan[T memsys.Word](n *Node, a memsys.Addr, dst []T) {
 			}
 		}
 		b, off, k := n.spanSeg(a, elem, len(dst))
-		l := n.loadSeg(b, int64(k))
-		copy(dst[:k], memsys.View[T](l.Data[off:]))
-		dst, a, run = dst[k:], a+memsys.Addr(uint32(k)*elem), l.home
+		t := n.loadSeg(b, int64(k))
+		buf, o := n.lineAt(b, t)
+		copy(dst[:k], memsys.View[T](buf[o+off:]))
+		dst, a, run = dst[k:], a+memsys.Addr(uint32(k)*elem), t&lineHome != 0
 	}
 }
 
@@ -133,8 +160,8 @@ func WriteSpan[T memsys.Word](n *Node, a memsys.Addr, src []T) {
 			}
 		}
 		_, _, k := n.spanSeg(a, elem, len(src))
-		l := n.storeAt(a, memsys.Bytes(src[:k]), int64(k))
-		src, a, run = src[k:], a+memsys.Addr(uint32(k)*elem), l.home
+		t := n.storeAt(a, memsys.Bytes(src[:k]), int64(k))
+		src, a, run = src[k:], a+memsys.Addr(uint32(k)*elem), t&lineHome != 0
 	}
 }
 
@@ -179,9 +206,13 @@ func CopySpan[T memsys.Word](n *Node, dst, src memsys.Addr, k int) {
 		}
 		sb, soff, kk := n.spanSeg(src, elem, k)
 		_, _, kk = n.spanSeg(dst, elem, kk)
-		l := n.loadSeg(sb, int64(kk))
-		d := n.storeAt(dst, l.Data[soff:soff+uint32(kk)*elem], int64(kk))
-		run = l.home && d.home
+		t := n.loadSeg(sb, int64(kk))
+		// The store's fault may grow the node's copy slab; buf keeps the
+		// array the source copy's bytes are in, which nothing writes before
+		// storeAt has copied them.
+		buf, o := n.lineAt(sb, t)
+		d := n.storeAt(dst, buf[o+soff:o+soff+uint32(kk)*elem], int64(kk))
+		run = t&d&lineHome != 0
 		k -= kk
 		src += memsys.Addr(uint32(kk) * elem)
 		dst += memsys.Addr(uint32(kk) * elem)

@@ -154,25 +154,26 @@ type postProtocol struct {
 
 func (f *postProtocol) ApplyEffect(*Node, *Effect) {}
 
-func (f *postProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
-	return f.fault(n, b, false, TagReadOnly)
+func (f *postProtocol) ReadFault(n *Node, b memsys.BlockID) {
+	f.fault(n, b, false, TagReadOnly)
 }
 
-func (f *postProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
-	return f.fault(n, b, true, TagPrivate)
+func (f *postProtocol) WriteFault(n *Node, b memsys.BlockID) {
+	f.fault(n, b, true, TagPrivate)
 }
 
-func (f *postProtocol) fault(n *Node, b memsys.BlockID, write bool, loose Tag) *Line {
-	if f.m.AS.RegionOfBlock(b).Kind == memsys.KindCoherent {
-		if write {
-			return f.fakeProtocol.WriteFault(n, b)
-		}
-		return f.fakeProtocol.ReadFault(n, b)
+func (f *postProtocol) fault(n *Node, b memsys.BlockID, write bool, loose Tag) {
+	switch {
+	case f.m.AS.RegionOfBlock(b).Kind != memsys.KindCoherent:
+		f.order = append(f.order, fakeFault{b, write})
+		n.Ctr.Misses++
+		n.Emit(n.EnterHandler(b))
+		n.Install(b, f.m.AS.HomeData(b), loose)
+	case write:
+		f.fakeProtocol.WriteFault(n, b)
+	default:
+		f.fakeProtocol.ReadFault(n, b)
 	}
-	f.order = append(f.order, fakeFault{b, write})
-	n.Ctr.Misses++
-	n.Emit(n.EnterHandler(b))
-	return n.Install(b, f.m.AS.HomeData(b), loose)
 }
 
 // runLongSpans runs spans of 80 blocks — long enough that the run path covers
@@ -205,7 +206,7 @@ func runLongSpans(t *testing.T, scalar bool) spanRun {
 			row[i] += 1
 		}
 		WriteSpan(n, coh.Base, row) // warm: one run
-		n.Line(m.AS.Block(coh.Base + 40*32)).SetTag(TagInvalid)
+		n.SetTag(m.AS.Block(coh.Base+40*32), TagInvalid)
 		read(coh.Base+4, row[:span-3])          // meets the revoked block; ends mid-block
 		WriteSpan(n, coh.Base+12, row[:span-5]) // a store run ending mid-block
 		for pass := 0; pass < 2; pass++ {       // both sides home lines: cold, then one run
@@ -329,10 +330,10 @@ type privProtocol struct {
 
 func (f *privProtocol) ApplyEffect(*Node, *Effect) {}
 
-func (f *privProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
+func (f *privProtocol) WriteFault(n *Node, b memsys.BlockID) {
 	f.m.Lock(b)
 	n.Ctr.Misses++
-	return n.Install(b, f.m.AS.HomeData(b), TagPrivate)
+	n.Install(b, f.m.AS.HomeData(b), TagPrivate)
 }
 
 // TestSpanWMaskRecording: span stores into a conflict-checked private copy
@@ -348,7 +349,7 @@ func TestSpanWMaskRecording(t *testing.T) {
 		m.Run(func(n *Node) {
 			vals := []float32{1, 2, 3, 4, 5}
 			n.WriteSpanF32(r.Base+4, vals) // words 1..5 of block 0
-			got = n.Line(m.AS.Block(r.Base)).WMask
+			got = n.Copy(m.AS.Block(r.Base)).WMask
 		})
 		return got
 	}
@@ -377,7 +378,7 @@ func TestRevocationTraps(t *testing.T) {
 		}
 		// Revoke the tag the way a remote handler does, then access again:
 		// the line is still installed, but the tag check must trap.
-		n.Line(m.AS.Block(r.Base)).SetTag(TagInvalid)
+		n.SetTag(m.AS.Block(r.Base), TagInvalid)
 		_ = n.ReadF32(r.Base)
 		if fp.readFaults != 2 {
 			t.Errorf("readFaults after revocation = %d, want 2", fp.readFaults)

@@ -1,115 +1,70 @@
 package tempest
 
 import (
+	"math/bits"
+
 	"lcm/internal/fault"
-	"lcm/internal/memsys"
 )
 
 // This file implements crash recovery: barrier-epoch checkpoints,
 // restart-from-checkpoint for injected kills, and degraded-mode
 // re-homing once a node's restart budget is spent.
 //
-// The checkpoint discipline is coordinated: every node snapshots its
+// The checkpoint discipline is coordinated: every node checkpoints its
 // protocol state at every global barrier, which in this machine is
 // exactly where the memory consistency contract makes the state
 // meaningful (LCM reconciles at barriers; between them copies are
-// intentionally inconsistent).  A node's snapshot holds its installed
-// lines — tag, data image, local clean copy, reconcile generations,
-// mark/write-mask bookkeeping — i.e. everything the protocol keeps per
-// node; a home line has no data image of its own to hold.  Directory
-// state and home images need no snapshot: they live in the global
-// simulator structures that survive a node crash (it models state kept
-// in the survivors' memories and the home's directory).
+// intentionally inconsistent).  Directory state and home images need no
+// checkpoint: they live in the global simulator structures that survive a
+// node crash (it models state kept in the survivors' memories and the
+// home's directory).
 //
 // Restart is checkpoint-plus-deterministic-replay.  The simulator
 // cannot rewind an SPMD body mid-flight, and it does not need to: the
 // machine is deterministic under the scheduler, so re-executing the
-// epoch's access stream from the restored checkpoint reproduces, bit
-// for bit, the state the node held at the crash point.  The live path
-// therefore charges the restart (fixed base + per-line restore +
-// per-operation replay) and continues from state that is identical to
-// the replay's outcome by construction.  RestoreCheckpoint performs the
-// literal byte restore; tests use it on quiescent machines to prove the
-// snapshot really contains the state a replay would start from.
+// epoch's access stream from the checkpoint reproduces, bit for bit, the
+// state the node held at the crash point.  The live path therefore charges
+// the restart (fixed base + per-line restore + per-operation replay) and
+// continues from state that is identical to the replay's outcome by
+// construction.  So a checkpoint keeps only what those charges read: how
+// many valid lines the node held — home lines included, whose data is
+// memory's — and where the epoch's operations began.  What the system
+// claims of a restart is the recovery matrix's answer identity against a
+// fault-free run (harness's recovery.golden).
 
-// lineSnap is one installed line's checkpointed image.
-type lineSnap struct {
-	block    memsys.BlockID
-	tag      Tag
-	gen      uint32
-	cleanGen uint32
-	marked   bool
-	wmask    uint64
-	data     []byte
-	// hasClean records whether the line kept a local clean copy; the
-	// clean buffer itself is reused across epochs, so its non-nilness
-	// cannot encode that.
-	hasClean bool
-	clean    []byte
-}
-
-// checkpoint is one node's barrier-epoch snapshot.  Buffers are reused
-// across epochs, so steady-state checkpointing allocates nothing.
+// checkpoint is one node's barrier-epoch checkpoint.
 type checkpoint struct {
-	// epoch is the barrier count at capture.
-	epoch int64
-	// clock is the node's virtual time at capture.
-	clock int64
+	// lines is the number of valid lines at capture.
+	lines int64
 	// opsMark is Hits+Misses at capture: the origin for replay
 	// accounting when a restart replays the epoch.
 	opsMark int64
-	lines   []lineSnap
 }
 
-// takeCheckpoint snapshots every installed, valid line of n into its
-// checkpoint, charging CheckpointPerLine per line.  Called by
-// Node.Barrier.
+// takeCheckpoint checkpoints n, charging CheckpointPerLine per valid line.
+// Called by Node.Barrier.
 func (n *Node) takeCheckpoint() {
-	ck := &n.ckpt
-	bs := int(n.M.AS.BlockSize)
-	ck.lines = ck.lines[:0]
-	for _, chunk := range n.lineChunks {
-		for i := range chunk {
-			l := &chunk[i]
-			if l.Data == nil {
-				break // unallocated arena tail
-			}
-			if l.Tag() == TagInvalid {
-				continue
-			}
-			// Reuse the slot (and its buffers) from previous epochs.
-			if len(ck.lines) < cap(ck.lines) {
-				ck.lines = ck.lines[:len(ck.lines)+1]
-			} else {
-				ck.lines = append(ck.lines, lineSnap{})
-			}
-			s := &ck.lines[len(ck.lines)-1]
-			s.block = l.block
-			s.tag = l.Tag()
-			s.gen = l.Gen
-			s.cleanGen = l.CleanGen
-			s.marked = l.Marked
-			s.wmask = l.WMask
-			if !l.home { // a home line's data is the home's, not the node's
-				if s.data == nil {
-					s.data = make([]byte, bs)
-				}
-				copy(s.data, l.Data)
-			}
-			s.hasClean = l.Clean != nil
-			if s.hasClean {
-				if s.clean == nil {
-					s.clean = make([]byte, bs)
-				}
-				copy(s.clean, l.Clean)
-			}
+	lines := n.validLines()
+	n.ckpt = checkpoint{lines: lines, opsMark: n.Ctr.Hits + n.Ctr.Misses}
+	n.clock += lines * n.M.Cost.CheckpointPerLine
+	n.Ctr.Checkpoints++
+}
+
+// validLines counts the node's lines whose tag is not TagInvalid, eight
+// access bytes at a time: a valid byte has bit 7 or bit 6 set.
+func (n *Node) validLines() int64 {
+	t := n.tags
+	c := 0
+	for ; len(t) >= 8; t = t[8:] {
+		w := load64(t)
+		c += bits.OnesCount64((w | w<<1) & 0x8080808080808080)
+	}
+	for _, x := range t {
+		if x >= loadOK {
+			c++
 		}
 	}
-	ck.epoch = n.Ctr.Barriers
-	ck.clock = n.clock
-	ck.opsMark = n.Ctr.Hits + n.Ctr.Misses
-	n.clock += int64(len(ck.lines)) * n.M.Cost.CheckpointPerLine
-	n.Ctr.Checkpoints++
+	return int64(c)
 }
 
 // restartFromCheckpoint models node n crashing and restarting from its
@@ -118,7 +73,7 @@ func (n *Node) takeCheckpoint() {
 // need not) literally rewind state.
 func (n *Node) restartFromCheckpoint() {
 	c := &n.M.Cost
-	lines := int64(len(n.ckpt.lines))
+	lines := n.ckpt.lines
 	ops := n.Ctr.Hits + n.Ctr.Misses - n.ckpt.opsMark
 	charge := c.RestartBase + lines*c.RestorePerLine + ops*c.ReplayPerOp
 	n.clock += charge
@@ -128,59 +83,6 @@ func (n *Node) restartFromCheckpoint() {
 	n.Ctr.RecoveryCycles += charge
 }
 
-// RestoreCheckpoint literally restores the node's lines to the last
-// checkpoint image: snapshotted lines get their tag, data, clean copy
-// and bookkeeping back; lines installed after the snapshot are
-// invalidated.  A home line gets its tag and bookkeeping back and nothing
-// else: its data is the home image, which is memory's, not the node's, and
-// the checkpoint neither holds nor rolls it back.  For quiescent machines
-// only (tests and post-mortem inspection) — the live restart path models
-// the restore plus a deterministic replay, which lands back on the current
-// state.
-func (n *Node) RestoreCheckpoint() {
-	ck := &n.ckpt
-	snapped := make(map[memsys.BlockID]bool, len(ck.lines))
-	for i := range ck.lines {
-		s := &ck.lines[i]
-		snapped[s.block] = true
-		l := n.lines[s.block]
-		l.SetTag(s.tag)
-		l.Gen = s.gen
-		l.CleanGen = s.cleanGen
-		l.Marked = s.marked
-		l.WMask = s.wmask
-		if !l.home {
-			copy(l.Data, s.data)
-		}
-		if s.hasClean {
-			if l.Clean == nil {
-				l.Clean = n.BlockBuf()
-			}
-			copy(l.Clean, s.clean)
-		} else {
-			l.Clean = nil
-		}
-	}
-	for _, chunk := range n.lineChunks {
-		for i := range chunk {
-			l := &chunk[i]
-			if l.Data == nil {
-				break
-			}
-			if !snapped[l.block] {
-				l.SetTag(TagInvalid)
-				l.Marked = false
-				l.WMask = 0
-				l.Clean = nil
-			}
-		}
-	}
-}
-
-// CheckpointLines returns the number of lines in the node's last
-// checkpoint (0 before the first barrier).
-func (n *Node) CheckpointLines() int { return len(n.ckpt.lines) }
-
 // Degraded reports whether the node's home responsibility has migrated
 // to a peer (degraded mode).
 func (n *Node) Degraded() bool { return n.degraded }
@@ -188,7 +90,7 @@ func (n *Node) Degraded() bool { return n.degraded }
 // killed handles an injected kill of node n triggered after `after`
 // events: a machine-wide abort by default; under a plan with Recover, a
 // checkpoint restart — and, once the node has been killed past its restart
-// budget, degraded-mode re-homing.  Runs in the dying node's goroutine.
+// budget, degraded-mode re-homing.  Runs in the dying node's coroutine.
 func (n *Node) killed(f *fault.Injector, after int) {
 	if !f.Plan().Recover {
 		panic(&fault.KillError{Node: n.ID, After: after})

@@ -2,7 +2,6 @@ package tempest
 
 import (
 	"testing"
-	"unsafe"
 
 	"lcm/internal/cost"
 	"lcm/internal/fault"
@@ -20,8 +19,8 @@ func recoveryMachine(t *testing.T, p int, words uint64, plan fault.Plan) (*Machi
 }
 
 // privateMachine is recoveryMachine over a loosely coherent region under
-// privProtocol, block size bs: its lines are buffers of their own, which a
-// checkpoint holds images of, where newTestMachine's are home lines.
+// privProtocol, block size bs: its lines are copies, where newTestMachine's
+// are home lines.
 func privateMachine(t *testing.T, p int, bs uint32, words uint64) (*Machine, *memsys.Region) {
 	t.Helper()
 	m := New(p, bs, cost.Uniform(1))
@@ -51,97 +50,9 @@ func TestCheckpointEveryBarrier(t *testing.T) {
 			t.Errorf("node %d: %d checkpoints over %d barriers, want one per barrier",
 				n.ID, n.Ctr.Checkpoints, n.Ctr.Barriers)
 		}
-		if n.CheckpointLines() == 0 {
+		if n.ckpt.lines == 0 {
 			t.Errorf("node %d: last checkpoint is empty after touching every word", n.ID)
 		}
-	}
-}
-
-// TestRestoreCheckpoint proves the snapshot holds real state: mutate every
-// checkpointed private line after the barrier, install a brand-new line,
-// restore, and the machine must be back to its barrier image byte for byte
-// with the late line invalidated.
-func TestRestoreCheckpoint(t *testing.T) {
-	m, r := privateMachine(t, 1, 32, 64)
-	half := memsys.Addr(32 * 4) // second half stays untouched until after the barrier
-	err := m.RunErr(func(n *Node) {
-		for w := uint64(0); w < 32; w++ {
-			n.WriteU32(r.Base+memsys.Addr(w*4), uint32(w)+1000)
-		}
-		n.Barrier() // checkpoint captures the first-half lines
-		snapLines := n.CheckpointLines()
-		for w := uint64(0); w < 32; w++ {
-			n.WriteU32(r.Base+memsys.Addr(w*4), 0xdeadbeef)
-		}
-		n.WriteU32(r.Base+half, 7) // installs a line the checkpoint never saw
-
-		n.RestoreCheckpoint()
-
-		if got := n.CheckpointLines(); got != snapLines {
-			t.Errorf("restore changed the checkpoint itself: %d lines, had %d", got, snapLines)
-		}
-		for w := uint64(0); w < 32; w++ {
-			if got, want := n.ReadU32(r.Base+memsys.Addr(w*4)), uint32(w)+1000; got != want {
-				t.Fatalf("word %d after restore = %#x, want the barrier image %#x", w, got, want)
-			}
-		}
-		lateBlock := m.AS.Block(r.Base + half)
-		if l := n.Line(lateBlock); l != nil && l.Tag() != TagInvalid {
-			t.Errorf("line installed after the checkpoint survived the restore (tag %v)", l.Tag())
-		}
-	})
-	if err != nil {
-		t.Fatalf("RunErr: %v", err)
-	}
-}
-
-// TestRestoreCheckpointHomeLine pins what a home line restores: its tag and
-// bookkeeping, not data.  Its data is the home image, so a store another node
-// made after the checkpoint stays in memory, and the line is still the home
-// image afterwards; a line installed after the checkpoint is invalidated as
-// for any other.
-func TestRestoreCheckpointHomeLine(t *testing.T) {
-	m, r := recoveryMachine(t, 2, 64, fault.Plan{})
-	b := m.AS.Block(r.Base)
-	late := r.Base + 32*4
-	err := m.RunErr(func(n *Node) {
-		if n.ID == 0 {
-			for w := uint32(0); w < 8; w++ {
-				n.WriteU32(r.Base+memsys.Addr(w*4), w+1000)
-			}
-		}
-		n.Barrier() // node 0's checkpoint holds block b read-write
-		if n.ID == 1 {
-			n.WriteU32(r.Base, 42)
-			return
-		}
-		n.Line(b).SetTag(TagReadOnly)
-		n.ReadU32(late)
-	})
-	if err != nil {
-		t.Fatalf("RunErr: %v", err)
-	}
-	n := m.Nodes[0]
-	n.RestoreCheckpoint()
-	home := m.AS.HomeData(b)
-	l := n.Line(b)
-	if l.Tag() != TagReadWrite {
-		t.Errorf("home line restored to tag %s, want the checkpoint's rw", TagName(l.Tag()))
-	}
-	if &l.Data[0] != &home[0] {
-		t.Errorf("restore gave the home line a buffer of its own")
-	}
-	for w := uint32(0); w < 8; w++ {
-		want := w + 1000
-		if w == 0 {
-			want = 42 // node 1's store after the checkpoint: memory's, not node 0's
-		}
-		if got := *memsys.At[uint32](home, w*4); got != want {
-			t.Errorf("home word %d after restore = %d, want %d", w, got, want)
-		}
-	}
-	if l := n.Line(m.AS.Block(late)); l == nil || l.Tag() != TagInvalid {
-		t.Errorf("line installed after the checkpoint survived the restore")
 	}
 }
 
@@ -249,31 +160,37 @@ func TestKillWithoutRecoverStillAborts(t *testing.T) {
 	}
 }
 
-// TestCheckpointImagesAligned: checkpoint images hold block data like any
-// other buffer (memsys/view.go's alignment rule), so at the smallest and the
-// largest block size every data and clean image of a checkpoint starts on an
-// 8-byte boundary.  (The buffers reachable from outside the package are
-// walked by memsys's TestBlockBuffersAligned.)
-func TestCheckpointImagesAligned(t *testing.T) {
+// TestRestoredLinesCountTheLastBarrier: a restart restores — and is charged
+// for — exactly the lines that were valid at the node's last barrier, home
+// lines and copies alike, at the smallest and the largest block size.  Lines
+// installed or revoked after the barrier do not move the count.
+func TestRestoredLinesCountTheLastBarrier(t *testing.T) {
 	for _, bs := range []uint32{8, 256} {
-		m, r := privateMachine(t, 2, bs, 5*uint64(bs)/4)
+		m, r := privateMachine(t, 2, bs, 5*uint64(bs)/4) // five blocks
+		valid := make([]int64, m.P)
 		m.Run(func(n *Node) {
-			for a := r.Base; a < r.End(); a += memsys.Addr(bs) {
+			for a := r.Base; a < r.Base+4*memsys.Addr(bs); a += memsys.Addr(bs) {
 				n.ReadU32(a)
-				n.Line(m.AS.Block(a)).Clean = n.BlockBuf() // as LCM-mcc keeps one
+			}
+			n.SetTag(m.AS.Block(r.Base), TagInvalid)
+			for it := n.ValidLines(); ; valid[n.ID]++ {
+				if _, _, ok := it.Next(); !ok {
+					break
+				}
 			}
 			n.Barrier()
+			n.ReadU32(r.Base)                     // revalidated after the barrier
+			n.ReadU32(r.Base + 4*memsys.Addr(bs)) // installed after the barrier
+			n.SetTag(m.AS.Block(r.Base+memsys.Addr(bs)), TagInvalid)
+			n.restartFromCheckpoint()
 		})
 		for _, n := range m.Nodes {
-			if len(n.ckpt.lines) != 5 {
-				t.Fatalf("bs %d node %d: checkpoint holds %d lines, want 5", bs, n.ID, len(n.ckpt.lines))
+			if valid[n.ID] != 3 {
+				t.Fatalf("bs %d node %d: %d valid lines before the barrier, want 3", bs, n.ID, valid[n.ID])
 			}
-			for _, s := range n.ckpt.lines {
-				for _, img := range [][]byte{s.data, s.clean} {
-					if p := uintptr(unsafe.Pointer(unsafe.SliceData(img))); img == nil || p%8 != 0 {
-						t.Errorf("bs %d node %d block %d: checkpoint image at %#x is not 8-byte aligned", bs, n.ID, s.block, p)
-					}
-				}
+			if n.Ctr.RestoredLines != valid[n.ID] {
+				t.Errorf("bs %d node %d: restart restored %d lines, want the %d valid at the last barrier",
+					bs, n.ID, n.Ctr.RestoredLines, valid[n.ID])
 			}
 		}
 	}

@@ -88,8 +88,8 @@ const effectRing = 64
 // Which regions the address space holds does not enter: run-ahead is per
 // region.  A fault on a loosely coherent block posts; whatever reads or
 // changes a sequentially consistent line's tag, data or directory entry
-// while posts are outstanding drains first, then looks again (Line.home:
-// lineFor and hitAfterDrain for accesses, the span run path's empty-log
+// while posts are outstanding drains first, then looks again (lineHome:
+// tagFor and hitAfterDrain for accesses, the span run path's empty-log
 // test, settle for the tag peeks outside handlers; Stache's handlers drain
 // at their SchedYield).  Neither does a trace: a split handler's events are
 // recorded where its effect is applied, stamped with Effect.At.
@@ -220,19 +220,19 @@ func (n *Node) drain() {
 	}
 }
 
-// withheld reports whether l is a line its owner may not look at just now:
-// a home line (nil is no line) while posts are outstanding.  Only a split
-// protocol posts, and its home lines are exactly its coherent ones.  lineFor
+// withheld reports whether the node's line for b is one its owner may not
+// look at just now: a home line while posts are outstanding.  Only a split
+// protocol posts, and its home lines are exactly its coherent ones.  tagFor
 // spells the same test out.
-func (n *Node) withheld(l *Line) bool { return l != nil && l.home && n.fxLen != 0 }
+func (n *Node) withheld(b memsys.BlockID) bool { return n.tags[b]&lineHome != 0 && n.fxLen != 0 }
 
 // settle drains before the owner looks at a line other nodes' real handlers
 // write: the tag peeks outside a handler (makeRoom's victim, DropCopy, the
 // Mark directive) read what the on-the-spot schedule reads only after the
 // drain has put the node where that schedule has it.  The access paths do
-// the same through lineFor and hitAfterDrain.
-func (n *Node) settle(l *Line) {
-	if n.withheld(l) {
+// the same through tagFor and hitAfterDrain.
+func (n *Node) settle(b memsys.BlockID) {
+	if n.withheld(b) {
 		n.drain()
 	}
 }

@@ -24,9 +24,9 @@ type splitProtocol struct {
 
 var errApply = errors.New("split protocol: apply failed")
 
-func (p *splitProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
+func (p *splitProtocol) ReadFault(n *Node, b memsys.BlockID) {
 	fx := n.EnterHandler(b)
-	l := n.Install(b, p.m.AS.HomeData(b), TagReadOnly)
+	n.Install(b, p.m.AS.HomeData(b), TagReadOnly)
 	n.Emit(fx)
 	n.Ctr.Misses++
 	if home := p.m.AS.HomeOf(b); home != n.ID {
@@ -34,7 +34,6 @@ func (p *splitProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
 	} else {
 		n.Charge(10)
 	}
-	return l
 }
 
 func (p *splitProtocol) ApplyEffect(n *Node, e *Effect) {
@@ -118,13 +117,11 @@ func testRunAheadKeepsClocksAndOrder(t *testing.T, prep func(*Machine)) {
 				for b := 0; b < 2*effectRing+5; b++ { // overflows the ring
 					_ = n.ReadU32(r.Base + memsys.Addr(32*((b+n.ID+round)%64)))
 					if b%7 == 0 {
-						n.lines[m.AS.Block(r.Base)+memsys.BlockID((b+n.ID+round)%64)].SetTag(TagInvalid)
+						n.SetTag(m.AS.Block(r.Base)+memsys.BlockID((b+n.ID+round)%64), TagInvalid)
 					}
 				}
 				for b := 0; b < 64; b++ {
-					if l := n.lines[m.AS.Block(r.Base)+memsys.BlockID(b)]; l != nil {
-						l.SetTag(TagInvalid) // fault again next round
-					}
+					n.SetTag(m.AS.Block(r.Base)+memsys.BlockID(b), TagInvalid) // fault again next round
 				}
 				n.Barrier()
 			}

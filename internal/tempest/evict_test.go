@@ -33,7 +33,7 @@ func TestCapacityEnforcedFIFO(t *testing.T) {
 		resident := 0
 		for i := 0; i < 8; i++ {
 			b := m.AS.Block(r.Base + memsys.Addr(i*32))
-			if l := n.Line(b); l != nil && l.Tag() != TagInvalid {
+			if n.Tag(b) != TagInvalid {
 				resident++
 			}
 		}
@@ -42,7 +42,7 @@ func TestCapacityEnforcedFIFO(t *testing.T) {
 		}
 		// FIFO: the first-touched blocks were the victims.
 		b0 := m.AS.Block(r.Base)
-		if l := n.Line(b0); l != nil && l.Tag() != TagInvalid {
+		if n.Tag(b0) != TagInvalid {
 			t.Error("oldest block survived FIFO eviction")
 		}
 	})

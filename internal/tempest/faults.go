@@ -71,16 +71,17 @@ func (n *Node) preFault(b memsys.BlockID) {
 	}
 }
 
-// deliverBlock models the arrival of a block transfer into line l.  The
-// sender's per-transfer checksum is verified against the received data; a
-// mismatch triggers a bounded re-fetch with exponential backoff, charged
-// in virtual cycles.  Runs in the receiving node's goroutine with src
-// stable (no scheduling point lies inside), so the re-fetch can simply
-// re-copy the true data.  A home line's data is the home image, which a
-// transfer must not corrupt: its block arrives in the node's wire buffer.
-func (n *Node) deliverBlock(f *fault.Injector, b memsys.BlockID, l *Line, src []byte) {
-	got := l.Data
-	if l.home {
+// deliverBlock models the arrival of a block transfer into the node's line
+// for b, whose access byte is t.  The sender's per-transfer checksum is
+// verified against the received data; a mismatch triggers a bounded
+// re-fetch with exponential backoff, charged in virtual cycles.  Runs in the
+// receiving node's coroutine with src stable (no scheduling point lies
+// inside), so the re-fetch can simply re-copy the true data.  A home line's
+// data is the home image, which a transfer must not corrupt: its block
+// arrives in the node's wire buffer.
+func (n *Node) deliverBlock(f *fault.Injector, b memsys.BlockID, t byte, src []byte) {
+	got := n.lineBytes(b, t)
+	if t&lineHome != 0 {
 		if n.wire == nil {
 			n.wire = n.BlockBuf()
 		}

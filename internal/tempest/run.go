@@ -280,11 +280,9 @@ func (m *Machine) Diagnostics() string {
 	fmt.Fprintf(&sb, "machine: P=%d protocol=%s blocks=%d\n", m.P, m.protocol.Name(), m.AS.NumBlocks())
 	for _, nd := range m.Nodes {
 		var tags [4]int
-		for _, chunk := range nd.InstalledLines() {
-			for i := range chunk {
-				if l := &chunk[i]; l.Data != nil && l.Tag() < 4 {
-					tags[l.Tag()]++
-				}
+		for _, t := range nd.tags {
+			if t&(lineHome|lineCopy) != 0 {
+				tags[t>>tagShift]++
 			}
 		}
 		fmt.Fprintf(&sb, "%s tags[inv=%d ro=%d rw=%d priv=%d]\n", nodeDiagnostics(nd, nd.Clock()),

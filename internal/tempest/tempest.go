@@ -27,6 +27,8 @@ package tempest
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"lcm/internal/cost"
@@ -71,74 +73,79 @@ func TagName(t Tag) string {
 	}
 }
 
-// Line is a node's cached copy of one block.  Other nodes' protocol handlers
-// revoke the tag; everything else is mutated only by the owning node — all of
-// it by whoever holds the scheduler token (see the data-movement rules in
-// DESIGN.md).
-type Line struct {
-	tag Tag
+// A node's line for a block is one access byte in the node's dense tag
+// array (Node.tags), the control point Blizzard-E keeps per block: the Tag in
+// the top two bits, so that "the tag permits need" is the one compare
+// byte >= need<<tagShift, and flags below.  A byte of zero is a line never
+// installed.  Other nodes' protocol handlers revoke the tag; everything else
+// is mutated only by the owning node — all of it by whoever holds the
+// scheduler token (see the data-movement rules in DESIGN.md).
+const (
+	tagShift = 6
 
-	// home marks a line whose Data is the block's home image itself (set
-	// once, at newLine): a line of a sequentially consistent region, or any
-	// line on a machine whose protocol has no split handlers.  Such a line
-	// never holds a private copy, and with a valid tag its bytes are the
-	// home's by definition, so nothing copies into it and a store writes
-	// memory once.  Its tag, data and directory entry are written by other
-	// nodes' real handlers, so while the effect log is non-empty the owner
-	// drains before it looks at any of them (see lineFor and settle).  It
-	// sits in the padding after tag, on the cache line every access reads
-	// anyway.
-	home bool
+	// lineHome marks a line whose data is the block's home image itself (set
+	// once, at first install): a line of a sequentially consistent region, or
+	// any line on a machine whose protocol has no split handlers.  Such a
+	// line has no state beyond its byte; it never holds a private copy, and
+	// with a valid tag its bytes are the home's by definition, so nothing
+	// copies into it and a store writes memory once.  Its tag, data and
+	// directory entry are written by other nodes' real handlers, so while
+	// the effect log is non-empty the owner drains before it looks at any
+	// of them (see tagFor and settle).
+	lineHome byte = 1 << 0
+	// lineCopy marks a line whose data is the node's own copy of the block
+	// (set once, at first install): an LCM protocol's line of a loosely
+	// coherent block, with its state in the node's Copy slab.
+	lineCopy byte = 1 << 1
+	// lineQueued records residency-queue membership on capacity-limited
+	// machines.
+	lineQueued byte = 1 << 2
 
-	// Data is the cached copy, blockSize bytes: the home image's bytes for
-	// a home line, a node-local buffer otherwise.
-	Data []byte
+	// tagMask selects the tag bits of an access byte.
+	tagMask byte = 3 << tagShift
 
-	// Clean is the node-local clean copy kept by LCM-mcc (nil when none).
-	Clean []byte
+	// The least access bytes that permit a load, permit a store, and mark a
+	// private copy.
+	loadOK    = byte(TagReadOnly) << tagShift
+	storeOK   = byte(TagReadWrite) << tagShift
+	privateOK = byte(TagPrivate) << tagShift
+)
 
+// Copy is the state a node keeps for a line whose data is its own copy of
+// the block (an LCM protocol's line of a loosely coherent block): no home
+// line has one.  Copies live in a per-node slab and hold no pointer: the
+// line's bytes and its clean copy are found by offset in the node's data and
+// clean slabs.  Owner only.
+type Copy struct {
 	// Gen is protocol scratch: LCM stores the reconcile-phase generation
 	// in which the line was installed or marked.
 	Gen uint32
 
-	// CleanGen is the reconcile-phase generation in which Clean was
-	// captured; a clean copy is only valid within its own phase.
+	// CleanGen is the reconcile-phase generation in which the clean copy
+	// (Node.Clean) was captured; a clean copy is only valid within its own
+	// phase.
 	CleanGen uint32
 
-	// Marked records that the line is on the node's marked-blocks list
-	// for the current invocation (owner goroutine only).
-	Marked bool
-
-	// inFIFO records residency-queue membership for capacity-limited
-	// machines (owner goroutine only).
-	inFIFO bool
-
 	// WMask records which 32-bit words of a private copy were stored to
-	// since the last mark, at store granularity (owner goroutine only).
-	// Maintained only for conflict-checked regions, where reconciliation
-	// must see value-equal stores as modifications (the paper's footnote
-	// 2 store-trapping scheme).
+	// since the last mark, at store granularity.  Maintained only for
+	// conflict-checked regions, where reconciliation must see value-equal
+	// stores as modifications (the paper's footnote 2 store-trapping
+	// scheme).
 	WMask uint64
 
-	// block is the line's block ID, fixed at first install (lines map
-	// 1:1 to (node, block) for the machine's lifetime).  It lets audits
-	// walk a node's installed lines without scanning the full table.
-	block memsys.BlockID
+	// clean is where the line's clean copy starts in the node's clean slab,
+	// 0 while it has none.
+	clean int32
+
+	// Marked records that the line is on the node's marked-blocks list
+	// for the current invocation.
+	Marked bool
 }
-
-// Block returns the block the line caches.
-func (l *Line) Block() memsys.BlockID { return l.block }
-
-// Tag returns the line's current access tag.
-func (l *Line) Tag() Tag { return l.tag }
-
-// SetTag stores a new access tag.
-func (l *Line) SetTag(t Tag) { l.tag = t }
 
 // Protocol is a user-level coherence protocol: the policy code that Tempest
 // dispatches to on access faults and memory-system directives.  Fault
-// handlers run in the faulting node's goroutine and must return a line with
-// a tag permitting the faulted access.
+// handlers run in the faulting node's goroutine and must leave the node's
+// line with a tag permitting the faulted access.
 type Protocol interface {
 	// Name identifies the protocol in reports ("stache", "lcm-mcc", ...).
 	Name() string
@@ -148,10 +155,10 @@ type Protocol interface {
 	Attach(m *Machine)
 
 	// ReadFault handles a load with no readable copy.
-	ReadFault(n *Node, b memsys.BlockID) *Line
+	ReadFault(n *Node, b memsys.BlockID)
 
 	// WriteFault handles a store with no writable copy.
-	WriteFault(n *Node, b memsys.BlockID) *Line
+	WriteFault(n *Node, b memsys.BlockID)
 
 	// MarkModification is the LCM directive: create an inconsistent
 	// writable copy of the block containing addr (Section 5.1).
@@ -311,7 +318,7 @@ func (m *Machine) RecordConfigError(err error) {
 	}
 }
 
-// Freeze finalizes the address space, sizes per-node line tables, and
+// Freeze finalizes the address space, sizes per-node tag arrays, and
 // attaches the protocol.  Must be called exactly once, after all
 // allocation and before Run.  It panics on recorded configuration errors;
 // FreezeErr reports them as an error instead.
@@ -337,9 +344,10 @@ func (m *Machine) FreezeErr() error {
 	}
 	m.frozen = true
 	m.AS.Freeze()
-	n := m.AS.NumBlocks()
-	for _, nd := range m.Nodes {
-		nd.lines = make([]*Line, n)
+	n := int(m.AS.NumBlocks())
+	tags := make([]byte, m.P*n)
+	for i, nd := range m.Nodes {
+		nd.tags = tags[i*n : (i+1)*n : (i+1)*n]
 	}
 	for _, r := range m.AS.Regions() {
 		if r.ConflictCheck {
@@ -408,9 +416,21 @@ type Node struct {
 	clock  int64
 	stolen int64
 
-	// lines[b] is the node's line for block b, nil until first installed;
-	// a line, once assigned, is never replaced.
-	lines []*Line
+	// tags[b] is the node's access byte for block b (see lineHome), zero
+	// until the line is first installed; a line keeps its kind, home or
+	// copy, for the machine's lifetime.
+	tags []byte
+
+	// The node's copy lines (lineCopy), owner only: slot[b] is where b's
+	// bytes start in data, and b's state is copies[slot[b]/blockSize]; a
+	// clean copy starts at Copy.clean in cleans.  Block 0 of each slab is
+	// unused, so a zero offset is none.  All four are nil until the node
+	// installs its first copy, and the slabs grow (extend): hold a *Copy or
+	// a slice of them only until the node's next Install.
+	slot   []int32
+	copies []Copy
+	data   []byte
+	cleans []byte
 
 	// fifo is the residency queue for capacity-limited machines, a
 	// head-indexed ring: entries before fifoHead are dead.  The dead
@@ -419,14 +439,8 @@ type Node struct {
 	fifo     []memsys.BlockID
 	fifoHead int
 
-	// lineArena and dataArena back new lines in chunks (owner goroutine
-	// only): a P-node run creates up to P×blocks lines, so first-touch
-	// installs carve from these instead of paying two allocations per
-	// block.  lineChunks retains every arena chunk in allocation order
-	// so audits can walk installed lines densely (see InstalledLines).
-	lineArena  []Line
-	dataArena  []byte
-	lineChunks [][]Line
+	// dataArena backs BlockBuf in chunks (owner goroutine only).
+	dataArena []byte
 
 	// wire is where a block transfer into a home line arrives under a fault
 	// plan, so an injected corruption hits the node's copy on the wire and
@@ -434,8 +448,8 @@ type Node struct {
 	wire []byte
 
 	// ckpt is the node's last barrier-epoch checkpoint; degraded marks a
-	// node whose home responsibility migrated to a peer.  Both owner
-	// goroutine only; see checkpoint.go.
+	// node whose home responsibility migrated to a peer.  Both owner only;
+	// see checkpoint.go.
 	ckpt     checkpoint
 	degraded bool
 
@@ -495,77 +509,160 @@ func (n *Node) ChargeRemote(c int64) { n.stolen += c }
 // barriers and at the end of Run.
 func (n *Node) FoldStolen() { n.clock, n.stolen = n.clock+n.stolen, 0 }
 
-// Line returns the node's line for block b, or nil if none was ever
-// installed.  The line's tag must be checked before using its data.
-func (n *Node) Line(b memsys.BlockID) *Line { return n.lines[b] }
+// Tag returns the node's access tag for block b (TagInvalid for a line
+// never installed).  The access paths use tagFor, which also withholds home
+// lines while posts are outstanding.
+func (n *Node) Tag(b memsys.BlockID) Tag { return Tag(n.tags[b] >> tagShift) }
+
+// SetTag stores a new access tag for block b.  It is how a handler grants
+// the faulting node its access and how it revokes another node's.
+func (n *Node) SetTag(b memsys.BlockID, t Tag) {
+	n.tags[b] = n.tags[b]&^tagMask | byte(t)<<tagShift
+}
+
+// Copy returns the state of the node's copy line for b, nil if b's line is a
+// home line or was never installed.  Valid until the node's next Install.
+func (n *Node) Copy(b memsys.BlockID) *Copy {
+	if n.tags[b]&lineCopy == 0 {
+		return nil
+	}
+	return &n.copies[n.slot[b]>>bits.TrailingZeros32(n.M.AS.BlockSize)]
+}
+
+// Data returns the bytes of the node's installed line for b: the block's home
+// image for a home line, the node's copy otherwise.  A copy's bytes are valid
+// until the node's next Install.
+func (n *Node) Data(b memsys.BlockID) []byte { return n.lineBytes(b, n.tags[b]) }
+
+// lineBytes returns the bytes of the node's line for b, whose access byte is
+// t.
+func (n *Node) lineBytes(b memsys.BlockID, t byte) []byte {
+	buf, o := n.lineAt(b, t)
+	e := o + n.M.AS.BlockSize
+	return buf[o:e:e]
+}
+
+// Clean returns the clean copy kept beside the node's copy line for b,
+// carving a zeroed one from the clean slab on first use (LCM-mcc).  Valid
+// until the node's next call to Clean.
+func (n *Node) Clean(b memsys.BlockID) []byte {
+	c := n.Copy(b)
+	bs := int(n.M.AS.BlockSize)
+	if c.clean == 0 {
+		if n.cleans == nil {
+			n.cleans = make([]byte, bs, lineArenaChunk*bs)
+		}
+		c.clean = int32(len(n.cleans))
+		n.cleans = extend(n.cleans, bs)
+	}
+	o := int(c.clean)
+	return n.cleans[o : o+bs : o+bs]
+}
+
+// LineIter walks a node's valid lines in block order (Node.ValidLines).
+type LineIter struct {
+	tags []byte
+	next int
+}
+
+// ValidLines returns an iterator over the node's lines whose tag is not
+// TagInvalid.  It reads the tag array eight blocks at a time, so an audit
+// pays for the blocks a node holds, not for every block it does not.  For
+// quiescent audits only.
+func (n *Node) ValidLines() LineIter { return LineIter{tags: n.tags} }
+
+// Next returns the next valid line's block and tag; ok is false once there
+// are none left.
+func (it *LineIter) Next() (b memsys.BlockID, t Tag, ok bool) {
+	tags := it.tags
+	for i := it.next; i < len(tags); i++ {
+		if i&7 == 0 && i+8 <= len(tags) {
+			if w := load64(tags[i:]); (w|w<<1)&0x8080808080808080 == 0 {
+				i += 7 // eight invalid lines: no tag bit set in any byte
+				continue
+			}
+		}
+		if x := tags[i]; x >= loadOK {
+			it.next = i + 1
+			return memsys.BlockID(i), Tag(x >> tagShift), true
+		}
+	}
+	it.next = len(tags)
+	return 0, 0, false
+}
 
 // Install makes the node's line for b hold a copy of src with the given
 // tag, creating the line on first use.  A home line copies nothing — src is
 // the home image it already is — and may not be made private.  With a fault
 // injector attached, the transfer is checksummed and corrupted arrivals are
 // healed by bounded re-fetch (see deliverBlock).
-func (n *Node) Install(b memsys.BlockID, src []byte, tag Tag) *Line {
-	l := n.lines[b]
-	if l == nil {
-		l = n.newLine(b)
-		n.lines[b] = l
+func (n *Node) Install(b memsys.BlockID, src []byte, tag Tag) {
+	t := n.tags[b]
+	if t&(lineHome|lineCopy) == 0 {
+		t = n.newLine(b)
 	}
-	if !l.home {
-		copy(l.Data, src)
+	if t&lineHome == 0 {
+		copy(n.lineBytes(b, t), src)
 	} else if tag == TagPrivate {
 		panic(fmt.Sprintf("tempest: private copy of block %d, whose line is its home image", b))
 	}
 	if f := n.M.Fault; f != nil {
-		n.deliverBlock(f, b, l, src)
+		n.deliverBlock(f, b, t, src)
 	}
-	l.SetTag(tag)
-	if n.M.CacheLines > 0 && !l.inFIFO {
-		l.inFIFO = true
+	t = t&^tagMask | byte(tag)<<tagShift
+	if n.M.CacheLines > 0 && t&lineQueued == 0 {
+		t |= lineQueued
 		n.fifo = append(n.fifo, b)
 	}
-	return l
+	n.tags[b] = t
 }
 
-// lineArenaChunk is how many lines (and line-sized buffers) the node
-// arenas grow by at a time.
+// lineArenaChunk is how many blocks the node's slabs and arena grow by when
+// they are first made.
 const lineArenaChunk = 64
 
-// newLine carves a fresh line from the node's arena (owner goroutine only;
-// install paths all run in the faulting node's goroutine), with the block's
-// home image as its data if it is a home line and a zeroed block-sized
-// buffer from the data arena otherwise.  Only a split protocol (the LCM)
-// makes private copies, and only outside coherent regions, so every other
-// line is a home line.  The backing arrays are only ever resliced, never
-// reallocated, so pointers into them stay valid for the machine's lifetime.
-func (n *Node) newLine(b memsys.BlockID) *Line {
-	if len(n.lineArena) == 0 {
-		n.lineArena = make([]Line, lineArenaChunk)
-		n.lineChunks = append(n.lineChunks, n.lineArena)
-	}
-	l := &n.lineArena[0]
-	n.lineArena = n.lineArena[1:]
-	l.block = b
+// newLine decides the kind of the node's first line for b and returns its
+// flags (owner only; install paths all run in the faulting node's
+// coroutine).  Only a split protocol (the LCM) makes private copies, and only
+// outside coherent regions, so every other line is a home line and needs
+// nothing beyond its byte; a copy line takes the next index of the node's
+// slabs, its bytes zeroed.
+func (n *Node) newLine(b memsys.BlockID) byte {
 	// Decided from the machine, not from the coming run: lines outlive runs.
-	l.home = n.M.applier == nil || n.M.AS.RegionOfBlock(b).Kind == memsys.KindCoherent
-	if l.home {
-		l.Data = n.M.AS.HomeData(b)
-	} else {
-		l.Data = n.BlockBuf()
+	if n.M.applier == nil || n.M.AS.RegionOfBlock(b).Kind == memsys.KindCoherent {
+		return lineHome
 	}
-	return l
+	bs := int(n.M.AS.BlockSize)
+	if n.slot == nil {
+		n.slot = make([]int32, len(n.tags))
+		n.copies = make([]Copy, 1, lineArenaChunk)
+		n.data = make([]byte, bs, lineArenaChunk*bs)
+	}
+	if len(n.data) > math.MaxInt32-bs {
+		panic(fmt.Sprintf("tempest: node %d's copies outgrow their 2 GiB slab", n.ID))
+	}
+	n.slot[b] = int32(len(n.data))
+	n.copies = extend(n.copies, 1)
+	n.data = extend(n.data, bs)
+	return lineCopy
 }
 
-// InstalledLines returns the node's line storage in allocation order:
-// every line the node has ever installed appears in exactly one chunk,
-// carrying its block ID (Line.Block).  Entries with nil Data are the
-// unallocated tail of the last chunk.  For quiescent audits only — the
-// caller must not run concurrently with the owner goroutine.
-func (n *Node) InstalledLines() [][]Line { return n.lineChunks }
+// extend returns slab s grown by k zeroed elements.  A full slab doubles
+// (append grows large slices by a quarter), so over its life a slab copies
+// about as many elements as it ends up holding.
+func extend[T any](s []T, k int) []T {
+	if len(s)+k > cap(s) {
+		t := make([]T, len(s), 2*cap(s)+k)
+		copy(t, s)
+		s = t
+	}
+	return s[:len(s)+k]
+}
 
 // BlockBuf returns a zeroed block-sized buffer carved from the node's
-// data arena (owner goroutine only).  Protocols use it for per-line
-// auxiliary images (e.g. LCM-mcc local clean copies) so those do not pay
-// one allocation per line either.
+// data arena (owner goroutine only).  Protocols use it for per-block
+// auxiliary images (e.g. LCM's pending merge images) so those do not pay
+// one allocation per block.
 func (n *Node) BlockBuf() []byte {
 	bs := int(n.M.AS.BlockSize)
 	if len(n.dataArena) < bs {
@@ -606,17 +703,13 @@ func (n *Node) makeRoom() {
 			n.fifo = n.fifo[:copy(n.fifo, n.fifo[n.fifoHead:])]
 			n.fifoHead = 0
 		}
-		l := n.lines[b]
-		if l == nil {
-			continue
-		}
-		l.inFIFO = false
-		n.settle(l) // only a home victim: an LCM one is evicted by a post
-		if l.Tag() == TagInvalid {
+		n.tags[b] &^= lineQueued
+		n.settle(b) // only a home victim: an LCM one is evicted by a post
+		if n.Tag(b) == TagInvalid {
 			continue // already revoked remotely; the slot is free
 		}
 		if !n.M.protocol.Evict(n, b) {
-			l.inFIFO = true
+			n.tags[b] |= lineQueued
 			n.fifo = append(n.fifo, b) // unevictable: requeue
 			continue
 		}
@@ -665,9 +758,8 @@ func (n *Node) Barrier() {
 // (modified) copies are not dropped.
 func (n *Node) DropCopy(a memsys.Addr) {
 	b := n.M.AS.Block(a)
-	l := n.lines[b]
-	n.settle(l)
-	if l != nil && l.Tag() == TagReadOnly {
+	n.settle(b)
+	if n.Tag(b) == TagReadOnly {
 		n.M.protocol.Evict(n, b)
 	}
 }
@@ -675,7 +767,7 @@ func (n *Node) DropCopy(a memsys.Addr) {
 // Mark executes the LCM MarkModification directive for addr.  On a
 // coherent block the directive is a tag peek that decides whether to fault.
 func (n *Node) Mark(addr memsys.Addr) {
-	n.settle(n.lines[n.M.AS.Block(addr)])
+	n.settle(n.M.AS.Block(addr))
 	n.M.protocol.MarkModification(n, addr)
 }
 

@@ -25,27 +25,25 @@ type fakeFault struct {
 func (f *fakeProtocol) Name() string      { return "fake" }
 func (f *fakeProtocol) Attach(m *Machine) { f.m = m }
 
-func (f *fakeProtocol) ReadFault(n *Node, b memsys.BlockID) *Line {
+func (f *fakeProtocol) ReadFault(n *Node, b memsys.BlockID) {
 	f.m.Lock(b)
 	f.readFaults++
 	f.order = append(f.order, fakeFault{b, false})
 	n.Ctr.Misses++
-	return n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
+	n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
 }
 
-func (f *fakeProtocol) WriteFault(n *Node, b memsys.BlockID) *Line {
+func (f *fakeProtocol) WriteFault(n *Node, b memsys.BlockID) {
 	f.m.Lock(b)
 	f.writeFault++
 	f.order = append(f.order, fakeFault{b, true})
 	n.Ctr.Misses++
-	return n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
+	n.Install(b, f.m.AS.HomeData(b), TagReadWrite)
 }
 
 func (f *fakeProtocol) MarkModification(n *Node, a memsys.Addr) {}
 func (f *fakeProtocol) Evict(n *Node, b memsys.BlockID) bool {
-	if l := n.Line(b); l != nil {
-		l.SetTag(TagInvalid)
-	}
+	n.SetTag(b, TagInvalid)
 	return true
 }
 func (f *fakeProtocol) FlushCopies(n *Node)     {}
@@ -132,16 +130,16 @@ func TestDropCopyEvictsReadOnlyOnly(t *testing.T) {
 
 		// A private (writable) copy must survive a DropCopy.
 		n.DropCopy(r.Base)
-		if l := n.Line(b); l == nil || l.Tag() != TagReadWrite {
+		if n.Tag(b) != TagReadWrite {
 			t.Errorf("DropCopy touched a private copy")
 		}
 
 		// Demote to read-only: now DropCopy must evict, and the next
 		// read must re-fault.
-		n.Line(b).SetTag(TagReadOnly)
+		n.SetTag(b, TagReadOnly)
 		n.DropCopy(r.Base)
-		if l := n.Line(b); l != nil && l.Tag() != TagInvalid {
-			t.Errorf("dropped copy still holds tag %v", l.Tag())
+		if tag := n.Tag(b); tag != TagInvalid {
+			t.Errorf("dropped copy still holds tag %v", tag)
 		}
 		before := fp.readFaults
 		n.ReadF32(r.Base)
@@ -207,23 +205,38 @@ func TestRunIsSPMD(t *testing.T) {
 	})
 	for i, n := range m.Nodes {
 		b := m.AS.Block(r.Base + memsys.Addr(i*32))
-		l := n.Line(b)
-		if l == nil || l.Tag() != TagReadWrite {
+		if n.Tag(b) != TagReadWrite {
 			t.Fatalf("node %d missing its line", i)
 		}
 	}
 }
 
+// TestInstallReusesLine: a second install of a block updates the tag of the
+// line the first one made: a home line stays the home image, and a copy keeps
+// its slab index.
 func TestInstallReusesLine(t *testing.T) {
 	m, r := newTestMachine(t, 1, 64)
 	b := m.AS.Block(r.Base)
 	n := m.Nodes[0]
-	l1 := n.Install(b, m.AS.HomeData(b), TagReadOnly)
-	l2 := n.Install(b, m.AS.HomeData(b), TagReadWrite)
-	if l1 != l2 {
-		t.Fatal("Install allocated a second line for the same block")
+	n.Install(b, m.AS.HomeData(b), TagReadOnly)
+	n.Install(b, m.AS.HomeData(b), TagReadWrite)
+	if n.Tag(b) != TagReadWrite {
+		t.Fatal("tag not updated")
 	}
-	if l2.Tag() != TagReadWrite {
+	if &n.Data(b)[0] != &m.AS.HomeData(b)[0] || n.Copy(b) != nil {
+		t.Fatal("a coherent line is not its home image")
+	}
+
+	pm, pr := privateMachine(t, 1, 32, 64)
+	pb := pm.AS.Block(pr.Base)
+	pn := pm.Nodes[0]
+	pn.Install(pb, pm.AS.HomeData(pb), TagReadOnly)
+	c, data := pn.Copy(pb), &pn.Data(pb)[0]
+	pn.Install(pb, pm.AS.HomeData(pb), TagPrivate)
+	if pn.Copy(pb) != c || &pn.Data(pb)[0] != data || len(pn.copies) != 2 {
+		t.Fatal("Install allocated a second copy for the same block")
+	}
+	if pn.Tag(pb) != TagPrivate {
 		t.Fatal("tag not updated")
 	}
 }

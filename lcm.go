@@ -44,9 +44,6 @@ type Machine = tempest.Machine
 // SPMD body and issues all memory accesses through it.
 type Node = tempest.Node
 
-// Line is a node's cached copy of a block.
-type Line = tempest.Line
-
 // SimLock is a simulated inter-node lock with serialized virtual time.
 type SimLock = tempest.SimLock
 
