@@ -42,6 +42,9 @@
 // example -blocksize above the protocol's 256-byte element-tracking
 // limit) or a node error — are reported on stderr and make the exit
 // status 1, with or without -verify.
+//
+// Only a grid campaign writes -csv/-json/-detjson: -ablate without a grid
+// selection refuses them (exit status 2) rather than writing nothing.
 package main
 
 import (
@@ -172,6 +175,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// Only a grid campaign writes the sinks.  -ablate, alone or with
+	// -sweeps, runs none, so a sink beside it would never be written.
+	all := *cells == "" && !*table1 && !*fig2 && !*fig3 && !*ablate
+	runsGrid := all || *table1 || *fig2 || *fig3 || *cells != ""
+	for _, sink := range selected[len(selected)-3:] {
+		if sink.set && !runsGrid {
+			fmt.Fprintf(stderr, "lcmbench: -ablate runs no grid campaign and cannot be combined with -%s\n", sink.name)
+			return 2
+		}
+	}
+
 	// failed reports every run that did not complete, one line each, and
 	// whether there was any.
 	failed := func(results []workloads.Result) bool {
@@ -210,9 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return verdict("recovery matrix", "all runs survived, answers and replays bit-identical, recovery counters exact",
 			s.RunRecovery(harness.DefaultRecoveryPlans(), []uint64{1, 2}))
 	}
-	all := *cells == "" && !*table1 && !*fig2 && !*fig3 && !*ablate
-
-	if all || *table1 || *fig2 || *fig3 || *cells != "" {
+	if runsGrid {
 		// The full grid unless -cells names some; only the full grid has
 		// the rows the figures are drawn from.
 		grid := *cells == ""

@@ -72,6 +72,14 @@ func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
 				"lcmbench: " + only + " runs only its own campaign and cannot be combined with " + other[0] + "\n"})
 		}
 	}
+	// -ablate, alone or with -sweeps, runs no grid, so no sink would be
+	// written.  Both used to exit 0 having written neither file.
+	for _, sel := range [][]string{{"-ablate"}, {"-ablate", "-sweeps"}} {
+		for _, sink := range [][]string{{"-csv", "y.csv"}, {"-json", "x.json"}, {"-detjson", "x.json"}} {
+			cases = append(cases, usage{append(append([]string{"-scale", "64", "-p", "2"}, sel...), sink...),
+				"lcmbench: -ablate runs no grid campaign and cannot be combined with " + sink[0] + "\n"})
+		}
+	}
 	for _, c := range cases {
 		var out, errOut strings.Builder
 		if code := run(c.args, &out, &errOut); code != 2 || errOut.String() != c.want || out.Len() != 0 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,8 +72,60 @@ func checkGolden(t *testing.T, name, got string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("output drifted from %s (rerun with -update after a deliberate change):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	if diff := firstDiff(got, string(want)); diff != "" {
+		t.Errorf("output drifted from %s (rerun with -update after a deliberate change): %s", path, diff)
+	}
+}
+
+// firstDiff names the first line on which got and want differ — its number,
+// the line produced and the line expected — or returns "" if they are equal.
+// For a JSON golden the line carries the drifted field's name.
+func firstDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	g, w := strings.SplitAfter(got, "\n"), strings.SplitAfter(want, "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) && ls[i] != "" { // SplitAfter ends on "" after a final newline
+			return fmt.Sprintf("%q", ls[i])
+		}
+		return "end of output"
+	}
+	return fmt.Sprintf("line %d:\n  got:  %s\n  want: %s", i+1, line(g), line(w))
+}
+
+// TestFirstDiffNamesTheDriftedLine doctors one simcycles value of the fat-tree
+// golden and requires the report to give that line, both ways round, and not
+// the rest of the file.
+func TestFirstDiffNamesTheDriftedLine(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "fattree_grid.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(b)
+	lines := strings.SplitAfter(want, "\n")
+	n := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, `"simcycles"`) })
+	if n < 0 {
+		t.Fatal("golden has no simcycles line")
+	}
+	doctored := strings.Replace(lines[n], `"simcycles": `, `"simcycles": 9`, 1)
+	got := strings.Join(slices.Replace(slices.Clone(lines), n, n+1, doctored), "")
+
+	report := firstDiff(got, want)
+	wantReport := fmt.Sprintf("line %d:\n  got:  %q\n  want: %q", n+1, doctored, lines[n])
+	if report != wantReport {
+		t.Errorf("firstDiff = %q, want %q", report, wantReport)
+	}
+	if firstDiff(want, want) != "" {
+		t.Errorf("firstDiff of equal outputs = %q, want empty", firstDiff(want, want))
+	}
+	short := strings.Join(lines[:n], "")
+	if r, w := firstDiff(short, want), fmt.Sprintf("line %d:\n  got:  end of output\n  want: %q", n+1, lines[n]); r != w {
+		t.Errorf("firstDiff of a truncated output = %q, want %q", r, w)
 	}
 }
 

@@ -39,8 +39,8 @@ type BenchRecord struct {
 	NetQueueCycles int64 `json:"net_queue_cycles,omitempty"`
 	MaxLinkBusy    int64 `json:"max_link_busy,omitempty"`
 	// Fault-injection and crash-recovery observables.  All are zero for
-	// fault-free runs and omitted from their JSON, so historical BENCH
-	// files and benchdiff comparisons are unaffected.
+	// fault-free runs and omitted from their JSON, so the bytes of
+	// historical BENCH files are unaffected.
 	FaultCorruptions int64 `json:"fault_corruptions,omitempty"`
 	FaultTimeouts    int64 `json:"fault_timeouts,omitempty"`
 	FaultSpikes      int64 `json:"fault_spikes,omitempty"`
@@ -71,7 +71,7 @@ type BenchRecord struct {
 	// ran ahead of the scheduler token ("on", or "off: " and the reason
 	// the machine gave), and the scheduler's grants, hand-offs between node
 	// coroutines and deferred applies.  Informational, like WallNS: no observable
-	// depends on them, and MaskHostTime clears them.
+	// depends on them, and maskHostTime clears them.
 	RunAhead      string `json:"run_ahead,omitempty"`
 	SchedGrants   int64  `json:"sched_grants,omitempty"`
 	SchedHandoffs int64  `json:"sched_handoffs,omitempty"`
@@ -100,9 +100,8 @@ type BenchFile struct {
 	Net string `json:"net,omitempty"`
 	// Scheduler is always "det", the virtual-time token (SchedSeed selects
 	// the schedule); the field stays because every historical record and
-	// cache key carries it.  Records from different schedules are not
-	// comparable observable-for-observable, so benchdiff refuses to diff
-	// across a mismatch.
+	// cache key carries it.  It and SchedSeed are in the deterministic
+	// bytes, so files from different schedules never compare equal.
 	Scheduler string        `json:"scheduler,omitempty"`
 	SchedSeed uint64        `json:"sched_seed,omitempty"`
 	Records   []BenchRecord `json:"records"`
@@ -179,12 +178,11 @@ func WriteJSON(w io.Writer, cfg workloads.Config, scale int, rows []map[cstar.Sy
 	return enc.Encode(bf)
 }
 
-// MaskHostTime zeroes everything in the file that describes the host rather
+// maskHostTime zeroes everything in the file that describes the host rather
 // than the simulated machine: the timestamp, and each record's wall clock,
 // run-ahead decision and scheduler tallies.  It is the one list of what is
-// host time; MarshalDeterministic and benchdiff both mask with it, so what
-// one calls deterministic the other compares.
-func (bf *BenchFile) MaskHostTime() {
+// host time; what is left is what the run-twice gates compare byte for byte.
+func (bf *BenchFile) maskHostTime() {
 	bf.UnixNS = 0
 	for i := range bf.Records {
 		r := &bf.Records[i]
@@ -199,6 +197,6 @@ func (bf *BenchFile) MaskHostTime() {
 // replay tests assert exactly that.
 func MarshalDeterministic(cfg workloads.Config, scale int, rows []map[cstar.System]workloads.Result) ([]byte, error) {
 	bf := benchFile(cfg, scale, rows)
-	bf.MaskHostTime()
+	bf.maskHostTime()
 	return json.MarshalIndent(bf, "", "  ")
 }

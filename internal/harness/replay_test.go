@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lcm/internal/cstar"
@@ -108,5 +110,28 @@ func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
 		if bytes.Contains(det, []byte(field)) {
 			t.Errorf("deterministic bytes mention %q", field)
 		}
+	}
+}
+
+// TestSeedIsStoredDeterministic: BENCH_seed.json is stored in the bytes
+// `lcmbench -table1 -scale 2 -p 32 -verify -detjson` prints, which is what
+// CI compares a fresh run with.  A seed that carries host time, or a
+// BenchRecord field that changes how its records encode, fails here.
+func TestSeedIsStoredDeterministic(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_seed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bf BenchFile
+	if err := json.Unmarshal(want, &bf); err != nil {
+		t.Fatal(err)
+	}
+	bf.maskHostTime()
+	got, err := json.MarshalIndent(bf, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := firstDiff(string(got), string(want)); diff != "" {
+		t.Errorf("BENCH_seed.json is not in its deterministic form: %s", diff)
 	}
 }

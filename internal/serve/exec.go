@@ -121,7 +121,7 @@ func (s *Server) execute(j *Job) {
 	start := time.Now()
 	body, ctype, err := s.run(j)
 	wall := time.Since(start)
-	s.stats.JobExecuted(j.Spec.Kind, j.Spec.Scheduler, wall.Seconds())
+	s.stats.JobExecuted(j.Spec.Kind, wall.Seconds())
 	if err != nil {
 		j.fail(err.Error(), wall)
 		return

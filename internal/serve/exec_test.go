@@ -93,7 +93,7 @@ func TestConstructorClamps(t *testing.T) {
 	}
 	js := NewJobStats(0)
 	js.AddRecords([]RecordSample{{Job: "a"}, {Job: "b"}})
-	if samples, _, _, _, _ := js.snapshot(); len(samples) != 1 {
+	if samples, _, _, _ := js.snapshot(); len(samples) != 1 {
 		t.Errorf("NewJobStats(0) retained %d samples, want clamp to 1", len(samples))
 	}
 	q := NewQueue(0, 0, func(*Job) {})

@@ -14,9 +14,9 @@ import (
 )
 
 // The observability surface follows a collector-registry layout: one
-// collector per subsystem (tempest counters, interconnect, recovery,
-// scheduler, job queue), each turning its subsystem's state into metric
-// samples, and a registry rendering them as Prometheus text exposition.
+// collector per subsystem (tempest counters, interconnect, scheduler, job
+// queue), each turning its subsystem's state into metric samples, and a
+// registry rendering them as Prometheus text exposition.
 // Per-node simulation counters reach the collectors through JobStats,
 // the registry of stats.NodeCounters snapshots recorded when jobs
 // complete — the same numbers the harness writes into BENCH JSON, so a
@@ -138,7 +138,6 @@ type JobStats struct {
 	mu      sync.Mutex
 	max     int
 	samples []RecordSample
-	bySched map[string]int64 // completed jobs by scheduler
 	byKind  map[string]int64 // completed jobs by campaign kind
 	// byRunAhead totals the scheduler's work over every record ever added
 	// (not only the retained samples), keyed by the run-ahead decision:
@@ -153,8 +152,7 @@ func NewJobStats(maxSamples int) *JobStats {
 	if maxSamples < 1 {
 		maxSamples = 1
 	}
-	return &JobStats{max: maxSamples, bySched: make(map[string]int64), byKind: make(map[string]int64),
-		byRunAhead: make(map[string]hostTotals)}
+	return &JobStats{max: maxSamples, byKind: make(map[string]int64), byRunAhead: make(map[string]hostTotals)}
 }
 
 // hostTotals accumulates HostStats over records.
@@ -181,11 +179,10 @@ func (js *JobStats) AddRecords(samples []RecordSample) {
 }
 
 // JobExecuted accounts one executed (not cache-served) job.
-func (js *JobStats) JobExecuted(kind, scheduler string, wallSeconds float64) {
+func (js *JobStats) JobExecuted(kind string, wallSeconds float64) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	js.byKind[kind]++
-	js.bySched[scheduler]++
 	js.wallSum += wallSeconds
 	js.wallN++
 }
@@ -201,19 +198,15 @@ func (js *JobStats) hostSnapshot() map[string]hostTotals {
 	return out
 }
 
-func (js *JobStats) snapshot() ([]RecordSample, map[string]int64, map[string]int64, float64, int64) {
+func (js *JobStats) snapshot() ([]RecordSample, map[string]int64, float64, int64) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	samples := append([]RecordSample(nil), js.samples...)
-	bySched := make(map[string]int64, len(js.bySched))
-	for k, v := range js.bySched {
-		bySched[k] = v
-	}
 	byKind := make(map[string]int64, len(js.byKind))
 	for k, v := range js.byKind {
 		byKind[k] = v
 	}
-	return samples, bySched, byKind, js.wallSum, js.wallN
+	return samples, byKind, js.wallSum, js.wallN
 }
 
 // recordLabels builds the identifying label set of one grid record.
@@ -230,7 +223,7 @@ type tempestCollector struct{ js *JobStats }
 func (c tempestCollector) Name() string { return "tempest" }
 
 func (c tempestCollector) Collect(emit func(Metric)) {
-	samples, _, _, _, _ := c.js.snapshot()
+	samples, _, _, _ := c.js.snapshot()
 	for _, s := range samples {
 		l := recordLabels(s)
 		emit(Metric{"lcmd_tempest_simcycles", "Simulated execution time of the cell (max node clock).", "gauge", l, float64(s.SimCycles)})
@@ -247,7 +240,7 @@ type netCollector struct{ js *JobStats }
 func (c netCollector) Name() string { return "net" }
 
 func (c netCollector) Collect(emit func(Metric)) {
-	samples, _, _, _, _ := c.js.snapshot()
+	samples, _, _, _ := c.js.snapshot()
 	for _, s := range samples {
 		l := recordLabels(s)
 		emit(Metric{"lcmd_net_msgs", "Protocol messages injected into the interconnect.", "gauge", l, float64(s.C.Net.TotalMsgs())})
@@ -256,24 +249,8 @@ func (c netCollector) Collect(emit func(Metric)) {
 	}
 }
 
-// recoveryCollector exports the per-record crash-recovery counters.
-type recoveryCollector struct{ js *JobStats }
-
-func (c recoveryCollector) Name() string { return "recovery" }
-
-func (c recoveryCollector) Collect(emit func(Metric)) {
-	samples, _, _, _, _ := c.js.snapshot()
-	for _, s := range samples {
-		l := recordLabels(s)
-		emit(Metric{"lcmd_recovery_checkpoints", "Barrier-epoch checkpoints captured.", "gauge", l, float64(s.C.Checkpoints)})
-		emit(Metric{"lcmd_recovery_restarts", "Checkpoint restarts after injected kills.", "gauge", l, float64(s.C.Restarts)})
-		emit(Metric{"lcmd_recovery_retransmits", "Messages re-sent after delivery faults.", "gauge", l, float64(s.C.Net.Retransmits)})
-		emit(Metric{"lcmd_recovery_cycles", "Virtual cycles charged to checkpoint restarts.", "gauge", l, float64(s.C.RecoveryCycles)})
-	}
-}
-
-// schedCollector exports job accounting by scheduler and campaign kind,
-// and the deterministic scheduler's work by run-ahead decision — so that
+// schedCollector exports job accounting by campaign kind, and the
+// deterministic scheduler's work by run-ahead decision — so that
 // what the simulator decided on its own (to run handlers ahead of the token
 // or not, and why not) is on the scrape, next to what it cost.
 type schedCollector struct{ js *JobStats }
@@ -281,11 +258,7 @@ type schedCollector struct{ js *JobStats }
 func (c schedCollector) Name() string { return "scheduler" }
 
 func (c schedCollector) Collect(emit func(Metric)) {
-	_, bySched, byKind, _, _ := c.js.snapshot()
-	for _, sched := range sortedKeys(bySched) {
-		emit(Metric{"lcmd_sched_jobs_total", "Executed jobs by scheduler.", "counter",
-			[][2]string{{"scheduler", sched}}, float64(bySched[sched])})
-	}
+	_, byKind, _, _ := c.js.snapshot()
 	for _, kind := range sortedKeys(byKind) {
 		emit(Metric{"lcmd_jobs_executed_total", "Executed (non-cached) jobs by campaign kind.", "counter",
 			[][2]string{{"kind", kind}}, float64(byKind[kind])})
@@ -335,7 +308,7 @@ func (c queueCollector) Collect(emit func(Metric)) {
 		emit(Metric{"lcmd_jobs_total", "Jobs by lifecycle state.", "gauge",
 			[][2]string{{"state", string(st)}}, float64(c.s.jobsInState(st))})
 	}
-	_, _, _, wallSum, wallN := c.s.stats.snapshot()
+	_, _, wallSum, wallN := c.s.stats.snapshot()
 	emit(Metric{"lcmd_job_wall_seconds_sum", "Total host runtime of executed jobs.", "counter", nil, wallSum})
 	emit(Metric{"lcmd_job_wall_seconds_count", "Executed jobs with measured runtime.", "counter", nil, float64(wallN)})
 	cs := c.s.cache.Stats()

@@ -57,7 +57,7 @@ func TestJobStatsBoundsSamples(t *testing.T) {
 	js := NewJobStats(2)
 	js.AddRecords([]RecordSample{{Job: "j1"}, {Job: "j2"}})
 	js.AddRecords([]RecordSample{{Job: "j3"}})
-	samples, _, _, _, _ := js.snapshot()
+	samples, _, _, _ := js.snapshot()
 	if len(samples) != 2 || samples[0].Job != "j2" || samples[1].Job != "j3" {
 		t.Fatalf("samples = %+v, want FIFO-bounded to [j2 j3]", samples)
 	}
@@ -83,7 +83,7 @@ func TestSchedCollectorRunAheadCounters(t *testing.T) {
 	})
 	got := map[string]float64{}
 	schedCollector{js}.Collect(func(m Metric) {
-		if !strings.HasPrefix(m.Name, "lcmd_sched_") || m.Name == "lcmd_sched_jobs_total" {
+		if !strings.HasPrefix(m.Name, "lcmd_sched_") {
 			return
 		}
 		if m.Type != "counter" || len(m.Labels) != 2 || m.Labels[0][0] != "run_ahead" || m.Labels[1][0] != "reason" {

@@ -295,7 +295,6 @@ func TestMetricsMatchResultJSON(t *testing.T) {
 		"# TYPE lcmd_tempest_simcycles gauge",
 		"# TYPE lcmd_jobs_executed_total counter",
 		`lcmd_jobs_executed_total{kind="grid"} 1`,
-		`lcmd_sched_jobs_total{scheduler="det"} 1`,
 		`lcmd_jobs_total{state="done"} 1`,
 		"lcmd_draining 0",
 		"lcmd_job_wall_seconds_count 1",
@@ -644,7 +643,7 @@ func TestHealthzAndCollectorNames(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, c := range []Collector{
-		tempestCollector{s.stats}, netCollector{s.stats}, recoveryCollector{s.stats},
+		tempestCollector{s.stats}, netCollector{s.stats},
 		schedCollector{s.stats}, queueCollector{s},
 	} {
 		if n := c.Name(); n == "" || names[n] {

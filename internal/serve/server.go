@@ -73,7 +73,6 @@ func New(opts Options) *Server {
 	s.reg.Register(
 		tempestCollector{s.stats},
 		netCollector{s.stats},
-		recoveryCollector{s.stats},
 		schedCollector{s.stats},
 		queueCollector{s},
 	)
