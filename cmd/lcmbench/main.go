@@ -9,14 +9,17 @@
 //
 // Usage:
 //
-//	lcmbench [-scale N] [-p N] [-blocksize N] [-verify] [-table1]
-//	         [-fig2] [-fig3] [-ablate] [-net=uniform|fattree] [-linkbw N]
-//	         [-nilat N] [-netsweep] [-schedseed N]
-//	         [-kvskew S] [-kvreshard N]
+//	lcmbench [machine] [-verify] [-table1] [-fig2] [-fig3] [-cells LIST]
+//	         [-ablate] [-sweeps] [-json FILE] [-detjson FILE]
+//	         [-cpuprofile FILE] [-memprofile FILE]
+//	lcmbench [machine] -netsweep | -chaos | -recovery
+//
+// where machine is [-scale N] [-p N] [-blocksize N] [-schedseed N]
+// [-net=uniform|fattree] [-linkbw N] [-nilat N] [-kvskew S] [-kvreshard N].
 //
 // With no selection flags, all experiments run.  -netsweep, -chaos and
 // -recovery each run only their own campaign: combined with one another,
-// with another selection or with -csv/-json/-detjson they are refused (exit
+// with another selection or with -json/-detjson they are refused (exit
 // status 2) rather than one of the two being dropped.  -cells selects
 // individual grid cells by name, including the serving-traffic cells
 // KV-read and KV-write (the sharded key-value workload); -kvskew and
@@ -43,7 +46,7 @@
 // limit) or a node error — are reported on stderr and make the exit
 // status 1, with or without -verify.
 //
-// Only a grid campaign writes -csv/-json/-detjson: -ablate without a grid
+// Only a grid campaign writes -json/-detjson: -ablate without a grid
 // selection refuses them (exit status 2) rather than writing nothing.
 package main
 
@@ -105,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cells := fs.String("cells", "", "comma-separated grid cells to run instead of the full grid (e.g. Stencil-static,KV-read); implies -table1")
 	kvSkew := fs.Float64("kvskew", 0, "KV cells' Zipf skew exponent (0 = workload default of 0.99)")
 	kvReshard := fs.Int("kvreshard", 0, "KV cells' reshard cadence in phases (0 = workload default; negative = resharding off)")
-	csvPath := fs.String("csv", "", "also write benchmark results as CSV to this file")
 	jsonPath := fs.String("json", "", "also write a BENCH_*.json benchmark trajectory record (wall time + simulation observables per cell) to this file")
 	detJSONPath := fs.String("detjson", "", "also write the deterministic BENCH_*.json bytes (timestamp zero, wall times masked) to this file; byte-identical across runs of the same tuple and to lcmd server-mode results")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
@@ -164,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"netsweep", *netSweep}, {"chaos", *chaos}, {"recovery", *recovery},
 		{"cells", *cells != ""}, {"table1", *table1}, {"fig2", *fig2}, {"fig3", *fig3},
 		{"ablate", *ablate}, {"sweeps", *sweeps},
-		{"csv", *csvPath != ""}, {"json", *jsonPath != ""}, {"detjson", *detJSONPath != ""},
+		{"json", *jsonPath != ""}, {"detjson", *detJSONPath != ""},
 	}
 	for _, only := range selected[:3] {
 		for _, other := range selected {
@@ -179,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -sweeps, runs none, so a sink beside it would never be written.
 	all := *cells == "" && !*table1 && !*fig2 && !*fig3 && !*ablate
 	runsGrid := all || *table1 || *fig2 || *fig3 || *cells != ""
-	for _, sink := range selected[len(selected)-3:] {
+	for _, sink := range selected[len(selected)-2:] {
 		if sink.set && !runsGrid {
 			fmt.Fprintf(stderr, "lcmbench: -ablate runs no grid campaign and cannot be combined with -%s\n", sink.name)
 			return 2
@@ -257,7 +259,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			path  string
 			write func(w io.Writer) error
 		}{
-			{*csvPath, func(w io.Writer) error { return harness.WriteCSV(w, rows) }},
 			{*jsonPath, func(w io.Writer) error { return harness.WriteJSON(w, s.Cfg, s.Scale, rows) }},
 			{*detJSONPath, func(w io.Writer) error {
 				b, err := harness.MarshalDeterministic(s.Cfg, s.Scale, rows)

@@ -67,7 +67,7 @@ func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
 	// be dropped with exit status 0.
 	for _, only := range []string{"-netsweep", "-chaos", "-recovery"} {
 		for _, other := range [][]string{{"-cells", "Threshold"}, {"-table1"}, {"-fig2"}, {"-fig3"}, {"-ablate"},
-			{"-sweeps"}, {"-csv", "x.csv"}, {"-json", "x.json"}, {"-detjson", "x.json"}} {
+			{"-sweeps"}, {"-json", "x.json"}, {"-detjson", "x.json"}} {
 			cases = append(cases, usage{append([]string{only, "-scale", "64", "-p", "2"}, other...),
 				"lcmbench: " + only + " runs only its own campaign and cannot be combined with " + other[0] + "\n"})
 		}
@@ -75,7 +75,7 @@ func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
 	// -ablate, alone or with -sweeps, runs no grid, so no sink would be
 	// written.  Both used to exit 0 having written neither file.
 	for _, sel := range [][]string{{"-ablate"}, {"-ablate", "-sweeps"}} {
-		for _, sink := range [][]string{{"-csv", "y.csv"}, {"-json", "x.json"}, {"-detjson", "x.json"}} {
+		for _, sink := range [][]string{{"-json", "x.json"}, {"-detjson", "x.json"}} {
 			cases = append(cases, usage{append(append([]string{"-scale", "64", "-p", "2"}, sel...), sink...),
 				"lcmbench: -ablate runs no grid campaign and cannot be combined with " + sink[0] + "\n"})
 		}

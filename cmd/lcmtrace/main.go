@@ -63,10 +63,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Threshold and Unstructured have no partitioning knob: their cells
-	// are named by the workload alone.
+	// are named by the workload alone, and an explicit -sched is refused.
 	cell, err := harness.ParseCell(*w + "-" + *sched)
 	if err != nil {
 		cell, err = harness.ParseCell(*w)
+		schedSet := false
+		fs.Visit(func(f *flag.Flag) { schedSet = schedSet || f.Name == "sched" })
+		if err == nil && schedSet {
+			fmt.Fprintf(stderr, "lcmtrace: workload %q has no partitioning knob (drop -sched %s)\n", *w, *sched)
+			return 2
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "lcmtrace: unknown workload %q (with -sched %s)\n", *w, *sched)
@@ -77,8 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	suite.Scale = *scale
 	r := suite.Run(cell, sys, cfg)
 
-	fmt.Fprintf(stdout, "%s under %s (%s partitioning, P=%d, scale 1/%d)\n\n",
-		r.Workload, r.System, *sched, *p, *scale)
+	fmt.Fprintf(stdout, "%s under %s (P=%d, scale 1/%d)\n\n", cell.Label(), r.System, *p, *scale)
 	fmt.Fprintf(stdout, "simulated time:      %16s cycles\n", stats.GroupInt(r.Cycles))
 	fmt.Fprintf(stdout, "accesses:            %16s\n", stats.GroupInt(r.C.Hits))
 	fmt.Fprintf(stdout, "cache misses:        %16s (%s remote, %s local fills)\n",

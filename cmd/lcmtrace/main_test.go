@@ -14,6 +14,9 @@ func TestBadInputsExitTwo(t *testing.T) {
 	}{
 		{[]string{"-w", "mandelbrot"}, "lcmtrace: unknown workload \"mandelbrot\" (with -sched static)\n"},
 		{[]string{"-w", "stencil", "-sched", "guided"}, "lcmtrace: unknown workload \"stencil\" (with -sched guided)\n"},
+		// A workload without a partitioning knob takes no -sched at all.
+		{[]string{"-w", "threshold", "-sched", "dynamic"}, "lcmtrace: workload \"threshold\" has no partitioning knob (drop -sched dynamic)\n"},
+		{[]string{"-w", "threshold", "-sched", "bogus"}, "lcmtrace: workload \"threshold\" has no partitioning knob (drop -sched bogus)\n"},
 		{[]string{"-sys", "mesi"}, "lcmtrace: unknown system \"mesi\" (want copying, lcm-scc|scc or lcm-mcc|mcc)\n"},
 		{[]string{"-p", "0"}, "lcmtrace: p must be >= 1, got 0\n"},
 		{[]string{"-scale", "0"}, "lcmtrace: scale must be >= 1, got 0\n"},
@@ -27,22 +30,26 @@ func TestBadInputsExitTwo(t *testing.T) {
 }
 
 // One verified run with a trace, under each spelling of a system name and
-// for a workload with and without a partitioning knob.  A trace does not
-// stop LCM's handlers running ahead, and the output says so.
+// for a workload with and without a partitioning knob; the header names the
+// cell that ran.  A trace does not stop LCM's handlers running ahead, and the
+// output says so.
 func TestTraceRunVerified(t *testing.T) {
 	for _, tc := range []struct {
-		args     []string
-		runAhead string
+		args             []string
+		header, runAhead string
 	}{
-		{[]string{"-w", "stencil", "-sched", "dynamic", "-sys", "lcm-mcc"}, "run-ahead on:"},
-		{[]string{"-w", "threshold", "-sys", "scc"}, "run-ahead on:"},
-		{[]string{"-w", "threshold", "-sys", "copying"}, "run-ahead off: protocol without split handlers:"},
+		{[]string{"-w", "stencil", "-sched", "dynamic", "-sys", "lcm-mcc"}, "Stencil-dynamic under lcm-mcc (P=4, scale 1/32)\n", "run-ahead on:"},
+		{[]string{"-w", "threshold", "-sys", "scc"}, "Threshold under lcm-scc (P=4, scale 1/32)\n", "run-ahead on:"},
+		{[]string{"-w", "threshold", "-sys", "copying"}, "Threshold under copying (P=4, scale 1/32)\n", "run-ahead off: protocol without split handlers:"},
 	} {
 		args := tc.args
 		var out, errOut strings.Builder
 		code := run(append(args, "-scale", "32", "-p", "4", "-verify", "-trace", "5"), &out, &errOut)
 		if code != 0 {
 			t.Fatalf("run(%v) = %d, want 0\nstdout:\n%s\nstderr:\n%s", args, code, out.String(), errOut.String())
+		}
+		if !strings.HasPrefix(out.String(), tc.header) {
+			t.Errorf("run(%v): stdout does not start with %q:\n%s", args, tc.header, out.String())
 		}
 		for _, want := range []string{"simulated time:", tc.runAhead, "last protocol events (in execution order)", "result verified against the sequential reference"} {
 			if !strings.Contains(out.String(), want) {

@@ -278,7 +278,6 @@ func (s *Suite) chaosKill() error {
 	cfg.Verify = false
 	plan := fault.Plan{Seed: 0x1c3a05_0003, KillNode: 1, KillAfter: 3}
 	cfg.Faults = &plan
-	cfg.Watchdog = 2 * time.Second
 	const bound = 30 * time.Second
 	start := time.Now()
 	res := s.Run(CellSpec{"Stencil", "static"}, cstar.LCMscc, cfg)

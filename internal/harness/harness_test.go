@@ -279,26 +279,3 @@ func TestCommitSweep(t *testing.T) {
 		t.Fatalf("bottleneck should grow with P: slowdown %0.2f at P=2, %0.2f at P=8", slow2, slow8)
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	s := smallSuite(&buf)
-	s.Cfg.Verify = false
-	rows := runGrid(t, s)
-	var csv bytes.Buffer
-	if err := WriteCSV(&csv, rows); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 1+6*3 {
-		t.Fatalf("csv has %d lines, want %d", len(lines), 1+6*3)
-	}
-	if !strings.HasPrefix(lines[0], "workload,system,sched,cycles") {
-		t.Fatalf("header %q", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if strings.Count(l, ",") != strings.Count(lines[0], ",") {
-			t.Fatalf("ragged row %q", l)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // Serving-cell tests: the KV cells are selectable by name alongside the
-// Table-1 grid, their observables flow into the trajectory JSON and CSV,
+// Table-1 grid, their observables flow into the trajectory JSON,
 // and an unresolvable cell name is a structured *UnknownCellError.
 
 func TestParseCellKV(t *testing.T) {
@@ -78,7 +79,7 @@ func TestKVSpecOverrides(t *testing.T) {
 
 // TestKVCellsEndToEnd runs both KV cells through the harness at reduced
 // scale and asserts the serving observables land in the trajectory JSON
-// and the CSV rows, verified against the sequential reference.
+// and its deterministic bytes, verified against the sequential reference.
 func TestKVCellsEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	s := smallSuite(&buf)
@@ -116,20 +117,25 @@ func TestKVCellsEndToEnd(t *testing.T) {
 		}
 	}
 
-	var csv bytes.Buffer
-	if err := WriteCSV(&csv, rows); err != nil {
+	// The KV observables reach the deterministic bytes under their own names.
+	b, err := MarshalDeterministic(s.Cfg, s.Scale, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 1+6 {
-		t.Fatalf("csv has %d lines, want %d", len(lines), 1+6)
+	var det struct {
+		Records []map[string]any `json:"records"`
 	}
-	if !strings.Contains(lines[0], "kv_ops") || !strings.HasSuffix(lines[0], "kv_answer") {
-		t.Fatalf("csv header missing KV columns: %q", lines[0])
+	if err := json.Unmarshal(b, &det); err != nil {
+		t.Fatal(err)
 	}
-	for _, l := range lines[1:] {
-		if strings.Count(l, ",") != strings.Count(lines[0], ",") {
-			t.Fatalf("ragged row %q", l)
+	if len(det.Records) != 6 {
+		t.Fatalf("deterministic records = %d, want 6", len(det.Records))
+	}
+	for _, rec := range det.Records {
+		for _, field := range []string{"kv_ops", "kv_gets", "kv_puts", "kv_answer"} {
+			if v, ok := rec[field].(float64); !ok || v == 0 {
+				t.Fatalf("deterministic record has %s = %v: %v", field, rec[field], rec)
+			}
 		}
 	}
 }

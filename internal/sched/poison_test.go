@@ -9,8 +9,7 @@ import (
 )
 
 // Tests of the poison flag — what unwinds, how often, on which goroutine —
-// and of the Blocked-count deadlock check.  CI runs this package under
-// -race, which is what checks Unwind's claim to the parked coroutines.
+// and of the Blocked-count deadlock check.
 
 // far is a clock no test reaches: a node that yields at it stays parked,
 // Ready, for as long as any other node can run.
@@ -59,8 +58,8 @@ func TestPoisonReleasesWaiters(t *testing.T) {
 			t.Error("Yield succeeded after Poison")
 		}
 	})
-	if !released || !s.poisoned.Load() {
-		t.Fatalf("released=%v poisoned=%v after Poison with a node parked", released, s.poisoned.Load())
+	if !released || !s.poisoned {
+		t.Fatalf("released=%v poisoned=%v after Poison with a node parked", released, s.poisoned)
 	}
 }
 
@@ -152,56 +151,11 @@ func TestBodyDeathUnwindsTheRun(t *testing.T) {
 		if out.returned || (goexit && out.value != nil) || (!goexit && out.value != boom) {
 			t.Errorf("goexit=%v: Run ended with %+v, want node 3's death", goexit, out)
 		}
-		if want := [p]int{1, 1, 1}; unwound != want || !s.poisoned.Load() {
-			t.Errorf("goexit=%v: unwound %v, want %v; poisoned=%v", goexit, unwound, want, s.poisoned.Load())
+		if want := [p]int{1, 1, 1}; unwound != want || !s.poisoned {
+			t.Errorf("goexit=%v: unwound %v, want %v; poisoned=%v", goexit, unwound, want, s.poisoned)
 		}
 		settled(t, base, "after a body died")
 	}
-}
-
-// TestUnwindFromOutside: the token holder wedges in host time, and the
-// trampoline with it.  A supervisor that poisons the run and calls Unwind
-// gets every parked node unwound on its own goroutine and leaves the wedged
-// one alone, which unwinds by itself, on the trampoline's, at its next
-// scheduling call.
-func TestUnwindFromOutside(t *testing.T) {
-	base := runtime.NumGoroutine()
-	const p = 5
-	s := New(p, 0)
-	s.SetRunAhead(func(int) (int64, bool) { return 0, false })
-	wedged, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	var unwound [p]int
-	go func() {
-		defer close(done)
-		s.Run(func(id int) {
-			switch id {
-			case 3:
-				close(wedged)
-				<-release
-				if !s.Yield(3, 1) {
-					unwound[3]++
-				}
-			case 4:
-				t.Error("a node without its first grant ran after Poison")
-			default:
-				if !parkOne(s, id) {
-					unwound[id]++
-				}
-			}
-		})
-	}()
-	<-wedged
-	s.Poison()
-	s.Unwind()
-	if want := [p]int{1, 1, 1}; unwound != want { // ordered by Unwind's lock
-		t.Errorf("unwound %v after Unwind, want %v", unwound, want)
-	}
-	close(release)
-	<-done
-	if want := [p]int{1, 1, 1, 1}; unwound != want {
-		t.Errorf("unwound %v after Run, want %v", unwound, want)
-	}
-	settled(t, base, "after a supervised unwind")
 }
 
 // TestDeadlockCallback: a lone node that blocks has deadlocked the run; the
@@ -220,8 +174,8 @@ func TestDeadlockCallback(t *testing.T) {
 		resumed = s.Block(0) // nothing can ever ready us
 		inBlock = false
 	})
-	if fired != 1 || resumed || !s.poisoned.Load() {
-		t.Fatalf("fired %d times, Block returned %v, poisoned=%v; want 1, false, true", fired, resumed, s.poisoned.Load())
+	if fired != 1 || resumed || !s.poisoned {
+		t.Fatalf("fired %d times, Block returned %v, poisoned=%v; want 1, false, true", fired, resumed, s.poisoned)
 	}
 }
 
@@ -253,7 +207,7 @@ func TestDeadlockFiresOnceOnEmptyQueue(t *testing.T) {
 	s = New(2, 0)
 	s.OnDeadlock(func() { fired++ })
 	s.Run(func(id int) { s.Yield(id, 10) })
-	if fired != 1 || s.onDeadlock == nil || s.poisoned.Load() {
+	if fired != 1 || s.onDeadlock == nil || s.poisoned {
 		t.Fatal("callback fired, or the run was poisoned, on a clean finish")
 	}
 }

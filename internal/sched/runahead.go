@@ -33,7 +33,7 @@ func (s *Scheduler) SetRunAhead(apply ApplyFunc) {
 // appended to a non-empty log need no call; dispatch keys each as it applies
 // the one before.
 func (s *Scheduler) Post(node int, clock int64) {
-	if !s.poisoned.Load() {
+	if !s.poisoned {
 		s.rq.push(s.postEntry(node, clock))
 	}
 }
@@ -54,7 +54,7 @@ func (s *Scheduler) postEntry(node int, clock int64) rqEntry {
 // all — and before every real scheduling call.  Returns false when the
 // scheduler is poisoned; the caller then checks PostFailure and unwinds.
 func (s *Scheduler) Drain(node int) bool {
-	if s.poisoned.Load() {
+	if s.poisoned {
 		return false
 	}
 	if s.rq.pos[node] < 0 {
@@ -81,7 +81,7 @@ type postFailure struct {
 func (s *Scheduler) applyPost(node int) (next int64, more, ok bool) {
 	defer func() {
 		if !ok {
-			s.fail.CompareAndSwap(nil, &postFailure{node, recover()})
+			s.fail = &postFailure{node, recover()}
 			s.Poison()
 		}
 	}()
@@ -93,8 +93,8 @@ func (s *Scheduler) applyPost(node int) (next int64, more, ok bool) {
 // PostFailure returns the value of the panic that applying one of node's
 // posts raised, nil if there was none.
 func (s *Scheduler) PostFailure(node int) any {
-	if f := s.fail.Load(); f != nil && f.node == node {
-		return f.value
+	if s.fail != nil && s.fail.node == node {
+		return s.fail.value
 	}
 	return nil
 }

@@ -200,9 +200,9 @@ func TestPostFailureBelongsToThePoster(t *testing.T) {
 		driving = id
 		drained[id] = s.Drain(id)
 	})
-	if !s.poisoned.Load() || drained != [2]bool{} {
+	if !s.poisoned || drained != [2]bool{} {
 		t.Fatalf("a failed apply must poison the scheduler and fail both drains: poisoned=%v drained=%v",
-			s.poisoned.Load(), drained)
+			s.poisoned, drained)
 	}
 	if got := applier; got != 1 {
 		t.Fatalf("node 0's post was applied inside node %d's Drain, want node 1's", got)

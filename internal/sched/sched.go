@@ -48,16 +48,16 @@
 //     token away, and only the trampoline resumes it — when the state
 //     machine has made it the token holder — or unwinds it.
 //
-// A poisoned run is over (the machine aborted it: a node died, the watchdog
-// fired, the run deadlocked).  Poison is one flag, set from any goroutine.
-// Every scheduling call reads it first and returns false without touching
-// the state machine, and the trampoline reads it before every resume: it
-// hands the token to nobody any more and unwinds each parked coroutine
-// instead, whose scheduling call — Yield, Block, Drain — then returns false
-// too.  The caller must unwind without touching simulator state, so a
-// failing run has at most one node in simulator code, as a healthy one
-// does: whichever held the token when the poison landed, until its own next
-// scheduling call.
+// A poisoned run is over (the machine aborted it: a node died, or the run
+// deadlocked).  Poison is one flag, set on the run's one goroutine like
+// every other field.  Every scheduling call reads it first and returns false
+// without touching the state machine, and the trampoline reads it before
+// every resume: it hands the token to nobody any more and unwinds each
+// parked coroutine instead, whose scheduling call — Yield, Block, Drain —
+// then returns false too.  The caller must unwind without touching
+// simulator state, so a failing run has at most one node in simulator code,
+// as a healthy one does: whichever held the token when the poison landed,
+// until its own next scheduling call.
 //
 // Run-ahead (SetRunAhead) removes most scheduling points from the host
 // schedule without moving one in the simulated schedule.  A protocol
@@ -84,8 +84,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // State is a node's scheduling state.
@@ -159,18 +157,15 @@ type Scheduler struct {
 	running int // node holding the token, -1 if none
 	step    int // grants so far
 
-	// poisoned is the only state a goroutine without the token writes (the
-	// barrier's watchdog does); dead is closed with it, for a supervisor.
-	poisoned atomic.Bool
-	dead     chan struct{}
+	poisoned bool // the run is over (Poison)
 
 	chooser    Chooser
 	onDeadlock func()
 
 	// apply is the machine's side of run-ahead, nil when every handler
-	// yields.  fail records the first panic raised inside it.
+	// yields.  fail records the panic raised inside it, which poisons the run.
 	apply ApplyFunc
-	fail  atomic.Pointer[postFailure]
+	fail  *postFailure
 
 	handoffs int64 // grants that moved the token to another node's coroutine
 	applies  int64 // posts applied by dispatch
@@ -180,12 +175,6 @@ type Scheduler struct {
 	curSeg int // index into segs of the running segment, -1 if none
 
 	candBuf []Candidate
-
-	// stop unwinds the coroutines of Run, by node, under unwinding; cur is
-	// the node the trampoline is inside (run.go).
-	stop      []func()
-	cur       atomic.Int32
-	unwinding sync.Mutex
 }
 
 // New creates a scheduler for n nodes with the given tie-break seed.  All
@@ -197,9 +186,7 @@ func New(n int, seed uint64) *Scheduler {
 		rq:      newRunQueue(n),
 		running: -1,
 		curSeg:  -1,
-		dead:    make(chan struct{}),
 	}
-	s.cur.Store(-1)
 	for i := range s.nodes {
 		s.nodes[i].state = Ready
 		s.rq.push(s.entry(i))
@@ -223,7 +210,7 @@ func (s *Scheduler) EnableRecording() { s.record = true }
 // given virtual clock and waits to be granted again.  It returns false when
 // the run is poisoned: the run is over and the caller must unwind.
 func (s *Scheduler) Yield(node int, clock int64) bool {
-	if s.poisoned.Load() {
+	if s.poisoned {
 		return false
 	}
 	ns := &s.nodes[node]
@@ -270,7 +257,7 @@ func (s *Scheduler) requeue(node int) bool {
 // parks until a peer's SetReady has made the node runnable and the run queue
 // grants it.  Like Yield it returns false when the run is poisoned.
 func (s *Scheduler) Block(node int) bool {
-	if s.poisoned.Load() {
+	if s.poisoned {
 		return false
 	}
 	ns := &s.nodes[node]
@@ -294,7 +281,7 @@ func (s *Scheduler) SetReady(node int) { s.SetReadyAt(node, s.nodes[node].clock)
 // arriver readies its siblings at the barrier's resolved time).
 func (s *Scheduler) SetReadyAt(node int, clock int64) {
 	ns := &s.nodes[node]
-	if s.poisoned.Load() || ns.state != Blocked {
+	if s.poisoned || ns.state != Blocked {
 		return
 	}
 	s.blocked--
@@ -307,7 +294,7 @@ func (s *Scheduler) SetReadyAt(node int, clock int64) {
 // exit marks the node Done and passes the token on.  Run calls it when a
 // node's body returns or dies (it is safe in any state).
 func (s *Scheduler) exit(node int) {
-	if s.poisoned.Load() || s.nodes[node].state == Done {
+	if s.poisoned || s.nodes[node].state == Done {
 		return
 	}
 	s.detach(node)
@@ -321,15 +308,8 @@ func (s *Scheduler) exit(node int) {
 
 // Poison ends the run: every later scheduling call reports it, and the
 // trampoline unwinds every parked node instead of resuming another (see the
-// package comment).  Safe from any goroutine, holding any lock.
-func (s *Scheduler) Poison() {
-	if s.poisoned.CompareAndSwap(false, true) {
-		close(s.dead)
-	}
-}
-
-// Poisoned is closed once the run is poisoned.
-func (s *Scheduler) Poisoned() <-chan struct{} { return s.dead }
+// package comment).  Idempotent.
+func (s *Scheduler) Poison() { s.poisoned = true }
 
 // NoteLock records a block-lock acquisition in the running segment
 // (checker mode; cheap no-op otherwise).
@@ -392,7 +372,7 @@ func (s *Scheduler) detach(node int) {
 // token.  On deadlock (nothing queued, something Blocked) it fires the
 // OnDeadlock callback and poisons the run.
 func (s *Scheduler) dispatch(self int) bool {
-	if s.poisoned.Load() || s.running != -1 {
+	if s.poisoned || s.running != -1 {
 		return false
 	}
 	for {

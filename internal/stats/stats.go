@@ -16,8 +16,8 @@ import (
 )
 
 // NodeCounters is the per-node event record.  All fields are updated only
-// by the owning node's goroutine (or inside a barrier window) and read
-// after the machine quiesces.
+// by the owning node's coroutine while it holds the token (or inside a
+// barrier window) and read after the machine quiesces.
 type NodeCounters struct {
 	// Hits counts loads/stores permitted by the access-control tags.
 	Hits int64

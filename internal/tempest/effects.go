@@ -216,7 +216,7 @@ func (m *Machine) applyHead(node int) (next int64, more bool) {
 // One compare when the log is empty, which it always is off run-ahead.
 func (n *Node) drain() {
 	if n.fxLen != 0 && !n.M.schedder.Drain(n.ID) {
-		n.unwind() // the run is over: nothing will be applied any more
+		n.abandon() // the run is over: nothing will be applied any more
 	}
 }
 

@@ -32,7 +32,7 @@ func (m *Machine) AttachFaults(plan fault.Plan) *fault.Injector {
 }
 
 // preFault runs the injector's pre-dispatch faults for an access fault on
-// block b.  It executes in the faulting node's goroutine before the
+// block b.  It executes in the faulting node's coroutine before the
 // protocol handler, exactly where Blizzard's trap entry ran.
 func (n *Node) preFault(b memsys.BlockID) {
 	f := n.M.Fault

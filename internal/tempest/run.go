@@ -6,30 +6,21 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"lcm/internal/sched"
 	"lcm/internal/trace"
 )
 
 // This file is the hardened execution core: RunErr recovers node panics into
-// structured per-node errors, aborts the barrier so every sibling unwinds
-// instead of deadlocking, and — when a watchdog is armed — bounds the
-// wall-clock cost of a wedged node, returning a diagnostic dump instead of
-// hanging.
-
-// ErrUnresponsive marks a node that neither finished nor died within the
-// post-failure grace period (its coroutine is leaked, and the trampoline
-// with it; the machine's state must not be trusted afterwards).
-var ErrUnresponsive = errors.New("tempest: node unresponsive after run failure")
+// structured per-node errors and aborts the barrier so every sibling unwinds
+// instead of deadlocking, returning a diagnostic dump instead of hanging.
 
 // NodeError is one node's structured failure.
 type NodeError struct {
 	Node int
 	Err  error
 	// Stack is the node's stack at the point of death (empty for nodes that
-	// are unresponsive or never began).
+	// never began).
 	Stack string
 	// Collateral marks nodes that died only because the barrier was
 	// aborted on behalf of another node's failure.
@@ -111,9 +102,11 @@ var errGoexit = errors.New("tempest: node body called runtime.Goexit")
 
 // RunErr executes body on every node (SPMD) and returns a structured error
 // when any node fails.  The node bodies are the coroutines of one goroutine,
-// the scheduler's trampoline (sched.Run), which RunErr starts and
-// supervises: exactly one body is executing at any time, and a body that
-// blocks in host time stops the whole machine.
+// the scheduler's trampoline (sched.Run), which RunErr starts and waits for:
+// exactly one body is executing at any time, and a body that blocks in host
+// time, or never reaches a scheduling point, stops the whole machine — and
+// RunErr — for as long as it does.  The trampoline has a goroutine of its own
+// so that a body's runtime.Goexit ends that goroutine, not the caller's.
 //
 // A node "fails" by panicking (a protocol bug, an injected unrecoverable
 // fault, or a retry budget running out).  The first failure aborts the
@@ -122,13 +115,7 @@ var errGoexit = errors.New("tempest: node body called runtime.Goexit")
 // where it is parked, without running another line of protocol code, and is
 // reported as collateral; so is a sibling that had not begun.  A node that
 // returns while a sibling still waits for it is a deadlock, reported the
-// same way the moment the run queue empties.  When Machine.Watchdog is
-// positive, a barrier round that stalls past the bound — some node holds the
-// token and never reaches a scheduling point — is aborted with per-node
-// diagnostics; the trampoline is wedged with that node, so RunErr unwinds
-// the parked ones itself, and if the node still fails to unwind within a
-// grace period it is reported unresponsive (its coroutine and the trampoline
-// are leaked and the machine is poisoned — read nothing further from it).
+// same way the moment the run queue empties.
 //
 // On failure the machine must be considered poisoned: the barrier stays
 // aborted and protocol state may be mid-transition.  Build a fresh
@@ -149,31 +136,25 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 		m.bar.Abort(errors.New("tempest: scheduler deadlock: all live nodes blocked"))
 	})
 	m.schedder = sc
-	m.bar.arm(sc, m.Watchdog, m.barrierDiagnostics)
+	m.bar.arm(sc)
 	runAhead, _ := m.RunAhead()
 	m.setRunAhead(runAhead)
 	if runAhead {
 		sc.SetRunAhead(m.applyHead)
 	}
 
-	// One record per node, under mu: the parked nodes of a stalled run end on
-	// this goroutine while the token holder may yet end on the trampoline's.
+	// One record per node, written by the node's own coroutine.
 	type record struct {
-		began, finished bool
-		err             *NodeError
+		began bool
+		err   *NodeError
 	}
-	var (
-		mu   sync.Mutex
-		recs = make([]record, m.P)
-		done = make(chan struct{})
-	)
+	recs := make([]record, m.P)
+	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		sc.Run(func(id int) {
 			nd, returned := m.Nodes[id], false
-			mu.Lock()
 			recs[id].began = true
-			mu.Unlock()
 			defer func() {
 				var err error
 				if r := recover(); r != nil {
@@ -181,8 +162,6 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 				} else if !returned {
 					err = errGoexit
 				}
-				mu.Lock()
-				recs[id].finished = true
 				if err != nil {
 					recs[id].err = &NodeError{
 						Node:       id,
@@ -190,9 +169,6 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 						Stack:      string(debug.Stack()),
 						Collateral: errors.Is(err, ErrAborted),
 					}
-				}
-				mu.Unlock()
-				if err != nil {
 					// Abort poisons the scheduler before sched.Run marks the node
 					// Done: the token is never handed onward from a dying run.
 					m.bar.Abort(fmt.Errorf("node %d died: %w", id, err))
@@ -204,28 +180,8 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 			returned = true
 		})
 	}()
+	<-done
 
-	hung := false
-	if m.Watchdog > 0 {
-		select {
-		case <-done:
-		case <-sc.Poisoned():
-			// The run failed, perhaps by stalling: a token holder wedged in
-			// host time has the trampoline wedged inside it, so unwind the
-			// parked nodes from here, then give the holder a grace period.
-			sc.Unwind()
-			select {
-			case <-done:
-			case <-time.After(2*m.Watchdog + 500*time.Millisecond):
-				hung = true
-			}
-		}
-	} else {
-		// The caller asked for no wall-clock bounds.
-		<-done
-	}
-
-	mu.Lock()
 	var errs []*NodeError
 	for id, r := range recs {
 		switch {
@@ -234,11 +190,8 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 		case !r.began:
 			// Only a poisoned run leaves a node without its first grant.
 			errs = append(errs, &NodeError{Node: id, Err: m.bar.poisonErr(), Collateral: true})
-		case !r.finished:
-			errs = append(errs, &NodeError{Node: id, Err: ErrUnresponsive})
 		}
 	}
-	mu.Unlock()
 	if len(errs) == 0 {
 		return nil
 	}
@@ -248,16 +201,8 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 		}
 		return errs[i].Node < errs[j].Node
 	})
-	re := &RunError{Nodes: errs}
-	if !hung {
-		// The trampoline has returned: the machine is quiescent and readable.
-		re.Diagnostics = m.Diagnostics()
-	} else if se := new(StallError); errors.As(m.bar.Err(), &se) {
-		// Unsafe to touch node state with the token holder still out there;
-		// reuse the dump the watchdog took under the barrier lock.
-		re.Diagnostics = se.Diagnostics
-	}
-	return re
+	// The trampoline has returned: the machine is quiescent and readable.
+	return &RunError{Nodes: errs, Diagnostics: m.Diagnostics()}
 }
 
 // panicError converts a recovered panic value into an error.
@@ -285,7 +230,8 @@ func (m *Machine) Diagnostics() string {
 				tags[t>>tagShift]++
 			}
 		}
-		fmt.Fprintf(&sb, "%s tags[inv=%d ro=%d rw=%d priv=%d]\n", nodeDiagnostics(nd, nd.Clock()),
+		fmt.Fprintf(&sb, "node %2d: clock=%d barriers=%d misses=%d flushes=%d retries=%d tags[inv=%d ro=%d rw=%d priv=%d]\n",
+			nd.ID, nd.Clock(), nd.Ctr.Barriers, nd.Ctr.Misses, nd.Ctr.Flushes, nd.Ctr.FaultRetries,
 			tags[TagInvalid], tags[TagReadOnly], tags[TagReadWrite], tags[TagPrivate])
 		for i := len(evts) - 1; i >= 0; i-- {
 			if int(evts[i].Node) == nd.ID {
@@ -295,30 +241,4 @@ func (m *Machine) Diagnostics() string {
 		}
 	}
 	return sb.String()
-}
-
-// barrierDiagnostics is the watchdog's stall-time dump.  It runs on the
-// timer's goroutine, with the barrier lock held, while the node that holds
-// the token may be running: nodes parked at the barrier (present[i]) cannot
-// be resumed before the abort, so what only they write is readable race-free;
-// what other nodes' handlers write to them (stolen cycles, tags, the trace)
-// and everything about the absent nodes stays out of the dump.
-func (m *Machine) barrierDiagnostics(present []bool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "machine: P=%d protocol=%s blocks=%d\n", m.P, m.protocol.Name(), m.AS.NumBlocks())
-	for _, nd := range m.Nodes {
-		if present[nd.ID] {
-			sb.WriteString(nodeDiagnostics(nd, nd.clock) + "\n")
-		} else {
-			fmt.Fprintf(&sb, "node %2d: NOT AT BARRIER (stalled or dead)\n", nd.ID)
-		}
-	}
-	return sb.String()
-}
-
-// nodeDiagnostics renders clock and the part of a node's state that only
-// the node itself writes; the caller must know it to be parked or finished.
-func nodeDiagnostics(nd *Node, clock int64) string {
-	return fmt.Sprintf("node %2d: clock=%d barriers=%d misses=%d flushes=%d retries=%d",
-		nd.ID, clock, nd.Ctr.Barriers, nd.Ctr.Misses, nd.Ctr.Flushes, nd.Ctr.FaultRetries)
 }

@@ -14,7 +14,7 @@ import (
 // the way RunErr sets one up for a run.
 func schedBarrier(n int) (*Barrier, *sched.Scheduler) {
 	b, s := NewBarrier(n), sched.New(n, 0)
-	b.arm(s, 0, nil)
+	b.arm(s)
 	return b, s
 }
 
@@ -140,7 +140,7 @@ func TestRunPanicsWithRunError(t *testing.T) {
 // TestDeadlockReportedAtOnce: a node that returns without arriving leaves
 // its sibling waiting for good.  That is the scheduler's deadlock — nothing
 // Ready, something Blocked — and it is reported the moment the run queue
-// empties, watchdog or no watchdog.
+// empties.
 func TestDeadlockReportedAtOnce(t *testing.T) {
 	m, _ := newTestMachine(t, 2, 64)
 	start := time.Now()
@@ -150,10 +150,9 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 		}
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadlocked run took %v with no wall-clock bound armed", elapsed)
+		t.Fatalf("deadlocked run took %v", elapsed)
 	}
-	if !errors.Is(err, ErrAborted) || errors.Is(err, ErrStalled) ||
-		!strings.Contains(err.Error(), "all live nodes blocked") {
+	if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "all live nodes blocked") {
 		t.Fatalf("RunErr = %v, want the scheduler-deadlock abort", err)
 	}
 	var re *RunError
@@ -166,7 +165,8 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 // gone when RunErr returns — after a healthy run, after a node dies mid-phase
 // (by panic, or by the runtime.Goexit of a t.FailNow) with siblings parked at
 // the barrier, in a yield and on a SimLock, and after a scheduler deadlock —
-// and each death is the right node's.  Only an ErrUnresponsive run leaks.
+// and each death is the right node's.  The goexit row also checks that a
+// body's runtime.Goexit ends the trampoline's goroutine, not the caller's.
 func TestRunErrLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settled := func(what string) {
@@ -237,44 +237,6 @@ func TestRunErrLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("deadlocked run: %v", err)
 	}
 	settled("deadlocked run")
-}
-
-// TestWatchdogDetectsBarrierStall: a node that holds the token and never
-// reaches another scheduling point — here it wedges in host time — is the
-// one hang the scheduler cannot see.  The watchdog aborts the round with
-// per-node diagnostics.
-func TestWatchdogDetectsBarrierStall(t *testing.T) {
-	m, _ := newTestMachine(t, 2, 64)
-	m.Watchdog = 100 * time.Millisecond
-	over := make(chan struct{})
-	start := time.Now()
-	err := m.RunErr(func(n *Node) {
-		if n.ID == 0 {
-			defer close(over) // unwinding from the abort ends the run
-			n.Barrier()
-		} else {
-			<-over // node 1 never arrives
-		}
-	})
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("stalled run took %v; watchdog did not bound it", elapsed)
-	}
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("RunErr = %v, want ErrStalled in chain", err)
-	}
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("RunErr = %v, want *StallError in chain", err)
-	}
-	if se.Arrived != 1 || se.N != 2 {
-		t.Fatalf("stall = %d/%d arrived, want 1/2", se.Arrived, se.N)
-	}
-	if !strings.Contains(se.Diagnostics, "node  1: NOT AT BARRIER") {
-		t.Fatalf("stall diagnostics do not flag the missing node:\n%s", se.Diagnostics)
-	}
-	if !strings.Contains(se.Diagnostics, "node  0: clock=") {
-		t.Fatalf("stall diagnostics missing parked node dump:\n%s", se.Diagnostics)
-	}
 }
 
 // TestRunErrConfigError: a recorded configuration error surfaces from

@@ -28,7 +28,7 @@ func (lk *SimLock) Acquire(n *Node) {
 	for s := n.M.schedder; lk.held; {
 		lk.waiters = append(lk.waiters, n.ID)
 		if !s.Block(n.ID) {
-			n.unwind()
+			n.abandon()
 		}
 	}
 	lk.held = true

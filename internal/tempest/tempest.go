@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"lcm/internal/cost"
 	"lcm/internal/fault"
@@ -144,7 +143,7 @@ type Copy struct {
 
 // Protocol is a user-level coherence protocol: the policy code that Tempest
 // dispatches to on access faults and memory-system directives.  Fault
-// handlers run in the faulting node's goroutine and must leave the node's
+// handlers run in the faulting node's coroutine and must leave the node's
 // line with a tag permitting the faulted access.
 type Protocol interface {
 	// Name identifies the protocol in reports ("stache", "lcm-mcc", ...).
@@ -215,16 +214,6 @@ type Machine struct {
 	// flat charges bit-exactly; SetNetwork swaps in a topology-aware
 	// model before Run.
 	Net *net.Network
-
-	// Watchdog, when positive, bounds the wall-clock duration of any
-	// single barrier round: a round that stalls past the bound is
-	// aborted with per-node diagnostics instead of hanging, and
-	// RunErr bounds its post-failure wait for straggler nodes.  A node
-	// that returns without arriving is a deadlock the scheduler reports at
-	// once; what only a timer can catch is a body that holds the token and
-	// never reaches another scheduling point.  Zero (the default) disables
-	// all wall-clock timers.  Set before Run.
-	Watchdog time.Duration
 
 	// ScalarAccess disables the bulk span transfer paths: every
 	// ReadSpan*/WriteSpan*/CopySpan call decomposes into the per-element
@@ -404,7 +393,8 @@ type Node struct {
 	ID int
 	M  *Machine
 
-	// Ctr is the node's event record (owner goroutine only).
+	// Ctr is the node's event record (written by the node while it holds
+	// the token).
 	Ctr stats.NodeCounters
 
 	// PD is per-node protocol state, owned by the active protocol.
@@ -439,7 +429,7 @@ type Node struct {
 	fifo     []memsys.BlockID
 	fifoHead int
 
-	// dataArena backs BlockBuf in chunks (owner goroutine only).
+	// dataArena backs BlockBuf in chunks (owner only).
 	dataArena []byte
 
 	// wire is where a block transfer into a home line arrives under a fault
@@ -477,19 +467,19 @@ func (n *Node) Clock() int64 { return n.clock + n.stolen }
 // again.  Protocol handlers call it on entry, before they touch a block's
 // home state, so the order in which contending nodes run a handler is
 // decided by virtual time.  If the run has been aborted in the meantime the
-// node does not proceed at all: it unwinds (see unwind).
+// node does not proceed at all: it unwinds (see abandon).
 func (n *Node) SchedYield() {
 	n.drain()
 	if !n.M.schedder.Yield(n.ID, n.Clock()) {
-		n.unwind()
+		n.abandon()
 	}
 }
 
-// unwind is what a scheduling call that finds the run poisoned does instead
+// abandon is what a scheduling call that finds the run poisoned does instead
 // of returning: it panics with the barrier's abort error, which RunErr
 // recovers into a collateral failure.  The node was parked, or about to
 // park, so it leaves without running another line of protocol code.
-func (n *Node) unwind() {
+func (n *Node) abandon() {
 	if v := n.M.schedder.PostFailure(n.ID); v != nil {
 		// One of this node's effects panicked inside the scheduling call
 		// that was applying it; the failure is this node's.
@@ -660,9 +650,9 @@ func extend[T any](s []T, k int) []T {
 }
 
 // BlockBuf returns a zeroed block-sized buffer carved from the node's
-// data arena (owner goroutine only).  Protocols use it for per-block
-// auxiliary images (e.g. LCM's pending merge images) so those do not pay
-// one allocation per block.
+// data arena (owner only, while it holds the token).  Protocols use it for
+// per-block auxiliary images (e.g. LCM's pending merge images) so those do
+// not pay one allocation per block.
 func (n *Node) BlockBuf() []byte {
 	bs := int(n.M.AS.BlockSize)
 	if len(n.dataArena) < bs {
@@ -719,9 +709,9 @@ func (n *Node) makeRoom() {
 
 // Barrier joins the global barrier: the node's clock is advanced to the
 // maximum across nodes plus the barrier cost.  If the barrier is aborted
-// while this node waits — a sibling died, or the watchdog detected a
-// stall — the node panics with the distinguished abort error, which
-// RunErr recovers into a structured collateral failure.
+// while this node waits — a sibling died, or the run deadlocked — the node
+// panics with the distinguished abort error, which RunErr recovers into a
+// structured collateral failure.
 func (n *Node) Barrier() {
 	// A plan may kill the node at the epoch boundary, before its arrival
 	// resolves the barrier: crash-at-barrier restarts from the *previous*

@@ -146,7 +146,7 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 		}
 	})
 	if runErr != nil {
-		// The machine is poisoned (a node died or the watchdog fired);
+		// The machine is poisoned (a node died or the run deadlocked);
 		// report the structured error without reading further state.
 		res.Err = runErr
 		return res

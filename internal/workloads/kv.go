@@ -149,7 +149,7 @@ func kvHash(r int) uint64 {
 // zipfTable returns the cumulative (unnormalized) Zipf weights
 // sum_{r<=i} 1/(r+1)^s; sampling is a uniform draw against the total
 // followed by a binary search.  The table is host-side and shared
-// read-only by all node goroutines.
+// read-only by all node coroutines.
 func zipfTable(n int, s float64) []float64 {
 	cum := make([]float64, n)
 	total := 0.0

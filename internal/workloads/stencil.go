@@ -124,7 +124,7 @@ func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
 		}
 	})
 	if runErr != nil {
-		// The machine is poisoned (a node died or the watchdog fired);
+		// The machine is poisoned (a node died or the run deadlocked);
 		// report the structured error without reading further state.
 		res.Err = runErr
 		return res

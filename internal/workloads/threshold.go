@@ -163,7 +163,7 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 		visited += myVisited
 	})
 	if runErr != nil {
-		// The machine is poisoned (a node died or the watchdog fired);
+		// The machine is poisoned (a node died or the run deadlocked);
 		// report the structured error without reading further state.
 		res.Err = runErr
 		return res

@@ -55,10 +55,6 @@ type Config struct {
 	// the machine checkpoints and restarts.  Recovery is charged in
 	// virtual cycles and what was injected is tallied in Result.Faults.
 	Faults *fault.Plan
-	// Watchdog, when positive, bounds the wall-clock duration of any
-	// barrier round; a stalled barrier is aborted with diagnostics
-	// instead of hanging the process.
-	Watchdog time.Duration
 	// ScalarAccess disables the machine's bulk span transfer paths so
 	// every access goes through the per-element scalar accessors, for
 	// differential testing of the span engine (accounting must be
@@ -112,7 +108,6 @@ func (c Config) Machine(sys cstar.System) *tempest.Machine {
 	if c.Faults != nil {
 		m.AttachFaults(*c.Faults)
 	}
-	m.Watchdog = c.Watchdog
 	m.ScalarAccess = c.ScalarAccess
 	m.SchedSeed = c.SchedSeed
 	if c.Net != nil {
@@ -167,7 +162,7 @@ type Result struct {
 	Net   string
 	Links net.LinkStats
 	// Err is non-nil if the run failed (a node died, a retry budget ran
-	// out, the watchdog fired) or verification failed.
+	// out, the run deadlocked) or verification failed.
 	Err error
 }
 
