@@ -101,7 +101,7 @@ func (p *LCM) CheckQuiescent() error {
 	}
 	for bi := range p.entries {
 		e := &p.entries[bi]
-		if e.hasPending && e.gen == p.phase {
+		if e.regSeq != 0 && e.gen == p.phase {
 			return fmt.Errorf("core: block %d has a live pending image between phases", bi)
 		}
 	}

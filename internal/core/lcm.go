@@ -65,33 +65,35 @@ func (v Variant) String() string {
 }
 
 // entry is the home-side LCM directory record for one block; the phase
-// fields are lazily reset when gen is stale.
+// fields are lazily reset when gen is stale.  It is one 64-byte cache line
+// (entries is a large allocation, so the lines are aligned) holding all
+// that the three effect kinds touch; a conflict-checked region's per-phase
+// reader set lives in LCM.readers, and a P > 64 machine's spill words in
+// the copyset arena.
 type entry struct {
 	// sharers is the set of nodes currently holding read-only copies.
 	// It persists across phases (unmodified blocks keep their copies).
 	sharers nodeset.Set
 
-	// gen is the reconcile phase for which the fields below are valid.
-	gen uint32
-
-	// readers is the set of nodes that faulted a read this phase
-	// (tracked only for conflict-checked regions).
-	readers nodeset.Set
 	// writers is the set of nodes that returned modified elements.
 	writers nodeset.Set
 	// written is the per-element modified bitmask (elements, not nodes:
 	// a block holds at most 64 four-byte words, so this stays a word).
 	written uint64
 
-	// pending is the merge image for the phase; hasPending records
-	// whether it is live (the buffer itself is reused across phases).
-	// While live, pending doubles as the home's "clean copy" ledger
-	// entry: its creation is the clean-copy event of Table 1.
-	pending    []byte
-	hasPending bool
+	// gen is the reconcile phase for which writers, written, regSeq and
+	// the block's readers are valid.
+	gen uint32
 	// regSeq is non-zero while the block is on its home's dirty list: its
-	// place in the phase's registration order.
+	// place in the phase's registration order.  The block's pending merge
+	// image is live exactly then: its creation, at the phase's first mark,
+	// is the clean-copy event of Table 1.
 	regSeq uint32
+	// pending is the block's slot in LCM.pending, where its merge image is
+	// kept (the buffer is reused across phases); 0 until the first mark.
+	pending uint32
+
+	_ [12]byte // pads the entry to a cache line
 }
 
 // nodeState is the per-node LCM state: the blocks marked since the last
@@ -170,6 +172,20 @@ type LCM struct {
 	entries []entry
 	phase   uint32
 
+	// readers[b] is the set of nodes that faulted a read of b in phase
+	// entries[b].gen; kept for conflict-checked regions only, and nil on a
+	// machine without one.
+	readers []nodeset.Set
+	// pending holds the blocks' merge images, one block per slot from
+	// slot 1 on (entry.pending).  A node that creates images takes slots
+	// pendingChunk at a time (pendNext[n] up to pendEnd[n]), so the images
+	// of the blocks it marks, which its flushes merge into, lie together.
+	pending           []byte
+	pendNext, pendEnd []uint32
+	// regions is the per-region state an effect resolves once, indexed
+	// like the address space's Regions.
+	regions []region
+
 	// dirty[h] lists the blocks homed at h that are registered for commit
 	// at the next reconciliation, in registration order: the order of the
 	// grants their marks ran in.
@@ -181,6 +197,16 @@ type LCM struct {
 
 	conflicts conflictLog
 }
+
+// region is what the protocol needs of a memsys region on its hot paths.
+type region struct {
+	*memsys.Region
+	rec Reconciler // Region.Reconciler, asserted once
+	es  uint32     // rec.ElemSize()
+}
+
+// region returns the region owning block b.
+func (p *LCM) region(b memsys.BlockID) *region { return &p.regions[p.m.AS.RegionIndex(b)] }
 
 // New creates an LCM protocol instance of the given variant.
 func New(v Variant) *LCM {
@@ -218,25 +244,10 @@ func (p *LCM) Attach(m *tempest.Machine) {
 			m.AS.BlockSize))
 	}
 	p.m = m
-	p.entries = make([]entry, m.AS.NumBlocks())
-	// P > 64 spills the directory copysets past their inline word; carve
-	// the spill storage from one arena so the directory stays a handful
-	// of allocations at any machine size.
-	if ar := nodeset.NewArena(m.P - 1); ar.Words() > 0 {
-		for i := range p.entries {
-			e := &p.entries[i]
-			e.sharers = ar.Make()
-			e.readers = ar.Make()
-			e.writers = ar.Make()
-		}
-	}
-	p.dirty = make([][]memsys.BlockID, m.P)
-	p.phase = 1
-	for _, n := range m.Nodes {
-		n.PD = &nodeState{}
-	}
 	// Resolve default reconcilers per region so the flush path never
 	// branches on nil.
+	p.regions = make([]region, 0, len(m.AS.Regions()))
+	checked := false
 	for _, r := range m.AS.Regions() {
 		if r.Reconciler == nil {
 			switch r.Kind {
@@ -246,27 +257,78 @@ func (p *LCM) Attach(m *tempest.Machine) {
 				r.Reconciler = Overwrite{}
 			}
 		}
-		if _, ok := r.Reconciler.(Reconciler); !ok {
+		rec, ok := r.Reconciler.(Reconciler)
+		if !ok {
 			panic(fmt.Sprintf("core: region %q Reconciler does not implement core.Reconciler", r.Name))
 		}
+		p.regions = append(p.regions, region{Region: r, rec: rec, es: rec.ElemSize()})
+		checked = checked || r.ConflictCheck
+	}
+	p.entries = make([]entry, m.AS.NumBlocks())
+	if checked {
+		p.readers = make([]nodeset.Set, m.AS.NumBlocks())
+	}
+	p.pending = make([]byte, m.AS.BlockSize) // slot 0 is none
+	p.pendNext, p.pendEnd = make([]uint32, m.P), make([]uint32, m.P)
+	// P > 64 spills the directory copysets past their inline word; carve
+	// the spill storage from one arena so the directory stays a handful
+	// of allocations at any machine size.
+	if ar := nodeset.NewArena(m.P - 1); ar.Words() > 0 {
+		for i := range p.entries {
+			e := &p.entries[i]
+			e.sharers = ar.Make()
+			e.writers = ar.Make()
+			if checked {
+				p.readers[i] = ar.Make()
+			}
+		}
+	}
+	p.dirty = make([][]memsys.BlockID, m.P)
+	p.phase = 1
+	for _, n := range m.Nodes {
+		n.PD = &nodeState{}
 	}
 	p.coherent.Attach(m)
 }
 
 func (p *LCM) state(n *tempest.Node) *nodeState { return n.PD.(*nodeState) }
 
-// phaseEntry returns b's entry with its phase fields valid for ph.
-func (p *LCM) phaseEntry(b memsys.BlockID, ph uint32) *entry {
+// phaseEntry returns b's entry, whose region is r, with its phase fields
+// valid for ph.
+func (p *LCM) phaseEntry(b memsys.BlockID, r *region, ph uint32) *entry {
 	e := &p.entries[b]
 	if e.gen != ph {
 		e.gen = ph
-		e.readers.Clear()
+		if r.ConflictCheck {
+			p.readers[b].Clear()
+		}
 		e.writers.Clear()
 		e.written = 0
-		e.hasPending = false
 		e.regSeq = 0
 	}
 	return e
+}
+
+// pendingChunk is how many merge-image slots a node takes at a time.
+const pendingChunk = 64
+
+// pendingSlot returns a fresh merge-image slot for node id.
+func (p *LCM) pendingSlot(id int) uint32 {
+	if p.pendNext[id] == p.pendEnd[id] {
+		bs := int(p.m.AS.BlockSize)
+		first := uint32(len(p.pending) / bs)
+		p.pending = append(p.pending, make([]byte, pendingChunk*bs)...)
+		p.pendNext[id], p.pendEnd[id] = first, first+pendingChunk
+	}
+	p.pendNext[id]++
+	return p.pendNext[id] - 1
+}
+
+// pendingImage returns the merge image of e, which has one.
+func (p *LCM) pendingImage(e *entry) []byte {
+	bs := p.m.AS.BlockSize
+	o := e.pending * bs
+	return p.pending[o : o+bs : o+bs]
 }
 
 // The LCM-region handlers below — ReadFault, mark, flushBlock, Evict — are
@@ -318,31 +380,29 @@ func (p *LCM) chargeHome(n *tempest.Node, b memsys.BlockID, c int64) {
 // clock.
 func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 	b := fx.Block
-	c := p.m.Cost
+	c := &p.m.Cost
+	r := p.region(b)
 	p.m.Lock(b)
 	switch fx.Kind {
 	case fxRead:
-		e := p.phaseEntry(b, p.phase)
+		e := p.phaseEntry(b, r, p.phase)
 		e.sharers.Add(n.ID)
-		if p.m.AS.RegionOfBlock(b).ConflictCheck {
-			e.readers.Add(n.ID)
+		if r.ConflictCheck {
+			p.readers[b].Add(n.ID)
 		}
 		p.chargeHome(n, b, c.HomeOccupancy)
 	case fxMark:
-		e := p.phaseEntry(b, p.phase)
-		// First mark of this block in this phase: the home creates its
-		// clean copy (the pending merge image starts as a copy of the
-		// pre-phase value) and registers the block for commit at
-		// reconciliation.
-		if !e.hasPending {
-			if e.pending == nil {
-				e.pending = n.BlockBuf() // carved from the marking node's arena
-			}
-			copy(e.pending, p.m.AS.HomeData(b))
-			e.hasPending = true
-			p.m.Shared.CleanCopiesHome++
-		}
+		e := p.phaseEntry(b, r, p.phase)
 		if e.regSeq == 0 {
+			// First mark of this block in this phase: the home creates
+			// its clean copy (the pending merge image starts as a copy of
+			// the pre-phase value) and registers the block for commit at
+			// reconciliation.
+			if e.pending == 0 {
+				e.pending = p.pendingSlot(n.ID)
+			}
+			copy(p.pendingImage(e), p.m.AS.HomeData(b))
+			p.m.Shared.CleanCopiesHome++
 			p.registrations++
 			e.regSeq = p.registrations
 			home := p.m.AS.HomeOf(b)
@@ -353,16 +413,13 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 		p.chargeHome(n, b, c.HomeOccupancy)
 	case fxFlush:
 		e := &p.entries[b]
-		if !e.hasPending || e.gen != p.phase {
+		if e.regSeq == 0 || e.gen != p.phase {
 			panic(fmt.Sprintf("core: flush of block %d with no pending image", b))
 		}
-		r := p.m.AS.RegionOfBlock(b)
-		rec := r.Reconciler.(Reconciler)
-		es := rec.ElemSize()
-		clean := p.m.AS.HomeData(b)
+		pending, data, clean := p.pendingImage(e), n.Snapshot(fx), p.m.AS.HomeData(b)
 		// Ascending element order, exactly once per modified element.
 		for mask := fx.Mask; mask != 0; mask &= mask - 1 {
-			p.mergeElem(n, fx, e, r, rec, es, clean, uint32(bits.TrailingZeros64(mask))*es)
+			p.mergeElem(n, fx, e, r, pending, data, clean, uint32(bits.TrailingZeros64(mask)))
 		}
 		if fx.Mask != 0 {
 			e.writers.Add(n.ID)
@@ -383,8 +440,7 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 // ReadFault implements tempest.Protocol: obtain a read-only copy carrying
 // the pre-phase (clean) value of the block.
 func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) {
-	r := p.m.AS.RegionOfBlock(b)
-	if r.Kind == memsys.KindCoherent {
+	if p.region(b).Kind == memsys.KindCoherent {
 		p.coherent.ReadFault(n, b)
 		return
 	}
@@ -404,8 +460,7 @@ func (p *LCM) ReadFault(n *tempest.Node, b memsys.BlockID) {
 // implicit MarkModification (the "memory system detects the unusual case"
 // path of the paper's conclusion).
 func (p *LCM) WriteFault(n *tempest.Node, b memsys.BlockID) {
-	r := p.m.AS.RegionOfBlock(b)
-	if r.Kind == memsys.KindCoherent {
+	if p.region(b).Kind == memsys.KindCoherent {
 		p.coherent.WriteFault(n, b)
 		return
 	}
@@ -416,8 +471,7 @@ func (p *LCM) WriteFault(n *tempest.Node, b memsys.BlockID) {
 // writable private copy of the block containing addr (Section 5.1).
 func (p *LCM) MarkModification(n *tempest.Node, addr memsys.Addr) {
 	b := p.m.AS.Block(addr)
-	r := p.m.AS.RegionOfBlock(b)
-	if r.Kind == memsys.KindCoherent {
+	if p.region(b).Kind == memsys.KindCoherent {
 		p.coherent.MarkModification(n, addr)
 		return
 	}
@@ -427,7 +481,7 @@ func (p *LCM) MarkModification(n *tempest.Node, addr memsys.Addr) {
 // mark is the common MarkModification/copy-on-write path.
 func (p *LCM) mark(n *tempest.Node, b memsys.BlockID) {
 	ph := p.phase
-	c := p.m.Cost
+	c := &p.m.Cost
 	n.Ctr.Marks++
 	tag, l := n.Tag(b), n.Copy(b)
 
@@ -511,10 +565,10 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	if n.Tag(b) != tempest.TagPrivate || !l.Marked {
 		panic(fmt.Sprintf("core: node %d flushing block %d which is not private-marked", n.ID, b))
 	}
-	r := p.m.AS.RegionOfBlock(b)
-	es := r.Reconciler.(Reconciler).ElemSize()
+	r := p.region(b)
+	es := r.es
 	home := p.m.AS.HomeOf(b)
-	c := p.m.Cost
+	c := &p.m.Cost
 
 	// Every post-yield path charges at least a local fill or a network
 	// flush, so the full fault floor holds (the no-pending path panics).
@@ -522,7 +576,9 @@ func (p *LCM) flushBlock(n *tempest.Node, b memsys.BlockID) {
 	fx.Kind = fxFlush
 	data := n.Data(b)
 	fx.Mask = modifiedElems(data, l.WMask, p.m.AS.HomeData(b), es, r.ConflictCheck)
-	copy(fx.Data, data)
+	if fx.Mask != 0 {
+		copy(n.Snapshot(fx), data) // the merge reads the modified elements only
+	}
 	words := int64(bits.OnesCount64(fx.Mask))
 	l.WMask = 0
 	n.Ctr.Flushes++
@@ -598,15 +654,15 @@ func modifiedElems(data []byte, wmask uint64, clean []byte, es uint32, conflictC
 	return mask
 }
 
-// mergeElem folds the modified element at byte offset off of the copy that
+// mergeElem folds the modified element idx of the copy that
 // node n's flush fx returned into the pending image of its block, with
 // conflict detection and accounting.  The caller invokes mergeElem in
-// ascending offset order, exactly once per modified element.
-func (p *LCM) mergeElem(n *tempest.Node, fx *tempest.Effect, e *entry, r *memsys.Region, rec Reconciler, es uint32, clean []byte, off uint32) {
-	b, data := fx.Block, fx.Data
-	idx := off / es
+// ascending element order, exactly once per modified element.
+func (p *LCM) mergeElem(n *tempest.Node, fx *tempest.Effect, e *entry, r *region, pending, data, clean []byte, idx uint32) {
+	b, es := fx.Block, r.es
+	off := idx * es
 	prior := e.written&(1<<idx) != 0
-	conflict := rec.Merge(e.pending[off:off+es], data[off:off+es], clean[off:off+es], prior)
+	conflict := r.rec.Merge(pending[off:off+es], data[off:off+es], clean[off:off+es], prior)
 	if r.ConflictCheck && prior {
 		// Store granularity: any second modifier of an element in one
 		// phase is a violation, value-equal or not.
@@ -636,8 +692,7 @@ func (p *LCM) mergeElem(n *tempest.Node, fx *tempest.Effect, e *entry, r *memsys
 // dropped after the home forgets the sharer.  Coherent regions delegate to
 // the embedded Stache.
 func (p *LCM) Evict(n *tempest.Node, b memsys.BlockID) bool {
-	r := p.m.AS.RegionOfBlock(b)
-	if r.Kind == memsys.KindCoherent {
+	if p.region(b).Kind == memsys.KindCoherent {
 		return p.coherent.Evict(n, b)
 	}
 	switch n.Tag(b) {
@@ -721,7 +776,7 @@ func (p *LCM) Rehome(from, to int) {
 // commitLists commits the dirty list of the given home, charging the work
 // to n's clock.
 func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
-	c := p.m.Cost
+	c := &p.m.Cost
 	list := p.dirty[home]
 	p.dirty[home] = list[:0]
 
@@ -730,26 +785,25 @@ func (p *LCM) commitLists(n *tempest.Node, home int, ph uint32) {
 		if e.gen != ph || e.regSeq == 0 {
 			continue
 		}
-		r := p.m.AS.RegionOfBlock(b)
+		r := p.region(b)
 		if !e.writers.Empty() {
-			copy(p.m.AS.HomeData(b), e.pending)
+			copy(p.m.AS.HomeData(b), p.pendingImage(e))
 			p.m.Shared.Reconciles++
 			n.Charge(c.LocalFill)
 			if t := p.m.Trace; t != nil {
 				t.Record(n.ID, n.Clock(), trace.Commit, uint32(b), int32(bits.OnesCount64(e.written)))
 			}
-			if r.ConflictCheck && !e.readers.SubsetOf(&e.writers) {
+			if r.ConflictCheck && !p.readers[b].SubsetOf(&e.writers) {
 				p.m.Shared.ReadWriteConflicts++
-				pureReaders := e.readers.Clone()
+				pureReaders := p.readers[b].Clone()
 				pureReaders.Subtract(&e.writers)
 				p.conflicts.add(Conflict{
 					Kind: ReadWrite, Block: b, Region: r.Name,
 					Writers: e.writers.Clone(), Readers: pureReaders,
 				})
 			}
-			p.invalidateOutstanding(n, b, e, r, ph)
+			p.invalidateOutstanding(n, b, e, r.Region, ph)
 		}
-		e.hasPending = false
 		e.regSeq = 0
 	}
 

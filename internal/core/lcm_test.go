@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
@@ -485,5 +486,13 @@ func TestUnchangedValueStoreDetected(t *testing.T) {
 	})
 	if got := tm.m.Shared.WriteConflicts; got != 1 {
 		t.Fatalf("conflicts = %d, want 1 (store-granularity)", got)
+	}
+}
+
+// TestEntryIsOneLine: a directory entry is one 64-byte cache line, so an
+// effect touches one line of the directory.
+func TestEntryIsOneLine(t *testing.T) {
+	if sz := unsafe.Sizeof(entry{}); sz != 64 {
+		t.Errorf("entry is %d bytes, want 64", sz)
 	}
 }

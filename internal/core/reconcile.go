@@ -51,7 +51,14 @@ func (o Overwrite) ElemSize() uint32 {
 // Merge implements Reconciler.
 func (o Overwrite) Merge(pending, incoming, _ []byte, prior bool) bool {
 	conflict := prior && !bytes.Equal(pending, incoming)
-	copy(pending, incoming)
+	switch len(incoming) { // fixed sizes move inline, not by a memmove call
+	case 4:
+		*(*[4]byte)(pending) = [4]byte(incoming)
+	case 8:
+		*(*[8]byte)(pending) = [8]byte(incoming)
+	default:
+		copy(pending, incoming)
+	}
 	return conflict
 }
 

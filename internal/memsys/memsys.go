@@ -311,6 +311,11 @@ func (as *AddressSpace) RegionOfBlock(b BlockID) *Region {
 	return as.regions[as.regionOf[b]]
 }
 
+// RegionIndex returns the index in Regions of the region owning block b,
+// for a protocol that keeps per-region state of its own.  Valid after
+// Freeze.
+func (as *AddressSpace) RegionIndex(b BlockID) int { return int(as.regionOf[b]) }
+
 // Regions returns the region table (do not mutate).
 func (as *AddressSpace) Regions() []*Region { return as.regions }
 

@@ -38,11 +38,21 @@ const wordBits = 64
 // spill words are pre-sized and pooled.
 //
 // IDs 0..63 live in the inline word lo; ID i >= 64 lives in bit i%64 of
-// spill[i/64-1].  Methods taking a second set accept any spill length on
+// (*spill)[i/64-1].  The spill words are behind a pointer, so a Set is two
+// words and a directory entry that holds several keeps their inline words
+// close together.  Methods taking a second set accept any spill length on
 // either side; missing words read as zero.
 type Set struct {
 	lo    uint64
-	spill []uint64
+	spill *[]uint64
+}
+
+// words returns the spill words, nil if there are none.
+func (s *Set) words() []uint64 {
+	if s.spill == nil {
+		return nil
+	}
+	return *s.spill
 }
 
 // Of returns a set holding the given IDs (a test convenience).
@@ -61,12 +71,15 @@ func (s *Set) Add(id int) {
 		return
 	}
 	w := id/wordBits - 1
-	if w >= len(s.spill) {
-		grown := make([]uint64, w+1)
-		copy(grown, s.spill)
-		s.spill = grown
+	if s.spill == nil {
+		s.spill = new([]uint64)
 	}
-	s.spill[w] |= 1 << (uint(id) % wordBits)
+	if sp := *s.spill; w >= len(sp) {
+		grown := make([]uint64, w+1)
+		copy(grown, sp)
+		*s.spill = grown
+	}
+	(*s.spill)[w] |= 1 << (uint(id) % wordBits)
 }
 
 // Remove deletes id; removing an absent id is a no-op.
@@ -75,8 +88,8 @@ func (s *Set) Remove(id int) {
 		s.lo &^= 1 << uint(id)
 		return
 	}
-	if w := id/wordBits - 1; w < len(s.spill) {
-		s.spill[w] &^= 1 << (uint(id) % wordBits)
+	if sp, w := s.words(), id/wordBits-1; w < len(sp) {
+		sp[w] &^= 1 << (uint(id) % wordBits)
 	}
 }
 
@@ -85,14 +98,14 @@ func (s *Set) Contains(id int) bool {
 	if id < wordBits {
 		return s.lo&(1<<uint(id)) != 0
 	}
-	w := id/wordBits - 1
-	return w < len(s.spill) && s.spill[w]&(1<<(uint(id)%wordBits)) != 0
+	sp, w := s.words(), id/wordBits-1
+	return w < len(sp) && sp[w]&(1<<(uint(id)%wordBits)) != 0
 }
 
 // Count returns the number of members (popcount over all words).
 func (s *Set) Count() int {
 	c := bits.OnesCount64(s.lo)
-	for _, w := range s.spill {
+	for _, w := range s.words() {
 		c += bits.OnesCount64(w)
 	}
 	return c
@@ -103,7 +116,7 @@ func (s *Set) Empty() bool {
 	if s.lo != 0 {
 		return false
 	}
-	for _, w := range s.spill {
+	for _, w := range s.words() {
 		if w != 0 {
 			return false
 		}
@@ -114,8 +127,8 @@ func (s *Set) Empty() bool {
 // Clear removes all members, keeping spill storage for reuse.
 func (s *Set) Clear() {
 	s.lo = 0
-	for i := range s.spill {
-		s.spill[i] = 0
+	if s.spill != nil {
+		clear(*s.spill)
 	}
 }
 
@@ -125,10 +138,11 @@ func (s *Set) SubsetOf(o *Set) bool {
 	if s.lo&^olo != 0 {
 		return false
 	}
-	for i, w := range s.spill {
+	osp := o.words()
+	for i, w := range s.words() {
 		var ow uint64
-		if i < len(o.spill) {
-			ow = o.spill[i]
+		if i < len(osp) {
+			ow = osp[i]
 		}
 		if w&^ow != 0 {
 			return false
@@ -140,9 +154,10 @@ func (s *Set) SubsetOf(o *Set) bool {
 // Subtract removes every member of o from s in place.
 func (s *Set) Subtract(o *Set) {
 	s.lo &^= o.lo
-	n := min(len(s.spill), len(o.spill))
+	sp, osp := s.words(), o.words()
+	n := min(len(sp), len(osp))
 	for i := 0; i < n; i++ {
-		s.spill[i] &^= o.spill[i]
+		sp[i] &^= osp[i]
 	}
 }
 
@@ -150,9 +165,10 @@ func (s *Set) Subtract(o *Set) {
 // log); directory hot paths never clone.
 func (s *Set) Clone() Set {
 	c := Set{lo: s.lo}
-	if len(s.spill) > 0 {
-		c.spill = make([]uint64, len(s.spill))
-		copy(c.spill, s.spill)
+	if sp := s.words(); len(sp) > 0 {
+		cp := make([]uint64, len(sp))
+		copy(cp, sp)
+		c.spill = &cp
 	}
 	return c
 }
@@ -205,7 +221,7 @@ type Iter struct {
 }
 
 // Iter returns an iterator positioned before the first member.
-func (s *Set) Iter() Iter { return Iter{cur: s.lo, spill: s.spill} }
+func (s *Set) Iter() Iter { return Iter{cur: s.lo, spill: s.words()} }
 
 // Next returns the next member in ascending order, or (-1, false) when
 // the set is exhausted.
@@ -235,6 +251,7 @@ const arenaChunkSets = 256
 type Arena struct {
 	words int
 	buf   []uint64
+	hdrs  [][]uint64 // the sets' spill slices, carved like buf
 }
 
 // NewArena returns an arena producing sets pre-sized for IDs in
@@ -253,8 +270,10 @@ func (a *Arena) Make() Set {
 	}
 	if len(a.buf) < a.words {
 		a.buf = make([]uint64, a.words*arenaChunkSets)
+		a.hdrs = make([][]uint64, arenaChunkSets)
 	}
-	sp := a.buf[:a.words:a.words]
-	a.buf = a.buf[a.words:]
+	sp := &a.hdrs[0]
+	*sp = a.buf[:a.words:a.words]
+	a.buf, a.hdrs = a.buf[a.words:], a.hdrs[1:]
 	return Set{spill: sp}
 }

@@ -169,8 +169,8 @@ func TestArenaSets(t *testing.T) {
 	if w := NewArena(63).Words(); w != 0 {
 		t.Fatalf("Words(maxID=63) = %d, want 0 (inline only)", w)
 	}
-	if s := NewArena(63).Make(); len(s.spill) != 0 {
-		t.Fatalf("P<=64 arena set has spill %v", s.spill)
+	if s := NewArena(63).Make(); len(s.words()) != 0 {
+		t.Fatalf("P<=64 arena set has spill %v", s.words())
 	}
 	ar := NewArena(255)
 	if ar.Words() != 3 {

@@ -64,8 +64,8 @@ func FuzzTieBreak(f *testing.F) {
 
 // FuzzRunQueue feeds the differential driver of runqueue_test.go fuzzed op
 // scripts: whatever sequence of Yield / Block / SetReadyAt / Exit the
-// script spells (Exit of Ready and of Blocked nodes included), the heap
-// must grant exactly the node a per-step Order sort of the Ready set
+// script spells (Exit of Ready and of Blocked nodes included), the run
+// queue must grant exactly the node a per-step Order sort of the Ready set
 // would, fire the deadlock callback exactly when that set runs dry with a
 // node still Blocked, and offer a Chooser the full sorted set.  Read as
 // per-node streams of Post / Drain / Yield / Block (runPosts), the same
@@ -77,13 +77,29 @@ func FuzzRunQueue(f *testing.F) {
 	f.Add(uint64(42), uint8(3), make([]byte, 300))                     // all ties, hashed
 	f.Add(uint64(0xdeadbeef), uint8(2), []byte{10, 10, 10, 10, 11, 11, 11, 11})
 	f.Add(uint64(7), uint8(1), []byte{1, 2, 3, 4, 5, 26, 12, 7, 1, 2, 14, 13, 3, 10, 4, 5}) // posts past the ring, yield after post, block and wake
+	f.Add(uint64(0), uint8(4), exitReadyMidDrain())
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, script []byte) {
 		if len(script) > 1024 {
 			script = script[:1024]
 		}
-		p := []int{1, 2, 33, 65}[size%4]
+		p := []int{1, 2, 33, 65, 32, 256}[size%6]
 		checkOps(t, p, seed, script, false)
 		checkOps(t, p, seed, script, true)
 		checkPosts(t, p, seed, script)
 	})
+}
+
+// exitReadyMidDrain is a FuzzRunQueue script for P=32, read by runPosts:
+// node 0 posts and drains; node 1, granted in its place, exits node 3 — a
+// Ready node that is not the minimum (node 2 is) — while node 0's post is
+// queued, and its own next post reuses the slot node 3 left.
+func exitReadyMidDrain() []byte {
+	const per = 4
+	script := make([]byte, 32*per)
+	for i := range script {
+		script[i] = 0x0f // exit
+	}
+	copy(script[0:], []byte{0x30, 0x0e})         // node 0: post at clock 3, drain
+	copy(script[per:], []byte{0x3e, 0x00, 0x0e}) // node 1: exit node 3, post at clock 0, drain
+	return script
 }

@@ -44,7 +44,9 @@ func (s *Scheduler) postEntry(node int, clock int64) rqEntry {
 	ns := &s.nodes[node]
 	ns.clock = clock
 	ns.seq++
-	return s.entry(node)
+	e := s.entry(node)
+	e.post = 1
+	return e
 }
 
 // Drain parks node, the token holder, until every post in its log has been
@@ -57,7 +59,7 @@ func (s *Scheduler) Drain(node int) bool {
 	if s.poisoned {
 		return false
 	}
-	if s.rq.pos[node] < 0 {
+	if !s.rq.queued(node) {
 		return true
 	}
 	ns := &s.nodes[node]
@@ -74,20 +76,37 @@ type postFailure struct {
 	value any
 }
 
-// applyPost runs the ApplyFunc on node's oldest post.  A panic inside it is
-// a failure of the node that posted, not of the node that happens to drive
-// dispatch: it is kept for that node's PostFailure and the scheduler is
-// poisoned, which unwinds the poster out of Drain.
-func (s *Scheduler) applyPost(node int) (next int64, more, ok bool) {
+// applyPosts applies posts from the top of the run queue, each in the grant
+// step it stands for, while the minimum is a post whose log holds another:
+// it returns -1 when the minimum is a Ready node (or nothing), or the node
+// whose log has just run dry, taken out of the queue.  A panic inside the
+// ApplyFunc is a failure of the node that posted, not of the node that
+// happens to drive dispatch: it is kept for that node's PostFailure and the
+// scheduler is poisoned, which unwinds the poster out of Drain.  One recover
+// covers the whole run of posts.
+func (s *Scheduler) applyPosts() (dry int, ok bool) {
+	node := -1
 	defer func() {
 		if !ok {
 			s.fail = &postFailure{node, recover()}
 			s.Poison()
 		}
 	}()
-	next, more = s.apply(node)
-	s.applies++
-	return next, more, true
+	for {
+		top := s.rq.min()
+		if top.post == 0 {
+			return -1, true
+		}
+		node = int(top.node)
+		s.beginSegment(node)
+		next, more := s.apply(node)
+		s.applies++
+		if !more {
+			s.rq.popMin()
+			return node, true
+		}
+		s.rq.replaceMin(s.postEntry(node, next))
+	}
 }
 
 // PostFailure returns the value of the panic that applying one of node's

@@ -51,19 +51,22 @@ type postsRun struct {
 
 // runPosts drives p nodes, each through its own slice of script, with
 // scheduling points of two kinds: real ones (yield, block, wake a Blocked
-// node, exit) and handler entries.  With runAhead a handler entry is a Post
-// — the node runs on and drains its log before every real call and
-// whenever the log is full; without, it is the Yield that Post stands for,
-// its effect applied on the spot.  A node's script position depends only on
-// its own history, as a node's access stream does, so the two modes must
-// produce the same grant sequence, grant step for grant step.
+// node, exit) and handler entries, plus the exit of a Ready node other than
+// the token holder — a woken node, or one that has not run yet — which
+// frees its run-queue slot while other nodes' posts may be queued.  With
+// runAhead a handler entry is a Post — the node runs on and drains its log
+// before every real call and whenever the log is full; without, it is the
+// Yield that Post stands for, its effect applied on the spot.  A node's
+// script position depends only on its own history, as a node's access
+// stream does, so the two modes must produce the same grant sequence, grant
+// step for grant step.
 func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) postsRun {
 	t.Helper()
 	var (
 		s     = New(p, seed)
 		ring  = newPostRing(p, 4)
 		res   postsRun
-		state = make([]State, p) // written by the token holder only
+		state = make([]State, p) // Ready, Running, Blocked or Done; written by the token holder only
 	)
 	s.OnDeadlock(func() { res.deadlock = true })
 	// granted records one grant step, wherever it was made: by the token
@@ -88,6 +91,7 @@ func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) po
 	// left Blocked by a deadlock.
 	hold := func(id int) {
 		granted(id)
+		state[id] = Running
 		ops := script[id*per : (id+1)*per]
 		for pc := 0; ; pc++ {
 			op := byte(15)
@@ -124,6 +128,7 @@ func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) po
 					return
 				}
 				granted(id)
+				state[id] = Running
 			case 13: // wake a Blocked node
 				drain(id)
 				var ids []int
@@ -138,8 +143,20 @@ func runPosts(t *testing.T, p int, seed uint64, script []byte, runAhead bool) po
 					ring.local[v] += int64(arg >> 2)
 					s.SetReadyAt(v, ring.local[v]+ring.stolen[v])
 				}
-			case 14: // a drain point that is not a scheduling point
+			case 14: // a drain point; with an odd arg, then the exit of a Ready node
 				drain(id)
+				var ids []int
+				for v, st := range state {
+					if st == Ready && v != id {
+						ids = append(ids, v)
+					}
+				}
+				if arg&1 == 0 || len(ids) == 0 {
+					break
+				}
+				v := ids[(arg>>1)%len(ids)]
+				state[v] = Done
+				s.exit(v)
 			case 15: // exit; whoever leaves wakes the Blocked
 				drain(id)
 				for v, st := range state {

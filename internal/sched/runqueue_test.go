@@ -173,17 +173,19 @@ func checkOps(t *testing.T, p int, seed uint64, script []byte, chooser bool) {
 }
 
 // TestRunQueueMatchesSortedReference is the differential test of the
-// heap: random scripts at machine sizes on both sides of the nodeset word
-// boundary, canonical and hashed tie-breaks, with and without a Chooser.
+// run queue: random scripts at machine sizes on both sides of the nodeset
+// word boundary — the paper's 32, a full tree of slots, and 256, the
+// largest BenchmarkPostApply size, among them — canonical and hashed
+// tie-breaks, with and without a Chooser.
 // Each script is also read as per-node streams of posts, drains, yields
 // after posts, blocks and wake-ups (runPosts in runahead_test.go) and run
 // with and without run-ahead, which must not move a grant.
 func TestRunQueueMatchesSortedReference(t *testing.T) {
-	for _, p := range []int{1, 2, 33, 65} {
+	for _, p := range []int{1, 2, 32, 33, 65, 256} {
 		for _, seed := range []uint64{0, 1, 0xdeadbeef} {
 			x := seed ^ uint64(p)*0x9e3779b97f4a7c15
 			for round := 0; round < 4+64/p; round++ {
-				script := make([]byte, 64+16*p)
+				script := make([]byte, 64+16*min(p, 65)) // a few ops per node at P=256
 				for i := range script {
 					x = x*6364136223846793005 + 1442695040888963407
 					script[i] = byte(x >> 56)

@@ -22,22 +22,23 @@
 // (seed, node, sequence) into ties, selecting an alternative — but equally
 // deterministic — interleaving, which is what the CI seed sweep exercises.
 //
-// The run queue (runqueue.go) is one indexed binary min-heap holding
-// the Ready nodes (and, under run-ahead, the oldest post of every node that
-// has any: see below), keyed by Order with the tie-break hash computed
-// once, at enqueue.  Every reader goes through it: the token is granted to
-// its minimum, the checker's Chooser is offered its contents sorted by
-// Order, and "nothing is Ready" is "the heap is empty" (with a count of
-// Blocked nodes deciding whether that is the end of the run or a
-// deadlock).  A scheduling point therefore costs O(log P), and in the
-// common case less than that:
+// The run queue (runqueue.go) is one winner tree over slots holding the
+// Ready nodes (and, under run-ahead, the oldest post of every node that has
+// any: see below), keyed by Order with the tie-break hash computed once, at
+// enqueue; each entry says whether it is a post.  Every reader goes through
+// it: the token is granted to its minimum, the root, the checker's Chooser
+// is offered its contents sorted by Order, and "nothing is Ready" is "the
+// tree is empty" (with a count of Blocked nodes deciding whether that is
+// the end of the run or a deadlock).  A scheduling point therefore costs
+// one leaf-to-root replay, log₂ P comparisons, and in the common case less
+// than that:
 //
 //   - If the yielding token holder is still the Order-minimum it keeps
 //     the token in place.  Step, sequence number and segment recording
 //     advance exactly as for a grant, but no coroutine parks.
-//   - Otherwise the yielder takes the minimum's place at the top of the
-//     heap in a single sift (replace-top), the old minimum is granted, and
-//     the yielder parks.
+//   - Otherwise the yielder's entry takes the minimum's slot in a single
+//     replay (replace-top), the old minimum is granted, and the yielder
+//     parks.
 //
 // Two invariants make the schedule host-independent:
 //
@@ -65,12 +66,13 @@
 // yielding: the node keeps the token and runs on, and the post takes the
 // yield's place in the run queue — same Order key, same sequence number,
 // same grant step when its turn comes.  dispatch applies posts inline, in
-// whichever node's scheduling call is driving it, and only switches
-// coroutines when the minimum is a Ready node or a node whose log has just
-// run dry while it waits in Drain.  A post's key is its node's clock at the
-// handler's entry, read lazily: the first post of an empty log is keyed by
-// the poster (it holds the token, so its clock is current), every later one
-// at the moment its predecessor is applied, which is when the serial order
+// whichever node's scheduling call is driving it, one loop under one
+// recover for a whole run of them, and only switches coroutines when the
+// minimum is a Ready node or a node whose log has just run dry while it
+// waits in Drain.  A post's key is its node's clock at the handler's
+// entry, read lazily: the first post of an empty log is keyed by the
+// poster (it holds the token, so its clock is current), every later one at
+// the moment its predecessor is applied, which is when the serial order
 // would have had the node running towards that yield.  See DESIGN.md,
 // "Run-ahead".
 //
@@ -228,18 +230,19 @@ func (s *Scheduler) requeue(node int) bool {
 	ns := &s.nodes[node]
 	e := s.entry(node)
 	if s.running == node && s.chooser == nil {
-		if s.rq.len() == 0 || e.before(s.rq.min()) {
-			// Still the Order-minimum: the grant a dispatch would make,
-			// minus the trip through the trampoline.
+		top := s.rq.min()
+		if e.before(top) {
+			// Still the Order-minimum (or alone): the grant a dispatch
+			// would make, minus the trip through the trampoline.
 			s.beginSegment(node)
 			return true
 		}
-		if top := int(s.rq.min().node); s.nodes[top].state == Ready {
-			// The common hand-off: take the minimum's place in one sift.
+		if top.post == 0 {
+			// The common hand-off: take the minimum's slot in one replay.
 			ns.state = Ready
 			s.rq.replaceMin(e)
-			s.beginSegment(top)
-			return s.grant(top, node)
+			s.beginSegment(int(top.node))
+			return s.grant(int(top.node), node)
 		}
 	}
 	// Checker mode decides every grant from the full candidate list, a
@@ -338,7 +341,7 @@ func (s *Scheduler) Steps() int { return s.step }
 // entry builds node's run-queue key from its current clock and seq.
 func (s *Scheduler) entry(node int) rqEntry {
 	ns := &s.nodes[node]
-	e := rqEntry{clock: ns.clock, node: int32(node)}
+	e := rqEntry{clock: ns.clock, node: int64(node)}
 	if s.seed != 0 {
 		e.hash = mix(s.seed, Candidate{Node: node, Seq: ns.seq})
 	}
@@ -354,7 +357,7 @@ func (s *Scheduler) candidate(e rqEntry) Candidate {
 // run-queue slot if Ready — or if it dies with posts pending — and the
 // Blocked count if Blocked) ahead of a state change.
 func (s *Scheduler) detach(node int) {
-	if s.rq.pos[node] >= 0 {
+	if s.rq.queued(node) {
 		s.rq.remove(node)
 	}
 	if s.nodes[node].state == Blocked {
@@ -386,28 +389,27 @@ func (s *Scheduler) dispatch(self int) bool {
 			}
 			return false
 		}
-		node := int(s.rq.min().node)
+		top := s.rq.min()
+		if top.post != 0 {
+			// A run of posts (never under a Chooser).  A post's node is
+			// Draining — a Running one would hold the token — so once its
+			// log is empty the serial order has it running again, in the
+			// segment its last post began.
+			node, ok := s.applyPosts()
+			if !ok {
+				return false
+			}
+			if node >= 0 {
+				return s.grant(node, self)
+			}
+			continue
+		}
+		node := int(top.node)
 		if s.chooser != nil {
 			node = s.choose()
 		}
 		s.beginSegment(node)
-		if s.nodes[node].state == Ready {
-			s.rq.remove(node)
-			return s.grant(node, self)
-		}
-		// A post (never under a Chooser: node is the minimum).  Its node
-		// is Draining — a Running one would hold the token — so once the
-		// log is empty the serial order has it running again, in the
-		// segment that just began.
-		next, more, ok := s.applyPost(node)
-		if !ok {
-			return false
-		}
-		if more {
-			s.rq.replaceMin(s.postEntry(node, next))
-			continue
-		}
-		s.rq.popMin()
+		s.rq.remove(node)
 		return s.grant(node, self)
 	}
 }
@@ -416,8 +418,10 @@ func (s *Scheduler) dispatch(self int) bool {
 // sorted by Order and returns the node picked.
 func (s *Scheduler) choose() int {
 	cands := s.candBuf[:0]
-	for _, e := range s.rq.h {
-		cands = append(cands, s.candidate(e))
+	for _, e := range s.rq.t[s.rq.leaves:] {
+		if e != vacant {
+			cands = append(cands, s.candidate(e))
+		}
 	}
 	s.candBuf = cands
 	seed := s.seed

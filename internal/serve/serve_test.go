@@ -688,3 +688,103 @@ func TestListAndCacheStats(t *testing.T) {
 		t.Fatalf("cache keys = %+v, want the first job's entry", cs.Keys)
 	}
 }
+
+// A finished job's progress stream is written whole, with the response's
+// end: a Content-Length body, not chunked framing, holding exactly the
+// NDJSON encoding of the job's events.
+func TestDoneProgressIsOneWrite(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	_, sr := submit(t, ts, smallGrid())
+	progress(t, ts, sr.ID) // wait for the job to finish
+	j, _ := s.job(sr.ID)
+	evs, final := j.eventsFrom(0)
+	if !final {
+		t.Fatal("job not terminal after its progress stream ended")
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, ev := range evs {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs/" + sr.ID + "/progress")
+	if err != nil {
+		t.Fatalf("GET progress: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read progress: %v", err)
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+		t.Errorf("done job's progress: Transfer-Encoding %v, Content-Length %d for %d bytes; want one unchunked write",
+			resp.TransferEncoding, resp.ContentLength, len(body))
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("done job's progress body:\n%s\nwant:\n%s", body, want.Bytes())
+	}
+}
+
+// A running job's progress streams: the events published so far reach the
+// client while the job is still held before its run.
+func TestRunningJobProgressStreams(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.beforeRun = func(*Job) {
+		started <- struct{}{}
+		<-release
+	}
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	_, sr := submit(t, ts, smallGrid())
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never started")
+	}
+
+	lines := make(chan Event)
+	go func() { // the GET itself waits for the flushed header
+		defer close(lines)
+		resp, err := http.Get(ts.URL + "/jobs/" + sr.ID + "/progress")
+		if err != nil {
+			t.Errorf("GET progress: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var ev Event
+			if dec.Decode(&ev) != nil {
+				return
+			}
+			lines <- ev
+		}
+	}()
+	for _, want := range []string{"queued", "started"} {
+		select {
+		case ev, ok := <-lines:
+			if !ok || ev.Event != want {
+				t.Fatalf("event %q while the job is held, want %q", ev.Event, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %q event while the job is held: the stream is not flushed", want)
+		}
+	}
+	close(release)
+	var last Event
+	for ev := range lines {
+		last = ev
+	}
+	if last.Event != "done" {
+		t.Fatalf("stream ended with %+v, want done", last)
+	}
+}

@@ -242,11 +242,13 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		from += len(evs)
+		if final {
+			// Unflushed, a finished job's whole stream goes out in the
+			// one write that ends the response.
+			return
+		}
 		if flusher != nil {
 			flusher.Flush()
-		}
-		if final {
-			return
 		}
 	}
 }

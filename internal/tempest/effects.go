@@ -34,19 +34,21 @@ import (
 // priced when the effect is applied, not when it is posted (DESIGN.md
 // "Priced where it is ordered").
 
-// Effect is the shared half of a split protocol handler.  Kind, Mask and
-// Data are the protocol's to define; Data is a block-sized buffer owned by
-// the record, for a snapshot of whatever node-local bytes the effect needs
-// (the local half may overwrite the originals long before the effect is
-// applied).
+// Effect is the shared half of a split protocol handler, a 32-byte record.
+// Kind and Mask are the protocol's to define; Node.Snapshot(e) is a
+// block-sized buffer owned by the record, for a snapshot of whatever
+// node-local bytes the effect needs (the local half may overwrite the
+// originals long before the effect is applied).
 type Effect struct {
 	Kind uint8
 	// class, dst and payload are the exchange a posted handler sent
 	// (Node.Send); dst < 0 when it sent none.
 	class net.Class
+	// slot is the record's index in its node's log, which addresses its
+	// snapshot; fixed when the log is allocated.
+	slot  uint16
 	Block memsys.BlockID
 	Mask  uint64
-	Data  []byte
 
 	// clock is the node's local clock — stolen cycles excluded — at
 	// EnterHandler; the effect's scheduling key is this plus the stolen
@@ -61,6 +63,13 @@ type Effect struct {
 // is the same whether e was posted or applied on the spot.
 func (e *Effect) At(n *Node) int64 { return e.clock + n.stolen }
 
+// Snapshot is the block-sized buffer of e, one of n's effect records.
+func (n *Node) Snapshot(e *Effect) []byte {
+	bs := n.M.AS.BlockSize
+	o := uint32(e.slot) * bs
+	return n.fxData[o : o+bs : o+bs]
+}
+
 // EffectApplier is implemented by protocols whose handlers are split; it
 // applies one effect on behalf of node n, which posted it.  It may run on
 // any node's coroutine — whichever is driving the scheduler — but, like all
@@ -71,9 +80,13 @@ type EffectApplier interface {
 
 // effectRing is the capacity of a node's effect log under run-ahead, a
 // power of two.  A full log is a drain point — two token hand-offs,
-// amortized over the ring — so the size trades a few hundred bytes per node
-// against switches that are already rare.
-const effectRing = 64
+// amortized over the ring — so the size trades memory per node (a 32-byte
+// record and a block-sized snapshot per slot) against switches that are
+// already rare.
+const effectRing = 128
+
+// Node.fxHead, Node.fxLen and Effect.slot are 16-bit.
+const _ uint16 = effectRing
 
 // RunAhead reports whether the machine's next run lets split handlers post
 // their effects instead of yielding and, when it does not, why.  Nothing
@@ -115,7 +128,6 @@ func (m *Machine) setRunAhead(on bool) {
 	if on {
 		size = effectRing
 	}
-	bs := int(m.AS.BlockSize)
 	for _, nd := range m.Nodes {
 		nd.runAhead = on
 		nd.fxHead, nd.fxLen = 0, 0
@@ -123,9 +135,9 @@ func (m *Machine) setRunAhead(on bool) {
 			continue
 		}
 		nd.fx = make([]Effect, size)
-		snaps := make([]byte, size*bs)
+		nd.fxData = make([]byte, size*int(m.AS.BlockSize))
 		for i := range nd.fx {
-			nd.fx[i].Data = snaps[i*bs : (i+1)*bs : (i+1)*bs]
+			nd.fx[i].slot = uint16(i)
 		}
 	}
 }
@@ -136,10 +148,10 @@ func (m *Machine) setRunAhead(on bool) {
 func (n *Node) EnterHandler(b memsys.BlockID) *Effect {
 	slot := 0
 	if n.runAhead {
-		if n.fxLen == len(n.fx) {
+		if int(n.fxLen) == len(n.fx) {
 			n.drain() // a full log is a drain point
 		}
-		slot = (n.fxHead + n.fxLen) & (len(n.fx) - 1)
+		slot = int(n.fxHead+n.fxLen) & (len(n.fx) - 1)
 	} else {
 		n.SchedYield()
 	}
@@ -197,7 +209,7 @@ func (n *Node) Send(e *Effect, cl net.Class, dst int, payload int64) {
 func (m *Machine) applyHead(node int) (next int64, more bool) {
 	n := m.Nodes[node]
 	e := &n.fx[n.fxHead]
-	n.fxHead = (n.fxHead + 1) & (len(n.fx) - 1)
+	n.fxHead = (n.fxHead + 1) & uint16(len(n.fx)-1)
 	n.fxLen--
 	m.applier.ApplyEffect(n, e)
 	if e.dst >= 0 {

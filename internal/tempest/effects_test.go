@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lcm/internal/cost"
 	"lcm/internal/fault"
@@ -207,6 +208,39 @@ func TestRunErrAttributesDeferredApplyPanic(t *testing.T) {
 					t.Errorf("onTheSpot=%v: node %d reported a primary failure: %v", onTheSpot, other.Node, other.Err)
 				}
 			}
+		}
+	}
+}
+
+// TestEffectLayout pins the layout the post path is sized for: an effect
+// record is at most 32 bytes, two to a cache line, and everything
+// EnterHandler, Emit and applyHead touch on a node but its ID lies in one
+// cache line of the allocated node.
+func TestEffectLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Effect{}); sz > 32 {
+		t.Errorf("Effect is %d bytes, want at most 32", sz)
+	}
+	m, _, _ := newSplitMachine(8, memsys.KindLCM, nil)
+	n := m.Nodes[0]
+	line := func(p unsafe.Pointer, size uintptr) (first, last uintptr) {
+		return uintptr(p) / 64, (uintptr(p) + size - 1) / 64
+	}
+	want, _ := line(unsafe.Pointer(&n.fx), 1)
+	for name, f := range map[string]struct {
+		p    unsafe.Pointer
+		size uintptr
+	}{
+		"fx":       {unsafe.Pointer(&n.fx), unsafe.Sizeof(n.fx)},
+		"fxHead":   {unsafe.Pointer(&n.fxHead), unsafe.Sizeof(n.fxHead)},
+		"fxLen":    {unsafe.Pointer(&n.fxLen), unsafe.Sizeof(n.fxLen)},
+		"clock":    {unsafe.Pointer(&n.clock), unsafe.Sizeof(n.clock)},
+		"stolen":   {unsafe.Pointer(&n.stolen), unsafe.Sizeof(n.stolen)},
+		"M":        {unsafe.Pointer(&n.M), unsafe.Sizeof(n.M)},
+		"runAhead": {unsafe.Pointer(&n.runAhead), unsafe.Sizeof(n.runAhead)},
+	} {
+		if first, last := line(f.p, f.size); first != want || last != want {
+			t.Errorf("Node.%s spans cache lines %+d..%+d from the one fx starts in",
+				name, int(first)-int(want), int(last)-int(want))
 		}
 	}
 }

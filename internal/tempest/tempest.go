@@ -390,21 +390,28 @@ func (m *Machine) TotalCounters() stats.NodeCounters {
 // Node is one processing element: a processor, its fine-grain tags and
 // cached lines, its local-memory cache, and its virtual clock.
 type Node struct {
-	ID int
-	M  *Machine
-
-	// Ctr is the node's event record (written by the node while it holds
-	// the token).
-	Ctr stats.NodeCounters
-
-	// PD is per-node protocol state, owned by the active protocol.
-	PD any
-
+	// The first cache line holds what a split handler's EnterHandler, Emit
+	// and applyHead touch, and the clock and machine every charge does; the
+	// second what the access path's tag check and line lookup read.  (A
+	// Node is allocated in a size class that is a multiple of 64 bytes,
+	// behind the runtime's 8-byte header: its first 56 bytes are a line.)
+	//
+	// fx is the node's effect log (effects.go): a ring of the shared
+	// halves this node's handlers have posted but the scheduler has not
+	// yet applied, fxLen of them starting at fxHead, when runAhead is set;
+	// a single scratch record otherwise.  Touched by the owner while it
+	// runs and by whichever node drives the scheduler while it does not;
+	// the token orders the two.
+	fx []Effect
 	// clock is advanced by the node itself; stolen by the handlers other
 	// nodes run against blocks homed here, and folded into clock at
 	// barriers and at the end of Run.
-	clock  int64
-	stolen int64
+	clock         int64
+	stolen        int64
+	M             *Machine
+	fxHead, fxLen uint16
+	runAhead      bool
+	ID            int
 
 	// tags[b] is the node's access byte for block b (see lineHome), zero
 	// until the line is first installed; a line keeps its kind, home or
@@ -417,10 +424,21 @@ type Node struct {
 	// unused, so a zero offset is none.  All four are nil until the node
 	// installs its first copy, and the slabs grow (extend): hold a *Copy or
 	// a slice of them only until the node's next Install.
+	data   []byte
 	slot   []int32
 	copies []Copy
-	data   []byte
 	cleans []byte
+
+	// Ctr is the node's event record (written by the node while it holds
+	// the token).
+	Ctr stats.NodeCounters
+
+	// PD is per-node protocol state, owned by the active protocol.
+	PD any
+
+	// fxData holds the effect records' snapshots (Snapshot), a block each,
+	// by slot.
+	fxData []byte
 
 	// fifo is the residency queue for capacity-limited machines, a
 	// head-indexed ring: entries before fifoHead are dead.  The dead
@@ -442,17 +460,6 @@ type Node struct {
 	// see checkpoint.go.
 	ckpt     checkpoint
 	degraded bool
-
-	// fx is the node's effect log (effects.go): a ring of the shared
-	// halves this node's handlers have posted but the scheduler has not
-	// yet applied, fxLen of them starting at fxHead, when runAhead is set;
-	// a single scratch record otherwise.  Touched by the owner while it
-	// runs and by whichever node drives the scheduler while it does not;
-	// the token orders the two.
-	fx       []Effect
-	fxHead   int
-	fxLen    int
-	runAhead bool
 }
 
 // Clock returns the node's current virtual cycle count including handler

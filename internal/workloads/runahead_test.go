@@ -84,9 +84,10 @@ func runAheadRows() []diffRow {
 // map in coherent memory included, on a network that queues included:
 // run-ahead is per region, and an exchange is priced where it is ordered.
 func TestRunAheadMatchesOnTheSpotOnEveryLCMCell(t *testing.T) {
-	nets := []*net.Config{nil, {Model: "fattree"}, {Model: "fattree", CyclesPerByte: 32}}
+	nets := []*net.Config{nil, {Model: "fattree"}, {Model: "fattree", CyclesPerByte: 32}} // read only
 	for _, row := range runAheadRows() {
 		t.Run(row.name, func(t *testing.T) {
+			t.Parallel() // each cell's runs share nothing with another's
 			for _, sys := range []cstar.System{cstar.LCMscc, cstar.LCMmcc} {
 				for _, p := range []int{1, 4, 8, 33} {
 					for _, seed := range []uint64{0, 1, 7} {

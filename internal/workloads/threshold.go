@@ -199,18 +199,18 @@ func verifyThreshold(got *cstar.MatrixF32, spec ThresholdSpec) error {
 		cur[i] = make([]float32, n)
 		old[i] = make([]float32, n)
 	}
-	fixed := make(map[[2]int]bool)
+	fixed := make([]bool, n*n) // dense, as in RunThreshold
 	for _, p := range thresholdSources(spec) {
 		cur[p[0]][p[1]] = 100
 		old[p[0]][p[1]] = 100
-		fixed[p] = true
+		fixed[p[0]*n+p[1]] = true
 	}
 	for it := 0; it < spec.Iters; it++ {
 		cur, old = old, cur
 		for i := 1; i < n-1; i++ {
 			for j := 1; j < n-1; j++ {
 				v := old[i][j]
-				if fixed[[2]int{i, j}] {
+				if fixed[i*n+j] {
 					cur[i][j] = v
 					continue
 				}
