@@ -52,6 +52,11 @@ func TestBadBlockSizeFlagExitsTwo(t *testing.T) {
 		{[]string{"-scale", "0"}, "lcmbench: scale must be >= 1, got 0\n"},
 		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "-3"}, "lcmbench: p must be >= 1, got -3\n"},
 		{[]string{"-cells", "Threshold", "-scale", "16", "-p", "0"}, "lcmbench: p must be >= 1, got 0\n"},
+		// A machine larger than a trace event can name, and a Zipf skew
+		// that collapses every KV operation onto one shard.
+		{[]string{"-p", "16385"}, "lcmbench: p must be <= 16384, got 16385\n"},
+		{[]string{"-kvskew", "NaN"}, "lcmbench: kvskew must be finite and >= 0, got NaN\n"},
+		{[]string{"-kvskew", "Inf"}, "lcmbench: kvskew must be finite and >= 0, got +Inf\n"},
 		// Links that finish before they start, and a link parameter the
 		// uniform model would never read.
 		{[]string{"-net", "fattree", "-linkbw", "-5"}, "lcmbench: linkbw and nilat must be >= 0, got -5 and 0\n"},

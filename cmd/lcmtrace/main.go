@@ -32,6 +32,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// maxTraceEvents bounds the -trace ring, N events for each of P nodes.
+const maxTraceEvents = 1 << 24
+
 // run is the whole program with main's process concerns made explicit so
 // tests can drive it in process.  It returns the exit code: 0 on success,
 // 1 on a failed verification, 2 on unusable flags.
@@ -55,7 +58,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Retain N events per node, so the event mix covers as much of the run
-	// whatever the machine size; the dump shows the last N.
+	// whatever the machine size; the dump shows the last N.  The ring is
+	// allocated whole when the machine is built, so its size is bounded
+	// here, before anything is.
+	if *traceN < 0 || *traceN > maxTraceEvents / *p {
+		fmt.Fprintf(stderr, "lcmtrace: trace must be in [0, %d] at p %d (a ring of at most %d events), got %d\n",
+			maxTraceEvents / *p, *p, maxTraceEvents, *traceN)
+		return 2
+	}
 	cfg.Verify, cfg.TraceCap = *verify, *traceN*(*p)
 	sys, err := cstar.ParseSystem(*sysName)
 	if err != nil {

@@ -21,6 +21,11 @@ func TestBadInputsExitTwo(t *testing.T) {
 		{[]string{"-p", "0"}, "lcmtrace: p must be >= 1, got 0\n"},
 		{[]string{"-scale", "0"}, "lcmtrace: scale must be >= 1, got 0\n"},
 		{[]string{"-freerun"}, "flag provided but not defined: -freerun\n"},
+		// A negative ring traces nothing; a huge one would be allocated
+		// whole before the run.
+		{[]string{"-trace", "-1"}, "lcmtrace: trace must be in [0, 524288] at p 32 (a ring of at most 16777216 events), got -1\n"},
+		{[]string{"-p", "4", "-trace", "4194305"}, "lcmtrace: trace must be in [0, 4194304] at p 4 (a ring of at most 16777216 events), got 4194305\n"},
+		{[]string{"-trace", "9223372036854775807"}, "lcmtrace: trace must be in [0, 524288] at p 32 (a ring of at most 16777216 events), got 9223372036854775807\n"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(c.args, &out, &errOut); code != 2 || !strings.HasPrefix(errOut.String(), c.want) || out.Len() != 0 {

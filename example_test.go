@@ -53,26 +53,6 @@ func ExampleReduction() {
 	// total: 40
 }
 
-// ExampleCompileCStar compiles a C**-style parallel function from source,
-// showing the access analysis the compiler derives.
-func ExampleCompileCStar() {
-	prog, err := lcm.CompileCStar(`
-		parallel relax(A) {
-			A[i][j] = (A[i-1][j] + A[i+1][j]) * 0.5;
-		}`)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("writes own element only:", prog.Summary.WritesOwnElementOnly)
-	fmt.Println("reads shared data:", prog.Summary.ReadsSharedData)
-	plan := lcm.Lower(prog.Summary, lcm.LCMmcc)
-	fmt.Println("plan:", plan.Mode, "flush:", plan.FlushBetweenInvocations)
-	// Output:
-	// writes own element only: true
-	// reads shared data: true
-	// plan: lcm flush: true
-}
-
 // ExampleDetect shows semantic-violation detection: two processors writing
 // different values to one word is caught at reconciliation, with no access
 // histories.

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -142,6 +143,11 @@ type Tuple struct {
 	LinkBW, NILat int64
 }
 
+// maxP is the largest machine a tuple may describe: a trace event names its
+// node in an int16, and a fat tree allocates its channels in proportion to P
+// while the tuple is still being checked.
+const maxP = 16384
+
 // Config validates the tuple and builds the machine configuration it
 // describes: the one place every front end's input is checked, so that a
 // value one of them refuses is refused by all, and a value no run reads
@@ -154,12 +160,14 @@ func (t Tuple) Config() (workloads.Config, error) {
 	switch {
 	case t.P < 1:
 		err = fmt.Errorf("p must be >= 1, got %d", t.P)
+	case t.P > maxP:
+		err = fmt.Errorf("p must be <= %d, got %d", maxP, t.P)
 	case t.Scale < 1:
 		err = fmt.Errorf("scale must be >= 1, got %d", t.Scale)
 	case t.BlockSize != 0 && (t.BlockSize < 8 || t.BlockSize&(t.BlockSize-1) != 0):
 		err = fmt.Errorf("blocksize must be a power of two >= 8, got %d", t.BlockSize)
-	case t.KVSkew < 0:
-		err = fmt.Errorf("kvskew must be >= 0, got %v", t.KVSkew)
+	case t.KVSkew < 0 || math.IsNaN(t.KVSkew) || math.IsInf(t.KVSkew, 0):
+		err = fmt.Errorf("kvskew must be finite and >= 0, got %v", t.KVSkew)
 	case t.LinkBW < 0 || t.NILat < 0:
 		err = fmt.Errorf("linkbw and nilat must be >= 0, got %d and %d", t.LinkBW, t.NILat)
 	case uniform && (t.LinkBW != 0 || t.NILat != 0):

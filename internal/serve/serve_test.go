@@ -484,6 +484,11 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{`{"kind":"chaos","cells":["Threshold"]}`, `cells applies only to grid jobs, not to a chaos job`},
 		{`{"kind":"grid","fault_plan":"light"}`, `fault_plan applies only to chaos and recovery jobs, not to a grid job`},
 		{`{"kind":"recovery","kv_skew":1.2}`, `kv_skew applies only to grid and netsweep jobs, not to a recovery job`},
+		// A machine past the P bound is refused before its fat tree is
+		// built, and a Zipf skew JSON cannot carry as a finite float.
+		{`{"kind":"grid","p":1000000000,"net":"fattree"}`, `p must be \u003c= 16384, got 1000000000`},
+		{`{"kind":"grid","p":16385}`, `p must be \u003c= 16384, got 16385`},
+		{`{"kind":"grid","kv_skew":1e999}`, "kv_skew"},
 		{`not json`, ""},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"lcm/internal/cstar"
+	"lcm/internal/tempest"
 )
 
 // Differential tests for the span fast path: every Table-1 workload runs
 // twice per memory system — once through the span engine and once with
-// Config.ScalarAccess forcing the per-element accessors — and the two runs
-// must agree on the answers (Verify) and on every observable: simulated
-// cycles, all aggregated node counters, and the shared-counter snapshot.
+// tempest.Machine.ScalarAccess forcing the per-element accessors — and the
+// two runs must agree on the answers (Verify) and on every observable:
+// simulated cycles, all aggregated node counters, and the shared-counter
+// snapshot.
 //
 // Historically, Cycles was asserted only at P=1 and Copying fault counts
 // at P>1 were compared on a "stream-determined subset": under free-running
@@ -56,6 +58,13 @@ func diffRows() []diffRow {
 
 var diffSystems = []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc}
 
+// scalarAccess returns cfg with the machine's span paths switched off, so
+// every access goes through the per-element accessors.
+func scalarAccess(cfg Config) Config {
+	cfg.tap = func(m *tempest.Machine) { m.ScalarAccess = true }
+	return cfg
+}
+
 // TestSpanScalarDifferential: span and scalar execution of every workload
 // must produce identical verified answers, identical protocol counts, and
 // identical simulated cycles — at P=8, for every memory system, with no
@@ -65,8 +74,7 @@ func TestSpanScalarDifferential(t *testing.T) {
 		for _, sys := range diffSystems {
 			cfg := Config{P: 8, Verify: true}
 			span := row.run(sys, cfg)
-			cfg.ScalarAccess = true
-			scal := row.run(sys, cfg)
+			scal := row.run(sys, scalarAccess(cfg))
 			name := row.name + "/" + sys.String()
 			if span.Err != nil {
 				t.Errorf("%s: span run failed: %v", name, span.Err)
@@ -100,8 +108,7 @@ func TestSpanScalarCyclesSerial(t *testing.T) {
 		for _, sys := range diffSystems {
 			cfg := Config{P: 1, Verify: true}
 			span := row.run(sys, cfg)
-			cfg.ScalarAccess = true
-			scal := row.run(sys, cfg)
+			scal := row.run(sys, scalarAccess(cfg))
 			name := row.name + "/" + sys.String()
 			if span.Err != nil || scal.Err != nil {
 				t.Errorf("%s: run failed: span %v, scalar %v", name, span.Err, scal.Err)

@@ -41,8 +41,11 @@ func TestGoldenStencilCounts(t *testing.T) {
 		// The goldens must hold both through the span fast path and the
 		// per-element fallback.
 		for _, scalar := range []bool{false, true} {
-			cfg.ScalarAccess = scalar
-			r := RunStencil(tc.sys, spec, cfg)
+			c := cfg
+			if scalar {
+				c = scalarAccess(cfg)
+			}
+			r := RunStencil(tc.sys, spec, c)
 			if r.Err != nil {
 				t.Fatalf("%v (scalar=%v): %v", tc.sys, scalar, r.Err)
 			}

@@ -55,11 +55,6 @@ type Config struct {
 	// the machine checkpoints and restarts.  Recovery is charged in
 	// virtual cycles and what was injected is tallied in Result.Faults.
 	Faults *fault.Plan
-	// ScalarAccess disables the machine's bulk span transfer paths so
-	// every access goes through the per-element scalar accessors, for
-	// differential testing of the span engine (accounting must be
-	// identical either way).
-	ScalarAccess bool
 	// Net selects the interconnect model (nil = uniform, which matches
 	// the historical flat charges bit-exactly; see internal/net).
 	Net *net.Config
@@ -72,8 +67,9 @@ type Config struct {
 
 	// tap, when non-nil, is handed the machine as soon as it exists, before
 	// the workload allocates on it.  The package's tests reach the machine
-	// through it (to install a scheduler hook, to read node state after the
-	// run); nothing outside the package can set it.
+	// through it (to install a scheduler hook, to switch off the span paths,
+	// to read node state after the run); nothing outside the package can set
+	// it.
 	tap func(*tempest.Machine)
 }
 
@@ -108,7 +104,6 @@ func (c Config) Machine(sys cstar.System) *tempest.Machine {
 	if c.Faults != nil {
 		m.AttachFaults(*c.Faults)
 	}
-	m.ScalarAccess = c.ScalarAccess
 	m.SchedSeed = c.SchedSeed
 	if c.Net != nil {
 		nw, err := net.New(*c.Net, c.P, *c.CostModel)

@@ -32,7 +32,6 @@ import (
 	"lcm/internal/core"
 	"lcm/internal/cost"
 	"lcm/internal/cstar"
-	"lcm/internal/lang"
 	"lcm/internal/memsys"
 	"lcm/internal/tempest"
 )
@@ -235,18 +234,6 @@ const (
 
 // NewReduceF64Op allocates a reduction variable with an explicit operator.
 var NewReduceF64Op = cstar.NewReduceF64Op
-
-// Mini C** front end (see internal/lang): compile parallel functions from
-// source text, analyze their accesses, and run them on the machine.
-type (
-	// CStarProgram is a compiled parallel function.
-	CStarProgram = lang.Program
-	// CStarInstance binds a compiled program to a machine.
-	CStarInstance = lang.Instance
-)
-
-// CompileCStar parses and analyzes a C**-style parallel function.
-var CompileCStar = lang.Compile
 
 // Lower plays the C** compiler: pick a plan for a parallel function.
 var Lower = cstar.Lower
