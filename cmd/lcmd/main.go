@@ -1,10 +1,12 @@
-// Command lcmd runs the simulator as a long-running HTTP service: the
-// harness campaigns (Table-1 grid cells, the interconnect sweep, the
-// chaos and recovery matrices, the protocol model checker) become
-// submitted jobs behind a bounded-concurrency queue with streaming
-// NDJSON progress, a content-addressed result cache keyed on the full
-// deterministic run tuple, and a Prometheus-text /metrics endpoint
-// exporting the per-node simulation counters.
+// Command lcmd runs the simulator's grid as a long-running HTTP service:
+// grid jobs (Table-1 cells × memory systems) are submitted behind a
+// bounded-concurrency queue with streaming NDJSON progress, a
+// content-addressed result cache keyed on the full deterministic run
+// tuple, and a Prometheus-text /metrics endpoint exporting the per-node
+// simulation counters.  A job's result is the bytes `lcmbench -detjson`
+// writes for the same tuple.  The interconnect sweep and the chaos and
+// recovery campaigns run under `lcmbench -netsweep`, `-chaos` and
+// `-recovery`; the protocol model checker is `lcmcheck`.
 //
 // Usage:
 //
@@ -16,7 +18,7 @@
 //	GET  /jobs                list jobs
 //	GET  /jobs/{id}           job status
 //	GET  /jobs/{id}/progress  NDJSON event stream until the job ends
-//	GET  /jobs/{id}/result    result bytes (X-Lcmd-Cache: hit|miss)
+//	GET  /jobs/{id}/result    result JSON (X-Lcmd-Cache: hit|miss)
 //	GET  /metrics             Prometheus text exposition
 //	GET  /cache/stats         result-cache statistics
 //	GET  /healthz             liveness (503 while draining)

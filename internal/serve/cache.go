@@ -7,8 +7,8 @@ import (
 
 // Cache is the content-addressed result store: key is the SHA-256 of a
 // job's normalized deterministic tuple (JobSpec.CacheKey), value the
-// exact result bytes of the run that computed it.  Because every cached
-// campaign is a pure function of its tuple, a hit is bit-identical to
+// exact result bytes of the run that computed it.  Because every result
+// is a pure function of its tuple, a hit is bit-identical to
 // re-running the job — the lcmd-smoke CI job and the serve tests assert
 // exactly that.  Eviction is LRU by entry count.
 type Cache struct {
@@ -23,9 +23,8 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key   string
-	body  []byte
-	ctype string
+	key  string
+	body []byte
 	// job is the job that computed the entry, for provenance in
 	// /cache/stats dumps.
 	job string
@@ -41,23 +40,23 @@ func NewCache(maxEntries int) *Cache {
 
 // Get returns the cached result for key, counting a hit or miss.  The
 // returned bytes are shared — callers must not mutate them.
-func (c *Cache) Get(key string) (body []byte, ctype, job string, ok bool) {
+func (c *Cache) Get(key string) (body []byte, job string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return nil, "", "", false
+		return nil, "", false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
-	return e.body, e.ctype, e.job, true
+	return e.body, e.job, true
 }
 
 // Put stores a computed result under its content address, evicting the
 // least recently used entry past capacity.
-func (c *Cache) Put(key string, body []byte, ctype, job string) {
+func (c *Cache) Put(key string, body []byte, job string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -66,7 +65,7 @@ func (c *Cache) Put(key string, body []byte, ctype, job string) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, body: body, ctype: ctype, job: job})
+	el := c.ll.PushFront(&cacheEntry{key: key, body: body, job: job})
 	c.byKey[key] = el
 	c.bytes += int64(len(body))
 	for c.ll.Len() > c.max {

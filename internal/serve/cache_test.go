@@ -22,8 +22,8 @@ func keyOf(t *testing.T, sp JobSpec) string {
 
 // The cache key is the content address of the full deterministic tuple:
 // the same tuple (with or without explicit defaults) maps to the same
-// key, and flipping any one of seed, P, net, scheduler seed, block size
-// or fault plan changes it.
+// key, and flipping any one of P, scale, block size, verify, net, cells,
+// scheduler seed or the KV knobs changes it.
 func TestCacheKeyTupleSensitivity(t *testing.T) {
 	base := JobSpec{Kind: "grid", Cells: []string{"Stencil-static"}, P: 8, Scale: 16}
 
@@ -85,34 +85,21 @@ func TestCacheKeyTupleSensitivity(t *testing.T) {
 		}
 		seen[k] = name
 	}
-
-	// Fault plan and recovery seeds are part of the recovery tuple.
-	rec := JobSpec{Kind: "recovery", P: 4, Scale: 16, FaultPlan: "drop-1pct"}
-	recFlip := rec
-	recFlip.FaultPlan = "dup-storm"
-	recSeeds := rec
-	recSeeds.Seeds = []uint64{7}
-	if keyOf(t, rec) == keyOf(t, recFlip) {
-		t.Errorf("flipping fault_plan did not change the key")
-	}
-	if keyOf(t, rec) == keyOf(t, recSeeds) {
-		t.Errorf("flipping recovery seeds did not change the key")
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	put := func(i int) { c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}, "t", "j") }
+	put := func(i int) { c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}, "j") }
 	put(1)
 	put(2)
-	if _, _, _, ok := c.Get("k1"); !ok { // k1 now most recent
+	if _, _, ok := c.Get("k1"); !ok { // k1 now most recent
 		t.Fatalf("k1 missing before capacity reached")
 	}
 	put(3) // evicts k2, the least recently used
-	if _, _, _, ok := c.Get("k2"); ok {
+	if _, _, ok := c.Get("k2"); ok {
 		t.Errorf("k2 survived eviction; LRU order wrong")
 	}
-	if _, _, _, ok := c.Get("k1"); !ok {
+	if _, _, ok := c.Get("k1"); !ok {
 		t.Errorf("k1 evicted despite recent use")
 	}
 	st := c.Stats()
@@ -128,50 +115,22 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestNormalizeRejectsBadSpecs(t *testing.T) {
-	// A field the kind never reads is refused by name, so it cannot give
-	// one campaign two cache keys.
-	for _, c := range []struct {
-		sp    JobSpec
-		field string
-	}{
-		{JobSpec{Kind: "chaos", Cells: []string{"Threshold"}}, "cells"},
-		{JobSpec{Kind: "netsweep", Cells: []string{"Threshold"}}, "cells"},
-		{JobSpec{Kind: "check", Cells: []string{"Threshold"}}, "cells"},
-		{JobSpec{Kind: "grid", Seeds: []uint64{1}}, "seeds"},
-		{JobSpec{Kind: "chaos", Seeds: []uint64{1}}, "seeds"},
-		{JobSpec{Kind: "grid", Protocol: "scc"}, "protocol"},
-		{JobSpec{Kind: "recovery", Nodes: 2}, "nodes"},
-		{JobSpec{Kind: "netsweep", Blocks: 2}, "blocks"},
-		{JobSpec{Kind: "chaos", Script: "mixed"}, "script"},
-		{JobSpec{Kind: "grid", MaxSchedules: 100}, "max_schedules"},
-		{JobSpec{Kind: "chaos", KVSkew: 1.2}, "kv_skew"},
-		{JobSpec{Kind: "recovery", KVReshard: 2}, "kv_reshard"},
-		{JobSpec{Kind: "check", KVSkew: 1.2}, "kv_skew"},
-		{JobSpec{Kind: "netsweep", FaultPlan: "light"}, "fault_plan"},
-		{JobSpec{Kind: "check", FaultPlan: "light"}, "fault_plan"},
-	} {
-		spec := c.sp
-		err := spec.Normalize()
-		if err == nil || !strings.HasPrefix(err.Error(), c.field+" applies only to ") || !strings.Contains(err.Error(), "not to a "+c.sp.Kind+" job") {
-			t.Errorf("Normalize(%+v) = %v, want an error naming %s and %s", c.sp, err, c.field, c.sp.Kind)
+	// The campaigns the server does not run are refused, naming the
+	// command that runs them.
+	for kind, cmd := range movedKinds {
+		spec := JobSpec{Kind: kind}
+		if err := spec.Normalize(); err == nil || !strings.Contains(err.Error(), cmd) {
+			t.Errorf("Normalize(kind %s) = %v, want an error naming %s", kind, err, cmd)
 		}
-	}
-	// The KV knobs are read by the kinds that run KV cells.
-	for _, sp := range []JobSpec{{Kind: "grid", KVSkew: 1.2}, {Kind: "netsweep", KVReshard: 2}} {
-		normalized(t, sp)
 	}
 	bad := []JobSpec{
 		{Kind: "nope"},
+		{},
 		{Kind: "grid", Cells: []string{"Mandelbrot"}},
 		{Kind: "grid", BlockSize: 48},
 		{Kind: "grid", Scale: -1},
 		{Kind: "grid", Scheduler: "cooperative"},
 		{Kind: "grid", Net: "torus"},
-		{Kind: "grid", FaultPlan: "light"}, // fault plans are chaos/recovery-only
-		{Kind: "chaos", FaultPlan: "nonexistent"},
-		{Kind: "recovery", FaultPlan: "nonexistent"},
-		{Kind: "check", Nodes: 9},
-		{Kind: "check", Protocol: "mesi"},
 		{Kind: "grid", KVSkew: -0.5},
 		{Kind: "grid", Net: "fattree", LinkBW: -5}, // a link that finishes before it starts
 		{Kind: "grid", Net: "fattree", NILat: -7},

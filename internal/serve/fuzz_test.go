@@ -11,8 +11,10 @@ import (
 // is a fixed point — normalizing it again succeeds and keeps its cache key,
 // so a resubmitted normalized spec hits the entry its first run filled.
 // Normalize checks the machine tuple through harness.Tuple.Config, which
-// refuses a P a fat tree could not be built for before building it.  Run
-// with `go test -fuzz=FuzzJobSpec ./internal/serve` to explore.
+// refuses a P a fat tree could not be built for before building it.  The
+// seeds of the campaigns lcmd does not run (netsweep, chaos, recovery,
+// check) start the fuzzer on its refusals.  Run with
+// `go test -fuzz=FuzzJobSpec ./internal/serve` to explore.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"grid","cells":["Stencil-static","KV-read"],"p":8,"scale":16,"kv_skew":1.2,"kv_reshard":2}`,

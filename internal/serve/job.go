@@ -26,7 +26,7 @@ func (s State) Terminal() bool {
 // function of the tuple (Seq orders them).
 type Event struct {
 	Seq   int    `json:"seq"`
-	Event string `json:"event"` // queued|started|cell|output|done|failed|cancelled
+	Event string `json:"event"` // queued|started|cell|done|failed|cancelled
 	Job   string `json:"job"`
 
 	// Grid cell progress ("cell" events).
@@ -35,9 +35,6 @@ type Event struct {
 	Done      int    `json:"done,omitempty"`
 	Total     int    `json:"total,omitempty"`
 	SimCycles int64  `json:"simcycles,omitempty"`
-
-	// One harness output line ("output" events).
-	Line string `json:"line,omitempty"`
 
 	// Terminal details: Cache is "hit" or "miss" on "done"; Code and
 	// Reason explain "cancelled" (503 = server draining before start);
@@ -48,7 +45,7 @@ type Event struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Job is one submitted campaign and its event log.  The log is append-
+// Job is one submitted grid job and its event log.  The log is append-
 // only under mu; readers block on cond until new events or a terminal
 // state arrive, so a progress stream needs no per-subscriber channels
 // and a slow client can never stall the runner.
@@ -63,7 +60,6 @@ type Job struct {
 	state  State
 	events []Event
 	body   []byte
-	ctype  string
 	cache  string // "hit" | "miss"
 	errMsg string
 	wall   time.Duration
@@ -110,7 +106,7 @@ func (j *Job) begin() bool {
 
 // terminate moves the job to a final state, records the terminal event,
 // and releases every waiter.  It is a no-op if the job is already final.
-func (j *Job) terminate(state State, ev Event, body []byte, ctype, errMsg string, wall time.Duration) {
+func (j *Job) terminate(state State, ev Event, body []byte, errMsg string, wall time.Duration) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -118,7 +114,6 @@ func (j *Job) terminate(state State, ev Event, body []byte, ctype, errMsg string
 	}
 	j.state = state
 	j.body = body
-	j.ctype = ctype
 	j.errMsg = errMsg
 	j.wall = wall
 	j.mu.Unlock()
@@ -128,33 +123,33 @@ func (j *Job) terminate(state State, ev Event, body []byte, ctype, errMsg string
 
 // finish completes the job successfully with its result bytes.  cache is
 // "hit" or "miss".
-func (j *Job) finish(body []byte, ctype, cache string, wall time.Duration) {
+func (j *Job) finish(body []byte, cache string, wall time.Duration) {
 	j.mu.Lock()
 	j.cache = cache
 	j.mu.Unlock()
-	j.terminate(StateDone, Event{Event: "done", Cache: cache}, body, ctype, "", wall)
+	j.terminate(StateDone, Event{Event: "done", Cache: cache}, body, "", wall)
 }
 
 // fail completes the job with an error.
 func (j *Job) fail(msg string, wall time.Duration) {
-	j.terminate(StateFailed, Event{Event: "failed", Error: msg}, nil, "", msg, wall)
+	j.terminate(StateFailed, Event{Event: "failed", Error: msg}, nil, msg, wall)
 }
 
 // cancel completes a never-started job with a structured terminal event,
 // so progress streams end with an explanation instead of hanging on a
 // dead connection.  code follows HTTP semantics (503 = server draining).
 func (j *Job) cancel(code int, reason string) {
-	j.terminate(StateCancelled, Event{Event: "cancelled", Code: code, Reason: reason}, nil, "", reason, 0)
+	j.terminate(StateCancelled, Event{Event: "cancelled", Code: code, Reason: reason}, nil, reason, 0)
 }
 
 // Result returns the result bytes once the job is done.
-func (j *Job) Result() (body []byte, ctype, cache string, ok bool) {
+func (j *Job) Result() (body []byte, cache string, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
-		return nil, "", "", false
+		return nil, "", false
 	}
-	return j.body, j.ctype, j.cache, true
+	return j.body, j.cache, true
 }
 
 // eventsFrom returns the events at index >= from, blocking until at

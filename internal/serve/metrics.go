@@ -138,7 +138,6 @@ type JobStats struct {
 	mu      sync.Mutex
 	max     int
 	samples []RecordSample
-	byKind  map[string]int64 // completed jobs by campaign kind
 	// byRunAhead totals the scheduler's work over every record ever added
 	// (not only the retained samples), keyed by the run-ahead decision:
 	// "" when handlers ran ahead, else the reason they did not.
@@ -152,7 +151,7 @@ func NewJobStats(maxSamples int) *JobStats {
 	if maxSamples < 1 {
 		maxSamples = 1
 	}
-	return &JobStats{max: maxSamples, byKind: make(map[string]int64), byRunAhead: make(map[string]hostTotals)}
+	return &JobStats{max: maxSamples, byRunAhead: make(map[string]hostTotals)}
 }
 
 // hostTotals accumulates HostStats over records.
@@ -179,10 +178,9 @@ func (js *JobStats) AddRecords(samples []RecordSample) {
 }
 
 // JobExecuted accounts one executed (not cache-served) job.
-func (js *JobStats) JobExecuted(kind string, wallSeconds float64) {
+func (js *JobStats) JobExecuted(wallSeconds float64) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	js.byKind[kind]++
 	js.wallSum += wallSeconds
 	js.wallN++
 }
@@ -198,15 +196,10 @@ func (js *JobStats) hostSnapshot() map[string]hostTotals {
 	return out
 }
 
-func (js *JobStats) snapshot() ([]RecordSample, map[string]int64, float64, int64) {
+func (js *JobStats) snapshot() ([]RecordSample, float64, int64) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	samples := append([]RecordSample(nil), js.samples...)
-	byKind := make(map[string]int64, len(js.byKind))
-	for k, v := range js.byKind {
-		byKind[k] = v
-	}
-	return samples, byKind, js.wallSum, js.wallN
+	return append([]RecordSample(nil), js.samples...), js.wallSum, js.wallN
 }
 
 // recordLabels builds the identifying label set of one grid record.
@@ -223,7 +216,7 @@ type tempestCollector struct{ js *JobStats }
 func (c tempestCollector) Name() string { return "tempest" }
 
 func (c tempestCollector) Collect(emit func(Metric)) {
-	samples, _, _, _ := c.js.snapshot()
+	samples, _, _ := c.js.snapshot()
 	for _, s := range samples {
 		l := recordLabels(s)
 		emit(Metric{"lcmd_tempest_simcycles", "Simulated execution time of the cell (max node clock).", "gauge", l, float64(s.SimCycles)})
@@ -240,7 +233,7 @@ type netCollector struct{ js *JobStats }
 func (c netCollector) Name() string { return "net" }
 
 func (c netCollector) Collect(emit func(Metric)) {
-	samples, _, _, _ := c.js.snapshot()
+	samples, _, _ := c.js.snapshot()
 	for _, s := range samples {
 		l := recordLabels(s)
 		emit(Metric{"lcmd_net_msgs", "Protocol messages injected into the interconnect.", "gauge", l, float64(s.C.Net.TotalMsgs())})
@@ -249,20 +242,15 @@ func (c netCollector) Collect(emit func(Metric)) {
 	}
 }
 
-// schedCollector exports job accounting by campaign kind, and the
-// deterministic scheduler's work by run-ahead decision — so that
-// what the simulator decided on its own (to run handlers ahead of the token
-// or not, and why not) is on the scrape, next to what it cost.
+// schedCollector exports the deterministic scheduler's work by run-ahead
+// decision — so that what the simulator decided on its own (to run
+// handlers ahead of the token or not, and why not) is on the scrape, next
+// to what it cost.
 type schedCollector struct{ js *JobStats }
 
 func (c schedCollector) Name() string { return "scheduler" }
 
 func (c schedCollector) Collect(emit func(Metric)) {
-	_, byKind, _, _ := c.js.snapshot()
-	for _, kind := range sortedKeys(byKind) {
-		emit(Metric{"lcmd_jobs_executed_total", "Executed (non-cached) jobs by campaign kind.", "counter",
-			[][2]string{{"kind", kind}}, float64(byKind[kind])})
-	}
 	host := c.js.hostSnapshot()
 	reasons := make([]string, 0, len(host))
 	for reason := range host {
@@ -282,15 +270,6 @@ func (c schedCollector) Collect(emit func(Metric)) {
 	}
 }
 
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // queueCollector exports queue, job-state and cache gauges.
 type queueCollector struct{ s *Server }
 
@@ -308,7 +287,7 @@ func (c queueCollector) Collect(emit func(Metric)) {
 		emit(Metric{"lcmd_jobs_total", "Jobs by lifecycle state.", "gauge",
 			[][2]string{{"state", string(st)}}, float64(c.s.jobsInState(st))})
 	}
-	_, _, wallSum, wallN := c.s.stats.snapshot()
+	_, wallSum, wallN := c.s.stats.snapshot()
 	emit(Metric{"lcmd_job_wall_seconds_sum", "Total host runtime of executed jobs.", "counter", nil, wallSum})
 	emit(Metric{"lcmd_job_wall_seconds_count", "Executed jobs with measured runtime.", "counter", nil, float64(wallN)})
 	cs := c.s.cache.Stats()

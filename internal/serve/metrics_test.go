@@ -57,7 +57,7 @@ func TestJobStatsBoundsSamples(t *testing.T) {
 	js := NewJobStats(2)
 	js.AddRecords([]RecordSample{{Job: "j1"}, {Job: "j2"}})
 	js.AddRecords([]RecordSample{{Job: "j3"}})
-	samples, _, _, _ := js.snapshot()
+	samples, _, _ := js.snapshot()
 	if len(samples) != 2 || samples[0].Job != "j2" || samples[1].Job != "j3" {
 		t.Fatalf("samples = %+v, want FIFO-bounded to [j2 j3]", samples)
 	}

@@ -170,11 +170,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	j := newJob(id, spec, key)
 
-	if body, ctype, _, ok := s.cache.Get(key); ok {
+	if body, _, ok := s.cache.Get(key); ok {
 		// Served bit-identically from the content-addressed cache:
 		// the job is born done, no queue slot consumed.
 		s.register(j)
-		j.finish(body, ctype, "hit", 0)
+		j.finish(body, "hit", 0)
 		writeJSON(w, http.StatusOK, submitResponse{ID: j.ID, State: j.State(), Cache: "hit", Key: key})
 		return
 	}
@@ -259,7 +259,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	body, ctype, cache, ok := j.Result()
+	body, cache, ok := j.Result()
 	if !ok {
 		st := j.status()
 		if st.State.Terminal() {
@@ -269,7 +269,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s still %s; stream /jobs/%s/progress", j.ID, st.State, j.ID)
 		return
 	}
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", "application/json")
 	if cache != "" {
 		w.Header().Set("X-Lcmd-Cache", cache)
 	}

@@ -1,10 +1,11 @@
-// Package serve runs the simulator as a long-running service: harness
-// campaigns (grid cells, the interconnect sweep, the chaos and recovery
-// matrices, the protocol model checker) become submitted jobs behind a
-// bounded-concurrency queue with streaming NDJSON progress, a
-// content-addressed result cache keyed on the full deterministic run
-// tuple, and a Prometheus-text /metrics surface exporting the per-node
-// simulation counters that previously only landed in JSON/CSV files.
+// Package serve runs the simulator's grid as a long-running service:
+// grid jobs (Table-1 cells × memory systems, the runs behind Table 1 and
+// Figures 2 and 3) are submitted behind a bounded-concurrency queue with
+// streaming NDJSON progress, a content-addressed result cache keyed on
+// the full deterministic run tuple, and a Prometheus-text /metrics
+// surface exporting the per-node simulation counters that otherwise only
+// land in JSON/CSV files.  The other campaigns have their own front ends:
+// `lcmbench -netsweep`, `-chaos` and `-recovery`, and `lcmcheck`.
 //
 // Everything the simulator computes is a pure function of the submitted
 // tuple (the deterministic scheduler makes even simulated cycles
@@ -18,8 +19,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
-	"strings"
 
 	"lcm/internal/harness"
 	"lcm/internal/workloads"
@@ -29,12 +28,10 @@ import (
 // tuple plus host-side execution knobs.  The zero value of every field
 // means "the default", so a spec with explicit defaults and one that
 // omits them normalize to the same tuple and hit the same cache entry.
-// A field set for a kind that never reads it is refused (Normalize).
 type JobSpec struct {
-	// Kind selects the campaign: "grid" (Table-1 cells), "netsweep"
-	// (interconnect sensitivity sweep), "chaos" (fault-injection
-	// campaign), "recovery" (crash-recovery matrix) or "check" (protocol
-	// model checker).
+	// Kind is "grid", the only campaign the server runs.  The field stays
+	// because every client sends it and the normalized tuple's canonical
+	// bytes, and so every cache key, carry it.
 	Kind string `json:"kind"`
 
 	// Cells restricts a grid job to the named cells ("Stencil-static",
@@ -73,31 +70,19 @@ type JobSpec struct {
 	// stable.
 	KVSkew    float64 `json:"kv_skew,omitempty"`
 	KVReshard int     `json:"kv_reshard,omitempty"`
-
-	// FaultPlan names the chaos plan ("light", "heavy") or recovery plan
-	// ("kill-at-barrier", "drop-1pct", ...); empty means every default
-	// plan.  Part of the deterministic tuple.
-	FaultPlan string `json:"fault_plan,omitempty"`
-	// Seeds are the recovery-matrix seeds (default [1 2]).
-	Seeds []uint64 `json:"seeds,omitempty"`
-
-	// The model-checker tuple ("check" jobs).
-	Protocol string `json:"protocol,omitempty"` // copying|scc|mcc|all
-	Nodes    int    `json:"nodes,omitempty"`    // 2-3 (default 2)
-	Blocks   int    `json:"blocks,omitempty"`   // 2-4 (default 2)
-	Script   string `json:"script,omitempty"`   // canned script name ("" = all)
-	// MaxSchedules bounds the interleavings explored per configuration
-	// (0 = the service default of 5000; negative = exhaust the tree).
-	MaxSchedules int `json:"max_schedules,omitempty"`
 }
 
 // specSchema versions the cache key; bump when normalization or result
 // rendering changes meaning so stale entries cannot be served.
 const specSchema = "lcmd/1"
 
-// validKinds lists the campaigns the server runs.
-var validKinds = map[string]bool{
-	"grid": true, "netsweep": true, "chaos": true, "recovery": true, "check": true,
+// movedKinds maps the campaign kinds the server does not run to the
+// command that runs each, for the refusal to name.
+var movedKinds = map[string]string{
+	"netsweep": "lcmbench -netsweep",
+	"chaos":    "lcmbench -chaos",
+	"recovery": "lcmbench -recovery",
+	"check":    "lcmcheck",
 }
 
 // Normalize applies defaults and validates the spec in place, so that
@@ -105,30 +90,11 @@ var validKinds = map[string]bool{
 // the cache key is canonical).  It returns an error suitable for a 400
 // response.
 func (sp *JobSpec) Normalize() error {
-	if !validKinds[sp.Kind] {
-		return fmt.Errorf("unknown kind %q (want grid, netsweep, chaos, recovery or check)", sp.Kind)
+	if cmd, ok := movedKinds[sp.Kind]; ok {
+		return fmt.Errorf("kind %q is not served: run %s", sp.Kind, cmd)
 	}
-	// A field the kind never reads would still shape the cache key, so two
-	// specs that run the same thing could get two keys: refuse it.
-	for _, f := range []struct {
-		name  string
-		set   bool
-		kinds []string // the kinds that read the field
-	}{
-		{"cells", len(sp.Cells) > 0, []string{"grid"}},
-		{"kv_skew", sp.KVSkew != 0, []string{"grid", "netsweep"}},
-		{"kv_reshard", sp.KVReshard != 0, []string{"grid", "netsweep"}},
-		{"fault_plan", sp.FaultPlan != "", []string{"chaos", "recovery"}},
-		{"seeds", len(sp.Seeds) > 0, []string{"recovery"}},
-		{"protocol", sp.Protocol != "", []string{"check"}},
-		{"nodes", sp.Nodes != 0, []string{"check"}},
-		{"blocks", sp.Blocks != 0, []string{"check"}},
-		{"script", sp.Script != "", []string{"check"}},
-		{"max_schedules", sp.MaxSchedules != 0, []string{"check"}},
-	} {
-		if f.set && !slices.Contains(f.kinds, sp.Kind) {
-			return fmt.Errorf("%s applies only to %s jobs, not to a %s job", f.name, strings.Join(f.kinds, " and "), sp.Kind)
-		}
+	if sp.Kind != "grid" {
+		return fmt.Errorf("unknown kind %q (want grid)", sp.Kind)
 	}
 	if sp.P == 0 {
 		sp.P = 32
@@ -151,34 +117,6 @@ func (sp *JobSpec) Normalize() error {
 	}
 	if _, err := harness.ParseCells(sp.Cells); err != nil {
 		return err
-	}
-	switch sp.Kind {
-	case "chaos", "recovery":
-		if _, err := faultPlans(sp.Kind, sp.FaultPlan); err != nil {
-			return err
-		}
-		if sp.Kind == "recovery" && len(sp.Seeds) == 0 {
-			sp.Seeds = []uint64{1, 2}
-		}
-	case "check":
-		if sp.Nodes == 0 {
-			sp.Nodes = 2
-		}
-		if sp.Nodes < 2 || sp.Nodes > 3 {
-			return fmt.Errorf("nodes must be 2 or 3, got %d", sp.Nodes)
-		}
-		if sp.Blocks == 0 {
-			sp.Blocks = 2
-		}
-		if sp.Blocks < 2 || sp.Blocks > 4 {
-			return fmt.Errorf("blocks must be 2-4, got %d", sp.Blocks)
-		}
-		if sp.MaxSchedules == 0 {
-			sp.MaxSchedules = 5000
-		}
-		if _, err := checkSystems(sp.Protocol); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package stache
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -152,18 +153,29 @@ func TestInvariantsAtWideMachines(t *testing.T) {
 // per block and nothing per block beyond it, so the machine's own share of
 // Freeze — all of it but the address space's maps and image and the
 // directory — is about P × N bytes.  A table of line pointers was 8 × P × N.
+//
+// The allocation counter is process-wide, so an allocation made outside
+// Freeze (by another goroutine or the runtime) now and then lands in one
+// measuring window.  It cannot land in every window, while a per-node or
+// per-block regression shows in each: the bound holds the least of several
+// fresh machines' Freeze.
 func TestFreezeAllocatesATagBytePerBlock(t *testing.T) {
-	const p, blocks = 32, 1 << 14
-	m := tempest.New(p, 32, cost.Default())
-	m.AS.Alloc("data", blocks*32, memsys.KindCoherent, memsys.Interleaved)
-	m.SetProtocol(New())
-	m.AS.Freeze() // the home image and maps: per block, not per node
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m.Freeze()
-	runtime.ReadMemStats(&after)
+	const p, blocks, machines = 32, 1 << 14, 5
+	least := uint64(math.MaxUint64)
+	for range machines {
+		m := tempest.New(p, 32, cost.Default())
+		m.AS.Alloc("data", blocks*32, memsys.KindCoherent, memsys.Interleaved)
+		m.SetProtocol(New())
+		m.AS.Freeze() // the home image and maps: per block, not per node
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.Freeze()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
 	dir := uint64(blocks * unsafe.Sizeof(entry{}))
-	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(p*blocks)+dir+64*p; got > max {
-		t.Errorf("Freeze allocated %d bytes, want at most %d: P×N tag bytes, %d of directory and O(P)", got, max, dir)
+	if max := uint64(p*blocks) + dir + 64*p; least > max {
+		t.Errorf("Freeze allocated at least %d bytes on each of %d machines, want at most %d: P×N tag bytes, %d of directory and O(P)",
+			least, machines, max, dir)
 	}
 }

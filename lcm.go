@@ -23,9 +23,9 @@
 // Every Get/Set flows through the simulated machine's access-control tags,
 // so the selected memory system observes — and charges virtual cycles for
 // — exactly the access stream a compiled C** program would produce.  See
-// TUTORIAL.md for a walkthrough, the examples directory for complete
-// programs, cmd/lcmbench for the paper's experiments, and DESIGN.md for
-// the system inventory.
+// TUTORIAL.md for a walkthrough, example_test.go for complete programs,
+// cmd/lcmbench for the paper's experiments, and DESIGN.md for the system
+// inventory.
 package lcm
 
 import (
