@@ -37,7 +37,8 @@ func TestBadInputsExitTwo(t *testing.T) {
 // One verified run with a trace, under each spelling of a system name and
 // for a workload with and without a partitioning knob; the header names the
 // cell that ran.  A trace does not stop LCM's handlers running ahead, and the
-// output says so.
+// output says so; nor does the Copying lowering, whose reads of the old copy
+// post.
 func TestTraceRunVerified(t *testing.T) {
 	for _, tc := range []struct {
 		args             []string
@@ -45,7 +46,7 @@ func TestTraceRunVerified(t *testing.T) {
 	}{
 		{[]string{"-w", "stencil", "-sched", "dynamic", "-sys", "lcm-mcc"}, "Stencil-dynamic under lcm-mcc (P=4, scale 1/32)\n", "run-ahead on:"},
 		{[]string{"-w", "threshold", "-sys", "scc"}, "Threshold under lcm-scc (P=4, scale 1/32)\n", "run-ahead on:"},
-		{[]string{"-w", "threshold", "-sys", "copying"}, "Threshold under copying (P=4, scale 1/32)\n", "run-ahead off: protocol without split handlers:"},
+		{[]string{"-w", "threshold", "-sys", "copying"}, "Threshold under copying (P=4, scale 1/32)\n", "run-ahead on:"},
 	} {
 		args := tc.args
 		var out, errOut strings.Builder

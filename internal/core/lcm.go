@@ -382,6 +382,10 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 	b := fx.Block
 	c := &p.m.Cost
 	r := p.region(b)
+	if r.Kind == memsys.KindCoherent {
+		p.coherent.ApplyEffect(n, fx) // a posted read of a read-only coherent region
+		return
+	}
 	p.m.Lock(b)
 	switch fx.Kind {
 	case fxRead:
@@ -436,6 +440,11 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 		t.Record(n.ID, fx.At(n), fxEvent[fx.Kind], uint32(b), int32(bits.OnesCount64(fx.Mask)))
 	}
 }
+
+// KeepsCopies implements tempest.CopyKeeper: a node keeps its own copy of
+// every block outside the coherent regions, which the embedded Stache serves
+// from their home images.
+func (p *LCM) KeepsCopies(r *memsys.Region) bool { return r.Kind != memsys.KindCoherent }
 
 // ReadFault implements tempest.Protocol: obtain a read-only copy carrying
 // the pre-phase (clean) value of the block.

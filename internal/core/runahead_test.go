@@ -1,14 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lcm/internal/cost"
 	"lcm/internal/memsys"
 	"lcm/internal/net"
 	"lcm/internal/sched"
+	"lcm/internal/stache"
 	"lcm/internal/stats"
 	"lcm/internal/tempest"
 	"lcm/internal/trace"
@@ -56,6 +59,22 @@ type raProgram struct {
 type raSeen struct {
 	drains  int // operations on a coherent line, permitted when issued, that took scheduling decisions inside: drains that are no barrier
 	revoked int // of those, how many found the line revoked once drained
+
+	// For the read-only programs: read faults on the read-only region that
+	// were to post, and that were to yield.
+	posted, spot int
+}
+
+// fault counts the read of coherent block b that node n is about to issue, if
+// it faults, as one that posts or one that yields.
+func (s *raSeen) fault(n *tempest.Node, b memsys.BlockID) {
+	switch {
+	case n.Tag(b) >= tempest.TagReadOnly:
+	case n.PostsRead(b):
+		s.posted++
+	default:
+		s.spot++
+	}
 }
 
 // watch runs op, node n's operation on coherent block b, which needs tag
@@ -96,6 +115,25 @@ func mixed(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsy
 			return []*memsys.Region{
 				alloc(t, m, "loose", 8, LooselyCoherent(), memsys.Interleaved),
 				alloc(t, m, "sc", 2, Coherent(), memsys.SingleHome),
+			}
+		},
+		body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) { body(n, rs[0], rs[1], seen) },
+	}
+}
+
+// readOnly is a program over one loosely coherent region, rs[0], and one
+// sequentially consistent region of four blocks, rs[1], homed round the
+// machine.
+func readOnly(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen)) raProgram {
+	seen := new(raSeen)
+	return raProgram{
+		name: name,
+		seen: seen,
+		build: func(m *tempest.Machine) []*memsys.Region {
+			*seen = raSeen{}
+			return []*memsys.Region{
+				alloc(t, m, "loose", 8, LooselyCoherent(), memsys.Interleaved),
+				alloc(t, m, "ro", 4, Coherent(), memsys.Interleaved),
 			}
 		},
 		body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) { body(n, rs[0], rs[1], seen) },
@@ -366,6 +404,63 @@ func raPrograms(t *testing.T) []raProgram {
 				n.ReconcileCopies()
 			}
 		}),
+		// The read-only programs: a coherent region no node writes between
+		// two barriers, declared so, whose read faults post under run-ahead
+		// as the LCM's do (DESIGN.md "Run-ahead", the licence).  Each block
+		// of it was written, the phase before, by a node that still holds it
+		// exclusively: the first reader's fault downgrades the owner in its
+		// local half and recalls it at apply, a three-hop read whose forward
+		// leg queues on the fat tree.
+		readOnly(t, "readonly-owned", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			for round := 0; round < 2; round++ {
+				for b := 0; b < 4; b++ {
+					if n.ID == (b+round)%n.M.P {
+						n.WriteU32(word(coh, 8*b+round), uint32(10*round+b))
+					}
+				}
+				n.ReconcileCopies()
+				n.DeclareReadOnly(coh)
+				n.Compute(int64((n.ID * 3) % 7))
+				for b := 0; b < 4; b++ {
+					a := word(coh, 8*((b+n.ID)%4)+round)
+					seen.fault(n, n.M.AS.Block(a))
+					v := n.ReadU32(a)
+					_ = n.ReadU32(word(lcm, 8*((b+n.ID+round)%8)))
+					n.Compute(int64(1 + (n.ID+b)%3))
+					if b == 3 {
+						n.WriteU32(word(lcm, 32+n.ID%32), v) // what the reads returned is part of the outcome
+					}
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		// Node 0 reads the owned block before anyone has declared the region
+		// (ten cycles into the round), so its fault yields; node 1 declares
+		// and reads it later in the round but earlier on the host, posting —
+		// its local half runs before node 0's handler, which still takes the
+		// third hop, and its apply after it.
+		readOnly(t, "readonly-beside-spot-read", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			b := n.M.AS.Block(coh.Base)
+			for round := 0; round < 3; round++ {
+				if n.ID == n.M.P-1 {
+					n.WriteU32(word(coh, round), uint32(round+1))
+				}
+				n.ReconcileCopies()
+				switch n.ID {
+				case 0:
+					n.Compute(10)
+					seen.fault(n, b)
+					n.WriteU32(word(lcm, round), n.ReadU32(word(coh, round)))
+				case 1:
+					n.DeclareReadOnly(coh)
+					_ = n.ReadU32(word(lcm, 8+round))
+					n.Compute(30)
+					seen.fault(n, b)
+					n.WriteU32(word(lcm, 16+round), n.ReadU32(word(coh, round)))
+				}
+				n.ReconcileCopies()
+			}
+		}),
 		{
 			// Messages that queue, on a network that has queues: every node
 			// fetches a block of one home in the same cycle, so each request
@@ -579,6 +674,25 @@ func TestRunAheadProgramsExerciseTheirPoint(t *testing.T) {
 		t.Errorf("contention: clocks %v with run-ahead, %v on the spot", ahead.Clocks, spot.Clocks)
 	}
 
+	// The read-only programs: coherent read faults posted, and the first of
+	// each block's took the third hop to the node that wrote it; beside a
+	// read that yields, node 0's, which is keyed first and takes the hop.
+	owned := onFatTree(byName["readonly-owned"])
+	ahead = runProgram(t, owned, SCC, 4, 0, false)
+	var forwards int64
+	for _, c := range ahead.Counters {
+		forwards += c.Net.Msgs[net.MsgForward]
+	}
+	if owned.seen.posted == 0 || owned.seen.spot != 0 || forwards == 0 {
+		t.Errorf("readonly-owned: %d read faults posted, %d yielded, %d forward legs", owned.seen.posted, owned.seen.spot, forwards)
+	}
+	beside := byName["readonly-beside-spot-read"]
+	o := runProgram(t, beside, SCC, 4, 0, false)
+	if beside.seen.posted != 3 || beside.seen.spot != 3 || o.Counters[0].Net.Msgs[net.MsgForward] != 3 || o.Counters[1].Net.Msgs[net.MsgForward] != 0 {
+		t.Errorf("readonly-beside-spot-read: %d read faults posted, %d yielded; forward legs %d by node 0, %d by node 1",
+			beside.seen.posted, beside.seen.spot, o.Counters[0].Net.Msgs[net.MsgForward], o.Counters[1].Net.Msgs[net.MsgForward])
+	}
+
 	evictions = 0
 	var invalidations int64
 	for _, c := range runProgram(t, byName["eviction-mixed"], SCC, 4, 0, false).Counters {
@@ -587,5 +701,107 @@ func TestRunAheadProgramsExerciseTheirPoint(t *testing.T) {
 	}
 	if evictions == 0 || invalidations == 0 {
 		t.Errorf("eviction-mixed: %d evictions, %d invalidations of coherent lines", evictions, invalidations)
+	}
+}
+
+// TestReadOnlyWriteFails: a node that writes a region declared read-only for
+// the phase, or drops its copy of a block of one, fails the run with a
+// tempest.ReadOnlyError naming the node, the block and the region — under
+// Stache and under the LCM's coherent regions, whether reads run ahead or
+// yield — wherever the write takes a write fault.  Node 1 holds block 0
+// exclusively from the phase before.
+//
+// "owner-hit" is the one store the check cannot see on the spot: the owner's
+// store hits, in a segment granted before node 0's read fault, so the
+// schedule orders it before the read.  Ahead of the token node 0's read has
+// already run, and its local half downgraded the owner, so the store faults
+// and fails the run instead of letting the read return what the schedule
+// says it does not.
+func TestReadOnlyWriteFails(t *testing.T) {
+	cases := []struct {
+		name      string
+		body      func(n *tempest.Node, coh *memsys.Region)
+		node      int
+		op        string
+		spotFails bool
+	}{
+		{"reader", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				n.WriteU32(word(coh, 1), n.ReadU32(word(coh, 0))+1)
+			}
+		}, 2, "wrote", true},
+		{"owner", func(n *tempest.Node, coh *memsys.Region) {
+			switch n.ID {
+			case 0:
+				n.Compute(5)
+				_ = n.ReadU32(word(coh, 0))
+			case 1:
+				n.Compute(20)
+				n.SchedYield() // the store is ordered after node 0's read
+				n.WriteU32(word(coh, 1), 7)
+			}
+		}, 1, "wrote", true},
+		{"owner-hit", func(n *tempest.Node, coh *memsys.Region) {
+			switch n.ID {
+			case 0:
+				n.Compute(5)
+				_ = n.ReadU32(word(coh, 0))
+			case 1:
+				n.Compute(20)
+				n.WriteU32(word(coh, 1), 7)
+			}
+		}, 1, "wrote", false},
+		{"dropcopy", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				_ = n.ReadU32(word(coh, 0))
+				n.DropCopy(word(coh, 0))
+			}
+		}, 2, "dropped its copy of", true},
+	}
+	protocols := map[string]func() tempest.Protocol{
+		"stache": func() tempest.Protocol { return stache.New() },
+		"lcm":    func() tempest.Protocol { return New(SCC) },
+	}
+	for _, tc := range cases {
+		for pname, newProto := range protocols {
+			for _, onTheSpot := range []bool{false, true} {
+				m := tempest.New(4, 32, cost.Default())
+				coh := alloc(t, m, "ro", 4, Coherent(), memsys.Interleaved)
+				m.SetProtocol(newProto())
+				m.Freeze()
+				if onTheSpot {
+					m.SchedHook = func(*sched.Scheduler) {}
+				}
+				err := m.RunErr(func(n *tempest.Node) {
+					if n.ID == 1 {
+						n.WriteU32(word(coh, 0), 1)
+					}
+					n.ReconcileCopies()
+					n.DeclareReadOnly(coh)
+					tc.body(n, coh)
+					n.ReconcileCopies()
+				})
+				where := fmt.Sprintf("%s/%s onTheSpot=%v", tc.name, pname, onTheSpot)
+				if onTheSpot && !tc.spotFails {
+					if err != nil {
+						t.Errorf("%s: RunErr = %v, want nil", where, err)
+					}
+					continue
+				}
+				var ro *tempest.ReadOnlyError
+				if !errors.As(err, &ro) {
+					t.Errorf("%s: RunErr = %v, want a ReadOnlyError", where, err)
+					continue
+				}
+				want := tempest.ReadOnlyError{Node: tc.node, Block: m.AS.Block(coh.Base), Region: "ro", Op: tc.op}
+				if *ro != want {
+					t.Errorf("%s: %+v, want %+v", where, *ro, want)
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, fmt.Sprintf("node %d %s block %d of region %q", tc.node, tc.op, want.Block, "ro")) {
+					t.Errorf("%s: error %q does not name the node, the block and the region", where, msg)
+				}
+			}
+		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 //	go test -run '^$' -bench 'Yield|PostApply' -cpu 1 ./internal/sched
 
 // ring passes the token round p nodes with no work between scheduling
-// points — every yield hands the token to another node, as every Stache
-// fault of the hit-path workload does — until each has yielded the given
-// number of times.
+// points — every yield hands the token to another node, as most of the
+// hit-path workload's Stache upgrades and write misses do — until each has
+// yielded the given number of times.
 func ring(p int, seed uint64, yields int) {
 	s := New(p, seed)
 	s.Run(func(node int) {

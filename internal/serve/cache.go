@@ -40,18 +40,17 @@ func NewCache(maxEntries int) *Cache {
 
 // Get returns the cached result for key, counting a hit or miss.  The
 // returned bytes are shared — callers must not mutate them.
-func (c *Cache) Get(key string) (body []byte, job string, ok bool) {
+func (c *Cache) Get(key string) (body []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return nil, "", false
+		return nil, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.body, e.job, true
+	return el.Value.(*cacheEntry).body, true
 }
 
 // Put stores a computed result under its content address, evicting the

@@ -92,14 +92,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	put := func(i int) { c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}, "j") }
 	put(1)
 	put(2)
-	if _, _, ok := c.Get("k1"); !ok { // k1 now most recent
+	if _, ok := c.Get("k1"); !ok { // k1 now most recent
 		t.Fatalf("k1 missing before capacity reached")
 	}
 	put(3) // evicts k2, the least recently used
-	if _, _, ok := c.Get("k2"); ok {
+	if _, ok := c.Get("k2"); ok {
 		t.Errorf("k2 survived eviction; LRU order wrong")
 	}
-	if _, _, ok := c.Get("k1"); !ok {
+	if _, ok := c.Get("k1"); !ok {
 		t.Errorf("k1 evicted despite recent use")
 	}
 	st := c.Stats()

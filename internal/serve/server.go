@@ -170,7 +170,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	j := newJob(id, spec, key)
 
-	if body, _, ok := s.cache.Get(key); ok {
+	if body, ok := s.cache.Get(key); ok {
 		// Served bit-identically from the content-addressed cache:
 		// the job is born done, no queue slot consumed.
 		s.register(j)

@@ -93,21 +93,30 @@ func (p *Protocol) inspect(b memsys.BlockID) (string, int, uint64) {
 // threeHop records whether the dirty remote copy at owner had to be
 // consulted; owner is ignored otherwise.
 func (p *Protocol) chargeMiss(n *tempest.Node, home, owner int, threeHop bool) {
+	n.Charge(p.missCost(n, home, owner, threeHop, n.Clock()))
+}
+
+// missCost counts a data-carrying miss of n's, charges the home its
+// occupancy, and returns what the miss costs n when its handler runs at
+// clock now: a local fill, or the round trip to the home followed — for a
+// three-hop miss — by the forward leg to the owner, each priced when it is
+// sent.
+func (p *Protocol) missCost(n *tempest.Node, home, owner int, threeHop bool, now int64) int64 {
 	m := p.m
 	n.Ctr.Misses++
 	if home == n.ID && !threeHop {
-		n.Charge(m.Cost.LocalFill)
 		n.Ctr.LocalFills++
-		return
+		return m.Cost.LocalFill
 	}
-	n.Charge(m.Net.RoundTrip(n.ID, home, int64(m.AS.BlockSize), n.Clock(), &n.Ctr.Net))
+	c := m.Net.RoundTrip(n.ID, home, int64(m.AS.BlockSize), now, &n.Ctr.Net)
 	n.Ctr.RemoteMisses++
 	if threeHop {
-		n.Charge(m.Net.Forward(home, owner, n.Clock(), &n.Ctr.Net))
+		c += m.Net.Forward(home, owner, now+c, &n.Ctr.Net)
 	}
 	if home != n.ID {
 		m.Nodes[home].ChargeRemote(m.Cost.HomeOccupancy)
 	}
+	return c
 }
 
 // recallDirty downgrades or invalidates the exclusive owner's copy.
@@ -118,15 +127,34 @@ func (p *Protocol) recallDirty(b memsys.BlockID, e *entry, downgradeTo tempest.T
 	p.m.Nodes[int(e.owner)].SetTag(b, downgradeTo)
 }
 
-// ReadFault implements tempest.Protocol: obtain a read-only copy.
+// ReadFault implements tempest.Protocol: obtain a read-only copy.  On a
+// block whose region is declared read-only for the phase, a machine that
+// runs ahead posts the handler's shared half instead (postRead).
 func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) {
+	if n.PostsRead(b) {
+		p.postRead(n, b)
+		return
+	}
 	m := p.m
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
 	e := &p.entries[b]
-	threeHop := false
-	owner := home
+	owner, threeHop := p.share(n, b, e)
+	n.Install(b, m.AS.HomeData(b), tempest.TagReadOnly)
+	e.sharers.Add(n.ID)
+	p.chargeMiss(n, home, owner, threeHop)
+	if t := m.Trace; t != nil {
+		t.Record(n.ID, n.Clock(), trace.ReadMiss, uint32(b), 0)
+	}
+}
+
+// share is the directory side of n's read of b, whose entry is e: it
+// recalls an exclusive owner's copy to read-only and leaves the block
+// shared.  It returns the node that supplies the data and whether that took
+// a third hop.
+func (p *Protocol) share(n *tempest.Node, b memsys.BlockID, e *entry) (owner int, threeHop bool) {
+	owner = p.m.AS.HomeOf(b)
 	if e.state == stateExcl {
 		if int(e.owner) == n.ID {
 			// Our own line must still be readable; a read fault here
@@ -137,16 +165,49 @@ func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) {
 		owner = int(e.owner)
 		p.recallDirty(b, e, tempest.TagReadOnly)
 		e.sharers.Clear()
-		e.sharers.Add(int(e.owner))
-		e.state = stateShared
+		e.sharers.Add(owner)
 		threeHop = true
 	}
-	n.Install(b, m.AS.HomeData(b), tempest.TagReadOnly)
-	e.sharers.Add(n.ID)
 	e.state = stateShared
-	p.chargeMiss(n, home, owner, threeHop)
+	return owner, threeHop
+}
+
+// postRead is ReadFault split in two halves, for a block whose region no
+// node writes before the next barrier (DESIGN.md "Run-ahead").  The local
+// half installs the home image — current, since stores write through — and,
+// if the directory names another node as exclusive owner, downgrades that
+// owner's tag now: from here on no node holds write permission on the
+// block, so a write before the effect is applied takes a write fault, which
+// fails on the declaration (tempest.Node.CheckWrite).  It charges nothing.
+// The shared half, ApplyEffect, is everything else ReadFault does, at the
+// fault's place in the schedule.
+func (p *Protocol) postRead(n *tempest.Node, b memsys.BlockID) {
+	m := p.m
+	fx := n.EnterHandler(b)
+	if e := &p.entries[b]; e.state == stateExcl && int(e.owner) != n.ID {
+		m.Nodes[e.owner].SetTag(b, tempest.TagReadOnly)
+	}
+	n.Install(b, m.AS.HomeData(b), tempest.TagReadOnly)
+	n.Emit(fx)
+}
+
+// ApplyEffect implements tempest.EffectApplier: the shared half of node n's
+// posted read of fx.Block — the directory transition, the recall included,
+// the miss counters and the home's occupancy — and its price, the round
+// trip and then any forward leg, each sent at the clock of the grant that
+// orders the effect and charged to n's stolen cycles, where the records
+// behind fx have captured their clocks without it.  The trace event is
+// stamped as ReadFault stamps it, after the charges.
+func (p *Protocol) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
+	m := p.m
+	b := fx.Block
+	m.Lock(b)
+	e := &p.entries[b]
+	owner, threeHop := p.share(n, b, e)
+	e.sharers.Add(n.ID)
+	n.ChargeRemote(p.missCost(n, m.AS.HomeOf(b), owner, threeHop, fx.At(n)))
 	if t := m.Trace; t != nil {
-		t.Record(n.ID, n.Clock(), trace.ReadMiss, uint32(b), 0)
+		t.Record(n.ID, fx.At(n), trace.ReadMiss, uint32(b), 0)
 	}
 }
 
@@ -157,6 +218,7 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) {
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
+	n.CheckWrite(b)
 	e := &p.entries[b]
 
 	if e.state == stateExcl {
@@ -283,4 +345,7 @@ func (p *Protocol) FlushCopies(*tempest.Node) {}
 // workload code identical across memory systems.
 func (p *Protocol) ReconcileCopies(n *tempest.Node) { n.Barrier() }
 
-var _ tempest.Protocol = (*Protocol)(nil)
+var (
+	_ tempest.Protocol      = (*Protocol)(nil)
+	_ tempest.EffectApplier = (*Protocol)(nil)
+)

@@ -64,12 +64,25 @@ func (n *Node) hitAfterDrain(b memsys.BlockID, need Tag) bool {
 // loadFault is the out-of-line read-miss path: trap to the protocol and
 // return the line's access byte afterwards.  Kept separate so the hot-path
 // functions stay small enough to avoid extra call layers.
+//
+// A withheld line of a region declared read-only for the epoch is the one
+// exception to draining first: nothing revokes it or writes its data before
+// the next barrier (readonly.go), so the read commutes with every
+// outstanding post and is served at once — a hit if the tag permits it, a
+// fault that posts in turn if not.
 func (n *Node) loadFault(b memsys.BlockID) byte {
-	if !n.withheld(b) || !n.hitAfterDrain(b, TagReadOnly) {
-		n.preFault(b)
-		n.makeRoom()
-		n.M.protocol.ReadFault(n, b)
+	if n.withheld(b) {
+		if n.M.ReadOnly(b) {
+			if t := n.tags[b]; t >= loadOK {
+				return t
+			}
+		} else if n.hitAfterDrain(b, TagReadOnly) {
+			return n.tags[b]
+		}
 	}
+	n.preFault(b)
+	n.makeRoom()
+	n.M.protocol.ReadFault(n, b)
 	return n.tags[b]
 }
 

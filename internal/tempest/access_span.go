@@ -48,26 +48,32 @@ func (n *Node) spanSeg(a memsys.Addr, elem uint32, max int) (memsys.BlockID, uin
 	return b, off, k
 }
 
-// homeRun is the span run path.  With no effect outstanding it scans the
-// access bytes of the blocks of the span of max elements of size elem at a,
-// first block first, for home lines whose tags permit need, and returns how
-// many of the elements the blocks it passed hold; the first block that fails
-// ends the run and is the caller's to take through the per-block path.  A
-// store run notes each block it passes with Machine.Lock.  It charges
-// nothing: the caller moves the run with one copy against the home image and
-// charges it as hits.
+// homeRun is the span run path.  It scans the access bytes of the blocks of
+// the span of max elements of size elem at a, first block first, for home
+// lines whose tags permit need, and returns how many of the elements the
+// blocks it passed hold; the first block that fails ends the run and is the
+// caller's to take through the per-block path.  A store run notes each block
+// it passes with Machine.Lock.  It charges nothing: the caller moves the run
+// with one copy against the home image and charges it as hits.
+//
+// With posts outstanding a home line is withheld (tagFor), so the scan passes
+// nothing — unless it is a load from one region declared read-only for the
+// epoch, whose lines loadFault serves without draining too.
 //
 // It is out of line on purpose, unlike tagFor: one call covers a whole run,
 // and a span whose lines are not home lines stops calling it after its first
 // segment.
 func (n *Node) homeRun(a memsys.Addr, elem uint32, max int, need Tag) int {
-	if max == 0 || n.fxLen != 0 {
-		return 0 // with posts outstanding a home line is withheld (tagFor)
+	if max == 0 {
+		return 0
 	}
 	bs := uint64(n.M.AS.BlockSize)
 	b, off := n.M.AS.Split(a)
 	end := uint64(off) + uint64(max)*uint64(elem) // the span, from b's start
 	tags := n.tags[b : uint64(b)+(end+bs-1)/bs]
+	if n.fxLen != 0 && (need != TagReadOnly || !n.M.readOnlyRun(b, b+memsys.BlockID(len(tags)-1))) {
+		return 0
+	}
 	passed := homePrefix(tags, byte(need)<<tagShift)
 	if need == TagReadWrite {
 		for i := 0; i < passed; i++ {

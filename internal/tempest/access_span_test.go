@@ -154,6 +154,8 @@ type postProtocol struct {
 
 func (f *postProtocol) ApplyEffect(*Node, *Effect) {}
 
+func (f *postProtocol) KeepsCopies(r *memsys.Region) bool { return r.Kind != memsys.KindCoherent }
+
 func (f *postProtocol) ReadFault(n *Node, b memsys.BlockID) {
 	f.fault(n, b, false, TagReadOnly)
 }
@@ -321,14 +323,14 @@ func TestSpanChargesPerElement(t *testing.T) {
 }
 
 // privProtocol installs write-faulting blocks as private copies, the way
-// LCM does, so the WMask recording path is exercised.  Like LCM it is split
-// (it never posts): only a split protocol's lines outside coherent regions
-// have buffers of their own to be private in.
+// LCM does, so the WMask recording path is exercised.  Like LCM it keeps
+// copies: only a CopyKeeper's lines outside coherent regions have buffers of
+// their own to be private in.
 type privProtocol struct {
 	fakeProtocol
 }
 
-func (f *privProtocol) ApplyEffect(*Node, *Effect) {}
+func (f *privProtocol) KeepsCopies(r *memsys.Region) bool { return r.Kind != memsys.KindCoherent }
 
 func (f *privProtocol) WriteFault(n *Node, b memsys.BlockID) {
 	f.m.Lock(b)

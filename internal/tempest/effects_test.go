@@ -37,6 +37,9 @@ func (p *splitProtocol) ReadFault(n *Node, b memsys.BlockID) {
 	}
 }
 
+// KeepsCopies: like the LCM, a copy of every block outside coherent regions.
+func (p *splitProtocol) KeepsCopies(r *memsys.Region) bool { return r.Kind != memsys.KindCoherent }
+
 func (p *splitProtocol) ApplyEffect(n *Node, e *Effect) {
 	if n.ID == p.failOn {
 		panic(errApply)

@@ -1,0 +1,81 @@
+package tempest
+
+import (
+	"fmt"
+
+	"lcm/internal/memsys"
+)
+
+// This file is the phase-read-only licence (DESIGN.md "Run-ahead").  A C**
+// parallel call is atomic and simultaneous: every invocation reads the state
+// from before the call, so under the explicit two-copy lowering the old copy
+// is written by nobody until the call's closing barrier.  A program says so
+// with DeclareReadOnly, and the machine uses it twice:
+//
+//   - a read fault on a home line of such a region may post its effect
+//     (PostsRead), since nothing revokes the line or changes its data before
+//     the effect is applied;
+//   - with posts outstanding, a read of such a line is served without
+//     draining (loadFault, and the span run path homeRun).
+//
+// The declaration is checked where writes happen, not where reads do: the
+// posting read fault leaves no node write permission on the block, so a write
+// before the next barrier takes a write fault, and the write fault fails the
+// node (CheckWrite).
+
+// DeclareReadOnly declares that no node writes region r, or drops a copy of
+// one of its blocks, until the next barrier.  Every node that reads r in the
+// phase makes the call at the start of the phase, before its first access;
+// it charges nothing and is no scheduling point.  It is a no-op on a region
+// whose lines are copies (CopyKeeper): an LCM region's reads post anyway.
+func (n *Node) DeclareReadOnly(r *memsys.Region) {
+	m := n.M
+	if m.keeper != nil && m.keeper.KeepsCopies(r) {
+		return
+	}
+	m.readOnly[m.AS.RegionIndex(m.AS.Block(r.Base))] = m.epoch
+}
+
+// ReadOnly reports whether b's region is declared read-only for the current
+// barrier epoch.
+func (m *Machine) ReadOnly(b memsys.BlockID) bool {
+	return m.readOnly[m.AS.RegionIndex(b)] == m.epoch
+}
+
+// readOnlyRun reports whether blocks first..last lie in one region, declared
+// read-only for the epoch.
+func (m *Machine) readOnlyRun(first, last memsys.BlockID) bool {
+	r := m.AS.RegionIndex(first)
+	return r == m.AS.RegionIndex(last) && m.readOnly[r] == m.epoch
+}
+
+// PostsRead reports whether n's read fault on b may post its effect instead
+// of yielding: the machine runs ahead and b's region is declared read-only
+// for the epoch.
+func (n *Node) PostsRead(b memsys.BlockID) bool { return n.runAhead && n.M.ReadOnly(b) }
+
+// ReadOnlyError is the failure of a node that wrote a block, or dropped its
+// copy of one, while the block's region was declared read-only.
+type ReadOnlyError struct {
+	Node   int
+	Block  memsys.BlockID
+	Region string
+	Op     string // "wrote", "dropped its copy of"
+}
+
+func (e *ReadOnlyError) Error() string {
+	return fmt.Sprintf("tempest: node %d %s block %d of region %q, which is declared read-only until the next barrier",
+		e.Node, e.Op, e.Block, e.Region)
+}
+
+// CheckWrite fails node n with a *ReadOnlyError if b's region is declared
+// read-only for the epoch.  A coherent protocol calls it in its write fault,
+// after the handler's scheduling point, so that the failure comes at the
+// write's place in the schedule whether or not reads run ahead.
+func (n *Node) CheckWrite(b memsys.BlockID) { n.checkWrite(b, "wrote") }
+
+func (n *Node) checkWrite(b memsys.BlockID, op string) {
+	if n.M.ReadOnly(b) {
+		panic(&ReadOnlyError{Node: n.ID, Block: b, Region: n.M.AS.RegionOfBlock(b).Name, Op: op})
+	}
+}

@@ -137,6 +137,7 @@ func (m *Machine) RunErr(body func(n *Node)) error {
 	})
 	m.schedder = sc
 	m.bar.arm(sc)
+	m.epoch++ // no read-only declaration outlives a run
 	runAhead, _ := m.RunAhead()
 	m.setRunAhead(runAhead)
 	if runAhead {

@@ -84,7 +84,7 @@ const (
 
 	// lineHome marks a line whose data is the block's home image itself (set
 	// once, at first install): a line of a sequentially consistent region, or
-	// any line on a machine whose protocol has no split handlers.  Such a
+	// any line on a machine whose protocol keeps no copies (CopyKeeper).  Such a
 	// line has no state beyond its byte; it never holds a private copy, and
 	// with a valid tag its bytes are the home's by definition, so nothing
 	// copies into it and a store writes memory once.  Its tag, data and
@@ -180,6 +180,14 @@ type Protocol interface {
 	Evict(n *Node, b memsys.BlockID) bool
 }
 
+// CopyKeeper is implemented by a protocol that keeps a node's own copy of the
+// blocks of some regions (the LCM: of every region that is not
+// KindCoherent).  A line of such a block is a copy line; every other line, on
+// every machine, is a home line (newLine).
+type CopyKeeper interface {
+	KeepsCopies(r *memsys.Region) bool
+}
+
 // Machine is the simulated multicomputer.
 type Machine struct {
 	P     int
@@ -236,7 +244,14 @@ type Machine struct {
 
 	protocol Protocol
 	applier  EffectApplier // protocol, if its handlers are split (effects.go)
+	keeper   CopyKeeper    // protocol, if it keeps copies
 	bar      *Barrier
+
+	// epoch numbers the machine's barrier epochs: it advances when a
+	// barrier resolves and when a run starts.  readOnly[i] is the epoch in
+	// which region i was last declared read-only (readonly.go).
+	epoch    uint32
+	readOnly []uint32
 	frozen   bool
 	cfgErr   error
 	schedder *sched.Scheduler
@@ -265,6 +280,7 @@ func New(p int, blockSize uint32, c cost.Model) *Machine {
 	// the instant the last participant arrives: handlers that ran after a
 	// node's own pre-barrier fold may still have charged it.
 	m.bar.foldClocks = func() int64 {
+		m.epoch++ // the phase's read-only declarations expire
 		var max int64
 		for _, nd := range m.Nodes {
 			nd.FoldStolen()
@@ -344,6 +360,8 @@ func (m *Machine) FreezeErr() error {
 		}
 	}
 	m.applier, _ = m.protocol.(EffectApplier)
+	m.keeper, _ = m.protocol.(CopyKeeper)
+	m.readOnly = make([]uint32, len(m.AS.Regions()))
 	m.protocol.Attach(m)
 	return nil
 }
@@ -620,13 +638,13 @@ const lineArenaChunk = 64
 
 // newLine decides the kind of the node's first line for b and returns its
 // flags (owner only; install paths all run in the faulting node's
-// coroutine).  Only a split protocol (the LCM) makes private copies, and only
-// outside coherent regions, so every other line is a home line and needs
-// nothing beyond its byte; a copy line takes the next index of the node's
-// slabs, its bytes zeroed.
+// coroutine).  Only a CopyKeeper (the LCM) makes copies, and only of the
+// regions it names, so every other line is a home line and needs nothing
+// beyond its byte; a copy line takes the next index of the node's slabs, its
+// bytes zeroed.
 func (n *Node) newLine(b memsys.BlockID) byte {
 	// Decided from the machine, not from the coming run: lines outlive runs.
-	if n.M.applier == nil || n.M.AS.RegionOfBlock(b).Kind == memsys.KindCoherent {
+	if k := n.M.keeper; k == nil || !k.KeepsCopies(n.M.AS.RegionOfBlock(b)) {
 		return lineHome
 	}
 	bs := int(n.M.AS.BlockSize)
@@ -752,10 +770,12 @@ func (n *Node) Barrier() {
 // The drop goes through the protocol's eviction path so the home
 // directory forgets the sharer (a silently dropped copy would earn
 // useless invalidations later and fails the quiescent audits).  Private
-// (modified) copies are not dropped.
+// (modified) copies are not dropped.  A drop from a region declared
+// read-only for the epoch fails the node (see CheckWrite).
 func (n *Node) DropCopy(a memsys.Addr) {
 	b := n.M.AS.Block(a)
 	n.settle(b)
+	n.checkWrite(b, "dropped its copy of")
 	if n.Tag(b) == TagReadOnly {
 		n.M.protocol.Evict(n, b)
 	}

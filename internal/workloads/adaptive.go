@@ -106,6 +106,9 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 					old.Val.CopyRange(n, q.Val, base, base+cnt)
 				}
 				n.Barrier()
+				// The copy phase wrote the old copy; the compute phase
+				// only reads it.
+				n.DeclareReadOnly(old.Val.Region())
 			}
 			src := q
 			if plan.Mode == cstar.ModeCopying {

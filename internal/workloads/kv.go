@@ -315,7 +315,8 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 			// dropping its cached copies, and the new owner tallies the
 			// migration.  The extra EndParallel versions the map: every
 			// node sees the new epoch before any request of the phase.
-			if spec.ReshardEvery > 0 && phase > 0 && phase%spec.ReshardEvery == 0 {
+			resharded := spec.ReshardEvery > 0 && phase > 0 && phase%spec.ReshardEvery == 0
+			if resharded {
 				epoch++
 				if n.ID == 0 {
 					for s := 0; s < spec.Shards; s++ {
@@ -344,6 +345,12 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 			// Serve: answer this node's streams.  Gets read the store
 			// state committed at the last phase boundary; puts are
 			// buffered into the stream's intent slots (single writer).
+			// The store is read-only for the phase, but after a reshard:
+			// the old owners' DropCopy above is no read, and it fails on a
+			// region declared read-only.
+			if !resharded {
+				n.DeclareReadOnly(store.Region())
+			}
 			for c := n.ID; c < spec.Streams; c += p {
 				r := &rngs[c]
 				base := c * spec.OpsPerStream
@@ -366,7 +373,10 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 			// Apply: every node scans the whole intent buffer in
 			// canonical slot order and applies the puts that land in
 			// shards it owns, so the last writer of a key is the highest
-			// slot regardless of machine size or schedule.
+			// slot regardless of machine size or schedule.  The intents
+			// and the shard map are read-only for the phase.
+			n.DeclareReadOnly(intents.Region())
+			n.DeclareReadOnly(shardMap.Region())
 			for lo := 0; lo < slots; lo += kvAlign {
 				intents.GetSpan(n, lo, span)
 				for _, slot := range span {

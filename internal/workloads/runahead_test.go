@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lcm/internal/core"
@@ -73,7 +74,7 @@ func runAheadRows() []diffRow {
 	}})
 }
 
-// TestRunAheadMatchesOnTheSpotOnEveryLCMCell: every LCM grid cell, at
+// TestRunAheadMatchesOnTheSpotOnEveryCell: every grid cell, LCM and Copying, at
 // machine sizes from one node to past the nodeset word (33 leaves are a
 // fat tree that is no power of four), on three schedules and three
 // interconnects — uniform, the fat tree, the fat tree with a quarter of the
@@ -83,12 +84,12 @@ func runAheadRows() []diffRow {
 // every fault.  All of them run ahead, the ones that keep a graph or a shard
 // map in coherent memory included, on a network that queues included:
 // run-ahead is per region, and an exchange is priced where it is ordered.
-func TestRunAheadMatchesOnTheSpotOnEveryLCMCell(t *testing.T) {
+func TestRunAheadMatchesOnTheSpotOnEveryCell(t *testing.T) {
 	nets := []*net.Config{nil, {Model: "fattree"}, {Model: "fattree", CyclesPerByte: 32}} // read only
 	for _, row := range runAheadRows() {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel() // each cell's runs share nothing with another's
-			for _, sys := range []cstar.System{cstar.LCMscc, cstar.LCMmcc} {
+			for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
 				for _, p := range []int{1, 4, 8, 33} {
 					for _, seed := range []uint64{0, 1, 7} {
 						for _, nw := range nets {
@@ -118,7 +119,11 @@ func diffRunAhead(t *testing.T, row diffRow, sys cstar.System, cfg Config) {
 	if ahead.Err != nil || spot.Err != nil {
 		t.Fatalf("%s: run failed: run-ahead %v, on the spot %v", where, ahead.Err, spot.Err)
 	}
-	if !ahead.Host.RunAhead || ahead.Host.Reason != "" || ahead.Host.Applies == 0 {
+	// A Copying cell posts only its read faults on read-only data, and a
+	// one-node Adaptive machine has none: its node wrote every block of the
+	// old copy in the copy phase.
+	idle := sys == cstar.Copying && cfg.P == 1 && strings.HasPrefix(row.name, "Adaptive")
+	if !ahead.Host.RunAhead || ahead.Host.Reason != "" || (ahead.Host.Applies == 0 && !idle) {
 		t.Errorf("%s: run-ahead %v (%q), %d applies; want on",
 			where, ahead.Host.RunAhead, ahead.Host.Reason, ahead.Host.Applies)
 	}

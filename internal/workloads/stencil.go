@@ -83,6 +83,9 @@ func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
 			src := cur
 			if plan.Mode == cstar.ModeCopying {
 				src = prev
+				// The old copy is read-only for the whole call.  (Under
+				// LCM, src is cur, which the call writes.)
+				n.DeclareReadOnly(src.Region())
 			}
 			if plan.Mode == cstar.ModeCopying {
 				// Span sweep: the two-copy lowering reads only the old

@@ -88,6 +88,7 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 			src := cur
 			if plan.Mode == cstar.ModeCopying {
 				src = prev
+				n.DeclareReadOnly(src.Region()) // the old copy, read-only for the call
 			}
 			cell := func(i, j int) {
 				myVisited++

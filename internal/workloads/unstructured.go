@@ -108,9 +108,14 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 	runErr := m.RunErr(func(n *tempest.Node) {
 		cur, prev := val, old
 		for it := 0; it < spec.Iters; it++ {
+			// The graph is never written after Freeze; the old copy is
+			// read-only for the call.
+			n.DeclareReadOnly(offs.Region())
+			n.DeclareReadOnly(tgts.Region())
 			src := cur
 			if plan.Mode == cstar.ModeCopying {
 				src = prev
+				n.DeclareReadOnly(src.Region())
 			}
 			cstar.ForEach(n, sched, plan, it, spec.Nodes, func(v int) {
 				var pair [2]int32
