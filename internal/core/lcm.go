@@ -383,7 +383,7 @@ func (p *LCM) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
 	c := &p.m.Cost
 	r := p.region(b)
 	if r.Kind == memsys.KindCoherent {
-		p.coherent.ApplyEffect(n, fx) // a posted read of a read-only coherent region
+		p.coherent.ApplyEffect(n, fx) // a posted Stache fault on a declared coherent block
 		return
 	}
 	p.m.Lock(b)

@@ -60,9 +60,11 @@ type raSeen struct {
 	drains  int // operations on a coherent line, permitted when issued, that took scheduling decisions inside: drains that are no barrier
 	revoked int // of those, how many found the line revoked once drained
 
-	// For the read-only programs: read faults on the read-only region that
-	// were to post, and that were to yield.
-	posted, spot int
+	// For the read-only and owned programs: read faults on the declared
+	// region that were to post, and that were to yield; and for the owned
+	// ones, the same of write faults.
+	posted, spot   int
+	wPosted, wSpot int
 }
 
 // fault counts the read of coherent block b that node n is about to issue, if
@@ -74,6 +76,18 @@ func (s *raSeen) fault(n *tempest.Node, b memsys.BlockID) {
 		s.posted++
 	default:
 		s.spot++
+	}
+}
+
+// writeFault counts the write of coherent block b that node n is about to
+// issue, if it faults, as one that posts or one that yields.
+func (s *raSeen) writeFault(n *tempest.Node, b memsys.BlockID) {
+	switch {
+	case n.Tag(b) >= tempest.TagReadWrite:
+	case n.PostsWrite(b):
+		s.wPosted++
+	default:
+		s.wSpot++
 	}
 }
 
@@ -121,10 +135,11 @@ func mixed(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsy
 	}
 }
 
-// readOnly is a program over one loosely coherent region, rs[0], and one
+// declared is a program over one loosely coherent region, rs[0], and one
 // sequentially consistent region of four blocks, rs[1], homed round the
-// machine.
-func readOnly(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen)) raProgram {
+// machine, which nodes declare read-only, or parts of it their own, for a
+// phase.
+func declared(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen)) raProgram {
 	seen := new(raSeen)
 	return raProgram{
 		name: name,
@@ -133,11 +148,17 @@ func readOnly(t *testing.T, name string, body func(n *tempest.Node, lcm, coh *me
 			*seen = raSeen{}
 			return []*memsys.Region{
 				alloc(t, m, "loose", 8, LooselyCoherent(), memsys.Interleaved),
-				alloc(t, m, "ro", 4, Coherent(), memsys.Interleaved),
+				alloc(t, m, "decl", 4, Coherent(), memsys.Interleaved),
 			}
 		},
 		body: func(n *tempest.Node, rs []*memsys.Region, _ *tempest.SimLock) { body(n, rs[0], rs[1], seen) },
 	}
+}
+
+// ownWrite is node n's write of v to word i of the owned region coh, counted.
+func ownWrite(n *tempest.Node, coh *memsys.Region, i int, v uint32, seen *raSeen) {
+	seen.writeFault(n, n.M.AS.Block(word(coh, i)))
+	n.WriteU32(word(coh, i), v)
 }
 
 // onFatTree is pr on a machine whose interconnect is a CM-5 fat tree.
@@ -411,7 +432,7 @@ func raPrograms(t *testing.T) []raProgram {
 		// exclusively: the first reader's fault downgrades the owner in its
 		// local half and recalls it at apply, a three-hop read whose forward
 		// leg queues on the fat tree.
-		readOnly(t, "readonly-owned", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+		declared(t, "readonly-owned", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
 			for round := 0; round < 2; round++ {
 				for b := 0; b < 4; b++ {
 					if n.ID == (b+round)%n.M.P {
@@ -439,7 +460,7 @@ func raPrograms(t *testing.T) []raProgram {
 		// and reads it later in the round but earlier on the host, posting —
 		// its local half runs before node 0's handler, which still takes the
 		// third hop, and its apply after it.
-		readOnly(t, "readonly-beside-spot-read", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+		declared(t, "readonly-beside-spot-read", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
 			b := n.M.AS.Block(coh.Base)
 			for round := 0; round < 3; round++ {
 				if n.ID == n.M.P-1 {
@@ -457,6 +478,116 @@ func raPrograms(t *testing.T) []raProgram {
 					n.Compute(30)
 					seen.fault(n, b)
 					n.WriteU32(word(lcm, 16+round), n.ReadU32(word(coh, round)))
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		// The owned programs: a coherent block that only its owner touches
+		// between two barriers, declared so, whose write faults (and read
+		// faults) post under run-ahead (DESIGN.md "Run-ahead", the owned
+		// licence).  Each round's owner first posts a fault on a loose
+		// block, so its store to the owned block is issued with a post
+		// outstanding.
+		//
+		// The owner holds the block read-only and two other nodes share it:
+		// the upgrade invalidates both, and each invalidation is priced as
+		// the one before it is paid for.
+		declared(t, "owned-upgrade", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			for round := 0; round < 4; round++ {
+				blk, o := round%4, round%n.M.P
+				if d := (n.ID - o + n.M.P) % n.M.P; d < 3 {
+					_ = n.ReadU32(word(coh, 8*blk+d))
+				}
+				n.ReconcileCopies()
+				n.Compute(int64((n.ID * 5) % 7))
+				if n.ID == o {
+					n.DeclareOwned(coh, word(coh, 8*blk), word(coh, 8*blk+8))
+					_ = n.ReadU32(word(lcm, 8*((round+n.ID)%8)))
+					ownWrite(n, coh, 8*blk+round, uint32(round+1), seen)
+				} else {
+					_ = n.ReadU32(word(lcm, 8*((round+n.ID+1)%8)))
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		// The block is exclusive at another node from the phase before: the
+		// owner's write is a three-hop miss, whose local half revokes the old
+		// owner and whose forward leg queues on the fat tree.
+		declared(t, "owned-three-hop", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			for round := 0; round < 4; round++ {
+				blk, o := round%4, round%n.M.P
+				if n.ID == (o+1)%n.M.P {
+					n.WriteU32(word(coh, 8*blk+7), uint32(10*round))
+				}
+				n.ReconcileCopies()
+				n.Compute(int64((n.ID * 3) % 5))
+				if n.ID == o {
+					n.DeclareOwned(coh, word(coh, 8*blk), word(coh, 8*blk+8))
+					_ = n.ReadU32(word(lcm, 8*((round+n.ID)%8)))
+					ownWrite(n, coh, 8*blk+round, uint32(round+1), seen)
+				} else {
+					_ = n.ReadU32(word(lcm, 8*((round+n.ID+3)%8)))
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		// A posted read, then a posted write, of one owned block that another
+		// node wrote the phase before: the read's apply recalls that node to
+		// read-only and the write's invalidates it — the write's local half
+		// has already revoked it, and its apply decides the upgrade from the
+		// directory the read left, not from the owner's tag.
+		declared(t, "owned-read-then-write", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			for round := 0; round < 4; round++ {
+				blk, o := (round+1)%4, round%n.M.P
+				if n.ID == (o+2)%n.M.P {
+					n.WriteU32(word(coh, 8*blk+6), uint32(10*round+3))
+				}
+				n.ReconcileCopies()
+				if n.ID == o {
+					n.DeclareOwned(coh, word(coh, 8*blk), word(coh, 8*blk+8))
+					n.Compute(3)
+					_ = n.ReadU32(word(lcm, 8*((round+n.ID)%8)))
+					a := word(coh, 8*blk+6)
+					seen.fault(n, n.M.AS.Block(a))
+					v := n.ReadU32(a)
+					ownWrite(n, coh, 8*blk+round, v+1, seen)
+				} else {
+					n.Compute(int64(1 + n.ID%4))
+					_ = n.ReadU32(word(lcm, 8*((round+n.ID+5)%8)))
+				}
+				n.ReconcileCopies()
+			}
+		}),
+		// Two chunks meet inside block 1: node 0 owns words [0, 12), node 1
+		// words [12, 32), and neither declares the block they share, whose
+		// write faults go on the spot between the posted ones of blocks 0,
+		// 2 and 3.  Every node read every block the phase before.
+		declared(t, "owned-beside-boundary", func(n *tempest.Node, lcm, coh *memsys.Region, seen *raSeen) {
+			b := 1 % n.M.P
+			for round := 0; round < 3; round++ {
+				for w := 0; w < 32; w += 8 {
+					_ = n.ReadU32(word(coh, w+n.ID%8))
+				}
+				n.ReconcileCopies()
+				if n.ID == 0 {
+					n.DeclareOwned(coh, word(coh, 0), word(coh, 12))
+				}
+				if n.ID == b {
+					n.DeclareOwned(coh, word(coh, 12), word(coh, 32))
+				}
+				switch n.ID {
+				case 0:
+					n.Compute(2)
+					_ = n.ReadU32(word(lcm, 8*round))
+					for w := 0; w < 12; w += 3 {
+						ownWrite(n, coh, w, uint32(100*round+w), seen)
+					}
+				case b:
+					n.Compute(4)
+					_ = n.ReadU32(word(lcm, 8*round+32))
+					for w := 31; w >= 12; w -= 4 {
+						ownWrite(n, coh, w, uint32(100*round+w), seen)
+					}
 				}
 				n.ReconcileCopies()
 			}
@@ -596,6 +727,9 @@ func TestRunAheadMatchesOnTheSpot(t *testing.T) {
 	}
 }
 
+// anyOr reports whether got is want, or want is -1.
+func anyOr(got, want int64) bool { return want < 0 || got == want }
+
 func clip(v any) string {
 	s := fmt.Sprint(v)
 	if len(s) > 600 {
@@ -693,6 +827,37 @@ func TestRunAheadProgramsExerciseTheirPoint(t *testing.T) {
 			beside.seen.posted, beside.seen.spot, o.Counters[0].Net.Msgs[net.MsgForward], o.Counters[1].Net.Msgs[net.MsgForward])
 	}
 
+	// The owned programs, on the fat tree: every write fault on a declared
+	// block posted, and each did what its case is about — an upgrade that
+	// invalidated two sharers, a three-hop write, a posted three-hop read
+	// before an upgrade — and on the block two chunks share, which nobody
+	// declared, the writes yielded.  -1 is "any".
+	for _, tc := range []struct {
+		name                              string
+		rPosted, wPosted, wSpot           int
+		upgrades, invalidations, forwards int64
+	}{
+		{"owned-upgrade", 0, 4, 0, 4, 8, 0},
+		{"owned-three-hop", 0, 4, 0, 0, 4, 4},
+		{"owned-read-then-write", 4, 4, 0, 4, 4, 4},
+		{"owned-beside-boundary", 0, 9, 6, -1, -1, -1},
+	} {
+		pr := onFatTree(byName[tc.name])
+		o := runProgram(t, pr, SCC, 4, 0, false)
+		var upgrades, invalidations, forwards int64
+		for _, c := range o.Counters {
+			upgrades += c.Upgrades
+			invalidations += c.InvalidationsSent
+			forwards += c.Net.Msgs[net.MsgForward]
+		}
+		seen := pr.seen
+		if seen.posted != tc.rPosted || seen.spot != 0 || seen.wPosted != tc.wPosted || seen.wSpot != tc.wSpot ||
+			!anyOr(upgrades, tc.upgrades) || !anyOr(invalidations, tc.invalidations) || !anyOr(forwards, tc.forwards) {
+			t.Errorf("%s: read faults %d posted, %d yielded; write faults %d posted, %d yielded; %d upgrades, %d invalidations, %d forward legs; want %+v",
+				tc.name, seen.posted, seen.spot, seen.wPosted, seen.wSpot, upgrades, invalidations, forwards, tc)
+		}
+	}
+
 	evictions = 0
 	var invalidations int64
 	for _, c := range runProgram(t, byName["eviction-mixed"], SCC, 4, 0, false).Counters {
@@ -706,7 +871,7 @@ func TestRunAheadProgramsExerciseTheirPoint(t *testing.T) {
 
 // TestReadOnlyWriteFails: a node that writes a region declared read-only for
 // the phase, or drops its copy of a block of one, fails the run with a
-// tempest.ReadOnlyError naming the node, the block and the region — under
+// tempest.DeclarationError naming the node, the block and the region — under
 // Stache and under the LCM's coherent regions, whether reads run ahead or
 // yield — wherever the write takes a write fault.  Node 1 holds block 0
 // exclusively from the phase before.
@@ -788,12 +953,12 @@ func TestReadOnlyWriteFails(t *testing.T) {
 					}
 					continue
 				}
-				var ro *tempest.ReadOnlyError
+				var ro *tempest.DeclarationError
 				if !errors.As(err, &ro) {
-					t.Errorf("%s: RunErr = %v, want a ReadOnlyError", where, err)
+					t.Errorf("%s: RunErr = %v, want a DeclarationError", where, err)
 					continue
 				}
-				want := tempest.ReadOnlyError{Node: tc.node, Block: m.AS.Block(coh.Base), Region: "ro", Op: tc.op}
+				want := tempest.DeclarationError{Node: tc.node, Block: m.AS.Block(coh.Base), Region: "ro", Op: tc.op, Owner: -1}
 				if *ro != want {
 					t.Errorf("%s: %+v, want %+v", where, *ro, want)
 				}
@@ -802,6 +967,158 @@ func TestReadOnlyWriteFails(t *testing.T) {
 					t.Errorf("%s: error %q does not name the node, the block and the region", where, msg)
 				}
 			}
+		}
+	}
+}
+
+// TestOwnedViolationFails: a node that reads, writes or drops its copy of a
+// block another node declared its own for the phase, or declares such a block
+// its own too, fails the run with a tempest.DeclarationError naming the node,
+// the block, the region and the owner — under Stache and under the LCM's
+// coherent regions, whether faults run ahead or yield.  Node 0 owns block 0;
+// node 2 read the block the phase before, so it has a copy to drop, and acts
+// after a yield at a later clock than the owner's write fault, which is then
+// ordered first in either schedule: the write revoked the copy, and node 2's
+// read faults (an access that hits is no handler, and is checked nowhere).
+//
+// "sharer-hit" is the one access the check cannot see on the spot: node 2
+// reads its copy without a yield, at a clock before the owner's write fault,
+// so the schedule orders the read first and it hits.  Ahead of the token the
+// owner's write has already run — its store is in the home image — and its
+// local half revoked node 2's copy, so the read faults and fails the run
+// instead of returning a value the schedule says it does not.
+func TestOwnedViolationFails(t *testing.T) {
+	cases := []struct {
+		name      string
+		body      func(n *tempest.Node, coh *memsys.Region)
+		op        string
+		spotFails bool
+	}{
+		{"reader", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				n.Compute(20)
+				n.SchedYield()
+				_ = n.ReadU32(word(coh, 3))
+			}
+		}, "read", true},
+		{"writer", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				n.Compute(20)
+				n.SchedYield()
+				n.WriteU32(word(coh, 3), 7)
+			}
+		}, "wrote", true},
+		{"dropcopy", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				n.Compute(20)
+				n.SchedYield()
+				n.DropCopy(word(coh, 0))
+			}
+		}, "dropped its copy of", true},
+		{"declared", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				n.Compute(20)
+				n.SchedYield()
+				n.DeclareOwned(coh, word(coh, 0), word(coh, 16))
+			}
+		}, "declared", true},
+		{"sharer-hit", func(n *tempest.Node, coh *memsys.Region) {
+			if n.ID == 2 {
+				n.Compute(5)
+				_ = n.ReadU32(word(coh, 3))
+			}
+		}, "read", false},
+	}
+	protocols := map[string]func() tempest.Protocol{
+		"stache": func() tempest.Protocol { return stache.New() },
+		"lcm":    func() tempest.Protocol { return New(SCC) },
+	}
+	for _, tc := range cases {
+		for pname, newProto := range protocols {
+			for _, onTheSpot := range []bool{false, true} {
+				m := tempest.New(4, 32, cost.Default())
+				coh := alloc(t, m, "own", 4, Coherent(), memsys.Interleaved)
+				m.SetProtocol(newProto())
+				m.Freeze()
+				if onTheSpot {
+					m.SchedHook = func(*sched.Scheduler) {}
+				}
+				err := m.RunErr(func(n *tempest.Node) {
+					if n.ID == 2 {
+						_ = n.ReadU32(word(coh, 0))
+					}
+					n.ReconcileCopies()
+					if n.ID == 0 {
+						n.DeclareOwned(coh, word(coh, 0), word(coh, 8))
+						n.Compute(10)
+						n.WriteU32(word(coh, 1), 1)
+					}
+					tc.body(n, coh)
+					n.ReconcileCopies()
+				})
+				where := fmt.Sprintf("%s/%s onTheSpot=%v", tc.name, pname, onTheSpot)
+				if onTheSpot && !tc.spotFails {
+					if err != nil {
+						t.Errorf("%s: RunErr = %v, want nil", where, err)
+					}
+					continue
+				}
+				var de *tempest.DeclarationError
+				if !errors.As(err, &de) {
+					t.Errorf("%s: RunErr = %v, want a DeclarationError", where, err)
+					continue
+				}
+				want := tempest.DeclarationError{Node: 2, Block: m.AS.Block(coh.Base), Region: "own", Op: tc.op, Owner: 0}
+				if *de != want {
+					t.Errorf("%s: %+v, want %+v", where, *de, want)
+				}
+				if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("node 2 %s block %d of region %q, which node 0 declared its own", tc.op, want.Block, "own")) {
+					t.Errorf("%s: error %q does not name the node, the block, the region and the owner", where, msg)
+				}
+			}
+		}
+	}
+}
+
+// TestDeclareOwnedCoversWholeBlocks: a declaration covers the blocks wholly
+// inside its range and no other, expires at the next barrier, and is a no-op
+// on a loosely coherent region and on a machine whose caches have a capacity.
+func TestDeclareOwnedCoversWholeBlocks(t *testing.T) {
+	for _, cacheLines := range []int{0, 4} {
+		m := tempest.New(2, 32, cost.Default())
+		m.CacheLines = cacheLines
+		loose := alloc(t, m, "loose", 4, LooselyCoherent(), memsys.Interleaved)
+		coh := alloc(t, m, "own", 4, Coherent(), memsys.Interleaved)
+		m.SetProtocol(New(SCC))
+		m.Freeze()
+		var got [][]bool
+		m.Run(func(n *tempest.Node) {
+			if n.ID != 0 {
+				n.Barrier()
+				return
+			}
+			// Words 3 to 20: block 1 wholly, blocks 0 and 2 in part.
+			n.DeclareOwned(coh, word(coh, 3), word(coh, 21))
+			n.DeclareOwned(loose, loose.Base, loose.Base+memsys.Addr(loose.Size))
+			owns := func() []bool {
+				var o []bool
+				for _, r := range []*memsys.Region{coh, loose} {
+					for b := 0; b < 4; b++ {
+						o = append(o, n.Owns(n.M.AS.Block(word(r, 8*b))))
+					}
+				}
+				return o
+			}
+			got = append(got, owns())
+			n.Barrier()
+			got = append(got, owns())
+		})
+		want := [][]bool{make([]bool, 8), make([]bool, 8)}
+		if cacheLines == 0 {
+			want[0][1] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("CacheLines=%d: owned blocks (own region, then loose; before and after the barrier) %v, want %v", cacheLines, got, want)
 		}
 	}
 }

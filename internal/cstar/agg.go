@@ -121,6 +121,12 @@ func (v *Vector[T]) GetSpan(n *tempest.Node, i int, dst []T) { tempest.ReadSpan(
 // SetSpan stores src into elements [i, i+len(src)) through node n.
 func (v *Vector[T]) SetSpan(n *tempest.Node, i int, src []T) { tempest.WriteSpan(n, v.addr(i), src) }
 
+// DeclareOwned declares elements [lo, hi) node n's own until the next
+// barrier (tempest.Node.DeclareOwned).
+func (v *Vector[T]) DeclareOwned(n *tempest.Node, lo, hi int) {
+	n.DeclareOwned(v.R, v.addr(lo), v.addr(hi))
+}
+
 // CopyRange copies elements [lo,hi) from src through node n, counting and
 // charging the copied words: this is the compiler-generated explicit-copy
 // loop of the Copying baseline.  The transfer runs block segment by block
@@ -192,6 +198,14 @@ func (mx *MatrixF32) SetRowSpan(n *tempest.Node, i, j int, src []float32) {
 		panic(fmt.Sprintf("cstar: row span [%d,%d) outside row of stride %d", j, j+len(src), mx.stride))
 	}
 	n.WriteSpanF32(mx.Addr(i, j), src)
+}
+
+// DeclareOwned declares the elements from (i0, j0) through (i1, j1), in
+// row-major order, node n's own until the next barrier
+// (tempest.Node.DeclareOwned): the part of the new copy that one node's
+// chunk of a two-copy parallel call writes, and nobody else touches.
+func (mx *MatrixF32) DeclareOwned(n *tempest.Node, i0, j0, i1, j1 int) {
+	n.DeclareOwned(mx.R, mx.Addr(i0, j0), mx.Addr(i1, j1)+4)
 }
 
 // CopyRows copies rows [lo,hi) from src through node n, counting and

@@ -122,6 +122,16 @@ func (q *QuadPool) Slots() int { return q.slots }
 // Stride returns the padded per-subtree allocation span in cells.
 func (q *QuadPool) Stride() int { return q.stride }
 
+// DeclareOwned declares the sub-pools of roots [lo, hi) — their values,
+// child links and allocation counts — node n's own until the next barrier
+// (tempest.Node.DeclareOwned).  A shadow's topology is q's, so declaring
+// both a pool and its shadow declares those blocks twice, by one node.
+func (q *QuadPool) DeclareOwned(n *tempest.Node, lo, hi int) {
+	q.Val.DeclareOwned(n, lo*q.stride, hi*q.stride)
+	q.Child.DeclareOwned(n, lo*q.stride, hi*q.stride)
+	q.Count.DeclareOwned(n, lo*q.cstride, hi*q.cstride)
+}
+
 // GetCount reads root rootIdx's allocation count through node n.
 func (q *QuadPool) GetCount(n *tempest.Node, rootIdx int) int32 {
 	return q.Count.Get(n, rootIdx*q.cstride)

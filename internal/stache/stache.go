@@ -127,9 +127,16 @@ func (p *Protocol) recallDirty(b memsys.BlockID, e *entry, downgradeTo tempest.T
 	p.m.Nodes[int(e.owner)].SetTag(b, downgradeTo)
 }
 
+// Effect kinds of Stache's split handlers (DESIGN.md "Run-ahead").
+const (
+	fxRead  uint8 = iota // a posted read fault (postRead)
+	fxWrite              // a posted write fault (postWrite)
+)
+
 // ReadFault implements tempest.Protocol: obtain a read-only copy.  On a
-// block whose region is declared read-only for the phase, a machine that
-// runs ahead posts the handler's shared half instead (postRead).
+// block whose region is declared read-only for the phase, or that the node
+// declared its own, a machine that runs ahead posts the handler's shared half
+// instead (postRead).
 func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) {
 	if n.PostsRead(b) {
 		p.postRead(n, b)
@@ -139,6 +146,7 @@ func (p *Protocol) ReadFault(n *tempest.Node, b memsys.BlockID) {
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
 	m.Lock(b)
+	n.CheckRead(b)
 	e := &p.entries[b]
 	owner, threeHop := p.share(n, b, e)
 	n.Install(b, m.AS.HomeData(b), tempest.TagReadOnly)
@@ -173,17 +181,20 @@ func (p *Protocol) share(n *tempest.Node, b memsys.BlockID, e *entry) (owner int
 }
 
 // postRead is ReadFault split in two halves, for a block whose region no
-// node writes before the next barrier (DESIGN.md "Run-ahead").  The local
-// half installs the home image — current, since stores write through — and,
-// if the directory names another node as exclusive owner, downgrades that
-// owner's tag now: from here on no node holds write permission on the
-// block, so a write before the effect is applied takes a write fault, which
-// fails on the declaration (tempest.Node.CheckWrite).  It charges nothing.
-// The shared half, ApplyEffect, is everything else ReadFault does, at the
-// fault's place in the schedule.
+// node writes before the next barrier, or that only n touches before it
+// (DESIGN.md "Run-ahead").  The local half installs the home image — current,
+// since stores write through — and, if the directory names another node as
+// exclusive owner, downgrades that owner's tag now: from here on no node but
+// n holds write permission on the block, so another node's write before the
+// effect is applied takes a write fault, which fails on the declaration
+// (tempest.Node.CheckWrite).  It charges nothing.  The shared half,
+// ApplyEffect, is everything else ReadFault does, at the fault's place in the
+// schedule.
 func (p *Protocol) postRead(n *tempest.Node, b memsys.BlockID) {
 	m := p.m
+	n.CheckRead(b)
 	fx := n.EnterHandler(b)
+	fx.Kind = fxRead
 	if e := &p.entries[b]; e.state == stateExcl && int(e.owner) != n.ID {
 		m.Nodes[e.owner].SetTag(b, tempest.TagReadOnly)
 	}
@@ -191,29 +202,15 @@ func (p *Protocol) postRead(n *tempest.Node, b memsys.BlockID) {
 	n.Emit(fx)
 }
 
-// ApplyEffect implements tempest.EffectApplier: the shared half of node n's
-// posted read of fx.Block — the directory transition, the recall included,
-// the miss counters and the home's occupancy — and its price, the round
-// trip and then any forward leg, each sent at the clock of the grant that
-// orders the effect and charged to n's stolen cycles, where the records
-// behind fx have captured their clocks without it.  The trace event is
-// stamped as ReadFault stamps it, after the charges.
-func (p *Protocol) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
-	m := p.m
-	b := fx.Block
-	m.Lock(b)
-	e := &p.entries[b]
-	owner, threeHop := p.share(n, b, e)
-	e.sharers.Add(n.ID)
-	n.ChargeRemote(p.missCost(n, m.AS.HomeOf(b), owner, threeHop, fx.At(n)))
-	if t := m.Trace; t != nil {
-		t.Record(n.ID, fx.At(n), trace.ReadMiss, uint32(b), 0)
-	}
-}
-
 // WriteFault implements tempest.Protocol: obtain the (single) writable
-// copy, invalidating all other copies.
+// copy, invalidating all other copies.  On a block the node declared its own
+// for the phase, a machine that runs ahead posts the handler's shared half
+// instead (postWrite).
 func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) {
+	if n.PostsWrite(b) {
+		p.postWrite(n, b)
+		return
+	}
 	m := p.m
 	home := m.AS.HomeOf(b)
 	n.SchedYield() // deterministic handler-entry order (see internal/sched)
@@ -222,13 +219,8 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) {
 	e := &p.entries[b]
 
 	if e.state == stateExcl {
-		if int(e.owner) == n.ID {
-			panic(fmt.Sprintf("stache: node %d write fault on its own exclusive block %d", n.ID, b))
-		}
 		// Three-hop: recall the dirty copy, invalidate the old owner.
-		oldOwner := int(e.owner)
-		p.recallDirty(b, e, tempest.TagInvalid)
-		n.Ctr.InvalidationsSent++
+		oldOwner := p.recallOwner(n, b, e)
 		n.Charge(m.Net.Invalidate(n.ID, oldOwner, n.Clock(), &n.Ctr.Net))
 		e.sharers.Clear()
 		e.state = stateIdle
@@ -243,40 +235,149 @@ func (p *Protocol) WriteFault(n *tempest.Node, b memsys.BlockID) {
 	}
 
 	// Invalidate outstanding read-only copies (other than ours).
-	p.invalidateSharers(n, b, e)
+	n.Charge(p.invalidateSharers(n, b, e, n.Clock()))
 
 	if e.sharers.Contains(n.ID) || n.Tag(b) >= tempest.TagReadOnly {
 		// Upgrade in place: we already hold the current data read-only.
 		// (The directory cannot lose track of a copy under the invariants;
 		// the tag test keeps the upgrade path robust if it did.)
 		n.SetTag(b, tempest.TagReadWrite)
-		n.Ctr.Upgrades++
-		if home == n.ID {
-			n.Charge(m.Cost.MarkLocal)
-		} else {
-			n.Charge(m.Net.Upgrade(n.ID, home, n.Clock(), &n.Ctr.Net))
-			p.m.Nodes[home].ChargeRemote(m.Cost.HomeOccupancy)
-		}
+		n.Charge(p.upgradeCost(n, home, n.Clock()))
 	} else {
 		n.Install(b, m.AS.HomeData(b), tempest.TagReadWrite)
 		p.chargeMiss(n, home, home, false)
 	}
 	if t := m.Trace; t != nil {
-		k := trace.WriteMiss
-		if e.sharers.Contains(n.ID) {
-			k = trace.Upgrade
-		}
-		t.Record(n.ID, n.Clock(), k, uint32(b), 0)
+		t.Record(n.ID, n.Clock(), writeEvent(n, e), uint32(b), 0)
 	}
+	p.own(n, e)
+}
+
+// recallOwner revokes the copy of b's exclusive owner, which is not n, for
+// n's write, counts the invalidation and returns the old owner.
+func (p *Protocol) recallOwner(n *tempest.Node, b memsys.BlockID, e *entry) int {
+	if int(e.owner) == n.ID {
+		panic(fmt.Sprintf("stache: node %d write fault on its own exclusive block %d", n.ID, b))
+	}
+	p.recallDirty(b, e, tempest.TagInvalid)
+	n.Ctr.InvalidationsSent++
+	return int(e.owner)
+}
+
+// upgradeCost counts n's upgrade of a block homed at home, charges the home
+// its occupancy, and returns what the upgrade costs n when sent at clock now.
+func (p *Protocol) upgradeCost(n *tempest.Node, home int, now int64) int64 {
+	m := p.m
+	n.Ctr.Upgrades++
+	if home == n.ID {
+		return m.Cost.MarkLocal
+	}
+	c := m.Net.Upgrade(n.ID, home, now, &n.Ctr.Net)
+	m.Nodes[home].ChargeRemote(m.Cost.HomeOccupancy)
+	return c
+}
+
+// writeEvent is the trace event of n's write fault on a block whose entry
+// is e, read before own clears the sharers: an upgrade if n shares it.
+func writeEvent(n *tempest.Node, e *entry) trace.Kind {
+	if e.sharers.Contains(n.ID) {
+		return trace.Upgrade
+	}
+	return trace.WriteMiss
+}
+
+// own leaves e exclusive at n.
+func (p *Protocol) own(n *tempest.Node, e *entry) {
 	e.sharers.Clear()
 	e.state = stateExcl
 	e.owner = int32(n.ID)
 }
 
-// invalidateSharers invalidates all read-only copies other than n's own and
-// charges n for them.  Returns the count.
-func (p *Protocol) invalidateSharers(n *tempest.Node, b memsys.BlockID, e *entry) int {
-	count := 0
+// postWrite is WriteFault split in two halves, for a block no node but n
+// touches before the next barrier (DESIGN.md "Run-ahead").  The local half
+// gives n write permission — an upgrade in place, or the home image, current
+// since stores write through — and revokes every other holder's tag now: the
+// sharers, and an exclusive owner from an earlier phase.  No node that keeps
+// the declaration can tell (the apply revokes them again, in the schedule's
+// order); one that breaks it faults on its next access, and fails there
+// (tempest.Node.CheckRead, CheckWrite), instead of reading what n has already
+// stored through to the home image.  It charges nothing.
+// The shared half, ApplyEffect, decides upgrade, two-hop or three-hop miss
+// from the directory as it stands when it is applied, which reflects n's
+// earlier posts, and is everything else WriteFault does.
+func (p *Protocol) postWrite(n *tempest.Node, b memsys.BlockID) {
+	m := p.m
+	fx := n.EnterHandler(b)
+	fx.Kind = fxWrite
+	e := &p.entries[b]
+	if e.state == stateExcl && int(e.owner) != n.ID {
+		m.Nodes[e.owner].SetTag(b, tempest.TagInvalid)
+	}
+	for it := e.sharers.Iter(); ; {
+		id, ok := it.Next()
+		if !ok {
+			break
+		}
+		if id != n.ID {
+			m.Nodes[id].SetTag(b, tempest.TagInvalid)
+		}
+	}
+	if n.Tag(b) >= tempest.TagReadOnly {
+		n.SetTag(b, tempest.TagReadWrite)
+	} else {
+		n.Install(b, m.AS.HomeData(b), tempest.TagReadWrite)
+	}
+	n.Emit(fx)
+}
+
+// ApplyEffect implements tempest.EffectApplier: the shared half of node n's
+// posted fault on fx.Block — the directory transition, a recall or the
+// invalidations included, the counters and the home's occupancy — and its
+// price, each exchange sent in the on-the-spot order at the clock of the
+// grant that orders the effect and charged to n's stolen cycles, where the
+// records behind fx have captured their clocks without it.  The trace events
+// are stamped as the on-the-spot handler stamps them.
+func (p *Protocol) ApplyEffect(n *tempest.Node, fx *tempest.Effect) {
+	m := p.m
+	b := fx.Block
+	m.Lock(b)
+	e := &p.entries[b]
+	home := m.AS.HomeOf(b)
+	if fx.Kind == fxRead {
+		owner, threeHop := p.share(n, b, e)
+		e.sharers.Add(n.ID)
+		n.ChargeRemote(p.missCost(n, home, owner, threeHop, fx.At(n)))
+		if t := m.Trace; t != nil {
+			t.Record(n.ID, fx.At(n), trace.ReadMiss, uint32(b), 0)
+		}
+		return
+	}
+	k := trace.WriteMiss
+	switch {
+	case e.state == stateExcl:
+		oldOwner := p.recallOwner(n, b, e)
+		n.ChargeRemote(m.Net.Invalidate(n.ID, oldOwner, fx.At(n), &n.Ctr.Net))
+		n.ChargeRemote(p.missCost(n, home, oldOwner, true, fx.At(n)))
+	default:
+		n.ChargeRemote(p.invalidateSharers(n, b, e, fx.At(n)))
+		k = writeEvent(n, e)
+		if k == trace.Upgrade {
+			n.ChargeRemote(p.upgradeCost(n, home, fx.At(n)))
+		} else {
+			n.ChargeRemote(p.missCost(n, home, home, false, fx.At(n)))
+		}
+	}
+	if t := m.Trace; t != nil {
+		t.Record(n.ID, fx.At(n), k, uint32(b), 0)
+	}
+	p.own(n, e)
+}
+
+// invalidateSharers invalidates all read-only copies other than n's own,
+// counts them, and returns what they cost n when the first is sent at clock
+// now, each sent as the one before it is paid for.
+func (p *Protocol) invalidateSharers(n *tempest.Node, b memsys.BlockID, e *entry, now int64) int64 {
+	var c, count int64
 	for it := e.sharers.Iter(); ; {
 		id, ok := it.Next()
 		if !ok {
@@ -287,13 +388,13 @@ func (p *Protocol) invalidateSharers(n *tempest.Node, b memsys.BlockID, e *entry
 		}
 		p.m.Nodes[id].SetTag(b, tempest.TagInvalid)
 		if t := p.m.Trace; t != nil {
-			t.Record(n.ID, n.Clock(), trace.Invalidate, uint32(b), int32(id))
+			t.Record(n.ID, now+c, trace.Invalidate, uint32(b), int32(id))
 		}
-		n.Charge(p.m.Net.Invalidate(n.ID, id, n.Clock(), &n.Ctr.Net))
+		c += p.m.Net.Invalidate(n.ID, id, now+c, &n.Ctr.Net)
 		count++
 	}
-	n.Ctr.InvalidationsSent += int64(count)
-	return count
+	n.Ctr.InvalidationsSent += count
+	return c
 }
 
 // Evict implements tempest.Protocol: drop n's copy of b, updating the

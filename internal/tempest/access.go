@@ -65,14 +65,15 @@ func (n *Node) hitAfterDrain(b memsys.BlockID, need Tag) bool {
 // return the line's access byte afterwards.  Kept separate so the hot-path
 // functions stay small enough to avoid extra call layers.
 //
-// A withheld line of a region declared read-only for the epoch is the one
-// exception to draining first: nothing revokes it or writes its data before
-// the next barrier (readonly.go), so the read commutes with every
-// outstanding post and is served at once — a hit if the tag permits it, a
-// fault that posts in turn if not.
+// A withheld line of a region declared read-only for the epoch, or of a block
+// the node owns for it, is the exception to draining first: nothing revokes
+// it or writes its data before the next barrier but the node itself
+// (readonly.go, owned.go), so the read commutes with every outstanding post
+// and is served at once — a hit if the tag permits it, a fault that posts in
+// turn if not.
 func (n *Node) loadFault(b memsys.BlockID) byte {
 	if n.withheld(b) {
-		if n.M.ReadOnly(b) {
+		if n.M.ReadOnly(b) || n.Owns(b) {
 			if t := n.tags[b]; t >= loadOK {
 				return t
 			}
@@ -86,13 +87,21 @@ func (n *Node) loadFault(b memsys.BlockID) byte {
 	return n.tags[b]
 }
 
-// storeFault is loadFault's write-miss counterpart.
+// storeFault is loadFault's write-miss counterpart; its exception is a block
+// the node owns for the epoch.
 func (n *Node) storeFault(b memsys.BlockID) byte {
-	if !n.withheld(b) || !n.hitAfterDrain(b, TagReadWrite) {
-		n.preFault(b)
-		n.makeRoom()
-		n.M.protocol.WriteFault(n, b)
+	if n.withheld(b) {
+		if n.Owns(b) {
+			if t := n.tags[b]; t >= storeOK {
+				return t
+			}
+		} else if n.hitAfterDrain(b, TagReadWrite) {
+			return n.tags[b]
+		}
 	}
+	n.preFault(b)
+	n.makeRoom()
+	n.M.protocol.WriteFault(n, b)
 	return n.tags[b]
 }
 

@@ -58,7 +58,9 @@ func (n *Node) spanSeg(a memsys.Addr, elem uint32, max int) (memsys.BlockID, uin
 //
 // With posts outstanding a home line is withheld (tagFor), so the scan passes
 // nothing — unless it is a load from one region declared read-only for the
-// epoch, whose lines loadFault serves without draining too.
+// epoch, or runs over blocks the node owns for it (the scan then stops at
+// the first it does not own), which loadFault and storeFault serve without
+// draining too.
 //
 // It is out of line on purpose, unlike tagFor: one call covers a whole run,
 // and a span whose lines are not home lines stops calling it after its first
@@ -72,7 +74,7 @@ func (n *Node) homeRun(a memsys.Addr, elem uint32, max int, need Tag) int {
 	end := uint64(off) + uint64(max)*uint64(elem) // the span, from b's start
 	tags := n.tags[b : uint64(b)+(end+bs-1)/bs]
 	if n.fxLen != 0 && (need != TagReadOnly || !n.M.readOnlyRun(b, b+memsys.BlockID(len(tags)-1))) {
-		return 0
+		tags = tags[:n.ownedPrefix(b, len(tags))]
 	}
 	passed := homePrefix(tags, byte(need)<<tagShift)
 	if need == TagReadWrite {

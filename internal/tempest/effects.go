@@ -96,12 +96,14 @@ const _ uint16 = effectRing
 //   - no checker hook is watching individual grants;
 //   - nothing restructures a handler's charges mid-flight (a fault plan:
 //     injected faults, delivery loss, recovery replay);
-//   - the protocol's handlers are split (the LCM's, and Stache's read fault).
+//   - the protocol's handlers are split (the LCM's, and Stache's faults on
+//     declared data).
 //
 // Which regions the address space holds does not enter: run-ahead is per
-// region.  A fault on a loosely coherent block posts, and so does a read
-// fault on a home line of a region declared read-only for the epoch
-// (PostsRead); whatever else reads or changes a home line's tag, data or
+// region.  A fault on a loosely coherent block posts, and so do a read
+// fault on a home line of a region declared read-only for the epoch and a
+// fault on a block the node declared its own (PostsRead, PostsWrite);
+// whatever else reads or changes a home line's tag, data or
 // directory entry while posts are outstanding drains first, then looks again
 // (lineHome: tagFor and hitAfterDrain for accesses, the span run path's
 // empty-log test, settle for the tag peeks outside handlers; Stache's other
@@ -239,8 +241,8 @@ func (n *Node) drain() {
 // real handlers write a home line's tag, data and directory entry — on an LCM
 // machine the home lines are the coherent ones, on a Stache one every line —
 // and the owner's view of them is exact only once its posts are applied.  A
-// read of a line of a read-only region is exempt (loadFault).  tagFor spells
-// the same test out.
+// read of a line of a read-only region, and an access to a block the node
+// owns, are exempt (loadFault, storeFault).  tagFor spells the same test out.
 func (n *Node) withheld(b memsys.BlockID) bool { return n.tags[b]&lineHome != 0 && n.fxLen != 0 }
 
 // settle drains before the owner looks at a line other nodes' real handlers

@@ -21,7 +21,7 @@ import (
 // The declaration is checked where writes happen, not where reads do: the
 // posting read fault leaves no node write permission on the block, so a write
 // before the next barrier takes a write fault, and the write fault fails the
-// node (CheckWrite).
+// node (CheckWrite).  owned.go has the other licence, for the new copy.
 
 // DeclareReadOnly declares that no node writes region r, or drops a copy of
 // one of its blocks, until the next barrier.  Every node that reads r in the
@@ -50,32 +50,46 @@ func (m *Machine) readOnlyRun(first, last memsys.BlockID) bool {
 }
 
 // PostsRead reports whether n's read fault on b may post its effect instead
-// of yielding: the machine runs ahead and b's region is declared read-only
-// for the epoch.
-func (n *Node) PostsRead(b memsys.BlockID) bool { return n.runAhead && n.M.ReadOnly(b) }
+// of yielding: the machine runs ahead, and b's region is declared read-only
+// for the epoch or b is n's own (Owns).
+func (n *Node) PostsRead(b memsys.BlockID) bool {
+	return n.runAhead && (n.M.ReadOnly(b) || n.Owns(b))
+}
 
-// ReadOnlyError is the failure of a node that wrote a block, or dropped its
-// copy of one, while the block's region was declared read-only.
-type ReadOnlyError struct {
+// DeclarationError is the failure of a node that broke a declaration: it
+// wrote a block, or dropped its copy of one, while the block's region was
+// declared read-only; or it touched a block another node declared its own.
+type DeclarationError struct {
 	Node   int
 	Block  memsys.BlockID
 	Region string
-	Op     string // "wrote", "dropped its copy of"
+	Op     string // "read", "wrote", "dropped its copy of", "declared"
+	// Owner is the node that declared Block its own, -1 when the region
+	// was declared read-only.
+	Owner int
 }
 
-func (e *ReadOnlyError) Error() string {
-	return fmt.Sprintf("tempest: node %d %s block %d of region %q, which is declared read-only until the next barrier",
-		e.Node, e.Op, e.Block, e.Region)
+func (e *DeclarationError) Error() string {
+	if e.Owner < 0 {
+		return fmt.Sprintf("tempest: node %d %s block %d of region %q, which is declared read-only until the next barrier",
+			e.Node, e.Op, e.Block, e.Region)
+	}
+	return fmt.Sprintf("tempest: node %d %s block %d of region %q, which node %d declared its own until the next barrier",
+		e.Node, e.Op, e.Block, e.Region, e.Owner)
 }
 
-// CheckWrite fails node n with a *ReadOnlyError if b's region is declared
-// read-only for the epoch.  A coherent protocol calls it in its write fault,
-// after the handler's scheduling point, so that the failure comes at the
-// write's place in the schedule whether or not reads run ahead.
-func (n *Node) CheckWrite(b memsys.BlockID) { n.checkWrite(b, "wrote") }
+// CheckWrite fails node n with a *DeclarationError if b's region is declared
+// read-only for the epoch or another node declared b its own.  A coherent
+// protocol calls it in its write fault, after the handler's scheduling point,
+// so that the failure comes at the write's place in the schedule whether or
+// not faults run ahead.
+func (n *Node) CheckWrite(b memsys.BlockID) {
+	n.checkReadOnly(b, "wrote")
+	n.checkOwner(b, "wrote")
+}
 
-func (n *Node) checkWrite(b memsys.BlockID, op string) {
+func (n *Node) checkReadOnly(b memsys.BlockID, op string) {
 	if n.M.ReadOnly(b) {
-		panic(&ReadOnlyError{Node: n.ID, Block: b, Region: n.M.AS.RegionOfBlock(b).Name, Op: op})
+		panic(&DeclarationError{Node: n.ID, Block: b, Region: n.M.AS.RegionOfBlock(b).Name, Op: op, Owner: -1})
 	}
 }

@@ -249,9 +249,12 @@ type Machine struct {
 
 	// epoch numbers the machine's barrier epochs: it advances when a
 	// barrier resolves and when a run starts.  readOnly[i] is the epoch in
-	// which region i was last declared read-only (readonly.go).
+	// which region i was last declared read-only (readonly.go); owned[b]
+	// names the node that declared block b its own and the epoch it did so
+	// in (owned.go), nil until a node first declares one.
 	epoch    uint32
 	readOnly []uint32
+	owned    []uint64
 	frozen   bool
 	cfgErr   error
 	schedder *sched.Scheduler
@@ -771,11 +774,14 @@ func (n *Node) Barrier() {
 // directory forgets the sharer (a silently dropped copy would earn
 // useless invalidations later and fails the quiescent audits).  Private
 // (modified) copies are not dropped.  A drop from a region declared
-// read-only for the epoch fails the node (see CheckWrite).
+// read-only for the epoch, or of a block another node declared its own,
+// fails the node (see CheckWrite): the tag peek would see the early
+// downgrade or revocation of a posted handler.
 func (n *Node) DropCopy(a memsys.Addr) {
 	b := n.M.AS.Block(a)
 	n.settle(b)
-	n.checkWrite(b, "dropped its copy of")
+	n.checkReadOnly(b, "dropped its copy of")
+	n.checkOwner(b, "dropped its copy of")
 	if n.Tag(b) == TagReadOnly {
 		n.M.protocol.Evict(n, b)
 	}

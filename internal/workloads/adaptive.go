@@ -99,7 +99,13 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 				// every assigned subtree moves to the old copy, since
 				// the compiler cannot tell which parts the iteration
 				// will modify.
+				//
+				// The subtrees of a node's roots are its own in both
+				// phases: it copies them, then relaxes and subdivides
+				// them, and every other read is of the old copy's values.
 				lo, hi := sched.Range(n.ID, n.M.P, it, total)
+				q.DeclareOwned(n, lo, hi)
+				old.DeclareOwned(n, lo, hi)
 				for r := lo; r < hi; r++ {
 					cnt := int(q.GetCount(n, r))
 					base := r * q.Stride()
@@ -109,6 +115,7 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 				// The copy phase wrote the old copy; the compute phase
 				// only reads it.
 				n.DeclareReadOnly(old.Val.Region())
+				q.DeclareOwned(n, lo, hi)
 			}
 			src := q
 			if plan.Mode == cstar.ModeCopying {

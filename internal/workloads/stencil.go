@@ -96,6 +96,7 @@ func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
 				// + 4k compute units are charged per k-element piece.
 				sc := scratch[n.ID]
 				lo, hi := sched.Range(n.ID, n.M.P, it, total)
+				ownChunk(n, cur, lo, hi, inner)
 				sweepRowPieces(lo, hi, inner, func(i, jlo, jhi int) {
 					k := jhi - jlo
 					up, down := sc.up[:k], sc.down[:k]
@@ -167,6 +168,16 @@ func newRowScratch(p, k int) []rowScratch {
 		}
 	}
 	return sc
+}
+
+// ownChunk declares the new copy's cells of the flattened interior index
+// range [lo, hi) node n's own for the call: under the two-copy lowering it
+// writes each of them and nobody else touches them.  The blocks a
+// neighbouring chunk shares stay undeclared (tempest.Node.DeclareOwned).
+func ownChunk(n *tempest.Node, cur *cstar.MatrixF32, lo, hi, inner int) {
+	if lo < hi {
+		cur.DeclareOwned(n, 1+lo/inner, 1+lo%inner, 1+(hi-1)/inner, 1+(hi-1)%inner)
+	}
 }
 
 // sweepRowPieces invokes fn(i, jlo, jhi) for each maximal single-row piece

@@ -121,6 +121,7 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 				// k-element piece.
 				sc := scratch[n.ID]
 				lo, hi := sched.Range(n.ID, n.M.P, it, total)
+				ownChunk(n, cur, lo, hi, inner)
 				sweepRowPieces(lo, hi, inner, func(i, jlo, jhi int) {
 					if fixedRow[i] {
 						for j := jlo; j < jhi; j++ {
