@@ -182,6 +182,18 @@ func (mx *MatrixF32) Poke(i, j int, x float32) {
 	*homeElem[float32](&mx.agg, mx.Addr(i, j)) = x
 }
 
+// PeekRow copies row i of the home image into dst, min(len(dst), Cols)
+// elements of it (sequential, free).
+func (mx *MatrixF32) PeekRow(i int, dst []float32) {
+	copy(dst, memsys.View[float32](mx.M.AS.HomeBytes(mx.Addr(i, 0), 4*mx.Cols)))
+}
+
+// PokeRow writes src into row i of the home image, min(len(src), Cols)
+// elements of it (sequential, free).
+func (mx *MatrixF32) PokeRow(i int, src []float32) {
+	copy(memsys.View[float32](mx.M.AS.HomeBytes(mx.Addr(i, 0), 4*mx.Cols)), src)
+}
+
 // GetRowSpan loads elements (i, j) .. (i, j+len(dst)) of one row into dst
 // through node n.  The span must stay within the row's padded stride.
 func (mx *MatrixF32) GetRowSpan(n *tempest.Node, i, j int, dst []float32) {

@@ -1,6 +1,7 @@
 package cstar
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -274,6 +275,41 @@ func TestMatrixRowMajorAddressing(t *testing.T) {
 	mx.Poke(2, 5, 42)
 	if mx.Peek(2, 5) != 42 {
 		t.Fatal("peek/poke")
+	}
+}
+
+// PokeRow and PeekRow are Poke and Peek a row at a time: on a matrix whose
+// rows are padded (10 columns in a 16-float stride), a row written whole
+// reads back element by element, and its neighbours and padding keep their
+// values.
+func TestMatrixRowPeekPoke(t *testing.T) {
+	m := NewMachine(1, 32, cost.Zero(), Copying)
+	mx := NewMatrixF32(m, "m", 3, 10, core.Coherent(), memsys.Interleaved)
+	m.Freeze()
+	mx.Fill(-1)
+	row := make([]float32, mx.Cols)
+	for j := range row {
+		row[j] = float32(j) + 0.5
+	}
+	mx.PokeRow(1, row)
+	for i := 0; i < mx.Rows; i++ {
+		for j := 0; j < mx.Cols; j++ {
+			want := float32(-1)
+			if i == 1 {
+				want = row[j]
+			}
+			if got := mx.Peek(i, j); got != want {
+				t.Fatalf("Peek(%d, %d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	if pad := *homeElem[float32](&mx.agg, mx.Addr(1, mx.Cols)); pad != 0 {
+		t.Fatalf("PokeRow wrote the padding: %v", pad)
+	}
+	got := make([]float32, mx.Cols)
+	mx.PeekRow(1, got)
+	if !slices.Equal(got, row) {
+		t.Fatalf("PeekRow = %v, want %v", got, row)
 	}
 }
 

@@ -58,9 +58,11 @@ func (n *Node) spanSeg(a memsys.Addr, elem uint32, max int) (memsys.BlockID, uin
 //
 // With posts outstanding a home line is withheld (tagFor), so the scan passes
 // nothing — unless it is a load from one region declared read-only for the
-// epoch, or runs over blocks the node owns for it (the scan then stops at
-// the first it does not own), which loadFault and storeFault serve without
-// draining too.
+// epoch, or runs over blocks the node owns for it (the run then ends at the
+// first it does not own), which loadFault and storeFault serve without
+// draining too.  The owned test runs only over the blocks the home test
+// passed: a span whose blocks fault one by one, each followed by a scan of
+// the rest, then costs no more than its blocks, not their square.
 //
 // It is out of line on purpose, unlike tagFor: one call covers a whole run,
 // and a span whose lines are not home lines stops calling it after its first
@@ -73,10 +75,10 @@ func (n *Node) homeRun(a memsys.Addr, elem uint32, max int, need Tag) int {
 	b, off := n.M.AS.Split(a)
 	end := uint64(off) + uint64(max)*uint64(elem) // the span, from b's start
 	tags := n.tags[b : uint64(b)+(end+bs-1)/bs]
-	if n.fxLen != 0 && (need != TagReadOnly || !n.M.readOnlyRun(b, b+memsys.BlockID(len(tags)-1))) {
-		tags = tags[:n.ownedPrefix(b, len(tags))]
-	}
 	passed := homePrefix(tags, byte(need)<<tagShift)
+	if passed != 0 && n.fxLen != 0 && (need != TagReadOnly || !n.M.readOnlyRun(b, b+memsys.BlockID(len(tags)-1))) {
+		passed = n.ownedPrefix(b, passed)
+	}
 	if need == TagReadWrite {
 		for i := 0; i < passed; i++ {
 			n.M.Lock(b + memsys.BlockID(i))

@@ -60,6 +60,13 @@ func relaxLeaf(lv, navg float32, ord, it int) float32 {
 
 // RunAdaptive executes the Adaptive benchmark on the given system.
 func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
+	res, _ := runAdaptive(sys, spec, cfg)
+	return res
+}
+
+// runAdaptive is RunAdaptive that also returns the mesh, nil when the run
+// failed.
+func runAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) (Result, *mesh.QuadPool) {
 	cfg = cfg.Norm()
 	res := Result{Workload: "Adaptive", System: sys, Sched: spec.Sched,
 		Extra: map[string]float64{}}
@@ -159,17 +166,15 @@ func RunAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) Result {
 		// The machine is poisoned (a node died or the run deadlocked);
 		// report the structured error without reading further state.
 		res.Err = runErr
-		return res
+		return res, nil
 	}
 	finish(m, &res)
 	res.Extra["cells"] = float64(q.CountCells())
 
-	if cfg.Verify {
-		if res.Err == nil {
-			res.Err = verifyAdaptive(q, spec)
-		}
+	if cfg.Verify && res.Err == nil {
+		res.Err = verifyAdaptive(q, spec)
 	}
-	return res
+	return res, q
 }
 
 // rootNeighborMean averages the up/down/left/right root-cell values that
@@ -207,14 +212,17 @@ type seqCell struct {
 
 // verifyAdaptive recomputes the benchmark sequentially (two-copy
 // semantics, identical float expression order) and compares every root's
-// value and leaf count.
+// value and leaf count.  The two-copy reads need no snapshot beyond the
+// roots' values: each leaf is read once, before it is written, and the
+// children a subdivision adds are not in the leaf list, so every value a
+// leaf's update reads is still the one from before the iteration.
 func verifyAdaptive(q *mesh.QuadPool, spec AdaptiveSpec) error {
 	n := spec.N
 	roots := make([]*seqCell, n*n)
 	for i := range roots {
 		roots[i] = &seqCell{}
 	}
-	fixed := make(map[int]bool)
+	fixed := make([]bool, n*n)
 	for _, p := range adaptiveElectrodes(spec) {
 		roots[p[0]*n+p[1]].val = 100
 		fixed[p[0]*n+p[1]] = true
@@ -223,26 +231,25 @@ func verifyAdaptive(q *mesh.QuadPool, spec AdaptiveSpec) error {
 	for i := range alloc {
 		alloc[i] = 1
 	}
+	type leafRef struct {
+		c *seqCell
+		d int
+	}
+	var leaves []leafRef
+	var collect func(x *seqCell, d int)
+	collect = func(x *seqCell, d int) {
+		if x.children == nil {
+			leaves = append(leaves, leafRef{x, d})
+			return
+		}
+		for _, ch := range x.children {
+			collect(ch, d+1)
+		}
+	}
+	oldVals := make([]float32, n*n)
 	for it := 0; it < spec.Iters; it++ {
-		oldVals := make([]float32, n*n)
 		for r, c := range roots {
 			oldVals[r] = c.val
-		}
-		type leafRef struct {
-			c *seqCell
-			d int
-		}
-		snapshot := func(c *seqCell) map[*seqCell]float32 {
-			vals := map[*seqCell]float32{}
-			var walk func(x *seqCell)
-			walk = func(x *seqCell) {
-				vals[x] = x.val
-				for _, ch := range x.children {
-					walk(ch)
-				}
-			}
-			walk(c)
-			return vals
 		}
 		for r, c := range roots {
 			if fixed[r] {
@@ -268,22 +275,11 @@ func verifyAdaptive(q *mesh.QuadPool, spec AdaptiveSpec) error {
 				cnt++
 			}
 			navg := sum / float32(cnt)
-			oldLeafVals := snapshot(c)
-			var leaves []leafRef
-			var collect func(x *seqCell, d int)
-			collect = func(x *seqCell, d int) {
-				if x.children == nil {
-					leaves = append(leaves, leafRef{x, d})
-					return
-				}
-				for _, ch := range x.children {
-					collect(ch, d+1)
-				}
-			}
+			leaves = leaves[:0]
 			collect(c, 0)
 			var lsum float32
 			for _, lf := range leaves {
-				lv := oldLeafVals[lf.c]
+				lv := lf.c.val
 				nv := relaxLeaf(lv, navg, lf.c.ord, it)
 				lf.c.val = nv
 				lsum += nv

@@ -29,18 +29,31 @@ func PaperStencil(sched string) StencilSpec {
 // function: each invocation writes its own element and reads neighbours.
 var stencilSummary = cstar.AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}
 
-// initStencilMesh writes the initial condition into a mesh's home image: a
-// hot top boundary over a varied interior, so every element changes every
-// iteration (the paper's mesh has activity and cache-block reuse
-// everywhere, not a cold front creeping from one edge).
-func initStencilMesh(poke func(i, j int, v float32), n int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			poke(i, j, float32((i*31+j*17)%97)/9.7)
-		}
+// stencilMesh calls fn with each row of the initial condition, first row
+// first, in one buffer it reuses: a hot top boundary over a varied
+// interior, so every element changes every iteration (the paper's mesh has
+// activity and cache-block reuse everywhere, not a cold front creeping from
+// one edge).  Interior element (i, j) is float32((i*31+j*17)%97)/9.7, which
+// a row reads from a 97-entry table by stepping its index 17 at a time.
+func stencilMesh(n int, fn func(i int, row []float32)) {
+	var tab [97]float32
+	for k := range tab {
+		tab[k] = float32(k) / 9.7
 	}
-	for j := 0; j < n; j++ {
-		poke(0, j, 100)
+	row := make([]float32, n)
+	for j := range row {
+		row[j] = 100
+	}
+	fn(0, row)
+	for i := 1; i < n; i++ {
+		k := i * 31 % len(tab)
+		for j := range row {
+			row[j] = tab[k]
+			if k += 17; k >= len(tab) {
+				k -= len(tab)
+			}
+		}
+		fn(i, row)
 	}
 }
 
@@ -52,6 +65,13 @@ func stencilVal(up, down, left, right float32) float32 {
 
 // RunStencil executes the Stencil benchmark on the given memory system.
 func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
+	res, _ := runStencil(sys, spec, cfg)
+	return res
+}
+
+// runStencil is RunStencil that also returns the matrix the last iteration
+// wrote, nil when the run failed.
+func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.MatrixF32) {
 	cfg = cfg.Norm()
 	res := Result{Workload: "Stencil", System: sys, Sched: spec.Sched}
 	m := cfg.Machine(sys)
@@ -66,10 +86,12 @@ func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
 	}
 	m.Freeze()
 
-	initStencilMesh(a.Poke, spec.N)
-	if old != nil {
-		initStencilMesh(old.Poke, spec.N)
-	}
+	stencilMesh(spec.N, func(i int, row []float32) {
+		a.PokeRow(i, row)
+		if old != nil {
+			old.PokeRow(i, row)
+		}
+	})
 
 	plan := cstar.Lower(stencilSummary, sys)
 	sched := schedFor(spec.Sched)
@@ -131,23 +153,21 @@ func RunStencil(sys cstar.System, spec StencilSpec, cfg Config) Result {
 		// The machine is poisoned (a node died or the run deadlocked);
 		// report the structured error without reading further state.
 		res.Err = runErr
-		return res
+		return res, nil
 	}
 	finish(m, &res)
 
-	if cfg.Verify {
-		// Under Copying, iteration k writes a when k is even and old
-		// when k is odd, so the last write (k = Iters-1) lands in a for
-		// odd Iters and in old for even Iters.  Under LCM it is always a.
-		final := a
-		if sys == cstar.Copying && spec.Iters%2 == 0 {
-			final = old
-		}
-		if res.Err == nil {
-			res.Err = verifyStencil(final, spec)
-		}
+	// Under Copying, iteration k writes a when k is even and old when k is
+	// odd, so the last write (k = Iters-1) lands in a for odd Iters and in
+	// old for even Iters.  Under LCM it is always a.
+	final := a
+	if sys == cstar.Copying && spec.Iters%2 == 0 {
+		final = old
 	}
-	return res
+	if cfg.Verify && res.Err == nil {
+		res.Err = verifyStencil(final, spec)
+	}
+	return res, final
 }
 
 // rowScratch holds one node's staging buffers for the span sweeps of the
@@ -194,29 +214,39 @@ func sweepRowPieces(lo, hi, inner int, fn func(i, jlo, jhi int)) {
 	}
 }
 
-// verifyStencil recomputes the stencil sequentially with two arrays and
+// verifyStencil recomputes the stencil sequentially with two flat arrays and
 // compares every element.
 func verifyStencil(got *cstar.MatrixF32, spec StencilSpec) error {
 	n := spec.N
-	cur := make([][]float32, n)
-	old := make([][]float32, n)
-	for i := range cur {
-		cur[i] = make([]float32, n)
-		old[i] = make([]float32, n)
-	}
-	initStencilMesh(func(i, j int, v float32) { cur[i][j] = v; old[i][j] = v }, n)
+	cur, old := make([]float32, n*n), make([]float32, n*n)
+	stencilMesh(n, func(i int, row []float32) {
+		copy(cur[i*n:], row)
+		copy(old[i*n:], row)
+	})
 	for it := 0; it < spec.Iters; it++ {
 		cur, old = old, cur
 		for i := 1; i < n-1; i++ {
+			up, mid, down := old[(i-1)*n:i*n], old[i*n:(i+1)*n], old[(i+1)*n:(i+2)*n]
+			out := cur[i*n : (i+1)*n]
 			for j := 1; j < n-1; j++ {
-				cur[i][j] = stencilVal(old[i-1][j], old[i+1][j], old[i][j-1], old[i][j+1])
+				out[j] = stencilVal(up[j], down[j], mid[j-1], mid[j+1])
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !approxEq(got.Peek(i, j), cur[i][j]) {
-				return fmt.Errorf("stencil: A[%d][%d] = %v, want %v", i, j, got.Peek(i, j), cur[i][j])
+	return compareMesh(got, cur, "stencil: A")
+}
+
+// compareMesh compares got's home image, a row at a time, with want, its
+// sequential reference stored flat and row-major, and names the first
+// element that differs as what[i][j].
+func compareMesh(got *cstar.MatrixF32, want []float32, what string) error {
+	n := got.Cols
+	row := make([]float32, n)
+	for i := 0; i < got.Rows; i++ {
+		got.PeekRow(i, row)
+		for j, v := range row {
+			if w := want[i*n+j]; !approxEq(v, w) {
+				return fmt.Errorf("%s[%d][%d] = %v, want %v", what, i, j, v, w)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"lcm/internal/core"
 	"lcm/internal/cstar"
 	"lcm/internal/memsys"
@@ -45,6 +43,13 @@ func thresholdSources(spec ThresholdSpec) [][2]int {
 
 // RunThreshold executes the Threshold benchmark on the given system.
 func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
+	res, _ := runThreshold(sys, spec, cfg)
+	return res
+}
+
+// runThreshold is RunThreshold that also returns the matrix the last
+// iteration wrote, nil when the run failed.
+func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cstar.MatrixF32) {
 	cfg = cfg.Norm()
 	res := Result{Workload: "Threshold", System: sys, Extra: map[string]float64{}}
 	m := cfg.Machine(sys)
@@ -168,21 +173,19 @@ func RunThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) Result {
 		// The machine is poisoned (a node died or the run deadlocked);
 		// report the structured error without reading further state.
 		res.Err = runErr
-		return res
+		return res, nil
 	}
 	finish(m, &res)
 	res.Extra["modified_ratio"] = float64(updated) / float64(visited)
 
-	if cfg.Verify {
-		final := a
-		if sys == cstar.Copying && spec.Iters%2 == 0 {
-			final = old
-		}
-		if res.Err == nil {
-			res.Err = verifyThreshold(final, spec)
-		}
+	final := a // as in runStencil
+	if sys == cstar.Copying && spec.Iters%2 == 0 {
+		final = old
 	}
-	return res
+	if cfg.Verify && res.Err == nil {
+		res.Err = verifyThreshold(final, spec)
+	}
+	return res, final
 }
 
 func abs32(v float32) float32 {
@@ -192,45 +195,32 @@ func abs32(v float32) float32 {
 	return v
 }
 
-// verifyThreshold recomputes the benchmark sequentially and compares.
+// verifyThreshold recomputes the benchmark sequentially with two flat
+// arrays and compares.
 func verifyThreshold(got *cstar.MatrixF32, spec ThresholdSpec) error {
 	n := spec.N
-	cur := make([][]float32, n)
-	old := make([][]float32, n)
-	for i := range cur {
-		cur[i] = make([]float32, n)
-		old[i] = make([]float32, n)
-	}
+	cur, old := make([]float32, n*n), make([]float32, n*n)
 	fixed := make([]bool, n*n) // dense, as in RunThreshold
 	for _, p := range thresholdSources(spec) {
-		cur[p[0]][p[1]] = 100
-		old[p[0]][p[1]] = 100
+		cur[p[0]*n+p[1]] = 100
+		old[p[0]*n+p[1]] = 100
 		fixed[p[0]*n+p[1]] = true
 	}
 	for it := 0; it < spec.Iters; it++ {
 		cur, old = old, cur
 		for i := 1; i < n-1; i++ {
+			up, mid, down := old[(i-1)*n:i*n], old[i*n:(i+1)*n], old[(i+1)*n:(i+2)*n]
+			out, fix := cur[i*n:(i+1)*n], fixed[i*n:(i+1)*n]
 			for j := 1; j < n-1; j++ {
-				v := old[i][j]
-				if fixed[i*n+j] {
-					cur[i][j] = v
-					continue
+				v := mid[j]
+				if !fix[j] {
+					if nv := stencilVal(up[j], down[j], mid[j-1], mid[j+1]); abs32(nv-v) > spec.Threshold {
+						v = nv
+					}
 				}
-				nv := stencilVal(old[i-1][j], old[i+1][j], old[i][j-1], old[i][j+1])
-				if abs32(nv-v) > spec.Threshold {
-					cur[i][j] = nv
-				} else {
-					cur[i][j] = v
-				}
+				out[j] = v
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !approxEq(got.Peek(i, j), cur[i][j]) {
-				return fmt.Errorf("threshold: T[%d][%d] = %v, want %v", i, j, got.Peek(i, j), cur[i][j])
-			}
-		}
-	}
-	return nil
+	return compareMesh(got, cur, "threshold: T")
 }
