@@ -121,6 +121,13 @@ func (v *Vector[T]) GetSpan(n *tempest.Node, i int, dst []T) { tempest.ReadSpan(
 // SetSpan stores src into elements [i, i+len(src)) through node n.
 func (v *Vector[T]) SetSpan(n *tempest.Node, i int, src []T) { tempest.WriteSpan(n, v.addr(i), src) }
 
+// ReadView loads elements [i, i+len(buf)) through node n as GetSpan does and
+// returns them: in place when the vector is declared read-only for the phase
+// (tempest.ReadView), in buf otherwise.
+func (v *Vector[T]) ReadView(n *tempest.Node, i int, buf []T) []T {
+	return tempest.ReadView(n, v.addr(i), buf)
+}
+
 // DeclareOwned declares elements [lo, hi) node n's own until the next
 // barrier (tempest.Node.DeclareOwned).
 func (v *Vector[T]) DeclareOwned(n *tempest.Node, lo, hi int) {
@@ -194,22 +201,37 @@ func (mx *MatrixF32) PokeRow(i int, src []float32) {
 	copy(memsys.View[float32](mx.M.AS.HomeBytes(mx.Addr(i, 0), 4*mx.Cols)), src)
 }
 
-// GetRowSpan loads elements (i, j) .. (i, j+len(dst)) of one row into dst
-// through node n.  The span must stay within the row's padded stride.
-func (mx *MatrixF32) GetRowSpan(n *tempest.Node, i, j int, dst []float32) {
-	if j < 0 || j+len(dst) > mx.stride {
-		panic(fmt.Sprintf("cstar: row span [%d,%d) outside row of stride %d", j, j+len(dst), mx.stride))
-	}
-	n.ReadSpanF32(mx.Addr(i, j), dst)
-}
-
 // SetRowSpan stores src into elements (i, j) .. (i, j+len(src)) of one row
 // through node n.  The span must stay within the row's padded stride.
 func (mx *MatrixF32) SetRowSpan(n *tempest.Node, i, j int, src []float32) {
-	if j < 0 || j+len(src) > mx.stride {
-		panic(fmt.Sprintf("cstar: row span [%d,%d) outside row of stride %d", j, j+len(src), mx.stride))
-	}
+	mx.checkRowSpan(j, len(src))
 	n.WriteSpanF32(mx.Addr(i, j), src)
+}
+
+// ReadRowView loads elements (i, j) .. (i, j+len(buf)) of one row through
+// node n and returns them: in place when the matrix is declared read-only
+// for the phase (tempest.ReadView), in buf otherwise.  The span must stay
+// within the row's padded stride.
+func (mx *MatrixF32) ReadRowView(n *tempest.Node, i, j int, buf []float32) []float32 {
+	mx.checkRowSpan(j, len(buf))
+	return tempest.ReadView(n, mx.Addr(i, j), buf)
+}
+
+// StoreRowView returns elements (i, j) .. (i, j+k) of one row for node n to
+// store all k into, charged as SetRowSpan charges them, when n can store to
+// every one of them without a fault (tempest.StoreView); nil otherwise,
+// having charged nothing, and the caller stores through SetRowSpan.
+func (mx *MatrixF32) StoreRowView(n *tempest.Node, i, j, k int) []float32 {
+	mx.checkRowSpan(j, k)
+	return tempest.StoreView[float32](n, mx.Addr(i, j), k)
+}
+
+// checkRowSpan panics unless a span of k elements from column j stays within
+// a row's padded stride.
+func (mx *MatrixF32) checkRowSpan(j, k int) {
+	if j < 0 || j+k > mx.stride {
+		panic(fmt.Sprintf("cstar: row span [%d,%d) outside row of stride %d", j, j+k, mx.stride))
+	}
 }
 
 // DeclareOwned declares the elements from (i0, j0) through (i1, j1), in

@@ -68,26 +68,40 @@ func (n *Node) spanSeg(a memsys.Addr, elem uint32, max int) (memsys.BlockID, uin
 // and a span whose lines are not home lines stops calling it after its first
 // segment.
 func (n *Node) homeRun(a memsys.Addr, elem uint32, max int, need Tag) int {
+	k, passed := n.homeScan(a, elem, max, need)
+	if need == TagReadWrite {
+		n.lockBlocks(a, passed)
+	}
+	return k
+}
+
+// homeScan is homeRun without the store run's notes: it returns how many of
+// the max elements the run covers and how many blocks it passed.
+func (n *Node) homeScan(a memsys.Addr, elem uint32, max int, need Tag) (k, passed int) {
 	if max == 0 {
-		return 0
+		return 0, 0
 	}
 	bs := uint64(n.M.AS.BlockSize)
 	b, off := n.M.AS.Split(a)
 	end := uint64(off) + uint64(max)*uint64(elem) // the span, from b's start
 	tags := n.tags[b : uint64(b)+(end+bs-1)/bs]
-	passed := homePrefix(tags, byte(need)<<tagShift)
+	passed = homePrefix(tags, byte(need)<<tagShift)
 	if passed != 0 && n.fxLen != 0 && (need != TagReadOnly || !n.M.readOnlyRun(b, b+memsys.BlockID(len(tags)-1))) {
 		passed = n.ownedPrefix(b, passed)
 	}
-	if need == TagReadWrite {
-		for i := 0; i < passed; i++ {
-			n.M.Lock(b + memsys.BlockID(i))
-		}
-	}
 	if passed == 0 {
-		return 0
+		return 0, 0
 	}
-	return int((min(uint64(passed)*bs, end) - uint64(off)) / uint64(elem))
+	return int((min(uint64(passed)*bs, end) - uint64(off)) / uint64(elem)), passed
+}
+
+// lockBlocks notes the count blocks from a's on with Machine.Lock, first
+// first: what a store run over them notes.
+func (n *Node) lockBlocks(a memsys.Addr, count int) {
+	b := n.M.AS.Block(a)
+	for i := 0; i < count; i++ {
+		n.M.Lock(b + memsys.BlockID(i))
+	}
 }
 
 // homePrefix returns how many of tags, from the first, are home lines whose
@@ -173,6 +187,76 @@ func WriteSpan[T memsys.Word](n *Node, a memsys.Addr, src []T) {
 		t := n.storeAt(a, memsys.Bytes(src[:k]), int64(k))
 		src, a, run = src[k:], a+memsys.Addr(uint32(k)*elem), t&lineHome != 0
 	}
+}
+
+// In-place spans: ReadView and StoreView hand the caller the home image of a
+// span instead of moving it through a buffer, when that is exact.
+//
+//   - A read view exists only for a span of one region declared read-only for
+//     the epoch (DeclareReadOnly).  Such a region's lines are home lines (the
+//     declaration is a no-op on a region whose lines are copies), and nobody
+//     writes its home image before the next barrier: the program declared so,
+//     and a write that faults fails with a DeclarationError.  So the view
+//     holds, until that barrier, exactly what ReadSpan would have copied at
+//     the read.
+//   - A store view is handed out only when the run path covers the whole span
+//     for a store, so that no fault can intervene: the stores are then hits
+//     whatever the caller computes, and between the up-front charge and the
+//     stores there is no scheduling point, only the caller's plain clock
+//     additions, which commute with it.
+//
+// Everywhere else, and under Machine.ScalarAccess, the caller goes through
+// ReadSpan and WriteSpan with a buffer of its own.
+
+// ReadView loads the len(buf) consecutive elements at a, with exactly
+// ReadSpan's faults, clocks and hits, and returns them.  Over a region
+// declared read-only for the epoch it copies nothing and returns the span's
+// home image, which the caller must not write and which is valid until the
+// next barrier; elsewhere, and under Machine.ScalarAccess, it is ReadSpan
+// into buf, which it returns.
+func ReadView[T memsys.Word](n *Node, a memsys.Addr, buf []T) []T {
+	elem, k := memsys.SizeOf[T](), len(buf)
+	if n.M.ScalarAccess || k == 0 || !n.M.readOnlySpan(a, uint32(k)*elem) {
+		ReadSpan(n, a, buf)
+		return buf
+	}
+	checkAligned(a, elem)
+	view := memsys.View[T](n.M.AS.HomeBytes(a, k*int(elem)))
+	for left := k; ; {
+		r := n.homeRun(a, elem, left, TagReadOnly)
+		n.hits(int64(r))
+		left, a = left-r, a+memsys.Addr(uint32(r)*elem)
+		if left == 0 {
+			return view
+		}
+		// Every line of the region is a home line, so after the block's
+		// fault the run path goes on from the next, as in ReadSpan.
+		b, _, s := n.spanSeg(a, elem, left)
+		n.loadSeg(b, int64(s))
+		left, a = left-s, a+memsys.Addr(uint32(s)*elem)
+	}
+}
+
+// StoreView returns the home image of the k consecutive elements at a for
+// the caller to store all k into, charged and noted as WriteSpan charges and
+// notes a run of k stores, when the span run path covers the whole span for
+// a store: every block is a home line the node may write, and, with posts
+// outstanding, one the node owns for the epoch.  The view is valid until the
+// caller's next scheduling point.  Otherwise, and under Machine.ScalarAccess,
+// it returns nil, having charged and noted nothing: the caller stores through
+// WriteSpan.
+func StoreView[T memsys.Word](n *Node, a memsys.Addr, k int) []T {
+	elem := memsys.SizeOf[T]()
+	if n.M.ScalarAccess || k == 0 {
+		return nil
+	}
+	checkAligned(a, elem)
+	if r, passed := n.homeScan(a, elem, k, TagReadWrite); r == k {
+		n.lockBlocks(a, passed)
+		n.hits(int64(k))
+		return memsys.View[T](n.M.AS.HomeBytes(a, k*int(elem)))
+	}
+	return nil
 }
 
 // ReadSpanF32 loads len(dst) consecutive single-precision floats.

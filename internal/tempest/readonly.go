@@ -49,6 +49,12 @@ func (m *Machine) readOnlyRun(first, last memsys.BlockID) bool {
 	return r == m.AS.RegionIndex(last) && m.readOnly[r] == m.epoch
 }
 
+// readOnlySpan reports whether the size bytes at a lie in one region, declared
+// read-only for the epoch.
+func (m *Machine) readOnlySpan(a memsys.Addr, size uint32) bool {
+	return m.readOnlyRun(m.AS.Block(a), m.AS.Block(a+memsys.Addr(size)-1))
+}
+
 // PostsRead reports whether n's read fault on b may post its effect instead
 // of yielding: the machine runs ahead, and b's region is declared read-only
 // for the epoch or b is n's own (Owns).

@@ -203,11 +203,12 @@ func rootNeighborMean(n *tempest.Node, src, q *mesh.QuadPool, spec AdaptiveSpec,
 
 // seqCell is the sequential reference's quad-tree node.  ord mirrors the
 // pool's within-subtree allocation ordinal (root = 0, children allocated
-// consecutively), which the drive term depends on.
+// consecutively), which the drive term depends on.  A subdivision's four
+// children are one allocation.
 type seqCell struct {
 	val      float32
 	ord      int
-	children []*seqCell
+	children *[4]seqCell
 }
 
 // verifyAdaptive recomputes the benchmark sequentially (two-copy
@@ -218,10 +219,7 @@ type seqCell struct {
 // leaf's update reads is still the one from before the iteration.
 func verifyAdaptive(q *mesh.QuadPool, spec AdaptiveSpec) error {
 	n := spec.N
-	roots := make([]*seqCell, n*n)
-	for i := range roots {
-		roots[i] = &seqCell{}
-	}
+	roots := make([]seqCell, n*n)
 	fixed := make([]bool, n*n)
 	for _, p := range adaptiveElectrodes(spec) {
 		roots[p[0]*n+p[1]].val = 100
@@ -242,19 +240,20 @@ func verifyAdaptive(q *mesh.QuadPool, spec AdaptiveSpec) error {
 			leaves = append(leaves, leafRef{x, d})
 			return
 		}
-		for _, ch := range x.children {
-			collect(ch, d+1)
+		for i := range x.children {
+			collect(&x.children[i], d+1)
 		}
 	}
 	oldVals := make([]float32, n*n)
 	for it := 0; it < spec.Iters; it++ {
-		for r, c := range roots {
-			oldVals[r] = c.val
+		for r := range roots {
+			oldVals[r] = roots[r].val
 		}
-		for r, c := range roots {
+		for r := range roots {
 			if fixed[r] {
 				continue
 			}
+			c := &roots[r]
 			i, j := r/n, r%n
 			var sum float32
 			cnt := 0
@@ -285,7 +284,7 @@ func verifyAdaptive(q *mesh.QuadPool, spec AdaptiveSpec) error {
 				lsum += nv
 				if abs32(navg-lv) > spec.SubdivThreshold &&
 					lf.d < spec.MaxDepth && alloc[r]+4 <= mesh.SubtreeSlots(spec.MaxDepth) {
-					lf.c.children = []*seqCell{
+					lf.c.children = &[4]seqCell{
 						{val: nv, ord: alloc[r]},
 						{val: nv, ord: alloc[r] + 1},
 						{val: nv, ord: alloc[r] + 2},

@@ -378,8 +378,7 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 			n.DeclareReadOnly(intents.Region())
 			n.DeclareReadOnly(shardMap.Region())
 			for lo := 0; lo < slots; lo += kvAlign {
-				intents.GetSpan(n, lo, span)
-				for _, slot := range span {
+				for _, slot := range intents.ReadView(n, lo, span) {
 					key, val, put := kvDecode(slot)
 					if !put {
 						continue

@@ -116,23 +116,32 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 				// identical to the per-element loop: the same blocks
 				// fault at the same first touch, and 4k reads + k writes
 				// + 4k compute units are charged per k-element piece.
+				// The old mesh is read in place, and a piece the node
+				// already holds writable is computed straight into the
+				// new one; the scratch rows are the fallbacks.
 				sc := scratch[n.ID]
 				lo, hi := sched.Range(n.ID, n.M.P, it, total)
 				ownChunk(n, cur, lo, hi, inner)
 				sweepRowPieces(lo, hi, inner, func(i, jlo, jhi int) {
 					k := jhi - jlo
-					up, down := sc.up[:k], sc.down[:k]
-					left, right := sc.left[:k], sc.right[:k]
-					out := sc.out[:k]
-					src.GetRowSpan(n, i-1, jlo, up)
-					src.GetRowSpan(n, i+1, jlo, down)
-					src.GetRowSpan(n, i, jlo-1, left)
-					src.GetRowSpan(n, i, jlo+1, right)
-					for x := 0; x < k; x++ {
+					up := src.ReadRowView(n, i-1, jlo, sc.up[:k])
+					down := src.ReadRowView(n, i+1, jlo, sc.down[:k])
+					left := src.ReadRowView(n, i, jlo-1, sc.left[:k])
+					right := src.ReadRowView(n, i, jlo+1, sc.right[:k])
+					out := cur.StoreRowView(n, i, jlo, k)
+					inPlace := out != nil
+					if !inPlace {
+						out = sc.out[:k]
+					}
+					// Cut to out's length, so that the loop checks no bounds.
+					up, down, left, right = up[:len(out)], down[:len(out)], left[:len(out)], right[:len(out)]
+					for x := range out {
 						out[x] = stencilVal(up[x], down[x], left[x], right[x])
 					}
 					n.Compute(4 * int64(k))
-					cur.SetRowSpan(n, i, jlo, out)
+					if !inPlace {
+						cur.SetRowSpan(n, i, jlo, out)
+					}
 				})
 				cstar.EndParallel(n)
 				cur, prev = prev, cur

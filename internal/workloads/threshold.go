@@ -123,7 +123,9 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 				// holding a fixed point keep the per-element path.
 				// Accounting matches the scalar loop: k value reads, 4k
 				// neighbour reads, 5k compute units and k writes per
-				// k-element piece.
+				// k-element piece.  As in Stencil's sweep, the old mesh
+				// is read in place and a piece the node holds writable is
+				// written in place.
 				sc := scratch[n.ID]
 				lo, hi := sched.Range(n.ID, n.M.P, it, total)
 				ownChunk(n, cur, lo, hi, inner)
@@ -136,26 +138,35 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 					}
 					k := jhi - jlo
 					myVisited += int64(k)
-					val, out := sc.val[:k], sc.out[:k]
-					up, down := sc.up[:k], sc.down[:k]
-					left, right := sc.left[:k], sc.right[:k]
-					src.GetRowSpan(n, i, jlo, val)
-					src.GetRowSpan(n, i-1, jlo, up)
-					src.GetRowSpan(n, i+1, jlo, down)
-					src.GetRowSpan(n, i, jlo-1, left)
-					src.GetRowSpan(n, i, jlo+1, right)
-					for x := 0; x < k; x++ {
+					val := src.ReadRowView(n, i, jlo, sc.val[:k])
+					up := src.ReadRowView(n, i-1, jlo, sc.up[:k])
+					down := src.ReadRowView(n, i+1, jlo, sc.down[:k])
+					left := src.ReadRowView(n, i, jlo-1, sc.left[:k])
+					right := src.ReadRowView(n, i, jlo+1, sc.right[:k])
+					out := cur.StoreRowView(n, i, jlo, k)
+					inPlace := out != nil
+					if !inPlace {
+						out = sc.out[:k]
+					}
+					// Cut to out's length, so that the loop checks no bounds.
+					val, up, down = val[:len(out)], up[:len(out)], down[:len(out)]
+					left, right = left[:len(out)], right[:len(out)]
+					th, copied := spec.Threshold, 0
+					for x := range out {
 						nv := stencilVal(up[x], down[x], left[x], right[x])
-						if abs32(nv-val[x]) > spec.Threshold {
+						if abs32(nv-val[x]) > th {
 							out[x] = nv
-							myUpdated++
 						} else {
 							out[x] = val[x]
-							n.Ctr.CopiedWords++
+							copied++
 						}
 					}
+					myUpdated += int64(k - copied)
+					n.Ctr.CopiedWords += int64(copied)
 					n.Compute(5 * int64(k))
-					cur.SetRowSpan(n, i, jlo, out)
+					if !inPlace {
+						cur.SetRowSpan(n, i, jlo, out)
+					}
 				})
 				cstar.EndParallel(n)
 				cur, prev = prev, cur

@@ -93,7 +93,9 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 	// Per-node scratch for the span reads of the gather loop: the offset
 	// pair and the vertex's whole edge-target range stream through the
 	// span engine (the gather over src stays scalar — it is irregular by
-	// construction).  Accounting matches the element-by-element loop.
+	// construction).  Accounting matches the element-by-element loop.  The
+	// graph is declared read-only, so both spans are read in place and the
+	// scratch is the fallback.
 	maxDeg := 0
 	for v := 0; v < spec.Nodes; v++ {
 		if d := int(topo.Offsets[v+1] - topo.Offsets[v]); d > maxDeg {
@@ -118,11 +120,10 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 				n.DeclareReadOnly(src.Region())
 			}
 			cstar.ForEach(n, sched, plan, it, spec.Nodes, func(v int) {
-				var pair [2]int32
-				offs.GetSpan(n, v, pair[:])
+				var buf [2]int32
+				pair := offs.ReadView(n, v, buf[:])
 				lo, hi := pair[0], pair[1]
-				tb := tgtScratch[n.ID][:hi-lo]
-				tgts.GetSpan(n, int(lo), tb)
+				tb := tgts.ReadView(n, int(lo), tgtScratch[n.ID][:hi-lo])
 				var sum float32
 				for _, w := range tb {
 					sum += src.Get(n, int(w)*spec.Stride)
