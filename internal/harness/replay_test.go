@@ -92,6 +92,18 @@ func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
 		planned[sys] = r
 	}
 	rows = append(rows, planned)
+	// Unstructured on the paper's graph for 32 iterations.
+	unstructured := map[cstar.System]workloads.Result{}
+	for _, sys := range []cstar.System{cstar.Copying, cstar.LCMscc, cstar.LCMmcc} {
+		spec := workloads.PaperUnstructured()
+		spec.Iters = 32
+		r := workloads.RunUnstructured(sys, spec, cfg)
+		if r.Err != nil {
+			t.Fatalf("Unstructured/%s: %v", sys, r.Err)
+		}
+		unstructured[sys] = r
+	}
+	rows = append(rows, unstructured)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, cfg, 16, rows); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -114,9 +126,11 @@ func TestRunAheadMetadataIsMaskedAndInformational(t *testing.T) {
 		// Copying records included: their reads of the old copy post, and
 		// so do their faults on the new copy, whose blocks each node
 		// declares its own (Stencil its chunk of the mesh, Adaptive the
-		// subtrees of its roots).  The licence does not reach the Copying
-		// cells that declare no new copy, Unstructured and KV, which are
-		// not among these rows.
+		// subtrees of its roots, Unstructured its vertex range).  The
+		// licence does not reach KV, which declares no new copy and is not
+		// among these rows.  Undeclared, Unstructured's Copying run
+		// switched 0.40 of its grants here; declared, 0.02, as its LCM
+		// runs do.
 		if want == "on" && r.SchedHandoffs*4 > r.SchedGrants {
 			t.Errorf("%s/%s: %d of %d grants switched coroutines; run-ahead should leave a small fraction",
 				r.Workload, r.System, r.SchedHandoffs, r.SchedGrants)

@@ -1,5 +1,7 @@
 package net
 
+import "math/bits"
+
 // fatTree routes messages over a CM-5-style 4-ary fat tree in virtual
 // time.  Processing nodes are the leaves; a message from src to dst
 // climbs to their least common ancestor and descends, crossing two
@@ -14,40 +16,52 @@ package net
 // order is the order handlers' effects are applied in — the grant order,
 // whether a handler yielded for its grant or posted and ran ahead of it — so
 // cycle totals replay bit for bit.
+//
+// The route walk is max-plus arithmetic: a hop starts at the later of the
+// message's arrival and the channel's free-at time, a max rather than a
+// branch, and an exchange's queueing reaches the sender's counter once.
 type fatTree struct {
 	cfg Config
 
+	// chs are the servers: 2n and 2n+1 are node n's out and in network
+	// interfaces, and each level's bundles follow.
 	chs []channel
-	// levelOff[ℓ-1] is the index of level ℓ's first channel; channels
-	// 0..2p-1 are the per-node out/in network interfaces.
-	levelOff []int
-	// levelMul[ℓ-1] is the channel multiplicity at level ℓ.
-	levelMul []int
+	// levels[ℓ-1] places level ℓ: the up bundle out of child subtree c
+	// starts at channel first + 2c(mask+1), the down bundle into it mask+1
+	// later, and a bundle's multiplicity mask+1 is 1, 2 or 4, so the
+	// endpoint hash picks a channel by masking.
+	levels [maxLevels]level
 }
+
+// maxLevels bounds the tree's height: 4^maxLevels leaves, four times the
+// largest machine a tuple may describe (16 384, internal/harness).
+const maxLevels = 8
+
+type level struct{ first, mask int }
 
 type channel struct {
 	freeAt int64
 	busy   int64
 }
 
-// NewFatTree builds a fat tree over p leaves.  cfg fields at zero take
-// the package defaults.
+// acquire serializes a message of the given service time through c from t:
+// it starts once both are free, and acquire returns when it leaves.
+func (c *channel) acquire(t, service int64) int64 {
+	c.freeAt = max(t, c.freeAt) + service
+	c.busy += service
+	return c.freeAt
+}
+
+// NewFatTree builds a fat tree over p leaves, at most 4^maxLevels.  cfg
+// fields at zero take the package defaults.
 func NewFatTree(cfg Config, p int) *Network {
 	cfg = cfg.withDefaults()
-	if p < 1 {
-		p = 1
-	}
 	ft := &fatTree{cfg: cfg}
-	n := 2 * p // out/in NI per node
-	for l, span := 1, 1; span < p; l, span = l+1, span*4 {
-		ft.levelOff = append(ft.levelOff, n)
-		mul := 1 << (l - 1)
-		if mul > 4 {
-			mul = 4
-		}
-		ft.levelMul = append(ft.levelMul, mul)
-		children := ((p - 1) >> (2 * (l - 1))) + 1
-		n += children * mul * 2 // up and down bundles per child subtree
+	n := 2 * max(p, 1) // out/in NI per node
+	for l := 0; 1<<(2*l) < p; l++ {
+		mul := 1 << min(l, 2)
+		ft.levels[l] = level{first: n, mask: mul - 1}
+		n += ((p-1)>>(2*l) + 1) * mul * 2 // up and down bundles per child subtree
 	}
 	ft.chs = make([]channel, n)
 	return &Network{header: cfg.HeaderBytes, topo: ft}
@@ -55,66 +69,26 @@ func NewFatTree(cfg Config, p int) *Network {
 
 func (ft *fatTree) name() string { return "fattree" }
 
-func (ft *fatTree) niOut(node int) int { return 2 * node }
-func (ft *fatTree) niIn(node int) int  { return 2*node + 1 }
-
-// upChan returns the channel index for the up-link out of child subtree
-// `child` at level l (1-based), bundle slot h mod the multiplicity.  A
-// multiplicity is 1, 2 or 4 and h is never negative, so the slot is a mask,
-// not a divide.
-func (ft *fatTree) upChan(l, child, h int) int {
-	mul := ft.levelMul[l-1]
-	return ft.levelOff[l-1] + child*mul*2 + h&(mul-1)
-}
-
-// downChan is the matching down-link into child subtree `child`.
-func (ft *fatTree) downChan(l, child, h int) int {
-	mul := ft.levelMul[l-1]
-	return ft.levelOff[l-1] + child*mul*2 + mul + h&(mul-1)
-}
-
-// lca returns the tree level of src and dst's least common ancestor
-// (0 if src == dst); a message crosses 2*lca links.
-func (ft *fatTree) lca(src, dst int) int {
-	l := 0
-	for a, b := src, dst; a != b; a, b = a>>2, b>>2 {
-		l++
-	}
-	return l
-}
-
-// hops returns the link count of the src→dst route (NIs excluded).
-func (ft *fatTree) hops(src, dst int) int { return 2 * ft.lca(src, dst) }
-
-// acquire serializes a message of the given service time through ch
-// starting at t, returning the departure time and accumulating queueing
-// into *queue.
-func (ft *fatTree) acquire(ch int, t, service int64, queue *int64) int64 {
-	c := &ft.chs[ch]
-	start := t
-	if c.freeAt > start {
-		*queue += c.freeAt - start
-		start = c.freeAt
-	}
-	c.freeAt = start + service
-	c.busy += service
-	return start + service
-}
-
 // traverse carries a message of `bytes` total size that left src's network
-// interface at t up the tree, down again and through dst's interface.  It
-// returns the arrival time, accumulating queueing into *queue.
-func (ft *fatTree) traverse(src, dst int, bytes, t int64, queue *int64) int64 {
+// interface at t up to level top, src and dst's least common ancestor, down
+// again and through dst's interface, and returns the arrival time.
+func (ft *fatTree) traverse(src, dst, top int, bytes, t int64) int64 {
+	chs := ft.chs
 	h := src*31 + dst
 	wire := ft.cfg.HopCycles + bytes*ft.cfg.CyclesPerByte
-	top := ft.lca(src, dst)
-	for l := 1; l <= top; l++ {
-		t = ft.acquire(ft.upChan(l, src>>(2*(l-1)), h), t, wire, queue)
+	// Climbing, note the channels of the way down.
+	var down [maxLevels]int
+	a, b := src, dst
+	for l, lv := range ft.levels[:top] {
+		at, stride := lv.first+h&lv.mask, 2*lv.mask+2
+		t = chs[at+a*stride].acquire(t, wire)
+		down[l] = at + b*stride + lv.mask + 1
+		a, b = a>>2, b>>2
 	}
-	for l := top; l >= 1; l-- {
-		t = ft.acquire(ft.downChan(l, dst>>(2*(l-1)), h), t, wire, queue)
+	for l := top - 1; l >= 0; l-- {
+		t = chs[down[l]].acquire(t, wire)
 	}
-	return ft.acquire(ft.niIn(dst), t, ft.cfg.NICycles, queue)
+	return chs[2*dst+1].acquire(t, ft.cfg.NICycles)
 }
 
 // price routes the request leg and, for a class with one, the reply, and
@@ -122,6 +96,10 @@ func (ft *fatTree) traverse(src, dst int, bytes, t int64, queue *int64) int64 {
 // network-interface injection only (plus any queueing for it); the body of
 // the message continues without the sender and still occupies channels
 // against later traffic.
+//
+// A hop ends its service time after it starts, and starts when the previous
+// one ended or later, so what an exchange waited in all is its latency less
+// the service times of its hops: one subtraction, not one per hop.
 func (ft *fatTree) price(id Class, src, dst int, payload, now int64, queue *int64) int64 {
 	cl := &classes[id]
 	// The payload rides the exchange's last leg.
@@ -129,17 +107,21 @@ func (ft *fatTree) price(id Class, src, dst int, payload, now int64, queue *int6
 	if cl.legs == 1 {
 		reqBytes = replyBytes
 	}
-	t := ft.acquire(ft.niOut(src), now, ft.cfg.NICycles, queue)
+	ni := ft.cfg.NICycles
+	top := (bits.Len(uint(src^dst)) + 1) / 2 // leaves under one level-ℓ switch differ in their 2ℓ low bits only
+	t := ft.chs[2*src].acquire(now, ni)
 	if cl.detached {
-		var drift int64
-		ft.traverse(src, dst, reqBytes, t, &drift)
+		ft.traverse(src, dst, top, reqBytes, t)
+		*queue += t - now - ni
 		return t - now
 	}
-	t = ft.traverse(src, dst, reqBytes, t, queue)
+	t = ft.traverse(src, dst, top, reqBytes, t)
 	if cl.legs == 2 {
-		t = ft.acquire(ft.niOut(dst), t, ft.cfg.NICycles, queue)
-		t = ft.traverse(dst, src, replyBytes, t, queue)
+		t = ft.traverse(dst, src, top, replyBytes, ft.chs[2*dst].acquire(t, ni))
 	}
+	hops := int64(2 * top)
+	service := cl.legs*(2*ni+hops*ft.cfg.HopCycles) + hops*ft.cfg.CyclesPerByte*(cl.legs*ft.cfg.HeaderBytes+payload)
+	*queue += t - now - service
 	return t - now
 }
 

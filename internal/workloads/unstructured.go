@@ -118,6 +118,9 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 			if plan.Mode == cstar.ModeCopying {
 				src = prev
 				n.DeclareReadOnly(src.Region())
+				// Each node writes the new copy at its own vertices only.
+				lo, hi := sched.Range(n.ID, n.M.P, it, spec.Nodes)
+				cur.DeclareOwned(n, lo*spec.Stride, hi*spec.Stride)
 			}
 			cstar.ForEach(n, sched, plan, it, spec.Nodes, func(v int) {
 				var buf [2]int32
