@@ -70,3 +70,39 @@ func ExampleDetect() {
 	// Output:
 	// write-write conflict at element 3
 }
+
+// ExampleCall runs one parallel call, a four-point relaxation of a 6x6
+// plate, on LCM and on the Copying baseline.  Either way every invocation
+// reads the values from before the call.  Under LCM the memory system keeps
+// them; under Copying the program keeps them in a second matrix, and the
+// call declares it read-only and each node's chunk of the new one its own.
+func ExampleCall() {
+	for _, sys := range []lcm.System{lcm.LCMmcc, lcm.Copying} {
+		m := lcm.NewMachine(lcm.MachineConfig{Nodes: 4, System: sys})
+		plate := lcm.NewMatrixF32(m, "plate", 6, 6, lcm.DataPolicy(sys), lcm.Interleaved)
+		old := plate
+		if sys == lcm.Copying {
+			old = lcm.NewMatrixF32(m, "plate.old", 6, 6, lcm.Coherent(), lcm.Interleaved)
+		}
+		m.Freeze()
+		for j := 0; j < 6; j++ {
+			plate.Poke(0, j, 100)
+			old.Poke(0, j, 100)
+		}
+		call := lcm.Call{
+			Plan:  lcm.Lower(lcm.AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}, sys),
+			Sched: lcm.StaticSchedule{}, Total: 4 * 4,
+			Old: old, Writes: []lcm.Elements{plate.Interior()},
+		}
+		m.Run(func(n *lcm.Node) {
+			call.Each(n, 0, func(idx int) {
+				i, j := 1+idx/4, 1+idx%4
+				plate.Set(n, i, j, (old.Get(n, i-1, j)+old.Get(n, i+1, j)+old.Get(n, i, j-1)+old.Get(n, i, j+1))/4)
+			})
+		})
+		fmt.Println(sys, plate.Peek(1, 1), plate.Peek(2, 1))
+	}
+	// Output:
+	// lcm-mcc 25 0
+	// copying 25 0
+}

@@ -66,7 +66,7 @@ type Op struct {
 
 // Script is a phased access program: Phases[p][n] is the op sequence node
 // n executes in phase p.  Every phase ends with the reconciliation
-// barrier (cstar.EndParallel), so phases are the protocol's epochs.
+// barrier (Node.ReconcileCopies), so phases are the protocol's epochs.
 //
 // Scripts must follow the C** data-race discipline the oracle can price:
 // within one phase an element is written by at most one node, and a node
@@ -278,7 +278,7 @@ func runOne(cfg Config, o *oracle, path []int, tb *trace.Buffer) runOut {
 						ph, n.ID, e, got, want)
 				}
 			}
-			cstar.EndParallel(n)
+			n.ReconcileCopies()
 		}
 	})
 

@@ -374,7 +374,7 @@ func (p *LCM) chargeHome(n *tempest.Node, b memsys.BlockID, c int64) {
 	}
 }
 
-// ApplyEffect implements tempest.EffectApplier: the shared half of the
+// ApplyEffect implements tempest.Protocol: the shared half of the
 // handler that node n ran for block fx.Block.  The handler's trace event is
 // recorded here, at its place in the grant order, stamped with that grant's
 // clock.

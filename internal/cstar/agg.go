@@ -128,10 +128,11 @@ func (v *Vector[T]) ReadView(n *tempest.Node, i int, buf []T) []T {
 	return tempest.ReadView(n, v.addr(i), buf)
 }
 
-// DeclareOwned declares elements [lo, hi) node n's own until the next
-// barrier (tempest.Node.DeclareOwned).
-func (v *Vector[T]) DeclareOwned(n *tempest.Node, lo, hi int) {
-	n.DeclareOwned(v.R, v.addr(lo), v.addr(hi))
+// Strided maps invocation i of a call to elements [i*k, (i+1)*k) of v.
+func (v *Vector[T]) Strided(k int) Elements {
+	return func(lo, hi int) (*memsys.Region, memsys.Addr, memsys.Addr) {
+		return v.R, v.addr(lo * k), v.addr(hi * k)
+	}
 }
 
 // CopyRange copies elements [lo,hi) from src through node n, counting and
@@ -234,12 +235,14 @@ func (mx *MatrixF32) checkRowSpan(j, k int) {
 	}
 }
 
-// DeclareOwned declares the elements from (i0, j0) through (i1, j1), in
-// row-major order, node n's own until the next barrier
-// (tempest.Node.DeclareOwned): the part of the new copy that one node's
-// chunk of a two-copy parallel call writes, and nobody else touches.
-func (mx *MatrixF32) DeclareOwned(n *tempest.Node, i0, j0, i1, j1 int) {
-	n.DeclareOwned(mx.R, mx.Addr(i0, j0), mx.Addr(i1, j1)+4)
+// Interior maps invocation idx of a call to the interior element (1 +
+// idx/(Cols-2), 1 + idx%(Cols-2)) a stencil updates, and invocations [lo, hi)
+// to the elements from lo's through hi-1's in row-major order.
+func (mx *MatrixF32) Interior() Elements {
+	inner := mx.Cols - 2
+	return func(lo, hi int) (*memsys.Region, memsys.Addr, memsys.Addr) {
+		return mx.R, mx.Addr(1+lo/inner, 1+lo%inner), mx.Addr(1+(hi-1)/inner, 1+(hi-1)%inner) + 4
+	}
 }
 
 // CopyRows copies rows [lo,hi) from src through node n, counting and

@@ -22,15 +22,17 @@
 // This package plays the compiler's role: Lower maps a summary of the
 // function's access behaviour to a Plan, schedulers partition invocations
 // over nodes (statically or dynamically, the paper's "-stat" and "-dyn"
-// variants), and the aggregate types route every element access through
-// the simulated machine's tagged load/store path so the active protocol
-// observes exactly the access stream a compiled C** program would
-// generate.
+// variants), a Call runs one parallel call with the directives and
+// declarations its plan implies, and the aggregate types route every
+// element access through the simulated machine's tagged load/store path so
+// the active protocol observes exactly the access stream a compiled C**
+// program would generate.
 package cstar
 
 import (
 	"fmt"
 
+	"lcm/internal/memsys"
 	"lcm/internal/tempest"
 )
 
@@ -110,6 +112,9 @@ type AccessSummary struct {
 	DynamicStructure bool
 	// HasReduction: the body contains reduction assignments.
 	HasReduction bool
+	// WritesOwnSubstructure: every invocation writes only inside the
+	// structure its element roots (Adaptive's quad-tree), and no other does.
+	WritesOwnSubstructure bool
 }
 
 // Plan is the lowered implementation strategy.
@@ -119,6 +124,9 @@ type Plan struct {
 	// invocations on one processor access disjoint locations, so a
 	// FlushCopies directive separates them (Section 5.1).
 	FlushBetweenInvocations bool
+	// OwnedWrites (ModeCopying only): each invocation writes only what its
+	// index maps to in the new copy, so the node running it owns that (Call).
+	OwnedWrites bool
 }
 
 // Lower plays the compiler: choose a plan for a parallel function with the
@@ -127,7 +135,7 @@ type Plan struct {
 // directives implement the semantics directly.
 func Lower(sum AccessSummary, sys System) Plan {
 	if !sys.IsLCM() {
-		return Plan{Mode: ModeCopying}
+		return Plan{Mode: ModeCopying, OwnedWrites: sum.WritesOwnElementOnly || sum.WritesOwnSubstructure}
 	}
 	flush := sum.ReadsSharedData || sum.DynamicStructure || sum.HasReduction ||
 		!sum.WritesOwnElementOnly
@@ -184,22 +192,75 @@ func chunk(i, p, total int) (int, int) {
 	return lo, hi
 }
 
-// ForEach runs one parallel call's invocations assigned to node n by sched
-// for iteration iter: body(idx) for each index, separated by FlushCopies
-// when the plan requires it.  The caller ends the parallel call with
-// EndParallel (all nodes must).
-func ForEach(n *tempest.Node, sched Scheduler, plan Plan, iter, total int, body func(idx int)) {
-	lo, hi := sched.Range(n.ID, n.M.P, iter, total)
+// Aggregate is what a Call needs of an aggregate it names: its region.
+type Aggregate interface {
+	Region() *memsys.Region
+}
+
+// Elements maps a call's invocations [lo, hi) to the part of one aggregate
+// they write: bytes [first, end) of region r.
+type Elements func(lo, hi int) (r *memsys.Region, first, end memsys.Addr)
+
+// Copies is the data a parallel call updates: one aggregate under ModeLCM,
+// or two under ModeCopying, which trade roles every iteration.
+type Copies[A any] []A
+
+// New returns the copy iteration iter writes.
+func (c Copies[A]) New(iter int) A { return c[iter%len(c)] }
+
+// Old returns the copy iteration iter reads, the one iteration iter-1 wrote.
+func (c Copies[A]) Old(iter int) A { return c[(iter+1)%len(c)] }
+
+// Call is one parallel call: its plan, its schedule over Total invocations
+// and the roles of its data, from which it declares its access
+// (tempest.Node.DeclareReadOnly, DeclareOwned).  Reads are read-only under
+// either plan.  Under ModeCopying so is Old, the old copy, and with
+// OwnedWrites a node owns what Writes maps its invocations to.  A call
+// without a Sched leaves its work to the program and only declares.
+type Call struct {
+	Plan   Plan
+	Sched  Scheduler
+	Total  int
+	Reads  []Aggregate
+	Old    Aggregate
+	Writes []Elements
+}
+
+// Begin makes node n's declarations for iteration iter of the call and
+// returns the invocations [lo, hi) n runs; End closes n's share.
+func (c *Call) Begin(n *tempest.Node, iter int) (lo, hi int) {
+	if c.Sched != nil {
+		lo, hi = c.Sched.Range(n.ID, n.M.P, iter, c.Total)
+	}
+	for _, a := range c.Reads {
+		n.DeclareReadOnly(a.Region())
+	}
+	if c.Plan.Mode == ModeCopying && c.Old != nil {
+		n.DeclareReadOnly(c.Old.Region())
+	}
+	if c.Plan.OwnedWrites && lo < hi {
+		for _, w := range c.Writes {
+			n.DeclareOwned(w(lo, hi))
+		}
+	}
+	return lo, hi
+}
+
+// End completes a parallel call: under LCM it reconciles all private copies
+// into the new global state; under explicit copying it is the barrier after
+// which the two copies trade roles.  Every node must call it.
+func (c *Call) End(n *tempest.Node) { n.ReconcileCopies() }
+
+// Each runs body(idx) for each of node n's invocations in iteration iter,
+// separated by FlushCopies when the plan requires it, between Begin and End.
+func (c *Call) Each(n *tempest.Node, iter int, body func(idx int)) {
+	lo, hi := c.Begin(n, iter)
+	flush := c.Plan.FlushBetweenInvocations && c.Plan.Mode == ModeLCM
 	for idx := lo; idx < hi; idx++ {
 		body(idx)
-		if plan.FlushBetweenInvocations && plan.Mode == ModeLCM {
+		if flush {
 			n.FlushCopies()
 		}
 	}
+	c.End(n)
 }
-
-// EndParallel completes a parallel call: under LCM it reconciles all
-// private copies into the new global state; under explicit copying it is
-// the barrier after which the program swaps its two copies.  Every node
-// must call it.
-func EndParallel(n *tempest.Node) { n.ReconcileCopies() }

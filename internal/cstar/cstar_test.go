@@ -57,6 +57,56 @@ func TestLowerDecisions(t *testing.T) {
 	if p := Lower(independent, LCMmcc); p.Mode != ModeLCM || p.FlushBetweenInvocations {
 		t.Fatalf("independent on lcm -> %+v", p)
 	}
+	// Under explicit copying a node owns what its invocations write when
+	// each writes only its own element or its own substructure.
+	owned := AccessSummary{DynamicStructure: true, ReadsSharedData: true, WritesOwnSubstructure: true}
+	for sum, want := range map[AccessSummary]bool{stencil: true, adaptive: false, owned: true} {
+		if p := Lower(sum, Copying); p.OwnedWrites != want {
+			t.Errorf("%+v on copying -> %+v", sum, p)
+		}
+		if p := Lower(sum, LCMmcc); p.OwnedWrites {
+			t.Errorf("%+v on lcm -> %+v", sum, p)
+		}
+	}
+}
+
+// TestCallDeclaresFromItsPlan: under Copying a Call declares its read roles
+// and its old copy read-only, and the node's Range of what it writes its
+// own; under LCM it declares only its read roles.  Every aggregate here is
+// coherent, so that a declaration takes effect under either protocol (on
+// an LCM region it is a no-op).
+func TestCallDeclaresFromItsPlan(t *testing.T) {
+	for _, sys := range []System{Copying, LCMmcc} {
+		m := NewMachine(4, 32, cost.Default(), sys)
+		graph := NewVectorI32(m, "graph", 64, core.Coherent(), memsys.Blocked)
+		src := NewVectorF32(m, "src", 256, core.Coherent(), memsys.Blocked)
+		dst := NewVectorF32(m, "dst", 256, core.Coherent(), memsys.Blocked)
+		m.Freeze()
+		// A vertex is 8 floats, one 32-byte block.
+		call := Call{Plan: Lower(AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}, sys),
+			Sched: RotatingSchedule{}, Total: 32,
+			Reads: []Aggregate{graph}, Old: src, Writes: []Elements{dst.Strided(8)}}
+		first := m.AS.Block(dst.Addr(0))
+		readOnly := func(a Aggregate) bool { return m.ReadOnly(m.AS.Block(a.Region().Base)) }
+		m.Run(func(n *tempest.Node) {
+			lo, hi := call.Begin(n, 1)
+			if wlo, whi := call.Sched.Range(n.ID, 4, 1, 32); lo != wlo || hi != whi {
+				t.Errorf("%s node %d: Begin = [%d, %d), want Range's [%d, %d)", sys, n.ID, lo, hi, wlo, whi)
+			}
+			copying := sys == Copying
+			if !readOnly(graph) || readOnly(src) != copying || readOnly(dst) {
+				t.Errorf("%s node %d: read-only graph %v, src %v, dst %v; want true, %v, false",
+					sys, n.ID, readOnly(graph), readOnly(src), readOnly(dst), copying)
+			}
+			for v := 0; v < 32; v++ {
+				want := copying && lo <= v && v < hi
+				if got := n.Owns(first + memsys.BlockID(v)); got != want {
+					t.Errorf("%s node %d: owns vertex %d's block = %v, want %v", sys, n.ID, v, got, want)
+				}
+			}
+			call.End(n)
+		})
+	}
 }
 
 // Property: for any p, total, iter, both schedulers produce an exact
@@ -443,19 +493,18 @@ func stencilStepMatches(sys System, sched Scheduler, mesh [][]float32, want [][]
 		}
 	}
 	plan := Lower(AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}, sys)
-	total := (rows - 2) * (cols - 2)
+	src := a
+	if plan.Mode == ModeCopying {
+		src = old
+	}
+	call := Call{Plan: plan, Sched: sched, Total: (rows - 2) * (cols - 2), Old: src, Writes: []Elements{a.Interior()}}
 	m.Run(func(n *tempest.Node) {
-		ForEach(n, sched, plan, 0, total, func(idx int) {
+		call.Each(n, 0, func(idx int) {
 			i := 1 + idx/(cols-2)
 			j := 1 + idx%(cols-2)
-			src := a
-			if plan.Mode == ModeCopying {
-				src = old
-			}
 			v := (src.Get(n, i-1, j) + src.Get(n, i+1, j) + src.Get(n, i, j-1) + src.Get(n, i, j+1)) / 4
 			a.Set(n, i, j, v)
 		})
-		EndParallel(n)
 	})
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {

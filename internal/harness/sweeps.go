@@ -120,17 +120,16 @@ func runStencilWithCommitMode(spec workloads.StencilSpec, cfg workloads.Config, 
 	}
 	plan := cstar.Lower(cstar.AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}, cstar.LCMmcc)
 	inner := spec.N - 2
-	total := inner * inner
+	call := cstar.Call{Plan: plan, Sched: cstar.StaticSchedule{}, Total: inner * inner}
 	return measured(m, "Stencil", "static", cstar.LCMmcc, func(n *tempest.Node) {
 		for it := 0; it < spec.Iters; it++ {
-			cstar.ForEach(n, cstar.StaticSchedule{}, plan, it, total, func(idx int) {
+			call.Each(n, it, func(idx int) {
 				i := 1 + idx/inner
 				j := 1 + idx%inner
 				v := (a.Get(n, i-1, j) + a.Get(n, i+1, j) + a.Get(n, i, j-1) + a.Get(n, i, j+1)) * 0.25
 				a.Set(n, i, j, v)
 				n.Compute(4)
 			})
-			cstar.EndParallel(n)
 		}
 	})
 }

@@ -122,14 +122,11 @@ func (q *QuadPool) Slots() int { return q.slots }
 // Stride returns the padded per-subtree allocation span in cells.
 func (q *QuadPool) Stride() int { return q.stride }
 
-// DeclareOwned declares the sub-pools of roots [lo, hi) — their values,
-// child links and allocation counts — node n's own until the next barrier
-// (tempest.Node.DeclareOwned).  A shadow's topology is q's, so declaring
-// both a pool and its shadow declares those blocks twice, by one node.
-func (q *QuadPool) DeclareOwned(n *tempest.Node, lo, hi int) {
-	q.Val.DeclareOwned(n, lo*q.stride, hi*q.stride)
-	q.Child.DeclareOwned(n, lo*q.stride, hi*q.stride)
-	q.Count.DeclareOwned(n, lo*q.cstride, hi*q.cstride)
+// Subtrees maps invocation r of a call over the root cells to root r's
+// sub-pool: its values, child links and allocation count.  A shadow's
+// topology is q's.
+func (q *QuadPool) Subtrees() []cstar.Elements {
+	return []cstar.Elements{q.Val.Strided(q.stride), q.Child.Strided(q.stride), q.Count.Strided(q.cstride)}
 }
 
 // GetCount reads root rootIdx's allocation count through node n.

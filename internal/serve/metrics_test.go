@@ -75,7 +75,7 @@ func TestSchedCollectorRunAheadCounters(t *testing.T) {
 	js := NewJobStats(1) // retains one sample; the totals must not care
 	js.AddRecords([]RecordSample{
 		{Job: "j1", System: "lcm-scc", Host: host("", 1000, 40, 900)},
-		{Job: "j1", System: "copying", Host: host("protocol without split handlers", 500, 480, 0)},
+		{Job: "j1", System: "copying", Host: host("scheduler hook", 500, 480, 0)},
 	})
 	js.AddRecords([]RecordSample{
 		{Job: "j2", System: "lcm-mcc", Host: host("", 100, 4, 90)},
@@ -99,10 +99,10 @@ func TestSchedCollectorRunAheadCounters(t *testing.T) {
 		{"lcmd_sched_grants_total/on/", 1100},
 		{"lcmd_sched_handoffs_total/on/", 44},
 		{"lcmd_sched_deferred_applies_total/on/", 990},
-		{"lcmd_sched_records_total/off/protocol without split handlers", 1},
-		{"lcmd_sched_grants_total/off/protocol without split handlers", 500},
-		{"lcmd_sched_handoffs_total/off/protocol without split handlers", 480},
-		{"lcmd_sched_deferred_applies_total/off/protocol without split handlers", 0},
+		{"lcmd_sched_records_total/off/scheduler hook", 1},
+		{"lcmd_sched_grants_total/off/scheduler hook", 500},
+		{"lcmd_sched_handoffs_total/off/scheduler hook", 480},
+		{"lcmd_sched_deferred_applies_total/off/scheduler hook", 0},
 		{"lcmd_sched_records_total/off/fault plan", 1},
 		{"lcmd_sched_handoffs_total/off/fault plan", 60},
 	} {

@@ -330,7 +330,7 @@ func (p *Protocol) postWrite(n *tempest.Node, b memsys.BlockID) {
 	n.Emit(fx)
 }
 
-// ApplyEffect implements tempest.EffectApplier: the shared half of node n's
+// ApplyEffect implements tempest.Protocol: the shared half of node n's
 // posted fault on fx.Block — the directory transition, a recall or the
 // invalidations included, the counters and the home's occupancy — and its
 // price, each exchange sent in the on-the-spot order at the clock of the
@@ -446,7 +446,4 @@ func (p *Protocol) FlushCopies(*tempest.Node) {}
 // workload code identical across memory systems.
 func (p *Protocol) ReconcileCopies(n *tempest.Node) { n.Barrier() }
 
-var (
-	_ tempest.Protocol      = (*Protocol)(nil)
-	_ tempest.EffectApplier = (*Protocol)(nil)
-)
+var _ tempest.Protocol = (*Protocol)(nil)

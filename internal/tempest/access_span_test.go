@@ -152,8 +152,6 @@ type postProtocol struct {
 	fakeProtocol
 }
 
-func (f *postProtocol) ApplyEffect(*Node, *Effect) {}
-
 func (f *postProtocol) KeepsCopies(r *memsys.Region) bool { return r.Kind != memsys.KindCoherent }
 
 func (f *postProtocol) ReadFault(n *Node, b memsys.BlockID) {

@@ -70,14 +70,6 @@ func (n *Node) Snapshot(e *Effect) []byte {
 	return n.fxData[o : o+bs : o+bs]
 }
 
-// EffectApplier is implemented by protocols whose handlers are split; it
-// applies one effect on behalf of node n, which posted it.  It may run on
-// any node's coroutine — whichever is driving the scheduler — but, like all
-// simulator code, never concurrently with n or with another ApplyEffect.
-type EffectApplier interface {
-	ApplyEffect(n *Node, e *Effect)
-}
-
 // effectRing is the capacity of a node's effect log under run-ahead, a
 // power of two.  A full log is a drain point — two token hand-offs,
 // amortized over the ring — so the size trades memory per node (a 32-byte
@@ -95,9 +87,7 @@ const _ uint16 = effectRing
 //
 //   - no checker hook is watching individual grants;
 //   - nothing restructures a handler's charges mid-flight (a fault plan:
-//     injected faults, delivery loss, recovery replay);
-//   - the protocol's handlers are split (the LCM's, and Stache's faults on
-//     declared data).
+//     injected faults, delivery loss, recovery replay).
 //
 // Which regions the address space holds does not enter: run-ahead is per
 // region.  A fault on a loosely coherent block posts, and so do a read
@@ -118,8 +108,6 @@ func (m *Machine) RunAhead() (on bool, reason string) {
 		return false, "scheduler hook"
 	case m.Fault != nil:
 		return false, "fault plan"
-	case m.applier == nil:
-		return false, "protocol without split handlers"
 	}
 	return true, ""
 }
@@ -168,7 +156,7 @@ func (n *Node) EnterHandler(b memsys.BlockID) *Effect {
 // EnterHandler call that returned e.
 func (n *Node) Emit(e *Effect) {
 	if !n.runAhead {
-		n.M.applier.ApplyEffect(n, e)
+		n.M.protocol.ApplyEffect(n, e)
 		return
 	}
 	n.fxLen++
@@ -215,7 +203,7 @@ func (m *Machine) applyHead(node int) (next int64, more bool) {
 	e := &n.fx[n.fxHead]
 	n.fxHead = (n.fxHead + 1) & uint16(len(n.fx)-1)
 	n.fxLen--
-	m.applier.ApplyEffect(n, e)
+	m.protocol.ApplyEffect(n, e)
 	if e.dst >= 0 {
 		n.stolen += m.Net.Send(e.class, n.ID, int(e.dst), int64(e.payload), e.clock+n.stolen, &n.Ctr.Net)
 	}

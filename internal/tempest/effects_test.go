@@ -88,7 +88,6 @@ func TestRunAheadPredicate(t *testing.T) {
 			fatTree(m)
 			m.AttachFaults(fault.Plan{Seed: 1, DropPerMil: 5})
 		}, "fault plan"},
-		{"unsplit protocol", memsys.KindLCM, func(m *Machine) { m.SetProtocol(&fakeProtocol{}) }, "protocol without split handlers"},
 		{"coherent region → on", memsys.KindCoherent, nil, ""},
 	}
 	for _, tc := range cases {

@@ -178,6 +178,11 @@ type Protocol interface {
 	// copy cannot be discarded — LCM refuses to evict private-modified
 	// blocks, whose only copy of the modifications lives in the cache.
 	Evict(n *Node, b memsys.BlockID) bool
+
+	// ApplyEffect applies the shared half of a handler, which node n
+	// emitted on e (effects.go), on whichever node's coroutine drives the
+	// scheduler.
+	ApplyEffect(n *Node, e *Effect)
 }
 
 // CopyKeeper is implemented by a protocol that keeps a node's own copy of the
@@ -243,8 +248,7 @@ type Machine struct {
 	SchedHook func(*sched.Scheduler)
 
 	protocol Protocol
-	applier  EffectApplier // protocol, if its handlers are split (effects.go)
-	keeper   CopyKeeper    // protocol, if it keeps copies
+	keeper   CopyKeeper // protocol, if it keeps copies
 	bar      *Barrier
 
 	// epoch numbers the machine's barrier epochs: it advances when a
@@ -362,7 +366,6 @@ func (m *Machine) FreezeErr() error {
 			m.trackWrites = true
 		}
 	}
-	m.applier, _ = m.protocol.(EffectApplier)
 	m.keeper, _ = m.protocol.(CopyKeeper)
 	m.readOnly = make([]uint32, len(m.AS.Regions()))
 	m.protocol.Attach(m)

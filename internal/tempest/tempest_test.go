@@ -46,8 +46,9 @@ func (f *fakeProtocol) Evict(n *Node, b memsys.BlockID) bool {
 	n.SetTag(b, TagInvalid)
 	return true
 }
-func (f *fakeProtocol) FlushCopies(n *Node)     {}
-func (f *fakeProtocol) ReconcileCopies(n *Node) { n.Barrier() }
+func (f *fakeProtocol) FlushCopies(n *Node)        {}
+func (f *fakeProtocol) ReconcileCopies(n *Node)    { n.Barrier() }
+func (f *fakeProtocol) ApplyEffect(*Node, *Effect) {}
 
 func newTestMachine(t *testing.T, p int, words uint64) (*Machine, *memsys.Region) {
 	t.Helper()

@@ -34,8 +34,9 @@ func PaperAdaptive(sched string) AdaptiveSpec {
 }
 
 // adaptiveSummary: dynamic data structure, neighbour reads — exactly the
-// case Section 6.2 argues a compiler cannot analyze.
-var adaptiveSummary = cstar.AccessSummary{ReadsSharedData: true, DynamicStructure: true}
+// case Section 6.2 argues a compiler cannot analyze — but each invocation
+// writes only inside its own root's sub-pool.
+var adaptiveSummary = cstar.AccessSummary{ReadsSharedData: true, DynamicStructure: true, WritesOwnSubstructure: true}
 
 // adaptiveElectrodes places the fixed-potential roots deterministically.
 func adaptiveElectrodes(spec AdaptiveSpec) [][2]int {
@@ -99,6 +100,14 @@ func runAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) (Result, *mesh
 	leafScratch := make([][]int32, cfg.P)
 	depthScratch := make([][]int, cfg.P)
 
+	// Under Copying a node's roots' subtrees are its own in both calls: it
+	// copies them, then relaxes and subdivides them.
+	src, copyPhase := q, cstar.Call{}
+	if plan.Mode == cstar.ModeCopying {
+		src = old
+		copyPhase = cstar.Call{Plan: plan, Sched: sched, Total: total, Writes: append(q.Subtrees(), old.Subtrees()...)}
+	}
+	relax := cstar.Call{Plan: plan, Sched: sched, Total: total, Old: src.Val, Writes: q.Subtrees()}
 	runErr := m.RunErr(func(n *tempest.Node) {
 		for it := 0; it < spec.Iters; it++ {
 			if plan.Mode == cstar.ModeCopying {
@@ -106,29 +115,12 @@ func runAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) (Result, *mesh
 				// every assigned subtree moves to the old copy, since
 				// the compiler cannot tell which parts the iteration
 				// will modify.
-				//
-				// The subtrees of a node's roots are its own in both
-				// phases: it copies them, then relaxes and subdivides
-				// them, and every other read is of the old copy's values.
-				lo, hi := sched.Range(n.ID, n.M.P, it, total)
-				q.DeclareOwned(n, lo, hi)
-				old.DeclareOwned(n, lo, hi)
-				for r := lo; r < hi; r++ {
-					cnt := int(q.GetCount(n, r))
+				copyPhase.Each(n, it, func(r int) {
 					base := r * q.Stride()
-					old.Val.CopyRange(n, q.Val, base, base+cnt)
-				}
-				n.Barrier()
-				// The copy phase wrote the old copy; the compute phase
-				// only reads it.
-				n.DeclareReadOnly(old.Val.Region())
-				q.DeclareOwned(n, lo, hi)
+					old.Val.CopyRange(n, q.Val, base, base+int(q.GetCount(n, r)))
+				})
 			}
-			src := q
-			if plan.Mode == cstar.ModeCopying {
-				src = old
-			}
-			cstar.ForEach(n, sched, plan, it, total, func(rIdx int) {
+			relax.Each(n, it, func(rIdx int) {
 				i, j := rIdx/spec.N, rIdx%spec.N
 				if fixed[rIdx] {
 					return // electrode: potential is pinned
@@ -159,7 +151,6 @@ func runAdaptive(sys cstar.System, spec AdaptiveSpec, cfg Config) (Result, *mesh
 				leafScratch[n.ID] = leaves
 				depthScratch[n.ID] = depths
 			})
-			cstar.EndParallel(n)
 		}
 	})
 	if runErr != nil {

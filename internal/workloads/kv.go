@@ -294,6 +294,10 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 	var stats KVStats
 	shardOps := make([]int64, spec.Shards)
 
+	// The program assigns each phase's work itself (stream c to node c mod
+	// P), so its calls name only what they read.
+	serve := cstar.Call{Reads: []cstar.Aggregate{store}}
+	apply := cstar.Call{Reads: []cstar.Aggregate{intents, shardMap}}
 	runErr := m.RunErr(func(n *tempest.Node) {
 		// Per-stream generator state, indexed by stream; this node only
 		// touches the streams it serves (c mod P == n.ID), always in
@@ -313,7 +317,7 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 			// Reshard barrier: node 0 republishes the shard map under a
 			// new version; the old owner hands its blocks off by
 			// dropping its cached copies, and the new owner tallies the
-			// migration.  The extra EndParallel versions the map: every
+			// migration.  The extra reconciliation versions the map: every
 			// node sees the new epoch before any request of the phase.
 			resharded := spec.ReshardEvery > 0 && phase > 0 && phase%spec.ReshardEvery == 0
 			if resharded {
@@ -325,7 +329,7 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 					shardMap.Set(n, spec.Shards, int32(epoch))
 					myReshards++
 				}
-				cstar.EndParallel(n)
+				n.ReconcileCopies()
 				for s := 0; s < spec.Shards; s++ {
 					was, now := kvOwner(s, epoch-1, p), kvOwner(s, epoch, p)
 					if was == now {
@@ -348,9 +352,11 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 			// The store is read-only for the phase, but after a reshard:
 			// the old owners' DropCopy above is no read, and it fails on a
 			// region declared read-only.
-			if !resharded {
-				n.DeclareReadOnly(store.Region())
+			phaseCall := serve
+			if resharded {
+				phaseCall = cstar.Call{}
 			}
+			phaseCall.Begin(n, phase)
 			for c := n.ID; c < spec.Streams; c += p {
 				r := &rngs[c]
 				base := c * spec.OpsPerStream
@@ -368,15 +374,13 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 					}
 				}
 			}
-			cstar.EndParallel(n)
+			phaseCall.End(n)
 
 			// Apply: every node scans the whole intent buffer in
 			// canonical slot order and applies the puts that land in
 			// shards it owns, so the last writer of a key is the highest
-			// slot regardless of machine size or schedule.  The intents
-			// and the shard map are read-only for the phase.
-			n.DeclareReadOnly(intents.Region())
-			n.DeclareReadOnly(shardMap.Region())
+			// slot regardless of machine size or schedule.
+			apply.Begin(n, phase)
 			for lo := 0; lo < slots; lo += kvAlign {
 				for _, slot := range intents.ReadView(n, lo, span) {
 					key, val, put := kvDecode(slot)
@@ -390,7 +394,7 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 					store.Set(n, key, val)
 				}
 			}
-			cstar.EndParallel(n)
+			apply.End(n)
 		}
 
 		// Publish the per-stream get checksums through simulated memory
@@ -398,7 +402,7 @@ func RunKV(sys cstar.System, spec KVSpec, cfg Config) Result {
 		for c := n.ID; c < spec.Streams; c += p {
 			getsum.Set(n, c, int64(mySums[c]))
 		}
-		cstar.EndParallel(n)
+		n.ReconcileCopies()
 
 		stats.Gets += myGets
 		stats.Puts += myPuts

@@ -76,20 +76,19 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 	res := Result{Workload: "Stencil", System: sys, Sched: spec.Sched}
 	m := cfg.Machine(sys)
 
-	a := cstar.NewMatrixF32(m, "A", spec.N, spec.N, cstar.DataPolicy(sys), memsys.Interleaved)
-	var old *cstar.MatrixF32
+	mesh := cstar.Copies[*cstar.MatrixF32]{
+		cstar.NewMatrixF32(m, "A", spec.N, spec.N, cstar.DataPolicy(sys), memsys.Interleaved)}
 	if sys == cstar.Copying {
 		// The compiler's explicit two-copy lowering (Section 6.1): all
 		// reads from the old copy, all writes to the new, pointer swap
 		// after each iteration.
-		old = cstar.NewMatrixF32(m, "A.old", spec.N, spec.N, core.Coherent(), memsys.Interleaved)
+		mesh = append(mesh, cstar.NewMatrixF32(m, "A.old", spec.N, spec.N, core.Coherent(), memsys.Interleaved))
 	}
 	m.Freeze()
 
 	stencilMesh(spec.N, func(i int, row []float32) {
-		a.PokeRow(i, row)
-		if old != nil {
-			old.PokeRow(i, row)
+		for _, a := range mesh {
+			a.PokeRow(i, row)
 		}
 	})
 
@@ -100,15 +99,9 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 	scratch := newRowScratch(cfg.P, inner)
 
 	runErr := m.RunErr(func(n *tempest.Node) {
-		cur, prev := a, old
 		for it := 0; it < spec.Iters; it++ {
-			src := cur
-			if plan.Mode == cstar.ModeCopying {
-				src = prev
-				// The old copy is read-only for the whole call.  (Under
-				// LCM, src is cur, which the call writes.)
-				n.DeclareReadOnly(src.Region())
-			}
+			src, cur := mesh.Old(it), mesh.New(it)
+			call := cstar.Call{Plan: plan, Sched: sched, Total: total, Old: src, Writes: []cstar.Elements{cur.Interior()}}
 			if plan.Mode == cstar.ModeCopying {
 				// Span sweep: the two-copy lowering reads only the old
 				// mesh and writes only the new one, so whole row pieces
@@ -120,8 +113,7 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 				// already holds writable is computed straight into the
 				// new one; the scratch rows are the fallbacks.
 				sc := scratch[n.ID]
-				lo, hi := sched.Range(n.ID, n.M.P, it, total)
-				ownChunk(n, cur, lo, hi, inner)
+				lo, hi := call.Begin(n, it)
 				sweepRowPieces(lo, hi, inner, func(i, jlo, jhi int) {
 					k := jhi - jlo
 					up := src.ReadRowView(n, i-1, jlo, sc.up[:k])
@@ -143,11 +135,10 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 						cur.SetRowSpan(n, i, jlo, out)
 					}
 				})
-				cstar.EndParallel(n)
-				cur, prev = prev, cur
+				call.End(n)
 				continue
 			}
-			cstar.ForEach(n, sched, plan, it, total, func(idx int) {
+			call.Each(n, it, func(idx int) {
 				i := 1 + idx/inner
 				j := 1 + idx%inner
 				v := stencilVal(src.Get(n, i-1, j), src.Get(n, i+1, j),
@@ -155,7 +146,6 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 				cur.Set(n, i, j, v)
 				n.Compute(4)
 			})
-			cstar.EndParallel(n)
 		}
 	})
 	if runErr != nil {
@@ -166,13 +156,7 @@ func runStencil(sys cstar.System, spec StencilSpec, cfg Config) (Result, *cstar.
 	}
 	finish(m, &res)
 
-	// Under Copying, iteration k writes a when k is even and old when k is
-	// odd, so the last write (k = Iters-1) lands in a for odd Iters and in
-	// old for even Iters.  Under LCM it is always a.
-	final := a
-	if sys == cstar.Copying && spec.Iters%2 == 0 {
-		final = old
-	}
+	final := mesh.Old(spec.Iters) // what the last iteration wrote
 	if cfg.Verify && res.Err == nil {
 		res.Err = verifyStencil(final, spec)
 	}
@@ -197,16 +181,6 @@ func newRowScratch(p, k int) []rowScratch {
 		}
 	}
 	return sc
-}
-
-// ownChunk declares the new copy's cells of the flattened interior index
-// range [lo, hi) node n's own for the call: under the two-copy lowering it
-// writes each of them and nobody else touches them.  The blocks a
-// neighbouring chunk shares stay undeclared (tempest.Node.DeclareOwned).
-func ownChunk(n *tempest.Node, cur *cstar.MatrixF32, lo, hi, inner int) {
-	if lo < hi {
-		cur.DeclareOwned(n, 1+lo/inner, 1+lo%inner, 1+(hi-1)/inner, 1+(hi-1)%inner)
-	}
 }
 
 // sweepRowPieces invokes fn(i, jlo, jhi) for each maximal single-row piece

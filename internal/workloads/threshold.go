@@ -54,14 +54,14 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 	res := Result{Workload: "Threshold", System: sys, Extra: map[string]float64{}}
 	m := cfg.Machine(sys)
 
-	a := cstar.NewMatrixF32(m, "T", spec.N, spec.N, cstar.DataPolicy(sys), memsys.Interleaved)
-	var old *cstar.MatrixF32
+	mesh := cstar.Copies[*cstar.MatrixF32]{
+		cstar.NewMatrixF32(m, "T", spec.N, spec.N, cstar.DataPolicy(sys), memsys.Interleaved)}
 	if sys == cstar.Copying {
 		// Without LCM the mesh must be fully copied each iteration to
 		// move values from the old mesh to the new one; the program
 		// itself copies the not-updated values (Section 6.3), so the
 		// copy is folded into the update loop below.
-		old = cstar.NewMatrixF32(m, "T.old", spec.N, spec.N, core.Coherent(), memsys.Interleaved)
+		mesh = append(mesh, cstar.NewMatrixF32(m, "T.old", spec.N, spec.N, core.Coherent(), memsys.Interleaved))
 	}
 	m.Freeze()
 
@@ -71,9 +71,8 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 	fixed := make([]bool, spec.N*spec.N)
 	fixedRow := make([]bool, spec.N)
 	for _, p := range srcs {
-		a.Poke(p[0], p[1], 100)
-		if old != nil {
-			old.Poke(p[0], p[1], 100)
+		for _, a := range mesh {
+			a.Poke(p[0], p[1], 100)
 		}
 		fixed[p[0]*spec.N+p[1]] = true
 		fixedRow[p[0]] = true
@@ -87,14 +86,10 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 	var updated, visited int64
 
 	runErr := m.RunErr(func(n *tempest.Node) {
-		cur, prev := a, old
 		var myUpdated, myVisited int64
 		for it := 0; it < spec.Iters; it++ {
-			src := cur
-			if plan.Mode == cstar.ModeCopying {
-				src = prev
-				n.DeclareReadOnly(src.Region()) // the old copy, read-only for the call
-			}
+			src, cur := mesh.Old(it), mesh.New(it)
+			call := cstar.Call{Plan: plan, Sched: sched, Total: total, Old: src, Writes: []cstar.Elements{cur.Interior()}}
 			cell := func(i, j int) {
 				myVisited++
 				v := src.Get(n, i, j)
@@ -127,8 +122,7 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 				// is read in place and a piece the node holds writable is
 				// written in place.
 				sc := scratch[n.ID]
-				lo, hi := sched.Range(n.ID, n.M.P, it, total)
-				ownChunk(n, cur, lo, hi, inner)
+				lo, hi := call.Begin(n, it)
 				sweepRowPieces(lo, hi, inner, func(i, jlo, jhi int) {
 					if fixedRow[i] {
 						for j := jlo; j < jhi; j++ {
@@ -168,14 +162,12 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 						cur.SetRowSpan(n, i, jlo, out)
 					}
 				})
-				cstar.EndParallel(n)
-				cur, prev = prev, cur
+				call.End(n)
 				continue
 			}
-			cstar.ForEach(n, sched, plan, it, total, func(idx int) {
+			call.Each(n, it, func(idx int) {
 				cell(1+idx/inner, 1+idx%inner)
 			})
-			cstar.EndParallel(n)
 		}
 		updated += myUpdated
 		visited += myVisited
@@ -189,10 +181,7 @@ func runThreshold(sys cstar.System, spec ThresholdSpec, cfg Config) (Result, *cs
 	finish(m, &res)
 	res.Extra["modified_ratio"] = float64(updated) / float64(visited)
 
-	final := a // as in runStencil
-	if sys == cstar.Copying && spec.Iters%2 == 0 {
-		final = old
-	}
+	final := mesh.Old(spec.Iters) // what the last iteration wrote
 	if cfg.Verify && res.Err == nil {
 		res.Err = verifyThreshold(final, spec)
 	}

@@ -60,13 +60,13 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 	m := cfg.Machine(sys)
 	// Vertex values: one padded record per vertex, block-partitioned so a
 	// node's vertices are homed locally (owner-compute layout).
-	val := cstar.NewVectorF32(m, "g.val", spec.Nodes*spec.Stride, cstar.DataPolicy(sys), memsys.Blocked)
-	var old *cstar.VectorF32
+	vals := cstar.Copies[*cstar.VectorF32]{
+		cstar.NewVectorF32(m, "g.val", spec.Nodes*spec.Stride, cstar.DataPolicy(sys), memsys.Blocked)}
 	if sys == cstar.Copying {
 		// "To ensure C** semantics without LCM support, the program
 		// maintains an extra copy of the nodes.  No additional copying
 		// is necessary since all nodes are updated in each iteration."
-		old = cstar.NewVectorF32(m, "g.old", spec.Nodes*spec.Stride, core.Coherent(), memsys.Blocked)
+		vals = append(vals, cstar.NewVectorF32(m, "g.old", spec.Nodes*spec.Stride, core.Coherent(), memsys.Blocked))
 	}
 	offs := cstar.NewVectorI32(m, "g.off", spec.Nodes+1, core.Coherent(), memsys.Interleaved)
 	tgts := cstar.NewVectorI32(m, "g.tgt", len(topo.Targets), core.Coherent(), memsys.Interleaved)
@@ -80,9 +80,8 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 	}
 	initV := func(v int) float32 { return float32((v*7919)%100) / 10 }
 	for v := 0; v < spec.Nodes; v++ {
-		val.Poke(v*spec.Stride, initV(v))
-		if old != nil {
-			old.Poke(v*spec.Stride, initV(v))
+		for _, val := range vals {
+			val.Poke(v*spec.Stride, initV(v))
 		}
 	}
 	res.Extra["cross_edges"] = float64(topo.CrossEdges(cfg.P))
@@ -108,21 +107,12 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 	}
 
 	runErr := m.RunErr(func(n *tempest.Node) {
-		cur, prev := val, old
 		for it := 0; it < spec.Iters; it++ {
-			// The graph is never written after Freeze; the old copy is
-			// read-only for the call.
-			n.DeclareReadOnly(offs.Region())
-			n.DeclareReadOnly(tgts.Region())
-			src := cur
-			if plan.Mode == cstar.ModeCopying {
-				src = prev
-				n.DeclareReadOnly(src.Region())
-				// Each node writes the new copy at its own vertices only.
-				lo, hi := sched.Range(n.ID, n.M.P, it, spec.Nodes)
-				cur.DeclareOwned(n, lo*spec.Stride, hi*spec.Stride)
-			}
-			cstar.ForEach(n, sched, plan, it, spec.Nodes, func(v int) {
+			// The graph is never written after Freeze.
+			src, cur := vals.Old(it), vals.New(it)
+			call := cstar.Call{Plan: plan, Sched: sched, Total: spec.Nodes, Reads: []cstar.Aggregate{offs, tgts},
+				Old: src, Writes: []cstar.Elements{cur.Strided(spec.Stride)}}
+			call.Each(n, it, func(v int) {
 				var buf [2]int32
 				pair := offs.ReadView(n, v, buf[:])
 				lo, hi := pair[0], pair[1]
@@ -135,10 +125,6 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 				cur.Set(n, v*spec.Stride, relaxVertex(src.Get(n, v*spec.Stride), navg, v, it))
 				n.Compute(int64(hi-lo) + 2)
 			})
-			cstar.EndParallel(n)
-			if plan.Mode == cstar.ModeCopying {
-				cur, prev = prev, cur
-			}
 		}
 	})
 	if runErr != nil {
@@ -149,14 +135,8 @@ func RunUnstructured(sys cstar.System, spec UnstructuredSpec, cfg Config) Result
 	}
 	finish(m, &res)
 
-	if cfg.Verify {
-		final := val
-		if sys == cstar.Copying && spec.Iters%2 == 0 {
-			final = old
-		}
-		if res.Err == nil {
-			res.Err = verifyUnstructured(final, topo, spec, initV)
-		}
+	if cfg.Verify && res.Err == nil {
+		res.Err = verifyUnstructured(vals.Old(spec.Iters), topo, spec, initV)
 	}
 	return res
 }

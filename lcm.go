@@ -11,13 +11,13 @@
 //	a := lcm.NewMatrixF32(m, "A", 256, 256, lcm.LooselyCoherent(), lcm.Interleaved)
 //	m.Freeze()
 //	plan := lcm.Lower(lcm.AccessSummary{WritesOwnElementOnly: true, ReadsSharedData: true}, lcm.LCMmcc)
+//	call := lcm.Call{Plan: plan, Sched: lcm.StaticSchedule{}, Total: 254 * 254}
 //	m.Run(func(n *lcm.Node) {
-//		lcm.ForEach(n, lcm.StaticSchedule{}, plan, 0, 254*254, func(idx int) {
+//		call.Each(n, 0, func(idx int) {
 //			i, j := 1+idx/254, 1+idx%254
 //			v := (a.Get(n, i-1, j) + a.Get(n, i+1, j) + a.Get(n, i, j-1) + a.Get(n, i, j+1)) / 4
 //			a.Set(n, i, j, v)
 //		})
-//		lcm.EndParallel(n)
 //	})
 //
 // Every Get/Set flows through the simulated machine's access-control tags,
@@ -220,6 +220,12 @@ type (
 	StaticSchedule = cstar.StaticSchedule
 	// RotatingSchedule re-partitions each iteration ("-dyn" variants).
 	RotatingSchedule = cstar.RotatingSchedule
+	// Call runs one parallel call and declares its access from its plan.
+	Call = cstar.Call
+	// Aggregate is what a Call needs of an aggregate it names.
+	Aggregate = cstar.Aggregate
+	// Elements maps a call's invocations to the elements they write.
+	Elements = cstar.Elements
 )
 
 // ReduceOp selects a reduction variable's combining operator.
@@ -237,10 +243,3 @@ var NewReduceF64Op = cstar.NewReduceF64Op
 
 // Lower plays the C** compiler: pick a plan for a parallel function.
 var Lower = cstar.Lower
-
-// ForEach runs one node's share of a parallel call.
-var ForEach = cstar.ForEach
-
-// EndParallel completes a parallel call (reconciliation barrier); every
-// node must call it.
-var EndParallel = cstar.EndParallel

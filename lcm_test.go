@@ -25,14 +25,15 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		t.Fatalf("plan %+v", plan)
 	}
 
+	relax := lcm.Call{Plan: plan, Sched: lcm.StaticSchedule{}, Total: 14 * 14}
+	sum := lcm.Call{Plan: plan, Sched: lcm.StaticSchedule{}, Total: 16 * 16}
 	m.Run(func(n *lcm.Node) {
-		lcm.ForEach(n, lcm.StaticSchedule{}, plan, 0, 14*14, func(idx int) {
+		relax.Each(n, 0, func(idx int) {
 			i, j := 1+idx/14, 1+idx%14
 			v := (a.Get(n, i-1, j) + a.Get(n, i+1, j) + a.Get(n, i, j-1) + a.Get(n, i, j+1)) / 4
 			a.Set(n, i, j, v)
 		})
-		lcm.EndParallel(n)
-		lcm.ForEach(n, lcm.StaticSchedule{}, plan, 0, 16*16, func(idx int) {
+		sum.Each(n, 0, func(idx int) {
 			red.Add(n, float64(a.Get(n, idx/16, idx%16)))
 		})
 		red.Reduce(n)
